@@ -1,6 +1,6 @@
 // Copyright (c) 2026 The tsq Authors.
 //
-// Ablations of the design choices DESIGN.md calls out:
+// Ablations of three design choices:
 //   1. number of indexed coefficients k — filter power (candidates per
 //      query) vs index dimensionality;
 //   2. polar vs rectangular coordinate space — identical correctness for

@@ -3,10 +3,10 @@
 // Reproduces the shapes of the paper's Figures 3-5 (Examples 2.1-2.3): the
 // transformation pipelines on stock pairs. The original stock data
 // (ftp.ai.mit.edu) is unavailable; fixed-seed simulated stand-ins with the
-// same qualitative relationships are used instead (see DESIGN.md,
-// "Substitutions"). The check is the *shape*: each pipeline step shrinks
-// the distance for related pairs; smoothing cannot reconcile dissimilar
-// trends.
+// same qualitative relationships are used instead (see
+// src/workload/paper_data.h). The check is the *shape*: each pipeline step
+// shrinks the distance for related pairs; smoothing cannot reconcile
+// dissimilar trends.
 
 #include <cstdio>
 

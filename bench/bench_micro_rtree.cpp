@@ -2,15 +2,20 @@
 //
 // Micro-benchmarks (google-benchmark) for the R-tree family: insertion and
 // range-search throughput per split algorithm, with and without forced
-// reinsertion — the index-construction ablation called out in DESIGN.md
-// (the paper builds on the R*-tree because of its better query
-// performance; these runs show the construction/query tradeoff).
+// reinsertion (the paper builds on the R*-tree because of its better
+// query performance; these runs show the construction/query tradeoff),
+// and warm range/kNN descents over a bulk-loaded tree of the paper's
+// index shape (6-D, 4 KiB pages) reporting the time per visited node.
+// Sizes shrink under TSQ_BENCH_SMOKE; results also go to
+// BENCH_micro_rtree.json.
 
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 
+#include "bench_util.h"
 #include "common/random.h"
+#include "micro_main.h"
 #include "rtree/rstar_tree.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
@@ -28,13 +33,14 @@ struct TreeEnv {
   std::unique_ptr<BufferPool> pool;
   std::unique_ptr<RStarTree> tree;
 
-  TreeEnv(SplitAlgorithm split, bool reinsert, size_t dims) {
+  TreeEnv(SplitAlgorithm split, bool reinsert, size_t dims,
+          size_t pool_frames = 512) {
     path = (std::filesystem::temp_directory_path() /
             ("tsq_micrortree_" + std::to_string(reinterpret_cast<uintptr_t>(
                                      this))))
                .string();
     file = PageFile::Create(path).value();
-    pool = std::make_unique<BufferPool>(file.get(), 512);
+    pool = std::make_unique<BufferPool>(file.get(), pool_frames);
     RTreeOptions options;
     options.split = split;
     options.forced_reinsert = reinsert;
@@ -80,17 +86,18 @@ const char* SplitName(int64_t arg) {
 void BM_RTreeInsert(benchmark::State& state) {
   const SplitAlgorithm split = SplitOf(state.range(0));
   const bool reinsert = state.range(1) != 0;
+  const uint64_t count = bench::Scaled(2000, 100);
   for (auto _ : state) {
     state.PauseTiming();
     TreeEnv env(split, reinsert, 6);
     Rng rng(42);
     state.ResumeTiming();
-    for (uint64_t i = 0; i < 2000; ++i) {
+    for (uint64_t i = 0; i < count; ++i) {
       benchmark::DoNotOptimize(
           env.tree->InsertPoint(RandomPoint(&rng, 6), i).ok());
     }
   }
-  state.SetItemsProcessed(state.iterations() * 2000);
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(count));
   state.SetLabel(std::string(SplitName(state.range(0))) +
                  (reinsert ? "+reinsert" : ""));
 }
@@ -106,7 +113,7 @@ void BM_RTreeRangeSearch(benchmark::State& state) {
   const bool reinsert = state.range(1) != 0;
   TreeEnv env(split, reinsert, 6);
   Rng rng(43);
-  for (uint64_t i = 0; i < 5000; ++i) {
+  for (uint64_t i = 0; i < bench::Scaled(5000, 500); ++i) {
     env.tree->InsertPoint(RandomPoint(&rng, 6), i).ok();
   }
   spatial::Point lo(6), hi(6);
@@ -140,7 +147,7 @@ void BM_RTreeTransformedSearch(benchmark::State& state) {
   const bool transformed = state.range(0) != 0;
   TreeEnv env(SplitAlgorithm::kRStar, true, 6);
   Rng rng(44);
-  for (uint64_t i = 0; i < 5000; ++i) {
+  for (uint64_t i = 0; i < bench::Scaled(5000, 500); ++i) {
     env.tree->InsertPoint(RandomPoint(&rng, 6), i).ok();
   }
   spatial::Point lo(6), hi(6);
@@ -167,23 +174,24 @@ void BM_RTreeTransformedSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_RTreeTransformedSearch)->Arg(0)->Arg(1);
 
+class PointMetric final : public rtree::NnMetric {
+ public:
+  explicit PointMetric(spatial::Point q) : q_(std::move(q)) {}
+  double MinDistSquared(const spatial::Rect& rect) const override {
+    return spatial::MinDistSquared(q_, rect);
+  }
+
+ private:
+  spatial::Point q_;
+};
+
 void BM_RTreeKnn(benchmark::State& state) {
   TreeEnv env(SplitAlgorithm::kRStar, true, 6);
   Rng rng(45);
-  for (uint64_t i = 0; i < 5000; ++i) {
+  for (uint64_t i = 0; i < bench::Scaled(5000, 500); ++i) {
     env.tree->InsertPoint(RandomPoint(&rng, 6), i).ok();
   }
-  class Metric final : public rtree::NnMetric {
-   public:
-    explicit Metric(spatial::Point q) : q_(std::move(q)) {}
-    double MinDistSquared(const spatial::Rect& rect) const override {
-      return spatial::MinDistSquared(q_, rect);
-    }
-
-   private:
-    spatial::Point q_;
-  };
-  Metric metric(spatial::Point(6, 50.0));
+  PointMetric metric(spatial::Point(6, 50.0));
   const size_t k = static_cast<size_t>(state.range(0));
   std::vector<rtree::NnResult> out;
   for (auto _ : state) {
@@ -193,7 +201,102 @@ void BM_RTreeKnn(benchmark::State& state) {
 }
 BENCHMARK(BM_RTreeKnn)->Arg(1)->Arg(10)->Arg(100);
 
+// --- warm descents over the paper's index shape --------------------------
+
+constexpr size_t kPaperDims = 6;  // the paper's 6-D index, on 4 KiB pages
+
+/// Bulk-loaded 6-D tree over uniform points in [0, 100]^6 (100k points,
+/// the size of perfbench's lookup relation; fewer under TSQ_BENCH_SMOKE)
+/// with a pool that holds every page, plus a fixed set of query points.
+/// Built once per process: google-benchmark calls each function several
+/// times while sizing its iteration count.
+struct PaperTree {
+  TreeEnv env{SplitAlgorithm::kRStar, true, kPaperDims, 8192};
+  std::vector<spatial::Point> queries;
+
+  PaperTree() {
+    Rng rng(46);
+    std::vector<rtree::Entry> entries(bench::Scaled(100000, 2000));
+    for (size_t i = 0; i < entries.size(); ++i) {
+      entries[i].rect = spatial::Rect::FromPoint(RandomPoint(&rng, kPaperDims));
+      entries[i].id = i;
+    }
+    env.tree->BulkLoad(std::move(entries)).ok();
+    for (int i = 0; i < 256; ++i) {
+      queries.push_back(RandomPoint(&rng, kPaperDims));
+    }
+  }
+};
+
+const PaperTree& GetPaperTree() {
+  static const PaperTree tree;  // its destructor removes the page file
+  return tree;
+}
+
+/// Runs `descend(query)` once per iteration over the query set, after one
+/// untimed warm-up pass, and reports nodes visited per query and the time
+/// per visited node (in seconds, printed with an SI prefix).
+template <typename Descend>
+void RunDescents(benchmark::State& state, const Descend& descend) {
+  const PaperTree& paper = GetPaperTree();
+  for (const spatial::Point& q : paper.queries) descend(q);
+  const uint64_t nodes_before =
+      rtree::ThisThreadTraversalCounters().nodes_visited;
+  size_t next = 0;
+  for (auto _ : state) {
+    descend(paper.queries[next]);
+    next = (next + 1) % paper.queries.size();
+  }
+  const double nodes = static_cast<double>(
+      rtree::ThisThreadTraversalCounters().nodes_visited - nodes_before);
+  state.counters["nodes_per_query"] =
+      benchmark::Counter(nodes, benchmark::Counter::kAvgIterations);
+  state.counters["time_per_node"] = benchmark::Counter(
+      nodes, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_PaperTreeRange(benchmark::State& state) {
+  // Half-width 9 around a query point holds ~3 of the 100k points, about
+  // the answer size of perfbench's lookup ranges.
+  const bool transformed = state.range(0) != 0;
+  const RStarTree& tree = *GetPaperTree().env.tree;
+  const spatial::AffineMap identity = spatial::AffineMap::Identity(kPaperDims);
+  uint64_t sink = 0;
+  auto emit = [&sink](uint64_t id, const spatial::Rect&) {
+    sink += id;
+    return true;
+  };
+  RunDescents(state, [&](const spatial::Point& q) {
+    const spatial::Rect box = spatial::Rect::FromPoint(q).Grown(9.0);
+    const Status status = transformed
+                              ? tree.SearchTransformed(identity, box, emit)
+                              : tree.Search(box, emit);
+    benchmark::DoNotOptimize(status.ok());
+  });
+  benchmark::DoNotOptimize(sink);
+  state.SetLabel(transformed ? "transformed(identity)" : "plain");
+}
+BENCHMARK(BM_PaperTreeRange)->Arg(0)->Arg(1);
+
+void BM_PaperTreeKnn(benchmark::State& state) {
+  const bool transformed = state.range(0) != 0;
+  const RStarTree& tree = *GetPaperTree().env.tree;
+  const spatial::AffineMap identity = spatial::AffineMap::Identity(kPaperDims);
+  std::vector<rtree::NnResult> out;
+  RunDescents(state, [&](const spatial::Point& q) {
+    const PointMetric metric(q);
+    const Status status = tree.NearestNeighbors(
+        metric, 1, transformed ? &identity : nullptr, &out);
+    benchmark::DoNotOptimize(status.ok());
+    benchmark::DoNotOptimize(out.data());
+  });
+  state.SetLabel(transformed ? "k=1 transformed(identity)" : "k=1");
+}
+BENCHMARK(BM_PaperTreeKnn)->Arg(0)->Arg(1);
+
 }  // namespace
 }  // namespace tsq
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return tsq::bench::RunMicroBenchmarks(argc, argv, "BENCH_micro_rtree.json");
+}

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "micro_main.h"
 #include "rtree/node.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
@@ -170,31 +171,6 @@ BENCHMARK(BM_NodeSerializeDeserialize)->Arg(2)->Arg(6)->Arg(14);
 }  // namespace
 }  // namespace tsq
 
-// Like BENCHMARK_MAIN(), but defaults --benchmark_out to
-// BENCH_micro_storage.json (format json) when the caller didn't pick an
-// output, so every run — including the CI bench-smoke job, which archives
-// BENCH_*.json — leaves a machine-readable record next to the console
-// table. Explicit --benchmark_out flags win.
 int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  std::string default_out = "--benchmark_out=BENCH_micro_storage.json";
-  std::string default_fmt = "--benchmark_out_format=json";
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind("--benchmark_out=", 0) == 0) {
-      has_out = true;
-    }
-  }
-  if (!has_out) {
-    args.push_back(default_out.data());
-    args.push_back(default_fmt.data());
-  }
-  int adjusted_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&adjusted_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(adjusted_argc, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return tsq::bench::RunMicroBenchmarks(argc, argv, "BENCH_micro_storage.json");
 }

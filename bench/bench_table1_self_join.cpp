@@ -118,9 +118,9 @@ void Run() {
   // Extra (beyond the paper): the strongest possible modern scan — spectra
   // cached in memory after one relation pass, fused transform+distance
   // with early abandoning. This is how cheap the scan gets when the
-  // relation fits in RAM on 2026 hardware; see EXPERIMENTS.md for the
-  // discussion of how this compresses the paper's scan-vs-index gap at
-  // 1067 series (the disk-resident regime above is the paper's).
+  // relation fits in RAM on 2026 hardware, which compresses the paper's
+  // scan-vs-index gap at 1067 series (the disk-resident regime above is
+  // the paper's).
   std::vector<ComplexVec> spectra;
   spectra.reserve(market.size());
   db->relation()

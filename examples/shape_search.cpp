@@ -74,7 +74,7 @@ int main() {
   // Searching raw prices would hard-code a price level; instead the probe
   // is scaled to each plant's neighborhood. Here we demonstrate with the
   // level of the first plant; a production screener would normalize
-  // windows (see DESIGN.md future work).
+  // windows.
   const double base = market[plants[0].series].values()[plants[0].offset];
   RealVec shape(kWindow);
   for (size_t t = 0; t < kWindow; ++t) {

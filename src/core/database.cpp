@@ -339,9 +339,12 @@ Result<SeriesId> Database::Insert(const std::string& name,
   if (values.empty()) {
     return Status::InvalidArgument("cannot insert an empty series");
   }
+  TSQ_RETURN_IF_ERROR(CheckFinite(values, "series"));
   TSQ_RETURN_IF_ERROR(CheckWritable());
   TSQ_RETURN_IF_ERROR(CheckSeriesLength(values.size()));
   const SeriesFeatures features = extractor_.Extract(values);
+  const spatial::Point point = extractor_.ToPoint(features);
+  TSQ_RETURN_IF_ERROR(CheckFinite(point, "series feature"));
   Result<SeriesId> appended =
       relation_->Append(name, values, features.spectrum);
   if (!appended.ok()) return EnterReadOnly(appended.status());
@@ -352,15 +355,14 @@ Result<SeriesId> Database::Insert(const std::string& name,
     }
   }
   if (index_built()) {
-    if (Status status = DeltaPut(id, features); !status.ok()) {
+    if (Status status = DeltaPut(id, point); !status.ok()) {
       return EnterReadOnly(std::move(status));
     }
   }
   return id;
 }
 
-Status Database::DeltaPut(SeriesId id, const SeriesFeatures& features) {
-  const spatial::Point point = extractor_.ToPoint(features);
+Status Database::DeltaPut(SeriesId id, const spatial::Point& point) {
   for (int attempt = 0; attempt < 2; ++attempt) {
     {
       std::lock_guard<std::mutex> lock(delta_put_mutex_);
@@ -404,6 +406,7 @@ Result<std::vector<SeriesId>> Database::InsertBatch(
           std::to_string(v.size()) + " vs " +
           std::to_string(values[0].size()));
     }
+    TSQ_RETURN_IF_ERROR(CheckFinite(v, "series"));
   }
   TSQ_RETURN_IF_ERROR(CheckWritable());
   TSQ_RETURN_IF_ERROR(CheckSeriesLength(values[0].size()));
@@ -411,12 +414,20 @@ Result<std::vector<SeriesId>> Database::InsertBatch(
   const size_t count = values.size();
   engine::ThreadPool* pool = EnsureIngestPool(threads);
 
-  // Phase 1: feature extraction (normal form + DFT), work-stolen
-  // record-by-record — the CPU-bound half of ingest.
+  // Phase 1: feature extraction (normal form + DFT) and each series'
+  // index point (published by phase 3), work-stolen record-by-record —
+  // the CPU-bound half of ingest.
   std::vector<SeriesFeatures> features(count);
+  std::vector<spatial::Point> points(count);
   pool->ParallelFor(count, [&](size_t i) {
     features[i] = extractor_.Extract(values[i]);
+    points[i] = extractor_.ToPoint(features[i]);
   });
+  // Finite samples can still overflow into non-finite features (a mean
+  // of values near DBL_MAX); such a series has no index point either.
+  for (const spatial::Point& point : points) {
+    TSQ_RETURN_IF_ERROR(CheckFinite(point, "series feature"));
+  }
 
   // Phase 2: per-segment appends. One task per relation segment, each
   // appending its ids in ascending order, so every segment file gets the
@@ -472,7 +483,7 @@ Result<std::vector<SeriesId>> Database::InsertBatch(
   // i.e. before this call returns.
   if (index_built()) {
     for (size_t i = 0; i < count; ++i) {
-      if (Status status = DeltaPut(base + i, features[i]); !status.ok()) {
+      if (Status status = DeltaPut(base + i, points[i]); !status.ok()) {
         return EnterReadOnly(std::move(status));
       }
     }

@@ -436,7 +436,7 @@ class Database {
 
   /// Publishes one series' feature point into the current delta under
   /// the writer mutex; on a full delta, merges and retries once.
-  Status DeltaPut(SeriesId id, const SeriesFeatures& features);
+  Status DeltaPut(SeriesId id, const spatial::Point& point);
 
   /// Builds a KIndex at `path` over relation ids [0, limit) — parallel
   /// per-segment feature scans feeding one STR bulk load (or repeated

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "core/feature.h"
+
 namespace tsq {
 
 DeltaIndex::Chunk::Chunk(size_t dims)
@@ -49,6 +51,8 @@ Status DeltaIndex::Put(SeriesId id, const spatial::Point& point) {
   if (point.size() != dims_) {
     return Status::InvalidArgument("delta Put dimension mismatch");
   }
+  // Queries scan delta points as point-MBRs, which a NaN cannot form.
+  TSQ_RETURN_IF_ERROR(CheckFinite(point, "delta point"));
   const uint64_t slot = id - base_;
   const size_t chunk_index = slot / kChunkEntries;
   if (chunk_index >= kMaxChunks) {

@@ -4,12 +4,23 @@
 
 #include <cmath>
 #include <complex>
+#include <string>
 #include <utility>
 
 #include "dft/dft.h"
 #include "dft/haar.h"
 
 namespace tsq {
+
+Status CheckFinite(const RealVec& values, const char* what) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (!std::isfinite(values[i])) {
+      return Status::InvalidArgument(std::string(what) + " value " +
+                                     std::to_string(i) + " is not finite");
+    }
+  }
+  return Status::OK();
+}
 
 FeatureLayout FeatureLayout::Paper() {
   FeatureLayout layout;

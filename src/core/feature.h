@@ -93,6 +93,11 @@ struct SeriesFeatures {
   ComplexVec spectrum;
 };
 
+/// InvalidArgument unless every value is finite: the index stores each
+/// series as a point-MBR, which a NaN or infinite coordinate cannot form.
+/// `what` names the values in the message ("series", "query", ...).
+Status CheckFinite(const RealVec& values, const char* what);
+
 /// Stateless extractor bound to a layout.
 class FeatureExtractor {
  public:

@@ -166,6 +166,15 @@ Result<spatial::AffineMap> FeatureSpace::ToAffineMap(
       angular[off + 2 * j + 1] = true;
     }
   }
+  // A NaN or infinite map would turn finite MBRs into NaN intervals
+  // (0 * inf), which no rectangle can hold.
+  for (size_t d = 0; d < dims(); ++d) {
+    if (!std::isfinite(scale[d]) || !std::isfinite(offset[d])) {
+      return Status::InvalidArgument("transform '" + t.spectral.name() +
+                                     "' is not finite on index dim " +
+                                     std::to_string(d));
+    }
+  }
   return spatial::AffineMap(std::move(scale), std::move(offset),
                             std::move(angular));
 }

@@ -50,7 +50,9 @@ Status KIndex::Add(SeriesId id, const SeriesFeatures& features) {
         "series spectrum length " + std::to_string(features.spectrum.size()) +
         " != index series length " + std::to_string(series_length_));
   }
-  return tree_->InsertPoint(extractor().ToPoint(features), id);
+  const spatial::Point point = extractor().ToPoint(features);
+  TSQ_RETURN_IF_ERROR(CheckFinite(point, "indexed series feature"));
+  return tree_->InsertPoint(point, id);
 }
 
 Status KIndex::BulkLoad(
@@ -62,8 +64,10 @@ Status KIndex::BulkLoad(
       return Status::InvalidArgument(
           "series spectrum length mismatch in BulkLoad");
     }
+    const spatial::Point point = extractor().ToPoint(features);
+    TSQ_RETURN_IF_ERROR(CheckFinite(point, "indexed series feature"));
     rtree::Entry e;
-    e.rect = spatial::Rect::FromPoint(extractor().ToPoint(features));
+    e.rect = spatial::Rect::FromPoint(point);
     e.id = id;
     entries.push_back(std::move(e));
   }

@@ -80,7 +80,7 @@ Status ValidateQuery(const KIndex& index, const RealVec& query) {
         " != indexed series length " +
         std::to_string(index.series_length()));
   }
-  return Status::OK();
+  return CheckFinite(query, "query");
 }
 
 /// Appends the view's delta candidates for a range search: each visible
@@ -119,6 +119,17 @@ Result<PreparedQuery> PrepareQuery(const IndexView& view, const RealVec& query,
     out.full_spectrum = qf.spectrum;
   }
   out.coefficients = index.extractor().StoredCoefficients(out.full_spectrum);
+  // Finite samples or a hostile transform can still yield non-finite
+  // features, and a search rectangle cannot be built around those; an
+  // unordered (or NaN) mean/std window cannot form one either.
+  TSQ_RETURN_IF_ERROR(CheckFinite(index.extractor().ToPointFromCoefficients(
+                                      out.coefficients, out.mean, out.std),
+                                  "query feature"));
+  if (spec.window.has_value() &&
+      !(spec.window->mean_lo <= spec.window->mean_hi &&
+        spec.window->std_lo <= spec.window->std_hi)) {
+    return Status::InvalidArgument("inverted or NaN mean/std window");
+  }
   return out;
 }
 
@@ -197,8 +208,8 @@ Status IndexRangeQuery(const IndexView& index, const Relation& relation,
                        QueryStats* stats) {
   TSQ_CHECK(out != nullptr);
   out->clear();
-  if (epsilon < 0.0) {
-    return Status::InvalidArgument("negative query threshold");
+  if (!(epsilon >= 0.0)) {
+    return Status::InvalidArgument("negative or NaN query threshold");
   }
   StatsScope scope(stats);
 
@@ -227,8 +238,8 @@ Status IndexKnnQuery(const IndexView& view, const Relation& relation,
   TSQ_CHECK(out != nullptr);
   const KIndex& index = view.main();
   out->clear();
-  if (options.epsilon < 0.0) {
-    return Status::InvalidArgument("negative kNN error tolerance");
+  if (!(options.epsilon >= 0.0)) {
+    return Status::InvalidArgument("negative or NaN kNN error tolerance");
   }
   if (k == 0) {
     TSQ_RETURN_IF_ERROR(ValidateQuery(index, query));
@@ -434,8 +445,8 @@ Status IndexSelfJoin(const IndexView& view, const Relation& relation,
   TSQ_CHECK(out != nullptr);
   const KIndex& index = view.main();
   out->clear();
-  if (epsilon < 0.0) {
-    return Status::InvalidArgument("negative join threshold");
+  if (!(epsilon >= 0.0)) {
+    return Status::InvalidArgument("negative or NaN join threshold");
   }
   StatsScope scope(stats);
 
@@ -503,8 +514,8 @@ Status TreeMatchSelfJoin(const IndexView& view, const Relation& relation,
   TSQ_CHECK(out != nullptr);
   const KIndex& index = view.main();
   out->clear();
-  if (epsilon < 0.0) {
-    return Status::InvalidArgument("negative join threshold");
+  if (!(epsilon >= 0.0)) {
+    return Status::InvalidArgument("negative or NaN join threshold");
   }
   StatsScope scope(stats);
 

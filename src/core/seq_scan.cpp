@@ -87,8 +87,8 @@ Status SeqScanRangeQuery(const Relation& relation,
                          std::vector<Match>* out, QueryStats* stats) {
   TSQ_CHECK(out != nullptr);
   out->clear();
-  if (epsilon < 0.0) {
-    return Status::InvalidArgument("negative query threshold");
+  if (!(epsilon >= 0.0)) {
+    return Status::InvalidArgument("negative or NaN query threshold");
   }
   Stopwatch watch;
   StageStatsCapture stages(stats);
@@ -137,8 +137,8 @@ Status SeqScanSelfJoin(const Relation& relation, double epsilon,
                        QueryStats* stats) {
   TSQ_CHECK(out != nullptr);
   out->clear();
-  if (epsilon < 0.0) {
-    return Status::InvalidArgument("negative join threshold");
+  if (!(epsilon >= 0.0)) {
+    return Status::InvalidArgument("negative or NaN join threshold");
   }
   Stopwatch watch;
   StageStatsCapture stages(stats);

@@ -147,8 +147,9 @@ Status SubsequenceIndex::RangeSearch(const RealVec& query, double epsilon,
         "query length " + std::to_string(query.size()) +
         " != index window " + std::to_string(options_.window));
   }
-  if (epsilon < 0.0) {
-    return Status::InvalidArgument("negative query threshold");
+  TSQ_RETURN_IF_ERROR(CheckFinite(query, "query"));
+  if (!(epsilon >= 0.0)) {
+    return Status::InvalidArgument("negative or NaN query threshold");
   }
 
   // The query's feature point grown by eps per dimension contains the

@@ -183,8 +183,8 @@ Result<std::vector<JoinPair>> QueryEngine::SelfJoin(
   }
   const IndexView& view = *pinned.view;
   const KIndex& kindex = view.main();
-  if (epsilon < 0.0) {
-    return Status::InvalidArgument("negative join threshold");
+  if (!(epsilon >= 0.0)) {
+    return Status::InvalidArgument("negative or NaN join threshold");
   }
   Stopwatch watch;
   TraversalTally tally;

@@ -36,26 +36,64 @@ inline void PutF64At(Page* page, size_t off, double d) {
   }
 }
 
-inline double GetF64At(const Page& page, size_t off) {
-  uint64_t bits = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    bits |= static_cast<uint64_t>(page.data()[off + i]) << (8 * i);
-  }
-  return std::bit_cast<double>(bits);
-}
-
 inline void PutU64At(Page* page, size_t off, uint64_t v) {
   for (size_t i = 0; i < 8; ++i) {
     page->data()[off + i] = static_cast<uint8_t>(v >> (8 * i));
   }
 }
 
+// The decode hot path: on a little-endian host the page's byte order is
+// the native one, so one memcpy (a single load) reads the value.
 inline uint64_t GetU64At(const Page& page, size_t off) {
   uint64_t v = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(page.data()[off + i]) << (8 * i);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, page.data() + off, sizeof(v));
+  } else {
+    for (size_t i = 0; i < 8; ++i) {
+      v |= static_cast<uint64_t>(page.data()[off + i]) << (8 * i);
+    }
   }
   return v;
+}
+
+inline double GetF64At(const Page& page, size_t off) {
+  return std::bit_cast<double>(GetU64At(page, off));
+}
+
+// Validates the node header: magic, and a count the page can hold.
+Status ParseHeader(const Page& page, size_t dims, uint32_t* level,
+                   uint32_t* count) {
+  if (page.size() < kNodeHeaderBytes) {
+    return Status::Corruption("page too small for a node header");
+  }
+  if (GetU32At(page, 0) != kNodeMagic) {
+    return Status::Corruption("bad node magic");
+  }
+  *level = GetU32At(page, 4);
+  *count = GetU32At(page, 8);
+  const size_t capacity = NodeCapacity(page.size(), dims);
+  if (*count > capacity) {
+    return Status::Corruption("node count " + std::to_string(*count) +
+                              " exceeds capacity " + std::to_string(capacity));
+  }
+  return Status::OK();
+}
+
+// Reads entry `index` into `e`, whose rect must already have `dims`
+// dimensions (its coordinate storage is overwritten in place). Every
+// interval must satisfy lo <= hi; the negated test also rejects NaN.
+Status ParseEntry(const Page& page, size_t index, size_t dims, Entry* e) {
+  const size_t off = kNodeHeaderBytes + index * EntryBytes(dims);
+  for (size_t d = 0; d < dims; ++d) {
+    const double lo = GetF64At(page, off + 8 * d);
+    const double hi = GetF64At(page, off + 8 * (dims + d));
+    if (!(lo <= hi)) {
+      return Status::Corruption("inverted or NaN MBR interval on disk");
+    }
+    e->rect.SetDim(d, lo, hi);
+  }
+  e->id = GetU64At(page, off + 16 * dims);
+  return Status::OK();
 }
 
 }  // namespace
@@ -67,6 +105,12 @@ spatial::Rect Node::BoundingRect() const {
     mbr.ExpandToInclude(entries[i].rect);
   }
   return mbr;
+}
+
+void NodeBuffer::BoundingRectInto(spatial::Rect* out) const {
+  TSQ_CHECK_MSG(size_ != 0, "BoundingRect of an empty node");
+  *out = slots_[0].rect;
+  for (size_t i = 1; i < size_; ++i) out->ExpandToInclude(slots_[i].rect);
 }
 
 size_t NodeCapacity(size_t page_size, size_t dims) {
@@ -112,45 +156,34 @@ Status SerializeNode(const Node& node, size_t dims, Page* page) {
 
 Status DeserializeNode(const Page& page, size_t dims, Node* node) {
   TSQ_CHECK(node != nullptr);
-  if (page.size() < kNodeHeaderBytes) {
-    return Status::Corruption("page too small for a node header");
-  }
-  if (GetU32At(page, 0) != kNodeMagic) {
-    return Status::Corruption("bad node magic");
-  }
-  node->level = GetU32At(page, 4);
-  const uint32_t count = GetU32At(page, 8);
-  const size_t capacity = NodeCapacity(page.size(), dims);
-  if (count > capacity) {
-    return Status::Corruption("node count " + std::to_string(count) +
-                              " exceeds capacity " + std::to_string(capacity));
-  }
-
-  node->entries.clear();
-  node->entries.reserve(count);
-  size_t off = kNodeHeaderBytes;
+  uint32_t count = 0;
+  TSQ_RETURN_IF_ERROR(ParseHeader(page, dims, &node->level, &count));
+  node->entries.assign(count, Entry{spatial::Rect::Empty(dims), 0});
   for (uint32_t i = 0; i < count; ++i) {
-    spatial::Point lo(dims);
-    spatial::Point hi(dims);
-    for (size_t d = 0; d < dims; ++d) {
-      lo[d] = GetF64At(page, off);
-      off += 8;
-    }
-    for (size_t d = 0; d < dims; ++d) {
-      hi[d] = GetF64At(page, off);
-      off += 8;
-    }
-    for (size_t d = 0; d < dims; ++d) {
-      if (lo[d] > hi[d]) {
-        return Status::Corruption("inverted MBR interval on disk");
-      }
-    }
-    Entry e;
-    e.rect = spatial::Rect(std::move(lo), std::move(hi));
-    e.id = GetU64At(page, off);
-    off += 8;
-    node->entries.push_back(std::move(e));
+    TSQ_RETURN_IF_ERROR(ParseEntry(page, i, dims, &node->entries[i]));
   }
+  return Status::OK();
+}
+
+Status DecodeNode(const Page& page, size_t dims, NodeBuffer* out) {
+  TSQ_CHECK(out != nullptr);
+  out->size_ = 0;  // a failed decode leaves nothing readable
+  uint32_t level = 0;
+  uint32_t count = 0;
+  TSQ_RETURN_IF_ERROR(ParseHeader(page, dims, &level, &count));
+  if (out->dims_ != dims) {
+    out->slots_.clear();
+    out->dims_ = dims;
+  }
+  out->slots_.reserve(NodeCapacity(page.size(), dims));
+  while (out->slots_.size() < count) {
+    out->slots_.push_back(Entry{spatial::Rect::Empty(dims), 0});
+  }
+  for (uint32_t i = 0; i < count; ++i) {
+    TSQ_RETURN_IF_ERROR(ParseEntry(page, i, dims, &out->slots_[i]));
+  }
+  out->level_ = level;
+  out->size_ = count;
   return Status::OK();
 }
 

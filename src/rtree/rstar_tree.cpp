@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <queue>
 
@@ -21,11 +22,99 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // v2 contract). Bumped in lockstep with stats_ at every counting site.
 thread_local ThreadTraversalCounters tls_traversal;
 
+// ReadNode's expected level for the node a descent starts from (a root or
+// a join seed), which has no parent to constrain it.
+constexpr uint32_t kAnyLevel = std::numeric_limits<uint32_t>::max();
+
 double CenterDistSquared(const spatial::Rect& a, const spatial::Rect& b) {
   return spatial::PointDistSquared(a.Center(), b.Center());
 }
 
+// One node's MBR transforms and leaf tests, published when the node is
+// done (on every exit path): one relaxed fetch_add per nonzero shared
+// counter, plus the exact thread-local mirror.
+class NodeTally {
+ public:
+  explicit NodeTally(TraversalStats* shared) : shared_(shared) {}
+  ~NodeTally() {
+    if (transforms != 0) {
+      shared_->rect_transforms.fetch_add(transforms,
+                                         std::memory_order_relaxed);
+      tls_traversal.rect_transforms += transforms;
+    }
+    if (leaf_tests != 0) {
+      shared_->leaf_entries_tested.fetch_add(leaf_tests,
+                                             std::memory_order_relaxed);
+      tls_traversal.leaf_entries_tested += leaf_tests;
+    }
+  }
+  TSQ_DISALLOW_COPY_AND_MOVE(NodeTally);
+
+  uint64_t transforms = 0;
+  uint64_t leaf_tests = 0;
+
+ private:
+  TraversalStats* shared_;
+};
+
+// `rect` itself without a map; otherwise map(rect), written into
+// `*scratch` and counted in `tally`.
+const spatial::Rect& Mapped(const spatial::AffineMap* map,
+                            const spatial::Rect& rect, spatial::Rect* scratch,
+                            NodeTally* tally) {
+  if (map == nullptr) return rect;
+  map->ApplyInto(rect, scratch);
+  ++tally->transforms;
+  return *scratch;
+}
+
+// The slot for recursion depth `depth`, appended on first use. A deque
+// never moves its elements on append, so shallower slots a caller is
+// still iterating stay valid.
+template <typename Slot>
+Slot& SlotAt(std::deque<Slot>* slots, size_t depth) {
+  while (slots->size() <= depth) slots->emplace_back();
+  return (*slots)[depth];
+}
+
 }  // namespace
+
+// Storage one range descent owns (never shared between threads or
+// traversals): per depth, the decoded node and the scratch rect its
+// entries' MBRs are mapped into.
+struct RStarTree::SearchSlot {
+  NodeBuffer node;
+  spatial::Rect mapped;
+};
+
+struct RStarTree::SearchContext {
+  const spatial::AffineMap* map;
+  const spatial::Rect& query;
+  const SearchCallback& emit;
+  std::deque<SearchSlot> slots{};
+  bool keep_going = true;
+};
+
+// Per-depth storage of one synchronized join descent: both sides' nodes,
+// their mapped-MBR scratch, and the bounding rect of a side that waits
+// while the other descends.
+struct RStarTree::JoinSlot {
+  NodeBuffer a;
+  NodeBuffer b;
+  spatial::Rect mapped_a;
+  spatial::Rect mapped_b;
+  spatial::Rect bound;
+};
+
+struct RStarTree::JoinContext {
+  const RStarTree& other;
+  const spatial::AffineMap* map_a;
+  const spatial::AffineMap* map_b;
+  const JoinPredicate& may_join;
+  const JoinCallback& emit;
+  std::deque<JoinSlot> slots{};
+  bool keep_going = true;
+};
 
 const ThreadTraversalCounters& ThisThreadTraversalCounters() {
   return tls_traversal;
@@ -134,9 +223,29 @@ Result<Node> RStarTree::LoadNode(PageId id) const {
   Node node;
   TSQ_RETURN_IF_ERROR(DeserializeNode(*handle.page(), dims_, &node));
   node.id = id;
-  ++stats_.nodes_visited;
+  stats_.nodes_visited.fetch_add(1, std::memory_order_relaxed);
   ++tls_traversal.nodes_visited;
   return node;
+}
+
+Status RStarTree::ReadNode(PageId id, uint32_t expected_level,
+                           NodeBuffer* out) const {
+  {
+    // Pinned for the decode only, as in LoadNode.
+    TSQ_ASSIGN_OR_RETURN(PageHandle handle, pool_->Fetch(id));
+    TSQ_RETURN_IF_ERROR(DecodeNode(*handle.page(), dims_, out));
+  }
+  stats_.nodes_visited.fetch_add(1, std::memory_order_relaxed);
+  ++tls_traversal.nodes_visited;
+  if (expected_level != kAnyLevel && out->level() != expected_level) {
+    // A child must sit exactly one level below its parent; anything else
+    // (e.g. an entry pointing back at its own page) would recurse forever.
+    return Status::Corruption(
+        "node " + std::to_string(id) + " at level " +
+        std::to_string(out->level()) + ", expected " +
+        std::to_string(expected_level));
+  }
+  return Status::OK();
 }
 
 Status RStarTree::StoreNode(const Node& node) {
@@ -577,8 +686,8 @@ Status RStarTree::Search(const spatial::Rect& query,
   if (query.dims() != dims_) {
     return Status::InvalidArgument("query dims mismatch");
   }
-  bool keep_going = true;
-  return SearchRecurse(root_, /*map=*/nullptr, query, emit, &keep_going);
+  SearchContext ctx{/*map=*/nullptr, query, emit};
+  return SearchRecurse(root_, kAnyLevel, 0, &ctx);
 }
 
 Status RStarTree::SearchTransformed(const spatial::AffineMap& map,
@@ -590,36 +699,31 @@ Status RStarTree::SearchTransformed(const spatial::AffineMap& map,
   if (map.dims() != dims_) {
     return Status::InvalidArgument("transform dims mismatch");
   }
-  bool keep_going = true;
-  return SearchRecurse(root_, &map, query, emit, &keep_going);
+  SearchContext ctx{&map, query, emit};
+  return SearchRecurse(root_, kAnyLevel, 0, &ctx);
 }
 
-Status RStarTree::SearchRecurse(PageId node_id, const spatial::AffineMap* map,
-                                const spatial::Rect& query,
-                                const SearchCallback& emit,
-                                bool* keep_going) const {
-  TSQ_ASSIGN_OR_RETURN(Node node, LoadNode(node_id));
+Status RStarTree::SearchRecurse(PageId node_id, uint32_t expected_level,
+                                size_t depth, SearchContext* ctx) const {
+  SearchSlot& slot = SlotAt(&ctx->slots, depth);
+  const NodeBuffer& node = slot.node;
+  TSQ_RETURN_IF_ERROR(ReadNode(node_id, expected_level, &slot.node));
 
-  for (const Entry& e : node.entries) {
-    if (!*keep_going) return Status::OK();
-    spatial::Rect rect = e.rect;
-    if (map != nullptr) {
-      rect = map->Apply(rect);
-      ++stats_.rect_transforms;
-      ++tls_traversal.rect_transforms;
-    }
+  NodeTally tally(&stats_);
+  for (const Entry& e : node) {
+    if (!ctx->keep_going) return Status::OK();
+    const spatial::Rect& rect = Mapped(ctx->map, e.rect, &slot.mapped, &tally);
     if (node.IsLeaf()) {
-      ++stats_.leaf_entries_tested;
-      ++tls_traversal.leaf_entries_tested;
-      if (rect.Intersects(query)) {
-        if (!emit(e.id, rect)) {
-          *keep_going = false;
+      ++tally.leaf_tests;
+      if (rect.Intersects(ctx->query)) {
+        if (!ctx->emit(e.id, rect)) {
+          ctx->keep_going = false;
           return Status::OK();
         }
       }
-    } else if (rect.Intersects(query)) {
+    } else if (rect.Intersects(ctx->query)) {
       TSQ_RETURN_IF_ERROR(
-          SearchRecurse(e.id, map, query, emit, keep_going));
+          SearchRecurse(e.id, node.level() - 1, depth + 1, ctx));
     }
   }
   return Status::OK();
@@ -638,38 +742,35 @@ Status RStarTree::JoinWith(const RStarTree& other,
     return Status::InvalidArgument("join between trees of different dims");
   }
   if (size_ == 0 || other.size() == 0) return Status::OK();
-  bool keep_going = true;
-  return JoinRecurse(root_, other, other.root_, map, other_map, may_join,
-                     emit, &keep_going);
+  JoinContext ctx{other, map, other_map, may_join, emit};
+  return JoinRecurse(root_, kAnyLevel, other.root_, kAnyLevel, 0, &ctx);
 }
 
-Status RStarTree::JoinRecurse(PageId a_id, const RStarTree& other,
-                              PageId b_id, const spatial::AffineMap* map_a,
-                              const spatial::AffineMap* map_b,
-                              const JoinPredicate& may_join,
-                              const JoinCallback& emit,
-                              bool* keep_going) const {
-  TSQ_ASSIGN_OR_RETURN(Node na, LoadNode(a_id));
-  TSQ_ASSIGN_OR_RETURN(Node nb, other.LoadNode(b_id));
+Status RStarTree::JoinRecurse(PageId a_id, uint32_t a_level, PageId b_id,
+                              uint32_t b_level, size_t depth,
+                              JoinContext* ctx) const {
+  JoinSlot& slot = SlotAt(&ctx->slots, depth);
+  const NodeBuffer& na = slot.a;
+  const NodeBuffer& nb = slot.b;
+  TSQ_RETURN_IF_ERROR(ReadNode(a_id, a_level, &slot.a));
+  TSQ_RETURN_IF_ERROR(ctx->other.ReadNode(b_id, b_level, &slot.b));
+  // Only a corrupt tree has an empty node below its root: nothing pairs.
+  if (na.size() == 0 || nb.size() == 0) return Status::OK();
 
-  auto transformed = [this](const spatial::AffineMap* map,
-                            const spatial::Rect& rect) {
-    if (map == nullptr) return rect;
-    ++stats_.rect_transforms;
-    ++tls_traversal.rect_transforms;
-    return map->Apply(rect);
-  };
+  NodeTally tally(&stats_);
+  const spatial::AffineMap* map_a = ctx->map_a;
+  const spatial::AffineMap* map_b = ctx->map_b;
 
   if (na.IsLeaf() && nb.IsLeaf()) {
-    for (const Entry& ea : na.entries) {
-      const spatial::Rect ta = transformed(map_a, ea.rect);
-      for (const Entry& eb : nb.entries) {
-        if (!*keep_going) return Status::OK();
-        ++stats_.leaf_entries_tested;
-        ++tls_traversal.leaf_entries_tested;
-        if (may_join(ta, transformed(map_b, eb.rect))) {
-          if (!emit(ea.id, eb.id)) {
-            *keep_going = false;
+    for (const Entry& ea : na) {
+      const spatial::Rect& ta = Mapped(map_a, ea.rect, &slot.mapped_a, &tally);
+      for (const Entry& eb : nb) {
+        if (!ctx->keep_going) return Status::OK();
+        ++tally.leaf_tests;
+        if (ctx->may_join(ta,
+                          Mapped(map_b, eb.rect, &slot.mapped_b, &tally))) {
+          if (!ctx->emit(ea.id, eb.id)) {
+            ctx->keep_going = false;
             return Status::OK();
           }
         }
@@ -678,38 +779,40 @@ Status RStarTree::JoinRecurse(PageId a_id, const RStarTree& other,
     return Status::OK();
   }
 
-  if (!na.IsLeaf() && (nb.IsLeaf() || na.level > nb.level)) {
+  if (!na.IsLeaf() && (nb.IsLeaf() || na.level() > nb.level())) {
     // Descend only this side until the levels meet.
-    const spatial::Rect tb = transformed(map_b, nb.BoundingRect());
-    for (const Entry& ea : na.entries) {
-      if (!*keep_going) return Status::OK();
-      if (may_join(transformed(map_a, ea.rect), tb)) {
-        TSQ_RETURN_IF_ERROR(JoinRecurse(ea.id, other, b_id, map_a, map_b,
-                                        may_join, emit, keep_going));
+    nb.BoundingRectInto(&slot.bound);
+    const spatial::Rect& tb = Mapped(map_b, slot.bound, &slot.mapped_b, &tally);
+    for (const Entry& ea : na) {
+      if (!ctx->keep_going) return Status::OK();
+      if (ctx->may_join(Mapped(map_a, ea.rect, &slot.mapped_a, &tally), tb)) {
+        TSQ_RETURN_IF_ERROR(JoinRecurse(ea.id, na.level() - 1, b_id,
+                                        nb.level(), depth + 1, ctx));
       }
     }
     return Status::OK();
   }
-  if (!nb.IsLeaf() && (na.IsLeaf() || nb.level > na.level)) {
-    const spatial::Rect ta = transformed(map_a, na.BoundingRect());
-    for (const Entry& eb : nb.entries) {
-      if (!*keep_going) return Status::OK();
-      if (may_join(ta, transformed(map_b, eb.rect))) {
-        TSQ_RETURN_IF_ERROR(JoinRecurse(a_id, other, eb.id, map_a, map_b,
-                                        may_join, emit, keep_going));
+  if (!nb.IsLeaf() && (na.IsLeaf() || nb.level() > na.level())) {
+    na.BoundingRectInto(&slot.bound);
+    const spatial::Rect& ta = Mapped(map_a, slot.bound, &slot.mapped_a, &tally);
+    for (const Entry& eb : nb) {
+      if (!ctx->keep_going) return Status::OK();
+      if (ctx->may_join(ta, Mapped(map_b, eb.rect, &slot.mapped_b, &tally))) {
+        TSQ_RETURN_IF_ERROR(JoinRecurse(a_id, na.level(), eb.id,
+                                        nb.level() - 1, depth + 1, ctx));
       }
     }
     return Status::OK();
   }
 
   // Same internal level on both sides: descend qualifying entry pairs.
-  for (const Entry& ea : na.entries) {
-    const spatial::Rect ta = transformed(map_a, ea.rect);
-    for (const Entry& eb : nb.entries) {
-      if (!*keep_going) return Status::OK();
-      if (may_join(ta, transformed(map_b, eb.rect))) {
-        TSQ_RETURN_IF_ERROR(JoinRecurse(ea.id, other, eb.id, map_a, map_b,
-                                        may_join, emit, keep_going));
+  for (const Entry& ea : na) {
+    const spatial::Rect& ta = Mapped(map_a, ea.rect, &slot.mapped_a, &tally);
+    for (const Entry& eb : nb) {
+      if (!ctx->keep_going) return Status::OK();
+      if (ctx->may_join(ta, Mapped(map_b, eb.rect, &slot.mapped_b, &tally))) {
+        TSQ_RETURN_IF_ERROR(JoinRecurse(ea.id, na.level() - 1, eb.id,
+                                        nb.level() - 1, depth + 1, ctx));
       }
     }
   }
@@ -726,9 +829,12 @@ Result<std::vector<RStarTree::JoinSeed>> RStarTree::JoinSeeds(
   std::vector<JoinSeed> seeds;
   if (size_ == 0 || other.size() == 0) return seeds;
 
-  TSQ_ASSIGN_OR_RETURN(Node na, LoadNode(root_));
-  TSQ_ASSIGN_OR_RETURN(Node nb, other.LoadNode(other.root_));
-  if (na.IsLeaf() || nb.IsLeaf() || na.level != nb.level) {
+  JoinSlot slot;
+  const NodeBuffer& na = slot.a;
+  const NodeBuffer& nb = slot.b;
+  TSQ_RETURN_IF_ERROR(ReadNode(root_, kAnyLevel, &slot.a));
+  TSQ_RETURN_IF_ERROR(other.ReadNode(other.root_, kAnyLevel, &slot.b));
+  if (na.IsLeaf() || nb.IsLeaf() || na.level() != nb.level()) {
     // Nothing to split: run the whole descent as one task.
     seeds.push_back(JoinSeed{root_, other.root_});
     return seeds;
@@ -738,17 +844,11 @@ Result<std::vector<RStarTree::JoinSeed>> RStarTree::JoinSeeds(
   // qualifying (ea, eb) child pairs, in (ea, eb) iteration order, are the
   // recursion roots the sequential descent would visit — so JoinFrom over
   // these seeds in order reproduces the JoinWith candidate sequence.
-  auto transformed = [this](const spatial::AffineMap* m,
-                            const spatial::Rect& rect) {
-    if (m == nullptr) return rect;
-    ++stats_.rect_transforms;
-    ++tls_traversal.rect_transforms;
-    return m->Apply(rect);
-  };
-  for (const Entry& ea : na.entries) {
-    const spatial::Rect ta = transformed(map, ea.rect);
-    for (const Entry& eb : nb.entries) {
-      if (may_join(ta, transformed(other_map, eb.rect))) {
+  NodeTally tally(&stats_);
+  for (const Entry& ea : na) {
+    const spatial::Rect& ta = Mapped(map, ea.rect, &slot.mapped_a, &tally);
+    for (const Entry& eb : nb) {
+      if (may_join(ta, Mapped(other_map, eb.rect, &slot.mapped_b, &tally))) {
         seeds.push_back(JoinSeed{ea.id, eb.id});
       }
     }
@@ -761,9 +861,8 @@ Status RStarTree::JoinFrom(const JoinSeed& seed, const RStarTree& other,
                            const spatial::AffineMap* other_map,
                            const JoinPredicate& may_join,
                            const JoinCallback& emit) const {
-  bool keep_going = true;
-  return JoinRecurse(seed.a, other, seed.b, map, other_map, may_join, emit,
-                     &keep_going);
+  JoinContext ctx{other, map, other_map, may_join, emit};
+  return JoinRecurse(seed.a, kAnyLevel, seed.b, kAnyLevel, 0, &ctx);
 }
 
 // ---------------------------------------------------------------------------
@@ -782,16 +881,19 @@ Status RStarTree::NearestNeighborsStream(
   struct Item {
     double dist_sq;
     bool is_entry;
-    uint64_t id;  // data id or child page id
+    uint32_t level;  // a node item's expected level (see ReadNode)
+    uint64_t id;     // data id or child page id
   };
   auto cmp = [](const Item& a, const Item& b) { return a.dist_sq > b.dist_sq; };
   std::priority_queue<Item, std::vector<Item>, decltype(cmp)> heap(cmp);
-  heap.push(Item{0.0, false, root_});
+  heap.push(Item{0.0, false, kAnyLevel, root_});
 
-  // Per-node scratch, reused across the whole descent: transformed rect
-  // copies (only when a map is active), the pointer batch handed to the
-  // metric, and the bound it fills in.
-  std::vector<spatial::Rect> transformed;
+  // Storage reused across the whole descent: the decoded node, its
+  // entries' mapped MBRs (only when a map is active; grown, never
+  // shrunk), the pointer batch handed to the metric, and the bounds it
+  // fills in.
+  NodeBuffer node;
+  std::vector<spatial::Rect> mapped;
   std::vector<const spatial::Rect*> batch;
   std::vector<double> bounds;
 
@@ -802,29 +904,26 @@ Status RStarTree::NearestNeighborsStream(
       if (!emit(item.id, item.dist_sq)) return Status::OK();
       continue;
     }
-    TSQ_ASSIGN_OR_RETURN(Node node, LoadNode(item.id));
-    const size_t count = node.entries.size();
+    TSQ_RETURN_IF_ERROR(ReadNode(item.id, item.level, &node));
+    const size_t count = node.size();
+    NodeTally tally(&stats_);
     batch.resize(count);
     bounds.resize(count);
     if (map != nullptr) {
-      transformed.clear();
-      transformed.reserve(count);
-      for (const Entry& e : node.entries) {
-        transformed.push_back(map->Apply(e.rect));
+      if (mapped.size() < count) mapped.resize(count);
+      for (size_t i = 0; i < count; ++i) {
+        map->ApplyInto(node[i].rect, &mapped[i]);
+        batch[i] = &mapped[i];
       }
-      stats_.rect_transforms += count;
-      tls_traversal.rect_transforms += count;
-      for (size_t i = 0; i < count; ++i) batch[i] = &transformed[i];
+      tally.transforms = count;
     } else {
-      for (size_t i = 0; i < count; ++i) batch[i] = &node.entries[i].rect;
+      for (size_t i = 0; i < count; ++i) batch[i] = &node[i].rect;
     }
     metric.MinDistSquaredBatch(batch.data(), count, bounds.data());
-    if (node.IsLeaf()) {
-      stats_.leaf_entries_tested += count;
-      tls_traversal.leaf_entries_tested += count;
-    }
+    if (node.IsLeaf()) tally.leaf_tests = count;
+    const uint32_t child_level = node.level() - 1;  // unused for leaves
     for (size_t i = 0; i < count; ++i) {
-      heap.push(Item{bounds[i], node.IsLeaf(), node.entries[i].id});
+      heap.push(Item{bounds[i], node.IsLeaf(), child_level, node[i].id});
     }
   }
   return Status::OK();

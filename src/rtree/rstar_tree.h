@@ -138,18 +138,34 @@ using SearchCallback =
 /// SearchTransformed, NearestNeighbors(Stream), JoinWith,
 /// JoinSeeds/JoinFrom, CheckInvariants — are safe from any number of
 /// threads provided no mutating call (Insert, Remove, BulkLoad, SaveMeta)
-/// runs concurrently: traversals keep all cursor state on their own
-/// stack, and page access goes through the v3 BufferPool, where a fetch
-/// of a cached node page is entirely lock-free (optimistic version-
+/// runs concurrently. Page access goes through the v3 BufferPool, where a
+/// fetch of a cached node page is entirely lock-free (optimistic version-
 /// validated pin; see buffer_pool.h) and a miss reads from disk without
-/// holding its shard's mutex — concurrent traversals only ever contend on
-/// the miss/eviction admin path, never on cached-node access. LoadNode
-/// holds its pin only for the deserialize, so traversal depth never
-/// accumulates pins. The traversal counters are relaxed atomics mirrored
-/// into exact thread-local counters (ThisThreadTraversalCounters), and the
-/// pool classifies each fetch exactly once, so per-query disk-access
-/// deltas stay exact through optimistic retries. Writers require external
-/// exclusion (the engine layer treats a built index as frozen).
+/// holding its shard's mutex, so concurrent traversals only ever contend
+/// on the miss/eviction admin path, never on cached-node access.
+///
+/// Traversal storage: every read-only descent decodes each page it visits
+/// into NodeBuffer storage it owns — one slot per recursion depth (one
+/// buffer for the best-first kNN loop), plus reused scratch rects that
+/// AffineMap::ApplyInto writes the mapped MBRs into — created per call
+/// and never shared between threads or with a nested traversal. A page
+/// stays pinned only while it is decoded, so depth never accumulates
+/// pins, and after a descent's first node at each depth it allocates
+/// nothing per node or entry. Insert, Remove and CheckInvariants keep the
+/// owning LoadNode.
+///
+/// Counters: each visited node adds its work to the shared TraversalStats
+/// once, with one relaxed fetch_add per counter, and to the exact
+/// thread-local mirror (ThisThreadTraversalCounters); the pool classifies
+/// each fetch exactly once. Per-query deltas therefore stay exact through
+/// optimistic retries and concurrent queries, and the totals equal the
+/// per-entry counts. Writers require external exclusion (the engine layer
+/// treats a built index as frozen).
+///
+/// Corrupt pages: a descent returns Corruption — never aborts — for a
+/// page DecodeNode rejects (bad magic or count, an inverted or NaN MBR
+/// interval) and for a child whose level is not its parent's level - 1,
+/// which also rules out cycles such as an entry pointing at its own page.
 class RStarTree {
  public:
   TSQ_DISALLOW_COPY_AND_MOVE(RStarTree);
@@ -262,8 +278,8 @@ class RStarTree {
                                           const JoinPredicate& may_join) const;
 
   /// Runs the synchronized descent from one seed (see JoinSeeds). Safe to
-  /// call concurrently from many threads with distinct seeds: traversal
-  /// state lives on the stack, page access goes through the (sharded)
+  /// call concurrently from many threads with distinct seeds: each call
+  /// owns its traversal storage, page access goes through the (sharded)
   /// BufferPool, and counters are atomic + thread-local.
   Status JoinFrom(const JoinSeed& seed, const RStarTree& other,
                   const spatial::AffineMap* map,
@@ -311,7 +327,16 @@ class RStarTree {
     spatial::Rect mbr;            // valid when removed && !underflow
   };
 
+  struct SearchSlot;
+  struct SearchContext;
+  struct JoinSlot;
+  struct JoinContext;
+
   Result<Node> LoadNode(PageId id) const;
+  /// Decodes page `id` into reused storage, pinning it for the decode
+  /// only; Corruption unless its level is `expected_level` (any level
+  /// when that is the max uint32_t — a descent's starting node).
+  Status ReadNode(PageId id, uint32_t expected_level, NodeBuffer* out) const;
   Status StoreNode(const Node& node);
   Result<PageId> AllocateNodePage();
 
@@ -336,15 +361,11 @@ class RStarTree {
                                       const spatial::Rect& rect, uint64_t id);
   Status ShrinkRootIfNeeded();
 
-  Status SearchRecurse(PageId node_id, const spatial::AffineMap* map,
-                       const spatial::Rect& query, const SearchCallback& emit,
-                       bool* keep_going) const;
+  Status SearchRecurse(PageId node_id, uint32_t expected_level,
+                       size_t depth, SearchContext* ctx) const;
 
-  Status JoinRecurse(PageId a_id, const RStarTree& other, PageId b_id,
-                     const spatial::AffineMap* map_a,
-                     const spatial::AffineMap* map_b,
-                     const JoinPredicate& may_join, const JoinCallback& emit,
-                     bool* keep_going) const;
+  Status JoinRecurse(PageId a_id, uint32_t a_level, PageId b_id,
+                     uint32_t b_level, size_t depth, JoinContext* ctx) const;
 
   Status CheckRecurse(PageId node_id, uint32_t expected_level, bool is_root,
                       CheckReport* report) const;

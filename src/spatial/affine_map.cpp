@@ -76,9 +76,15 @@ Point AffineMap::Apply(const Point& p) const {
 }
 
 Rect AffineMap::Apply(const Rect& r) const {
+  Rect out;
+  ApplyInto(r, &out);
+  return out;
+}
+
+void AffineMap::ApplyInto(const Rect& r, Rect* out) const {
   TSQ_CHECK_MSG(r.dims() == dims(), "rect dims %zu != map dims %zu", r.dims(),
                 dims());
-  Rect out = r;
+  if (out->dims() != r.dims()) *out = r;
   for (size_t d = 0; d < dims(); ++d) {
     double lo = scale_[d] * r.lo(d) + offset_[d];
     double hi = scale_[d] * r.hi(d) + offset_[d];
@@ -104,9 +110,8 @@ Rect AffineMap::Apply(const Rect& r) const {
         }
       }
     }
-    out.SetDim(d, lo, hi);
+    out->SetDim(d, lo, hi);
   }
-  return out;
 }
 
 AffineMap AffineMap::Compose(const AffineMap& other) const {

@@ -64,6 +64,11 @@ class AffineMap {
   /// are widened to the full circle (see file comment).
   Rect Apply(const Rect& r) const;
 
+  /// Apply(r) written into `*out`, reusing its coordinate storage when it
+  /// already has r's dimensionality — the R-tree descent maps every MBR it
+  /// tests into one scratch rect this way instead of allocating a copy.
+  void ApplyInto(const Rect& r, Rect* out) const;
+
   /// Function composition: (this ∘ other)(x) = this(other(x)). Both maps
   /// must agree on dimensionality and angular mask; the composed scale on
   /// angular dims stays 1.

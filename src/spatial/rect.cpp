@@ -39,13 +39,6 @@ bool Rect::IsEmpty() const {
   return false;
 }
 
-void Rect::SetDim(size_t d, double lo, double hi) {
-  TSQ_CHECK(d < dims());
-  TSQ_CHECK_MSG(lo <= hi, "inverted interval in dim %zu", d);
-  lo_[d] = lo;
-  hi_[d] = hi;
-}
-
 double Rect::Extent(size_t d) const {
   TSQ_DCHECK(d < dims());
   return std::max(0.0, hi_[d] - lo_[d]);

@@ -51,8 +51,14 @@ class Rect {
   const Point& lo() const { return lo_; }
   const Point& hi() const { return hi_; }
 
-  /// Overwrites one dimension's interval. Requires lo <= hi.
-  void SetDim(size_t d, double lo, double hi);
+  /// Overwrites one dimension's interval. Requires lo <= hi. Inline: the
+  /// R-tree decode and AffineMap::ApplyInto call it per coordinate.
+  void SetDim(size_t d, double lo, double hi) {
+    TSQ_CHECK(d < dims());
+    TSQ_CHECK_MSG(lo <= hi, "inverted interval in dim %zu", d);
+    lo_[d] = lo;
+    hi_[d] = hi;
+  }
 
   /// Side length along dimension d (0 for empty rects).
   double Extent(size_t d) const;

@@ -30,7 +30,7 @@ TimeSeries Fig2SeriesP() { return TimeSeries({20, 21, 20, 23}, "p"); }
 namespace {
 
 // Fixed seeds: the stand-ins must be identical across runs and platforms so
-// EXPERIMENTS.md numbers are reproducible.
+// the figure benchmarks' numbers are reproducible.
 constexpr uint64_t kTrendingSeed = 20260101;
 constexpr uint64_t kOppositeSeed = 20260202;
 constexpr uint64_t kDissimilarSeed = 20260303;

@@ -2,7 +2,7 @@
 //
 // The sequences printed verbatim in the paper, plus fixed-seed simulated
 // stand-ins for its real-stock example pairs (the original data set is
-// unavailable; see DESIGN.md "Substitutions").
+// unavailable).
 //
 // Exact data:
 //   * Fig. 1: s1, s2 with D(s1,s2) = 11.92 and D(MA3(s1), MA3(s2)) = 0.47;

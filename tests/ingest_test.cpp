@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -141,6 +142,11 @@ TEST(InsertBatchTest, RejectsBadBatchesWithoutSideEffects) {
                               {RealVec(kLength, 1.0), RealVec(kLength + 1, 1.0)})
                   .status()
                   .IsInvalidArgument());
+  RealVec nan_series(kLength, 1.0);
+  nan_series[3] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(db->InsertBatch({"a", "b"}, {RealVec(kLength, 1.0), nan_series})
+                  .status()
+                  .IsInvalidArgument());
   EXPECT_EQ(db->size(), 0u);
   EXPECT_EQ(db->series_length(), 0u);
   // An empty batch is a no-op, not an error.
@@ -150,10 +156,53 @@ TEST(InsertBatchTest, RejectsBadBatchesWithoutSideEffects) {
   // A good batch still lands on the untouched database.
   ASSERT_TRUE(db->InsertBatch({"a"}, {RealVec(kLength, 1.0)}).ok());
   EXPECT_EQ(db->size(), 1u);
+  // The single-series path refuses non-finite samples, and finite ones
+  // whose features overflow, the same way.
+  RealVec inf_series(kLength, 1.0);
+  inf_series[0] = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(db->Insert("inf", inf_series).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      db->Insert("huge", RealVec(kLength, 1e308)).status().IsInvalidArgument());
+  EXPECT_EQ(db->size(), 1u);
   // A later batch of the wrong length is rejected against the fixed one.
   EXPECT_TRUE(db->InsertBatch({"b"}, {RealVec(kLength + 2, 1.0)})
                   .status()
                   .IsInvalidArgument());
+}
+
+TEST(InsertBatchTest, NonFiniteRecordOnDiskFailsIndexingInsteadOfAborting) {
+  // A record that bypassed insert validation (written straight through
+  // the relation, as a build without it could have) has no index point:
+  // BuildIndex, and the reopen that rebuilds an unindexed tail into the
+  // delta, must return an error rather than abort on a NaN rectangle.
+  std::vector<std::string> names;
+  std::vector<RealVec> values;
+  MakeWorkload(20, &names, &values);
+  RealVec bad = values[0];
+  bad[5] = std::numeric_limits<double>::quiet_NaN();
+  const FeatureExtractor extractor(DatabaseOptions{}.layout);
+  for (const bool index_first : {false, true}) {
+    TempDir dir;
+    DatabaseOptions options;
+    options.directory = dir.path();
+    {
+      auto db = Database::Create(options).value();
+      ASSERT_TRUE(db->InsertBatch(names, values).ok());
+      if (index_first) {
+        ASSERT_TRUE(db->BuildIndex().ok());
+      }
+      ASSERT_TRUE(db->relation()
+                      ->Append("legacy", bad, extractor.Extract(bad).spectrum)
+                      .ok());
+      if (!index_first) {
+        EXPECT_TRUE(db->BuildIndex().IsInvalidArgument());
+      }
+      ASSERT_TRUE(db->Flush().ok());
+    }
+    if (index_first) {
+      EXPECT_TRUE(Database::Open(options).status().IsInvalidArgument());
+    }
+  }
 }
 
 TEST(InsertBatchTest, IndexedBatchMatchesIncrementalInserts) {

@@ -7,8 +7,13 @@
 // policy.
 
 #include <algorithm>
+#include <bit>
+#include <limits>
+#include <map>
 #include <set>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -85,6 +90,87 @@ TEST(NodeTest, DeserializeRejectsGarbage) {
   Page page(4096);
   Node node;
   EXPECT_TRUE(DeserializeNode(page, 3, &node).IsCorruption());
+}
+
+Node RandomNode(Rng* rng, size_t dims, size_t count, uint32_t level,
+                uint64_t first_id) {
+  Node node;
+  node.level = level;
+  for (size_t i = 0; i < count; ++i) {
+    node.entries.push_back(
+        Entry{tsq::testing::RandomRect(rng, dims), first_id + i});
+  }
+  return node;
+}
+
+// Overwrites coordinate `d` of entry `index`'s lo corner with a NaN, which
+// no Rect can hold and which fails no `lo > hi` test.
+void PoisonLo(Page* page, size_t dims, size_t index, size_t d) {
+  const size_t off = 16 + index * (16 * dims + 8) + 8 * d;
+  page->WriteU64(off, std::bit_cast<uint64_t>(
+                          std::numeric_limits<double>::quiet_NaN()));
+}
+
+TEST(NodeTest, DeserializeRejectsNaNInterval) {
+  const size_t dims = 3;
+  Rng rng(31);
+  Page page(4096);
+  ASSERT_TRUE(SerializeNode(RandomNode(&rng, dims, 10, 0, 0), dims, &page)
+                  .ok());
+  PoisonLo(&page, dims, 4, 1);
+  Node node;
+  EXPECT_TRUE(DeserializeNode(page, dims, &node).IsCorruption());
+  NodeBuffer buffer;
+  EXPECT_TRUE(DecodeNode(page, dims, &buffer).IsCorruption());
+  EXPECT_EQ(buffer.size(), 0u);
+}
+
+TEST(NodeTest, DecodeReusesStorageAcrossNodes) {
+  // One buffer decodes a full node, a smaller node, a corrupt page and a
+  // full node again, as one depth of a descent does: each decode exposes
+  // exactly its own entries (none of a larger predecessor), a failed
+  // decode exposes none, and the storage the first decode set up is
+  // reused rather than reallocated.
+  const size_t dims = 6;
+  const size_t capacity = NodeCapacity(4096, dims);
+  Rng rng(32);
+  NodeBuffer buffer;
+  auto expect_decodes_to = [&](const Node& node) {
+    Page page(4096);
+    ASSERT_TRUE(SerializeNode(node, dims, &page).ok());
+    ASSERT_TRUE(DecodeNode(page, dims, &buffer).ok());
+    EXPECT_EQ(buffer.level(), node.level);
+    ASSERT_EQ(buffer.size(), node.entries.size());
+    ASSERT_EQ(buffer.end() - buffer.begin(),
+              static_cast<ptrdiff_t>(node.entries.size()));
+    for (size_t i = 0; i < node.entries.size(); ++i) {
+      EXPECT_EQ(buffer[i].rect, node.entries[i].rect) << i;
+      EXPECT_EQ(buffer[i].id, node.entries[i].id) << i;
+    }
+  };
+
+  expect_decodes_to(RandomNode(&rng, dims, capacity, 2, 100));
+  const Entry* slots = buffer.begin();
+  const double* coords = buffer[0].rect.lo().data();
+  expect_decodes_to(RandomNode(&rng, dims, 5, 0, 200));
+
+  // The NaN sits in the last entry, so the failed decode has already
+  // overwritten every earlier slot before it is rejected.
+  Page corrupt(4096);
+  ASSERT_TRUE(SerializeNode(RandomNode(&rng, dims, capacity, 1, 300), dims,
+                            &corrupt)
+                  .ok());
+  PoisonLo(&corrupt, dims, capacity - 1, dims - 1);
+  EXPECT_TRUE(DecodeNode(corrupt, dims, &buffer).IsCorruption());
+  EXPECT_EQ(buffer.size(), 0u);
+  EXPECT_EQ(buffer.begin(), buffer.end());
+  EXPECT_TRUE(DecodeNode(Page(4096), dims, &buffer).IsCorruption());
+  EXPECT_EQ(buffer.size(), 0u);
+
+  expect_decodes_to(RandomNode(&rng, dims, capacity, 1, 400));
+  expect_decodes_to(RandomNode(&rng, dims, 1, 0, 500));
+  EXPECT_EQ(buffer.begin(), slots);
+  EXPECT_EQ(buffer[0].rect.lo().data(), coords);
 }
 
 TEST(NodeTest, BoundingRectCoversAllEntries) {
@@ -534,6 +620,101 @@ TEST_P(RTreeParamTest, KnnWithMoreThanSizeReturnsAll) {
   EXPECT_EQ(got[0].id, 0u);
 }
 
+TEST_P(RTreeParamTest, ReusedStorageMatchesBruteForceAfterRemoves) {
+  // Inserts then Removes leave nodes at every fill between min_fill and
+  // capacity, so one descent decodes nodes of varying size into the same
+  // per-depth storage. Transformed range and kNN-stream answers must still
+  // equal brute force, and every counter must match the tree's shape.
+  const size_t dims = 3;
+  auto tree = MakeTree(dims);
+  Rng rng(34);
+  std::map<uint64_t, Point> points;
+  for (uint64_t i = 0; i < 500; ++i) {
+    Point p = RandomPoint(&rng, dims, -50.0, 50.0);
+    ASSERT_TRUE(tree->InsertPoint(p, i).ok());
+    points.emplace(i, std::move(p));
+  }
+  for (uint64_t i = 0; i < 500; ++i) {
+    if (rng.NextDouble() >= 0.4) continue;
+    auto removed = tree->Remove(Rect::FromPoint(points.at(i)), i);
+    ASSERT_TRUE(removed.ok() && *removed);
+    points.erase(i);
+  }
+  auto report = tree->CheckInvariants();
+  ASSERT_TRUE(report.ok());
+  ASSERT_TRUE(report->ok) << report->message;
+
+  const Rect everything(Point(dims, -1e9), Point(dims, 1e9));
+  auto keep = [](uint64_t, const Rect&) { return true; };
+  tree->ResetStats();
+  ASSERT_TRUE(tree->Search(everything, keep).ok());
+  const uint64_t nodes = tree->stats().nodes_visited;
+
+  for (int q = 0; q < 10; ++q) {
+    AffineMap map({rng.Uniform(-2.0, 2.0), rng.Uniform(-2.0, 2.0),
+                   rng.Uniform(-2.0, 2.0)},
+                  {rng.Uniform(-10.0, 10.0), rng.Uniform(-10.0, 10.0),
+                   rng.Uniform(-10.0, 10.0)});
+    Rect query = tsq::testing::RandomRect(&rng, dims, -100.0, 100.0);
+    std::set<uint64_t> expected;
+    for (const auto& [id, p] : points) {
+      if (query.Contains(map.Apply(p))) expected.insert(id);
+    }
+    std::set<uint64_t> actual;
+    ASSERT_TRUE(tree->SearchTransformed(map, query,
+                                        [&actual](uint64_t id, const Rect&) {
+                                          actual.insert(id);
+                                          return true;
+                                        })
+                    .ok());
+    EXPECT_EQ(actual, expected);
+
+    // The stream enumerates every entry once, in ascending bound order,
+    // each bound the metric's value on the entry's mapped point.
+    const Point center = RandomPoint(&rng, dims, -50.0, 50.0);
+    EuclideanMetric metric(center);
+    std::vector<std::pair<double, uint64_t>> streamed;
+    const TraversalStats shared_before = tree->stats();
+    const ThreadTraversalCounters mine_before = ThisThreadTraversalCounters();
+    ASSERT_TRUE(tree->NearestNeighborsStream(metric, &map,
+                                             [&streamed](uint64_t id,
+                                                         double bound) {
+                                               streamed.emplace_back(bound,
+                                                                     id);
+                                               return true;
+                                             })
+                    .ok());
+    const TraversalStats shared_after = tree->stats();
+    const ThreadTraversalCounters& mine = ThisThreadTraversalCounters();
+    EXPECT_TRUE(std::is_sorted(streamed.begin(), streamed.end(),
+                               [](const auto& a, const auto& b) {
+                                 return a.first < b.first;
+                               }));
+    std::vector<std::pair<double, uint64_t>> brute;
+    for (const auto& [id, p] : points) {
+      brute.emplace_back(metric.MinDistSquared(map.Apply(Rect::FromPoint(p))),
+                         id);
+    }
+    std::sort(streamed.begin(), streamed.end());
+    std::sort(brute.begin(), brute.end());
+    EXPECT_EQ(streamed, brute);
+
+    // Exhausting the stream visits every node and maps every entry once:
+    // the leaf entries plus one parent entry per non-root node.
+    EXPECT_EQ(mine.nodes_visited - mine_before.nodes_visited, nodes);
+    EXPECT_EQ(mine.rect_transforms - mine_before.rect_transforms,
+              nodes - 1 + points.size());
+    EXPECT_EQ(mine.leaf_entries_tested - mine_before.leaf_entries_tested,
+              points.size());
+    EXPECT_EQ(shared_after.nodes_visited - shared_before.nodes_visited, nodes);
+    EXPECT_EQ(shared_after.rect_transforms - shared_before.rect_transforms,
+              nodes - 1 + points.size());
+    EXPECT_EQ(
+        shared_after.leaf_entries_tested - shared_before.leaf_entries_tested,
+        points.size());
+  }
+}
+
 // --- persistence -----------------------------------------------------------------
 
 TEST_P(RTreeParamTest, PersistsAcrossReopen) {
@@ -626,6 +807,106 @@ TEST_F(RTreeEdgeTest, OpenRejectsNonMetaPage) {
   ASSERT_TRUE((*tree)->InsertPoint({0.0, 0.0}, 0).ok());
   // Page 2 is the root node, not the meta page.
   EXPECT_FALSE(RStarTree::Open(pool_.get(), (*tree)->meta_page() + 1, {}).ok());
+}
+
+/// Runs every read-only descent over the whole of `tree` and returns each
+/// one's status by name.
+std::vector<std::pair<std::string, Status>> RunEveryDescent(
+    const RStarTree& tree) {
+  const size_t dims = tree.dims();
+  const Rect everything(Point(dims, -1e9), Point(dims, 1e9));
+  const AffineMap shift(std::vector<double>(dims, 1.0),
+                        std::vector<double>(dims, 0.5));
+  auto keep = [](uint64_t, const Rect&) { return true; };
+  auto keep_streaming = [](uint64_t, double) { return true; };
+  auto all_pairs = [](const Rect&, const Rect&) { return true; };
+  auto keep_pairs = [](uint64_t, uint64_t) { return true; };
+  EuclideanMetric metric(Point(dims, 0.0));
+
+  std::vector<std::pair<std::string, Status>> out;
+  out.emplace_back("Search", tree.Search(everything, keep));
+  out.emplace_back("SearchTransformed",
+                   tree.SearchTransformed(shift, everything, keep));
+  out.emplace_back("NearestNeighborsStream",
+                   tree.NearestNeighborsStream(metric, nullptr,
+                                               keep_streaming));
+  out.emplace_back("NearestNeighborsStream(map)",
+                   tree.NearestNeighborsStream(metric, &shift,
+                                               keep_streaming));
+  out.emplace_back("JoinWith", tree.JoinWith(tree, nullptr, &shift, all_pairs,
+                                             keep_pairs));
+  Status seeded;
+  auto seeds = tree.JoinSeeds(tree, nullptr, &shift, all_pairs);
+  if (!seeds.ok()) {
+    seeded = seeds.status();
+  } else {
+    for (const RStarTree::JoinSeed& seed : *seeds) {
+      seeded = tree.JoinFrom(seed, tree, nullptr, &shift, all_pairs,
+                             keep_pairs);
+      if (!seeded.ok()) break;
+    }
+  }
+  out.emplace_back("JoinSeeds+JoinFrom", seeded);
+  return out;
+}
+
+TEST_F(RTreeEdgeTest, CorruptNodePagesReturnCorruptionFromEveryDescent) {
+  // Two hostile pages: a NaN coordinate, and an entry pointing at its own
+  // page, which a descent without level checks follows until the stack
+  // overflows. Every descent must return Corruption, and the tree must
+  // read normally once the page is restored.
+  const size_t dims = 3;
+  RTreeOptions options;
+  options.max_entries_override = 4;
+  auto tree = RStarTree::Create(pool_.get(), dims, options).value();
+  Rng rng(33);
+  for (uint64_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE(tree->InsertPoint(RandomPoint(&rng, dims, 0.0, 10.0), i).ok());
+  }
+  ASSERT_GE(tree->height(), 3u);
+  for (const auto& [name, status] : RunEveryDescent(*tree)) {
+    ASSERT_TRUE(status.ok()) << name << ": " << status.ToString();
+  }
+
+  // Meta page layout: u64 magic | u64 dims | u64 root | ...
+  ASSERT_TRUE(tree->SaveMeta().ok());
+  const PageId root =
+      pool_->Fetch(tree->meta_page()).value().page()->ReadU64(16);
+  Node root_node;
+  ASSERT_TRUE(
+      DeserializeNode(*pool_->Fetch(root).value().page(), dims, &root_node)
+          .ok());
+  ASSERT_FALSE(root_node.IsLeaf());
+  const PageId child = root_node.entries[0].id;
+
+  auto corrupt_and_check = [&](PageId page_id, auto&& corrupt) {
+    Page saved;
+    {
+      PageHandle handle = pool_->Fetch(page_id).value();
+      saved = *handle.page();
+      corrupt(handle.page());
+      handle.MarkDirty();
+    }
+    for (const auto& [name, status] : RunEveryDescent(*tree)) {
+      EXPECT_TRUE(status.IsCorruption()) << name << ": " << status.ToString();
+    }
+    auto check = tree->CheckInvariants();  // the owning LoadNode path
+    EXPECT_TRUE(!check.ok() || !check->ok);
+    PageHandle handle = pool_->Fetch(page_id).value();
+    *handle.page() = saved;
+    handle.MarkDirty();
+  };
+
+  corrupt_and_check(child, [&](Page* page) { PoisonLo(page, dims, 0, 0); });
+  corrupt_and_check(root, [&](Page* page) {
+    Node looped = root_node;
+    looped.entries[0].id = root;
+    ASSERT_TRUE(SerializeNode(looped, dims, page).ok());
+  });
+
+  for (const auto& [name, status] : RunEveryDescent(*tree)) {
+    EXPECT_TRUE(status.ok()) << name << ": " << status.ToString();
+  }
 }
 
 TEST_F(RTreeEdgeTest, HeightGrowsLogarithmically) {

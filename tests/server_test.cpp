@@ -25,6 +25,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -859,6 +860,78 @@ TEST_F(ServerTest, RemoteInsertMatchesInProcessAndIsQueryable) {
   ASSERT_FALSE(bad.ok());
   EXPECT_TRUE(bad.status().IsInvalidArgument());
   EXPECT_EQ(db_->size(), kNumSeries + names.size());
+}
+
+TEST_F(ServerTest, NonFiniteInsertAndQueryGetErrorsAndServerKeepsServing) {
+  auto server = StartServer();
+  auto client = Connect(*server);
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+
+  // A NaN or +-Inf sample has no index point: acknowledged, it would sit
+  // in the delta, where the next kNN's scan cannot build its rectangle.
+  // Finite samples whose features overflow (a mean past DBL_MAX) are
+  // refused the same way, and no id is reserved for a refused batch.
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    RealVec values = data_[5].values();
+    values[kLength / 2] = bad;
+    auto ids = client->InsertBatch({"good", "hostile"},
+                                   {data_[6].values(), values});
+    ASSERT_FALSE(ids.ok()) << bad;
+    EXPECT_TRUE(ids.status().IsInvalidArgument()) << ids.status().ToString();
+  }
+  auto overflow = client->InsertBatch({"huge"}, {RealVec(kLength, 1e308)});
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_TRUE(overflow.status().IsInvalidArgument())
+      << overflow.status().ToString();
+  EXPECT_EQ(db_->size(), kNumSeries);
+
+  // So are non-finite queries, thresholds and transforms, and a mean/std
+  // window no rectangle can hold.
+  RealVec nan_query = data_[7].values();
+  nan_query[0] = kNaN;
+  auto range = client->Range(nan_query, 1.0);
+  ASSERT_FALSE(range.ok());
+  EXPECT_TRUE(range.status().IsInvalidArgument());
+  RealVec inf_query = data_[7].values();
+  inf_query[1] = -kInf;
+  auto knn = client->Knn(inf_query, 1);
+  ASSERT_FALSE(knn.ok());
+  EXPECT_TRUE(knn.status().IsInvalidArgument());
+  auto nan_eps = client->Range(data_[7].values(), kNaN);
+  ASSERT_FALSE(nan_eps.ok());
+  EXPECT_TRUE(nan_eps.status().IsInvalidArgument());
+  for (const TransformMode mode :
+       {TransformMode::kBoth, TransformMode::kDataOnly}) {
+    QuerySpec nan_transform;
+    nan_transform.transform =
+        FeatureTransform::ShiftScale(kLength, 0.0, kNaN);
+    nan_transform.mode = mode;
+    auto transformed = client->Range(data_[7].values(), 1.0, nan_transform);
+    ASSERT_FALSE(transformed.ok());
+    EXPECT_TRUE(transformed.status().IsInvalidArgument());
+  }
+  QuerySpec inverted;
+  inverted.window = MeanStdWindow{1.0, -1.0, 0.0, 10.0};
+  auto windowed = client->Range(data_[7].values(), 1.0, inverted);
+  ASSERT_FALSE(windowed.ok());
+  EXPECT_TRUE(windowed.status().IsInvalidArgument());
+
+  // The server is still up, and kNN (which scans the delta) and REINDEX
+  // still answer over a database that took a valid insert since.
+  ASSERT_TRUE(client->Ping().ok());
+  auto ids = client->InsertBatch({"fresh"}, {data_[9].values()});
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  auto nearest = client->Knn(data_[3].values(), 1);
+  ASSERT_TRUE(nearest.ok()) << nearest.status().ToString();
+  ASSERT_EQ(nearest->size(), 1u);
+  EXPECT_EQ((*nearest)[0].id, 3u);
+  ASSERT_TRUE(client->Reindex().ok());
+  nearest = client->Knn(data_[9].values(), 2);
+  ASSERT_TRUE(nearest.ok()) << nearest.status().ToString();
+  ASSERT_EQ(nearest->size(), 2u);
+  EXPECT_EQ((*nearest)[0].distance, 0.0);
+  EXPECT_EQ((*nearest)[1].distance, 0.0);
 }
 
 TEST_F(ServerTest, RemoteReindexFoldsDeltaAndKeepsAnswers) {

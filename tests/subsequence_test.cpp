@@ -5,6 +5,7 @@
 // parity (no false dismissals for subsequence queries), parameterized over
 // thresholds, window sizes and trail-piece lengths.
 
+#include <limits>
 #include <set>
 #include <tuple>
 
@@ -216,6 +217,13 @@ TEST(SubsequenceIndexTest, ValidatesArguments) {
                   .IsInvalidArgument());
   ASSERT_TRUE(index->AddSeries(0, RealVec(20, 1.0)).ok());
   EXPECT_TRUE(index->RangeSearch(RealVec(16, 1.0), -1.0, fetch, &out, nullptr)
+                  .IsInvalidArgument());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(index->RangeSearch(RealVec(16, 1.0), nan, fetch, &out, nullptr)
+                  .IsInvalidArgument());
+  RealVec nan_query(16, 1.0);
+  nan_query[3] = nan;
+  EXPECT_TRUE(index->RangeSearch(nan_query, 1.0, fetch, &out, nullptr)
                   .IsInvalidArgument());
 }
 

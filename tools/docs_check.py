@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks, run by the CI docs-check job.
 
-Two classes of failure:
+Four classes of failure:
 
 1. Dead relative links: every markdown link in every tracked .md file
    whose target is a relative path must resolve to an existing file
@@ -19,6 +19,12 @@ Two classes of failure:
    the benchmark tables) must keep existing under their exact heading —
    renaming one silently breaks the cross-references and the contract
    of record.
+
+4. Dead doc references in source comments: a `//` comment in a C++
+   source or a `#` comment in a Python or CMake file that names a .md
+   file which exists nowhere in the tree. A bare name matches a file of
+   that name anywhere; a name with a directory must resolve from the
+   repository root or from the commenting file's directory.
 
 Exit status 0 = clean, 1 = problems found. No dependencies beyond the
 standard library; run from anywhere inside the repository.
@@ -47,7 +53,12 @@ STALE_PATTERNS = [
     r"fold[s]?\s+new\s+points\s+into\s+the\s+live\s+(R\*?-?)?tree",
 ]
 
-SKIP_DIRS = {".git", "build", "build-tsan", "third_party", ".github"}
+SKIP_DIRS = {".git", "build", "build-tsan", "third_party", ".github",
+             ".bench_build"}
+
+# A .md file name inside a comment (check 4).
+MD_NAME_RE = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
+COMMENT_MARKERS = {".h": "//", ".cpp": "//", ".py": "#", ".txt": "#"}
 
 # Doc sections other files cross-reference by heading. Path (relative
 # to the repo root) -> exact headings that must exist in that file.
@@ -194,6 +205,36 @@ def check_required_sections():
     return problems
 
 
+def comment_text(path, line):
+    """The comment part of a source line ('' when there is none)."""
+    marker = COMMENT_MARKERS[os.path.splitext(path)[1]]
+    _, found, comment = line.partition(marker)
+    return comment if found else ""
+
+
+def check_source_doc_refs(md_files):
+    problems = []
+    md_names = {os.path.basename(p) for p in md_files}
+    sources = [p for p in tracked_files(list(COMMENT_MARKERS))
+               if not p.endswith(".txt") or
+               os.path.basename(p) == "CMakeLists.txt"]
+    for path in sources:
+        with open(path, encoding="utf-8", errors="replace") as f:
+            for lineno, line in enumerate(f, 1):
+                for name in MD_NAME_RE.findall(comment_text(path, line)):
+                    if "/" not in name:
+                        ok = name in md_names
+                    else:
+                        ok = any(os.path.exists(os.path.normpath(
+                            os.path.join(base, name)))
+                            for base in (REPO, os.path.dirname(path)))
+                    if not ok:
+                        problems.append(
+                            f"{path}:{lineno}: comment cites '{name}', "
+                            f"which is not in the tree")
+    return problems
+
+
 def main():
     md_files = tracked_files([".md"])
     headers = [p for p in tracked_files([".h"])
@@ -202,7 +243,7 @@ def main():
     prose_files = headers + ([readme] if os.path.exists(readme) else [])
 
     problems = (check_links(md_files) + check_stale_prose(prose_files) +
-                check_required_sections())
+                check_required_sections() + check_source_doc_refs(md_files))
     if problems:
         print(f"docs-check: {len(problems)} problem(s)")
         for p in problems:
