@@ -42,10 +42,12 @@ void RunCoefficientSweep(const std::vector<TimeSeries>& market) {
     uint64_t answers = 0;
     for (int q = 0; q < kQueries; ++q) {
       const RealVec& query = market[(q * 67) % market.size()].values();
+      const auto range = engine::BatchQuery::Range(query, 2.0);
+      QueryStats stats;
       ms += bench::MeanMillis(
-          [&db, &query]() { db->RangeQuery(query, 2.0).value(); }, 3);
-      candidates += db->last_stats().candidates;
-      answers += db->last_stats().answers;
+          [&]() { stats = bench::RunQuery(db.get(), range).stats; }, 3);
+      candidates += stats.candidates;
+      answers += stats.answers;
     }
     table.AddRow({std::to_string(k),
                   std::to_string(db->options().layout.dims()),
@@ -79,16 +81,21 @@ void RunSpaceComparison(const std::vector<TimeSeries>& market) {
     uint64_t answers = 0;
     for (int q = 0; q < kQueries; ++q) {
       const RealVec& query = market[(q * 67) % market.size()].values();
+      const auto range = engine::BatchQuery::Range(query, 2.0);
+      QueryStats stats;
       ms += bench::MeanMillis(
-          [&db, &query]() { db->RangeQuery(query, 2.0).value(); }, 3);
-      candidates += db->last_stats().candidates;
-      answers += db->last_stats().answers;
+          [&]() { stats = bench::RunQuery(db.get(), range).stats; }, 3);
+      candidates += stats.candidates;
+      answers += stats.answers;
     }
     QuerySpec ma;
     ma.transform =
         FeatureTransform::Spectral(transforms::MovingAverage(128, 20));
     const bool accepts =
-        db->RangeQuery(market[0].values(), 2.0, ma).ok();
+        engine::SingleResult(
+            db->RunBatch(
+                {engine::BatchQuery::Range(market[0].values(), 2.0, ma)}))
+            .ok();
     table.AddRow({polar ? "polar" : "rectangular",
                   bench::Table::Num(static_cast<double>(candidates) / kQueries,
                                     1),
@@ -118,9 +125,11 @@ void RunReinsertAblation(const std::vector<TimeSeries>& market) {
     uint64_t nodes = 0;
     for (int q = 0; q < kQueries; ++q) {
       const RealVec& query = market[(q * 67) % market.size()].values();
+      const auto range = engine::BatchQuery::Range(query, 2.0);
+      QueryStats stats;
       ms += bench::MeanMillis(
-          [&db, &query]() { db->RangeQuery(query, 2.0).value(); }, 3);
-      nodes += db->last_stats().nodes_visited;
+          [&]() { stats = bench::RunQuery(db.get(), range).stats; }, 3);
+      nodes += stats.nodes_visited;
     }
     table.AddRow({reinsert ? "on" : "off", bench::Table::Num(build_ms, 1),
                   bench::Table::Num(static_cast<double>(nodes) / kQueries, 1),
@@ -147,9 +156,11 @@ void RunBulkLoadAblation(const std::vector<TimeSeries>& market) {
     uint64_t nodes = 0;
     for (int q = 0; q < kQueries; ++q) {
       const RealVec& query = market[(q * 67) % market.size()].values();
+      const auto range = engine::BatchQuery::Range(query, 2.0);
+      QueryStats stats;
       ms += bench::MeanMillis(
-          [&db, &query]() { db->RangeQuery(query, 2.0).value(); }, 3);
-      nodes += db->last_stats().nodes_visited;
+          [&]() { stats = bench::RunQuery(db.get(), range).stats; }, 3);
+      nodes += stats.nodes_visited;
     }
     table.AddRow({bulk ? "STR bulk load" : "repeated insert",
                   bench::Table::Num(build_ms, 1),
@@ -179,10 +190,12 @@ void RunBasisAblation(const std::vector<TimeSeries>& market) {
     uint64_t answers = 0;
     for (int q = 0; q < kQueries; ++q) {
       const RealVec& query = market[(q * 67) % market.size()].values();
+      const auto range = engine::BatchQuery::Range(query, 2.0);
+      QueryStats stats;
       ms += bench::MeanMillis(
-          [&db, &query]() { db->RangeQuery(query, 2.0).value(); }, 3);
-      candidates += db->last_stats().candidates;
-      answers += db->last_stats().answers;
+          [&]() { stats = bench::RunQuery(db.get(), range).stats; }, 3);
+      candidates += stats.candidates;
+      answers += stats.answers;
     }
     table.AddRow({use_haar ? "Haar (k=2)" : "Fourier (k=2, paper)",
                   bench::Table::Num(static_cast<double>(candidates) / kQueries,

@@ -61,10 +61,11 @@ void Run() {
   std::vector<std::vector<Match>> exact(kQueries);
   double exact_ms = 0.0;
   for (int q = 0; q < kQueries; ++q) {
-    const RealVec& query = market[(q * 97) % market.size()].values();
-    exact[q] = db->Knn(query, k).value();
-    exact_ms += bench::MeanMillis(
-        [&db, &query, k]() { db->Knn(query, k).value(); }, kReps);
+    const auto knn = engine::BatchQuery::Knn(
+        market[(q * 97) % market.size()].values(), k);
+    exact[q] = bench::RunQuery(db.get(), knn).matches;
+    exact_ms += bench::MeanMillis([&]() { bench::RunQuery(db.get(), knn); },
+                                  kReps);
   }
   exact_ms /= kQueries;
 
@@ -97,15 +98,14 @@ void Run() {
     const bool pure_epsilon =
         config.options.probe_budget == 0 && !config.options.stop_after_first_leaf;
     for (int q = 0; q < kQueries; ++q) {
-      const RealVec& query = market[(q * 97) % market.size()].values();
-      const std::vector<Match> approx =
-          db->Knn(query, k, QuerySpec{}, config.options).value();
-      const QueryStats stats = db->last_stats();
-      mean_ms += bench::MeanMillis(
-          [&db, &query, k, &config]() {
-            db->Knn(query, k, QuerySpec{}, config.options).value();
-          },
-          kReps);
+      const auto knn = engine::BatchQuery::Knn(
+          market[(q * 97) % market.size()].values(), k, QuerySpec{},
+          config.options);
+      const engine::BatchResult result = bench::RunQuery(db.get(), knn);
+      const std::vector<Match>& approx = result.matches;
+      const QueryStats& stats = result.stats;
+      mean_ms += bench::MeanMillis([&]() { bench::RunQuery(db.get(), knn); },
+                                   kReps);
 
       // Correctness contract, checked on the bench workload: the
       // reported error bound honors the requested epsilon, and with

@@ -56,18 +56,19 @@ void Run() {
     for (int q = 0; q < kQueries; ++q) {
       const RealVec& query =
           data[(q * 37) % kNumSeries].values();  // stored series as queries
+      const auto plain = engine::BatchQuery::Range(query, eps);
+      const auto transformed =
+          engine::BatchQuery::Range(query, eps, identity_spec);
+      QueryStats stats;
 
       plain_ms += bench::MeanMillis(
-          [&db, &query, eps]() { db->RangeQuery(query, eps).value(); }, 3);
-      plain_nodes += db->last_stats().nodes_visited;
+          [&]() { stats = bench::RunQuery(db.get(), plain).stats; }, 3);
+      plain_nodes += stats.nodes_visited;
 
       transformed_ms += bench::MeanMillis(
-          [&db, &query, eps, &identity_spec]() {
-            db->RangeQuery(query, eps, identity_spec).value();
-          },
-          3);
-      transformed_nodes += db->last_stats().nodes_visited;
-      answers += db->last_stats().answers;
+          [&]() { stats = bench::RunQuery(db.get(), transformed).stats; }, 3);
+      transformed_nodes += stats.nodes_visited;
+      answers += stats.answers;
     }
     plain_ms /= kQueries;
     transformed_ms /= kQueries;

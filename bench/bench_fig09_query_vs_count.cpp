@@ -48,18 +48,19 @@ void Run() {
 
     for (int q = 0; q < kQueries; ++q) {
       const RealVec& query = data[(q * 131) % count].values();
+      const auto plain = engine::BatchQuery::Range(query, kEps);
+      const auto transformed =
+          engine::BatchQuery::Range(query, kEps, identity_spec);
+      QueryStats stats;
 
       plain_ms += bench::MeanMillis(
-          [&db, &query, kEps]() { db->RangeQuery(query, kEps).value(); }, 3);
-      plain_nodes += db->last_stats().nodes_visited;
+          [&]() { stats = bench::RunQuery(db.get(), plain).stats; }, 3);
+      plain_nodes += stats.nodes_visited;
 
       transformed_ms += bench::MeanMillis(
-          [&db, &query, kEps, &identity_spec]() {
-            db->RangeQuery(query, kEps, identity_spec).value();
-          },
-          3);
-      transformed_nodes += db->last_stats().nodes_visited;
-      answers += db->last_stats().answers;
+          [&]() { stats = bench::RunQuery(db.get(), transformed).stats; }, 3);
+      transformed_nodes += stats.nodes_visited;
+      answers += stats.answers;
     }
     plain_ms /= kQueries;
     transformed_ms /= kQueries;

@@ -43,16 +43,19 @@ void Run() {
     uint64_t answers = 0;
     for (int q = 0; q < kQueries; ++q) {
       const RealVec& query = data[(q * 211) % count].values();
+      const auto indexed = engine::BatchQuery::Range(query, kEps, spec);
+      QueryStats stats;
       index_ms += bench::MeanMillis(
-          [&db, &query, kEps, &spec]() {
-            db->RangeQuery(query, kEps, spec).value();
-          },
-          2);
-      answers += db->last_stats().answers;
+          [&]() { stats = bench::RunQuery(db.get(), indexed).stats; }, 2);
+      answers += stats.answers;
+      std::vector<Match> scanned;
       scan_ms += bench::MeanMillis(
-          [&db, &query, kEps, &spec]() {
-            db->ScanRangeQuery(query, kEps, spec, /*early_abandon=*/true)
-                .value();
+          [&]() {
+            TSQ_CHECK(SeqScanRangeQuery(*db->relation(), db->extractor(),
+                                        query, kEps, spec,
+                                        /*early_abandon=*/true, &scanned,
+                                        /*stats=*/nullptr)
+                          .ok());
           },
           2);
     }

@@ -44,16 +44,19 @@ void Run() {
     uint64_t answers = 0;
     for (int q = 0; q < kQueries; ++q) {
       const RealVec& query = market[(q * 127) % market.size()].values();
+      const auto indexed = engine::BatchQuery::Range(query, eps, spec);
+      QueryStats stats;
       index_ms += bench::MeanMillis(
-          [&db, &query, eps, &spec]() {
-            db->RangeQuery(query, eps, spec).value();
-          },
-          2);
-      answers += db->last_stats().answers;
+          [&]() { stats = bench::RunQuery(db.get(), indexed).stats; }, 2);
+      answers += stats.answers;
+      std::vector<Match> scanned;
       scan_ms += bench::MeanMillis(
-          [&db, &query, eps, &spec]() {
-            db->ScanRangeQuery(query, eps, spec, /*early_abandon=*/true)
-                .value();
+          [&]() {
+            TSQ_CHECK(SeqScanRangeQuery(*db->relation(), db->extractor(),
+                                        query, eps, spec,
+                                        /*early_abandon=*/true, &scanned,
+                                        /*stats=*/nullptr)
+                          .ok());
           },
           2);
     }

@@ -63,27 +63,33 @@ void Run() {
       uint64_t verified = 0;
       for (int q = 0; q < kQueries; ++q) {
         const RealVec& query = market[(q * 97) % market.size()].values();
-        const double expected = MatchChecksum(db->Knn(query, k, spec).value());
+        const auto knn = engine::BatchQuery::Knn(query, k, spec);
+        const double expected =
+            MatchChecksum(bench::RunQuery(db.get(), knn).matches);
+        QueryStats stats;
         index_ms += bench::MeanMillis(
-            [&db, &query, k, &spec, expected]() {
-              const double got = MatchChecksum(db->Knn(query, k, spec).value());
-              TSQ_CHECK_MSG(Bits(got) == Bits(expected),
+            [&]() {
+              const engine::BatchResult got = bench::RunQuery(db.get(), knn);
+              TSQ_CHECK_MSG(Bits(MatchChecksum(got.matches)) == Bits(expected),
                             "kNN answer drift across iterations");
+              stats = got.stats;
             },
             2);
-        verified += db->last_stats().verified;
+        verified += stats.verified;
         // Scan ranking: a full pass with an infinite threshold, then
         // take the top k (what a user without the index would run).
-        const double scan_expected = MatchChecksum(
-            db->ScanRangeQuery(query, 1e18, spec, /*early_abandon=*/false)
-                .value());
+        std::vector<Match> scanned;
+        const auto scan = [&]() {
+          TSQ_CHECK(SeqScanRangeQuery(*db->relation(), db->extractor(), query,
+                                      1e18, spec, /*early_abandon=*/false,
+                                      &scanned, /*stats=*/nullptr)
+                        .ok());
+          return MatchChecksum(scanned);
+        };
+        const double scan_expected = scan();
         scan_ms += bench::MeanMillis(
-            [&db, &query, &spec, scan_expected]() {
-              const double got = MatchChecksum(
-                  db->ScanRangeQuery(query, 1e18, spec,
-                                     /*early_abandon=*/false)
-                      .value());
-              TSQ_CHECK_MSG(Bits(got) == Bits(scan_expected),
+            [&]() {
+              TSQ_CHECK_MSG(Bits(scan()) == Bits(scan_expected),
                             "scan answer drift across iterations");
             },
             2);

@@ -94,19 +94,23 @@ void Run() {
     const double range_ms = bench::MeanMillis(
         [&] {
           for (int q = 0; q < kQueries; ++q) {
-            auto matches =
-                db->RangeQuery(market[q % market.size()].values(), epsilon);
-            if (!matches.ok()) std::abort();
-            range_answers[q] = std::move(*matches);
+            range_answers[q] =
+                bench::RunQuery(db.get(),
+                                engine::BatchQuery::Range(
+                                    market[q % market.size()].values(),
+                                    epsilon))
+                    .matches;
           }
         },
         kReps);
     const double knn_ms = bench::MeanMillis(
         [&] {
           for (int q = 0; q < kQueries; ++q) {
-            auto matches = db->Knn(market[q % market.size()].values(), k);
-            if (!matches.ok()) std::abort();
-            knn_answers[q] = std::move(*matches);
+            knn_answers[q] =
+                bench::RunQuery(db.get(),
+                                engine::BatchQuery::Knn(
+                                    market[q % market.size()].values(), k))
+                    .matches;
           }
         },
         kReps);

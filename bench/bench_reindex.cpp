@@ -91,7 +91,8 @@ void Run() {
   auto time_queries = [&](Database* db) {
     Stopwatch watch;
     for (size_t i = 0; i < kQueries; ++i) {
-      db->RangeQuery(data[(i * 31) % kIndexed].values(), 2.0).value();
+      bench::RunQuery(db, engine::BatchQuery::Range(
+                              data[(i * 31) % kIndexed].values(), 2.0));
     }
     return watch.ElapsedMillis() / double(kQueries);
   };

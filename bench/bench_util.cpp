@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <utility>
 
 #include "common/macros.h"
 #include "common/stopwatch.h"
@@ -45,6 +46,14 @@ std::unique_ptr<Database> BuildDatabase(const std::string& directory,
   Status built = (*db)->BuildIndex();
   TSQ_CHECK_MSG(built.ok(), "BuildIndex: %s", built.ToString().c_str());
   return std::move(*db);
+}
+
+engine::BatchResult RunQuery(Database* db, const engine::BatchQuery& query) {
+  Result<engine::BatchResult> result =
+      engine::SingleResult(db->RunBatch({query}));
+  TSQ_CHECK_MSG(result.ok(), "query: %s",
+                result.status().ToString().c_str());
+  return std::move(result).value();
 }
 
 double MeanMillis(const std::function<void()>& fn, int reps) {

@@ -42,6 +42,11 @@ std::unique_ptr<Database> BuildDatabase(const std::string& directory,
                                         const DatabaseOptions& base_options =
                                             DatabaseOptions{});
 
+/// One query as a one-element Database::RunBatch — which runs it on the
+/// calling thread — unwrapped by engine::SingleResult: its answers and
+/// its own QueryStats. Aborts on error.
+engine::BatchResult RunQuery(Database* db, const engine::BatchQuery& query);
+
 /// Runs `fn` `reps` times; returns the mean elapsed milliseconds.
 double MeanMillis(const std::function<void()>& fn, int reps);
 

@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "tsq.h"
 
@@ -61,12 +62,19 @@ int main() {
 
   std::set<std::pair<SeriesId, SeriesId>> hedges;
   std::map<std::pair<SeriesId, SeriesId>, double> pair_distance;
-  uint64_t total_candidates = 0;
+  // Every stock probes the index once: one batch, run across the engine's
+  // workers; results[q] answers stock q with its own stats.
+  std::vector<engine::BatchQuery> probes;
   for (SeriesId q = 0; q < db->size(); ++q) {
-    auto rec = db->Get(q).value();
-    auto matches = db->RangeQuery(rec.values, kEps, spec).value();
-    total_candidates += db->last_stats().candidates;
-    for (const Match& m : matches) {
+    probes.push_back(
+        engine::BatchQuery::Range(db->Get(q).value().values, kEps, spec));
+  }
+  engine::BatchStats batch;
+  const auto results = db->RunBatch(probes, /*threads=*/0, &batch).value();
+  const uint64_t total_candidates = batch.aggregate.candidates;
+  for (SeriesId q = 0; q < results.size(); ++q) {
+    TSQ_CHECK(results[q].status.ok());
+    for (const Match& m : results[q].matches) {
       if (m.id == q) continue;
       const auto key = std::minmax(q, m.id);
       if (hedges.insert({key.first, key.second}).second) {

@@ -49,8 +49,15 @@ int main() {
   // --- 4. Query ------------------------------------------------------------
   const RealVec query = workload::paper::Fig1SeriesS1().values();
 
+  // A single query is a one-element batch: RunBatch({q}) runs it on this
+  // thread, and engine::SingleResult unwraps its answers and stats.
+  using engine::BatchQuery;
+  auto ask = [&db](BatchQuery q) {
+    return engine::SingleResult(db->RunBatch({std::move(q)})).value();
+  };
+
   // 4a. Plain range query: who is within eps of s1's normal form?
-  auto plain = db->RangeQuery(query, /*epsilon=*/2.0).value();
+  const auto plain = ask(BatchQuery::Range(query, /*epsilon=*/2.0)).matches;
   std::printf("\nplain range query (eps = 2.0): %zu matches\n", plain.size());
   for (const Match& m : plain) {
     std::printf("  %-8s distance %.3f\n", m.name.c_str(), m.distance);
@@ -61,7 +68,8 @@ int main() {
   QuerySpec smoothed;
   smoothed.transform =
       FeatureTransform::Spectral(transforms::MovingAverage(15, 3));
-  auto ma = db->RangeQuery(query, /*epsilon=*/2.0, smoothed).value();
+  const auto ma =
+      ask(BatchQuery::Range(query, /*epsilon=*/2.0, smoothed)).matches;
   std::printf("\nsmoothed range query (Tmavg3, eps = 2.0): %zu matches\n",
               ma.size());
   for (const Match& m : ma) {
@@ -70,16 +78,17 @@ int main() {
   }
 
   // 4c. Nearest neighbors under the same smoothing.
-  auto knn = db->Knn(query, /*k=*/3, smoothed).value();
+  const engine::BatchResult knn =
+      ask(BatchQuery::Knn(query, /*k=*/3, smoothed));
   std::printf("\n3 nearest neighbors under Tmavg3:\n");
-  for (const Match& m : knn) {
+  for (const Match& m : knn.matches) {
     std::printf("  %-8s distance %.3f\n", m.name.c_str(), m.distance);
   }
 
-  // Stats of the last query: how much work the index did.
-  const QueryStats& stats = db->last_stats();
+  // Each result carries its own query's stats: how much work the index did.
+  const QueryStats& stats = knn.stats;
   std::printf(
-      "\nlast query stats: %llu candidates, %llu node accesses, %.3f ms\n",
+      "\nkNN query stats: %llu candidates, %llu node accesses, %.3f ms\n",
       static_cast<unsigned long long>(stats.candidates),
       static_cast<unsigned long long>(stats.nodes_visited), stats.elapsed_ms);
   return 0;

@@ -49,8 +49,14 @@ int main() {
   trend.transform =
       FeatureTransform::Spectral(transforms::MovingAverage(128, 20));
 
-  auto matches = db->RangeQuery(target.values(), /*epsilon=*/0.6, trend)
-                     .value();
+  // A single query is a one-element batch, run on this thread.
+  using engine::BatchQuery;
+  auto ask = [&db](BatchQuery q) {
+    return engine::SingleResult(db->RunBatch({std::move(q)})).value().matches;
+  };
+
+  const auto matches =
+      ask(BatchQuery::Range(target.values(), /*epsilon=*/0.6, trend));
   std::printf("\nstocks within 0.6 of the target's 20-day smoothed trend:\n");
   for (const Match& m : matches) {
     if (m.name == target.name()) continue;  // skip self
@@ -60,14 +66,14 @@ int main() {
   // Without smoothing, the partner is NOT within range: short-term noise
   // dominates the raw distance. This is the paper's Example 1.1 at market
   // scale.
-  auto raw = db->RangeQuery(target.values(), /*epsilon=*/0.6).value();
+  const auto raw = ask(BatchQuery::Range(target.values(), /*epsilon=*/0.6));
   std::printf(
       "\nsame query without smoothing finds %zu stocks (and %zu with) — "
       "the moving average is what surfaces the trend-alikes.\n",
       raw.size() - 1, matches.size() - 1);
 
   // --- top-5 trend neighbors, regardless of threshold ---------------------
-  auto top = db->Knn(target.values(), /*k=*/6, trend).value();
+  const auto top = ask(BatchQuery::Knn(target.values(), /*k=*/6, trend));
   std::printf("\ntop trend neighbors (excluding self):\n");
   for (const Match& m : top) {
     if (m.name == target.name()) continue;
@@ -77,8 +83,8 @@ int main() {
   // --- GK95-style screen: same shape AND a specific price band ------------
   QuerySpec banded = trend;
   banded.window = MeanStdWindow{20.0, 60.0, 0.0, 1e9};
-  auto in_band =
-      db->RangeQuery(target.values(), /*epsilon=*/2.0, banded).value();
+  const auto in_band =
+      ask(BatchQuery::Range(target.values(), /*epsilon=*/2.0, banded));
   std::printf(
       "\ntrend-alikes (eps 2.0) whose mean price lies in [20, 60]: %zu\n",
       in_band.size());

@@ -56,8 +56,13 @@ int main() {
   RealVec probe = originals[42];
   for (double& v : probe) v += rng.Uniform(-0.3, 0.3);
 
-  auto matches =
-      db->RangeQuery(StretchTime(probe, kWarp), /*epsilon=*/1.5).value();
+  // A single query is a one-element batch, run on this thread.
+  const auto matches =
+      engine::SingleResult(
+          db->RunBatch({engine::BatchQuery::Range(StretchTime(probe, kWarp),
+                                                  /*epsilon=*/1.5)}))
+          .value()
+          .matches;
   std::printf("\nrange query with the stretched probe (eps 1.5):\n");
   for (const Match& m : matches) {
     std::printf("  %-8s distance %.3f%s\n", m.name.c_str(), m.distance,

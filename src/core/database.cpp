@@ -57,6 +57,37 @@ Status SyncDirectory(const std::string& path) {
   return Status::OK();
 }
 
+/// The slow-query log's op= for a batch query.
+const char* QueryOpName(engine::BatchQueryKind kind) {
+  switch (kind) {
+    case engine::BatchQueryKind::kRange:
+      return "range";
+    case engine::BatchQueryKind::kKnn:
+      return "knn";
+    case engine::BatchQueryKind::kSubsequence:
+      return "subsequence";
+  }
+  return "query";
+}
+
+/// The slow-query log's op= for a self-join: the method, named as
+/// `tsq_cli join --method` names it.
+const char* JoinOpName(JoinMethod method) {
+  switch (method) {
+    case JoinMethod::kScanFull:
+      return "join_scan";
+    case JoinMethod::kScanEarlyAbandon:
+      return "join_scan_fast";
+    case JoinMethod::kIndexPlain:
+      return "join_index";
+    case JoinMethod::kIndexTransformed:
+      return "join_index_transform";
+    case JoinMethod::kTreeMatch:
+      return "join_tree";
+  }
+  return "join";
+}
+
 }  // namespace
 
 Database::~Database() { StopMergeThread(); }
@@ -702,52 +733,6 @@ Status Database::Repair() {
   return Status::OK();
 }
 
-Result<std::vector<Match>> Database::RangeQuery(const RealVec& query,
-                                                double epsilon,
-                                                const QuerySpec& spec) {
-  // Lock-free read path: pin the current epoch and run against it.
-  auto snap = CurrentSnapshot();
-  if (snap == nullptr) {
-    return Status::FailedPrecondition("RangeQuery requires BuildIndex()");
-  }
-  const IndexView view(*snap);
-  std::vector<Match> out;
-  last_stats_ = QueryStats();
-  TSQ_RETURN_IF_ERROR(IndexRangeQuery(view, *relation_, query, epsilon,
-                                      spec, &out, &last_stats_));
-  MaybeLogSlowQuery("range", last_stats_);
-  return out;
-}
-
-Result<std::vector<Match>> Database::Knn(const RealVec& query, size_t k,
-                                         const QuerySpec& spec,
-                                         const KnnOptions& options) {
-  auto snap = CurrentSnapshot();
-  if (snap == nullptr) {
-    return Status::FailedPrecondition("Knn requires BuildIndex()");
-  }
-  const IndexView view(*snap);
-  std::vector<Match> out;
-  last_stats_ = QueryStats();
-  TSQ_RETURN_IF_ERROR(IndexKnnQuery(view, *relation_, query, k, spec, options,
-                                    &out, &last_stats_));
-  MaybeLogSlowQuery("knn", last_stats_);
-  return out;
-}
-
-Result<std::vector<Match>> Database::ScanRangeQuery(const RealVec& query,
-                                                    double epsilon,
-                                                    const QuerySpec& spec,
-                                                    bool early_abandon) {
-  std::vector<Match> out;
-  last_stats_ = QueryStats();
-  TSQ_RETURN_IF_ERROR(SeqScanRangeQuery(*relation_, extractor_, query,
-                                        epsilon, spec, early_abandon, &out,
-                                        &last_stats_));
-  MaybeLogSlowQuery("scan_range", last_stats_);
-  return out;
-}
-
 engine::QueryEngine* Database::EnsureEngine(size_t threads) {
   std::lock_guard<std::mutex> lock(engines_mutex_);
   auto it = engines_.find(threads);
@@ -785,88 +770,54 @@ Result<std::vector<engine::BatchResult>> Database::RunBatch(
   }
   std::vector<engine::BatchResult> results =
       EnsureEngine(threads)->RunBatch(queries, batch_stats);
-  for (const engine::BatchResult& r : results) {
-    if (r.status.ok()) MaybeLogSlowQuery("batch", r.stats);
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (results[i].status.ok()) {
+      MaybeLogSlowQuery(QueryOpName(queries[i].kind), results[i].stats);
+    }
   }
   return results;
 }
 
-Result<std::vector<JoinPair>> Database::ParallelSelfJoin(
-    double epsilon, const std::optional<FeatureTransform>& transform,
-    size_t threads) {
-  QueryStats stats;
-  TSQ_ASSIGN_OR_RETURN(std::vector<JoinPair> out,
-                       ParallelSelfJoin(epsilon, transform, threads, &stats));
-  last_stats_ = stats;
-  return out;
-}
-
-Result<std::vector<JoinPair>> Database::ParallelSelfJoin(
-    double epsilon, const std::optional<FeatureTransform>& transform,
-    size_t threads, QueryStats* stats) {
-  if (!index_built()) {
-    return Status::FailedPrecondition("ParallelSelfJoin requires BuildIndex()");
-  }
-  auto pairs = EnsureEngine(threads)->SelfJoin(epsilon, transform, stats);
-  if (pairs.ok() && stats != nullptr) {
-    MaybeLogSlowQuery("parallel_self_join", *stats);
-  }
-  return pairs;
-}
-
 Result<std::vector<JoinPair>> Database::SelfJoin(
     double epsilon, JoinMethod method,
-    const std::optional<FeatureTransform>& transform) {
+    const std::optional<FeatureTransform>& transform, QueryStats* stats,
+    size_t threads) {
+  const bool scan = method == JoinMethod::kScanFull ||
+                    method == JoinMethod::kScanEarlyAbandon;
+  auto snap = CurrentSnapshot();
+  if (!scan && snap == nullptr) {
+    return Status::FailedPrecondition("index join requires BuildIndex()");
+  }
   std::vector<JoinPair> out;
-  last_stats_ = QueryStats();
+  QueryStats local;
   switch (method) {
     case JoinMethod::kScanFull:
-      TSQ_RETURN_IF_ERROR(SeqScanSelfJoin(*relation_, epsilon, transform,
-                                          /*early_abandon=*/false, &out,
-                                          &last_stats_));
-      MaybeLogSlowQuery("self_join", last_stats_);
-      return out;
     case JoinMethod::kScanEarlyAbandon:
-      TSQ_RETURN_IF_ERROR(SeqScanSelfJoin(*relation_, epsilon, transform,
-                                          /*early_abandon=*/true, &out,
-                                          &last_stats_));
-      MaybeLogSlowQuery("self_join", last_stats_);
-      return out;
-    case JoinMethod::kIndexPlain: {
-      auto snap = CurrentSnapshot();
-      if (snap == nullptr) {
-        return Status::FailedPrecondition("index join requires BuildIndex()");
-      }
-      TSQ_RETURN_IF_ERROR(IndexSelfJoin(IndexView(*snap), *relation_,
-                                        epsilon, /*transform=*/std::nullopt,
-                                        &out, &last_stats_));
-      MaybeLogSlowQuery("self_join", last_stats_);
-      return out;
-    }
-    case JoinMethod::kIndexTransformed: {
-      auto snap = CurrentSnapshot();
-      if (snap == nullptr) {
-        return Status::FailedPrecondition("index join requires BuildIndex()");
-      }
-      TSQ_RETURN_IF_ERROR(IndexSelfJoin(IndexView(*snap), *relation_,
-                                        epsilon, transform, &out,
-                                        &last_stats_));
-      MaybeLogSlowQuery("self_join", last_stats_);
-      return out;
-    }
+      TSQ_RETURN_IF_ERROR(SeqScanSelfJoin(
+          *relation_, epsilon, transform,
+          /*early_abandon=*/method == JoinMethod::kScanEarlyAbandon, &out,
+          &local));
+      break;
+    case JoinMethod::kIndexPlain:
+      TSQ_RETURN_IF_ERROR(IndexSelfJoin(IndexView(*snap), *relation_, epsilon,
+                                        /*transform=*/std::nullopt, &out,
+                                        &local));
+      break;
+    case JoinMethod::kIndexTransformed:
+      TSQ_RETURN_IF_ERROR(IndexSelfJoin(IndexView(*snap), *relation_, epsilon,
+                                        transform, &out, &local));
+      break;
     case JoinMethod::kTreeMatch: {
-      auto snap = CurrentSnapshot();
-      if (snap == nullptr) {
-        return Status::FailedPrecondition("index join requires BuildIndex()");
-      }
-      TSQ_RETURN_IF_ERROR(TreeMatchSelfJoin(IndexView(*snap), *relation_,
-                                            epsilon, transform, &out,
-                                            &last_stats_));
-      MaybeLogSlowQuery("self_join", last_stats_);
-      return out;
+      TSQ_ASSIGN_OR_RETURN(
+          out, EnsureEngine(threads)->SelfJoin(epsilon, transform, &local));
+      break;
     }
+    default:
+      return Status::InvalidArgument("unknown join method");
   }
-  return Status::InvalidArgument("unknown join method");
+  MaybeLogSlowQuery(JoinOpName(method), local);
+  if (stats != nullptr) *stats = local;
+  return out;
 }
 
 }  // namespace tsq

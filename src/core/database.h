@@ -15,7 +15,12 @@
 //   QuerySpec spec;
 //   spec.transform =
 //       FeatureTransform::Spectral(transforms::MovingAverage(128, 20));
-//   auto matches = db->RangeQuery(q, /*epsilon=*/2.0, spec).value();
+//   // A single query is a one-element batch, run on the calling thread.
+//   auto one = engine::SingleResult(
+//       db->RunBatch({engine::BatchQuery::Range(q, /*epsilon=*/2.0, spec)}));
+//   // one->matches are the answers, one->stats this query's QueryStats.
+//   auto pairs = db->SelfJoin(/*epsilon=*/2.0, JoinMethod::kTreeMatch,
+//                             spec.transform).value();
 
 #ifndef TSQ_CORE_DATABASE_H_
 #define TSQ_CORE_DATABASE_H_
@@ -50,7 +55,8 @@ enum class JoinMethod {
   kIndexPlain,        ///< (c) index join, transformation ignored
   kIndexTransformed,  ///< (d) index join through the transformed index
   /// tsq extension: one synchronized tree-against-itself traversal instead
-  /// of one range query per record (see TreeMatchSelfJoin).
+  /// of one range query per record, run in parallel by the batch engine
+  /// (see engine::QueryEngine::SelfJoin).
   kTreeMatch,
 };
 
@@ -159,7 +165,7 @@ struct DatabaseStats {
 /// publication; docs/ARCHITECTURE.md is the consolidated reference).
 ///
 /// Writes: Insert and InsertBatch may be called from any number of
-/// threads at once, and concurrently with RunBatch/ParallelSelfJoin.
+/// threads at once, and concurrently with RunBatch/SelfJoin.
 /// Record ingest is wait-free for readers — appends go to per-segment
 /// files behind a lock-free id directory (see Relation), so queries and
 /// scans never block on ingest I/O. InsertBatch assigns dense ids in
@@ -180,16 +186,20 @@ struct DatabaseStats {
 /// range visible at load. A concurrent merge publishes a successor epoch
 /// without touching the pinned one; the refcount is the grace period
 /// that keeps the old tree alive until the last in-flight query drops
-/// it. Single-query methods are still not thread-safe with each other
-/// (they share last_stats_). RunBatch/ParallelSelfJoin execute many
-/// queries concurrently on an internal engine; concurrent queries share
-/// the index's v3 buffer pool (lock-free cached fetches, misses that do
-/// not block their shard). RunBatch may be called from several threads
-/// at once (engines are cached per thread count and never destroyed
-/// while the database lives); concurrent ParallelSelfJoin calls return
-/// correct results but race on last_stats() — callers needing concurrent
-/// join stats should drive engine::QueryEngine::SelfJoin with their own
-/// QueryStats.
+/// it.
+///
+/// Queries: RunBatch (range/kNN) and SelfJoin are the whole query
+/// surface. A single query is a one-element batch: RunBatch({q}) runs it
+/// on the calling thread (ThreadPool::ParallelFor hands one driver's
+/// work to no worker), and its answers, status and QueryStats land in
+/// results[0] — engine::SingleResult unwraps them. Larger batches and
+/// the kTreeMatch join run on an internal engine, cached per thread
+/// count and never destroyed while the database lives; concurrent
+/// queries share the index's v3 buffer pool (lock-free cached fetches,
+/// misses that do not block their shard). Every call reports its stats
+/// into storage its caller owns (results[i].stats, SelfJoin's `stats`),
+/// so any number of threads may query one Database at once and each
+/// query's stats are exactly its own.
 ///
 /// Merging: Reindex (or the background merge thread, see
 /// DatabaseOptions::merge_interval_ms) STR-bulk-loads a fresh tree from
@@ -228,7 +238,7 @@ class Database {
   /// inserts must match it. When the index is built, the series' feature
   /// point lands in the delta index before the call returns, so it is
   /// immediately queryable. Safe from any number of threads, and
-  /// concurrently with RunBatch/ParallelSelfJoin and merges.
+  /// concurrently with RunBatch/SelfJoin and merges.
   Result<SeriesId> Insert(const std::string& name, const RealVec& values);
 
   /// Appends many series at once: names[i] with values[i] gets id
@@ -238,9 +248,9 @@ class Database {
   /// task per relation segment (`threads` workers; 0 = hardware
   /// concurrency). The whole batch is validated before any id is
   /// assigned, so a rejected batch leaves the database untouched. Safe
-  /// from any number of threads, and concurrently with
-  /// RunBatch/ParallelSelfJoin; must not be called from inside an engine
-  /// worker. Returns the assigned ids (base .. base+n-1).
+  /// from any number of threads, and concurrently with RunBatch/SelfJoin;
+  /// must not be called from inside an engine worker. Returns the
+  /// assigned ids (base .. base+n-1).
   Result<std::vector<SeriesId>> InsertBatch(
       const std::vector<std::string>& names,
       const std::vector<RealVec>& values, size_t threads = 0);
@@ -280,57 +290,30 @@ class Database {
     return series_length_.load(std::memory_order_relaxed);
   }
 
-  /// Range query through the index (Algorithm 2). Requires BuildIndex.
-  Result<std::vector<Match>> RangeQuery(const RealVec& query, double epsilon,
-                                        const QuerySpec& spec = {});
-
-  /// k-nearest neighbors through the index. Requires BuildIndex.
-  /// Non-default `options` trades exactness for speed; the observed
-  /// (candidates, pruned, max_error) lands in last_stats().
-  Result<std::vector<Match>> Knn(const RealVec& query, size_t k,
-                                 const QuerySpec& spec = {},
-                                 const KnnOptions& options = {});
-
-  /// Range query by sequential scan (the baseline; works without an index).
-  Result<std::vector<Match>> ScanRangeQuery(const RealVec& query,
-                                            double epsilon,
-                                            const QuerySpec& spec = {},
-                                            bool early_abandon = true);
-
-  /// All-pairs self-join with the chosen execution method. Index methods
-  /// require BuildIndex. Scan methods emit unordered pairs; index methods
-  /// emit ordered pairs (each unordered pair twice), matching Table 1.
-  Result<std::vector<JoinPair>> SelfJoin(
-      double epsilon, JoinMethod method,
-      const std::optional<FeatureTransform>& transform);
-
-  /// Executes a batch of range/kNN queries concurrently on `threads`
-  /// workers (0 = hardware concurrency). Requires BuildIndex. results[i]
-  /// answers queries[i] with a per-query status; the answer vectors are
-  /// identical for any thread count. Aggregate counters (optional
-  /// `batch_stats`) replace last_stats() for batches. May run
-  /// concurrently with Insert/InsertBatch (see the class contract).
+  /// The range/kNN query call: executes the batch on `threads` workers
+  /// (0 = hardware concurrency) — a one-query batch on the caller — and
+  /// requires BuildIndex. results[i] answers queries[i] with its own
+  /// status (a malformed query fails alone) and exact QueryStats; the
+  /// answer vectors are identical for any thread count. `batch_stats`
+  /// (optional) sums the per-query stats and times the batch. Safe from
+  /// any number of threads, concurrently with Insert/InsertBatch (see
+  /// the class contract).
   Result<std::vector<engine::BatchResult>> RunBatch(
       const std::vector<engine::BatchQuery>& queries, size_t threads = 0,
       engine::BatchStats* batch_stats = nullptr);
 
-  /// Fully parallel self-join: JoinMethod::kTreeMatch with both the
-  /// synchronized R*-tree descent (split by root-child pairs) and the
-  /// verification phase spread across `threads` workers (0 = hardware
-  /// concurrency). Same answers, same order as the sequential kTreeMatch
-  /// method. Requires BuildIndex.
-  Result<std::vector<JoinPair>> ParallelSelfJoin(
-      double epsilon, const std::optional<FeatureTransform>& transform,
-      size_t threads = 0);
-
-  /// ParallelSelfJoin reporting stats into caller-owned storage instead
-  /// of last_stats_ (`stats` may be null). Unlike the overload above,
-  /// fully race-free under concurrent callers — the form the tsqd
-  /// execution pool uses, where several connections may run self-joins
-  /// at once.
-  Result<std::vector<JoinPair>> ParallelSelfJoin(
-      double epsilon, const std::optional<FeatureTransform>& transform,
-      size_t threads, QueryStats* stats);
+  /// The self-join call: all pairs within `epsilon` by the chosen
+  /// method, this join's stats written to `stats` when non-null. Index
+  /// methods require BuildIndex. Scan methods emit unordered pairs; index
+  /// methods emit ordered pairs (each unordered pair twice), matching
+  /// Table 1. kTreeMatch runs the engine's parallel join on `threads`
+  /// workers (0 = hardware concurrency), the same pairs in the same order
+  /// at every thread count; the other methods run on the caller and
+  /// ignore `threads`. Safe from any number of threads.
+  Result<std::vector<JoinPair>> SelfJoin(
+      double epsilon, JoinMethod method,
+      const std::optional<FeatureTransform>& transform,
+      QueryStats* stats = nullptr, size_t threads = 0);
 
   /// Reads one stored record back.
   Result<SeriesRecord> Get(SeriesId id) { return relation_->Get(id); }
@@ -361,9 +344,6 @@ class Database {
   /// degraded — while the underlying fault persists. A no-op when the
   /// database is healthy.
   Status Repair();
-
-  /// Statistics of the most recent query (reset per query).
-  const QueryStats& last_stats() const { return last_stats_; }
 
   /// Aggregates the relation, buffer-pool and traversal counters (plus
   /// tree geometry) into one DatabaseStats. Safe from any thread,
@@ -415,8 +395,9 @@ class Database {
   void InitSlowQueryLog();
 
   /// Emits the slow-query line (and bumps the counter) when `stats`
-  /// crossed the configured threshold. `op` names the entry point.
-  /// Cold path: one branch per query when the log is disabled.
+  /// crossed the configured threshold. `op` names what ran: the batch
+  /// query's kind or the join method. Cold path: one branch per query
+  /// when the log is disabled.
   void MaybeLogSlowQuery(const char* op, const QueryStats& stats) const;
 
   /// Records a write fault and enters read-only degradation: later
@@ -464,7 +445,6 @@ class Database {
   mutable std::shared_mutex snapshot_ptr_mutex_;
   std::shared_ptr<const IndexSnapshot> snapshot_;
   std::atomic<size_t> series_length_{0};
-  QueryStats last_stats_;
   // Writer-writer mutex over the delta index: serializes DeltaPut calls
   // with each other and with the snapshot swap's delta compaction. No
   // query path ever takes it.

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
 #include "common/stopwatch.h"
 #include "core/search_rect.h"
@@ -502,112 +501,6 @@ Status IndexSelfJoin(const IndexView& view, const Relation& relation,
         out->push_back(JoinPair{qid, cid, d});
       }
     }
-  }
-  if (stats != nullptr) stats->answers += out->size();
-  return Status::OK();
-}
-
-Status TreeMatchSelfJoin(const IndexView& view, const Relation& relation,
-                         double epsilon,
-                         const std::optional<FeatureTransform>& transform,
-                         std::vector<JoinPair>* out, QueryStats* stats) {
-  TSQ_CHECK(out != nullptr);
-  const KIndex& index = view.main();
-  out->clear();
-  if (!(epsilon >= 0.0)) {
-    return Status::InvalidArgument("negative or NaN join threshold");
-  }
-  StatsScope scope(stats);
-
-  std::optional<spatial::AffineMap> map;
-  if (transform.has_value()) {
-    TSQ_ASSIGN_OR_RETURN(map, index.space().ToAffineMap(*transform));
-  }
-  const spatial::AffineMap* map_ptr = map.has_value() ? &*map : nullptr;
-
-  // One synchronized descent collects candidate pairs; full-length
-  // verification resolves them, caching transformed spectra so each record
-  // is fetched and transformed once.
-  std::vector<std::pair<SeriesId, SeriesId>> candidates;
-  {
-    obs::StageTimer span(obs::Stage::kDescent);
-    TSQ_RETURN_IF_ERROR(index.tree()->JoinWith(
-        *index.tree(), map_ptr, map_ptr,
-        index.space().MakeJoinPredicate(epsilon),
-        [&candidates](uint64_t a, uint64_t b) {
-          if (a != b) candidates.emplace_back(a, b);
-          return true;
-        }));
-  }
-
-  // Delta probes, appended after the tree-match pairs in slot order. Each
-  // unmerged series poses one search rectangle: against the main tree it
-  // emits both ordered pairs (the tree descent would have found each
-  // direction); against the other delta entries it emits only its own
-  // (qid, cid) — the partner's probe emits the reverse. The rectangle
-  // filter is admissible (Lemma 1), so verification below yields exactly
-  // the pairs a single all-in-one tree would.
-  if (view.has_delta()) {
-    obs::StageTimer span(obs::Stage::kDelta);
-    const DeltaIndex& delta = view.delta();
-    for (uint64_t slot = view.delta_begin(); slot < view.delta_end();
-         ++slot) {
-      const SeriesId qid = delta.base() + slot;
-      TSQ_ASSIGN_OR_RETURN(SeriesRecord qrec, relation.Get(qid));
-      if (stats != nullptr) ++stats->records_scanned;
-      ComplexVec target = transform.has_value()
-                              ? transform->spectral.Apply(qrec.dft)
-                              : std::move(qrec.dft);
-      const ComplexVec coeffs = index.extractor().StoredCoefficients(target);
-      const spatial::Rect rect =
-          BuildSearchRect(index.layout(), coeffs, epsilon, std::nullopt);
-
-      std::vector<SeriesId> main_partners;
-      if (map_ptr != nullptr) {
-        TSQ_RETURN_IF_ERROR(
-            index.RangeCandidatesTransformed(*map_ptr, rect, &main_partners));
-      } else {
-        TSQ_RETURN_IF_ERROR(index.RangeCandidates(rect, &main_partners));
-      }
-      for (const SeriesId partner : main_partners) {
-        candidates.emplace_back(qid, partner);
-        candidates.emplace_back(partner, qid);
-      }
-      for (uint64_t other = view.delta_begin(); other < view.delta_end();
-           ++other) {
-        if (other == slot) continue;
-        spatial::Rect other_rect =
-            spatial::Rect::FromPoint(delta.PointAt(other));
-        if (map_ptr != nullptr) other_rect = map_ptr->Apply(other_rect);
-        if (other_rect.Intersects(rect)) {
-          candidates.emplace_back(qid, delta.base() + other);
-        }
-      }
-    }
-  }
-  if (stats != nullptr) stats->candidates += candidates.size();
-
-  std::unordered_map<SeriesId, ComplexVec> transformed_cache;
-  auto transformed_spectrum =
-      [&](SeriesId id) -> Result<const ComplexVec*> {
-    auto it = transformed_cache.find(id);
-    if (it == transformed_cache.end()) {
-      TSQ_ASSIGN_OR_RETURN(SeriesRecord rec, relation.Get(id));
-      if (stats != nullptr) ++stats->verified;
-      ComplexVec spectrum = transform.has_value()
-                                ? transform->spectral.Apply(rec.dft)
-                                : std::move(rec.dft);
-      it = transformed_cache.emplace(id, std::move(spectrum)).first;
-    }
-    return &it->second;
-  };
-
-  obs::StageTimer refine_span(obs::Stage::kRefine);
-  for (const auto& [a, b] : candidates) {
-    TSQ_ASSIGN_OR_RETURN(const ComplexVec* sa, transformed_spectrum(a));
-    TSQ_ASSIGN_OR_RETURN(const ComplexVec* sb, transformed_spectrum(b));
-    const double d = cvec::Distance(*sa, *sb);
-    if (d <= epsilon) out->push_back(JoinPair{a, b, d});
   }
   if (stats != nullptr) stats->answers += out->size();
   return Status::OK();

@@ -275,15 +275,6 @@ Status IndexSelfJoin(const IndexView& index, const Relation& relation,
                      const std::optional<FeatureTransform>& transform,
                      std::vector<JoinPair>* out, QueryStats* stats);
 
-/// All-pairs self-join via a single synchronized traversal of the R*-tree
-/// against its (transformed) self — the tree-matching extension of the
-/// paper's method d: one lockstep descent instead of one range query per
-/// record. Same answers as IndexSelfJoin (ordered pairs, a != b).
-Status TreeMatchSelfJoin(const IndexView& index, const Relation& relation,
-                         double epsilon,
-                         const std::optional<FeatureTransform>& transform,
-                         std::vector<JoinPair>* out, QueryStats* stats);
-
 }  // namespace tsq
 
 #endif  // TSQ_CORE_QUERIES_H_

@@ -59,6 +59,17 @@ auto RunTallied(TraversalTally* tally, Fn&& fn) {
 
 }  // namespace
 
+Result<BatchResult> SingleResult(Result<std::vector<BatchResult>> results) {
+  TSQ_RETURN_IF_ERROR(results.status());
+  if (results->size() != 1) {
+    return Status::Corruption("single query answered with " +
+                              std::to_string(results->size()) + " results");
+  }
+  BatchResult result = std::move(results->front());
+  TSQ_RETURN_IF_ERROR(result.status);
+  return result;
+}
+
 QueryEngine::QueryEngine(SnapshotLoader loader, const Relation* relation,
                          const SubsequenceIndex* subsequence_index,
                          const QueryEngineOptions& options)
@@ -238,8 +249,7 @@ Result<std::vector<JoinPair>> QueryEngine::SelfJoin(
   // ordered pairs) and against the other delta entries (emitting its own
   // direction only; the partner's probe emits the reverse). Per-slot
   // buffers concatenated in slot order keep the candidate sequence — and
-  // therefore the final output — identical to the sequential
-  // TreeMatchSelfJoin at every thread count.
+  // therefore the final output — identical at every thread count.
   if (view.has_delta()) {
     const DeltaIndex& delta = view.delta();
     const uint64_t begin_slot = view.delta_begin();
@@ -351,8 +361,8 @@ Result<std::vector<JoinPair>> QueryEngine::SelfJoin(
   });
 
   // Phase 3 (sequential): merge in partition order. Partitions tile the
-  // candidate sequence, so the concatenation is exactly the sequential
-  // TreeMatchSelfJoin output — deterministic for any thread count.
+  // candidate sequence, so the concatenation verifies it in order —
+  // deterministic for any thread count.
   std::vector<JoinPair> out;
   size_t total = 0;
   for (const std::vector<JoinPair>& part : partition_out) {

@@ -47,6 +47,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -81,6 +82,33 @@ struct BatchQuery {
   size_t k = 0;          ///< kNN answer count
   QuerySpec spec;        ///< transform/mode/window (range and kNN)
   KnnOptions knn;        ///< kNN approximation knobs (default = exact)
+
+  /// One query of each kind, the fields it does not use left default.
+  static BatchQuery Range(RealVec query, double epsilon,
+                          QuerySpec spec = {}) {
+    BatchQuery q;
+    q.query = std::move(query);
+    q.epsilon = epsilon;
+    q.spec = std::move(spec);
+    return q;
+  }
+  static BatchQuery Knn(RealVec query, size_t k, QuerySpec spec = {},
+                        KnnOptions knn = {}) {
+    BatchQuery q;
+    q.kind = BatchQueryKind::kKnn;
+    q.query = std::move(query);
+    q.k = k;
+    q.spec = std::move(spec);
+    q.knn = knn;
+    return q;
+  }
+  static BatchQuery Subsequence(RealVec query, double epsilon) {
+    BatchQuery q;
+    q.kind = BatchQueryKind::kSubsequence;
+    q.query = std::move(query);
+    q.epsilon = epsilon;
+    return q;
+  }
 };
 
 /// One query's outcome. `status` is per-query: a malformed query fails
@@ -91,6 +119,12 @@ struct BatchResult {
   std::vector<SubsequenceMatch> subsequence_matches;
   QueryStats stats;
 };
+
+/// Unwraps a single query — a one-element batch, run in process by
+/// Database::RunBatch or remotely by server::Client: the batch's own
+/// error, Corruption unless it carries exactly one result, else that
+/// result with its status as the Result's.
+Result<BatchResult> SingleResult(Result<std::vector<BatchResult>> results);
 
 /// A whole batch's outcome.
 struct BatchStats {
@@ -146,10 +180,12 @@ class QueryEngine {
   /// candidate sequence. Phase 2 fetches+transforms every referenced
   /// record exactly once into a shared dense cache and partitions the
   /// candidate pairs across the workers for full-length verification,
-  /// merging per-partition answers in partition order. The output
-  /// reproduces TreeMatchSelfJoin exactly — same pairs, same order — for
-  /// any thread count, and `stats` is exact (per-worker thread-local
-  /// tallies). Requires a KIndex.
+  /// merging per-partition answers in partition order. The output — the
+  /// verified JoinWith candidates in descent order, then the delta
+  /// probes' in slot order — is the same pairs in the same order for any
+  /// thread count (Database::SelfJoin's JoinMethod::kTreeMatch), and
+  /// `stats` is exact (per-worker thread-local tallies). Requires a
+  /// KIndex.
   Result<std::vector<JoinPair>> SelfJoin(
       double epsilon, const std::optional<FeatureTransform>& transform,
       QueryStats* stats = nullptr);

@@ -47,8 +47,12 @@ void ThreadPool::Wait() {
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  std::atomic<size_t> cursor{0};
   const size_t drivers = std::min(size(), n);
+  if (drivers == 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  std::atomic<size_t> cursor{0};
   // Per-call completion (not pool-wide Wait): this caller returns as soon
   // as its own drivers have drained, so concurrent ParallelFor calls on a
   // shared pool don't convoy on each other's work. A driver exits only

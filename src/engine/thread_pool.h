@@ -46,11 +46,14 @@ class ThreadPool {
   /// Blocks until the queue is empty and every running task has finished.
   void Wait();
 
-  /// Runs fn(i) for every i in [0, n) on the workers — one driver task per
-  /// worker, stealing indices from a shared atomic cursor — and blocks
-  /// until all n calls have finished. `fn` is invoked concurrently and
-  /// must be reentrant; each index is claimed by exactly one driver.
-  /// Completion is tracked per call (not via pool-wide Wait), so
+  /// Runs fn(i) for every i in [0, n) — one driver per worker, up to n,
+  /// stealing indices from a shared atomic cursor — and blocks until all
+  /// n calls have finished. `fn` is invoked concurrently and must be
+  /// reentrant; each index is claimed by exactly one driver. When only
+  /// one driver would run (n == 1, or a one-worker pool) the caller is
+  /// that driver: fn runs on the calling thread in index order and no
+  /// task is queued, so a single query costs no hand-off. Otherwise
+  /// completion is tracked per call (not via pool-wide Wait), so
   /// concurrent ParallelFor callers sharing the pool each return as soon
   /// as their own work drains. Like Wait, must be called from a
   /// non-worker thread.

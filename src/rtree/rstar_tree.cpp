@@ -22,10 +22,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // v2 contract). Bumped in lockstep with stats_ at every counting site.
 thread_local ThreadTraversalCounters tls_traversal;
 
-// ReadNode's expected level for the node a descent starts from (a root or
-// a join seed), which has no parent to constrain it.
-constexpr uint32_t kAnyLevel = std::numeric_limits<uint32_t>::max();
-
 double CenterDistSquared(const spatial::Rect& a, const spatial::Rect& b) {
   return spatial::PointDistSquared(a.Center(), b.Center());
 }
@@ -849,7 +845,8 @@ Result<std::vector<RStarTree::JoinSeed>> RStarTree::JoinSeeds(
     const spatial::Rect& ta = Mapped(map, ea.rect, &slot.mapped_a, &tally);
     for (const Entry& eb : nb) {
       if (may_join(ta, Mapped(other_map, eb.rect, &slot.mapped_b, &tally))) {
-        seeds.push_back(JoinSeed{ea.id, eb.id});
+        seeds.push_back(
+            JoinSeed{ea.id, eb.id, na.level() - 1, nb.level() - 1});
       }
     }
   }
@@ -862,7 +859,7 @@ Status RStarTree::JoinFrom(const JoinSeed& seed, const RStarTree& other,
                            const JoinPredicate& may_join,
                            const JoinCallback& emit) const {
   JoinContext ctx{other, map, other_map, may_join, emit};
-  return JoinRecurse(seed.a, kAnyLevel, seed.b, kAnyLevel, 0, &ctx);
+  return JoinRecurse(seed.a, seed.a_level, seed.b, seed.b_level, 0, &ctx);
 }
 
 // ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@
 #include <atomic>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -252,11 +253,19 @@ class RStarTree {
                   const JoinPredicate& may_join,
                   const JoinCallback& emit) const;
 
+  /// A descent's expected level for a node with no parent to constrain
+  /// it (a root).
+  static constexpr uint32_t kAnyLevel = std::numeric_limits<uint32_t>::max();
+
   /// One unit of parallel join work: roots of two subtrees (one per tree)
-  /// to descend in lockstep.
+  /// to descend in lockstep, and the level each must sit at — one below
+  /// its parent, so a corrupt child page fails the seed's descent as it
+  /// fails JoinWith's. Only the {root, root} seed carries kAnyLevel.
   struct JoinSeed {
     PageId a = kInvalidPageId;
     PageId b = kInvalidPageId;
+    uint32_t a_level = kAnyLevel;
+    uint32_t b_level = kAnyLevel;
   };
 
   /// Splits the JoinWith traversal into independent subtree-pair tasks by
@@ -335,7 +344,7 @@ class RStarTree {
   Result<Node> LoadNode(PageId id) const;
   /// Decodes page `id` into reused storage, pinning it for the decode
   /// only; Corruption unless its level is `expected_level` (any level
-  /// when that is the max uint32_t — a descent's starting node).
+  /// when that is kAnyLevel).
   Status ReadNode(PageId id, uint32_t expected_level, NodeBuffer* out) const;
   Status StoreNode(const Node& node);
   Result<PageId> AllocateNodePage();

@@ -299,36 +299,18 @@ Result<std::vector<engine::BatchResult>> Client::RunBatch(
   return std::move(reply.results);
 }
 
-namespace {
-
-/// Unwraps the single result of a kQuery reply the way an in-process
-/// caller unwraps results[0] of a one-query RunBatch.
-Result<engine::BatchResult> SingleResult(Reply reply) {
-  if (reply.results.size() != 1) {
-    return Status::Corruption("query reply carries " +
-                              std::to_string(reply.results.size()) +
-                              " results");
-  }
-  engine::BatchResult result = std::move(reply.results[0]);
-  TSQ_RETURN_IF_ERROR(result.status);
-  return result;
+Result<engine::BatchResult> Client::Query(engine::BatchQuery query) {
+  Request request;
+  request.verb = Verb::kQuery;
+  request.queries.push_back(std::move(query));
+  TSQ_ASSIGN_OR_RETURN(Reply reply, RoundTripWithRetry(std::move(request)));
+  return engine::SingleResult(std::move(reply.results));
 }
-
-}  // namespace
 
 Result<std::vector<Match>> Client::Range(const RealVec& query, double epsilon,
                                          const QuerySpec& spec) {
-  Request request;
-  request.verb = Verb::kQuery;
-  engine::BatchQuery q;
-  q.kind = engine::BatchQueryKind::kRange;
-  q.query = query;
-  q.epsilon = epsilon;
-  q.spec = spec;
-  request.queries.push_back(std::move(q));
-  TSQ_ASSIGN_OR_RETURN(Reply reply, RoundTripWithRetry(std::move(request)));
   TSQ_ASSIGN_OR_RETURN(engine::BatchResult result,
-                       SingleResult(std::move(reply)));
+                       Query(engine::BatchQuery::Range(query, epsilon, spec)));
   return std::move(result.matches);
 }
 
@@ -336,34 +318,17 @@ Result<std::vector<Match>> Client::Knn(const RealVec& query, size_t k,
                                        const QuerySpec& spec,
                                        const KnnOptions& options,
                                        QueryStats* stats) {
-  Request request;
-  request.verb = Verb::kQuery;
-  engine::BatchQuery q;
-  q.kind = engine::BatchQueryKind::kKnn;
-  q.query = query;
-  q.k = k;
-  q.spec = spec;
-  q.knn = options;
-  request.queries.push_back(std::move(q));
-  TSQ_ASSIGN_OR_RETURN(Reply reply, RoundTripWithRetry(std::move(request)));
-  TSQ_ASSIGN_OR_RETURN(engine::BatchResult result,
-                       SingleResult(std::move(reply)));
+  TSQ_ASSIGN_OR_RETURN(
+      engine::BatchResult result,
+      Query(engine::BatchQuery::Knn(query, k, spec, options)));
   if (stats != nullptr) *stats = result.stats;
   return std::move(result.matches);
 }
 
 Result<std::vector<SubsequenceMatch>> Client::Subsequence(const RealVec& query,
                                                           double epsilon) {
-  Request request;
-  request.verb = Verb::kQuery;
-  engine::BatchQuery q;
-  q.kind = engine::BatchQueryKind::kSubsequence;
-  q.query = query;
-  q.epsilon = epsilon;
-  request.queries.push_back(std::move(q));
-  TSQ_ASSIGN_OR_RETURN(Reply reply, RoundTripWithRetry(std::move(request)));
   TSQ_ASSIGN_OR_RETURN(engine::BatchResult result,
-                       SingleResult(std::move(reply)));
+                       Query(engine::BatchQuery::Subsequence(query, epsilon)));
   return std::move(result.subsequence_matches);
 }
 

@@ -95,8 +95,8 @@ class Client {
   /// works when the admission queue is saturated.
   Result<std::string> Metrics();
 
-  /// Remote single queries; match Database::RunBatch of a one-query
-  /// batch (per-query status unwrapped).
+  /// Remote single queries; match engine::SingleResult of a one-query
+  /// Database::RunBatch (per-query status unwrapped, the same code).
   Result<std::vector<Match>> Range(const RealVec& query, double epsilon,
                                    const QuerySpec& spec = {});
   /// `options` selects approximate kNN (exact by default); when `stats`
@@ -119,7 +119,7 @@ class Client {
       const std::vector<std::string>& names,
       const std::vector<RealVec>& values);
 
-  /// Remote Database::ParallelSelfJoin.
+  /// Remote Database::SelfJoin with JoinMethod::kTreeMatch.
   Result<std::vector<JoinPair>> SelfJoin(
       double epsilon, const std::optional<FeatureTransform>& transform);
 
@@ -149,6 +149,9 @@ class Client {
   /// for idempotent verbs on Unavailable, with capped exponential
   /// backoff + jitter, reconnecting when the connection is poisoned.
   Result<Reply> RoundTripWithRetry(Request request);
+
+  /// One QUERY frame carrying `query`, unwrapped by engine::SingleResult.
+  Result<engine::BatchResult> Query(engine::BatchQuery query);
 
   /// Replaces the poisoned connection with a fresh one to the original
   /// host:port and clears the sticky fault.

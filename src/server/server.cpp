@@ -382,9 +382,9 @@ void Server::ExecuteRequest(const std::shared_ptr<Connection>& conn,
       break;
     }
     case Verb::kSelfJoin: {
-      QueryStats stats;
-      auto pairs = db_->ParallelSelfJoin(request->epsilon, request->transform,
-                                         options_.engine_threads, &stats);
+      auto pairs = db_->SelfJoin(request->epsilon, JoinMethod::kTreeMatch,
+                                 request->transform, /*stats=*/nullptr,
+                                 options_.engine_threads);
       if (!pairs.ok()) {
         fail(pairs.status());
       } else {

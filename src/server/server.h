@@ -15,7 +15,7 @@
 // flushes its reply bytes, and retires it — no connection state is ever
 // shared between pollers. Completed requests are handed to one global
 // execution ThreadPool whose workers call the Database's thread-safe
-// entry points (RunBatch, InsertBatch, ParallelSelfJoin, StatsSnapshot)
+// entry points (RunBatch, InsertBatch, SelfJoin, StatsSnapshot)
 // — so no poller ever blocks on engine work and a slow query never
 // stalls another connection's reads. Workers append each finished reply
 // as one whole frame to the owning connection's write buffer (under that
@@ -94,10 +94,12 @@ struct ServerOptions {
   /// Execution pool workers; 0 = hardware concurrency. Each worker runs
   /// one request at a time against the Database.
   size_t workers = 0;
-  /// Thread count passed to Database::RunBatch / ParallelSelfJoin /
-  /// InsertBatch per request; 0 = hardware concurrency. The Database
-  /// caches one engine per distinct value, so all tsqd requests share one
-  /// engine (and its buffer-pool concurrency) by construction.
+  /// Thread count passed to Database::RunBatch / SelfJoin / InsertBatch
+  /// per request; 0 = hardware concurrency. The Database caches one
+  /// engine per distinct value, so all tsqd requests share one engine
+  /// (and its buffer-pool concurrency) by construction. A QUERY is a
+  /// one-query batch and runs on the execution worker that took it,
+  /// never on the engine pool; BATCH and SELF_JOIN fan out over it.
   size_t engine_threads = 0;
   /// Admission bound: requests queued-or-executing at once (global
   /// across pollers); beyond this a request is rejected with BUSY

@@ -39,6 +39,8 @@ using engine::BatchQueryKind;
 using engine::BatchResult;
 using engine::QueryEngine;
 using engine::QueryEngineOptions;
+using testing::Knn;
+using testing::Range;
 
 constexpr size_t kNumSeries = 120;
 constexpr size_t kLength = 64;
@@ -112,12 +114,12 @@ class ConcurrencyStressTest : public ::testing::Test {
 TEST_F(ConcurrencyStressTest, HammeredBatchesMatchSequentialExactly) {
   const std::vector<BatchQuery> batch = MakeBatch(24);
 
-  // Sequential ground truth through the single-query Database paths.
+  // Sequential ground truth: one-query batches, each run on this thread.
   std::vector<std::vector<Match>> expected;
   for (const BatchQuery& q : batch) {
     expected.push_back(q.kind == BatchQueryKind::kKnn
-                           ? db_->Knn(q.query, q.k, q.spec).value()
-                           : db_->RangeQuery(q.query, q.epsilon, q.spec)
+                           ? Knn(db_.get(), q.query, q.k, q.spec).value()
+                           : Range(db_.get(), q.query, q.epsilon, q.spec)
                                  .value());
   }
 
@@ -168,8 +170,8 @@ TEST_F(ConcurrencyStressTest, ConcurrentDatabaseRunBatchAtMixedThreadCounts) {
   std::vector<std::vector<Match>> expected;
   for (const BatchQuery& q : batch) {
     expected.push_back(q.kind == BatchQueryKind::kKnn
-                           ? db_->Knn(q.query, q.k, q.spec).value()
-                           : db_->RangeQuery(q.query, q.epsilon, q.spec)
+                           ? Knn(db_.get(), q.query, q.k, q.spec).value()
+                           : Range(db_.get(), q.query, q.epsilon, q.spec)
                                  .value());
   }
 
@@ -257,7 +259,8 @@ TEST_F(ConcurrencyStressTest, BatchesAndSelfJoinsRaceAWriterSafely) {
       FeatureTransform::Spectral(transforms::MovingAverage(kLength, 4));
 
   const std::vector<JoinPair> join_baseline =
-      db_->ParallelSelfJoin(join_eps, transform, 1).value();
+      db_->SelfJoin(join_eps, JoinMethod::kTreeMatch, transform, nullptr, 1)
+          .value();
   const std::vector<BatchResult> batch_baseline =
       db_->RunBatch(batch, 1).value();
 

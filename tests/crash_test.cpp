@@ -37,6 +37,8 @@
 namespace tsq {
 namespace {
 
+using testing::Knn;
+using testing::Range;
 using testing::TempDir;
 
 constexpr size_t kLength = 16;
@@ -130,8 +132,8 @@ struct Answers {
 Result<Answers> Probe(Database* db) {
   Answers out;
   const RealVec probe = SeriesValues(3);
-  TSQ_ASSIGN_OR_RETURN(out.range, db->RangeQuery(probe, 250.0));
-  TSQ_ASSIGN_OR_RETURN(out.knn, db->Knn(probe, 5));
+  TSQ_ASSIGN_OR_RETURN(out.range, Range(db, probe, 250.0));
+  TSQ_ASSIGN_OR_RETURN(out.knn, Knn(db, probe, 5));
   auto by_id = [](const Match& a, const Match& b) { return a.id < b.id; };
   std::sort(out.range.begin(), out.range.end(), by_id);
   std::sort(out.knn.begin(), out.knn.end(), by_id);

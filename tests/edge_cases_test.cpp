@@ -19,6 +19,9 @@
 namespace tsq {
 namespace {
 
+using testing::Knn;
+using testing::Range;
+using testing::Scan;
 using testing::TempDir;
 
 // ---------------------------------------------------------------------------
@@ -43,7 +46,7 @@ TEST(EdgeCaseTest, FlatSeriesAreIndexableAndFindEachOther) {
   }
   ASSERT_TRUE(db->BuildIndex().ok());
 
-  auto matches = db->RangeQuery(RealVec(32, 7.0), 1e-9);
+  auto matches = Range(db.get(), RealVec(32, 7.0), 1e-9);
   ASSERT_TRUE(matches.ok()) << matches.status().ToString();
   // Both flat series match at distance 0 (identical normal forms).
   ASSERT_EQ(matches->size(), 2u);
@@ -63,10 +66,10 @@ TEST(EdgeCaseTest, IdenticalSeriesAllRetrieved) {
     ASSERT_TRUE(db->Insert("dup" + std::to_string(i), proto).ok());
   }
   ASSERT_TRUE(db->BuildIndex().ok());
-  auto matches = db->RangeQuery(proto, 0.0);  // zero threshold
+  auto matches = Range(db.get(), proto, 0.0);  // zero threshold
   ASSERT_TRUE(matches.ok());
   EXPECT_EQ(matches->size(), 50u);
-  auto knn = db->Knn(proto, 50);
+  auto knn = Knn(db.get(), proto, 50);
   ASSERT_TRUE(knn.ok());
   EXPECT_EQ(knn->size(), 50u);
   for (const Match& m : *knn) EXPECT_NEAR(m.distance, 0.0, 1e-12);
@@ -84,7 +87,7 @@ TEST(EdgeCaseTest, TinySeriesLengthTwo) {
   ASSERT_TRUE(db->Insert("a", {1.0, 2.0}).ok());
   ASSERT_TRUE(db->Insert("b", {5.0, 3.0}).ok());
   ASSERT_TRUE(db->BuildIndex().ok());
-  auto matches = db->RangeQuery({2.0, 4.0}, 0.1);
+  auto matches = Range(db.get(), {2.0, 4.0}, 0.1);
   ASSERT_TRUE(matches.ok());
   // Normal form of (2,4) == normal form of (1,2) == (-1, 1).
   ASSERT_EQ(matches->size(), 1u);
@@ -101,8 +104,8 @@ TEST(EdgeCaseTest, SingleSeriesDatabase) {
   const RealVec only = workload::RandomWalkSeries(&rng, 64, {});
   ASSERT_TRUE(db->Insert("only", only).ok());
   ASSERT_TRUE(db->BuildIndex().ok());
-  EXPECT_EQ(db->RangeQuery(only, 1.0).value().size(), 1u);
-  EXPECT_EQ(db->Knn(only, 5).value().size(), 1u);
+  EXPECT_EQ(Range(db.get(), only, 1.0).value().size(), 1u);
+  EXPECT_EQ(Knn(db.get(), only, 5).value().size(), 1u);
   auto join = db->SelfJoin(1.0, JoinMethod::kTreeMatch, std::nullopt);
   ASSERT_TRUE(join.ok());
   EXPECT_TRUE(join->empty());
@@ -123,10 +126,10 @@ TEST(EdgeCaseTest, EmptyAnswerSetsEverywhere) {
   // querying a pure high-frequency signal.
   RealVec weird(64);
   for (size_t i = 0; i < 64; ++i) weird[i] = (i % 2 == 0) ? 100.0 : -100.0;
-  auto matches = db->RangeQuery(weird, 1e-6);
+  auto matches = Range(db.get(), weird, 1e-6);
   ASSERT_TRUE(matches.ok());
   EXPECT_TRUE(matches->empty());
-  auto scan = db->ScanRangeQuery(weird, 1e-6);
+  auto scan = Scan(db.get(), weird, 1e-6);
   ASSERT_TRUE(scan.ok());
   EXPECT_TRUE(scan->empty());
 }
@@ -220,7 +223,7 @@ TEST(EdgeCaseTest, ZeroEpsilonTransformedQuery) {
   spec.transform =
       FeatureTransform::Spectral(transforms::MovingAverage(64, 8));
   auto rec = db->Get(10).value();
-  auto matches = db->RangeQuery(rec.values, 0.0, spec);
+  auto matches = Range(db.get(), rec.values, 0.0, spec);
   ASSERT_TRUE(matches.ok());
   ASSERT_FALSE(matches->empty());  // itself, at distance exactly 0
   EXPECT_EQ((*matches)[0].id, 10u);
@@ -242,7 +245,7 @@ TEST(EdgeCaseTest, DegenerateMeanStdWindowActsAsPointPredicate) {
   QuerySpec spec;
   // Zero-width window exactly at series 5's (mean, std).
   spec.window = MeanStdWindow{nf.mean, nf.mean, nf.std, nf.std};
-  auto matches = db->RangeQuery(rec.values, 100.0, spec);
+  auto matches = Range(db.get(), rec.values, 100.0, spec);
   ASSERT_TRUE(matches.ok());
   ASSERT_EQ(matches->size(), 1u);
   EXPECT_EQ((*matches)[0].id, 5u);

@@ -1,11 +1,20 @@
 // Copyright (c) 2026 The tsq Authors.
 //
 // Tests for the concurrent batch query engine: batch answers must be
-// exactly the sequential Database answers, for every thread count.
+// exactly the direct single-query answers, for every thread count, and a
+// single query — a one-element batch — must run on its caller with stats
+// that are exactly its own.
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/database.h"
@@ -101,12 +110,29 @@ class EngineTest : public ::testing::Test {
     return batch;
   }
 
-  /// The single-threaded Database answer for one batch entry.
+  /// The direct, single-threaded Algorithm 2 answer for one batch entry
+  /// (core/queries.h over the current snapshot, no engine involved).
   Result<std::vector<Match>> Sequential(const BatchQuery& q) {
-    if (q.kind == BatchQueryKind::kKnn) {
-      return db_->Knn(q.query, q.k, q.spec);
+    const IndexView view(*db_->CurrentSnapshot());
+    std::vector<Match> out;
+    TSQ_RETURN_IF_ERROR(
+        q.kind == BatchQueryKind::kKnn
+            ? IndexKnnQuery(view, *db_->relation(), q.query, q.k, q.spec,
+                            q.knn, &out, /*stats=*/nullptr)
+            : IndexRangeQuery(view, *db_->relation(), q.query, q.epsilon,
+                              q.spec, &out, /*stats=*/nullptr));
+    return out;
+  }
+
+  /// A join's pairs as unordered {min, max} pairs, each once (index
+  /// methods emit both orders of every pair, the scans one).
+  static std::set<std::pair<SeriesId, SeriesId>> Unordered(
+      const std::vector<JoinPair>& pairs) {
+    std::set<std::pair<SeriesId, SeriesId>> out;
+    for (const JoinPair& p : pairs) {
+      out.emplace(std::min(p.first, p.second), std::max(p.first, p.second));
     }
-    return db_->RangeQuery(q.query, q.epsilon, q.spec);
+    return out;
   }
 
   testing::TempDir dir_;
@@ -134,6 +160,37 @@ TEST(ThreadPoolTest, ZeroMeansHardwareConcurrency) {
   EXPECT_GE(pool.size(), 1u);
 }
 
+/// The threads ParallelFor(n, ...) on `pool` ran its calls on.
+std::set<std::thread::id> ParallelForThreads(ThreadPool* pool, size_t n) {
+  std::mutex mutex;
+  std::set<std::thread::id> ran_on;
+  std::vector<int> calls(n, 0);
+  pool->ParallelFor(n, [&](size_t i) {
+    ++calls[i];
+    std::lock_guard<std::mutex> lock(mutex);
+    ran_on.insert(std::this_thread::get_id());
+  });
+  EXPECT_EQ(std::count(calls.begin(), calls.end(), 1),
+            static_cast<std::ptrdiff_t>(n));
+  return ran_on;
+}
+
+TEST(ThreadPoolTest, OneDriverRunsOnTheCaller) {
+  // Where only one driver would run — n == 1, or a one-worker pool — the
+  // caller is that driver: no task is queued, so a single query costs no
+  // hand-off to a worker and back.
+  const std::set<std::thread::id> caller = {std::this_thread::get_id()};
+  ThreadPool pool(4);
+  EXPECT_EQ(ParallelForThreads(&pool, 1), caller);
+  ThreadPool one(1);
+  EXPECT_EQ(ParallelForThreads(&one, 1), caller);
+  EXPECT_EQ(ParallelForThreads(&one, 64), caller);
+  // With more than one driver the work still goes to the workers.
+  const std::set<std::thread::id> workers = ParallelForThreads(&pool, 64);
+  EXPECT_FALSE(workers.empty());
+  EXPECT_EQ(workers.count(std::this_thread::get_id()), 0u);
+}
+
 TEST(QueryStatsTest, MergeAccumulatesEveryField) {
   QueryStats a;
   a.candidates = 1;
@@ -159,7 +216,7 @@ TEST(QueryStatsTest, MergeAccumulatesEveryField) {
 TEST_F(EngineTest, BatchEqualsSequentialAtEveryThreadCount) {
   const std::vector<BatchQuery> batch = MakeBatch(32);
 
-  // Ground truth from the single-query Database paths.
+  // Ground truth from the direct single-query steps.
   std::vector<std::vector<Match>> expected;
   size_t nonempty = 0;
   for (const BatchQuery& q : batch) {
@@ -209,69 +266,128 @@ TEST_F(EngineTest, BatchDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST_F(EngineTest, ParallelSelfJoinEqualsTreeMatchAtEveryThreadCount) {
+TEST_F(EngineTest, TreeMatchJoinIdenticalAtEveryThreadCountAndRun) {
+  // The parallel descent and verification must reproduce one canonical
+  // answer — same pairs, same order, same stats — at every worker count
+  // and on every run (per-seed buffers merged in seed order leave no
+  // scheduling dependence). One thread is the reference.
   const double eps = 6.0;
   const auto transform =
       FeatureTransform::Spectral(transforms::MovingAverage(kLength, 8));
 
-  const std::vector<JoinPair> expected =
-      db_->SelfJoin(eps, JoinMethod::kTreeMatch, transform).value();
-  ASSERT_FALSE(expected.empty()) << "join threshold too selective";
+  for (const std::optional<FeatureTransform>& t :
+       {std::optional<FeatureTransform>(transform),
+        std::optional<FeatureTransform>()}) {
+    const std::string what = t.has_value() ? "Tmavg8" : "plain";
+    QueryStats expected_stats;
+    const std::vector<JoinPair> expected =
+        db_->SelfJoin(eps, JoinMethod::kTreeMatch, t, &expected_stats,
+                      /*threads=*/1)
+            .value();
+    ASSERT_FALSE(expected.empty()) << what << ": threshold too selective";
+    EXPECT_EQ(expected_stats.answers, expected.size()) << what;
+    EXPECT_GE(expected_stats.candidates, expected.size()) << what;
+    EXPECT_GT(expected_stats.nodes_visited, 0u) << what;
 
-  for (const size_t threads : kThreadCounts) {
-    const std::vector<JoinPair> parallel =
-        db_->ParallelSelfJoin(eps, transform, threads).value();
-    ExpectSamePairs(parallel, expected,
-                    "threads=" + std::to_string(threads));
-    EXPECT_EQ(db_->last_stats().answers, expected.size());
-  }
-
-  // And without a transformation.
-  const std::vector<JoinPair> plain_expected =
-      db_->SelfJoin(eps, JoinMethod::kTreeMatch, std::nullopt).value();
-  for (const size_t threads : kThreadCounts) {
-    const std::vector<JoinPair> parallel =
-        db_->ParallelSelfJoin(eps, std::nullopt, threads).value();
-    ExpectSamePairs(parallel, plain_expected,
-                    "plain threads=" + std::to_string(threads));
+    for (const size_t threads : kThreadCounts) {
+      for (int run = 0; run < 2; ++run) {
+        const std::string where = what + " threads=" +
+                                  std::to_string(threads) + " run=" +
+                                  std::to_string(run);
+        QueryStats stats;
+        const std::vector<JoinPair> pairs =
+            db_->SelfJoin(eps, JoinMethod::kTreeMatch, t, &stats, threads)
+                .value();
+        ExpectSamePairs(pairs, expected, where);
+        EXPECT_EQ(stats.answers, expected_stats.answers) << where;
+        EXPECT_EQ(stats.candidates, expected_stats.candidates) << where;
+        EXPECT_EQ(stats.verified, expected_stats.verified) << where;
+        EXPECT_EQ(stats.nodes_visited, expected_stats.nodes_visited) << where;
+        EXPECT_EQ(stats.rect_transforms, expected_stats.rect_transforms)
+            << where;
+      }
+    }
   }
 }
 
-TEST_F(EngineTest, ParallelSelfJoinDeterministicAcrossWorkersAndRuns) {
-  // The parallelized descent must reproduce one canonical answer — same
-  // pairs, same order — at every worker count and on every run (per-seed
-  // buffers merged in seed order leave no scheduling dependence).
+TEST_F(EngineTest, TreeMatchJoinEqualsMethodDAndTheScanAsSets) {
+  // Cross-validate the tree-match answer set against the paper's
+  // method-d join (index-nested-loop), which emits the same ordered pairs
+  // in a different sequence, and against the early-abandoning scan,
+  // which emits each unordered pair once.
   const double eps = 6.0;
   const auto transform =
       FeatureTransform::Spectral(transforms::MovingAverage(kLength, 8));
+  const std::vector<JoinPair> tree =
+      db_->SelfJoin(eps, JoinMethod::kTreeMatch, transform).value();
+  ASSERT_FALSE(tree.empty()) << "join threshold too selective";
 
-  const std::vector<JoinPair> baseline =
-      db_->ParallelSelfJoin(eps, transform, 1).value();
-  ASSERT_FALSE(baseline.empty()) << "join threshold too selective";
-
-  for (const size_t threads : kThreadCounts) {
-    for (int run = 0; run < 3; ++run) {
-      const std::vector<JoinPair> pairs =
-          db_->ParallelSelfJoin(eps, transform, threads).value();
-      ExpectSamePairs(pairs, baseline,
-                      "threads=" + std::to_string(threads) + " run=" +
-                          std::to_string(run));
-    }
-  }
-
-  // Cross-validate the answer set against the paper's method-d join
-  // (index-nested-loop), which emits the same ordered pairs in a
-  // different sequence: canonical sort must make them identical.
-  std::vector<JoinPair> canonical = baseline;
-  std::vector<JoinPair> method_d =
-      db_->SelfJoin(eps, JoinMethod::kIndexTransformed, transform).value();
   const auto canonical_order = [](const JoinPair& a, const JoinPair& b) {
     return a.first < b.first ||
            (a.first == b.first && a.second < b.second);
   };
+  std::vector<JoinPair> canonical = tree;
+  std::vector<JoinPair> method_d =
+      db_->SelfJoin(eps, JoinMethod::kIndexTransformed, transform).value();
   std::sort(canonical.begin(), canonical.end(), canonical_order);
   std::sort(method_d.begin(), method_d.end(), canonical_order);
   ExpectSamePairs(canonical, method_d, "canonical vs method d");
+
+  const std::vector<JoinPair> scan =
+      db_->SelfJoin(eps, JoinMethod::kScanEarlyAbandon, transform).value();
+  EXPECT_EQ(tree.size(), 2 * scan.size());
+  EXPECT_EQ(Unordered(tree), Unordered(scan));
+}
+
+TEST_F(EngineTest, ConcurrentSingleQueriesKeepTheirOwnStats) {
+  // Several threads run one-query batches on one Database at once; each
+  // result's stats must equal that query's stats run alone: a query's
+  // stats live in its caller's result, in no slot the database shares.
+  // The buffer pool holds the whole index, so once warm every run of a
+  // query does identical work (disk_reads stays 0).
+  const std::vector<BatchQuery> queries = MakeBatch(16);
+  std::vector<QueryStats> alone(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(db_->RunBatch({queries[i]}).ok());  // warm the pool
+    alone[i] = engine::SingleResult(db_->RunBatch({queries[i]})).value().stats;
+    ASSERT_GT(alone[i].nodes_visited, 0u) << "query " << i;
+  }
+
+  constexpr size_t kThreads = 4;
+  constexpr size_t kRounds = 8;
+  std::vector<std::vector<QueryStats>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t round = 0; round < kRounds; ++round) {
+        for (size_t j = 0; j < queries.size(); ++j) {
+          // Each thread walks the queries from its own offset, so
+          // different queries overlap in time.
+          const size_t i = (j + t * 5) % queries.size();
+          Result<BatchResult> r =
+              engine::SingleResult(db_->RunBatch({queries[i]}));
+          seen[t].push_back(r.ok() ? r->stats : QueryStats());
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(seen[t].size(), kRounds * queries.size());
+    for (size_t n = 0; n < seen[t].size(); ++n) {
+      const size_t i = (n % queries.size() + t * 5) % queries.size();
+      const QueryStats& got = seen[t][n];
+      const std::string where =
+          "thread " + std::to_string(t) + " query " + std::to_string(i);
+      EXPECT_EQ(got.candidates, alone[i].candidates) << where;
+      EXPECT_EQ(got.verified, alone[i].verified) << where;
+      EXPECT_EQ(got.answers, alone[i].answers) << where;
+      EXPECT_EQ(got.nodes_visited, alone[i].nodes_visited) << where;
+      EXPECT_EQ(got.rect_transforms, alone[i].rect_transforms) << where;
+      EXPECT_EQ(got.disk_reads, alone[i].disk_reads) << where;
+    }
+  }
 }
 
 TEST_F(EngineTest, BatchTraversalStatsAreExactPerQuery) {

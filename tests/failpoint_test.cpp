@@ -26,6 +26,7 @@
 namespace tsq {
 namespace {
 
+using testing::Range;
 using testing::TempDir;
 
 constexpr size_t kLength = 16;
@@ -191,7 +192,7 @@ TEST_F(FailpointTest, EnospcOnAppendDegradesServesAndRepairs) {
   auto db = MakeIndexedDb(dir.path(), 32);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   const size_t before = (*db)->size();
-  auto healthy = (*db)->RangeQuery(ProbeQuery(), 50.0);
+  auto healthy = Range(db->get(), ProbeQuery(), 50.0);
   ASSERT_TRUE(healthy.ok());
 
   ASSERT_TRUE(failpoint::Configure("relation_append", "enospc").ok());
@@ -211,7 +212,7 @@ TEST_F(FailpointTest, EnospcOnAppendDegradesServesAndRepairs) {
   auto rejected = (*db)->Insert("rejected", RealVec(kLength, 2.0));
   ASSERT_FALSE(rejected.ok());
   EXPECT_TRUE(rejected.status().IsReadOnly()) << rejected.status().ToString();
-  auto while_degraded = (*db)->RangeQuery(ProbeQuery(), 50.0);
+  auto while_degraded = Range(db->get(), ProbeQuery(), 50.0);
   ASSERT_TRUE(while_degraded.ok()) << while_degraded.status().ToString();
   EXPECT_EQ(while_degraded->size(), healthy->size());
   const DatabaseStats stats = (*db)->StatsSnapshot();
@@ -238,7 +239,7 @@ TEST_F(FailpointTest, EnospcOnAppendDegradesServesAndRepairs) {
   EXPECT_EQ((*db)->StatsSnapshot().repairs_completed, 2u);
   EXPECT_GE((*db)->StatsSnapshot().write_faults, 2u);
   // The repaired snapshot still answers (and now sees the new series).
-  auto after = (*db)->RangeQuery(ProbeQuery(), 50.0);
+  auto after = Range(db->get(), ProbeQuery(), 50.0);
   ASSERT_TRUE(after.ok());
   EXPECT_GE(after->size(), healthy->size());
 }
@@ -341,7 +342,7 @@ TEST_F(FailpointTest, MergeWriteFaultDegradesAndRepairRestoresQueries) {
                             RealVec(kLength, 1.0 + i));
     ASSERT_TRUE(id.ok());
   }
-  auto healthy = (*db)->RangeQuery(ProbeQuery(), 50.0);
+  auto healthy = Range(db->get(), ProbeQuery(), 50.0);
   ASSERT_TRUE(healthy.ok());
 
   for (const char* site :
@@ -357,7 +358,7 @@ TEST_F(FailpointTest, MergeWriteFaultDegradesAndRepairRestoresQueries) {
     EXPECT_TRUE((*db)->degraded());
 
     // Queries still serve the last published epoch while degraded.
-    auto while_degraded = (*db)->RangeQuery(ProbeQuery(), 50.0);
+    auto while_degraded = Range(db->get(), ProbeQuery(), 50.0);
     ASSERT_TRUE(while_degraded.ok());
     EXPECT_EQ(while_degraded->size(), healthy->size());
 
@@ -369,7 +370,7 @@ TEST_F(FailpointTest, MergeWriteFaultDegradesAndRepairRestoresQueries) {
   // With the fault gone the merge goes through and answers are intact.
   auto epoch = (*db)->Reindex();
   ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
-  auto after = (*db)->RangeQuery(ProbeQuery(), 50.0);
+  auto after = Range(db->get(), ProbeQuery(), 50.0);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->size(), healthy->size());
 }

@@ -23,6 +23,8 @@ namespace {
 
 using testing::ExpectRealNear;
 using testing::RandomRealVec;
+using testing::Range;
+using testing::Scan;
 using testing::TempDir;
 
 TEST(HaarTest, ValidLengths) {
@@ -114,9 +116,9 @@ TEST(HaarTest, DatabaseParityIndexVsScan) {
   Rng rng(6);
   for (double eps : {0.5, 2.0, 6.0}) {
     const RealVec query = workload::RandomWalkSeries(&rng, 64, {});
-    auto via_index = db->RangeQuery(query, eps);
+    auto via_index = Range(db.get(), query, eps);
     ASSERT_TRUE(via_index.ok()) << via_index.status().ToString();
-    auto via_scan = db->ScanRangeQuery(query, eps);
+    auto via_scan = Scan(db.get(), query, eps);
     ASSERT_TRUE(via_scan.ok());
     std::set<SeriesId> a, b;
     for (const Match& m : *via_index) a.insert(m.id);
@@ -145,9 +147,9 @@ TEST(HaarTest, ScaleTransformWorksOnHaarFeatures) {
   spec.mode = TransformMode::kDataOnly;
   Rng rng(7);
   const RealVec query = workload::RandomWalkSeries(&rng, 64, {});
-  auto via_index = db->RangeQuery(query, 4.0, spec);
+  auto via_index = Range(db.get(), query, 4.0, spec);
   ASSERT_TRUE(via_index.ok()) << via_index.status().ToString();
-  auto via_scan = db->ScanRangeQuery(query, 4.0, spec);
+  auto via_scan = Scan(db.get(), query, 4.0, spec);
   ASSERT_TRUE(via_scan.ok());
   ASSERT_EQ(via_index->size(), via_scan->size());
 }
@@ -194,9 +196,9 @@ TEST(DifferenceTransformTest, QueryParityThroughIndex) {
   Rng rng(9);
   for (double eps : {0.5, 2.0}) {
     const RealVec query = workload::RandomWalkSeries(&rng, 64, {});
-    auto via_index = db->RangeQuery(query, eps, spec);
+    auto via_index = Range(db.get(), query, eps, spec);
     ASSERT_TRUE(via_index.ok()) << via_index.status().ToString();
-    auto via_scan = db->ScanRangeQuery(query, eps, spec);
+    auto via_scan = Scan(db.get(), query, eps, spec);
     ASSERT_TRUE(via_scan.ok());
     std::set<SeriesId> a, b;
     for (const Match& m : *via_index) a.insert(m.id);

@@ -23,6 +23,7 @@
 namespace tsq {
 namespace {
 
+using testing::Range;
 using testing::TempDir;
 
 constexpr size_t kLength = 16;
@@ -242,8 +243,8 @@ TEST(InsertBatchTest, IndexedBatchMatchesIncrementalInserts) {
 
   ASSERT_EQ(batch_db->index()->size(), inc_db->index()->size());
   for (size_t i = 0; i < names.size(); i += 3) {
-    auto expected = inc_db->RangeQuery(values[i], 2.0);
-    auto actual = batch_db->RangeQuery(values[i], 2.0);
+    auto expected = Range(inc_db.get(), values[i], 2.0);
+    auto actual = Range(batch_db.get(), values[i], 2.0);
     ASSERT_TRUE(expected.ok());
     ASSERT_TRUE(actual.ok());
     ASSERT_EQ(actual->size(), expected->size()) << "query " << i;
@@ -312,7 +313,7 @@ TEST(DatabaseRecoveryTest, TornTailRecordIsDroppedAndIndexReopens) {
   for (size_t i = 0; i < names.size(); ++i) {
     EXPECT_EQ((*reopened)->Get(i).value().name, names[i]);
   }
-  auto matches = (*reopened)->RangeQuery(values[0], 0.001);
+  auto matches = Range(reopened->get(), values[0], 0.001);
   ASSERT_TRUE(matches.ok());
   ASSERT_FALSE(matches->empty());
   EXPECT_EQ((*matches)[0].id, 0u);

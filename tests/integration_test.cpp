@@ -23,6 +23,8 @@
 namespace tsq {
 namespace {
 
+using testing::Range;
+using testing::Scan;
 using testing::TempDir;
 
 std::set<SeriesId> Ids(const std::vector<Match>& ms) {
@@ -96,10 +98,10 @@ TEST_P(Lemma1Test, NoFalseDismissalsAcrossTransforms) {
     for (int q = 0; q < 3; ++q) {
       auto probe = db->Get(static_cast<SeriesId>(rng.UniformInt(0, 399)));
       ASSERT_TRUE(probe.ok());
-      auto via_index = db->RangeQuery(probe->values, eps, spec);
+      auto via_index = Range(db.get(), probe->values, eps, spec);
       ASSERT_TRUE(via_index.ok()) << name << ": "
                                   << via_index.status().ToString();
-      auto via_scan = db->ScanRangeQuery(probe->values, eps, spec);
+      auto via_scan = Scan(db.get(), probe->values, eps, spec);
       ASSERT_TRUE(via_scan.ok());
       EXPECT_EQ(Ids(*via_index), Ids(*via_scan))
           << "transform=" << name << " eps=" << eps;
@@ -126,13 +128,14 @@ TEST_F(IntegrationTest, IdentityTransformSameAnswersAndSameDiskAccesses) {
     auto probe = db->Get(static_cast<SeriesId>(rng.UniformInt(0, 499)));
     ASSERT_TRUE(probe.ok());
 
-    auto plain = db->RangeQuery(probe->values, 4.0);
+    QueryStats plain_stats;
+    auto plain = Range(db.get(), probe->values, 4.0, {}, &plain_stats);
     ASSERT_TRUE(plain.ok());
-    const QueryStats plain_stats = db->last_stats();
 
-    auto transformed = db->RangeQuery(probe->values, 4.0, identity_spec);
+    QueryStats transformed_stats;
+    auto transformed = Range(db.get(), probe->values, 4.0, identity_spec,
+                             &transformed_stats);
     ASSERT_TRUE(transformed.ok());
-    const QueryStats transformed_stats = db->last_stats();
 
     // Same answers, same node accesses; the transformed path does strictly
     // more CPU work (rect transformations).
@@ -155,12 +158,13 @@ TEST_F(IntegrationTest, IndexCandidatesAreFewComparedToRelation) {
   for (int q = 0; q < 10; ++q) {
     auto probe = db->Get(static_cast<SeriesId>(rng.UniformInt(0, 599)));
     ASSERT_TRUE(probe.ok());
-    auto res = db->RangeQuery(probe->values, 1.0);
+    QueryStats stats;
+    auto res = Range(db.get(), probe->values, 1.0, {}, &stats);
     ASSERT_TRUE(res.ok());
-    total_candidates += db->last_stats().candidates;
+    total_candidates += stats.candidates;
     ++queries;
     // Answers never exceed candidates.
-    EXPECT_LE(db->last_stats().answers, db->last_stats().candidates);
+    EXPECT_LE(stats.answers, stats.candidates);
   }
   // Selective queries should touch far fewer records than the relation
   // size on average (the k-index filter property).
@@ -176,7 +180,7 @@ TEST_F(IntegrationTest, EveryAnswerVerifiesAgainstTimeDomain) {
       FeatureTransform::Spectral(transforms::MovingAverage(128, 20));
   auto probe = db->Get(3);
   ASSERT_TRUE(probe.ok());
-  auto res = db->RangeQuery(probe->values, 3.0, spec);
+  auto res = Range(db.get(), probe->values, 3.0, spec);
   ASSERT_TRUE(res.ok());
   ASSERT_FALSE(res->empty());
 
@@ -208,9 +212,9 @@ TEST_P(LayoutAblationTest, MoreCoefficientsNeverHurtCorrectness) {
   for (double eps : {0.5, 4.0}) {
     auto probe = db->Get(static_cast<SeriesId>(rng.UniformInt(0, 249)));
     ASSERT_TRUE(probe.ok());
-    auto via_index = db->RangeQuery(probe->values, eps);
+    auto via_index = Range(db.get(), probe->values, eps);
     ASSERT_TRUE(via_index.ok());
-    auto via_scan = db->ScanRangeQuery(probe->values, eps);
+    auto via_scan = Scan(db.get(), probe->values, eps);
     ASSERT_TRUE(via_scan.ok());
     EXPECT_EQ(Ids(*via_index), Ids(*via_scan)) << "k=" << k;
   }
@@ -234,10 +238,14 @@ TEST_F(IntegrationTest, MoreCoefficientsGiveFewerOrEqualCandidates) {
     const SeriesId id = static_cast<SeriesId>(rng.UniformInt(0, 399));
     auto probe = db_small->Get(id);
     ASSERT_TRUE(probe.ok());
-    ASSERT_TRUE(db_small->RangeQuery(probe->values, 1.5).ok());
-    cand_small += db_small->last_stats().candidates;
-    ASSERT_TRUE(db_large->RangeQuery(probe->values, 1.5).ok());
-    cand_large += db_large->last_stats().candidates;
+    QueryStats small_stats;
+    QueryStats large_stats;
+    ASSERT_TRUE(
+        Range(db_small.get(), probe->values, 1.5, {}, &small_stats).ok());
+    cand_small += small_stats.candidates;
+    ASSERT_TRUE(
+        Range(db_large.get(), probe->values, 1.5, {}, &large_stats).ok());
+    cand_large += large_stats.candidates;
   }
   EXPECT_LE(cand_large, cand_small);
 }
@@ -271,9 +279,9 @@ TEST_F(IntegrationTest, ThousandSeriesEndToEnd) {
   Rng rng(10);
   for (int q = 0; q < 3; ++q) {
     const RealVec query = workload::RandomWalkSeries(&rng, 128, {});
-    auto via_index = db->RangeQuery(query, 4.0, spec);
+    auto via_index = Range(db.get(), query, 4.0, spec);
     ASSERT_TRUE(via_index.ok());
-    auto via_scan = db->ScanRangeQuery(query, 4.0, spec);
+    auto via_scan = Scan(db.get(), query, 4.0, spec);
     ASSERT_TRUE(via_scan.ok());
     EXPECT_EQ(Ids(*via_index), Ids(*via_scan));
   }
@@ -308,7 +316,7 @@ TEST_F(PersistenceTest, ReopenServesIdenticalAnswers) {
       ASSERT_TRUE(db->Insert(s.name(), s.values()).ok());
     }
     ASSERT_TRUE(db->BuildIndex().ok());
-    before = db->RangeQuery(query, 4.0).value();
+    before = Range(db.get(), query, 4.0).value();
     ASSERT_TRUE(db->Flush().ok());
   }
 
@@ -318,7 +326,7 @@ TEST_F(PersistenceTest, ReopenServesIdenticalAnswers) {
   EXPECT_EQ((*reopened)->series_length(), 64u);
   ASSERT_TRUE((*reopened)->index_built());
 
-  auto after = (*reopened)->RangeQuery(query, 4.0).value();
+  auto after = Range(reopened->get(), query, 4.0).value();
   ASSERT_EQ(after.size(), before.size());
   for (size_t i = 0; i < after.size(); ++i) {
     EXPECT_EQ(after[i].id, before[i].id);
@@ -345,15 +353,14 @@ TEST_F(PersistenceTest, ReopenWithoutIndex) {
   ASSERT_TRUE(reopened.ok());
   EXPECT_FALSE((*reopened)->index_built());
   // Scans still work; index queries report the missing index.
-  EXPECT_TRUE((*reopened)->ScanRangeQuery(RealVec(32, 5.0), 1.0).ok());
-  EXPECT_TRUE((*reopened)
-                  ->RangeQuery(RealVec(32, 5.0), 1.0)
+  EXPECT_TRUE(Scan(reopened->get(), RealVec(32, 5.0), 1.0).ok());
+  EXPECT_TRUE(Range(reopened->get(), RealVec(32, 5.0), 1.0)
                   .status()
                   .IsFailedPrecondition());
   // Inserts continue from the persisted state, then an index can be built.
   ASSERT_TRUE((*reopened)->Insert("more", RealVec(32, 6.0)).ok());
   ASSERT_TRUE((*reopened)->BuildIndex().ok());
-  EXPECT_EQ((*reopened)->RangeQuery(RealVec(32, 6.0), 0.1).value().size(), 2u);
+  EXPECT_EQ(Range(reopened->get(), RealVec(32, 6.0), 0.1).value().size(), 2u);
 }
 
 TEST_F(PersistenceTest, OpenMissingDatabaseFails) {
@@ -386,7 +393,7 @@ TEST_F(PersistenceTest, OpenRebuildsRelationTailIntoDelta) {
   EXPECT_EQ((*reopened)->size(), 2u);
   EXPECT_EQ((*reopened)->index()->size(), 1u);
   EXPECT_EQ((*reopened)->StatsSnapshot().delta_entries, 1u);
-  auto hit = (*reopened)->RangeQuery(ramp, 0.001);
+  auto hit = Range(reopened->get(), ramp, 0.001);
   ASSERT_TRUE(hit.ok());
   ASSERT_EQ(hit->size(), 1u);
   EXPECT_EQ((*hit)[0].id, 1u);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/logging.h"
 #include "core/database.h"
 #include "engine/query_engine.h"
 #include "gtest/gtest.h"
@@ -33,6 +34,7 @@ namespace {
 using engine::BatchQuery;
 using engine::BatchQueryKind;
 using engine::BatchResult;
+using testing::Range;
 
 // ---------------------------------------------------------------------------
 // Registry: exact counts under contention.
@@ -304,6 +306,8 @@ TEST_F(TracingTest, AnswersBitIdenticalTracedVsUntraced) {
 TEST(SlowQueryTest, ThresholdGatesTheLog) {
   ::unsetenv("TSQ_SLOW_QUERY_MS");
   obs::Counter* slow = obs::RegisterCounter("tsq_slow_queries_total");
+  const LogLevel saved_level = Logger::GetLevel();
+  Logger::SetLevel(LogLevel::kWarn);  // the slow-query line is a WARN
 
   auto data = workload::MakeRandomWalkDataset(4242, 32, 64);
   std::vector<std::string> names;
@@ -318,50 +322,57 @@ TEST(SlowQueryTest, ThresholdGatesTheLog) {
     options.directory = dir;
     options.name = "slowlog";
     options.slow_query_ms = slow_ms;
-    // A pool far smaller than the relation, so a scan always faults.
+    // A pool far smaller than the relation, so reads always fault.
     options.buffer_pool_frames = 8;
     options.buffer_pool_shards = 1;
     auto db = Database::Create(options).value();
     EXPECT_TRUE(db->InsertBatch(names, values, 2).ok());
+    EXPECT_TRUE(db->BuildIndex().ok());
     return db;
   };
 
-  // Every positioned read sleeps (the relation's record reads go
-  // through io_pread): the scan below is guaranteed to cross a 1 ms
-  // threshold without depending on host speed.
-  const auto slow_reads = [] {
+  // Every positioned read sleeps (the relation's record reads go through
+  // io_pread): the indexed range query below verifies at least the query
+  // series itself, so it is guaranteed to cross a 1 ms threshold without
+  // depending on host speed. Returns what the query wrote to stderr.
+  const auto slow_range = [&](Database* db) {
     failpoint::SetCallback("io_pread", [](uint64_t) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     });
+    ::testing::internal::CaptureStderr();
+    auto matches = Range(db, data[0].values(), 2.0);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    failpoint::Clear("io_pread");
+    EXPECT_TRUE(matches.ok()) << matches.status().ToString();
+    EXPECT_FALSE(matches.ok() && matches->empty());
+    return log;
   };
 
   {
     // Disabled (the default): even a genuinely slow query logs nothing.
     testing::TempDir dir;
     auto db = build(dir.path(), 0);
-    slow_reads();
     const uint64_t before = slow->Value();
-    auto matches = db->ScanRangeQuery(data[0].values(), 2.0);
-    failpoint::Clear("io_pread");
-    ASSERT_TRUE(matches.ok()) << matches.status().ToString();
+    const std::string log = slow_range(db.get());
+    EXPECT_EQ(log.find("slow query"), std::string::npos) << log;
     EXPECT_EQ(slow->Value(), before);
   }
 
   {
-    // Enabled with a 1 ms threshold: the same slow scan crosses it.
+    // Enabled with a 1 ms threshold: the same slow query crosses it, and
+    // the line names the kind of query that ran.
     testing::TempDir dir;
     auto db = build(dir.path(), 1);
-    slow_reads();
     const uint64_t before = slow->Value();
-    auto matches = db->ScanRangeQuery(data[0].values(), 2.0);
-    failpoint::Clear("io_pread");
-    ASSERT_TRUE(matches.ok()) << matches.status().ToString();
+    const std::string log = slow_range(db.get());
+    EXPECT_NE(log.find("slow query op=range "), std::string::npos) << log;
     EXPECT_GT(slow->Value(), before);
   }
 
   // Enabling the slow-query log arms tracing process-wide; restore.
   obs::DisarmTracing();
   obs::DisarmMetrics();
+  Logger::SetLevel(saved_level);
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,9 @@
 namespace tsq {
 namespace {
 
+using testing::Knn;
+using testing::Range;
+using testing::Scan;
 using testing::TempDir;
 
 std::set<SeriesId> Ids(const std::vector<Match>& ms) {
@@ -88,10 +91,11 @@ TEST_F(DatabaseQueryTest, QueriesRequireIndex) {
   ASSERT_TRUE(db.ok());
   ASSERT_TRUE((*db)->Insert("a", RealVec(16, 1.0)).ok());
   EXPECT_TRUE(
-      (*db)->RangeQuery(RealVec(16, 1.0), 1.0).status().IsFailedPrecondition());
-  EXPECT_TRUE((*db)->Knn(RealVec(16, 1.0), 3).status().IsFailedPrecondition());
+      Range(db->get(), RealVec(16, 1.0), 1.0).status().IsFailedPrecondition());
+  EXPECT_TRUE(
+      Knn(db->get(), RealVec(16, 1.0), 3).status().IsFailedPrecondition());
   // Scans work without an index.
-  EXPECT_TRUE((*db)->ScanRangeQuery(RealVec(16, 1.0), 1.0).ok());
+  EXPECT_TRUE(Scan(db->get(), RealVec(16, 1.0), 1.0).ok());
 }
 
 TEST_F(DatabaseQueryTest, BuildIndexTwiceFails) {
@@ -106,7 +110,7 @@ TEST_F(DatabaseQueryTest, InsertAfterBuildIndexIsIndexed) {
   const RealVec probe = workload::RandomWalkSeries(&rng, 32, rw);
   ASSERT_TRUE(db->Insert("late", probe).ok());
   // The new series must be findable: query for itself with tiny epsilon.
-  auto matches = db->RangeQuery(probe, 1e-6);
+  auto matches = Range(db.get(), probe, 1e-6);
   ASSERT_TRUE(matches.ok());
   ASSERT_FALSE(matches->empty());
   EXPECT_EQ((*matches)[0].name, "late");
@@ -125,9 +129,9 @@ TEST_P(RangeParityTest, IdentityQueryParity) {
   Rng rng(7);
   for (int q = 0; q < 5; ++q) {
     const RealVec query = workload::RandomWalkSeries(&rng, 64, {});
-    auto via_index = db->RangeQuery(query, eps);
+    auto via_index = Range(db.get(), query, eps);
     ASSERT_TRUE(via_index.ok()) << via_index.status().ToString();
-    auto via_scan = db->ScanRangeQuery(query, eps);
+    auto via_scan = Scan(db.get(), query, eps);
     ASSERT_TRUE(via_scan.ok());
     EXPECT_EQ(Ids(*via_index), Ids(*via_scan)) << "eps=" << eps;
     // Distances agree too.
@@ -146,9 +150,9 @@ TEST_P(RangeParityTest, MovingAverageQueryParity) {
   Rng rng(8);
   for (int q = 0; q < 5; ++q) {
     const RealVec query = workload::RandomWalkSeries(&rng, 64, {});
-    auto via_index = db->RangeQuery(query, eps, spec);
+    auto via_index = Range(db.get(), query, eps, spec);
     ASSERT_TRUE(via_index.ok()) << via_index.status().ToString();
-    auto via_scan = db->ScanRangeQuery(query, eps, spec);
+    auto via_scan = Scan(db.get(), query, eps, spec);
     ASSERT_TRUE(via_scan.ok());
     EXPECT_EQ(Ids(*via_index), Ids(*via_scan)) << "eps=" << eps;
   }
@@ -165,9 +169,9 @@ TEST_F(DatabaseQueryTest, DataOnlyModeParity) {
   Rng rng(9);
   for (double eps : {0.5, 2.0, 8.0}) {
     const RealVec query = workload::RandomWalkSeries(&rng, 64, {});
-    auto via_index = db->RangeQuery(query, eps, spec);
+    auto via_index = Range(db.get(), query, eps, spec);
     ASSERT_TRUE(via_index.ok());
-    auto via_scan = db->ScanRangeQuery(query, eps, spec);
+    auto via_scan = Scan(db.get(), query, eps, spec);
     ASSERT_TRUE(via_scan.ok());
     EXPECT_EQ(Ids(*via_index), Ids(*via_scan));
   }
@@ -197,11 +201,11 @@ TEST_F(DatabaseQueryTest, ReverseFindsOppositeMovers) {
   spec.mode = TransformMode::kDataOnly;  // reverse the data, not the query
   // Query with OPPa0000 (index 0); its partner OPPb0000 (id 1) reversed
   // should be very close to it in normal form.
-  auto matches = (*db)->RangeQuery(series[0].values(), 3.0, spec);
+  auto matches = Range(db->get(), series[0].values(), 3.0, spec);
   ASSERT_TRUE(matches.ok()) << matches.status().ToString();
   EXPECT_TRUE(Ids(*matches).contains(1)) << "partner not found";
   // Parity with the scan under the same spec.
-  auto scan = (*db)->ScanRangeQuery(series[0].values(), 3.0, spec);
+  auto scan = Scan(db->get(), series[0].values(), 3.0, spec);
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(Ids(*matches), Ids(*scan));
 }
@@ -211,12 +215,12 @@ TEST_F(DatabaseQueryTest, MeanStdWindowFiltersAnswers) {
   Rng rng(10);
   const RealVec query = workload::RandomWalkSeries(&rng, 64, {});
   QuerySpec all;
-  auto unfiltered = db->RangeQuery(query, 6.0, all);
+  auto unfiltered = Range(db.get(), query, 6.0, all);
   ASSERT_TRUE(unfiltered.ok());
 
   QuerySpec windowed;
   windowed.window = MeanStdWindow{40.0, 70.0, 0.0, 1e9};
-  auto filtered = db->RangeQuery(query, 6.0, windowed);
+  auto filtered = Range(db.get(), query, 6.0, windowed);
   ASSERT_TRUE(filtered.ok());
   EXPECT_LE(filtered->size(), unfiltered->size());
   // Every filtered answer's mean is inside the window; every unfiltered
@@ -255,7 +259,7 @@ TEST_F(DatabaseQueryTest, GoldinKanellakisShiftScaleQuery) {
   // Window around the transformed mean/std of the target.
   spec.window = MeanStdWindow{nfq.mean - 0.5, nfq.mean + 0.5, nfq.std - 0.5,
                               nfq.std + 0.5};
-  auto matches = db->RangeQuery(shifted, 0.01, spec);
+  auto matches = Range(db.get(), shifted, 0.01, spec);
   ASSERT_TRUE(matches.ok()) << matches.status().ToString();
   EXPECT_TRUE(Ids(*matches).contains(17));
 }
@@ -270,9 +274,9 @@ TEST_F(DatabaseQueryTest, RectangularLayoutParity) {
   Rng rng(11);
   for (double eps : {1.0, 5.0, 20.0}) {
     const RealVec query = workload::RandomWalkSeries(&rng, 64, {});
-    auto via_index = db->RangeQuery(query, eps);
+    auto via_index = Range(db.get(), query, eps);
     ASSERT_TRUE(via_index.ok());
-    auto via_scan = db->ScanRangeQuery(query, eps);
+    auto via_scan = Scan(db.get(), query, eps);
     ASSERT_TRUE(via_scan.ok());
     EXPECT_EQ(Ids(*via_index), Ids(*via_scan));
   }
@@ -288,9 +292,9 @@ TEST_F(DatabaseQueryTest, RectangularShiftTransformParity) {
   Rng rng(12);
   for (double eps : {1.0, 10.0}) {
     const RealVec query = workload::RandomWalkSeries(&rng, 64, {});
-    auto via_index = db->RangeQuery(query, eps, spec);
+    auto via_index = Range(db.get(), query, eps, spec);
     ASSERT_TRUE(via_index.ok()) << via_index.status().ToString();
-    auto via_scan = db->ScanRangeQuery(query, eps, spec);
+    auto via_scan = Scan(db.get(), query, eps, spec);
     ASSERT_TRUE(via_scan.ok());
     EXPECT_EQ(Ids(*via_index), Ids(*via_scan));
   }
@@ -309,12 +313,12 @@ TEST_P(KnnTest, MatchesScanTopK) {
   Rng rng(13);
   for (int q = 0; q < 4; ++q) {
     const RealVec query = workload::RandomWalkSeries(&rng, 64, {});
-    auto knn = db->Knn(query, k);
+    auto knn = Knn(db.get(), query, k);
     ASSERT_TRUE(knn.ok()) << knn.status().ToString();
     ASSERT_EQ(knn->size(), std::min<size_t>(k, 250));
 
     // Brute force through the scan with a huge threshold.
-    auto scan = db->ScanRangeQuery(query, 1e9);
+    auto scan = Scan(db.get(), query, 1e9);
     ASSERT_TRUE(scan.ok());
     ASSERT_EQ(scan->size(), 250u);
     for (size_t i = 0; i < knn->size(); ++i) {
@@ -333,10 +337,10 @@ TEST_F(DatabaseQueryTest, KnnWithTransformMatchesScan) {
       FeatureTransform::Spectral(transforms::MovingAverage(64, 8));
   Rng rng(14);
   const RealVec query = workload::RandomWalkSeries(&rng, 64, {});
-  auto knn = db->Knn(query, 10, spec);
+  auto knn = Knn(db.get(), query, 10, spec);
   ASSERT_TRUE(knn.ok()) << knn.status().ToString();
   ASSERT_EQ(knn->size(), 10u);
-  auto scan = db->ScanRangeQuery(query, 1e9, spec);
+  auto scan = Scan(db.get(), query, 1e9, spec);
   ASSERT_TRUE(scan.ok());
   for (size_t i = 0; i < 10; ++i) {
     EXPECT_NEAR((*knn)[i].distance, (*scan)[i].distance, 1e-9) << "rank " << i;
@@ -347,7 +351,7 @@ TEST_F(DatabaseQueryTest, KnnSelfQueryFindsSelfFirst) {
   auto db = MakeDb(100, 32);
   auto rec = db->Get(42);
   ASSERT_TRUE(rec.ok());
-  auto knn = db->Knn(rec->values, 1);
+  auto knn = Knn(db.get(), rec->values, 1);
   ASSERT_TRUE(knn.ok());
   ASSERT_EQ(knn->size(), 1u);
   EXPECT_EQ((*knn)[0].id, 42u);
@@ -358,10 +362,10 @@ TEST_F(DatabaseQueryTest, KnnZeroAndOversizedK) {
   auto db = MakeDb(20, 32);
   Rng rng(15);
   const RealVec query = workload::RandomWalkSeries(&rng, 32, {});
-  auto zero = db->Knn(query, 0);
+  auto zero = Knn(db.get(), query, 0);
   ASSERT_TRUE(zero.ok());
   EXPECT_TRUE(zero->empty());
-  auto all = db->Knn(query, 1000);
+  auto all = Knn(db.get(), query, 1000);
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->size(), 20u);
 }
@@ -420,22 +424,22 @@ TEST_F(DatabaseQueryTest, JoinStatsArePopulated) {
   auto db = MakeDb(80, 32);
   auto transform =
       FeatureTransform::Spectral(transforms::MovingAverage(32, 4));
-  auto d = db->SelfJoin(1.0, JoinMethod::kIndexTransformed, transform);
+  QueryStats stats;
+  auto d = db->SelfJoin(1.0, JoinMethod::kIndexTransformed, transform, &stats);
   ASSERT_TRUE(d.ok());
-  const QueryStats& stats = db->last_stats();
   EXPECT_EQ(stats.records_scanned, 80u);
   EXPECT_GT(stats.nodes_visited, 0u);
   EXPECT_GT(stats.rect_transforms, 0u);
   EXPECT_GE(stats.elapsed_ms, 0.0);
 }
 
-TEST_F(DatabaseQueryTest, RangeQueryStatsArePopulated) {
+TEST_F(DatabaseQueryTest, RangeStatsArePopulated) {
   auto db = MakeDb(100, 32);
   Rng rng(16);
   const RealVec query = workload::RandomWalkSeries(&rng, 32, {});
-  auto matches = db->RangeQuery(query, 5.0);
+  QueryStats stats;
+  auto matches = Range(db.get(), query, 5.0, {}, &stats);
   ASSERT_TRUE(matches.ok());
-  const QueryStats& stats = db->last_stats();
   EXPECT_GT(stats.nodes_visited, 0u);
   EXPECT_GE(stats.candidates, matches->size());
   EXPECT_EQ(stats.answers, matches->size());
@@ -443,9 +447,9 @@ TEST_F(DatabaseQueryTest, RangeQueryStatsArePopulated) {
 
 TEST_F(DatabaseQueryTest, InvalidQueryArguments) {
   auto db = MakeDb(20, 32);
-  EXPECT_TRUE(db->RangeQuery(RealVec(16, 0.0), 1.0).status()
+  EXPECT_TRUE(Range(db.get(), RealVec(16, 0.0), 1.0).status()
                   .IsInvalidArgument());  // wrong length
-  EXPECT_TRUE(db->RangeQuery(RealVec(32, 0.0), -1.0).status()
+  EXPECT_TRUE(Range(db.get(), RealVec(32, 0.0), -1.0).status()
                   .IsInvalidArgument());  // negative eps
 }
 
@@ -552,10 +556,15 @@ TEST_F(TreeMatchJoinTest, FewerNodeAccessesThanNestedLoop) {
 
   const auto transform =
       FeatureTransform::Spectral(transforms::MovingAverage(128, 20));
-  ASSERT_TRUE(db->SelfJoin(0.5, JoinMethod::kIndexTransformed, transform).ok());
-  const uint64_t nested_nodes = db->last_stats().nodes_visited;
-  ASSERT_TRUE(db->SelfJoin(0.5, JoinMethod::kTreeMatch, transform).ok());
-  const uint64_t matched_nodes = db->last_stats().nodes_visited;
+  QueryStats nested;
+  ASSERT_TRUE(
+      db->SelfJoin(0.5, JoinMethod::kIndexTransformed, transform, &nested)
+          .ok());
+  QueryStats matched;
+  ASSERT_TRUE(
+      db->SelfJoin(0.5, JoinMethod::kTreeMatch, transform, &matched).ok());
+  const uint64_t nested_nodes = nested.nodes_visited;
+  const uint64_t matched_nodes = matched.nodes_visited;
   // One synchronized traversal touches far fewer nodes than N range queries.
   EXPECT_LT(matched_nodes, nested_nodes);
 }

@@ -38,6 +38,8 @@ namespace {
 using engine::BatchQuery;
 using engine::BatchQueryKind;
 using engine::BatchResult;
+using testing::Knn;
+using testing::Range;
 
 constexpr size_t kNumSeries = 80;
 constexpr size_t kLength = 64;
@@ -198,11 +200,11 @@ TEST_F(ReindexTest, DeltaIsQueryableTheMomentInsertReturns) {
   // Every unmerged series answers an exact-match range query, and kNN
   // sees it as its own nearest neighbor.
   for (size_t i = kNumSeries / 2; i < kNumSeries; ++i) {
-    auto matches = db_->RangeQuery(data_[i].values(), 1e-9);
+    auto matches = Range(db_.get(), data_[i].values(), 1e-9);
     ASSERT_TRUE(matches.ok());
     ASSERT_FALSE(matches->empty()) << "series " << i;
     EXPECT_EQ((*matches)[0].id, i);
-    auto knn = db_->Knn(data_[i].values(), 1);
+    auto knn = Knn(db_.get(), data_[i].values(), 1);
     ASSERT_TRUE(knn.ok());
     ASSERT_EQ(knn->size(), 1u);
     EXPECT_EQ((*knn)[0].id, i);
@@ -214,7 +216,8 @@ TEST_F(ReindexTest, MergePreservesAnswersBitIdentically) {
   IngestSecondHalf();
   const std::vector<BatchQuery> batch = MakeBatch();
   const std::vector<BatchResult> before = db_->RunBatch(batch, 2).value();
-  auto join_before = db_->ParallelSelfJoin(2.0, std::nullopt, 2, nullptr);
+  auto join_before = db_->SelfJoin(2.0, JoinMethod::kTreeMatch, std::nullopt,
+                                   nullptr, 2);
   ASSERT_TRUE(join_before.ok());
   const uint64_t epoch_before = db_->StatsSnapshot().index_epoch;
 
@@ -230,7 +233,8 @@ TEST_F(ReindexTest, MergePreservesAnswersBitIdentically) {
 
   const std::vector<BatchResult> after = db_->RunBatch(batch, 2).value();
   ExpectSameResults(after, before, "post-merge batch");
-  auto join_after = db_->ParallelSelfJoin(2.0, std::nullopt, 2, nullptr);
+  auto join_after = db_->SelfJoin(2.0, JoinMethod::kTreeMatch, std::nullopt,
+                                  nullptr, 2);
   ASSERT_TRUE(join_after.ok());
   ASSERT_EQ(join_after->size(), join_before->size());
   for (size_t i = 0; i < join_before->size(); ++i) {
@@ -332,7 +336,7 @@ TEST_F(ReindexTest, CrashShapedReopensRecover) {
     EXPECT_EQ(stats.tree_entries, kNumSeries / 2);
     EXPECT_EQ(stats.delta_entries, kNumSeries - kNumSeries / 2);
     for (size_t i = 0; i < kNumSeries; i += 9) {
-      auto matches = (*reopened)->RangeQuery(data_[i].values(), 1e-9);
+      auto matches = Range(reopened->get(), data_[i].values(), 1e-9);
       ASSERT_TRUE(matches.ok());
       ASSERT_FALSE(matches->empty());
       EXPECT_EQ((*matches)[0].id, i);
@@ -355,7 +359,7 @@ TEST_F(ReindexTest, CrashShapedReopensRecover) {
     EXPECT_EQ(stats.tree_entries, kNumSeries);
     EXPECT_EQ(stats.delta_entries, 0u);
     auto matches =
-        (*reopened)->RangeQuery(data_[kNumSeries - 1].values(), 1e-9);
+        Range(reopened->get(), data_[kNumSeries - 1].values(), 1e-9);
     ASSERT_TRUE(matches.ok());
     ASSERT_FALSE(matches->empty());
     EXPECT_EQ((*matches)[0].id, kNumSeries - 1);
@@ -388,7 +392,7 @@ TEST_F(ReindexTest, BackgroundMergeThreadFoldsDelta) {
   EXPECT_EQ(stats.delta_entries, 0u);
   EXPECT_EQ(stats.tree_entries, kNumSeries);
   EXPECT_GE(stats.merges_completed, 1u);
-  auto matches = db_->RangeQuery(data_[kNumSeries - 1].values(), 1e-9);
+  auto matches = Range(db_.get(), data_[kNumSeries - 1].values(), 1e-9);
   ASSERT_TRUE(matches.ok());
   ASSERT_FALSE(matches->empty());
   EXPECT_EQ((*matches)[0].id, kNumSeries - 1);

@@ -36,6 +36,7 @@ using spatial::AffineMap;
 using spatial::Point;
 using spatial::Rect;
 using tsq::testing::RandomPoint;
+using tsq::testing::Range;
 using tsq::testing::TempDir;
 
 // ---------------------------------------------------------------------------
@@ -851,10 +852,13 @@ std::vector<std::pair<std::string, Status>> RunEveryDescent(
 }
 
 TEST_F(RTreeEdgeTest, CorruptNodePagesReturnCorruptionFromEveryDescent) {
-  // Two hostile pages: a NaN coordinate, and an entry pointing at its own
+  // Three hostile pages: a NaN coordinate; an entry pointing at its own
   // page, which a descent without level checks follows until the stack
-  // overflows. Every descent must return Corruption, and the tree must
-  // read normally once the page is restored.
+  // overflows; and a root entry pointing at a leaf, which loses the
+  // subtree between them unless the child's level is checked — by the
+  // join seeds too, whose descents start one level below the root. Every
+  // descent must return Corruption, and the tree must read normally once
+  // the page is restored.
   const size_t dims = 3;
   RTreeOptions options;
   options.max_entries_override = 4;
@@ -902,6 +906,18 @@ TEST_F(RTreeEdgeTest, CorruptNodePagesReturnCorruptionFromEveryDescent) {
     Node looped = root_node;
     looped.entries[0].id = root;
     ASSERT_TRUE(SerializeNode(looped, dims, page).ok());
+  });
+  PageId leaf = child;
+  for (Node node;;) {
+    ASSERT_TRUE(
+        DeserializeNode(*pool_->Fetch(leaf).value().page(), dims, &node).ok());
+    if (node.IsLeaf()) break;
+    leaf = node.entries[0].id;
+  }
+  corrupt_and_check(root, [&](Page* page) {
+    Node skipping = root_node;
+    skipping.entries[0].id = leaf;
+    ASSERT_TRUE(SerializeNode(skipping, dims, page).ok());
   });
 
   for (const auto& [name, status] : RunEveryDescent(*tree)) {
@@ -1072,8 +1088,8 @@ TEST(BulkLoadEdgeTest, BulkLoadedDatabaseMatchesIncremental) {
   Rng rng(9);
   for (double eps : {0.5, 3.0, 9.0}) {
     const RealVec query = tsq::workload::RandomWalkSeries(&rng, 64, {});
-    auto a = bulk_db->RangeQuery(query, eps).value();
-    auto b = incr_db->RangeQuery(query, eps).value();
+    auto a = Range(bulk_db.get(), query, eps).value();
+    auto b = Range(incr_db.get(), query, eps).value();
     ASSERT_EQ(a.size(), b.size()) << "eps=" << eps;
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].id, b[i].id);

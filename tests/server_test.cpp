@@ -36,6 +36,7 @@
 #include "core/database.h"
 #include "engine/query_engine.h"
 #include "gtest/gtest.h"
+#include "rtree/node.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -50,6 +51,8 @@ namespace {
 using engine::BatchQuery;
 using engine::BatchQueryKind;
 using engine::BatchResult;
+using testing::Knn;
+using testing::Range;
 
 constexpr size_t kNumSeries = 80;
 constexpr size_t kLength = 64;
@@ -741,7 +744,7 @@ TEST_F(ServerTest, RemoteQueriesMatchInProcess) {
     const QuerySpec& spec = (i % 2 == 0) ? QuerySpec{} : smoothed;
 
     auto remote_range = client->Range(query, 4.0, spec);
-    auto local_range = db_->RangeQuery(query, 4.0, spec);
+    auto local_range = Range(db_.get(), query, 4.0, spec);
     ASSERT_TRUE(remote_range.ok() && local_range.ok());
     ASSERT_EQ(remote_range->size(), local_range->size());
     for (size_t m = 0; m < local_range->size(); ++m) {
@@ -751,7 +754,7 @@ TEST_F(ServerTest, RemoteQueriesMatchInProcess) {
     }
 
     auto remote_knn = client->Knn(query, 3, spec);
-    auto local_knn = db_->Knn(query, 3, spec);
+    auto local_knn = Knn(db_.get(), query, 3, spec);
     ASSERT_TRUE(remote_knn.ok() && local_knn.ok());
     ASSERT_EQ(remote_knn->size(), local_knn->size());
     for (size_t m = 0; m < local_knn->size(); ++m) {
@@ -814,7 +817,8 @@ TEST_F(ServerTest, RemoteSelfJoinMatchesInProcess) {
             transforms::MovingAverage(kLength, 4))}}) {
     auto remote = client->SelfJoin(4.0, transform);
     ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-    auto local = db_->ParallelSelfJoin(4.0, transform, 1);
+    auto local =
+        db_->SelfJoin(4.0, JoinMethod::kTreeMatch, transform, nullptr, 1);
     ASSERT_TRUE(local.ok());
     ASSERT_EQ(remote->size(), local->size());
     for (size_t i = 0; i < local->size(); ++i) {
@@ -823,6 +827,75 @@ TEST_F(ServerTest, RemoteSelfJoinMatchesInProcess) {
       EXPECT_EQ((*remote)[i].distance, (*local)[i].distance);
     }
   }
+}
+
+TEST_F(ServerTest, TreeMatchJoinOfARootEntrySkippingALevelIsCorruption) {
+  // A hostile index file whose root entry points at a leaf page: the
+  // parallel join's seeds start one level below the root, so they must
+  // check that level as every other descent does — in process at any
+  // thread count, and through tsqd's SELF_JOIN.
+  DatabaseOptions options;
+  options.directory = dir_.path();
+  options.name = "skipped";
+  options.rtree.max_entries_override = 4;  // a tree several levels deep
+  auto db = Database::Create(options).value();
+  for (const TimeSeries& s : data_) {
+    ASSERT_TRUE(db->Insert(s.name(), s.values()).ok());
+  }
+  ASSERT_TRUE(db->BuildIndex().ok());
+  rtree::RStarTree* tree = db->index()->tree();
+  BufferPool* pool = db->index()->pool();
+  ASSERT_GE(tree->height(), 3u);
+  ASSERT_TRUE(tree->SaveMeta().ok());
+  // Meta page layout: u64 magic | u64 dims | u64 root | ...
+  const PageId root =
+      pool->Fetch(tree->meta_page()).value().page()->ReadU64(16);
+  rtree::Node root_node;
+  ASSERT_TRUE(rtree::DeserializeNode(*pool->Fetch(root).value().page(),
+                                     tree->dims(), &root_node)
+                  .ok());
+  PageId leaf = root_node.entries[0].id;
+  for (rtree::Node node;;) {
+    ASSERT_TRUE(rtree::DeserializeNode(*pool->Fetch(leaf).value().page(),
+                                       tree->dims(), &node)
+                    .ok());
+    if (node.IsLeaf()) break;
+    leaf = node.entries[0].id;
+  }
+  Page saved;
+  {
+    PageHandle handle = pool->Fetch(root).value();
+    saved = *handle.page();
+    rtree::Node skipping = root_node;
+    skipping.entries[0].id = leaf;
+    ASSERT_TRUE(
+        rtree::SerializeNode(skipping, tree->dims(), handle.page()).ok());
+    handle.MarkDirty();
+  }
+
+  for (const size_t threads : {1u, 4u}) {
+    auto pairs = db->SelfJoin(4.0, JoinMethod::kTreeMatch, std::nullopt,
+                              nullptr, threads);
+    EXPECT_TRUE(pairs.status().IsCorruption())
+        << "threads=" << threads << ": " << pairs.status().ToString();
+  }
+  {
+    ServerOptions server_options;
+    server_options.engine_threads = 2;
+    auto server = Server::Start(db.get(), server_options);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    auto client = Connect(**server);
+    auto remote = client->SelfJoin(4.0, std::nullopt);
+    EXPECT_TRUE(remote.status().IsCorruption()) << remote.status().ToString();
+  }
+
+  // Restored, the same join answers again.
+  {
+    PageHandle handle = pool->Fetch(root).value();
+    *handle.page() = saved;
+    handle.MarkDirty();
+  }
+  EXPECT_TRUE(db->SelfJoin(4.0, JoinMethod::kTreeMatch, std::nullopt).ok());
 }
 
 TEST_F(ServerTest, RemoteInsertMatchesInProcessAndIsQueryable) {
@@ -1185,7 +1258,7 @@ TEST_F(ServerTest, StopDrainsInFlightQueries) {
 
   // The in-flight query's reply arrived despite the shutdown.
   ASSERT_TRUE(matches.ok()) << matches.status().ToString();
-  auto expected = db_->RangeQuery(data_[0].values(), 4.0);
+  auto expected = Range(db_.get(), data_[0].values(), 4.0);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(matches->size(), expected->size());
 
@@ -1255,7 +1328,7 @@ TEST_F(ServerTest, LoopbackEqualityAtEveryPollerCount) {
 
     const RealVec& probe = data_[3].values();
     auto remote_knn = client->Knn(probe, 4);
-    auto local_knn = db_->Knn(probe, 4);
+    auto local_knn = Knn(db_.get(), probe, 4);
     ASSERT_TRUE(remote_knn.ok() && local_knn.ok()) << what;
     ASSERT_EQ(remote_knn->size(), local_knn->size()) << what;
     for (size_t m = 0; m < local_knn->size(); ++m) {
@@ -1264,7 +1337,8 @@ TEST_F(ServerTest, LoopbackEqualityAtEveryPollerCount) {
     }
 
     auto remote_join = client->SelfJoin(3.0, std::nullopt);
-    auto local_join = db_->ParallelSelfJoin(3.0, std::nullopt, 1);
+    auto local_join =
+        db_->SelfJoin(3.0, JoinMethod::kTreeMatch, std::nullopt, nullptr, 1);
     ASSERT_TRUE(remote_join.ok() && local_join.ok()) << what;
     ASSERT_EQ(remote_join->size(), local_join->size()) << what;
     for (size_t i = 0; i < local_join->size(); ++i) {
@@ -1359,7 +1433,7 @@ TEST_F(ServerTest, PipelinedFramesInOneSendAllAnswer) {
           << "pollers " << pollers << ": duplicate or unknown reply id "
           << reply.id;
       EXPECT_EQ(reply.code, ReplyCode::kOk);
-      auto expected = db_->RangeQuery(it->second.first, it->second.second);
+      auto expected = Range(db_.get(), it->second.first, it->second.second);
       ASSERT_TRUE(expected.ok());
       ASSERT_EQ(reply.results.size(), 1u);
       ASSERT_EQ(reply.results[0].matches.size(), expected->size());
@@ -1397,7 +1471,7 @@ TEST_F(ServerTest, FrameSplitAcrossManySendsDecodes) {
     ::close(fd);
     EXPECT_EQ(replies[0].id, 77u);
     EXPECT_EQ(replies[0].code, ReplyCode::kOk);
-    auto expected = db_->RangeQuery(query, 3.0);
+    auto expected = Range(db_.get(), query, 3.0);
     ASSERT_TRUE(expected.ok());
     ASSERT_EQ(replies[0].results.size(), 1u);
     EXPECT_EQ(replies[0].results[0].matches.size(), expected->size());

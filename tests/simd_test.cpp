@@ -31,6 +31,7 @@ namespace {
 
 using simd::KernelTable;
 using simd::Level;
+using testing::Knn;
 using testing::TempDir;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -358,7 +359,7 @@ TEST_F(ApproxKnnTest, ExactKnnBitIdenticalAcrossDispatchLevels) {
     std::vector<std::vector<Match>> per_level;
     for (Level level : SupportedLevels()) {
       ASSERT_TRUE(simd::SetLevelForTesting(level));
-      auto knn = db->Knn(query, 10);
+      auto knn = Knn(db.get(), query, 10);
       ASSERT_TRUE(knn.ok()) << knn.status().ToString();
       per_level.push_back(std::move(*knn));
     }
@@ -380,15 +381,16 @@ TEST_F(ApproxKnnTest, EpsilonZeroBitIdenticalToExact) {
   Rng rng(0x58);
   for (int q = 0; q < 3; ++q) {
     const RealVec query = workload::RandomWalkSeries(&rng, 64, {});
-    auto exact = db->Knn(query, 10);
+    QueryStats exact_stats;
+    auto exact = Knn(db.get(), query, 10, {}, {}, &exact_stats);
     ASSERT_TRUE(exact.ok());
-    const QueryStats exact_stats = db->last_stats();
     // Probe budget high enough to never fire + epsilon 0: the stop rule
     // multiplies bounds by exactly 1.0, so every comparison — and thus
     // every answer bit — matches the default-options run.
     KnnOptions options;
     options.probe_budget = 100000;
-    auto approx = db->Knn(query, 10, {}, options);
+    QueryStats stats;
+    auto approx = Knn(db.get(), query, 10, {}, options, &stats);
     ASSERT_TRUE(approx.ok());
     ASSERT_EQ(approx->size(), exact->size());
     for (size_t i = 0; i < exact->size(); ++i) {
@@ -396,7 +398,6 @@ TEST_F(ApproxKnnTest, EpsilonZeroBitIdenticalToExact) {
       EXPECT_EQ(Bits((*approx)[i].distance), Bits((*exact)[i].distance))
           << "rank " << i;
     }
-    const QueryStats& stats = db->last_stats();
     EXPECT_EQ(stats.candidates, exact_stats.candidates);
     EXPECT_EQ(stats.max_error, 0.0);
     EXPECT_TRUE(stats.approx);       // non-default options were in effect
@@ -411,14 +412,14 @@ TEST_F(ApproxKnnTest, EpsilonBoundsReportedAndTrueError) {
   for (double epsilon : {0.05, 0.2, 1.0}) {
     for (int q = 0; q < 3; ++q) {
       const RealVec query = workload::RandomWalkSeries(&rng, 64, {});
-      auto exact = db->Knn(query, k);
+      auto exact = Knn(db.get(), query, k);
       ASSERT_TRUE(exact.ok());
       KnnOptions options;
       options.epsilon = epsilon;
-      auto approx = db->Knn(query, k, {}, options);
+      QueryStats stats;
+      auto approx = Knn(db.get(), query, k, {}, options, &stats);
       ASSERT_TRUE(approx.ok());
       ASSERT_EQ(approx->size(), k);
-      const QueryStats& stats = db->last_stats();
       EXPECT_TRUE(stats.approx);
       // The a-priori guarantee, both as reported and against the truth:
       // reported error within epsilon, and the k-th reported distance
@@ -446,9 +447,9 @@ TEST_F(ApproxKnnTest, ProbeBudgetCapsVerificationWork) {
   const RealVec query = workload::RandomWalkSeries(&rng, 64, {});
   KnnOptions options;
   options.probe_budget = 20;
-  auto approx = db->Knn(query, 10, {}, options);
+  QueryStats stats;
+  auto approx = Knn(db.get(), query, 10, {}, options, &stats);
   ASSERT_TRUE(approx.ok());
-  const QueryStats& stats = db->last_stats();
   EXPECT_LE(stats.candidates, 20u);
   EXPECT_EQ(approx->size(), 10u);  // budget > k: still a full answer set
   EXPECT_TRUE(stats.approx);
@@ -456,11 +457,11 @@ TEST_F(ApproxKnnTest, ProbeBudgetCapsVerificationWork) {
   // ranks make any finite error bound unsound: max_error must be
   // infinite, never a false 0.
   options.probe_budget = 4;
-  approx = db->Knn(query, 10, {}, options);
+  approx = Knn(db.get(), query, 10, {}, options, &stats);
   ASSERT_TRUE(approx.ok());
   EXPECT_EQ(approx->size(), 4u);
-  EXPECT_LE(db->last_stats().candidates, 4u);
-  EXPECT_TRUE(std::isinf(db->last_stats().max_error));
+  EXPECT_LE(stats.candidates, 4u);
+  EXPECT_TRUE(std::isinf(stats.max_error));
 }
 
 TEST_F(ApproxKnnTest, FirstLeafHeuristicStopsAfterKVerified) {
@@ -469,17 +470,16 @@ TEST_F(ApproxKnnTest, FirstLeafHeuristicStopsAfterKVerified) {
   const RealVec query = workload::RandomWalkSeries(&rng, 64, {});
   KnnOptions options;
   options.stop_after_first_leaf = true;
-  auto approx = db->Knn(query, 10, {}, options);
+  QueryStats stats;
+  auto approx = Knn(db.get(), query, 10, {}, options, &stats);
   ASSERT_TRUE(approx.ok());
   EXPECT_EQ(approx->size(), 10u);
-  // Copy: last_stats() is reset by the exact query below.
-  const QueryStats stats = db->last_stats();
   // Stops at the first emission after the 10th verification.
   EXPECT_EQ(stats.candidates, 10u);
   EXPECT_TRUE(stats.approx);
   EXPECT_GE(stats.max_error, 0.0);
   // The observed error against the truth matches what was reported.
-  auto exact = db->Knn(query, 10);
+  auto exact = Knn(db.get(), query, 10);
   ASSERT_TRUE(exact.ok());
   EXPECT_LE((*approx)[9].distance,
             (1.0 + stats.max_error) * (*exact)[9].distance + 1e-9);
@@ -489,8 +489,9 @@ TEST_F(ApproxKnnTest, NegativeEpsilonRejected) {
   auto db = MakeDb(20, 32);
   KnnOptions options;
   options.epsilon = -0.5;
-  EXPECT_TRUE(
-      db->Knn(RealVec(32, 0.0), 3, {}, options).status().IsInvalidArgument());
+  EXPECT_TRUE(Knn(db.get(), RealVec(32, 0.0), 3, {}, options)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST_F(ApproxKnnTest, ApproxOptionsThroughBatchEngine) {

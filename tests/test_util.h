@@ -9,9 +9,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "core/database.h"
 #include "dft/complex_vec.h"
 #include "gtest/gtest.h"
 #include "spatial/point.h"
@@ -84,6 +86,48 @@ inline spatial::Rect RandomRect(Rng* rng, size_t dims, double lo = -100.0,
     if (a[d] > b[d]) std::swap(a[d], b[d]);
   }
   return spatial::Rect(std::move(a), std::move(b));
+}
+
+/// One query asked the way every single query is: a one-element
+/// Database::RunBatch unwrapped by engine::SingleResult, so a per-query
+/// failure (results[0].status) is the Result's status. `stats`, when
+/// non-null, receives results[0].stats.
+inline Result<std::vector<Match>> RunOne(Database* db,
+                                         engine::BatchQuery query,
+                                         QueryStats* stats = nullptr) {
+  TSQ_ASSIGN_OR_RETURN(engine::BatchResult result,
+                       engine::SingleResult(db->RunBatch({std::move(query)})));
+  if (stats != nullptr) *stats = result.stats;
+  return std::move(result.matches);
+}
+
+/// Indexed range query (Algorithm 2) through RunOne.
+inline Result<std::vector<Match>> Range(Database* db, const RealVec& query,
+                                        double epsilon,
+                                        const QuerySpec& spec = {},
+                                        QueryStats* stats = nullptr) {
+  return RunOne(db, engine::BatchQuery::Range(query, epsilon, spec), stats);
+}
+
+/// Indexed kNN query through RunOne.
+inline Result<std::vector<Match>> Knn(Database* db, const RealVec& query,
+                                      size_t k, const QuerySpec& spec = {},
+                                      const KnnOptions& options = {},
+                                      QueryStats* stats = nullptr) {
+  return RunOne(db, engine::BatchQuery::Knn(query, k, spec, options), stats);
+}
+
+/// The sequential-scan oracle indexed answers are checked against:
+/// SeqScanRangeQuery over `db`'s relation (needs no index).
+inline Result<std::vector<Match>> Scan(Database* db, const RealVec& query,
+                                       double epsilon,
+                                       const QuerySpec& spec = {},
+                                       bool early_abandon = true) {
+  std::vector<Match> out;
+  TSQ_RETURN_IF_ERROR(SeqScanRangeQuery(*db->relation(), db->extractor(),
+                                        query, epsilon, spec, early_abandon,
+                                        &out, /*stats=*/nullptr));
+  return out;
 }
 
 /// EXPECT helper: complex vectors elementwise close.

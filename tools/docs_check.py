@@ -12,7 +12,10 @@ Four classes of failure:
    R*-tree fold-in from the ingest path. Header comment blocks and the
    README must not still describe the old contract. The patterns below
    are the phrases that described it; any hit is a failure with the
-   offending file:line printed.
+   offending file:line printed. Likewise the query API that was folded
+   into Database::RunBatch and Database::SelfJoin (the single-query
+   methods, their shared last-query stats and the sequential tree-match
+   join) must not be named in the README, docs/ or src/ headers.
 
 3. Required sections: load-bearing doc sections that later PRs link to
    (the kernel determinism contract, the wire-protocol extension rule,
@@ -51,6 +54,17 @@ STALE_PATTERNS = [
     r"brief\s+exclusive\s+lock",
     r"index_mutex_",
     r"fold[s]?\s+new\s+points\s+into\s+the\s+live\s+(R\*?-?)?tree",
+]
+
+# Names of the removed query API (see check 2). Checked against
+# README.md, docs/*.md and every header under src/. Case-sensitive, and
+# anchored so SeqScanRangeQuery / IndexRangeQuery / Client::Knn pass.
+STALE_API_PATTERNS = [
+    r"last_stats",
+    r"ParallelSelfJoin",
+    r"\bScanRangeQuery",
+    r"TreeMatchSelfJoin",
+    r"\bRangeQuery\(",
 ]
 
 SKIP_DIRS = {".git", "build", "build-tsan", "third_party", ".github",
@@ -155,9 +169,8 @@ def check_links(md_files):
     return problems
 
 
-def check_stale_prose(files):
+def check_stale_prose(files, regexes, what):
     problems = []
-    regexes = [re.compile(p, re.IGNORECASE) for p in STALE_PATTERNS]
     for path in files:
         with open(path, encoding="utf-8", errors="replace") as f:
             text = f.read()
@@ -174,7 +187,7 @@ def check_stale_prose(files):
                         lineno = i
                         break
                 problems.append(
-                    f"{path}:{lineno}: stale pre-v4 contract prose "
+                    f"{path}:{lineno}: stale {what} "
                     f"matches /{rx.pattern}/")
     return problems
 
@@ -241,8 +254,18 @@ def main():
                if os.sep + "src" + os.sep in p]
     readme = os.path.join(REPO, "README.md")
     prose_files = headers + ([readme] if os.path.exists(readme) else [])
+    docs = [p for p in md_files
+            if os.path.dirname(p) == os.path.join(REPO, "docs")]
 
-    problems = (check_links(md_files) + check_stale_prose(prose_files) +
+    problems = (check_links(md_files) +
+                check_stale_prose(
+                    prose_files,
+                    [re.compile(p, re.IGNORECASE) for p in STALE_PATTERNS],
+                    "pre-v4 contract prose") +
+                check_stale_prose(
+                    prose_files + docs,
+                    [re.compile(p) for p in STALE_API_PATTERNS],
+                    "removed query API") +
                 check_required_sections() + check_source_doc_refs(md_files))
     if problems:
         print(f"docs-check: {len(problems)} problem(s)")

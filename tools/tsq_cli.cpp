@@ -382,13 +382,14 @@ int CmdRange(const Args& args) {
   if (args.GetOr("mode", "both") == "data") {
     spec.mode = TransformMode::kDataOnly;
   }
-  auto matches = (*db)->RangeQuery(query->values, std::stod(eps), spec);
-  if (!matches.ok()) return Fail(matches.status());
-  std::printf("%zu matches:\n", matches->size());
-  for (const Match& m : *matches) {
+  auto result = engine::SingleResult((*db)->RunBatch(
+      {engine::BatchQuery::Range(query->values, std::stod(eps), spec)}));
+  if (!result.ok()) return Fail(result.status());
+  std::printf("%zu matches:\n", result->matches.size());
+  for (const Match& m : result->matches) {
     std::printf("  %-16s %.6f\n", m.name.c_str(), m.distance);
   }
-  const QueryStats& stats = (*db)->last_stats();
+  const QueryStats& stats = result->stats;
   std::printf("(%llu candidates, %llu node accesses, %.3f ms)\n",
               static_cast<unsigned long long>(stats.candidates),
               static_cast<unsigned long long>(stats.nodes_visited),
@@ -419,13 +420,15 @@ int CmdKnn(const Args& args) {
   knn_options.epsilon = std::stod(args.GetOr("epsilon", "0"));
   knn_options.probe_budget = std::stoull(args.GetOr("probes", "0"));
   knn_options.stop_after_first_leaf = args.GetOr("first-leaf", "0") == "1";
-  auto matches = (*db)->Knn(query->values, k, spec, knn_options);
-  if (!matches.ok()) return Fail(matches.status());
-  std::printf("%zu nearest neighbors of %s:\n", matches->size(), series_name);
-  for (const Match& m : *matches) {
+  auto result = engine::SingleResult((*db)->RunBatch(
+      {engine::BatchQuery::Knn(query->values, k, spec, knn_options)}));
+  if (!result.ok()) return Fail(result.status());
+  std::printf("%zu nearest neighbors of %s:\n", result->matches.size(),
+              series_name);
+  for (const Match& m : result->matches) {
     std::printf("  %-16s %.6f\n", m.name.c_str(), m.distance);
   }
-  const QueryStats& qs = (*db)->last_stats();
+  const QueryStats& qs = result->stats;
   std::printf("visited %llu, pruned %llu",
               static_cast<unsigned long long>(qs.candidates),
               static_cast<unsigned long long>(qs.pruned));
@@ -468,7 +471,8 @@ int CmdJoin(const Args& args) {
     return Usage();
   }
 
-  auto pairs = (*db)->SelfJoin(std::stod(eps), method, transform);
+  QueryStats stats;
+  auto pairs = (*db)->SelfJoin(std::stod(eps), method, transform, &stats);
   if (!pairs.ok()) return Fail(pairs.status());
   std::printf("%zu pairs (method %s):\n", pairs->size(), method_name.c_str());
   size_t shown = 0;
@@ -484,7 +488,7 @@ int CmdJoin(const Args& args) {
       break;
     }
   }
-  std::printf("(%.3f ms)\n", (*db)->last_stats().elapsed_ms);
+  std::printf("(%.3f ms)\n", stats.elapsed_ms);
   return 0;
 }
 
