@@ -17,6 +17,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
 #include "storage/relation.h"
+#include "storage/serde.h"
 #include "workload/random_walk.h"
 
 namespace tsq {
@@ -141,6 +142,20 @@ void BM_RelationGet(benchmark::State& state) {
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_RelationGet)->Arg(128)->Arg(1024);
+
+// The record and wire-frame checksum alone, at a wire frame's size, a
+// 128-point record's payload (about 3 KiB) and a large scan buffer.
+void BM_Crc32(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(7);
+  serde::Buffer bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.NextU64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serde::Crc32(bytes));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(3 << 10)->Arg(256 << 10);
 
 void BM_NodeSerializeDeserialize(benchmark::State& state) {
   const size_t dims = static_cast<size_t>(state.range(0));

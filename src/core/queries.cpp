@@ -9,6 +9,7 @@
 #include "common/stopwatch.h"
 #include "core/search_rect.h"
 #include "obs/trace.h"
+#include "simd/simd.h"
 
 namespace tsq {
 
@@ -98,6 +99,53 @@ void AppendDeltaRangeCandidates(const IndexView& view,
   }
 }
 
+/// Where a range or join refine may abandon a candidate's sum: a limit
+/// such that every sum above it fails the accept test
+/// `std::sqrt(sum) <= epsilon`. Sums up to a few ulps above epsilon^2
+/// still have roots that round to epsilon, so the walk steps past them;
+/// a correctly rounded sqrt is monotone, so once the next double's root
+/// fails the test, every larger sum's root fails it too.
+double RangeAbandonLimit(double epsilon) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double limit = epsilon * epsilon;
+  while (limit < kInf && std::sqrt(std::nextafter(limit, kInf)) <= epsilon) {
+    limit = std::nextafter(limit, kInf);
+  }
+  return limit;
+}
+
+/// Step 3's distance for one fetched candidate, shared by every indexed
+/// refine loop (range, kNN, join): D^2(T(x), target), the transform
+/// applied into scratch the refiner reuses, summed by the early-abandoning
+/// kernel. Returns the full kernel's sum (its sqrt is VerifyDistance, bit
+/// for bit) when that is <= limit, else some value > limit (simd.h). A
+/// caller's accept test therefore decides as on the full sum whenever
+/// every sum above `limit` fails it.
+class Refiner {
+ public:
+  explicit Refiner(const std::optional<FeatureTransform>& transform)
+      : transform_(transform.has_value() ? &transform->spectral : nullptr) {}
+
+  double DistanceSquared(const ComplexVec& spectrum, const ComplexVec& target,
+                         double limit) {
+    const ComplexVec* x = &spectrum;
+    if (transform_ != nullptr) {
+      transform_->ApplyInto(spectrum, &scratch_);
+      x = &scratch_;
+    }
+    TSQ_CHECK_MSG(x->size() == target.size(),
+                  "refine: size mismatch %zu vs %zu", x->size(),
+                  target.size());
+    return simd::SumSquaredDiffEarlyAbandon(cvec::AsDoubles(*x),
+                                            cvec::AsDoubles(target),
+                                            2 * target.size(), limit);
+  }
+
+ private:
+  const LinearTransform* transform_;
+  ComplexVec scratch_;
+};
+
 }  // namespace
 
 Result<PreparedQuery> PrepareQuery(const IndexView& view, const RealVec& query,
@@ -157,21 +205,14 @@ Status RangeSearchCandidates(const IndexView& view,
   return Status::OK();
 }
 
-double VerifyDistanceSquared(const ComplexVec& data_spectrum,
-                             const std::optional<FeatureTransform>& transform,
-                             const ComplexVec& query_target) {
-  if (transform.has_value()) {
-    return cvec::DistanceSquared(transform->spectral.Apply(data_spectrum),
-                                 query_target);
-  }
-  return cvec::DistanceSquared(data_spectrum, query_target);
-}
-
 double VerifyDistance(const ComplexVec& data_spectrum,
                       const std::optional<FeatureTransform>& transform,
                       const ComplexVec& query_target) {
-  return std::sqrt(
-      VerifyDistanceSquared(data_spectrum, transform, query_target));
+  if (transform.has_value()) {
+    return cvec::Distance(transform->spectral.Apply(data_spectrum),
+                          query_target);
+  }
+  return cvec::Distance(data_spectrum, query_target);
 }
 
 Status VerifyRangeCandidates(const Relation& relation,
@@ -181,11 +222,13 @@ Status VerifyRangeCandidates(const Relation& relation,
                              std::vector<Match>* out, QueryStats* stats) {
   TSQ_CHECK(out != nullptr);
   obs::StageTimer span(obs::Stage::kRefine);
+  Refiner refiner(spec.transform);
+  const double limit = RangeAbandonLimit(epsilon);
   for (const SeriesId id : candidates) {
     TSQ_ASSIGN_OR_RETURN(SeriesRecord rec, relation.Get(id));
     if (stats != nullptr) ++stats->verified;
-    const double d =
-        VerifyDistance(rec.dft, spec.transform, prepared.full_spectrum);
+    const double d = std::sqrt(
+        refiner.DistanceSquared(rec.dft, prepared.full_spectrum, limit));
     if (d <= epsilon) {
       out->push_back(Match{id, std::move(rec.name), d});
     }
@@ -262,8 +305,8 @@ Status IndexKnnQuery(const IndexView& view, const Relation& relation,
   // k-th verified distance, no better answer can exist (the lower bound is
   // admissible w.r.t. the full-length distance). Everything runs in
   // SQUARED space — bounds arrive squared from the stream, candidates are
-  // verified with VerifyDistanceSquared against a squared cutoff, and the
-  // one sqrt per answer happens at materialization. sqrt is monotone, so
+  // verified against a squared cutoff (abandoning at it), and the one
+  // sqrt per answer happens at materialization. sqrt is monotone, so
   // every comparison decides exactly as its sqrt'ed counterpart.
   //
   // Approximation (KnnOptions) relaxes the stop rule: with tolerance
@@ -283,6 +326,7 @@ Status IndexKnnQuery(const IndexView& view, const Relation& relation,
     }
   };
   std::vector<Verified> best;  // kept as a max-heap on squared distance
+  Refiner refiner(spec.transform);
   auto heap_cmp = [](const Verified& a, const Verified& b) { return a < b; };
 
   const double relax = (1.0 + options.epsilon) * (1.0 + options.epsilon);
@@ -316,8 +360,13 @@ Status IndexKnnQuery(const IndexView& view, const Relation& relation,
       inner_status = rec.status();
       return false;
     }
-    const double d_sq = VerifyDistanceSquared(rec->dft, spec.transform,
-                                              prepared.full_spectrum);
+    // Abandon at the current k-th best: a candidate whose sum exceeds it
+    // fails `d_sq < best.front().dist_sq` either way.
+    const double limit = best.size() < k
+                             ? std::numeric_limits<double>::infinity()
+                             : best.front().dist_sq;
+    const double d_sq =
+        refiner.DistanceSquared(rec->dft, prepared.full_spectrum, limit);
     if (best.size() < k) {
       best.push_back(Verified{d_sq, id, std::move(rec->name)});
       std::push_heap(best.begin(), best.end(), heap_cmp);
@@ -461,6 +510,8 @@ Status IndexSelfJoin(const IndexView& view, const Relation& relation,
   // the view was taken are invisible to it, keeping the join closed over
   // one consistent set of series under concurrent ingest.
   const uint64_t n = view.total_series();
+  Refiner refiner(transform);
+  const double limit = RangeAbandonLimit(epsilon);
   for (SeriesId qid = 0; qid < n; ++qid) {
     std::vector<SeriesId> candidates;
     ComplexVec target;
@@ -496,7 +547,8 @@ Status IndexSelfJoin(const IndexView& view, const Relation& relation,
       if (cid == qid) continue;
       TSQ_ASSIGN_OR_RETURN(SeriesRecord crec, relation.Get(cid));
       if (stats != nullptr) ++stats->verified;
-      const double d = VerifyDistance(crec.dft, transform, target);
+      const double d =
+          std::sqrt(refiner.DistanceSquared(crec.dft, target, limit));
       if (d <= epsilon) {
         out->push_back(JoinPair{qid, cid, d});
       }

@@ -217,20 +217,19 @@ Status RangeSearchCandidates(const IndexView& index,
 
 /// Step 3 kernel — the full-length verification distance
 /// D(T(X_data), Q_target) (Parseval: computed in the frequency domain).
+/// The reference for every indexed refine: the range, kNN and join
+/// refines abandon a candidate's sum early, but each answer they return
+/// carries exactly this distance, bit for bit.
 double VerifyDistance(const ComplexVec& data_spectrum,
                       const std::optional<FeatureTransform>& transform,
                       const ComplexVec& query_target);
 
-/// Squared form of VerifyDistance — the kNN refine compares candidates
-/// against a squared cutoff and takes one sqrt per materialized answer,
-/// not one per candidate (VerifyDistance is exactly the sqrt of this).
-double VerifyDistanceSquared(const ComplexVec& data_spectrum,
-                             const std::optional<FeatureTransform>& transform,
-                             const ComplexVec& query_target);
-
 /// Step 3 — postprocessing: fetches every candidate record and appends the
 /// ones within `epsilon` to `out` (unsorted; callers order the final
 /// answer set). Bumps stats->verified per fetched record when given.
+/// A candidate's sum is abandoned once it provably fails the accept test
+/// `d <= epsilon`, which is applied unchanged, so the answers and their
+/// distances are those of VerifyDistance over every candidate.
 Status VerifyRangeCandidates(const Relation& relation,
                              const std::vector<SeriesId>& candidates,
                              const PreparedQuery& prepared,
@@ -255,7 +254,9 @@ Status IndexRangeQuery(const IndexView& index, const Relation& relation,
 /// k-nearest-neighbor query via the index (optimal multi-step). With
 /// non-default `options` the search may stop before the exactness proof
 /// completes; QueryStats reports the observed (candidates, pruned,
-/// max_error) triple so recall is measurable.
+/// max_error) triple so recall is measurable. Each candidate's sum is
+/// abandoned once it exceeds the current k-th best, which it could not
+/// have replaced; answers and distances are unchanged by the abandon.
 Status IndexKnnQuery(const IndexView& index, const Relation& relation,
                      const RealVec& query, size_t k, const QuerySpec& spec,
                      const KnnOptions& options, std::vector<Match>* out,
@@ -269,7 +270,7 @@ Status IndexKnnQuery(const IndexView& index, const Relation& relation,
 /// All-pairs self-join via the index: for every stored series, a range
 /// query against the (transformed) index — the paper's methods c (no
 /// transformation) and d (with transformation). Emits ordered pairs
-/// (a, b), a != b.
+/// (a, b), a != b. The refine abandons as VerifyRangeCandidates does.
 Status IndexSelfJoin(const IndexView& index, const Relation& relation,
                      double epsilon,
                      const std::optional<FeatureTransform>& transform,

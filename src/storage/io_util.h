@@ -21,30 +21,38 @@
 
 namespace tsq {
 
-/// Positioned read of exactly `count` bytes; retries partial reads and
-/// EINTR. False on error or EOF before `count` bytes arrived.
-inline bool PreadExact(int fd, void* buf, size_t count, uint64_t offset) {
+/// Positioned read of up to `count` bytes; retries partial reads and
+/// EINTR, and stops early only at end of file. Returns the bytes read
+/// (fewer than `count` exactly when the file ends inside the range), or
+/// -1 on error.
+inline ssize_t PreadUpTo(int fd, void* buf, size_t count, uint64_t offset) {
   static failpoint::Site* fp = failpoint::Register("io_pread");
   if (fp->armed()) {
     const failpoint::Decision d = failpoint::Evaluate(fp, offset);
     if (d.fire()) {  // every fault action reads as a failed pread
       errno = d.error_errno != 0 ? d.error_errno : EIO;
-      return false;
+      return -1;
     }
   }
   uint8_t* cursor = static_cast<uint8_t*>(buf);
-  while (count > 0) {
-    const ssize_t n = ::pread(fd, cursor, count, static_cast<off_t>(offset));
+  size_t done = 0;
+  while (done < count) {
+    const ssize_t n = ::pread(fd, cursor + done, count - done,
+                              static_cast<off_t>(offset + done));
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      return -1;
     }
-    if (n == 0) return false;  // EOF before the range ended
-    cursor += n;
-    offset += static_cast<uint64_t>(n);
-    count -= static_cast<size_t>(n);
+    if (n == 0) break;  // end of file
+    done += static_cast<size_t>(n);
   }
-  return true;
+  return static_cast<ssize_t>(done);
+}
+
+/// Positioned read of exactly `count` bytes. False on error or EOF before
+/// `count` bytes arrived.
+inline bool PreadExact(int fd, void* buf, size_t count, uint64_t offset) {
+  return PreadUpTo(fd, buf, count, offset) == static_cast<ssize_t>(count);
 }
 
 /// Positioned write of exactly `count` bytes; retries partial writes and

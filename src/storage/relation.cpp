@@ -2,6 +2,7 @@
 
 #include "storage/relation.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -57,10 +58,10 @@ serde::Buffer EncodeRecord(SeriesId id, const std::string& name,
 /// length). The single definition of "a well-formed frame" shared by the
 /// read path (ReadRecordAt) and recovery (RecoverSegment), so the two can
 /// never drift apart on what they accept.
-Status DecodeRecordHeader(const uint8_t (&header)[kRecordHeaderBytes],
-                          uint64_t offset, const std::string& path,
-                          uint32_t* crc, uint64_t* payload_len) {
-  serde::Reader reader(header, sizeof(header));
+Status DecodeRecordHeader(const uint8_t* header, uint64_t offset,
+                          const std::string& path, uint32_t* crc,
+                          uint64_t* payload_len) {
+  serde::Reader reader(header, kRecordHeaderBytes);
   uint32_t magic = 0;
   TSQ_RETURN_IF_ERROR(reader.GetU32(&magic));
   TSQ_RETURN_IF_ERROR(reader.GetU32(crc));
@@ -75,6 +76,28 @@ Status DecodeRecordHeader(const uint8_t (&header)[kRecordHeaderBytes],
                               std::to_string(offset) + " in '" + path + "'");
   }
   return Status::OK();
+}
+
+// Record reads. A read asks for the thread's previous record size plus
+// kReadSlackBytes, so records of one relation (whose sizes differ only by
+// name length) take one pread each; a thread's first read asks for
+// kInitialReadBytes. Storage grown past kMaxKeptReadBytes is released
+// when a read completes.
+constexpr uint64_t kInitialReadBytes = 4096;
+constexpr uint64_t kReadSlackBytes = 64;
+constexpr uint64_t kMaxKeptReadBytes = 1ull << 20;
+
+/// The storage a thread's record reads land in, reused across reads, and
+/// the size of its next read. Only its own thread touches it: readers
+/// share no read-path state beyond RelationStats.
+struct ReadStorage {
+  serde::Buffer bytes;
+  uint64_t read_size = kInitialReadBytes;
+};
+
+ReadStorage& ThisThreadReadStorage() {
+  thread_local ReadStorage storage;
+  return storage;
 }
 
 /// One segment's recovery walk result.
@@ -466,8 +489,19 @@ Status Relation::poison_status() const {
 
 Status Relation::ReadRecordAt(const Segment& seg, uint64_t offset,
                               SeriesRecord* out) const {
-  uint8_t header[kRecordHeaderBytes];
-  if (!PreadExact(seg.fd, header, sizeof(header), offset)) {
+  // One pread fetches header and payload together whenever the record
+  // fits the thread's read size (its previous record plus slack).
+  ReadStorage& storage = ThisThreadReadStorage();
+  serde::Buffer& bytes = storage.bytes;
+  if (bytes.size() < storage.read_size) bytes.resize(storage.read_size);
+  const ssize_t got =
+      PreadUpTo(seg.fd, bytes.data(), storage.read_size, offset);
+  if (got < 0) {
+    return Status::IOError(ErrnoMessage(
+        "read failed at offset " + std::to_string(offset) + " in", seg.path));
+  }
+  const auto have = static_cast<uint64_t>(got);
+  if (have < kRecordHeaderBytes) {
     return Status::Corruption("record header truncated at offset " +
                               std::to_string(offset) + " in '" + seg.path +
                               "'");
@@ -475,23 +509,42 @@ Status Relation::ReadRecordAt(const Segment& seg, uint64_t offset,
   uint32_t crc = 0;
   uint64_t payload_len = 0;
   TSQ_RETURN_IF_ERROR(
-      DecodeRecordHeader(header, offset, seg.path, &crc, &payload_len));
-
-  serde::Buffer payload(payload_len);
-  if (payload_len > 0 &&
-      !PreadExact(seg.fd, payload.data(), payload_len,
-                  offset + kRecordHeaderBytes)) {
-    return Status::Corruption("record payload truncated at offset " +
-                              std::to_string(offset) + " in '" + seg.path +
-                              "'");
+      DecodeRecordHeader(bytes.data(), offset, seg.path, &crc, &payload_len));
+  const uint64_t frame = kRecordHeaderBytes + payload_len;
+  if (frame > have) {
+    // A short count means the segment ended inside the record. Otherwise
+    // the record is longer than the read size: bound its claimed length
+    // by the bytes the segment holds before growing any buffer, so a
+    // hostile header cannot make a reader allocate them.
+    bool truncated = have < storage.read_size;
+    if (!truncated) {
+      struct stat st {};
+      if (::fstat(seg.fd, &st) != 0) {
+        return Status::IOError(ErrnoMessage("cannot stat", seg.path));
+      }
+      truncated = offset + frame > static_cast<uint64_t>(st.st_size);
+    }
+    if (truncated) {
+      return Status::Corruption("record of " + std::to_string(frame) +
+                                " bytes at offset " + std::to_string(offset) +
+                                " runs past the end of '" + seg.path + "'");
+    }
+    bytes.resize(frame);
+    if (!PreadExact(seg.fd, bytes.data() + have, frame - have,
+                    offset + have)) {
+      return Status::IOError(ErrnoMessage(
+          "read failed at offset " + std::to_string(offset) + " in",
+          seg.path));
+    }
   }
-  if (serde::Crc32(payload) != crc) {
+  const uint8_t* payload = bytes.data() + kRecordHeaderBytes;
+  if (serde::Crc32(payload, payload_len) != crc) {
     return Status::Corruption("record checksum mismatch at offset " +
                               std::to_string(offset) + " in '" + seg.path +
                               "'");
   }
 
-  serde::Reader reader(payload);
+  serde::Reader reader(payload, payload_len);
   uint64_t id = 0;
   TSQ_RETURN_IF_ERROR(reader.GetU64(&id));
   out->id = id;
@@ -499,8 +552,10 @@ Status Relation::ReadRecordAt(const Segment& seg, uint64_t offset,
   TSQ_RETURN_IF_ERROR(reader.GetRealVec(&out->values));
   TSQ_RETURN_IF_ERROR(reader.GetComplexVec(&out->dft));
 
+  storage.read_size = std::min(frame + kReadSlackBytes, kMaxKeptReadBytes);
+  if (bytes.size() > kMaxKeptReadBytes) serde::Buffer().swap(bytes);
   stats_.records_read += 1;
-  stats_.bytes_read += kRecordHeaderBytes + payload_len;
+  stats_.bytes_read += frame;
   return Status::OK();
 }
 

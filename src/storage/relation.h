@@ -103,7 +103,10 @@ class RecordDirectory {
 
 /// Append-only store of SeriesRecords addressed by dense SeriesId
 /// (0..size()-1), spread over `num_segments` segment files
-/// `<path>.0 .. <path>.N-1`. Records are CRC-checked on read. A record's
+/// `<path>.0 .. <path>.N-1`. Every read (Get, Scan, ScanSegment, and the
+/// Open/Repair recovery walk) verifies the record's payload CRC, and a
+/// header that claims more bytes than its segment holds returns
+/// Corruption without allocating them. A record's
 /// segment is fixed by its id (`id % num_segments`), and within a segment
 /// records are laid out in id order, so every segment file's bytes are a
 /// pure function of the record sequence — independent of which threads
@@ -118,6 +121,12 @@ class RecordDirectory {
 ///   published entry-by-entry with release stores, and size() is a dense
 ///   watermark — every id below it is fully written and flushed. No read
 ///   path takes a mutex.
+/// * One pread per record. A read fetches header and payload with a
+///   single pread into storage its thread reuses across reads, sized by
+///   that thread's previous record; only a record longer than that takes
+///   a second pread. The storage and size live in thread-local state, so
+///   concurrent readers write nothing shared except RelationStats, which
+///   counts each record's header + payload bytes, not the bytes read.
 /// * Many concurrent appenders, one active writer per segment. Append may
 ///   be called from any number of threads at once; each call reserves the
 ///   next dense id, then appends under its segment's mutex. Batch ingest

@@ -2,6 +2,7 @@
 
 #include "storage/serde.h"
 
+#include <array>
 #include <bit>
 #include <cstring>
 
@@ -88,6 +89,19 @@ Status Reader::GetDouble(double* out) {
   return Status::OK();
 }
 
+void Reader::GetDoubles(double* out, size_t n) {
+  if constexpr (std::endian::native == std::endian::little) {
+    // The wire order is the host order: one bulk copy, bit for bit.
+    if (n > 0) std::memcpy(out, data_ + pos_, n * sizeof(double));
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t bits = GetFixed<uint64_t>(data_ + pos_ + 8 * i);
+      out[i] = std::bit_cast<double>(bits);
+    }
+  }
+  pos_ += n * sizeof(double);
+}
+
 Status Reader::GetString(std::string* out) {
   uint32_t len = 0;
   TSQ_RETURN_IF_ERROR(GetU32(&len));
@@ -109,9 +123,7 @@ Status Reader::GetRealVec(RealVec* out) {
                               std::to_string(remaining()) + " bytes");
   }
   out->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    TSQ_RETURN_IF_ERROR(GetDouble(&(*out)[i]));
-  }
+  GetDoubles(out->data(), n);
   return Status::OK();
 }
 
@@ -124,39 +136,58 @@ Status Reader::GetComplexVec(ComplexVec* out) {
                               std::to_string(remaining()) + " bytes");
   }
   out->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    double re = 0.0;
-    double im = 0.0;
-    TSQ_RETURN_IF_ERROR(GetDouble(&re));
-    TSQ_RETURN_IF_ERROR(GetDouble(&im));
-    (*out)[i] = Complex(re, im);
-  }
+  static_assert(sizeof(Complex) == 2 * sizeof(double),
+                "std::complex<double> must be two packed doubles");
+  // The array-oriented access rule for std::complex makes its storage
+  // an array of (re, im) doubles, the order the encoder wrote them in.
+  GetDoubles(reinterpret_cast<double*>(out->data()), 2 * n);
   return Status::OK();
 }
 
 namespace {
 
-// Lazily built table for the reflected CRC-32 polynomial 0xEDB88320.
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-      }
-      entries[i] = c;
+// Slicing-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320.
+// kCrcTables[0] is the classic byte-at-a-time table; kCrcTables[k][b] is
+// kCrcTables[0][b] advanced through k more zero bytes, so one step folds
+// eight input bytes with eight independent lookups instead of eight
+// dependent ones. Built at compile time.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    t[0][i] = c;
+  }
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < 8; ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
     }
   }
-};
+  return t;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
 
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, size_t size) {
-  static const Crc32Table table;
+  const CrcTables& t = kCrcTables;
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table.entries[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    // Little-endian loads regardless of the host: the first input byte
+    // is the low byte of `lo`, as the byte-at-a-time loop consumes it.
+    const uint32_t lo = GetFixed<uint32_t>(data) ^ crc;
+    const uint32_t hi = GetFixed<uint32_t>(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

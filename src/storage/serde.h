@@ -57,6 +57,9 @@ void PutComplexVec(Buffer* buf, const ComplexVec& v);
 
 /// Sequential decoder over a byte span. All Get* methods return
 /// Status::Corruption when the remaining bytes are insufficient.
+/// GetRealVec/GetComplexVec check the element count against the
+/// remaining bytes before resizing, then copy the elements in bulk; every
+/// bit pattern (-0.0, denormals, NaN payloads) decodes unchanged.
 class Reader {
  public:
   Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
@@ -74,14 +77,19 @@ class Reader {
 
  private:
   Status Need(size_t n);
+  /// Copies n doubles the caller has already bounds-checked.
+  void GetDoubles(double* out, size_t n);
 
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;
 };
 
-/// CRC-32 (polynomial 0xEDB88320, the zlib polynomial) over a byte span.
-/// Used as the record integrity check in the heap file.
+/// CRC-32 (reflected polynomial 0xEDB88320, the zlib CRC) over a byte
+/// span: the integrity check of every relation record and wire frame.
+/// Computed eight bytes per step (slicing-by-8); the value is the same
+/// as the byte-at-a-time definition's for every input, so files and
+/// frames written by any version verify under any other.
 uint32_t Crc32(const uint8_t* data, size_t size);
 uint32_t Crc32(const Buffer& buf);
 

@@ -22,11 +22,16 @@ LinearTransform LinearTransform::Identity(size_t n) {
 }
 
 ComplexVec LinearTransform::Apply(const ComplexVec& x) const {
+  ComplexVec out;
+  ApplyInto(x, &out);
+  return out;
+}
+
+void LinearTransform::ApplyInto(const ComplexVec& x, ComplexVec* out) const {
   TSQ_CHECK_MSG(x.size() == size(), "Apply: length %zu != transform %zu",
                 x.size(), size());
-  ComplexVec out(x.size());
-  for (size_t f = 0; f < x.size(); ++f) out[f] = a_[f] * x[f] + b_[f];
-  return out;
+  out->resize(x.size());
+  for (size_t f = 0; f < x.size(); ++f) (*out)[f] = a_[f] * x[f] + b_[f];
 }
 
 ComplexVec LinearTransform::ApplyPrefix(const ComplexVec& x, size_t k) const {

@@ -54,6 +54,12 @@ class LinearTransform {
   /// Requires x.size() == size().
   ComplexVec Apply(const ComplexVec& x) const;
 
+  /// Apply into caller-owned storage (resized to x.size()), so a loop can
+  /// reuse one vector. Apply is this plus the allocation: the two share
+  /// one loop, so an FMA-contracting -march build cannot round them
+  /// differently.
+  void ApplyInto(const ComplexVec& x, ComplexVec* out) const;
+
   /// Applies to only the first k coefficients of x (the k-index case,
   /// Algorithm 2 step 1a). Requires k <= size() and k <= x.size().
   ComplexVec ApplyPrefix(const ComplexVec& x, size_t k) const;

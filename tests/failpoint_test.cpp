@@ -383,5 +383,35 @@ TEST_F(FailpointTest, RepairOnHealthyDatabaseIsANoOp) {
   EXPECT_EQ((*db)->StatsSnapshot().repairs_completed, 0u);
 }
 
+TEST_F(FailpointTest, PreadFaultFailsEveryRecordRead) {
+  TempDir dir;
+  auto rel = Relation::Create(dir.file("rel"));
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  ASSERT_TRUE((*rel)->Append("short", RealVec(4, 1.0),
+                             ComplexVec(4, Complex(1.0, 0.0))).ok());
+  ASSERT_TRUE((*rel)->Append(std::string(4096, 'L'), RealVec(4, 2.0),
+                             ComplexVec(4, Complex(2.0, 0.0))).ok());
+
+  // Every read fails at its first (speculative) pread.
+  ASSERT_TRUE(failpoint::Configure("io_pread", "error").ok());
+  EXPECT_FALSE((*rel)->Get(0).ok());
+  EXPECT_FALSE((*rel)->Get(1).ok());
+  EXPECT_FALSE((*rel)->Scan([](const SeriesRecord&) { return true; }).ok());
+
+  // A record longer than the read size fails at its second pread too:
+  // after reading the short record, the long one's first pread passes
+  // and the one for its remaining bytes fires.
+  failpoint::Clear("io_pread");
+  ASSERT_TRUE((*rel)->Get(0).ok());
+  ASSERT_TRUE(failpoint::Configure("io_pread", "error:skip=1").ok());
+  const uint64_t hits = failpoint::HitCount("io_pread");
+  const Status second = (*rel)->Get(1).status();
+  EXPECT_TRUE(second.IsIOError()) << second.ToString();
+  EXPECT_EQ(failpoint::HitCount("io_pread") - hits, 2u);
+
+  failpoint::Clear("io_pread");
+  EXPECT_EQ((*rel)->Get(1).value().name, std::string(4096, 'L'));
+}
+
 }  // namespace
 }  // namespace tsq

@@ -7,7 +7,9 @@
 // self-join methods of Table 1.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
 #include <set>
 
 #include "core/database.h"
@@ -443,6 +445,224 @@ TEST_F(DatabaseQueryTest, RangeStatsArePopulated) {
   EXPECT_GT(stats.nodes_visited, 0u);
   EXPECT_GE(stats.candidates, matches->size());
   EXPECT_EQ(stats.answers, matches->size());
+}
+
+// ---------------------------------------------------------------------------
+// Refine: the early abandon keeps every accept test
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+/// A query spec and the layout that admits it: Shift is safe only in the
+/// rectangular space (Theorem 2), the others in the paper's polar one.
+struct RefineCase {
+  std::string name;
+  QuerySpec spec;
+  FeatureLayout layout;
+};
+
+std::vector<RefineCase> RefineCases(size_t n) {
+  auto spectral = [](LinearTransform t) {
+    QuerySpec spec;
+    spec.transform = FeatureTransform::Spectral(std::move(t));
+    return spec;
+  };
+  const FeatureLayout polar = FeatureLayout::Paper();
+  return {
+      {"none", QuerySpec{}, polar},
+      {"moving_average", spectral(transforms::MovingAverage(n, 8)), polar},
+      {"difference", spectral(transforms::Difference(n)), polar},
+      {"reverse", spectral(transforms::Reverse(n)), polar},
+      {"scale", spectral(transforms::Scale(n, -1.5)), polar},
+      {"time_warp", spectral(transforms::TimeWarp(n, 2, n)), polar},
+      {"shift", spectral(transforms::Shift(n, 3.0)), FeatureLayout::Agrawal(4)},
+  };
+}
+
+/// The join's target for query series `a`: T(X_a), or X_a untransformed.
+ComplexVec JoinTarget(const SeriesRecord& a,
+                      const std::optional<FeatureTransform>& transform) {
+  return transform.has_value() ? transform->spectral.Apply(a.dft) : a.dft;
+}
+
+TEST_F(DatabaseQueryTest, RefineAnswersAndDistancesEqualVerifyDistance) {
+  // Length 60: 120 doubles per distance, so the kernel's early-abandon
+  // checkpoints end before a non-empty tail.
+  constexpr size_t kCount = 150;
+  constexpr size_t kLength = 60;
+  for (const RefineCase& c : RefineCases(kLength)) {
+    SCOPED_TRACE(c.name);
+    auto db = MakeDb(kCount, kLength, c.layout, 91);
+    std::vector<SeriesRecord> records;
+    for (SeriesId id = 0; id < kCount; ++id) {
+      records.push_back(db->Get(id).value());
+    }
+    Rng rng(92);
+    std::vector<RealVec> queries = {records[3].values, records[77].values};
+    queries.push_back(workload::RandomWalkSeries(&rng, kLength, {}));
+
+    for (const RealVec& query : queries) {
+      const PreparedQuery prepared =
+          PrepareQuery(*db->index(), query, c.spec).value();
+      // Reference: VerifyDistance of every stored series, ranked.
+      std::vector<std::pair<double, SeriesId>> ranked;
+      for (const SeriesRecord& r : records) {
+        ranked.emplace_back(VerifyDistance(r.dft, c.spec.transform,
+                                           prepared.full_spectrum),
+                            r.id);
+      }
+      std::sort(ranked.begin(), ranked.end());
+
+      // Range at a stored distance: the candidate at exactly d = epsilon
+      // is an answer, with the reference's distance bits.
+      const double eps = ranked[9].first;
+      auto range = Range(db.get(), query, eps, c.spec);
+      ASSERT_TRUE(range.ok()) << range.status().ToString();
+      std::vector<std::pair<double, SeriesId>> want;
+      for (const auto& [d, id] : ranked) {
+        if (d <= eps) want.emplace_back(d, id);
+      }
+      ASSERT_EQ(range->size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ((*range)[i].id, want[i].second);
+        EXPECT_EQ(Bits((*range)[i].distance), Bits(want[i].first));
+        EXPECT_EQ((*range)[i].name, records[want[i].second].name);
+      }
+
+      // kNN: the reference's top k, distance bits included.
+      for (const size_t k : {size_t{1}, size_t{5}}) {
+        auto knn = Knn(db.get(), query, k, c.spec);
+        ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+        ASSERT_EQ(knn->size(), k);
+        for (size_t i = 0; i < k; ++i) {
+          EXPECT_EQ((*knn)[i].id, ranked[i].second) << "k=" << k;
+          EXPECT_EQ(Bits((*knn)[i].distance), Bits(ranked[i].first))
+              << "k=" << k;
+        }
+      }
+    }
+
+    // Joins c (transform ignored) and d: every ordered pair within a
+    // stored pair distance, with the reference's distance bits.
+    for (const JoinMethod method :
+         {JoinMethod::kIndexPlain, JoinMethod::kIndexTransformed}) {
+      const std::optional<FeatureTransform> transform =
+          method == JoinMethod::kIndexPlain ? std::nullopt
+                                            : c.spec.transform;
+      std::map<std::pair<SeriesId, SeriesId>, double> all;
+      std::vector<double> distances;
+      for (const SeriesRecord& a : records) {
+        const ComplexVec target = JoinTarget(a, transform);
+        for (const SeriesRecord& b : records) {
+          if (a.id == b.id) continue;
+          const double d = VerifyDistance(b.dft, transform, target);
+          all[{a.id, b.id}] = d;
+          distances.push_back(d);
+        }
+      }
+      std::sort(distances.begin(), distances.end());
+      const double eps = distances[40];
+      auto pairs = db->SelfJoin(eps, method, c.spec.transform);
+      ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+      size_t expected = 0;
+      for (const auto& [pair, d] : all) expected += d <= eps ? 1 : 0;
+      EXPECT_EQ(pairs->size(), expected);
+      for (const JoinPair& p : *pairs) {
+        const auto it = all.find({p.first, p.second});
+        ASSERT_NE(it, all.end());
+        EXPECT_LE(it->second, eps);
+        EXPECT_EQ(Bits(p.distance), Bits(it->second));
+      }
+    }
+  }
+}
+
+TEST_F(DatabaseQueryTest, BoundaryCandidateStaysAnAnswer) {
+  // epsilon = VerifyDistance of a stored pair, plain and through Tmavg20:
+  // the pair is an answer of the range query and of the joins.
+  constexpr size_t kLength = 128;
+  auto db = MakeDb(120, kLength);
+  QuerySpec mavg;
+  mavg.transform =
+      FeatureTransform::Spectral(transforms::MovingAverage(kLength, 20));
+  const SeriesRecord a = db->Get(5).value();
+  const SeriesRecord b = db->Get(64).value();
+  for (const QuerySpec& spec : {QuerySpec{}, mavg}) {
+    const PreparedQuery prepared =
+        PrepareQuery(*db->index(), a.values, spec).value();
+    const double eps =
+        VerifyDistance(b.dft, spec.transform, prepared.full_spectrum);
+    auto range = Range(db.get(), a.values, eps, spec);
+    ASSERT_TRUE(range.ok()) << range.status().ToString();
+    bool found = false;
+    for (const Match& m : *range) {
+      if (m.id != b.id) continue;
+      found = true;
+      EXPECT_EQ(Bits(m.distance), Bits(eps));
+    }
+    EXPECT_TRUE(found) << "transform " << spec.transform.has_value();
+
+    const double join_eps = VerifyDistance(
+        b.dft, spec.transform, JoinTarget(a, spec.transform));
+    const JoinMethod method = spec.transform.has_value()
+                                  ? JoinMethod::kIndexTransformed
+                                  : JoinMethod::kIndexPlain;
+    auto pairs = db->SelfJoin(join_eps, method, spec.transform);
+    ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+    bool paired = false;
+    for (const JoinPair& p : *pairs) {
+      if (p.first != a.id || p.second != b.id) continue;
+      paired = true;
+      EXPECT_EQ(Bits(p.distance), Bits(join_eps));
+    }
+    EXPECT_TRUE(paired) << "transform " << spec.transform.has_value();
+  }
+}
+
+TEST_F(DatabaseQueryTest, ApproximateKnnKeepsAnswersAndMaxError) {
+  constexpr size_t kLength = 64;
+  auto db = MakeDb(300, kLength);
+  QuerySpec mavg;
+  mavg.transform =
+      FeatureTransform::Spectral(transforms::MovingAverage(kLength, 8));
+  Rng rng(93);
+  for (const QuerySpec& spec : {QuerySpec{}, mavg}) {
+    for (int q = 0; q < 4; ++q) {
+      const RealVec query = workload::RandomWalkSeries(&rng, kLength, {});
+      const PreparedQuery prepared =
+          PrepareQuery(*db->index(), query, spec).value();
+      std::vector<double> exact;
+      for (SeriesId id = 0; id < 300; ++id) {
+        exact.push_back(VerifyDistance(db->Get(id).value().dft,
+                                       spec.transform,
+                                       prepared.full_spectrum));
+      }
+      std::sort(exact.begin(), exact.end());
+      for (const double tolerance : {0.0, 0.25, 1.0}) {
+        KnnOptions options;
+        options.epsilon = tolerance;
+        QueryStats stats;
+        auto knn = Knn(db.get(), query, 5, spec, options, &stats);
+        ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+        ASSERT_EQ(knn->size(), 5u);
+        EXPECT_LE(stats.max_error, tolerance);
+        for (size_t i = 0; i < 5; ++i) {
+          const Match& m = (*knn)[i];
+          // Every reported distance is its series' exact distance, and
+          // within (1 + max_error) of the true distance at its rank.
+          EXPECT_EQ(Bits(m.distance),
+                    Bits(VerifyDistance(db->Get(m.id).value().dft,
+                                        spec.transform,
+                                        prepared.full_spectrum)));
+          EXPECT_LE(m.distance,
+                    exact[i] * (1.0 + stats.max_error) * (1.0 + 1e-12));
+          if (tolerance == 0.0) {
+            EXPECT_EQ(Bits(m.distance), Bits(exact[i]));
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST_F(DatabaseQueryTest, InvalidQueryArguments) {

@@ -6,9 +6,13 @@
 // relation (append/get/scan, reopen, torn-tail recovery, corruption
 // detection, concurrent appenders).
 
+#include <sys/resource.h>
+
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +24,7 @@
 #include "storage/relation.h"
 #include "storage/serde.h"
 #include "test_util.h"
+#include "workload/random_walk.h"
 
 namespace tsq {
 namespace {
@@ -165,6 +170,16 @@ TEST(SerdeTest, EmptyInputFailsEveryGetter) {
   EXPECT_TRUE(reader.GetRealVec(&rv).IsCorruption());
 }
 
+/// One byte of the CRC-32 definition, a bit at a time: the independent
+/// reference the table-driven Crc32 must equal.
+uint32_t BitwiseCrc32Step(uint32_t crc, uint8_t byte) {
+  crc ^= byte;
+  for (int bit = 0; bit < 8; ++bit) {
+    crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+  }
+  return crc;
+}
+
 TEST(SerdeTest, Crc32KnownVectorAndSensitivity) {
   // The classic zlib check value.
   const std::string data = "123456789";
@@ -175,6 +190,66 @@ TEST(SerdeTest, Crc32KnownVectorAndSensitivity) {
   serde::Buffer b = {1, 2, 4};
   EXPECT_NE(serde::Crc32(a), serde::Crc32(b));
   EXPECT_EQ(serde::Crc32(serde::Buffer{}), 0u);
+
+  // Random bytes, every length 0..4200 from every start offset mod 8, so
+  // every split between eight-byte steps and the byte tail, and every
+  // alignment of the steps, is checked against the bitwise definition.
+  constexpr size_t kMaxLength = 4200;
+  Rng rng(2026);
+  serde::Buffer bytes(kMaxLength + 8);
+  for (uint8_t& byte : bytes) byte = static_cast<uint8_t>(rng.NextU64());
+  for (size_t start = 0; start < 8; ++start) {
+    uint32_t state = 0xFFFFFFFFu;
+    for (size_t length = 0; length <= kMaxLength; ++length) {
+      ASSERT_EQ(serde::Crc32(bytes.data() + start, length), ~state)
+          << "start " << start << ", length " << length;
+      state = BitwiseCrc32Step(state, bytes[start + length]);
+    }
+  }
+}
+
+TEST(SerdeTest, VectorDecodeKeepsEveryBitPattern) {
+  const uint64_t patterns[] = {
+      0x8000000000000000ull,  // -0.0
+      0x0000000000000001ull,  // smallest denormal
+      0x800FFFFFFFFFFFFFull,  // largest negative denormal
+      0x7FF8000000000000ull,  // quiet NaN
+      0xFFF80000DEADBEEFull,  // negative quiet NaN with a payload
+      0x7FF0000000000001ull,  // signaling NaN
+      0x7FF0000000000000ull,  // +inf
+      0x3FF0000000000001ull,  // 1 + ulp
+  };
+  RealVec real;
+  ComplexVec complex;
+  for (size_t i = 0; i < std::size(patterns); ++i) {
+    real.push_back(std::bit_cast<double>(patterns[i]));
+    complex.emplace_back(
+        std::bit_cast<double>(patterns[i]),
+        std::bit_cast<double>(patterns[std::size(patterns) - 1 - i]));
+  }
+  serde::Buffer buf;
+  serde::PutString(&buf, "odd");  // leaves the vectors unaligned
+  serde::PutRealVec(&buf, real);
+  serde::PutComplexVec(&buf, complex);
+
+  serde::Reader reader(buf);
+  std::string name;
+  RealVec real_back;
+  ComplexVec complex_back;
+  ASSERT_TRUE(reader.GetString(&name).ok());
+  ASSERT_TRUE(reader.GetRealVec(&real_back).ok());
+  ASSERT_TRUE(reader.GetComplexVec(&complex_back).ok());
+  EXPECT_EQ(reader.remaining(), 0u);
+  ASSERT_EQ(real_back.size(), real.size());
+  ASSERT_EQ(complex_back.size(), complex.size());
+  for (size_t i = 0; i < real.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(real_back[i]),
+              std::bit_cast<uint64_t>(real[i])) << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(complex_back[i].real()),
+              std::bit_cast<uint64_t>(complex[i].real())) << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(complex_back[i].imag()),
+              std::bit_cast<uint64_t>(complex[i].imag())) << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -910,6 +985,214 @@ TEST(RelationTest, StatsCountReadsAndWrites) {
   ASSERT_TRUE((*rel)->Get(0).ok());
   EXPECT_EQ((*rel)->stats().records_read, 1u);
   EXPECT_GT((*rel)->stats().bytes_read, 0u);
+}
+
+/// Appends `count` records of `length` random samples (and a random
+/// spectrum of the same length) named by `name(i)`; returns them in id
+/// order.
+std::vector<SeriesRecord> AppendRandomRecords(
+    Relation* rel, size_t count, size_t length, uint64_t seed,
+    const std::function<std::string(size_t)>& name) {
+  Rng rng(seed);
+  std::vector<SeriesRecord> out;
+  for (size_t i = 0; i < count; ++i) {
+    SeriesRecord rec;
+    rec.name = name(i);
+    rec.values = testing::RandomRealVec(&rng, length);
+    rec.dft = testing::RandomComplexVec(&rng, length);
+    auto id = rel->Append(rec.name, rec.values, rec.dft);
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    rec.id = id.ok() ? *id : kInvalidSeriesId;
+    out.push_back(std::move(rec));
+  }
+  return out;
+}
+
+void ExpectSameRecord(const SeriesRecord& got, const SeriesRecord& want) {
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.name, want.name);
+  EXPECT_EQ(got.values, want.values);
+  EXPECT_EQ(got.dft, want.dft);
+}
+
+TEST(RelationTest, ReadsBackRecordsLongerThanTheReadSize) {
+  TempDir dir;
+  auto rel = Relation::Create(dir.file("rel"), 2);
+  ASSERT_TRUE(rel.ok());
+  // Many 1-character names, then a 300-character one: a thread that has
+  // just read a short record reads the long one with a second pread.
+  std::vector<SeriesRecord> want = AppendRandomRecords(
+      rel->get(), 40, 8, 1, [](size_t i) {
+        return i == 33 ? std::string(300, 'L') : std::string(1, 'a');
+      });
+  ASSERT_TRUE((*rel)->Flush().ok());
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const SeriesRecord& w : want) {
+      auto got = (*rel)->Get(w.id);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectSameRecord(*got, w);
+    }
+  }
+  size_t scanned = 0;
+  ASSERT_TRUE((*rel)
+                  ->Scan([&](const SeriesRecord& got) {
+                    ExpectSameRecord(got, want[scanned++]);
+                    return true;
+                  })
+                  .ok());
+  EXPECT_EQ(scanned, want.size());
+
+  // Series of length 16 and 1,024 (about 400 B and 24 KiB records) read
+  // alternately on one thread, and each from a fresh thread: every long
+  // read follows a short one.
+  auto small = Relation::Create(dir.file("small"));
+  auto large = Relation::Create(dir.file("large"));
+  ASSERT_TRUE(small.ok());
+  ASSERT_TRUE(large.ok());
+  auto name = [](size_t i) { return "S" + std::to_string(i); };
+  const std::vector<SeriesRecord> want_small =
+      AppendRandomRecords(small->get(), 6, 16, 2, name);
+  const std::vector<SeriesRecord> want_large =
+      AppendRandomRecords(large->get(), 6, 1024, 3, name);
+  auto read_both = [&] {
+    for (size_t i = 0; i < 6; ++i) {
+      auto s = (*small)->Get(i);
+      auto l = (*large)->Get(i);
+      ASSERT_TRUE(s.ok()) << s.status().ToString();
+      ASSERT_TRUE(l.ok()) << l.status().ToString();
+      ExpectSameRecord(*s, want_small[i]);
+      ExpectSameRecord(*l, want_large[i]);
+    }
+  };
+  read_both();
+  std::thread fresh(read_both);
+  fresh.join();
+}
+
+TEST(RelationTest, PayloadDamageAfterOpenFailsEveryRead) {
+  TempDir dir;
+  const std::string path = dir.file("rel");
+  std::vector<SeriesRecord> want;
+  {
+    auto rel = Relation::Create(path);
+    ASSERT_TRUE(rel.ok());
+    want = AppendRandomRecords(rel->get(), 3, 4, 4,
+                               [](size_t) { return std::string("n"); });
+    ASSERT_TRUE((*rel)->Flush().ok());
+  }
+  auto rel = Relation::Open(path);
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  const uint64_t record_bytes = std::filesystem::file_size(path + ".0") / 3;
+  // The middle record's last payload byte, flipped under the open
+  // relation: Open verified it, every later read must verify it again.
+  FlipByteAt(path + ".0", static_cast<long>(2 * record_bytes - 1));
+  EXPECT_TRUE((*rel)->Get(1).status().IsCorruption());
+  ExpectSameRecord((*rel)->Get(0).value(), want[0]);
+  ExpectSameRecord((*rel)->Get(2).value(), want[2]);
+  size_t visited = 0;
+  const Status scan = (*rel)->Scan([&](const SeriesRecord&) {
+    ++visited;
+    return true;
+  });
+  EXPECT_TRUE(scan.IsCorruption()) << scan.ToString();
+  EXPECT_EQ(visited, 1u);
+}
+
+/// Peak resident set of this process so far, in KiB.
+long PeakRssKib() {
+  struct rusage usage {};
+  EXPECT_EQ(getrusage(RUSAGE_SELF, &usage), 0);
+  return usage.ru_maxrss;
+}
+
+/// Overwrites the payload-length field of the record frame at `offset`.
+void RewriteRecordLength(const std::string& path, uint64_t offset,
+                         uint64_t length) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(offset + 8), SEEK_SET), 0);
+  serde::Buffer field;
+  serde::PutU64(&field, length);
+  ASSERT_EQ(std::fwrite(field.data(), 1, field.size(), f), field.size());
+  std::fclose(f);
+}
+
+TEST(RelationTest, HostileRecordLengthIsNotAllocated) {
+  TempDir dir;
+  const std::string path = dir.file("rel");
+  {
+    auto rel = Relation::Create(path);
+    ASSERT_TRUE(rel.ok());
+    AppendRandomRecords(rel->get(), 16, 128, 5,
+                        [](size_t) { return std::string("h"); });
+    ASSERT_TRUE((*rel)->Flush().ok());
+  }
+  auto rel = Relation::Open(path);
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  const uint64_t record_bytes = std::filesystem::file_size(path + ".0") / 16;
+  // A 1 GiB claim on the first record (about 50 KiB of records follow,
+  // more than the read size after any record of this suite, so the read
+  // comes back full) and on the last (the read ends at the end of the
+  // segment). At most 64 MiB of the peak may come from anything else.
+  RewriteRecordLength(path + ".0", 0, 1ull << 30);
+  RewriteRecordLength(path + ".0", 15 * record_bytes, 1ull << 30);
+  const long before = PeakRssKib();
+  EXPECT_TRUE((*rel)->Get(0).status().IsCorruption());
+  EXPECT_TRUE((*rel)->Get(15).status().IsCorruption());
+  EXPECT_LT(PeakRssKib() - before, 64L << 10);
+  EXPECT_TRUE((*rel)->Get(3).ok());
+}
+
+/// Byte offset of the `index`-th record frame in a segment file, found by
+/// walking the frames' length fields from the front.
+uint64_t RecordOffset(const std::string& segment_path, size_t index) {
+  std::FILE* f = std::fopen(segment_path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return 0;
+  uint64_t offset = 0;
+  for (size_t i = 0; i < index; ++i) {
+    uint8_t field[8];
+    EXPECT_EQ(std::fseek(f, static_cast<long>(offset + 8), SEEK_SET), 0);
+    EXPECT_EQ(std::fread(field, 1, sizeof(field), f), sizeof(field));
+    serde::Reader reader(field, sizeof(field));
+    uint64_t payload_len = 0;
+    EXPECT_TRUE(reader.GetU64(&payload_len).ok());
+    offset += 16 + payload_len;
+  }
+  std::fclose(f);
+  return offset;
+}
+
+TEST(RelationTest, RefineOfADamagedRecordFailsTheQuery) {
+  TempDir dir;
+  DatabaseOptions options;
+  options.directory = dir.path();
+  options.name = "damaged";
+  auto db = Database::Create(options).value();
+  const auto data = workload::MakeRandomWalkDataset(8, 64, 32);
+  for (const TimeSeries& s : data) {
+    ASSERT_TRUE(db->Insert(s.name(), s.values()).ok());
+  }
+  ASSERT_TRUE(db->BuildIndex().ok());
+  ASSERT_TRUE(db->Flush().ok());
+
+  // Record 9's last payload byte. Querying with series 9 itself makes
+  // it a candidate of the range (distance 0) and the first record the
+  // kNN refine fetches (lower bound 0), so both must fetch it.
+  const SeriesId damaged = 9;
+  const Relation& rel = *db->relation();
+  const size_t segments = rel.num_segments();
+  const std::string segment = rel.SegmentPath(damaged % segments);
+  const uint64_t next = RecordOffset(segment, damaged / segments + 1);
+  FlipByteAt(segment, static_cast<long>(next - 1));
+
+  const RealVec& query = data[damaged].values();
+  const auto range = testing::Range(db.get(), query, 1.0);
+  EXPECT_TRUE(range.status().IsCorruption()) << range.status().ToString();
+  const auto knn = testing::Knn(db.get(), query, 1);
+  EXPECT_TRUE(knn.status().IsCorruption()) << knn.status().ToString();
+  // A query whose refine never fetches record 9 still answers.
+  EXPECT_TRUE(testing::Knn(db.get(), data[0].values(), 1).ok());
 }
 
 }  // namespace
