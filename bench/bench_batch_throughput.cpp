@@ -1,11 +1,12 @@
 // Copyright (c) 2026 The tsq Authors.
 //
 // Batch query engine throughput: queries/second for a mixed range + kNN
-// workload executed by engine::QueryEngine at 1, 2, 4 and 8 worker
-// threads, the parallel self-join, and a buffer-pool shard-count sweep.
+// workload run by Database::RunBatch with 1, 2, 4 and 8 drivers on the
+// database's pool, the parallel self-join, and a buffer-pool shard-count
+// sweep.
 // This is not a paper figure — it measures the concurrency layer tsq adds
 // on top of the paper's single-query pipeline (the index stack is shared
-// read-only across workers; answers are identical at every thread count
+// read-only across drivers; answers are identical at every thread count
 // and shard count).
 //
 // Besides the console tables, the binary drops BENCH_batch_throughput.json
@@ -37,7 +38,7 @@ bench::Json PoolCountersJson(const BufferPoolStats& stats) {
 
 void Run() {
   bench::Banner(
-      "Batch engine: queries/sec vs worker threads",
+      "Batch engine: queries/sec vs thread cap",
       "Mixed range/kNN batch over random-walk data; shared read-only "
       "index.\nExpected shape: near-linear scaling until the core count "
       "or the\nbuffer-pool miss path saturates (v3 hits are lock-free).");
@@ -89,15 +90,11 @@ void Run() {
   bench::Json thread_sweep = bench::Json::Array();
   double base_ms = 0.0;
   for (const size_t threads : {1u, 2u, 4u, 8u}) {
-    engine::QueryEngineOptions options;
-    options.threads = threads;
-    engine::QueryEngine engine(db->index(), db->relation(),
-                               /*subsequence_index=*/nullptr, options);
-    engine.RunBatch(batch);  // warm the buffer pool / page cache
+    db->RunBatch(batch, threads).value();  // warm the buffer pool
     db->index()->pool()->ResetStats();
 
     engine::BatchStats stats;
-    const auto results = engine.RunBatch(batch, &stats);
+    const auto results = db->RunBatch(batch, threads, &stats).value();
     uint64_t failures = 0;
     for (const auto& r : results) {
       if (!r.status.ok()) ++failures;
@@ -127,7 +124,7 @@ void Run() {
   std::printf("\n");
   bench::Banner(
       "Buffer-pool shard sweep: 8-thread batch wall time vs shard count",
-      "Same workload at 8 workers against databases whose pool has 1, 4 "
+      "Same workload at thread cap 8 against databases whose pool has 1, 4 "
       "and 16\nshards (and a small frame budget, so page access leaves "
       "the lock-free\nhit path often enough to exercise the miss/eviction "
       "locks). 1 shard\nreproduces the single-mutex miss path.");
@@ -145,15 +142,11 @@ void Run() {
     auto shard_db =
         bench::BuildDatabase(dir.path(), "batch_s" + std::to_string(shards),
                              data, shard_options);
-    engine::QueryEngineOptions options;
-    options.threads = 8;
-    engine::QueryEngine engine(shard_db->index(), shard_db->relation(),
-                               /*subsequence_index=*/nullptr, options);
-    engine.RunBatch(batch);  // warm-up
+    shard_db->RunBatch(batch, 8).value();  // warm-up
     shard_db->index()->pool()->ResetStats();
 
     engine::BatchStats stats;
-    const auto results = engine.RunBatch(batch, &stats);
+    const auto results = shard_db->RunBatch(batch, 8, &stats).value();
     for (const auto& r : results) {
       TSQ_CHECK_MSG(r.status.ok(), "shard-sweep query failed: %s",
                     r.status.ToString().c_str());
@@ -178,8 +171,8 @@ void Run() {
 
   std::printf("\n");
   bench::Banner(
-      "Parallel partitioned self-join: wall time vs worker threads",
-      "Tree-match self-join; candidate leaf pairs split across workers "
+      "Parallel partitioned self-join: wall time vs thread cap",
+      "Tree-match self-join; candidate leaf pairs split across drivers "
       "for\nfull-length verification.");
 
   // A join-sized subset keeps the candidate pair count tractable.
@@ -195,12 +188,13 @@ void Run() {
   double join_base_ms = 0.0;
   for (const size_t threads : {1u, 2u, 4u, 8u}) {
     QueryStats stats;
-    engine::QueryEngineOptions options;
-    options.threads = threads;
-    engine::QueryEngine engine(join_db->index(), join_db->relation(),
-                               /*subsequence_index=*/nullptr, options);
-    engine.SelfJoin(join_eps, std::nullopt, nullptr).value();  // warm-up
-    const auto pairs = engine.SelfJoin(join_eps, std::nullopt, &stats).value();
+    join_db->SelfJoin(join_eps, JoinMethod::kTreeMatch, std::nullopt,
+                      nullptr, threads)
+        .value();  // warm-up
+    const auto pairs = join_db
+                           ->SelfJoin(join_eps, JoinMethod::kTreeMatch,
+                                      std::nullopt, &stats, threads)
+                           .value();
     if (threads == 1) join_base_ms = stats.elapsed_ms;
     join_table.AddRow({std::to_string(threads),
                        bench::Table::Num(stats.elapsed_ms),

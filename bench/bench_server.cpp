@@ -168,8 +168,6 @@ void Run() {
   for (const size_t pollers : {size_t{1}, size_t{2}, size_t{4}}) {
     server::ServerOptions options;
     options.pollers = pollers;
-    options.workers = 2;
-    options.engine_threads = 1;
     // Pipelining intentionally floods admission; size the bound so the
     // sweep measures execution, not BUSY bouncing.
     options.max_inflight = 16 * kFramesPerConnection;
@@ -194,7 +192,7 @@ void Run() {
           },
           /*reps=*/3);
       const obs::Histogram::Snapshot delta =
-          obs::SnapshotDelta(before, latency->Snap());
+          obs::SnapshotDelta(latency->Snap(), before);
       const double p50 = obs::SnapshotQuantileMicros(delta, 0.5);
       const double p99 = obs::SnapshotQuantileMicros(delta, 0.99);
       const double total_frames =

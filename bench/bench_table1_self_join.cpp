@@ -102,8 +102,8 @@ void Run() {
 
   // Extra (beyond the paper): the tree-match join — one synchronized
   // traversal of the transformed tree against itself instead of one range
-  // query per record, split by root-child pairs across the engine's
-  // workers.
+  // query per record, split by root-child pairs across the database's
+  // thread pool.
   {
     Stopwatch watch;
     QueryStats stats;

@@ -7,7 +7,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
@@ -443,58 +442,47 @@ Result<std::vector<SeriesId>> Database::InsertBatch(
   TSQ_RETURN_IF_ERROR(CheckSeriesLength(values[0].size()));
 
   const size_t count = values.size();
-  engine::ThreadPool* pool = EnsureIngestPool(threads);
 
   // Phase 1: feature extraction (normal form + DFT) and each series'
   // index point (published by phase 3), work-stolen record-by-record —
   // the CPU-bound half of ingest.
   std::vector<SeriesFeatures> features(count);
   std::vector<spatial::Point> points(count);
-  pool->ParallelFor(count, [&](size_t i) {
-    features[i] = extractor_.Extract(values[i]);
-    points[i] = extractor_.ToPoint(features[i]);
-  });
+  pool_.ParallelFor(
+      count,
+      [&](size_t i) {
+        features[i] = extractor_.Extract(values[i]);
+        points[i] = extractor_.ToPoint(features[i]);
+      },
+      threads);
   // Finite samples can still overflow into non-finite features (a mean
   // of values near DBL_MAX); such a series has no index point either.
   for (const spatial::Point& point : points) {
     TSQ_RETURN_IF_ERROR(CheckFinite(point, "series feature"));
   }
 
-  // Phase 2: per-segment appends. One task per relation segment, each
+  // Phase 2: per-segment appends. One index per relation segment, each
   // appending its ids in ascending order, so every segment file gets the
-  // same bytes at every thread count. Reservation and task submission
-  // happen under ingest_order_mutex_ (see database.h) to keep the pool's
-  // FIFO order aligned with id order across concurrent batches.
+  // same bytes at every thread count. Deadlock-free in any queue order
+  // (see database.h).
+  TSQ_ASSIGN_OR_RETURN(const SeriesId base, relation_->ReserveIds(count));
   const size_t num_segments = relation_->num_segments();
   std::vector<Status> segment_status(num_segments);
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  size_t pending = num_segments;
-  SeriesId base = 0;
-  {
-    std::lock_guard<std::mutex> order(ingest_order_mutex_);
-    TSQ_ASSIGN_OR_RETURN(base, relation_->ReserveIds(count));
-    for (size_t s = 0; s < num_segments; ++s) {
-      pool->Submit([&, base, s] {
+  pool_.ParallelFor(
+      num_segments,
+      [&](size_t s) {
         const uint64_t first_in_segment =
             base + (s + num_segments - base % num_segments) % num_segments;
         Status status;
-        for (uint64_t id = first_in_segment;
-             id < base + count && status.ok(); id += num_segments) {
+        for (uint64_t id = first_in_segment; id < base + count && status.ok();
+             id += num_segments) {
           const size_t i = static_cast<size_t>(id - base);
           status = relation_->AppendWithId(id, names[i], values[i],
                                            features[i].spectrum);
         }
         segment_status[s] = std::move(status);
-        std::lock_guard<std::mutex> lock(done_mutex);
-        if (--pending == 0) done_cv.notify_all();
-      });
-    }
-  }
-  {
-    std::unique_lock<std::mutex> lock(done_mutex);
-    done_cv.wait(lock, [&pending] { return pending == 0; });
-  }
+      },
+      threads);
   for (Status& status : segment_status) {
     if (!status.ok()) return EnterReadOnly(std::move(status));
   }
@@ -547,7 +535,7 @@ Result<std::shared_ptr<KIndex>> Database::BuildIndexFile(
   std::vector<std::pair<SeriesId, SeriesFeatures>> items(limit);
   const size_t num_segments = relation_->num_segments();
   std::vector<Status> segment_status(num_segments);
-  EnsureIngestPool(0)->ParallelFor(num_segments, [&](size_t s) {
+  pool_.ParallelFor(num_segments, [&](size_t s) {
     segment_status[s] =
         relation_->ScanSegment(s, limit, [&](const SeriesRecord& rec) {
           items[rec.id] = {rec.id,
@@ -733,43 +721,17 @@ Status Database::Repair() {
   return Status::OK();
 }
 
-engine::QueryEngine* Database::EnsureEngine(size_t threads) {
-  std::lock_guard<std::mutex> lock(engines_mutex_);
-  auto it = engines_.find(threads);
-  if (it == engines_.end()) {
-    engine::QueryEngineOptions options;
-    options.threads = threads;
-    // Engines load the epoch pointer per operation, so one engine stays
-    // valid across any number of merges.
-    engine::SnapshotLoader loader = [this] { return CurrentSnapshot(); };
-    it = engines_
-             .emplace(threads, std::make_unique<engine::QueryEngine>(
-                                   std::move(loader), relation_.get(),
-                                   /*subsequence_index=*/nullptr, options))
-             .first;
-  }
-  return it->second.get();
-}
-
-engine::ThreadPool* Database::EnsureIngestPool(size_t threads) {
-  std::lock_guard<std::mutex> lock(pools_mutex_);
-  auto it = ingest_pools_.find(threads);
-  if (it == ingest_pools_.end()) {
-    it = ingest_pools_
-             .emplace(threads, std::make_unique<engine::ThreadPool>(threads))
-             .first;
-  }
-  return it->second.get();
-}
-
 Result<std::vector<engine::BatchResult>> Database::RunBatch(
     const std::vector<engine::BatchQuery>& queries, size_t threads,
     engine::BatchStats* batch_stats) {
-  if (!index_built()) {
+  // One snapshot per batch: every query answers from the same epoch,
+  // pinned until the batch completes (grace period).
+  const auto snap = CurrentSnapshot();
+  if (snap == nullptr) {
     return Status::FailedPrecondition("RunBatch requires BuildIndex()");
   }
-  std::vector<engine::BatchResult> results =
-      EnsureEngine(threads)->RunBatch(queries, batch_stats);
+  std::vector<engine::BatchResult> results = engine::RunBatch(
+      IndexView(*snap), *relation_, queries, &pool_, threads, batch_stats);
   for (size_t i = 0; i < results.size(); ++i) {
     if (results[i].status.ok()) {
       MaybeLogSlowQuery(QueryOpName(queries[i].kind), results[i].stats);
@@ -809,7 +771,8 @@ Result<std::vector<JoinPair>> Database::SelfJoin(
       break;
     case JoinMethod::kTreeMatch: {
       TSQ_ASSIGN_OR_RETURN(
-          out, EnsureEngine(threads)->SelfJoin(epsilon, transform, &local));
+          out, engine::SelfJoin(IndexView(*snap), *relation_, epsilon,
+                                transform, &pool_, threads, &local));
       break;
     }
     default:

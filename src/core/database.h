@@ -28,7 +28,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -56,7 +55,7 @@ enum class JoinMethod {
   kIndexTransformed,  ///< (d) index join through the transformed index
   /// tsq extension: one synchronized tree-against-itself traversal instead
   /// of one range query per record, run in parallel by the batch engine
-  /// (see engine::QueryEngine::SelfJoin).
+  /// (see engine::SelfJoin).
   kTreeMatch,
 };
 
@@ -164,6 +163,16 @@ struct DatabaseStats {
 /// Concurrency contract (v2 write half + v3 read half + v4 index
 /// publication; docs/ARCHITECTURE.md is the consolidated reference).
 ///
+/// Threads: a Database owns one ThreadPool, sized to the hardware
+/// concurrency, built at Create/Open and destroyed before the relation
+/// and the snapshot it serves. Every parallel step runs on it — RunBatch,
+/// the kTreeMatch join, InsertBatch's extraction and appends, the
+/// BuildIndex/Reindex segment scans — and so does tsqd. A `threads`
+/// argument creates no thread: it caps how many threads drive one call
+/// (the caller is always one of them; 0 = the pool size). Every call may
+/// be made from inside a pool task, because ThreadPool::ParallelFor
+/// never waits on a queued task.
+///
 /// Writes: Insert and InsertBatch may be called from any number of
 /// threads at once, and concurrently with RunBatch/SelfJoin.
 /// Record ingest is wait-free for readers — appends go to per-segment
@@ -179,6 +188,18 @@ struct DatabaseStats {
 /// collects features with one parallel scan per relation segment feeding
 /// the STR bulk load.
 ///
+/// Why concurrent appends cannot deadlock, whatever the pool's queue
+/// order: an append of id m waits only on lower ids of m's segment (the
+/// relation's per-segment turnstile). Each reserved id range belongs to
+/// one Insert or InsertBatch call, and that call's caller is a running
+/// thread that claims segment tasks until none is left, so it can finish
+/// its whole batch alone; helpers only take tasks off it. Take the lowest
+/// unfinished id m: every lower id is done, so if m's segment task is
+/// claimed it is appending m, and if not, the caller of m's batch is
+/// still claiming and reaches it — its other segment tasks wait only on
+/// ids below its batch, all done. So the lowest unfinished id always
+/// progresses (induction on reservation order).
+///
 /// Reads never block on writes: there is no reader-writer lock anywhere
 /// on the query path. Every query loads the current IndexSnapshot (one
 /// atomic acquire), pins it with its shared_ptr, and runs entirely
@@ -190,16 +211,15 @@ struct DatabaseStats {
 ///
 /// Queries: RunBatch (range/kNN) and SelfJoin are the whole query
 /// surface. A single query is a one-element batch: RunBatch({q}) runs it
-/// on the calling thread (ThreadPool::ParallelFor hands one driver's
-/// work to no worker), and its answers, status and QueryStats land in
-/// results[0] — engine::SingleResult unwraps them. Larger batches and
-/// the kTreeMatch join run on an internal engine, cached per thread
-/// count and never destroyed while the database lives; concurrent
-/// queries share the index's v3 buffer pool (lock-free cached fetches,
-/// misses that do not block their shard). Every call reports its stats
-/// into storage its caller owns (results[i].stats, SelfJoin's `stats`),
-/// so any number of threads may query one Database at once and each
-/// query's stats are exactly its own.
+/// on the calling thread (one index, one driver: no task is queued), and
+/// its answers, status and QueryStats land in results[0] —
+/// engine::SingleResult unwraps them. Larger batches and the kTreeMatch
+/// join spread over the pool; concurrent queries share the index's v3
+/// buffer pool (lock-free cached fetches, misses that do not block their
+/// shard). No query takes a Database-wide mutex. Every call reports its
+/// stats into storage its caller owns (results[i].stats, SelfJoin's
+/// `stats`), so any number of threads may query one Database at once
+/// and each query's stats are exactly its own.
 ///
 /// Merging: Reindex (or the background merge thread, see
 /// DatabaseOptions::merge_interval_ms) STR-bulk-loads a fresh tree from
@@ -244,13 +264,12 @@ class Database {
   /// Appends many series at once: names[i] with values[i] gets id
   /// base + i, in argument order, deterministically at every thread
   /// count. Feature extraction (normal form + DFT) is spread over the
-  /// ingest thread pool record-by-record and the appends fan out one
-  /// task per relation segment (`threads` workers; 0 = hardware
-  /// concurrency). The whole batch is validated before any id is
-  /// assigned, so a rejected batch leaves the database untouched. Safe
-  /// from any number of threads, and concurrently with RunBatch/SelfJoin;
-  /// must not be called from inside an engine worker. Returns the
-  /// assigned ids (base .. base+n-1).
+  /// pool record-by-record and the appends one task per relation segment,
+  /// each with at most `threads` drivers (the caller included; 0 = the
+  /// pool size). The whole batch is validated before any id is assigned,
+  /// so a rejected batch leaves the database untouched. Safe from any
+  /// number of threads, from inside a pool task, and concurrently with
+  /// RunBatch/SelfJoin. Returns the assigned ids (base .. base+n-1).
   Result<std::vector<SeriesId>> InsertBatch(
       const std::vector<std::string>& names,
       const std::vector<RealVec>& values, size_t threads = 0);
@@ -290,14 +309,14 @@ class Database {
     return series_length_.load(std::memory_order_relaxed);
   }
 
-  /// The range/kNN query call: executes the batch on `threads` workers
-  /// (0 = hardware concurrency) — a one-query batch on the caller — and
-  /// requires BuildIndex. results[i] answers queries[i] with its own
-  /// status (a malformed query fails alone) and exact QueryStats; the
-  /// answer vectors are identical for any thread count. `batch_stats`
-  /// (optional) sums the per-query stats and times the batch. Safe from
-  /// any number of threads, concurrently with Insert/InsertBatch (see
-  /// the class contract).
+  /// The range/kNN query call: executes the batch on the pool with at
+  /// most `threads` drivers (the caller included; 0 = the pool size) — a
+  /// one-query batch on the caller — and requires BuildIndex. results[i]
+  /// answers queries[i] with its own status (a malformed query fails
+  /// alone) and exact QueryStats; the answer vectors are identical for
+  /// any thread count. `batch_stats` (optional) sums the per-query stats
+  /// and times the batch. Safe from any number of threads, concurrently
+  /// with Insert/InsertBatch (see the class contract).
   Result<std::vector<engine::BatchResult>> RunBatch(
       const std::vector<engine::BatchQuery>& queries, size_t threads = 0,
       engine::BatchStats* batch_stats = nullptr);
@@ -306,10 +325,10 @@ class Database {
   /// method, this join's stats written to `stats` when non-null. Index
   /// methods require BuildIndex. Scan methods emit unordered pairs; index
   /// methods emit ordered pairs (each unordered pair twice), matching
-  /// Table 1. kTreeMatch runs the engine's parallel join on `threads`
-  /// workers (0 = hardware concurrency), the same pairs in the same order
-  /// at every thread count; the other methods run on the caller and
-  /// ignore `threads`. Safe from any number of threads.
+  /// Table 1. kTreeMatch runs the engine's parallel join on the pool with
+  /// at most `threads` drivers (0 = the pool size), the same pairs in the
+  /// same order at every thread count; the other methods run on the
+  /// caller and ignore `threads`. Safe from any number of threads.
   Result<std::vector<JoinPair>> SelfJoin(
       double epsilon, JoinMethod method,
       const std::optional<FeatureTransform>& transform,
@@ -364,6 +383,9 @@ class Database {
   }
   const FeatureExtractor& extractor() const { return extractor_; }
   const DatabaseOptions& options() const { return options_; }
+  /// The pool every parallel step of this database runs on; tsqd submits
+  /// its requests here too.
+  engine::ThreadPool* thread_pool() { return &pool_; }
 
   /// Test-only: invoked during Reindex after the merged tree is built
   /// and renamed over the index file, immediately before the new epoch
@@ -374,18 +396,6 @@ class Database {
  private:
   explicit Database(DatabaseOptions options)
       : options_(std::move(options)), extractor_(options_.layout) {}
-
-  /// Returns the cached batch engine for `threads`, building it on first
-  /// use. Thread-safe; an engine, once built, lives as long as the
-  /// Database — so a concurrent caller can never have its engine
-  /// destroyed mid-batch by another caller asking for a different thread
-  /// count. Engines hold a snapshot loader, not a tree pointer, so a
-  /// merge can replace the index under a live engine at any time.
-  engine::QueryEngine* EnsureEngine(size_t threads);
-
-  /// Returns the cached ingest pool for `threads`, building it on first
-  /// use. Thread-safe; pools live as long as the Database.
-  engine::ThreadPool* EnsureIngestPool(size_t threads);
 
   /// Claims or checks the common series length. Thread-safe.
   Status CheckSeriesLength(size_t length);
@@ -460,25 +470,15 @@ class Database {
   std::mutex merge_cv_mutex_;
   std::condition_variable merge_cv_;
   bool stop_merge_ = false;  // guarded by merge_cv_mutex_
-  // Serializes "reserve ids + enqueue per-segment append tasks" so the
-  // FIFO pool order matches reservation order: a queued append task then
-  // only ever waits on segment turns owned by already-queued or running
-  // tasks (or by non-worker Append callers), which is what makes
-  // concurrent InsertBatch calls on a shared pool deadlock-free.
-  std::mutex ingest_order_mutex_;
-  // Lazily built engines/pools, one per requested thread count so
-  // repeated calls reuse threads. They hold the snapshot loader and a
-  // relation pointer; declared after those so they are destroyed first.
-  std::mutex engines_mutex_;
-  std::map<size_t, std::unique_ptr<engine::QueryEngine>> engines_;
-  std::mutex pools_mutex_;
-  std::map<size_t, std::unique_ptr<engine::ThreadPool>> ingest_pools_;
   // Degradation state: set by EnterReadOnly, cleared by Repair.
   std::atomic<bool> degraded_{false};
   mutable std::mutex fault_mutex_;  // guards fault_
   Status fault_;                    // the write fault that degraded us
   std::atomic<uint64_t> write_faults_{0};
   std::atomic<uint64_t> repairs_completed_{0};
+  // Declared last, so destroyed first: its tasks may use everything
+  // above. 0 = one worker per hardware thread.
+  engine::ThreadPool pool_{0};
 };
 
 }  // namespace tsq

@@ -187,9 +187,9 @@ struct KnnOptions {
 // all its state in values owned by the caller, so any number of threads
 // can run queries against one shared (frozen) KIndex + Relation. The
 // whole-query entry points below compose them, and the batch engine
-// (src/engine/) runs those reentrant compositions from its workers; the
-// steps are exported so future pipelines (e.g. a staged executor that
-// batches verification I/O) can recombine them.
+// (src/engine/) runs those reentrant compositions on the database's
+// thread pool; the steps are exported so future pipelines (e.g. a
+// staged executor that batches verification I/O) can recombine them.
 // ---------------------------------------------------------------------------
 
 /// Step 1 output — the query lifted into the frequency domain with the

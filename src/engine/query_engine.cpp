@@ -10,15 +10,14 @@
 
 #include "common/stopwatch.h"
 #include "core/search_rect.h"
-#include "obs/trace.h"
 
 namespace tsq {
 namespace engine {
 
 namespace {
 
-/// Accumulates traversal/IO work tallied from many worker threads. Each
-/// worker measures its own thread-local counter deltas (exact by the v2
+/// Accumulates traversal/IO work tallied from many driver threads. Each
+/// driver measures its own thread-local counter deltas (exact by the v2
 /// contract) and adds them here.
 struct TraversalTally {
   std::atomic<uint64_t> nodes_visited{0};
@@ -57,6 +56,27 @@ auto RunTallied(TraversalTally* tally, Fn&& fn) {
   }
 }
 
+void RunOne(const BatchQuery& query, const IndexView& view,
+            const Relation& relation, BatchResult* result) {
+  switch (query.kind) {
+    case BatchQueryKind::kRange:
+      result->status =
+          IndexRangeQuery(view, relation, query.query, query.epsilon,
+                          query.spec, &result->matches, &result->stats);
+      return;
+    case BatchQueryKind::kKnn:
+      result->status =
+          IndexKnnQuery(view, relation, query.query, query.k, query.spec,
+                        query.knn, &result->matches, &result->stats);
+      return;
+    case BatchQueryKind::kSubsequence:
+      result->status = Status::FailedPrecondition(
+          "subsequence query without a SubsequenceIndex");
+      return;
+  }
+  result->status = Status::InvalidArgument("unknown batch query kind");
+}
+
 }  // namespace
 
 Result<BatchResult> SingleResult(Result<std::vector<BatchResult>> results) {
@@ -70,106 +90,20 @@ Result<BatchResult> SingleResult(Result<std::vector<BatchResult>> results) {
   return result;
 }
 
-QueryEngine::QueryEngine(SnapshotLoader loader, const Relation* relation,
-                         const SubsequenceIndex* subsequence_index,
-                         const QueryEngineOptions& options)
-    : loader_(std::move(loader)),
-      index_(nullptr),
-      relation_(relation),
-      subsequence_index_(subsequence_index),
-      pool_(options.threads) {
-  TSQ_CHECK(loader_ != nullptr);
-  TSQ_CHECK(relation_ != nullptr);
-}
-
-QueryEngine::QueryEngine(const KIndex* index, const Relation* relation,
-                         const SubsequenceIndex* subsequence_index,
-                         const QueryEngineOptions& options)
-    : index_(index),
-      relation_(relation),
-      subsequence_index_(subsequence_index),
-      pool_(options.threads) {
-  TSQ_CHECK(relation_ != nullptr);
-}
-
-QueryEngine::PinnedView QueryEngine::AcquireView() const {
-  PinnedView pinned;
-  if (loader_ != nullptr) {
-    pinned.pin = loader_();
-    if (pinned.pin != nullptr && pinned.pin->main != nullptr) {
-      pinned.view.emplace(*pinned.pin);
-    }
-    return pinned;
-  }
-  if (index_ != nullptr) pinned.view.emplace(*index_);
-  return pinned;
-}
-
-void QueryEngine::RunOne(const BatchQuery& query, const IndexView* view,
-                         BatchResult* result) const {
-  switch (query.kind) {
-    case BatchQueryKind::kRange:
-      if (view == nullptr) {
-        result->status =
-            Status::FailedPrecondition("range query without a KIndex");
-        return;
-      }
-      result->status =
-          IndexRangeQuery(*view, *relation_, query.query, query.epsilon,
-                          query.spec, &result->matches, &result->stats);
-      return;
-    case BatchQueryKind::kKnn:
-      if (view == nullptr) {
-        result->status =
-            Status::FailedPrecondition("kNN query without a KIndex");
-        return;
-      }
-      result->status =
-          IndexKnnQuery(*view, *relation_, query.query, query.k, query.spec,
-                        query.knn, &result->matches, &result->stats);
-      return;
-    case BatchQueryKind::kSubsequence: {
-      if (subsequence_index_ == nullptr) {
-        result->status = Status::FailedPrecondition(
-            "subsequence query without a SubsequenceIndex");
-        return;
-      }
-      // The ST-index fills its own stats; stage deltas (the whole search
-      // counts as descent, record fetches as refine) are captured here
-      // since this path does not run through core/queries.cpp.
-      StageStatsCapture stages(&result->stats);
-      obs::StageTimer descent_span(obs::Stage::kDescent);
-      result->status = subsequence_index_->RangeSearch(
-          query.query, query.epsilon,
-          [this](SeriesId id) -> Result<RealVec> {
-            obs::StageTimer refine_span(obs::Stage::kRefine);
-            TSQ_ASSIGN_OR_RETURN(SeriesRecord rec, relation_->Get(id));
-            return std::move(rec.values);
-          },
-          &result->subsequence_matches, &result->stats);
-      return;
-    }
-  }
-  result->status = Status::InvalidArgument("unknown batch query kind");
-}
-
-std::vector<BatchResult> QueryEngine::RunBatch(
-    const std::vector<BatchQuery>& queries, BatchStats* batch_stats) {
+std::vector<BatchResult> RunBatch(const IndexView& view,
+                                  const Relation& relation,
+                                  const std::vector<BatchQuery>& queries,
+                                  ThreadPool* pool, size_t threads,
+                                  BatchStats* batch_stats) {
   std::vector<BatchResult> results(queries.size());
   Stopwatch wall;
 
-  // One snapshot per batch: every query of the batch answers from the
-  // same epoch, pinned until the batch completes (grace period).
-  const PinnedView pinned = AcquireView();
-  const IndexView* view =
-      pinned.view.has_value() ? &*pinned.view : nullptr;
-
   // Work stealing over an atomic cursor: each query writes only its own
   // slot, so the output is identical for any thread count.
-  pool_.ParallelFor(queries.size(),
-                    [this, view, &queries, &results](size_t i) {
-                      RunOne(queries[i], view, &results[i]);
-                    });
+  pool->ParallelFor(
+      queries.size(),
+      [&](size_t i) { RunOne(queries[i], view, relation, &results[i]); },
+      threads);
 
   if (batch_stats != nullptr) {
     *batch_stats = BatchStats();
@@ -184,15 +118,10 @@ std::vector<BatchResult> QueryEngine::RunBatch(
   return results;
 }
 
-Result<std::vector<JoinPair>> QueryEngine::SelfJoin(
-    double epsilon, const std::optional<FeatureTransform>& transform,
-    QueryStats* stats) {
-  // Pin one snapshot for the whole join (grace period across merges).
-  const PinnedView pinned = AcquireView();
-  if (!pinned.view.has_value()) {
-    return Status::FailedPrecondition("SelfJoin without a KIndex");
-  }
-  const IndexView& view = *pinned.view;
+Result<std::vector<JoinPair>> SelfJoin(
+    const IndexView& view, const Relation& relation, double epsilon,
+    const std::optional<FeatureTransform>& transform, ThreadPool* pool,
+    size_t threads, QueryStats* stats) {
   const KIndex& kindex = view.main();
   if (!(epsilon >= 0.0)) {
     return Status::InvalidArgument("negative or NaN join threshold");
@@ -223,7 +152,7 @@ Result<std::vector<JoinPair>> QueryEngine::SelfJoin(
   std::vector<std::vector<std::pair<SeriesId, SeriesId>>> seed_out(
       seeds.size());
   std::vector<Status> seed_status(seeds.size());
-  pool_.ParallelFor(seeds.size(), [&](size_t i) {
+  const auto descend = [&](size_t i) {
     RunTallied(&tally, [&] {
       seed_status[i] = tree.JoinFrom(
           seeds[i], tree, map_ptr, map_ptr, may_join,
@@ -232,7 +161,8 @@ Result<std::vector<JoinPair>> QueryEngine::SelfJoin(
             return true;
           });
     });
-  });
+  };
+  pool->ParallelFor(seeds.size(), descend, threads);
   size_t num_candidates = 0;
   for (size_t i = 0; i < seeds.size(); ++i) {
     TSQ_RETURN_IF_ERROR(seed_status[i]);
@@ -257,11 +187,11 @@ Result<std::vector<JoinPair>> QueryEngine::SelfJoin(
     std::vector<std::vector<std::pair<SeriesId, SeriesId>>> slot_out(
         num_slots);
     std::vector<Status> slot_status(num_slots);
-    pool_.ParallelFor(num_slots, [&](size_t i) {
+    const auto probe_slot = [&](size_t i) {
       RunTallied(&tally, [&] {
         const uint64_t slot = begin_slot + i;
         const SeriesId qid = delta.base() + slot;
-        Result<SeriesRecord> qrec = relation_->Get(qid);
+        Result<SeriesRecord> qrec = relation.Get(qid);
         if (!qrec.ok()) {
           slot_status[i] = qrec.status();
           return;
@@ -295,7 +225,8 @@ Result<std::vector<JoinPair>> QueryEngine::SelfJoin(
           }
         }
       });
-    });
+    };
+    pool->ParallelFor(num_slots, probe_slot, threads);
     for (uint64_t i = 0; i < num_slots; ++i) {
       TSQ_RETURN_IF_ERROR(slot_status[i]);
       candidates.insert(candidates.end(), slot_out[i].begin(),
@@ -308,7 +239,7 @@ Result<std::vector<JoinPair>> QueryEngine::SelfJoin(
   // exactly once into a dense shared cache. Series ids are dense
   // (0..relation.size()-1), so a vector indexes the cache and each slot is
   // written by exactly one worker.
-  const uint64_t relation_size = relation_->size();
+  const uint64_t relation_size = relation.size();
   std::vector<uint8_t> referenced(relation_size, 0);
   for (const auto& [a, b] : candidates) {
     if (a >= relation_size || b >= relation_size) {
@@ -328,16 +259,17 @@ Result<std::vector<JoinPair>> QueryEngine::SelfJoin(
 
   std::vector<ComplexVec> spectra(relation_size);
   std::vector<Status> fetch_status(unique_ids.size());
-  pool_.ParallelFor(unique_ids.size(), [&](size_t i) {
+  const auto fetch = [&](size_t i) {
     const SeriesId id = unique_ids[i];
-    Result<SeriesRecord> rec = relation_->Get(id);
+    Result<SeriesRecord> rec = relation.Get(id);
     if (!rec.ok()) {
       fetch_status[i] = rec.status();
       return;
     }
     spectra[id] = transform.has_value() ? transform->spectral.Apply(rec->dft)
                                         : std::move(rec->dft);
-  });
+  };
+  pool->ParallelFor(unique_ids.size(), fetch, threads);
   for (const Status& s : fetch_status) {
     TSQ_RETURN_IF_ERROR(s);
   }
@@ -346,11 +278,11 @@ Result<std::vector<JoinPair>> QueryEngine::SelfJoin(
   // partitions and verify each on a worker against the now-immutable
   // shared cache. Partition answers land in per-partition vectors.
   const size_t num_partitions =
-      std::max<size_t>(1, std::min(candidates.size(), pool_.size() * 8));
+      std::max<size_t>(1, std::min(candidates.size(), pool->size() * 8));
   const size_t partition_size =
       (candidates.size() + num_partitions - 1) / num_partitions;
   std::vector<std::vector<JoinPair>> partition_out(num_partitions);
-  pool_.ParallelFor(num_partitions, [&](size_t p) {
+  const auto verify = [&](size_t p) {
     const size_t begin = p * partition_size;
     const size_t end = std::min(begin + partition_size, candidates.size());
     for (size_t i = begin; i < end; ++i) {
@@ -358,7 +290,8 @@ Result<std::vector<JoinPair>> QueryEngine::SelfJoin(
       const double d = cvec::Distance(spectra[a], spectra[b]);
       if (d <= epsilon) partition_out[p].push_back(JoinPair{a, b, d});
     }
-  });
+  };
+  pool->ParallelFor(num_partitions, verify, threads);
 
   // Phase 3 (sequential): merge in partition order. Partitions tile the
   // candidate sequence, so the concatenation verifies it in order —

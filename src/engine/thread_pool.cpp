@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <utility>
 
 namespace tsq {
@@ -45,36 +46,48 @@ void ThreadPool::Wait() {
   idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
+void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
+                             size_t max_drivers) {
   if (n == 0) return;
-  const size_t drivers = std::min(size(), n);
-  if (drivers == 1) {
+  const size_t drivers = std::min(max_drivers == 0 ? size() : max_drivers, n);
+  if (drivers <= 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  std::atomic<size_t> cursor{0};
-  // Per-call completion (not pool-wide Wait): this caller returns as soon
-  // as its own drivers have drained, so concurrent ParallelFor calls on a
-  // shared pool don't convoy on each other's work. A driver exits only
-  // after the cursor passes n, so once every driver has exited, all n
-  // indices are claimed *and* finished — at which point this frame (and
-  // the locals the drivers reference) may safely die.
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  size_t exited = 0;
-  for (size_t d = 0; d < drivers; ++d) {
-    Submit([&cursor, &fn, n, &done_mutex, &done_cv, &exited, drivers] {
-      for (;;) {
-        const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) break;
-        fn(i);
-      }
-      std::lock_guard<std::mutex> lock(done_mutex);
-      if (++exited == drivers) done_cv.notify_all();
+  // The helpers share this call's state by ownership, never by reference
+  // into this frame: a helper that starts after the call returned finds
+  // the cursor exhausted and leaves without touching fn. Finished indices
+  // are counted under the mutex, so once the count reaches n every fn(i)
+  // has returned and happens-before this call's return.
+  struct Call {
+    std::atomic<size_t> cursor{0};
+    std::mutex mutex;
+    std::condition_variable done_cv;
+    size_t done = 0;
+  };
+  const auto call = std::make_shared<Call>();
+  // Claims indices until the cursor passes n; returns how many it ran.
+  const auto drive = [n](Call* c, const std::function<void(size_t)>* f) {
+    size_t ran = 0;
+    for (size_t i; (i = c->cursor.fetch_add(1, std::memory_order_relaxed)) < n;
+         ++ran) {
+      (*f)(i);
+    }
+    return ran;
+  };
+  for (size_t d = 1; d < drivers; ++d) {
+    Submit([call, drive, f = &fn, n] {
+      const size_t ran = drive(call.get(), f);
+      if (ran == 0) return;
+      std::lock_guard<std::mutex> lock(call->mutex);
+      call->done += ran;
+      if (call->done == n) call->done_cv.notify_all();
     });
   }
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&exited, drivers] { return exited == drivers; });
+  const size_t ran = drive(call.get(), &fn);
+  std::unique_lock<std::mutex> lock(call->mutex);
+  call->done += ran;
+  call->done_cv.wait(lock, [&call, n] { return call->done == n; });
 }
 
 void ThreadPool::WorkerLoop() {

@@ -8,6 +8,7 @@
 #include <cstdlib>
 
 #include "common/logging.h"
+#include "common/macros.h"
 
 namespace tsq {
 namespace obs {
@@ -90,6 +91,11 @@ Histogram::Snapshot SnapshotDelta(const Histogram::Snapshot& a,
                                   const Histogram::Snapshot& b) {
   Histogram::Snapshot out;
   for (size_t i = 0; i < Histogram::kBuckets; ++i) {
+    TSQ_CHECK_MSG(a.counts[i] >= b.counts[i],
+                  "SnapshotDelta(a, b) with a reversed pair: bucket %zu "
+                  "holds %llu in b but %llu in a",
+                  i, static_cast<unsigned long long>(b.counts[i]),
+                  static_cast<unsigned long long>(a.counts[i]));
     out.counts[i] = a.counts[i] - b.counts[i];
     out.total += out.counts[i];
   }

@@ -101,7 +101,9 @@ class Histogram {
 };
 
 /// a - b, fieldwise: the histogram activity between two snapshots of the
-/// same (monotone) histogram.
+/// same (monotone) histogram, `a` the later one. Aborts when some bucket
+/// of `b` exceeds `a`'s — the pair is reversed, and every count would
+/// wrap below zero.
 Histogram::Snapshot SnapshotDelta(const Histogram::Snapshot& a,
                                   const Histogram::Snapshot& b);
 

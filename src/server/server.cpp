@@ -188,14 +188,13 @@ Result<std::unique_ptr<Server>> Server::Start(Database* db,
   // per-verb histograms, query stage timers and engine gauges all start
   // recording the moment a scrape could observe them.
   obs::ArmMetrics();
-  server->pool_ = std::make_unique<engine::ThreadPool>(options.workers);
   for (auto& poller : server->pollers_) {
     poller->thread =
         std::thread(&Server::PollerLoop, server.get(), poller.get());
   }
   TSQ_LOG(kInfo) << "tsqd listening on " << options.host << ":"
                  << server->port_ << " (" << pollers << " pollers, "
-                 << server->pool_->size() << " workers, max_inflight "
+                 << db->thread_pool()->size() << " pool workers, max_inflight "
                  << options.max_inflight << ")";
   return server;
 }
@@ -208,9 +207,13 @@ void Server::Stop() {
       if (poller->thread.joinable()) poller->thread.join();
     }
     // Each poller exits only after every connection it owns is closed;
-    // any still-running tasks hold their own Connection references, and
-    // the pool destructor waits them out before the wake pipes close.
-    pool_.reset();
+    // a task of a connection retired early (a broken peer, the drain
+    // deadline) holds its own Connection reference and may still be
+    // running. Its last act before the decrement writes to a wake pipe,
+    // so the pipes close only once every task has returned.
+    while (tasks_.load(std::memory_order_acquire) != 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     // The accept poller closes the listener on drain; this covers a
     // Start that failed before the loop ever ran.
     if (listen_fd_ >= 0) {
@@ -361,7 +364,7 @@ void Server::ExecuteRequest(const std::shared_ptr<Connection>& conn,
       break;
     case Verb::kQuery:
     case Verb::kBatch: {
-      auto results = db_->RunBatch(request->queries, options_.engine_threads);
+      auto results = db_->RunBatch(request->queries);
       if (!results.ok()) {
         fail(results.status());
       } else {
@@ -370,9 +373,8 @@ void Server::ExecuteRequest(const std::shared_ptr<Connection>& conn,
       break;
     }
     case Verb::kInsert: {
-      auto ids = db_->InsertBatch(request->insert_names,
-                                  request->insert_values,
-                                  options_.engine_threads);
+      auto ids =
+          db_->InsertBatch(request->insert_names, request->insert_values);
       if (!ids.ok()) {
         fail(ids.status());
       } else {
@@ -383,8 +385,7 @@ void Server::ExecuteRequest(const std::shared_ptr<Connection>& conn,
     }
     case Verb::kSelfJoin: {
       auto pairs = db_->SelfJoin(request->epsilon, JoinMethod::kTreeMatch,
-                                 request->transform, /*stats=*/nullptr,
-                                 options_.engine_threads);
+                                 request->transform);
       if (!pairs.ok()) {
         fail(pairs.status());
       } else {
@@ -478,7 +479,11 @@ Status Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     return Status::OK();
   }
   conn->pending.fetch_add(1, std::memory_order_relaxed);
-  pool_->Submit([this, conn, request] { ExecuteRequest(conn, request); });
+  tasks_.fetch_add(1, std::memory_order_relaxed);
+  db_->thread_pool()->Submit([this, conn, request] {
+    ExecuteRequest(conn, request);
+    tasks_.fetch_sub(1, std::memory_order_release);
+  });
   return Status::OK();
 }
 

@@ -2,8 +2,8 @@
 //
 // tsqd — the concurrent network server subsystem: exposes one Database
 // over TCP using the wire protocol of src/server/protocol.h, turning the
-// in-process engine (PRs 1-4: concurrent RunBatch, parallel self-join,
-// parallel ingest) into a service that remote clients share.
+// in-process engine (concurrent RunBatch, parallel self-join, parallel
+// ingest) into a service that remote clients share.
 //
 // Architecture. Socket handling is sharded across N poller threads
 // (`ServerOptions::pollers`, default min(4, hardware threads)). Poller 0
@@ -13,12 +13,17 @@
 // connection belongs to exactly one poller for its whole life: that
 // poller runs its FrameReader state machine over non-blocking reads,
 // flushes its reply bytes, and retires it — no connection state is ever
-// shared between pollers. Completed requests are handed to one global
-// execution ThreadPool whose workers call the Database's thread-safe
-// entry points (RunBatch, InsertBatch, SelfJoin, StatsSnapshot)
-// — so no poller ever blocks on engine work and a slow query never
-// stalls another connection's reads. Workers append each finished reply
-// as one whole frame to the owning connection's write buffer (under that
+// shared between pollers. Completed requests are submitted to the
+// Database's own thread pool (Database::thread_pool), whose workers call
+// the Database's thread-safe entry points (RunBatch, InsertBatch,
+// SelfJoin, StatsSnapshot) with the default thread cap — so no poller
+// ever blocks on engine work, a slow query never stalls another
+// connection's reads, and a request that fans out (BATCH, INSERT,
+// SELF_JOIN, REINDEX) drives its own work on the worker that took it,
+// with helpers from the same pool when they are free. tsqd adds no
+// execution threads of its own: a process serving one Database runs its
+// pollers and that pool. Workers append each finished reply as one whole
+// frame to the owning connection's write buffer (under that
 // connection's mutex) and wake the owning poller through its pipe;
 // frames never interleave, and a pipelining client matches replies by
 // request id since requests may complete out of order.
@@ -52,9 +57,11 @@
 // Shutdown. Stop() (also run by the destructor) stops accepting and
 // reading on every poller, waits for every admitted request to finish
 // executing, flushes each connection's remaining reply bytes (bounded by
-// drain_timeout_ms for peers that stopped reading), then closes all
-// sockets and joins the threads — in-flight queries are drained, never
-// dropped.
+// drain_timeout_ms for peers that stopped reading), joins the pollers,
+// then waits until every task it submitted to the pool has returned
+// before closing the wake pipes those tasks write to — in-flight queries
+// are drained, never dropped. The pool itself belongs to the Database
+// and outlives the server.
 
 #ifndef TSQ_SERVER_SERVER_H_
 #define TSQ_SERVER_SERVER_H_
@@ -70,7 +77,6 @@
 
 #include "common/status.h"
 #include "core/database.h"
-#include "engine/thread_pool.h"
 #include "server/protocol.h"
 
 namespace tsq {
@@ -91,16 +97,6 @@ struct ServerOptions {
   /// threads). Poller 0 also owns the listener and round-robins accepted
   /// connections across all pollers.
   size_t pollers = 0;
-  /// Execution pool workers; 0 = hardware concurrency. Each worker runs
-  /// one request at a time against the Database.
-  size_t workers = 0;
-  /// Thread count passed to Database::RunBatch / SelfJoin / InsertBatch
-  /// per request; 0 = hardware concurrency. The Database caches one
-  /// engine per distinct value, so all tsqd requests share one engine
-  /// (and its buffer-pool concurrency) by construction. A QUERY is a
-  /// one-query batch and runs on the execution worker that took it,
-  /// never on the engine pool; BATCH and SELF_JOIN fan out over it.
-  size_t engine_threads = 0;
   /// Admission bound: requests queued-or-executing at once (global
   /// across pollers); beyond this a request is rejected with BUSY
   /// instead of buffered.
@@ -121,9 +117,10 @@ class Server {
   TSQ_DISALLOW_COPY_AND_MOVE(Server);
   ~Server();
 
-  /// Binds, listens and starts the poller + worker threads. The database
-  /// may be queried in-process concurrently; index-building must follow
-  /// the Database contract (no concurrent BuildIndex).
+  /// Binds, listens and starts the poller threads; requests execute on
+  /// the database's pool. The database may be queried in-process
+  /// concurrently; index-building must follow the Database contract (no
+  /// concurrent BuildIndex).
   static Result<std::unique_ptr<Server>> Start(Database* db,
                                                const ServerOptions& options);
 
@@ -140,11 +137,10 @@ class Server {
   /// Counter snapshot.
   ServerCounters counters() const;
 
-  /// Test hook: runs at the start of every admitted request on the
-  /// execution worker, before any Database call. Lets tests hold workers
-  /// at a gate to deterministically fill the admission queue (BUSY path)
-  /// or to race Stop() against in-flight queries. Call before serving
-  /// traffic.
+  /// Test hook: runs at the start of every admitted request on the pool
+  /// worker, before any Database call. Lets tests hold workers at a gate
+  /// to deterministically fill the admission queue (BUSY path) or to race
+  /// Stop() against in-flight queries. Call before serving traffic.
   void SetExecutionHookForTesting(std::function<void()> hook);
 
  private:
@@ -184,8 +180,10 @@ class Server {
   const ServerOptions options_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;
-  std::unique_ptr<engine::ThreadPool> pool_;
   std::vector<std::unique_ptr<Poller>> pollers_;
+  // Tasks submitted to the pool and not yet returned: a task's last act
+  // is its decrement, so at zero none can touch this server again.
+  std::atomic<size_t> tasks_{0};
   std::atomic<bool> stopping_{false};
   std::once_flag stop_once_;
   std::atomic<size_t> inflight_{0};

@@ -34,23 +34,6 @@ void LinearTransform::ApplyInto(const ComplexVec& x, ComplexVec* out) const {
   for (size_t f = 0; f < x.size(); ++f) (*out)[f] = a_[f] * x[f] + b_[f];
 }
 
-ComplexVec LinearTransform::ApplyPrefix(const ComplexVec& x, size_t k) const {
-  TSQ_CHECK_MSG(k <= size() && k <= x.size(),
-                "ApplyPrefix: k=%zu out of range (x:%zu, t:%zu)", k, x.size(),
-                size());
-  ComplexVec out(k);
-  for (size_t f = 0; f < k; ++f) out[f] = a_[f] * x[f] + b_[f];
-  return out;
-}
-
-LinearTransform LinearTransform::Truncated(size_t k) const {
-  TSQ_CHECK_MSG(k <= size(), "Truncated: k=%zu > %zu", k, size());
-  return LinearTransform(
-      ComplexVec(a_.begin(), a_.begin() + static_cast<ptrdiff_t>(k)),
-      ComplexVec(b_.begin(), b_.begin() + static_cast<ptrdiff_t>(k)), cost_,
-      name_);
-}
-
 LinearTransform LinearTransform::Compose(const LinearTransform& inner) const {
   TSQ_CHECK_MSG(size() == inner.size(),
                 "Compose: lengths differ (%zu vs %zu)", size(), inner.size());

@@ -60,13 +60,6 @@ class LinearTransform {
   /// differently.
   void ApplyInto(const ComplexVec& x, ComplexVec* out) const;
 
-  /// Applies to only the first k coefficients of x (the k-index case,
-  /// Algorithm 2 step 1a). Requires k <= size() and k <= x.size().
-  ComplexVec ApplyPrefix(const ComplexVec& x, size_t k) const;
-
-  /// The truncated transformation (first k coefficients of a and b).
-  LinearTransform Truncated(size_t k) const;
-
   /// Composition: (this ∘ inner)(x) = this(inner(x)) = (a1∗a2, a1∗b2 + b1).
   /// Costs add. Requires equal sizes.
   LinearTransform Compose(const LinearTransform& inner) const;

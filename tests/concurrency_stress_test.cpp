@@ -2,14 +2,15 @@
 //
 // Concurrency stress suite for the v3 read contract and the v2 write
 // contract: many threads hammering mixed batch workloads (and parallel
-// self-joins) against one Database — through one shared engine and
-// through per-thread engines — while writers append to a separate
-// relation AND ingest into the queried database itself (InsertBatch
-// racing RunBatch, the v2 write contract's headline race). Under v3 the
-// hammered index fetches ride the lock-free optimistic hit path and
-// misses read with the shard lock dropped, so these races double as a
-// seqlock memory-model workout; under v2 the ingest side exercises the
-// per-segment append turnstile and the lock-free record directory.
+// self-joins) against one Database — every call sharing its one thread
+// pool, at equal and at mixed thread caps — while writers append to a
+// separate relation AND ingest into the queried database itself
+// (InsertBatch racing RunBatch, the v2 write contract's headline
+// race). Under v3 the hammered index fetches ride the lock-free
+// optimistic hit path and misses read with the shard lock dropped, so
+// these races double as a seqlock memory-model workout; under v2 the
+// ingest side exercises the per-segment append turnstile and the
+// lock-free record directory.
 // Asserts that every concurrent result is bit-identical to the
 // sequential path and that the exact per-query stat counters lose
 // nothing (their sum equals the shared engine counters' delta). Sized to
@@ -37,8 +38,6 @@ namespace {
 using engine::BatchQuery;
 using engine::BatchQueryKind;
 using engine::BatchResult;
-using engine::QueryEngine;
-using engine::QueryEngineOptions;
 using testing::Knn;
 using testing::Range;
 
@@ -123,20 +122,16 @@ TEST_F(ConcurrencyStressTest, HammeredBatchesMatchSequentialExactly) {
                                  .value());
   }
 
-  // One shared engine, hammered from kHammerThreads caller threads at
-  // once (RunBatch is documented thread-safe on a shared engine).
-  QueryEngineOptions opts;
-  opts.threads = 4;
-  QueryEngine engine(db_->index(), db_->relation(),
-                     /*subsequence_index=*/nullptr, opts);
+  // One shared pool, hammered from kHammerThreads caller threads at
+  // once (RunBatch is documented thread-safe).
   std::vector<std::vector<std::vector<BatchResult>>> runs(kHammerThreads);
   {
     std::vector<std::thread> threads;
     threads.reserve(kHammerThreads);
     for (size_t t = 0; t < kHammerThreads; ++t) {
-      threads.emplace_back([&engine, &batch, &runs, t] {
+      threads.emplace_back([this, &batch, &runs, t] {
         for (int rep = 0; rep < kRepsPerThread; ++rep) {
-          runs[t].push_back(engine.RunBatch(batch));
+          runs[t].push_back(db_->RunBatch(batch, 4).value());
         }
       });
     }
@@ -162,10 +157,9 @@ TEST_F(ConcurrencyStressTest, HammeredBatchesMatchSequentialExactly) {
 }
 
 TEST_F(ConcurrencyStressTest, ConcurrentDatabaseRunBatchAtMixedThreadCounts) {
-  // Regression: Database::RunBatch from several threads at once, each
-  // asking for a *different* worker count — the per-thread-count engine
-  // cache must never destroy an engine another caller is inside (the old
-  // single-slot cache rebuilt on every thread-count change).
+  // Database::RunBatch from several threads at once, each with a
+  // *different* thread cap over the one shared pool: every answer must
+  // still equal the sequential one.
   const std::vector<BatchQuery> batch = MakeBatch(12);
   std::vector<std::vector<Match>> expected;
   for (const BatchQuery& q : batch) {
@@ -180,10 +174,9 @@ TEST_F(ConcurrencyStressTest, ConcurrentDatabaseRunBatchAtMixedThreadCounts) {
   std::atomic<bool> failed{false};
   for (size_t t = 0; t < kHammerThreads; ++t) {
     threads.emplace_back([&, t] {
-      const size_t workers = 1 + t % 4;  // 1,2,3,4 — all distinct engines
+      const size_t cap = 1 + t % 4;  // 1, 2, 3, 4 drivers
       for (int rep = 0; rep < kRepsPerThread; ++rep) {
-        Result<std::vector<BatchResult>> results =
-            db_->RunBatch(batch, workers);
+        Result<std::vector<BatchResult>> results = db_->RunBatch(batch, cap);
         if (!results.ok() || results->size() != batch.size()) {
           failed.store(true);
           return;
@@ -215,12 +208,8 @@ TEST_F(ConcurrencyStressTest, NoStatCounterLossUnderConcurrency) {
   // The exact-stats contract, raced: with every traversal mirrored into
   // thread-local counters, the per-query deltas must add up to the shared
   // engine counters' delta with nothing lost or double-counted — even
-  // while kHammerThreads batches interleave on one engine.
+  // while kHammerThreads batches interleave on one pool.
   const std::vector<BatchQuery> batch = MakeBatch(16);
-  QueryEngineOptions opts;
-  opts.threads = 4;
-  QueryEngine engine(db_->index(), db_->relation(),
-                     /*subsequence_index=*/nullptr, opts);
   db_->index()->ResetStats();
 
   std::atomic<uint64_t> nodes{0}, transforms{0}, reads{0};
@@ -229,7 +218,8 @@ TEST_F(ConcurrencyStressTest, NoStatCounterLossUnderConcurrency) {
   for (size_t t = 0; t < kHammerThreads; ++t) {
     threads.emplace_back([&] {
       for (int rep = 0; rep < kRepsPerThread; ++rep) {
-        const std::vector<BatchResult> results = engine.RunBatch(batch);
+        const std::vector<BatchResult> results =
+            db_->RunBatch(batch, 4).value();
         for (const BatchResult& r : results) {
           ASSERT_TRUE(r.status.ok()) << r.status.ToString();
           nodes.fetch_add(r.stats.nodes_visited);
@@ -264,11 +254,6 @@ TEST_F(ConcurrencyStressTest, BatchesAndSelfJoinsRaceAWriterSafely) {
   const std::vector<BatchResult> batch_baseline =
       db_->RunBatch(batch, 1).value();
 
-  QueryEngineOptions opts;
-  opts.threads = 4;
-  QueryEngine engine(db_->index(), db_->relation(),
-                     /*subsequence_index=*/nullptr, opts);
-
   constexpr size_t kWriterRecords = 150;
   auto side_relation =
       Relation::Create(dir_.file("writer_side.rel")).value();
@@ -280,7 +265,8 @@ TEST_F(ConcurrencyStressTest, BatchesAndSelfJoinsRaceAWriterSafely) {
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&] {
       for (int rep = 0; rep < kRepsPerThread; ++rep) {
-        const std::vector<BatchResult> results = engine.RunBatch(batch);
+        const std::vector<BatchResult> results =
+            db_->RunBatch(batch, 4).value();
         for (size_t i = 0; i < results.size(); ++i) {
           if (!results[i].status.ok() ||
               results[i].matches.size() !=
@@ -302,11 +288,11 @@ TEST_F(ConcurrencyStressTest, BatchesAndSelfJoinsRaceAWriterSafely) {
     });
   }
 
-  // One self-join hammer (shares the engine's pool with the batches).
+  // One self-join hammer (shares the database's pool with the batches).
   threads.emplace_back([&] {
     for (int rep = 0; rep < kRepsPerThread; ++rep) {
-      Result<std::vector<JoinPair>> pairs =
-          engine.SelfJoin(join_eps, transform, nullptr);
+      Result<std::vector<JoinPair>> pairs = db_->SelfJoin(
+          join_eps, JoinMethod::kTreeMatch, transform, nullptr, 4);
       if (!pairs.ok() || pairs->size() != join_baseline.size()) {
         failed.store(true);
         return;
@@ -440,7 +426,7 @@ TEST_F(ConcurrencyStressTest, InsertBatchRacesRunBatchSafely) {
     });
   }
 
-  // Batch writers: concurrent InsertBatch calls sharing one ingest pool.
+  // Batch writers: concurrent InsertBatch calls sharing the one pool.
   for (size_t w = 0; w < kWriterThreads; ++w) {
     threads.emplace_back([&, w] {
       for (size_t b = 0; b < kBatchesPerWriter; ++b) {

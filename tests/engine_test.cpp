@@ -1,12 +1,16 @@
 // Copyright (c) 2026 The tsq Authors.
 //
-// Tests for the concurrent batch query engine: batch answers must be
-// exactly the direct single-query answers, for every thread count, and a
-// single query — a one-element batch — must run on its caller with stats
-// that are exactly its own.
+// Tests for the thread pool and the concurrent batch query engine: a
+// ParallelFor nested in a pool task must finish, a thread cap must bound
+// the drivers with the caller among them, batch answers must be exactly
+// the direct single-query answers for every thread count, and a single
+// query — a one-element batch — must run on its caller with stats that
+// are exactly its own.
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <memory>
 #include <mutex>
@@ -18,7 +22,6 @@
 #include <vector>
 
 #include "core/database.h"
-#include "core/subsequence.h"
 #include "engine/query_engine.h"
 #include "engine/thread_pool.h"
 #include "gtest/gtest.h"
@@ -33,8 +36,6 @@ using engine::BatchQuery;
 using engine::BatchQueryKind;
 using engine::BatchResult;
 using engine::BatchStats;
-using engine::QueryEngine;
-using engine::QueryEngineOptions;
 using engine::ThreadPool;
 
 constexpr size_t kNumSeries = 160;
@@ -160,16 +161,23 @@ TEST(ThreadPoolTest, ZeroMeansHardwareConcurrency) {
   EXPECT_GE(pool.size(), 1u);
 }
 
-/// The threads ParallelFor(n, ...) on `pool` ran its calls on.
-std::set<std::thread::id> ParallelForThreads(ThreadPool* pool, size_t n) {
+/// The threads ParallelFor(n, ..., max_drivers) on `pool` ran its calls
+/// on. Each call sleeps briefly, so every driver that is free gets to
+/// claim indices.
+std::set<std::thread::id> ParallelForThreads(ThreadPool* pool, size_t n,
+                                             size_t max_drivers = 0) {
   std::mutex mutex;
   std::set<std::thread::id> ran_on;
   std::vector<int> calls(n, 0);
-  pool->ParallelFor(n, [&](size_t i) {
-    ++calls[i];
-    std::lock_guard<std::mutex> lock(mutex);
-    ran_on.insert(std::this_thread::get_id());
-  });
+  pool->ParallelFor(
+      n,
+      [&](size_t i) {
+        ++calls[i];
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        std::lock_guard<std::mutex> lock(mutex);
+        ran_on.insert(std::this_thread::get_id());
+      },
+      max_drivers);
   EXPECT_EQ(std::count(calls.begin(), calls.end(), 1),
             static_cast<std::ptrdiff_t>(n));
   return ran_on;
@@ -185,10 +193,80 @@ TEST(ThreadPoolTest, OneDriverRunsOnTheCaller) {
   ThreadPool one(1);
   EXPECT_EQ(ParallelForThreads(&one, 1), caller);
   EXPECT_EQ(ParallelForThreads(&one, 64), caller);
-  // With more than one driver the work still goes to the workers.
-  const std::set<std::thread::id> workers = ParallelForThreads(&pool, 64);
-  EXPECT_FALSE(workers.empty());
-  EXPECT_EQ(workers.count(std::this_thread::get_id()), 0u);
+}
+
+TEST(ThreadPoolTest, MaxDriversCapsTheDriversAndTheCallerIsOne) {
+  const std::thread::id caller = std::this_thread::get_id();
+  ThreadPool pool(4);
+  for (const size_t max_drivers : {1u, 2u, 3u, 4u}) {
+    const std::set<std::thread::id> drivers =
+        ParallelForThreads(&pool, 64, max_drivers);
+    EXPECT_LE(drivers.size(), max_drivers) << "max_drivers=" << max_drivers;
+    EXPECT_EQ(drivers.count(caller), 1u) << "max_drivers=" << max_drivers;
+  }
+  // 0 means the pool size, the caller counted.
+  EXPECT_LE(ParallelForThreads(&pool, 64).size(), pool.size());
+
+  // With every worker parked, the caller alone finishes all n indices:
+  // a ParallelFor never waits on a queued helper.
+  testing::Watchdog watchdog("ParallelFor with every worker busy", 60);
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  size_t parked = 0;
+  bool release = false;
+  for (size_t w = 0; w < pool.size(); ++w) {
+    pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(gate_mutex);
+      ++parked;
+      gate_cv.notify_all();
+      gate_cv.wait(lock, [&] { return release; });
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    gate_cv.wait(lock, [&] { return parked == pool.size(); });
+  }
+  EXPECT_EQ(ParallelForThreads(&pool, 64),
+            std::set<std::thread::id>{caller});
+  {
+    std::lock_guard<std::mutex> lock(gate_mutex);
+    release = true;
+  }
+  gate_cv.notify_all();
+  pool.Wait();
+}
+
+TEST(ThreadPoolTest, NestedParallelForOnEveryWorkerCompletes) {
+  // Every worker of the pool runs a task that calls ParallelFor on the
+  // same pool while no worker is free to help: each call must finish on
+  // its own caller, and every index must run exactly once.
+  testing::Watchdog watchdog("nested ParallelFor", 60);
+  constexpr size_t kWorkers = 2;
+  constexpr size_t kIndices = 64;
+  ThreadPool pool(kWorkers);
+  std::mutex mutex;
+  std::condition_variable all_started;
+  size_t started = 0;
+  std::atomic<int> calls[kWorkers][kIndices] = {};
+  for (size_t w = 0; w < kWorkers; ++w) {
+    pool.Submit([&, w] {
+      {
+        // Rendezvous: both workers are inside a task before either
+        // calls ParallelFor, so no worker is idle to run a helper.
+        std::unique_lock<std::mutex> lock(mutex);
+        ++started;
+        all_started.notify_all();
+        all_started.wait(lock, [&] { return started == kWorkers; });
+      }
+      pool.ParallelFor(kIndices, [&, w](size_t i) { calls[w][i]++; });
+    });
+  }
+  pool.Wait();
+  for (size_t w = 0; w < kWorkers; ++w) {
+    for (size_t i = 0; i < kIndices; ++i) {
+      EXPECT_EQ(calls[w][i].load(), 1) << "task " << w << " index " << i;
+    }
+  }
 }
 
 TEST(QueryStatsTest, MergeAccumulatesEveryField) {
@@ -422,68 +500,18 @@ TEST_F(EngineTest, BatchTraversalStatsAreExactPerQuery) {
   }
 }
 
-TEST_F(EngineTest, SubsequenceBatchEqualsDirectSearch) {
-  SubsequenceIndexOptions options;
-  options.window = 32;
-  options.path = dir_.file("engine_subseq.pages");
-  auto sub_index = SubsequenceIndex::Create(options).value();
-  for (size_t i = 0; i < data_.size(); ++i) {
-    ASSERT_TRUE(sub_index->AddSeries(i, data_[i].values()).ok());
-  }
-
-  const SeriesFetcher fetch = [this](SeriesId id) -> Result<RealVec> {
-    TSQ_ASSIGN_OR_RETURN(SeriesRecord rec, db_->Get(id));
-    return std::move(rec.values);
-  };
-
-  std::vector<BatchQuery> batch;
-  std::vector<std::vector<SubsequenceMatch>> expected;
-  for (size_t i = 0; i < 12; ++i) {
-    BatchQuery q;
-    q.kind = BatchQueryKind::kSubsequence;
-    const RealVec& source = data_[(i * 29) % kNumSeries].values();
-    const size_t offset = (i * 7) % (kLength - options.window);
-    q.query.assign(source.begin() + offset,
-                   source.begin() + offset + options.window);
-    q.epsilon = 1.5;
-    batch.push_back(q);
-
-    expected.emplace_back();
-    ASSERT_TRUE(sub_index
-                    ->RangeSearch(batch.back().query, batch.back().epsilon,
-                                  fetch, &expected.back(), nullptr)
-                    .ok());
-  }
-
-  for (const size_t threads : kThreadCounts) {
-    QueryEngineOptions opts;
-    opts.threads = threads;
-    QueryEngine engine(db_->index(), db_->relation(), sub_index.get(), opts);
-    const std::vector<BatchResult> results = engine.RunBatch(batch);
-    ASSERT_EQ(results.size(), batch.size());
-    for (size_t i = 0; i < results.size(); ++i) {
-      ASSERT_TRUE(results[i].status.ok()) << results[i].status.ToString();
-      const auto& actual = results[i].subsequence_matches;
-      ASSERT_EQ(actual.size(), expected[i].size())
-          << "threads=" << threads << " query=" << i;
-      for (size_t m = 0; m < actual.size(); ++m) {
-        EXPECT_EQ(actual[m].id, expected[i][m].id);
-        EXPECT_EQ(actual[m].offset, expected[i][m].offset);
-        EXPECT_EQ(actual[m].distance, expected[i][m].distance);
-      }
-    }
-  }
-}
-
 TEST_F(EngineTest, PerQueryErrorsDoNotPoisonTheBatch) {
   std::vector<BatchQuery> batch = MakeBatch(6);
   batch[2].query.resize(kLength / 2);  // wrong length
   batch[4].epsilon = -1.0;             // negative threshold
+  // The database holds no ST-index to answer a subsequence query.
+  batch.push_back(BatchQuery::Subsequence(RealVec(8, 0.0), 1.0));
 
   const std::vector<BatchResult> results = db_->RunBatch(batch, 4).value();
   ASSERT_EQ(results.size(), batch.size());
   EXPECT_TRUE(results[2].status.IsInvalidArgument());
   EXPECT_TRUE(results[4].status.IsInvalidArgument());
+  EXPECT_TRUE(results[6].status.IsFailedPrecondition());
   for (const size_t i : {0u, 1u, 3u, 5u}) {
     EXPECT_TRUE(results[i].status.ok()) << "query " << i;
     ExpectSameMatches(results[i].matches, Sequential(batch[i]).value(),
@@ -501,15 +529,6 @@ TEST_F(EngineTest, RunBatchRequiresIndex) {
   Result<std::vector<BatchResult>> r = db->RunBatch(MakeBatch(2), 2);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsFailedPrecondition());
-}
-
-TEST_F(EngineTest, EngineWithoutKIndexFailsWholeSeriesQueriesOnly) {
-  QueryEngine engine(nullptr, db_->relation());
-  std::vector<BatchQuery> batch = MakeBatch(3);
-  const std::vector<BatchResult> results = engine.RunBatch(batch);
-  for (const BatchResult& r : results) {
-    EXPECT_TRUE(r.status.IsFailedPrecondition());
-  }
 }
 
 }  // namespace

@@ -8,9 +8,7 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -24,6 +22,7 @@ namespace tsq {
 namespace {
 
 using testing::Range;
+using testing::RelationBytes;
 using testing::TempDir;
 
 constexpr size_t kLength = 16;
@@ -36,25 +35,6 @@ void MakeWorkload(size_t count, std::vector<std::string>* names,
     names->push_back(s.name());
     values->push_back(s.values());
   }
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-/// Every segment file of `db`'s relation, concatenated with separators —
-/// the whole on-disk relation directory as one comparable string.
-std::string RelationBytes(Database* db) {
-  std::string all;
-  for (size_t s = 0; s < db->relation()->num_segments(); ++s) {
-    all += "\n--segment " + std::to_string(s) + "--\n";
-    all += ReadFileBytes(db->relation()->SegmentPath(s));
-  }
-  return all;
 }
 
 TEST(InsertBatchTest, AssignsDenseIdsInArgumentOrder) {

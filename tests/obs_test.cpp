@@ -164,6 +164,17 @@ TEST(HistogramTest, SnapshotDeltaAndQuantiles) {
   EXPECT_GT(obs::SnapshotQuantileMicros(after, 0.99), 4.0);
 }
 
+TEST(HistogramDeathTest, SnapshotDeltaRefusesAReversedPair) {
+  // SnapshotDelta(a, b) is a − b: passing the earlier snapshot first
+  // would wrap every bucket below zero, so it aborts instead.
+  obs::Histogram h;
+  h.Observe(1000);
+  const obs::Histogram::Snapshot before = h.Snap();
+  h.Observe(8000);
+  const obs::Histogram::Snapshot after = h.Snap();
+  EXPECT_DEATH(obs::SnapshotDelta(before, after), "reversed");
+}
+
 // ---------------------------------------------------------------------------
 // Prometheus exposition golden.
 // ---------------------------------------------------------------------------
@@ -576,9 +587,7 @@ TEST(ObsEndToEndTest, MetricsScrapeAndStatsCounters) {
   ASSERT_TRUE(db->InsertBatch(names, values, 2).ok());
   ASSERT_TRUE(db->BuildIndex().ok());
 
-  server::ServerOptions server_options;
-  server_options.engine_threads = 2;
-  auto started = server::Server::Start(db.get(), server_options);
+  auto started = server::Server::Start(db.get(), server::ServerOptions{});
   ASSERT_TRUE(started.ok()) << started.status().ToString();
   auto server = std::move(*started);
 

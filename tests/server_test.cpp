@@ -636,8 +636,7 @@ class ServerTest : public ::testing::Test {
     ASSERT_TRUE(db_->BuildIndex().ok());
   }
 
-  std::unique_ptr<Server> StartServer(ServerOptions options = {}) {
-    options.engine_threads = 2;
+  std::unique_ptr<Server> StartServer(const ServerOptions& options = {}) {
     auto server = Server::Start(db_.get(), options);
     EXPECT_TRUE(server.ok()) << server.status().ToString();
     return std::move(server).value();
@@ -708,7 +707,6 @@ class ServerTest : public ::testing::Test {
 
 TEST_F(ServerTest, PingAndStats) {
   ServerOptions options;
-  options.workers = 2;
   auto server = StartServer(options);
   auto client = Connect(*server);
   ASSERT_TRUE(client->Ping().ok());
@@ -732,7 +730,6 @@ TEST_F(ServerTest, PingAndStats) {
 
 TEST_F(ServerTest, RemoteQueriesMatchInProcess) {
   ServerOptions options;
-  options.workers = 2;
   auto server = StartServer(options);
   auto client = Connect(*server);
 
@@ -766,7 +763,6 @@ TEST_F(ServerTest, RemoteQueriesMatchInProcess) {
 
 TEST_F(ServerTest, RemoteBatchMatchesInProcess) {
   ServerOptions options;
-  options.workers = 2;
   auto server = StartServer(options);
   auto client = Connect(*server);
 
@@ -807,7 +803,6 @@ TEST_F(ServerTest, RemoteErrorsMatchInProcess) {
 
 TEST_F(ServerTest, RemoteSelfJoinMatchesInProcess) {
   ServerOptions options;
-  options.workers = 2;
   auto server = StartServer(options);
   auto client = Connect(*server);
 
@@ -880,9 +875,7 @@ TEST_F(ServerTest, TreeMatchJoinOfARootEntrySkippingALevelIsCorruption) {
         << "threads=" << threads << ": " << pairs.status().ToString();
   }
   {
-    ServerOptions server_options;
-    server_options.engine_threads = 2;
-    auto server = Server::Start(db.get(), server_options);
+    auto server = Server::Start(db.get(), ServerOptions{});
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     auto client = Connect(**server);
     auto remote = client->SelfJoin(4.0, std::nullopt);
@@ -1115,7 +1108,7 @@ TEST_F(ServerTest, BrokenFramingClosesConnection) {
   EXPECT_GE(server->counters().protocol_errors, 1u);
 }
 
-TEST_F(ServerTest, ConcurrentClientsMatchGroundTruthAtEveryWorkerCount) {
+TEST_F(ServerTest, ConcurrentClientsMatchGroundTruth) {
   constexpr size_t kClients = 4;
   constexpr size_t kQueriesPerClient = 18;
 
@@ -1127,45 +1120,133 @@ TEST_F(ServerTest, ConcurrentClientsMatchGroundTruthAtEveryWorkerCount) {
     expected.push_back(std::move(*local));
   }
 
-  for (size_t workers : {size_t{1}, size_t{4}}) {
-    ServerOptions options;
-    options.workers = workers;
-    auto server = StartServer(options);
-
-    std::vector<std::thread> threads;
-    std::vector<Status> client_status(kClients);
-    std::vector<std::vector<BatchResult>> got(kClients);
-    for (size_t c = 0; c < kClients; ++c) {
-      threads.emplace_back([&, c] {
-        auto client = Client::Connect("127.0.0.1", server->port());
-        if (!client.ok()) {
-          client_status[c] = client.status();
-          return;
-        }
-        // Mix batched and single-query traffic per client.
-        auto batch = (*client)->RunBatch(MakeBatch(kQueriesPerClient, c));
-        if (!batch.ok()) {
-          client_status[c] = batch.status();
-          return;
-        }
-        got[c] = std::move(*batch);
-        client_status[c] = (*client)->Ping();
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    for (size_t c = 0; c < kClients; ++c) {
-      ASSERT_TRUE(client_status[c].ok())
-          << "client " << c << " with " << workers
-          << " workers: " << client_status[c].ToString();
-      ExpectResultsEq(got[c], expected[c],
-                      "client " + std::to_string(c) + " workers " +
-                          std::to_string(workers));
-    }
-    const ServerCounters counters = server->counters();
-    EXPECT_EQ(counters.connections_accepted, kClients);
-    EXPECT_EQ(counters.busy_rejected, 0u);
-    EXPECT_EQ(counters.requests_executed, kClients);  // one batch each
+  auto server = StartServer();
+  std::vector<std::thread> threads;
+  std::vector<Status> client_status(kClients);
+  std::vector<std::vector<BatchResult>> got(kClients);
+  for (size_t c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      auto client = Client::Connect("127.0.0.1", server->port());
+      if (!client.ok()) {
+        client_status[c] = client.status();
+        return;
+      }
+      // Mix batched and single-query traffic per client.
+      auto batch = (*client)->RunBatch(MakeBatch(kQueriesPerClient, c));
+      if (!batch.ok()) {
+        client_status[c] = batch.status();
+        return;
+      }
+      got[c] = std::move(*batch);
+      client_status[c] = (*client)->Ping();
+    });
   }
+  for (std::thread& t : threads) t.join();
+  for (size_t c = 0; c < kClients; ++c) {
+    ASSERT_TRUE(client_status[c].ok())
+        << "client " << c << ": " << client_status[c].ToString();
+    ExpectResultsEq(got[c], expected[c], "client " + std::to_string(c));
+  }
+  const ServerCounters counters = server->counters();
+  EXPECT_EQ(counters.connections_accepted, kClients);
+  EXPECT_EQ(counters.busy_rejected, 0u);
+  EXPECT_EQ(counters.requests_executed, kClients);  // one batch each
+}
+
+TEST_F(ServerTest, ConcurrentInsertClientsGetDenseIdsAndSequentialBytes) {
+  // More INSERT clients than pool workers, all admitted at once: each
+  // INSERT's InsertBatch runs on a pool worker and queues its helpers
+  // behind the other requests, so batches reserve ids in one order and
+  // their appends reach the queue in another. Every batch must still
+  // get a dense id range, and the segment files must hold exactly the
+  // bytes of the same records inserted one Insert at a time in id order
+  // (the append deadlock argument in database.h, exercised).
+  testing::Watchdog watchdog("concurrent INSERT clients", 120);
+  const size_t clients = db_->thread_pool()->size() + 2;
+  constexpr size_t kBatchesPerClient = 3;
+  constexpr size_t kRecordsPerBatch = 40;
+  ServerOptions options;
+  options.max_inflight = 4 * clients;
+  auto server = StartServer(options);
+
+  struct Sent {
+    SeriesId base = 0;
+    std::vector<std::string> names;
+    std::vector<RealVec> values;
+  };
+  std::vector<std::vector<Sent>> sent(clients);
+  std::vector<Status> client_status(clients);
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      auto client = Client::Connect("127.0.0.1", server->port());
+      if (!client.ok()) {
+        client_status[c] = client.status();
+        return;
+      }
+      Rng rng(kSeed + 1000 + c);
+      for (size_t b = 0; b < kBatchesPerClient; ++b) {
+        Sent batch;
+        for (size_t i = 0; i < kRecordsPerBatch; ++i) {
+          batch.names.push_back("c" + std::to_string(c) + "_b" +
+                                std::to_string(b) + "_" + std::to_string(i));
+          batch.values.push_back(testing::RandomRealVec(&rng, kLength));
+        }
+        auto ids = (*client)->InsertBatch(batch.names, batch.values);
+        if (!ids.ok()) {
+          client_status[c] = ids.status();
+          return;
+        }
+        for (size_t i = 0; i < ids->size(); ++i) {
+          if ((*ids)[i] != ids->front() + i) {
+            client_status[c] = Status::Corruption("ids not dense");
+            return;
+          }
+        }
+        batch.base = ids->front();
+        sent[c].push_back(std::move(batch));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  server->Stop();
+
+  // The batches tile [kNumSeries, total) with no gap or overlap.
+  const size_t total = kNumSeries + clients * kBatchesPerClient *
+                                        kRecordsPerBatch;
+  ASSERT_EQ(db_->size(), total);
+  std::vector<const Sent*> by_base;
+  for (size_t c = 0; c < clients; ++c) {
+    ASSERT_TRUE(client_status[c].ok())
+        << "client " << c << ": " << client_status[c].ToString();
+    for (const Sent& batch : sent[c]) by_base.push_back(&batch);
+  }
+  std::sort(by_base.begin(), by_base.end(),
+            [](const Sent* a, const Sent* b) { return a->base < b->base; });
+  SeriesId next = kNumSeries;
+  for (const Sent* batch : by_base) {
+    ASSERT_EQ(batch->base, next);
+    next += batch->names.size();
+  }
+
+  // The same records, one Insert at a time in id order.
+  testing::TempDir seq_dir;
+  DatabaseOptions seq_options;
+  seq_options.directory = seq_dir.path();
+  seq_options.name = "sequential";
+  auto seq = Database::Create(seq_options).value();
+  for (const TimeSeries& s : data_) {
+    ASSERT_TRUE(seq->Insert(s.name(), s.values()).ok());
+  }
+  for (const Sent* batch : by_base) {
+    for (size_t i = 0; i < batch->names.size(); ++i) {
+      ASSERT_TRUE(seq->Insert(batch->names[i], batch->values[i]).ok());
+    }
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(seq->Flush().ok());
+  EXPECT_EQ(testing::RelationBytes(db_.get()),
+            testing::RelationBytes(seq.get()));
 }
 
 TEST_F(ServerTest, AdmissionQueueFullRepliesBusy) {
@@ -1178,7 +1259,6 @@ TEST_F(ServerTest, AdmissionQueueFullRepliesBusy) {
   bool release = false;
 
   ServerOptions options;
-  options.workers = 1;
   options.max_inflight = 1;
   auto server = StartServer(options);
   server->SetExecutionHookForTesting([&] {
@@ -1227,7 +1307,6 @@ TEST_F(ServerTest, StopDrainsInFlightQueries) {
   bool release = false;
 
   ServerOptions options;
-  options.workers = 1;
   auto server = StartServer(options);
   server->SetExecutionHookForTesting([&] {
     std::unique_lock<std::mutex> lock(gate_mutex);
@@ -1280,7 +1359,6 @@ TEST_F(ServerTest, LoopbackEqualityAtEveryPollerCount) {
   for (size_t pollers : {size_t{1}, size_t{2}, size_t{4}}) {
     ServerOptions options;
     options.pollers = pollers;
-    options.workers = 2;
     auto server = StartServer(options);
     ASSERT_EQ(server->pollers(), pollers);
 
@@ -1402,7 +1480,6 @@ TEST_F(ServerTest, PipelinedFramesInOneSendAllAnswer) {
   for (size_t pollers : {size_t{1}, size_t{2}, size_t{4}}) {
     ServerOptions options;
     options.pollers = pollers;
-    options.workers = 2;
     auto server = StartServer(options);
 
     // Many requests in one send(): the poller's FrameReader must slice
@@ -1481,7 +1558,6 @@ TEST_F(ServerTest, FrameSplitAcrossManySendsDecodes) {
 TEST_F(ServerTest, ConnectionChurnStress) {
   ServerOptions options;
   options.pollers = 2;
-  options.workers = 2;
   auto server = StartServer(options);
 
   // Hundreds of short-lived connections across threads: exercises the
@@ -1600,7 +1676,6 @@ TEST_F(ServerTest, ClientIoTimeoutOnHungServerReturnsUnavailable) {
   // The only worker parks at the gate: from the client's side the server
   // accepted the request and went silent.
   ServerOptions options;
-  options.workers = 1;
   auto server = StartServer(options);
   server->SetExecutionHookForTesting([&] {
     std::unique_lock<std::mutex> lock(gate_mutex);
@@ -1645,7 +1720,6 @@ TEST_F(ServerTest, ResetConnectionRetiresImmediately) {
 
   ServerOptions options;
   options.pollers = 1;
-  options.workers = 1;
   auto server = StartServer(options);
   server->SetExecutionHookForTesting([&] {
     std::unique_lock<std::mutex> lock(gate_mutex);

@@ -5,10 +5,16 @@
 #ifndef TSQ_TESTS_TEST_UTIL_H_
 #define TSQ_TESTS_TEST_UTIL_H_
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <mutex>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -128,6 +134,57 @@ inline Result<std::vector<Match>> Scan(Database* db, const RealVec& query,
                                         query, epsilon, spec, early_abandon,
                                         &out, /*stats=*/nullptr));
   return out;
+}
+
+/// Fails the whole test binary if it is still alive `seconds` after
+/// construction, so a test that can deadlock fails instead of wedging
+/// the suite. Disarmed by destruction.
+class Watchdog {
+ public:
+  Watchdog(const char* what, int seconds)
+      : thread_([this, what, seconds] {
+          std::unique_lock<std::mutex> lock(mutex_);
+          if (!cv_.wait_for(lock, std::chrono::seconds(seconds),
+                            [this] { return done_; })) {
+            std::fprintf(stderr, "watchdog: %s still running after %d s\n",
+                         what, seconds);
+            std::fflush(stderr);
+            std::_Exit(1);
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      done_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;  // last: starts after the members it uses
+};
+
+inline std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// Every segment file of `db`'s relation, concatenated with separators —
+/// the whole on-disk relation directory as one comparable string.
+inline std::string RelationBytes(Database* db) {
+  std::string all;
+  for (size_t s = 0; s < db->relation()->num_segments(); ++s) {
+    all += "\n--segment " + std::to_string(s) + "--\n";
+    all += ReadFileBytes(db->relation()->SegmentPath(s));
+  }
+  return all;
 }
 
 /// EXPECT helper: complex vectors elementwise close.

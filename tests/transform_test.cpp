@@ -51,23 +51,6 @@ TEST(LinearTransformTest, ApplyComputesAxPlusB) {
   EXPECT_EQ(y[1], Complex(-1, 0));          // i*(1+i) - i = -1 + i - i
 }
 
-TEST(LinearTransformTest, ApplyPrefixMatchesTruncatedApply) {
-  Rng rng(2);
-  ComplexVec a = RandomComplexVec(&rng, 12);
-  ComplexVec b = RandomComplexVec(&rng, 12);
-  LinearTransform t(a, b);
-  ComplexVec x = RandomComplexVec(&rng, 12);
-  ComplexVec full = t.Apply(x);
-  ComplexVec prefix = t.ApplyPrefix(x, 5);
-  ASSERT_EQ(prefix.size(), 5u);
-  for (size_t i = 0; i < 5; ++i) EXPECT_EQ(prefix[i], full[i]);
-
-  LinearTransform trunc = t.Truncated(5);
-  EXPECT_EQ(trunc.size(), 5u);
-  ExpectComplexNear(trunc.Apply(ComplexVec(x.begin(), x.begin() + 5)), prefix,
-                    1e-12);
-}
-
 TEST(LinearTransformTest, ComposeMatchesSequentialApplication) {
   Rng rng(3);
   LinearTransform f(RandomComplexVec(&rng, 8), RandomComplexVec(&rng, 8), 1.5,

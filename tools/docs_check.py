@@ -15,7 +15,8 @@ Four classes of failure:
    offending file:line printed. Likewise the query API that was folded
    into Database::RunBatch and Database::SelfJoin (the single-query
    methods, their shared last-query stats and the sequential tree-match
-   join) must not be named in the README, docs/ or src/ headers.
+   join) and the per-thread-count engines and pools the one database
+   pool replaced must not be named in the README, docs/ or src/ headers.
 
 3. Required sections: load-bearing doc sections that later PRs link to
    (the kernel determinism contract, the wire-protocol extension rule,
@@ -56,7 +57,8 @@ STALE_PATTERNS = [
     r"fold[s]?\s+new\s+points\s+into\s+the\s+live\s+(R\*?-?)?tree",
 ]
 
-# Names of the removed query API (see check 2). Checked against
+# Names of the removed query API and of the per-thread-count engines and
+# pools (see check 2). Checked against
 # README.md, docs/*.md and every header under src/. Case-sensitive, and
 # anchored so SeqScanRangeQuery / IndexRangeQuery / Client::Knn pass.
 STALE_API_PATTERNS = [
@@ -65,6 +67,11 @@ STALE_API_PATTERNS = [
     r"\bScanRangeQuery",
     r"TreeMatchSelfJoin",
     r"\bRangeQuery\(",
+    r"EnsureEngine",
+    r"EnsureIngestPool",
+    r"QueryEngineOptions",
+    r"engine_threads",
+    r"engine-threads",
 ]
 
 SKIP_DIRS = {".git", "build", "build-tsan", "third_party", ".github",

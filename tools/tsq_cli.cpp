@@ -23,8 +23,8 @@
 // buffered behavior.
 //
 // tsqd server + remote client commands (src/server/):
-//   tsq_cli serve         --db DIR/NAME [--host H] [--port P] [--workers N]
-//                         [--engine-threads T] [--max-inflight M]
+//   tsq_cli serve         --db DIR/NAME [--host H] [--port P] [--pollers N]
+//                         [--max-inflight M]
 //                         [--merge-interval-ms MS] [--merge-min-delta N]
 //   tsq_cli remote-ping   [--host H] [--port P]
 //   tsq_cli remote-stats  [--host H] [--port P]
@@ -94,7 +94,7 @@ int Usage() {
       "  tsq_cli reindex --db DIR/NAME\n"
       "  tsq_cli demo   --db DIR/NAME [--count N] [--days D]\n"
       "  tsq_cli serve  --db DIR/NAME [--host H] [--port P] [--pollers N] "
-      "[--workers N] [--engine-threads T] [--max-inflight M] "
+      "[--max-inflight M] "
       "[--merge-interval-ms MS] [--merge-min-delta N] [--durability D]\n"
       "  tsq_cli remote-ping|remote-stats|remote-metrics [--host H] "
       "[--port P]\n"
@@ -519,9 +519,6 @@ int CmdServe(const Args& args) {
   server_options.port = static_cast<uint16_t>(
       std::stoul(args.GetOr("port", std::to_string(kDefaultPort))));
   server_options.pollers = std::stoul(args.GetOr("pollers", "0"));
-  server_options.workers = std::stoul(args.GetOr("workers", "0"));
-  server_options.engine_threads =
-      std::stoul(args.GetOr("engine-threads", "0"));
   server_options.max_inflight = std::stoul(args.GetOr("max-inflight", "128"));
   auto server = server::Server::Start(db->get(), server_options);
   if (!server.ok()) return Fail(server.status());
