@@ -2,18 +2,18 @@
 //
 // Batch query engine throughput: queries/second for a mixed range + kNN
 // workload run by Database::RunBatch with 1, 2, 4 and 8 drivers on the
-// database's pool, the parallel self-join, and a buffer-pool shard-count
-// sweep.
+// database's pool, and the parallel self-join.
 // This is not a paper figure — it measures the concurrency layer tsq adds
 // on top of the paper's single-query pipeline (the index stack is shared
-// read-only across drivers; answers are identical at every thread count
-// and shard count).
+// read-only across drivers; answers are identical at every thread count).
+// Each cell runs once untimed, then bench::kCellReps timed times; tables
+// show the median with its min-max.
 //
 // Besides the console tables, the binary drops BENCH_batch_throughput.json
-// in the working directory — wall ms, queries/sec and the buffer-pool
-// hit/miss/disk counters for every thread and shard configuration — so CI
-// can archive the perf trajectory across PRs instead of it living only in
-// README prose.
+// in the working directory — every repetition's wall ms, their median,
+// queries/sec at the median and the buffer-pool hit/miss/disk counters of
+// the last repetition for every thread cap — so CI can archive the perf
+// trajectory across PRs instead of it living only in README prose.
 
 #include <cmath>
 #include <cstdio>
@@ -85,34 +85,37 @@ void Run() {
     batch.push_back(std::move(q));
   }
 
-  bench::Table table({"threads", "wall ms", "queries/sec", "speedup",
-                      "answers", "candidates"});
+  bench::Table table({"threads", "wall ms", "min-max", "queries/sec",
+                      "speedup", "answers", "candidates"});
   bench::Json thread_sweep = bench::Json::Array();
   double base_ms = 0.0;
   for (const size_t threads : {1u, 2u, 4u, 8u}) {
-    db->RunBatch(batch, threads).value();  // warm the buffer pool
-    db->index()->pool()->ResetStats();
-
+    // The untimed first run warms the buffer pool; every run checks its
+    // answers, and the last one's counters go to the JSON.
     engine::BatchStats stats;
-    const auto results = db->RunBatch(batch, threads, &stats).value();
-    uint64_t failures = 0;
-    for (const auto& r : results) {
-      if (!r.status.ok()) ++failures;
-    }
-    TSQ_CHECK_MSG(failures == 0, "%llu batch queries failed",
-                  static_cast<unsigned long long>(failures));
+    const bench::CellTiming timing = bench::RepeatCell([&] {
+      db->index()->pool()->ResetStats();
+      stats = engine::BatchStats();
+      const auto results = db->RunBatch(batch, threads, &stats).value();
+      for (const auto& r : results) {
+        TSQ_CHECK_MSG(r.status.ok(), "batch query failed: %s",
+                      r.status.ToString().c_str());
+      }
+      return stats.wall_ms;
+    });
 
-    if (threads == 1) base_ms = stats.wall_ms;
-    table.AddRow({std::to_string(threads), bench::Table::Num(stats.wall_ms),
-                  bench::Table::Num(1000.0 * kBatch / stats.wall_ms, 0),
-                  bench::Table::Num(base_ms / stats.wall_ms, 2),
+    if (threads == 1) base_ms = timing.median_ms;
+    table.AddRow({std::to_string(threads), bench::Table::Num(timing.median_ms),
+                  timing.Spread(),
+                  bench::Table::Num(1000.0 * kBatch / timing.median_ms, 0),
+                  bench::Table::Num(base_ms / timing.median_ms, 2),
                   std::to_string(stats.aggregate.answers),
                   std::to_string(stats.aggregate.candidates)});
     bench::Json row = bench::Json::Object();
     row["threads"] = bench::Json::Int(threads);
-    row["wall_ms"] = bench::Json::Num(stats.wall_ms);
+    timing.AddTo(&row);
     row["queries_per_sec"] = bench::Json::Num(1000.0 * kBatch /
-                                              stats.wall_ms);
+                                              timing.median_ms);
     row["answers"] = bench::Json::Int(stats.aggregate.answers);
     row["candidates"] = bench::Json::Int(stats.aggregate.candidates);
     row["pool"] = PoolCountersJson(db->index()->pool()->stats());
@@ -120,54 +123,6 @@ void Run() {
   }
   table.Print();
   doc["thread_sweep"] = std::move(thread_sweep);
-
-  std::printf("\n");
-  bench::Banner(
-      "Buffer-pool shard sweep: 8-thread batch wall time vs shard count",
-      "Same workload at thread cap 8 against databases whose pool has 1, 4 "
-      "and 16\nshards (and a small frame budget, so page access leaves "
-      "the lock-free\nhit path often enough to exercise the miss/eviction "
-      "locks). 1 shard\nreproduces the single-mutex miss path.");
-
-  bench::Table shard_table(
-      {"shards", "wall ms", "queries/sec", "speedup vs 1"});
-  bench::Json shard_sweep = bench::Json::Array();
-  double one_shard_ms = 0.0;
-  for (const size_t shards : {1u, 4u, 16u}) {
-    DatabaseOptions shard_options;
-    shard_options.buffer_pool_shards = shards;
-    // A pool far smaller than the node count keeps eviction/refetch
-    // traffic flowing through the miss path instead of pure hits.
-    shard_options.buffer_pool_frames = 64;
-    auto shard_db =
-        bench::BuildDatabase(dir.path(), "batch_s" + std::to_string(shards),
-                             data, shard_options);
-    shard_db->RunBatch(batch, 8).value();  // warm-up
-    shard_db->index()->pool()->ResetStats();
-
-    engine::BatchStats stats;
-    const auto results = shard_db->RunBatch(batch, 8, &stats).value();
-    for (const auto& r : results) {
-      TSQ_CHECK_MSG(r.status.ok(), "shard-sweep query failed: %s",
-                    r.status.ToString().c_str());
-    }
-    if (shards == 1) one_shard_ms = stats.wall_ms;
-    shard_table.AddRow({std::to_string(shards),
-                        bench::Table::Num(stats.wall_ms),
-                        bench::Table::Num(1000.0 * kBatch / stats.wall_ms, 0),
-                        bench::Table::Num(one_shard_ms / stats.wall_ms, 2)});
-    bench::Json row = bench::Json::Object();
-    row["shards"] = bench::Json::Int(shards);
-    row["pool_frames"] = bench::Json::Int(64);
-    row["threads"] = bench::Json::Int(8);
-    row["wall_ms"] = bench::Json::Num(stats.wall_ms);
-    row["queries_per_sec"] = bench::Json::Num(1000.0 * kBatch /
-                                              stats.wall_ms);
-    row["pool"] = PoolCountersJson(shard_db->index()->pool()->stats());
-    shard_sweep.Append(std::move(row));
-  }
-  shard_table.Print();
-  doc["shard_sweep"] = std::move(shard_sweep);
 
   std::printf("\n");
   bench::Banner(
@@ -183,28 +138,31 @@ void Run() {
   const double join_eps = 0.8 * std::sqrt(static_cast<double>(kLength));
 
   bench::Table join_table(
-      {"threads", "wall ms", "speedup", "pairs", "candidates"});
+      {"threads", "wall ms", "min-max", "speedup", "pairs", "candidates"});
   bench::Json join_sweep = bench::Json::Array();
   double join_base_ms = 0.0;
   for (const size_t threads : {1u, 2u, 4u, 8u}) {
     QueryStats stats;
-    join_db->SelfJoin(join_eps, JoinMethod::kTreeMatch, std::nullopt,
-                      nullptr, threads)
-        .value();  // warm-up
-    const auto pairs = join_db
-                           ->SelfJoin(join_eps, JoinMethod::kTreeMatch,
-                                      std::nullopt, &stats, threads)
-                           .value();
-    if (threads == 1) join_base_ms = stats.elapsed_ms;
+    size_t pairs = 0;
+    const bench::CellTiming timing = bench::RepeatCell([&] {
+      stats = QueryStats();
+      pairs = join_db
+                  ->SelfJoin(join_eps, JoinMethod::kTreeMatch, std::nullopt,
+                             &stats, threads)
+                  .value()
+                  .size();
+      return stats.elapsed_ms;
+    });
+    if (threads == 1) join_base_ms = timing.median_ms;
     join_table.AddRow({std::to_string(threads),
-                       bench::Table::Num(stats.elapsed_ms),
-                       bench::Table::Num(join_base_ms / stats.elapsed_ms, 2),
-                       std::to_string(pairs.size()),
+                       bench::Table::Num(timing.median_ms), timing.Spread(),
+                       bench::Table::Num(join_base_ms / timing.median_ms, 2),
+                       std::to_string(pairs),
                        std::to_string(stats.candidates)});
     bench::Json row = bench::Json::Object();
     row["threads"] = bench::Json::Int(threads);
-    row["wall_ms"] = bench::Json::Num(stats.elapsed_ms);
-    row["pairs"] = bench::Json::Int(pairs.size());
+    timing.AddTo(&row);
+    row["pairs"] = bench::Json::Int(pairs);
     row["candidates"] = bench::Json::Int(stats.candidates);
     join_sweep.Append(std::move(row));
   }

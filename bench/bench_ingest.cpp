@@ -7,14 +7,17 @@
 // it measures the segmented parallel ingest pipeline tsq adds on top; the
 // resulting relation files are byte-identical in every configuration with
 // the same segment count (asserted by tests/ingest_test.cpp), so the
-// sweep varies only wall time.
+// sweep varies only wall time. Each cell ingests into a fresh database
+// once untimed, then bench::kCellReps timed times; the table shows the
+// median with its min-max.
 //
 // Besides the console table, the binary drops BENCH_ingest.json in the
-// working directory — wall ms and records/sec per (segments, threads)
-// cell plus the Insert baseline — so CI can archive the ingest perf
-// trajectory across PRs.
+// working directory — every repetition's wall ms, their median and
+// records/sec at the median per (segments, threads) cell plus the Insert
+// baseline — so CI can archive the ingest perf trajectory across PRs.
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,55 +65,60 @@ void Run() {
   workload_json["length"] = bench::Json::Int(kLength);
   doc["workload"] = std::move(workload_json);
 
-  bench::ScratchDir dir("ingest");
-
-  // Baseline: the seed's write path — Insert one record at a time.
-  double baseline_ms = 0.0;
-  {
+  // Times one ingest into a fresh database of `segments` segments; the
+  // database and its files are gone before the next repetition.
+  auto time_ingest = [&](size_t segments,
+                         const std::function<void(Database*)>& ingest) {
+    bench::ScratchDir dir("ingest");
     DatabaseOptions options;
     options.directory = dir.path();
-    options.name = "seq";
-    options.relation_segments = 1;
+    options.relation_segments = segments;
     auto db = Database::Create(options).value();
     Stopwatch watch;
-    for (size_t i = 0; i < names.size(); ++i) {
-      db->Insert(names[i], values[i]).value();
-    }
-    baseline_ms = watch.ElapsedMillis();
-    TSQ_CHECK_MSG(db->size() == kNumSeries, "baseline lost records");
-  }
-  std::printf("  Insert-by-Insert baseline (1 segment): %.1f ms, %.0f rec/s\n\n",
-              baseline_ms, 1000.0 * kNumSeries / baseline_ms);
+    ingest(db.get());
+    const double wall_ms = watch.ElapsedMillis();
+    TSQ_CHECK_MSG(db->size() == kNumSeries, "ingest lost records");
+    return wall_ms;
+  };
+
+  // Baseline: the seed's write path — Insert one record at a time.
+  const bench::CellTiming baseline_timing = bench::RepeatCell([&] {
+    return time_ingest(1, [&](Database* db) {
+      for (size_t i = 0; i < names.size(); ++i) {
+        db->Insert(names[i], values[i]).value();
+      }
+    });
+  });
+  const double baseline_ms = baseline_timing.median_ms;
+  std::printf(
+      "  Insert-by-Insert baseline (1 segment): %.1f ms (%s), %.0f rec/s\n\n",
+      baseline_ms, baseline_timing.Spread().c_str(),
+      1000.0 * kNumSeries / baseline_ms);
   bench::Json baseline = bench::Json::Object();
-  baseline["wall_ms"] = bench::Json::Num(baseline_ms);
+  baseline_timing.AddTo(&baseline);
   baseline["records_per_sec"] =
       bench::Json::Num(1000.0 * kNumSeries / baseline_ms);
   doc["insert_baseline"] = std::move(baseline);
 
-  bench::Table table({"segments", "threads", "wall ms", "records/sec",
-                      "speedup vs baseline"});
+  bench::Table table({"segments", "threads", "wall ms", "min-max",
+                      "records/sec", "speedup vs baseline"});
   bench::Json sweep = bench::Json::Array();
   for (const size_t segments : {1u, 4u, 16u}) {
     for (const size_t threads : {1u, 2u, 4u, 8u}) {
-      DatabaseOptions options;
-      options.directory = dir.path();
-      options.name = "s" + std::to_string(segments) + "_t" +
-                     std::to_string(threads);
-      options.relation_segments = segments;
-      auto db = Database::Create(options).value();
-      Stopwatch watch;
-      db->InsertBatch(names, values, threads).value();
-      const double wall_ms = watch.ElapsedMillis();
-      TSQ_CHECK_MSG(db->size() == kNumSeries, "batch ingest lost records");
-
+      const bench::CellTiming timing = bench::RepeatCell([&] {
+        return time_ingest(segments, [&](Database* db) {
+          db->InsertBatch(names, values, threads).value();
+        });
+      });
+      const double wall_ms = timing.median_ms;
       table.AddRow({std::to_string(segments), std::to_string(threads),
-                    bench::Table::Num(wall_ms),
+                    bench::Table::Num(wall_ms), timing.Spread(),
                     bench::Table::Num(1000.0 * kNumSeries / wall_ms, 0),
                     bench::Table::Num(baseline_ms / wall_ms, 2)});
       bench::Json row = bench::Json::Object();
       row["segments"] = bench::Json::Int(segments);
       row["threads"] = bench::Json::Int(threads);
-      row["wall_ms"] = bench::Json::Num(wall_ms);
+      timing.AddTo(&row);
       row["records_per_sec"] =
           bench::Json::Num(1000.0 * kNumSeries / wall_ms);
       sweep.Append(std::move(row));

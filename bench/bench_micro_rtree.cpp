@@ -1,11 +1,10 @@
 // Copyright (c) 2026 The tsq Authors.
 //
-// Micro-benchmarks (google-benchmark) for the R-tree family: insertion and
-// range-search throughput per split algorithm, with and without forced
-// reinsertion (the paper builds on the R*-tree because of its better
-// query performance; these runs show the construction/query tradeoff),
-// and warm range/kNN descents over a bulk-loaded tree of the paper's
-// index shape (6-D, 4 KiB pages) reporting the time per visited node.
+// Micro-benchmarks (google-benchmark) for the R*-tree: insertion and
+// range-search throughput with and without forced reinsertion (the
+// construction/query tradeoff of [BKSS90]'s reinsert policy), and warm
+// range/kNN descents over a bulk-loaded tree of the paper's index shape
+// (6-D, 4 KiB pages) reporting the time per visited node.
 // Sizes shrink under TSQ_BENCH_SMOKE; results also go to
 // BENCH_micro_rtree.json.
 
@@ -25,7 +24,6 @@ namespace {
 
 using rtree::RStarTree;
 using rtree::RTreeOptions;
-using rtree::SplitAlgorithm;
 
 struct TreeEnv {
   std::string path;
@@ -33,8 +31,7 @@ struct TreeEnv {
   std::unique_ptr<BufferPool> pool;
   std::unique_ptr<RStarTree> tree;
 
-  TreeEnv(SplitAlgorithm split, bool reinsert, size_t dims,
-          size_t pool_frames = 512) {
+  TreeEnv(bool reinsert, size_t dims, size_t pool_frames = 512) {
     path = (std::filesystem::temp_directory_path() /
             ("tsq_micrortree_" + std::to_string(reinterpret_cast<uintptr_t>(
                                      this))))
@@ -42,7 +39,6 @@ struct TreeEnv {
     file = PageFile::Create(path).value();
     pool = std::make_unique<BufferPool>(file.get(), pool_frames);
     RTreeOptions options;
-    options.split = split;
     options.forced_reinsert = reinsert;
     tree = RStarTree::Create(pool.get(), dims, options).value();
   }
@@ -61,35 +57,12 @@ spatial::Point RandomPoint(Rng* rng, size_t dims) {
   return p;
 }
 
-SplitAlgorithm SplitOf(int64_t arg) {
-  switch (arg) {
-    case 0:
-      return SplitAlgorithm::kRStar;
-    case 1:
-      return SplitAlgorithm::kGuttmanQuadratic;
-    default:
-      return SplitAlgorithm::kGuttmanLinear;
-  }
-}
-
-const char* SplitName(int64_t arg) {
-  switch (arg) {
-    case 0:
-      return "rstar";
-    case 1:
-      return "quadratic";
-    default:
-      return "linear";
-  }
-}
-
 void BM_RTreeInsert(benchmark::State& state) {
-  const SplitAlgorithm split = SplitOf(state.range(0));
-  const bool reinsert = state.range(1) != 0;
+  const bool reinsert = state.range(0) != 0;
   const uint64_t count = bench::Scaled(2000, 100);
   for (auto _ : state) {
     state.PauseTiming();
-    TreeEnv env(split, reinsert, 6);
+    TreeEnv env(reinsert, 6);
     Rng rng(42);
     state.ResumeTiming();
     for (uint64_t i = 0; i < count; ++i) {
@@ -98,20 +71,13 @@ void BM_RTreeInsert(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(count));
-  state.SetLabel(std::string(SplitName(state.range(0))) +
-                 (reinsert ? "+reinsert" : ""));
+  state.SetLabel(reinsert ? "reinsert" : "no-reinsert");
 }
-BENCHMARK(BM_RTreeInsert)
-    ->Args({0, 1})
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RTreeInsert)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 void BM_RTreeRangeSearch(benchmark::State& state) {
-  const SplitAlgorithm split = SplitOf(state.range(0));
-  const bool reinsert = state.range(1) != 0;
-  TreeEnv env(split, reinsert, 6);
+  const bool reinsert = state.range(0) != 0;
+  TreeEnv env(reinsert, 6);
   Rng rng(43);
   for (uint64_t i = 0; i < bench::Scaled(5000, 500); ++i) {
     env.tree->InsertPoint(RandomPoint(&rng, 6), i).ok();
@@ -133,19 +99,14 @@ void BM_RTreeRangeSearch(benchmark::State& state) {
         .ok();
   }
   benchmark::DoNotOptimize(sink);
-  state.SetLabel(std::string(SplitName(state.range(0))) +
-                 (reinsert ? "+reinsert" : ""));
+  state.SetLabel(reinsert ? "reinsert" : "no-reinsert");
 }
-BENCHMARK(BM_RTreeRangeSearch)
-    ->Args({0, 1})
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({2, 0});
+BENCHMARK(BM_RTreeRangeSearch)->Arg(1)->Arg(0);
 
 void BM_RTreeTransformedSearch(benchmark::State& state) {
   // The Figure 8 gap, isolated: plain vs transformed traversal.
   const bool transformed = state.range(0) != 0;
-  TreeEnv env(SplitAlgorithm::kRStar, true, 6);
+  TreeEnv env(true, 6);
   Rng rng(44);
   for (uint64_t i = 0; i < bench::Scaled(5000, 500); ++i) {
     env.tree->InsertPoint(RandomPoint(&rng, 6), i).ok();
@@ -186,7 +147,7 @@ class PointMetric final : public rtree::NnMetric {
 };
 
 void BM_RTreeKnn(benchmark::State& state) {
-  TreeEnv env(SplitAlgorithm::kRStar, true, 6);
+  TreeEnv env(true, 6);
   Rng rng(45);
   for (uint64_t i = 0; i < bench::Scaled(5000, 500); ++i) {
     env.tree->InsertPoint(RandomPoint(&rng, 6), i).ok();
@@ -211,7 +172,7 @@ constexpr size_t kPaperDims = 6;  // the paper's 6-D index, on 4 KiB pages
 /// Built once per process: google-benchmark calls each function several
 /// times while sizing its iteration count.
 struct PaperTree {
-  TreeEnv env{SplitAlgorithm::kRStar, true, kPaperDims, 8192};
+  TreeEnv env{true, kPaperDims, 8192};
   std::vector<spatial::Point> queries;
 
   PaperTree() {

@@ -1,29 +1,36 @@
 // Copyright (c) 2026 The tsq Authors.
 //
-// tsqd front-end throughput: pipelined frames/second through the full
-// network stack — frame decode, admission, execution pool, reply encode,
-// loopback TCP — for a connections x pollers sweep, plus the in-process
-// RunBatch baseline so the wire overhead is visible. Each connection is
-// a raw-socket driver that writes a stream of single-query frames
-// back-to-back (no request/reply lockstep), so the poller threads see
-// the many-frames-per-recv pattern the multi-poller front end is built
-// for. Not a paper figure; it measures the server subsystem the same
-// way bench_batch_throughput measures the engine.
+// tsqd front-end throughput through the full network stack — frame
+// decode, admission, execution pool, reply encode, loopback TCP — for
+// connections x pollers sweeps, plus the in-process RunBatch baseline so
+// the wire overhead is visible. Two traffic shapes:
+//   * pipelined: each connection is a raw-socket driver that writes a
+//     stream of single-query frames back-to-back (no request/reply
+//     lockstep), so the poller threads see many frames per recv;
+//   * closed loop: each connection is a server::Client with exactly one
+//     range query in flight, the shape of perfbench's clients, where
+//     every reply wakes a poller before the next request can leave.
+// Not a paper figure; it measures the server subsystem the same way
+// bench_batch_throughput measures the engine.
 //
-// Drops BENCH_server.json (schema v2: pipelined rows keyed by pollers x
-// connections) next to the console table. CI's bench-perf job archives
-// BENCH_*.json per run, so server perf is tracked PR over PR.
+// Drops BENCH_server.json (schema v3: rows keyed by mode x pollers x
+// connections; closed-loop rows carry every repetition) next to the
+// console tables. CI's bench-perf job archives BENCH_*.json per run, so
+// server perf is tracked PR over PR.
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stopwatch.h"
 #include "obs/metrics.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -122,7 +129,7 @@ void Run() {
 
   bench::Json doc = bench::Json::Object();
   doc["bench"] = bench::Json::Str("server");
-  doc["schema_version"] = bench::Json::Int(2);
+  doc["schema_version"] = bench::Json::Int(3);
   bench::Json host = bench::Json::Object();
   host["hardware_threads"] =
       bench::Json::Int(std::thread::hardware_concurrency());
@@ -219,6 +226,87 @@ void Run() {
     server->Stop();
   }
   table.Print();
+
+  std::printf("\n");
+  bench::Banner(
+      "tsqd: closed-loop queries/sec vs connections x pollers",
+      "One server::Client per connection keeps one range query in flight\n"
+      "and sends the next when its reply lands. Each cell runs once\n"
+      "untimed, then five timed times: throughput and wall ms are the\n"
+      "median run, latencies are client round trips over the timed runs.");
+  bench::Table closed_table({"pollers", "conns", "wall ms", "min-max",
+                             "queries/s", "p50us", "p99us"});
+  for (const size_t pollers : {size_t{1}, size_t{2}, size_t{4}}) {
+    server::ServerOptions options;
+    options.pollers = pollers;
+    auto started = server::Server::Start(db.get(), options);
+    TSQ_CHECK_MSG(started.ok(), "server start failed: %s",
+                  started.status().ToString().c_str());
+    auto server = std::move(*started);
+
+    for (const size_t connections : {size_t{1}, size_t{2}, size_t{4}}) {
+      std::vector<std::unique_ptr<server::Client>> clients;
+      for (size_t c = 0; c < connections; ++c) {
+        auto client = server::Client::Connect("127.0.0.1", server->port());
+        TSQ_CHECK_MSG(client.ok(), "connect failed: %s",
+                      client.status().ToString().c_str());
+        clients.push_back(std::move(*client));
+      }
+      // Round-trip latencies of the timed runs (the first run warms up).
+      std::vector<std::vector<double>> latencies_us(connections);
+      int run = 0;
+      const bench::CellTiming timing = bench::RepeatCell([&] {
+        const bool timed = run++ > 0;
+        Stopwatch wall;
+        std::vector<std::thread> threads;
+        for (size_t c = 0; c < connections; ++c) {
+          threads.emplace_back([&, c] {
+            for (size_t i = 0; i < kFramesPerConnection; ++i) {
+              const engine::BatchQuery q = make_query(i, c);
+              Stopwatch round_trip;
+              auto matches = clients[c]->Range(q.query, q.epsilon);
+              TSQ_CHECK_MSG(matches.ok(), "closed-loop query failed: %s",
+                            matches.status().ToString().c_str());
+              if (timed) {
+                latencies_us[c].push_back(
+                    static_cast<double>(round_trip.ElapsedNanos()) / 1e3);
+              }
+            }
+          });
+        }
+        for (std::thread& t : threads) t.join();
+        return wall.ElapsedMillis();
+      });
+      std::vector<double> all_us;
+      for (const std::vector<double>& v : latencies_us) {
+        all_us.insert(all_us.end(), v.begin(), v.end());
+      }
+      std::sort(all_us.begin(), all_us.end());
+      const double p50 = all_us[all_us.size() / 2];
+      const double p99 = all_us[all_us.size() * 99 / 100];
+      const double qps = 1000.0 *
+                         static_cast<double>(connections *
+                                             kFramesPerConnection) /
+                         timing.median_ms;
+      closed_table.AddRow({std::to_string(pollers),
+                           std::to_string(connections),
+                           bench::Table::Num(timing.median_ms, 2),
+                           timing.Spread(2), bench::Table::Num(qps, 0),
+                           bench::Table::Num(p50, 0),
+                           bench::Table::Num(p99, 0)});
+      bench::Json row = bench::Json::Object();
+      row["mode"] = bench::Json::Str("loopback_closed_loop");
+      row["pollers"] = bench::Json::Int(pollers);
+      row["connections"] = bench::Json::Int(connections);
+      timing.AddTo(&row);
+      row["queries_per_sec"] = bench::Json::Num(qps);
+      row["client_p50_us"] = bench::Json::Num(p50);
+      row["client_p99_us"] = bench::Json::Num(p99);
+      rows.Append(std::move(row));
+    }
+    server->Stop();
+  }
+  closed_table.Print();
 
   doc["rows"] = std::move(rows);
   if (!doc.WriteFile("BENCH_server.json")) {

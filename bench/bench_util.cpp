@@ -2,6 +2,7 @@
 
 #include "bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -61,6 +62,31 @@ double MeanMillis(const std::function<void()>& fn, int reps) {
   Stopwatch watch;
   for (int i = 0; i < reps; ++i) fn();
   return watch.ElapsedMillis() / reps;
+}
+
+std::string CellTiming::Spread(int prec) const {
+  return Table::Num(min_ms, prec) + "-" + Table::Num(max_ms, prec);
+}
+
+void CellTiming::AddTo(Json* row) const {
+  (*row)["wall_ms"] = Json::Num(median_ms);
+  (*row)["wall_ms_min"] = Json::Num(min_ms);
+  (*row)["wall_ms_max"] = Json::Num(max_ms);
+  Json runs = Json::Array();
+  for (const double ms : runs_ms) runs.Append(Json::Num(ms));
+  (*row)["runs_ms"] = std::move(runs);
+}
+
+CellTiming RepeatCell(const std::function<double()>& run) {
+  run();  // warm-up
+  CellTiming timing;
+  for (int i = 0; i < kCellReps; ++i) timing.runs_ms.push_back(run());
+  std::vector<double> sorted = timing.runs_ms;
+  std::sort(sorted.begin(), sorted.end());
+  timing.median_ms = sorted[sorted.size() / 2];
+  timing.min_ms = sorted.front();
+  timing.max_ms = sorted.back();
+  return timing;
 }
 
 size_t SmokeDivisor() {

@@ -125,6 +125,31 @@ class Json {
   std::vector<Json> elements_;                         // kArray
 };
 
+/// The timed repetitions of one benchmark cell (see RepeatCell).
+struct CellTiming {
+  std::vector<double> runs_ms;  ///< every timed repetition, in run order
+  double median_ms = 0.0;
+  double min_ms = 0.0;
+  double max_ms = 0.0;
+
+  /// "min-max" in milliseconds, for a console column beside the median.
+  std::string Spread(int prec = 1) const;
+
+  /// Writes wall_ms (the median), wall_ms_min, wall_ms_max and runs_ms
+  /// (every repetition) into the JSON object `row`.
+  void AddTo(Json* row) const;
+};
+
+/// Timed repetitions per benchmark cell. One timing of a cell moves by
+/// 15% to 4x between runs on a shared host; the median of five, printed
+/// with its min-max, shows which differences are real.
+constexpr int kCellReps = 5;
+
+/// Calls `run` once untimed (warm-up), then kCellReps more times. `run`
+/// returns the wall-clock milliseconds of the part it times, so set-up
+/// such as creating a fresh database stays outside the measurement.
+CellTiming RepeatCell(const std::function<double()>& run);
+
 }  // namespace bench
 }  // namespace tsq
 

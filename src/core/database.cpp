@@ -229,7 +229,6 @@ Result<std::unique_ptr<Database>> Database::Open(
     kopts.path = index_path;
     kopts.page_size = options.page_size;
     kopts.buffer_pool_frames = options.buffer_pool_frames;
-    kopts.buffer_pool_shards = options.buffer_pool_shards;
     kopts.rtree = options.rtree;
     std::unique_ptr<KIndex> opened;
     TSQ_ASSIGN_OR_RETURN(opened, KIndex::Open(kopts, db->series_length()));
@@ -520,7 +519,6 @@ Result<std::shared_ptr<KIndex>> Database::BuildIndexFile(
   kopts.path = path;
   kopts.page_size = options_.page_size;
   kopts.buffer_pool_frames = options_.buffer_pool_frames;
-  kopts.buffer_pool_shards = options_.buffer_pool_shards;
   kopts.rtree = options_.rtree;
   std::unique_ptr<KIndex> index;
   TSQ_ASSIGN_OR_RETURN(index, KIndex::Create(kopts, series_length()));

@@ -87,8 +87,6 @@ struct DatabaseOptions {
   FeatureLayout layout = FeatureLayout::Paper();
   size_t page_size = kDefaultPageSize;
   size_t buffer_pool_frames = 1024;
-  /// Buffer-pool shard count; 0 = automatic (see BufferPool).
-  size_t buffer_pool_shards = 0;
   /// Relation segment files — the parallel ingest lanes (see Relation).
   /// Open rediscovers the count from disk; this applies to Create only.
   size_t relation_segments = 4;
@@ -215,8 +213,8 @@ struct DatabaseStats {
 /// its answers, status and QueryStats land in results[0] —
 /// engine::SingleResult unwraps them. Larger batches and the kTreeMatch
 /// join spread over the pool; concurrent queries share the index's v3
-/// buffer pool (lock-free cached fetches, misses that do not block their
-/// shard). No query takes a Database-wide mutex. Every call reports its
+/// buffer pool (lock-free cached fetches, misses that read with its mutex
+/// dropped). No query takes a Database-wide mutex. Every call reports its
 /// stats into storage its caller owns (results[i].stats, SelfJoin's
 /// `stats`), so any number of threads may query one Database at once
 /// and each query's stats are exactly its own.

@@ -12,8 +12,7 @@ Result<std::unique_ptr<KIndex>> KIndex::Create(const KIndexOptions& options,
   TSQ_ASSIGN_OR_RETURN(index->file_,
                        PageFile::Create(options.path, options.page_size));
   index->pool_ = std::make_unique<BufferPool>(index->file_.get(),
-                                              options.buffer_pool_frames,
-                                              options.buffer_pool_shards);
+                                              options.buffer_pool_frames);
   TSQ_ASSIGN_OR_RETURN(
       index->tree_,
       rtree::RStarTree::Create(index->pool_.get(), options.layout.dims(),
@@ -28,8 +27,7 @@ Result<std::unique_ptr<KIndex>> KIndex::Open(const KIndexOptions& options,
       new KIndex(options.layout, series_length));
   TSQ_ASSIGN_OR_RETURN(index->file_, PageFile::Open(options.path));
   index->pool_ = std::make_unique<BufferPool>(index->file_.get(),
-                                              options.buffer_pool_frames,
-                                              options.buffer_pool_shards);
+                                              options.buffer_pool_frames);
   // KIndex::Create allocates the meta page first, so it is always page 1.
   TSQ_ASSIGN_OR_RETURN(
       index->tree_,

@@ -30,8 +30,6 @@ struct KIndexOptions {
   std::string path = "tsq_index.pages";  ///< backing page file
   size_t page_size = kDefaultPageSize;
   size_t buffer_pool_frames = 1024;
-  /// Buffer-pool shard count; 0 = automatic (see BufferPool).
-  size_t buffer_pool_shards = 0;
   rtree::RTreeOptions rtree;
 };
 

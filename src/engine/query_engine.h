@@ -14,8 +14,7 @@
 // core/queries.h, so drivers share the tree, buffer pool and relation
 // without copying them. Drivers touching cached index pages never
 // synchronize at all — a hit is an optimistic lock-free pin — and a
-// driver's cache miss reads from disk without blocking same-shard hits
-// by the others. Batches are executed with work stealing over an atomic
+// driver's cache miss reads from disk without blocking the others' hits. Batches are executed with work stealing over an atomic
 // cursor (ThreadPool::ParallelFor): the caller is one driver and
 // `threads` caps how many run (0 = the pool size), so a one-query batch
 // runs on its caller and a call made from inside a pool task cannot wait

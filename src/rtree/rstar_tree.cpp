@@ -212,9 +212,8 @@ Status RStarTree::SaveMeta() {
 Result<Node> RStarTree::LoadNode(PageId id) const {
   // The pin lives only for the deserialize below. Under the v3 pool a
   // cached fetch is a single pin-CAS + version validate (no mutex, no LRU
-  // mutation) and a miss does its pread without the shard lock, so
-  // concurrent traversals touching the same shard never stall here on
-  // each other's node loads.
+  // mutation) and a miss does its pread without the pool mutex, so
+  // concurrent traversals never stall here on each other's node loads.
   TSQ_ASSIGN_OR_RETURN(PageHandle handle, pool_->Fetch(id));
   Node node;
   TSQ_RETURN_IF_ERROR(DeserializeNode(*handle.page(), dims_, &node));
@@ -356,8 +355,7 @@ size_t RStarTree::ChooseSubtree(const Node& node,
 }
 
 Result<Entry> RStarTree::SplitNode(Node* node) {
-  SplitResult split =
-      SplitEntries(options_.split, std::move(node->entries), min_fill_);
+  SplitResult split = RStarSplit(std::move(node->entries), min_fill_);
   node->entries = std::move(split.left);
   TSQ_RETURN_IF_ERROR(StoreNode(*node));
 

@@ -2,10 +2,9 @@
 //
 // Disk-backed R*-tree [BKSS90] — the index structure the paper's
 // experiments run on ("we implemented our method on top of Norbert
-// Beckmann's Version 2 implementation of the R*-tree", Sec. 5). One class
-// serves the whole R-tree family: the split algorithm and forced-reinsert
-// policy are options, so the Guttman R-tree [Gut84] baseline is the same
-// class configured differently.
+// Beckmann's Version 2 implementation of the R*-tree", Sec. 5): R* choose-
+// subtree, the R* topological split, and forced reinsertion (an option, so
+// the ablation can switch it off).
 //
 // The tree supports two search modes:
 //   * Search            — the classic R-tree range search;
@@ -43,8 +42,6 @@ namespace rtree {
 
 /// Construction-time policy knobs.
 struct RTreeOptions {
-  /// Node split algorithm.
-  SplitAlgorithm split = SplitAlgorithm::kRStar;
   /// R* forced reinsertion on first overflow per level per insert.
   bool forced_reinsert = true;
   /// Fraction of entries evicted on forced reinsert ([BKSS90] suggest 30%).
@@ -142,7 +139,7 @@ using SearchCallback =
 /// runs concurrently. Page access goes through the v3 BufferPool, where a
 /// fetch of a cached node page is entirely lock-free (optimistic version-
 /// validated pin; see buffer_pool.h) and a miss reads from disk without
-/// holding its shard's mutex, so concurrent traversals only ever contend
+/// holding the pool's mutex, so concurrent traversals only ever contend
 /// on the miss/eviction admin path, never on cached-node access.
 ///
 /// Traversal storage: every read-only descent decodes each page it visits
@@ -288,8 +285,8 @@ class RStarTree {
 
   /// Runs the synchronized descent from one seed (see JoinSeeds). Safe to
   /// call concurrently from many threads with distinct seeds: each call
-  /// owns its traversal storage, page access goes through the (sharded)
-  /// BufferPool, and counters are atomic + thread-local.
+  /// owns its traversal storage, page access goes through the BufferPool,
+  /// and counters are atomic + thread-local.
   Status JoinFrom(const JoinSeed& seed, const RStarTree& other,
                   const spatial::AffineMap* map,
                   const spatial::AffineMap* other_map,

@@ -1,9 +1,8 @@
 // Copyright (c) 2026 The tsq Authors.
 //
-// Node-split algorithms. The paper builds on "Norbert Beckmann's Version 2
-// implementation of the R*-tree" [BKSS90]; tsq implements the R* topological
-// split plus Guttman's classic quadratic and linear splits [Gut84] as
-// baselines (selectable per tree, ablated in bench_micro_rtree).
+// Node split. The paper builds on "Norbert Beckmann's Version 2
+// implementation of the R*-tree" [BKSS90]; tsq splits overfull nodes with
+// the R* topological split, the only one the paper's experiments use.
 
 #ifndef TSQ_RTREE_SPLIT_H_
 #define TSQ_RTREE_SPLIT_H_
@@ -14,13 +13,6 @@
 
 namespace tsq {
 namespace rtree {
-
-/// Which split algorithm a tree uses.
-enum class SplitAlgorithm {
-  kRStar,             ///< [BKSS90] margin-driven axis + overlap-driven split
-  kGuttmanQuadratic,  ///< [Gut84] quadratic seeds + greedy assignment
-  kGuttmanLinear,     ///< [Gut84] linear seeds, cheapest and loosest
-};
 
 /// Outcome of splitting an overfull entry set into two groups. Both groups
 /// respect the min_fill lower bound.
@@ -35,17 +27,6 @@ struct SplitResult {
 /// broken by minimum combined area. Requires entries.size() >= 2 and
 /// 1 <= min_fill <= entries.size() / 2.
 SplitResult RStarSplit(std::vector<Entry> entries, size_t min_fill);
-
-/// Guttman quadratic split: pick the two entries wasting the most area as
-/// seeds, then assign remaining entries greedily by enlargement preference.
-SplitResult GuttmanQuadraticSplit(std::vector<Entry> entries, size_t min_fill);
-
-/// Guttman linear split: seeds with the greatest normalized separation.
-SplitResult GuttmanLinearSplit(std::vector<Entry> entries, size_t min_fill);
-
-/// Dispatches on `algo`.
-SplitResult SplitEntries(SplitAlgorithm algo, std::vector<Entry> entries,
-                         size_t min_fill);
 
 }  // namespace rtree
 }  // namespace tsq

@@ -122,10 +122,6 @@ double Rect::IntersectionArea(const Rect& other) const {
   return area;
 }
 
-double Rect::Enlargement(const Rect& other) const {
-  return UnionWith(other).Area() - Area();
-}
-
 Rect Rect::Grown(double eps) const {
   TSQ_CHECK_MSG(eps >= 0.0, "Grown() requires non-negative eps");
   Rect out = *this;

@@ -1,8 +1,8 @@
 // Copyright (c) 2026 The tsq Authors.
 //
 // Axis-aligned hyper-rectangles (MBRs) and the geometry predicates the
-// R-tree family needs: area, margin, overlap, containment, enlargement
-// (Guttman / Beckmann split heuristics all reduce to these).
+// R*-tree needs: area, margin, overlap, containment (its choose-subtree
+// and split heuristics reduce to these).
 
 #ifndef TSQ_SPATIAL_RECT_H_
 #define TSQ_SPATIAL_RECT_H_
@@ -91,9 +91,6 @@ class Rect {
 
   /// Area of the intersection (0 when disjoint).
   double IntersectionArea(const Rect& other) const;
-
-  /// Area increase needed to absorb `other` — Guttman's insertion metric.
-  double Enlargement(const Rect& other) const;
 
   /// This rect grown by `eps` on every side (the epsilon-range box around a
   /// query point, Sec. 3.1 rectangular case).

@@ -17,19 +17,12 @@ thread_local ThreadPoolCounters tls_pool_counters;
 
 ThreadPoolCounters& MutableThreadPoolCounters() { return tls_pool_counters; }
 
-/// One shard per ~8 frames keeps tiny pools (unit tests, micro benches)
-/// on the exact single-clock semantics of the unsharded pool while large
-/// pools fan out; 16 shards saturate the admin-path mutex long before the
-/// thread counts tsq targets (hits never touch it at all).
-constexpr size_t kFramesPerAutoShard = 8;
-constexpr size_t kMaxAutoShards = 16;
-
-/// A shard can be transiently out of frames when more threads hold pins
-/// into it than it owns frames (pins are short — a LoadNode deserialize —
-/// so the state clears in microseconds). Fetch/New retry over a bounded
-/// window (yields, then 100us sleeps: roughly 0.4s in total) before
-/// reporting exhaustion, so only a *persistent* all-pinned shard (a caller
-/// holding pins forever) surfaces as an error.
+/// The pool can be transiently out of frames when more threads hold pins
+/// than it owns frames (pins are short — a LoadNode deserialize — so the
+/// state clears in microseconds). Fetch/New retry over a bounded window
+/// (yields, then 100us sleeps: roughly 0.4s in total) before reporting
+/// exhaustion, so only a *persistent* all-pinned pool (callers holding
+/// pins forever) surfaces as an error.
 constexpr int kAcquireRetries = 4096;
 constexpr int kYieldsBeforeSleep = 64;
 
@@ -51,21 +44,10 @@ void ExhaustionBackoff(int attempt) {
   }
 }
 
-/// Slot hash for the in-shard directory. Deliberately *not* the splitmix64
-/// fold ShardIndex uses: all ids of one shard share their value of
-/// mix(id) % shards, so reusing that hash would cluster a shard's pages
-/// onto a fraction of its slots. Fibonacci hashing on the raw id keeps
-/// probe chains short instead.
+/// Directory slot hash: Fibonacci hashing on the raw id spreads the
+/// sequential ids a tree build allocates, keeping probe chains short.
 size_t DirHash(PageId id, size_t mask) {
   return static_cast<size_t>((id * uint64_t{0x9E3779B97F4A7C15}) >> 17) & mask;
-}
-
-size_t ResolveShardCount(size_t capacity, size_t shards) {
-  if (shards == 0) {
-    shards = std::min(kMaxAutoShards,
-                      std::max<size_t>(1, capacity / kFramesPerAutoShard));
-  }
-  return std::clamp<size_t>(shards, 1, capacity);
 }
 
 /// Waits for another thread's in-flight load (or transition) of `id` on
@@ -127,26 +109,18 @@ void PageHandle::Release() {
   }
 }
 
-BufferPool::BufferPool(PageFile* file, size_t capacity, size_t shards)
+BufferPool::BufferPool(PageFile* file, size_t capacity)
     : file_(file), capacity_(capacity) {
   TSQ_CHECK(file != nullptr);
   TSQ_CHECK_MSG(capacity >= 1, "buffer pool needs at least one frame");
-  const size_t n = ResolveShardCount(capacity, shards);
-  shards_.reserve(n);
-  for (size_t s = 0; s < n; ++s) {
-    auto shard = std::make_unique<Shard>();
-    const size_t frames = capacity / n + (s < capacity % n ? 1 : 0);
-    shard->frames = std::make_unique<BufferFrame[]>(frames);
-    shard->num_frames = frames;
-    shard->free_frames.reserve(frames);
-    // Descending, so frame 0 is handed out first (FIFO fill order).
-    for (size_t i = frames; i > 0; --i) shard->free_frames.push_back(i - 1);
-    const size_t dir_size = std::bit_ceil(std::max<size_t>(8, 4 * frames));
-    shard->dir = std::make_unique<DirSlot[]>(dir_size);
-    shard->dir_mask = dir_size - 1;
-    shard->dir_empty = dir_size;
-    shards_.push_back(std::move(shard));
-  }
+  frames_ = std::make_unique<BufferFrame[]>(capacity);
+  free_frames_.reserve(capacity);
+  // Descending, so frame 0 is handed out first (FIFO fill order).
+  for (size_t i = capacity; i > 0; --i) free_frames_.push_back(i - 1);
+  const size_t dir_size = std::bit_ceil(std::max<size_t>(8, 4 * capacity));
+  dir_ = std::make_unique<DirSlot[]>(dir_size);
+  dir_mask_ = dir_size - 1;
+  dir_empty_ = dir_size;
 }
 
 BufferPool::~BufferPool() {
@@ -154,13 +128,13 @@ BufferPool::~BufferPool() {
   FlushAll().ok();
 }
 
-size_t BufferPool::DirLookup(const Shard& shard, PageId id) {
-  const size_t mask = shard.dir_mask;
+size_t BufferPool::DirLookup(PageId id) const {
+  const size_t mask = dir_mask_;
   size_t slot = DirHash(id, mask);
   for (size_t probe = 0; probe <= mask; ++probe, slot = (slot + 1) & mask) {
-    const PageId sid = shard.dir[slot].id.load(std::memory_order_acquire);
+    const PageId sid = dir_[slot].id.load(std::memory_order_acquire);
     if (sid == id) {
-      return shard.dir[slot].frame.load(std::memory_order_relaxed);
+      return dir_[slot].frame.load(std::memory_order_relaxed);
     }
     if (sid == kInvalidPageId) return kNoFrame;  // empty slot ends the chain
     // Tombstone or another id: keep probing.
@@ -168,66 +142,66 @@ size_t BufferPool::DirLookup(const Shard& shard, PageId id) {
   return kNoFrame;
 }
 
-void BufferPool::DirInsert(Shard* shard, PageId id, size_t frame_idx) {
+void BufferPool::DirInsert(PageId id, size_t frame_idx) {
   // Erasures leave tombstones, and tombstones consume the empty slots that
   // terminate probe chains; rebuild from the frames before the table
   // degrades to full scans. The rebuild repopulates from frame ids, and
   // callers set the frame's id before inserting its mapping — so the entry
   // being inserted may already be present afterwards.
-  if (shard->dir_empty * 4 < shard->dir_mask + 1) {
-    DirRebuild(shard);
-    if (DirLookup(*shard, id) == frame_idx) return;
+  if (dir_empty_ * 4 < dir_mask_ + 1) {
+    DirRebuild();
+    if (DirLookup(id) == frame_idx) return;
   }
-  const size_t mask = shard->dir_mask;
+  const size_t mask = dir_mask_;
   size_t slot = DirHash(id, mask);
   for (;; slot = (slot + 1) & mask) {
-    const PageId sid = shard->dir[slot].id.load(std::memory_order_relaxed);
+    const PageId sid = dir_[slot].id.load(std::memory_order_relaxed);
     if (sid == kInvalidPageId || sid == kDirTombstone) {
-      if (sid == kInvalidPageId) --shard->dir_empty;
-      shard->dir[slot].frame.store(static_cast<uint32_t>(frame_idx),
-                                   std::memory_order_relaxed);
+      if (sid == kInvalidPageId) --dir_empty_;
+      dir_[slot].frame.store(static_cast<uint32_t>(frame_idx),
+                             std::memory_order_relaxed);
       // Publishing the id last makes the slot visible to lock-free readers
       // only once the frame index is in place.
-      shard->dir[slot].id.store(id, std::memory_order_release);
+      dir_[slot].id.store(id, std::memory_order_release);
       return;
     }
   }
 }
 
-void BufferPool::DirErase(Shard* shard, PageId id) {
-  const size_t mask = shard->dir_mask;
+void BufferPool::DirErase(PageId id) {
+  const size_t mask = dir_mask_;
   size_t slot = DirHash(id, mask);
   for (size_t probe = 0; probe <= mask; ++probe, slot = (slot + 1) & mask) {
-    const PageId sid = shard->dir[slot].id.load(std::memory_order_relaxed);
+    const PageId sid = dir_[slot].id.load(std::memory_order_relaxed);
     if (sid == id) {
-      shard->dir[slot].id.store(kDirTombstone, std::memory_order_release);
+      dir_[slot].id.store(kDirTombstone, std::memory_order_release);
       return;
     }
     if (sid == kInvalidPageId) return;  // not present
   }
 }
 
-void BufferPool::DirRebuild(Shard* shard) {
-  const size_t size = shard->dir_mask + 1;
+void BufferPool::DirRebuild() {
+  const size_t size = dir_mask_ + 1;
   for (size_t i = 0; i < size; ++i) {
-    shard->dir[i].id.store(kInvalidPageId, std::memory_order_release);
+    dir_[i].id.store(kInvalidPageId, std::memory_order_release);
   }
-  shard->dir_empty = size;
+  dir_empty_ = size;
   // Every cached page — including ones mid-load, whose directory entry
   // waiters key off — is recorded on its frame; claimed-for-eviction
   // frames were erased and had their id replaced in the same critical
   // section, so frame ids are exactly the live mappings here.
-  for (size_t i = 0; i < shard->num_frames; ++i) {
-    const PageId id = shard->frames[i].id.load(std::memory_order_relaxed);
-    if (id != kInvalidPageId) DirInsert(shard, id, i);
+  for (size_t i = 0; i < capacity_; ++i) {
+    const PageId id = frames_[i].id.load(std::memory_order_relaxed);
+    if (id != kInvalidPageId) DirInsert(id, i);
   }
 }
 
-Result<size_t> BufferPool::AcquireFrame(Shard* shard) {
-  if (!shard->free_frames.empty()) {
-    const size_t idx = shard->free_frames.back();
-    shard->free_frames.pop_back();
-    BufferFrame& f = shard->frames[idx];
+Result<size_t> BufferPool::AcquireFrame() {
+  if (!free_frames_.empty()) {
+    const size_t idx = free_frames_.back();
+    free_frames_.pop_back();
+    BufferFrame& f = frames_[idx];
     uint64_t s = f.state.load(std::memory_order_relaxed);
     // A free frame has no directory entry, so no optimistic pinner can
     // reach it; the claim cannot be contended.
@@ -239,12 +213,12 @@ Result<size_t> BufferPool::AcquireFrame(Shard* shard) {
   }
   // Clock sweep. 3*n steps: one lap may only clear referenced bits and a
   // racing hit can re-protect a frame, so give the hand slack before
-  // declaring the shard exhausted (the caller retries transients anyway).
-  const size_t n = shard->num_frames;
+  // declaring the pool exhausted (the caller retries transients anyway).
+  const size_t n = capacity_;
   for (size_t step = 0; step < 3 * n; ++step) {
-    const size_t idx = shard->clock_hand;
-    shard->clock_hand = (shard->clock_hand + 1) % n;
-    BufferFrame& f = shard->frames[idx];
+    const size_t idx = clock_hand_;
+    clock_hand_ = (clock_hand_ + 1) % n;
+    BufferFrame& f = frames_[idx];
     uint64_t s = f.state.load(std::memory_order_acquire);
     if (IsOdd(s) || (s & BufferFrame::kPinMask) != 0) continue;
     if (f.id.load(std::memory_order_relaxed) == kInvalidPageId) continue;
@@ -261,29 +235,28 @@ Result<size_t> BufferPool::AcquireFrame(Shard* shard) {
     // page racing this do still wait out the write-back: one that read
     // the slot before the erase spins on the frame until the new id lands
     // (the id changes only after this function returns), and one arriving
-    // after the erase queues on the shard mutex, held across the Write.
+    // after the erase queues on the pool mutex, held across the Write.
     const PageId old_id = f.id.load(std::memory_order_relaxed);
-    DirErase(shard, old_id);
+    DirErase(old_id);
     if (f.dirty.load(std::memory_order_acquire)) {
       if (Status ws = file_->Write(old_id, f.page); !ws.ok()) {
         // Undo the claim: remap and return the frame to service.
-        DirInsert(shard, old_id, idx);
+        DirInsert(old_id, idx);
         f.state.store(s, std::memory_order_release);
         return ws;
       }
-      shard->stats.disk_writes.fetch_add(1, std::memory_order_relaxed);
+      stats_.disk_writes.fetch_add(1, std::memory_order_relaxed);
       ++MutableThreadPoolCounters().disk_writes;
       f.dirty.store(false, std::memory_order_relaxed);
     }
-    shard->stats.evictions.fetch_add(1, std::memory_order_relaxed);
+    stats_.evictions.fetch_add(1, std::memory_order_relaxed);
     return idx;
   }
   return Status::FailedPrecondition(
-      "buffer pool shard exhausted: all frames pinned");
+      "buffer pool exhausted: all frames pinned");
 }
 
 Result<PageHandle> BufferPool::Fetch(PageId id) {
-  Shard& shard = *shards_[ShardIndex(id)];
   // A Fetch classifies itself exactly once — as a hit (we pinned a frame
   // someone had cached or finished loading) or a miss (we went to claim a
   // frame ourselves) — no matter how many optimistic retries or
@@ -294,9 +267,9 @@ Result<PageHandle> BufferPool::Fetch(PageId id) {
     // ---- optimistic lock-free hit path ----
     const BufferFrame* wait_frame = nullptr;
     for (int spin = 0; spin < kOptimisticSpins; ++spin) {
-      const size_t idx = DirLookup(shard, id);
+      const size_t idx = DirLookup(id);
       if (idx == kNoFrame) break;
-      BufferFrame& f = shard.frames[idx];
+      BufferFrame& f = frames_[idx];
       uint64_t s = f.state.load(std::memory_order_acquire);
       if (IsOdd(s)) {
         // In transition. If it is *our* page being loaded, wait on the
@@ -312,7 +285,7 @@ Result<PageHandle> BufferPool::Fetch(PageId id) {
                                         std::memory_order_acq_rel)) {
         f.referenced.store(true, std::memory_order_relaxed);
         if (!counted) {
-          shard.stats.hits.fetch_add(1, std::memory_order_relaxed);
+          stats_.hits.fetch_add(1, std::memory_order_relaxed);
           ++MutableThreadPoolCounters().hits;
         }
         return PageHandle(&f, id);
@@ -323,7 +296,7 @@ Result<PageHandle> BufferPool::Fetch(PageId id) {
       // The page appears to be materializing courtesy of another thread's
       // disk read. Classification is deferred to the outcome: if the load
       // completes, the optimistic pin above counts this fetch as a hit —
-      // v2 accounting, where the waiter queued on the shard mutex and
+      // v2 accounting, where the waiter queued on the pool mutex and
       // found the page cached. If the odd frame was actually mid-eviction
       // of this page (or the load fails), the retry falls through to the
       // slow path and counts the miss it really is. Either way the stall
@@ -334,19 +307,19 @@ Result<PageHandle> BufferPool::Fetch(PageId id) {
     }
 
     // ---- slow path: miss (or a stale/contended directory view) ----
-    std::unique_lock<std::mutex> lock(shard.mutex);
-    if (DirLookup(shard, id) != kNoFrame) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (DirLookup(id) != kNoFrame) {
       // Raced with another fetcher who cached (or is loading) the page;
       // resolve it on the lock-free path.
       lock.unlock();
       continue;
     }
     if (!counted) {
-      shard.stats.misses.fetch_add(1, std::memory_order_relaxed);
+      stats_.misses.fetch_add(1, std::memory_order_relaxed);
       ++MutableThreadPoolCounters().misses;
       counted = true;
     }
-    Result<size_t> idx_or = AcquireFrame(&shard);
+    Result<size_t> idx_or = AcquireFrame();
     if (!idx_or.ok()) {
       lock.unlock();
       if (!idx_or.status().IsFailedPrecondition() ||
@@ -357,12 +330,12 @@ Result<PageHandle> BufferPool::Fetch(PageId id) {
       continue;
     }
     const size_t idx = idx_or.value();
-    BufferFrame& f = shard.frames[idx];
+    BufferFrame& f = frames_[idx];
     // Publish the in-progress load: odd version (from the claim), id set,
-    // directory entry visible — then give the lock back. Same-shard
-    // traffic flows during the read; fetchers of this page wait on `f`.
+    // directory entry visible — then give the lock back. Other traffic
+    // flows during the read; fetchers of this page wait on `f`.
     f.id.store(id, std::memory_order_release);
-    DirInsert(&shard, id, idx);
+    DirInsert(id, idx);
     lock.unlock();
 
     Status read_status;
@@ -373,15 +346,15 @@ Result<PageHandle> BufferPool::Fetch(PageId id) {
       read_status = file_->Read(id, &f.page);
     }
     if (!read_status.ok()) {
-      std::lock_guard<std::mutex> relock(shard.mutex);
-      DirErase(&shard, id);
+      std::lock_guard<std::mutex> relock(mutex_);
+      DirErase(id);
       f.id.store(kInvalidPageId, std::memory_order_release);
       const uint64_t s = f.state.load(std::memory_order_relaxed);
       f.state.store(s + BufferFrame::kVersionInc, std::memory_order_release);
-      shard.free_frames.push_back(idx);
+      free_frames_.push_back(idx);
       return read_status;
     }
-    shard.stats.disk_reads.fetch_add(1, std::memory_order_relaxed);
+    stats_.disk_reads.fetch_add(1, std::memory_order_relaxed);
     ++MutableThreadPoolCounters().disk_reads;
     f.dirty.store(false, std::memory_order_relaxed);
     f.referenced.store(false, std::memory_order_relaxed);
@@ -396,11 +369,10 @@ Result<PageHandle> BufferPool::Fetch(PageId id) {
 
 Result<PageHandle> BufferPool::New() {
   TSQ_ASSIGN_OR_RETURN(const PageId id, file_->Allocate());
-  Shard& shard = *shards_[ShardIndex(id)];
   int exhausted_attempts = 0;
   for (;;) {
-    std::unique_lock<std::mutex> lock(shard.mutex);
-    Result<size_t> idx_or = AcquireFrame(&shard);
+    std::unique_lock<std::mutex> lock(mutex_);
+    Result<size_t> idx_or = AcquireFrame();
     if (!idx_or.ok()) {
       lock.unlock();
       if (idx_or.status().IsFailedPrecondition() &&
@@ -409,13 +381,13 @@ Result<PageHandle> BufferPool::New() {
         continue;
       }
       // Give the page back to the file's free list — otherwise a caller
-      // retrying against an exhausted shard would grow the file with
+      // retrying against an exhausted pool would grow the file with
       // orphaned pages.
       file_->Free(id).ok();
       return idx_or.status();
     }
     const size_t idx = idx_or.value();
-    BufferFrame& f = shard.frames[idx];
+    BufferFrame& f = frames_[idx];
     if (f.page.size() != file_->page_size()) {
       f.page = Page(file_->page_size());
     } else {
@@ -424,7 +396,7 @@ Result<PageHandle> BufferPool::New() {
     f.id.store(id, std::memory_order_release);
     f.dirty.store(true, std::memory_order_relaxed);
     f.referenced.store(false, std::memory_order_relaxed);
-    DirInsert(&shard, id, idx);
+    DirInsert(id, idx);
     const uint64_t s = f.state.load(std::memory_order_relaxed);
     f.state.store((s + BufferFrame::kVersionInc) | 1,
                   std::memory_order_release);
@@ -433,12 +405,11 @@ Result<PageHandle> BufferPool::New() {
 }
 
 Status BufferPool::Delete(PageId id) {
-  Shard& shard = *shards_[ShardIndex(id)];
   {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const size_t idx = DirLookup(shard, id);
+    std::lock_guard<std::mutex> lock(mutex_);
+    const size_t idx = DirLookup(id);
     if (idx != kNoFrame) {
-      BufferFrame& f = shard.frames[idx];
+      BufferFrame& f = frames_[idx];
       uint64_t s = f.state.load(std::memory_order_acquire);
       if (IsOdd(s) || (s & BufferFrame::kPinMask) != 0 ||
           !f.state.compare_exchange_strong(s, s + BufferFrame::kVersionInc,
@@ -446,10 +417,10 @@ Status BufferPool::Delete(PageId id) {
         return Status::FailedPrecondition("Delete of a pinned page " +
                                           std::to_string(id));
       }
-      DirErase(&shard, id);
+      DirErase(id);
       f.id.store(kInvalidPageId, std::memory_order_release);
       f.dirty.store(false, std::memory_order_relaxed);
-      shard.free_frames.push_back(idx);
+      free_frames_.push_back(idx);
       f.state.store(s + 2 * BufferFrame::kVersionInc,
                     std::memory_order_release);
     }
@@ -458,11 +429,10 @@ Status BufferPool::Delete(PageId id) {
 }
 
 Status BufferPool::FlushAll() {
-  for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (size_t i = 0; i < shard.num_frames; ++i) {
-      BufferFrame& f = shard.frames[i];
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (size_t i = 0; i < capacity_; ++i) {
+      BufferFrame& f = frames_[i];
       // Odd frames are in-flight loads (clean by definition — eviction
       // write-back happens under this mutex, which we hold).
       if (IsOdd(f.state.load(std::memory_order_acquire))) continue;
@@ -476,35 +446,17 @@ Status BufferPool::FlushAll() {
         f.dirty.store(true, std::memory_order_release);  // still unsynced
         return ws;
       }
-      shard.stats.disk_writes.fetch_add(1, std::memory_order_relaxed);
+      stats_.disk_writes.fetch_add(1, std::memory_order_relaxed);
       ++MutableThreadPoolCounters().disk_writes;
     }
   }
   return file_->Sync();
 }
 
-BufferPoolStats BufferPool::stats() const {
-  uint64_t hits = 0, misses = 0, evictions = 0, reads = 0, writes = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    hits += shard->stats.hits.load(std::memory_order_relaxed);
-    misses += shard->stats.misses.load(std::memory_order_relaxed);
-    evictions += shard->stats.evictions.load(std::memory_order_relaxed);
-    reads += shard->stats.disk_reads.load(std::memory_order_relaxed);
-    writes += shard->stats.disk_writes.load(std::memory_order_relaxed);
-  }
-  BufferPoolStats out;
-  out.hits = hits;
-  out.misses = misses;
-  out.evictions = evictions;
-  out.disk_reads = reads;
-  out.disk_writes = writes;
-  return out;
-}
-
 void BufferPool::ResetStats() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->stats = BufferPoolStats();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stats_ = BufferPoolStats();
   }
   file_->ResetStats();
 }

@@ -1,6 +1,6 @@
 // Copyright (c) 2026 The tsq Authors.
 //
-// Sharded page cache over a PageFile with a lock-free hit path. The R-tree
+// Page cache over a PageFile with a lock-free hit path. The R-tree
 // performs all page access through the pool; its hit/miss/eviction counters
 // are how tsq measures the "number of disk accesses" the paper reports for
 // index traversals.
@@ -23,8 +23,7 @@ namespace tsq {
 /// Cache counters. disk_reads/disk_writes mirror the underlying PageFile
 /// activity caused by this pool. Counters are relaxed atomics so snapshots
 /// taken by concurrent readers (per-query measurement) are race-free; the
-/// struct copies by value like a plain aggregate. BufferPool keeps one of
-/// these per shard and merges them on read.
+/// struct copies by value like a plain aggregate.
 struct BufferPoolStats {
   std::atomic<uint64_t> hits{0};
   std::atomic<uint64_t> misses{0};
@@ -46,7 +45,7 @@ struct BufferPoolStats {
 
 /// Per-thread buffer-pool counters (plain integers, no synchronization —
 /// each thread owns its own instance). Every pool operation bumps these
-/// alongside the owning shard's shared counters, so a query can measure
+/// alongside the pool's shared counters, so a query can measure
 /// exactly its own I/O by snapshotting ThisThreadPoolCounters() before and
 /// after on the thread it runs on — concurrent queries on other threads
 /// never leak into the delta. Counters are cumulative across all pools a
@@ -124,61 +123,51 @@ class PageHandle {
   PageId id_ = kInvalidPageId;
 };
 
-/// Fixed-capacity sharded page cache with clock (second-chance) eviction.
+/// Fixed-capacity page cache with one clock (second-chance) eviction
+/// sweep over all of its frames.
 ///
-/// Concurrency contract (v3): the pool is split into `shards()` independent
-/// shards; page ids map to shards through a splitmix64 mixing hash (see
-/// ShardIndex), so the sequential ids a tree build produces spread across
-/// shards instead of striping siblings into lock-step sequences.
+/// Concurrency contract (v3):
 ///
 /// * **Hits are lock-free.** Fetch of a cached page takes no mutex: it
-///   reads the shard's page directory (an open-addressed table of atomic
-///   slots), validates the frame's seqlock version, and pins with a single
-///   CAS (see BufferFrame). There is no LRU list to update — recency is a
+///   reads the page directory (an open-addressed table of atomic slots),
+///   validates the frame's seqlock version, and pins with a single CAS
+///   (see BufferFrame). There is no LRU list to update — recency is a
 ///   per-frame `referenced` bit swept lazily by the clock hand at eviction
 ///   time — so the hot path mutates nothing but the pin word.
-/// * **Misses do I/O without the shard lock.** A miss takes the shard
-///   mutex only to claim a frame (free list or clock sweep) and publish it
-///   in "loading" state (odd version, id set, directory entry inserted),
-///   then *drops the mutex* around the PageFile read and publishes the
-///   loaded frame with a release store. Hits — and other misses — on the
-///   same shard proceed while the read is in flight. Concurrent fetchers
-///   of the in-flight page wait on the frame itself (bounded spin, then
-///   yield/sleep), not on the mutex, and count as hits: the miss and the
-///   disk read belong to the thread that performed them, exactly as when
-///   a v2 waiter queued on the mutex behind the loading thread.
-/// * The shard mutex still serializes the admin paths: frame claim and
-///   eviction (including dirty write-back), New, Delete, FlushAll, stats
-///   reset, and directory mutation. Byte access *through a held
-///   PageHandle* is outside any mutex: a pinned frame cannot be evicted
-///   and frames never move, so the pointer stays valid. Concurrent threads
-///   must not write the same page's bytes; tsq's read paths (index
-///   traversal) only read. The underlying PageFile is thread-safe
-///   (positioned I/O), so shards read and write back concurrently.
+/// * **Misses do I/O without the pool mutex.** A miss takes the mutex
+///   only to claim a frame (free list or clock sweep) and publish it in
+///   "loading" state (odd version, id set, directory entry inserted), then
+///   *drops the mutex* around the PageFile read and publishes the loaded
+///   frame with a release store. Hits — and other misses — proceed while
+///   the read is in flight. Concurrent fetchers of the in-flight page wait
+///   on the frame itself (bounded spin, then yield/sleep), not on the
+///   mutex, and count as hits: the miss and the disk read belong to the
+///   thread that performed them.
+/// * The mutex still serializes the admin paths: frame claim and eviction
+///   (including dirty write-back), New, Delete, FlushAll, stats reset, and
+///   directory mutation. Byte access *through a held PageHandle* is
+///   outside any mutex: a pinned frame cannot be evicted and frames never
+///   move, so the pointer stays valid. Concurrent threads must not write
+///   the same page's bytes; tsq's read paths (index traversal) only read.
+///   The underlying PageFile is thread-safe (positioned I/O), so a miss's
+///   read runs beside another thread's write-back.
 ///
-/// Capacity is partitioned across shards (each shard gets capacity/shards
-/// frames, remainder spread round-robin). Eviction pressure is therefore
-/// per-shard: a shard whose frames are all pinned reports exhaustion even
-/// if a neighboring shard has free frames, and — the flip side — pinned
-/// pages can never be evicted by another shard's pressure. Fetch/New
-/// yield-then-sleep-retry over a bounded window (~hundreds of ms) before
-/// reporting exhaustion, so a shard that is only *transiently* full of
-/// pins stalls briefly instead of failing the query; a permanently pinned
-/// shard surfaces FailedPrecondition. Note that clock over N shards only
-/// approximates one global LRU: when the working set exceeds capacity,
-/// hit/eviction counts can differ from the v1 single-list pool. Workloads
-/// that need v1-comparable disk-access counts (paper-figure reproductions)
-/// can pin shards = 1; the auto default already keeps pools under 8 frames
-/// unsharded, and for a never-re-referenced scan pattern the clock sweep
-/// degenerates to the same FIFO/LRU victim order.
+/// Exhaustion means every frame is pinned (or mid-load): a page is never
+/// refused while any frame could take it. Fetch/New yield-then-sleep-retry
+/// over a bounded window (~hundreds of ms) before reporting exhaustion, so
+/// a pool that is only *transiently* full of pins stalls briefly instead
+/// of failing the query; a pool whose every frame stays pinned surfaces
+/// FailedPrecondition.
+///
+/// The hit/miss/eviction counters are those of this one clock — the
+/// "disk accesses" the paper counts. For a never-re-referenced page
+/// sequence the sweep evicts in arrival order, so the pool then holds
+/// exactly the last `capacity()` pages, as an LRU list would.
 class BufferPool {
  public:
   /// Creates a pool of `capacity` frames over `file` (non-owning: the file
-  /// must outlive the pool). `shards` = 0 picks an automatic count that
-  /// keeps small pools unsharded (one shard per ~8 frames, at most 16);
-  /// explicit counts are clamped to [1, capacity] so every shard owns at
-  /// least one frame.
-  BufferPool(PageFile* file, size_t capacity, size_t shards = 0);
+  /// must outlive the pool).
+  BufferPool(PageFile* file, size_t capacity);
   ~BufferPool();
 
   TSQ_DISALLOW_COPY_AND_MOVE(BufferPool);
@@ -194,32 +183,15 @@ class BufferPool {
   /// must not be pinned (or mid-load).
   Status Delete(PageId id);
 
-  /// Writes back every dirty frame (keeps them cached). Deterministic
-  /// order: shard 0's frames in frame order, then shard 1's, and so on;
+  /// Writes back every dirty frame (keeps them cached), in frame order;
   /// one Sync of the file at the end.
   Status FlushAll();
 
-  /// Number of frames the pool may hold (summed over all shards).
+  /// Number of frames the pool may hold.
   size_t capacity() const { return capacity_; }
 
-  /// Number of independent shards.
-  size_t shards() const { return shards_.size(); }
-
-  /// The shard a page id maps to: a splitmix64 fold of the id, reduced mod
-  /// the shard count (exposed for white-box tests). Sequential ids — the
-  /// common case, since tree builds allocate pages in order — land on
-  /// effectively random shards instead of round-robining in lock-step.
-  size_t ShardIndex(PageId id) const {
-    uint64_t x = id + uint64_t{0x9E3779B97F4A7C15};
-    x = (x ^ (x >> 30)) * uint64_t{0xBF58476D1CE4E5B9};
-    x = (x ^ (x >> 27)) * uint64_t{0x94D049BB133111EB};
-    x ^= x >> 31;
-    return x % shards_.size();
-  }
-
-  /// Counters, merged across shards on every call; Reset clears both pool
-  /// and file counters.
-  BufferPoolStats stats() const;
+  /// Counters; Reset clears both pool and file counters.
+  BufferPoolStats stats() const { return stats_; }
   void ResetStats();
 
   /// The underlying file.
@@ -229,7 +201,7 @@ class BufferPool {
   /// One open-addressed directory slot: page id -> frame index. id is
   /// kInvalidPageId (0) when never used ("empty", stops probes) and
   /// kDirTombstone when erased (probes continue through it). Slots are
-  /// written only under the shard mutex and read lock-free; a reader
+  /// written only under the pool mutex and read lock-free; a reader
   /// always re-validates against the frame itself, so stale slots cost a
   /// retry, never a wrong pin.
   struct DirSlot {
@@ -237,39 +209,34 @@ class BufferPool {
     std::atomic<uint32_t> frame{0};
   };
 
-  struct Shard {
-    // Serializes misses/eviction/New/Delete/Flush and directory writes.
-    // Never taken on the hit path.
-    mutable std::mutex mutex;
-    std::unique_ptr<BufferFrame[]> frames;
-    size_t num_frames = 0;
-    std::unique_ptr<DirSlot[]> dir;
-    size_t dir_mask = 0;   // dir size - 1 (power of two)
-    size_t dir_empty = 0;  // never-used slots left; rebuild when low
-    std::vector<size_t> free_frames;
-    size_t clock_hand = 0;
-    BufferPoolStats stats;
-  };
-
   static constexpr size_t kNoFrame = static_cast<size_t>(-1);
 
-  /// Lock-free probe of the shard directory; returns a frame index or
-  /// kNoFrame. The result is a hint until validated against the frame.
-  static size_t DirLookup(const Shard& shard, PageId id);
-  /// Directory writes; caller holds the shard mutex.
-  static void DirInsert(Shard* shard, PageId id, size_t frame_idx);
-  static void DirErase(Shard* shard, PageId id);
-  static void DirRebuild(Shard* shard);
+  /// Lock-free probe of the directory; returns a frame index or kNoFrame.
+  /// The result is a hint until validated against the frame.
+  size_t DirLookup(PageId id) const;
+  /// Directory writes; caller holds the mutex.
+  void DirInsert(PageId id, size_t frame_idx);
+  void DirErase(PageId id);
+  void DirRebuild();
 
   /// Claims a frame (free list, else clock sweep with eviction + dirty
   /// write-back) and returns it with an odd (in-transition) version.
-  /// Caller holds the shard mutex. FailedPrecondition when every frame is
+  /// Caller holds the mutex. FailedPrecondition when every frame is
   /// pinned or mid-transition (transient under concurrency).
-  Result<size_t> AcquireFrame(Shard* shard);
+  Result<size_t> AcquireFrame();
 
   PageFile* file_;
-  size_t capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const size_t capacity_;
+  // Serializes misses/eviction/New/Delete/Flush and directory writes.
+  // Never taken on the hit path.
+  std::mutex mutex_;
+  std::unique_ptr<BufferFrame[]> frames_;
+  std::unique_ptr<DirSlot[]> dir_;
+  size_t dir_mask_ = 0;   // dir size - 1 (power of two)
+  size_t dir_empty_ = 0;  // never-used slots left; rebuild when low
+  std::vector<size_t> free_frames_;
+  size_t clock_hand_ = 0;
+  BufferPoolStats stats_;
 };
 
 }  // namespace tsq

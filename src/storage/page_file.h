@@ -47,7 +47,8 @@ struct PageFileStats {
 /// data path. Allocate, Free and Sync mutate the header state (page count,
 /// free list) and serialize on an internal mutex. Concurrent Read/Write of
 /// the *same* page require caller coordination (in the query stack the
-/// BufferPool's shard locks provide it: a page lives in exactly one shard).
+/// BufferPool provides it: a page lives in at most one frame, and its
+/// load and write-back never overlap).
 class PageFile {
  public:
   TSQ_DISALLOW_COPY_AND_MOVE(PageFile);

@@ -1,13 +1,12 @@
 // Copyright (c) 2026 The tsq Authors.
 //
 // Targeted tests for the v3 buffer-pool concurrency contract: lock-free
-// optimistic hits, I/O-in-progress frames (a miss drops the shard lock
+// optimistic hits, I/O-in-progress frames (a miss drops the pool mutex
 // around the pread), waiters sharing one in-flight load, optimistic-retry
 // storms, and the bounded yield-retry pin-exhaustion path. Uses the
 // page_file_read/page_file_write failpoint callbacks to make specific
-// page I/Os block on a latch, so the "a slow miss no longer stalls
-// same-shard hits" claim is proven by handshakes, not timing. Runs under
-// the CI TSan job.
+// page I/Os block on a latch, so the "a slow miss does not stall hits"
+// claim is proven by handshakes, not timing. Runs under the CI TSan job.
 
 #include <atomic>
 #include <chrono>
@@ -90,11 +89,10 @@ class BufferPoolConcurrencyTest : public ::testing::Test {
   std::unique_ptr<PageFile> file_;
 };
 
-TEST_F(BufferPoolConcurrencyTest, SameShardHitDoesNotStallBehindSlowMiss) {
-  // One shard, two frames. Pages p[0], p[1] get evicted by p[2], p[3], so
-  // the frames hold p[2]/p[3] and p[0]/p[1] live only on disk.
-  BufferPool pool(file_.get(), 2, 1);
-  ASSERT_EQ(pool.shards(), 1u);
+TEST_F(BufferPoolConcurrencyTest, HitDoesNotStallBehindSlowMiss) {
+  // Two frames. Pages p[0], p[1] get evicted by p[2], p[3], so the frames
+  // hold p[2]/p[3] and p[0]/p[1] live only on disk.
+  BufferPool pool(file_.get(), 2);
   const std::vector<PageId> p = MakePages(&pool, 4);
 
   ReadGate gate;
@@ -103,7 +101,7 @@ TEST_F(BufferPoolConcurrencyTest, SameShardHitDoesNotStallBehindSlowMiss) {
     if (id == slow_page) gate.Wait();
   });
 
-  // The miss: claims a frame, publishes it loading, drops the shard lock,
+  // The miss: claims a frame, publishes it loading, drops the pool mutex,
   // and parks inside the (gated) pread.
   std::thread misser([&pool, &p] {
     auto h = pool.Fetch(p[0]);
@@ -112,9 +110,9 @@ TEST_F(BufferPoolConcurrencyTest, SameShardHitDoesNotStallBehindSlowMiss) {
   });
   gate.AwaitReader();
 
-  // While that read is in flight, a hit on a *different* page of the same
-  // shard must complete: v2 held the shard mutex across the pread and
-  // this fetch would deadlock here. Run it on its own thread and require
+  // While that read is in flight, a hit on a *different* page must
+  // complete: v2 held the pool mutex across the pread and this fetch
+  // would deadlock here. Run it on its own thread and require
   // completion long before any sane I/O timeout.
   auto hit = std::async(std::launch::async, [&pool, &p] {
     auto h = pool.Fetch(p[3]);
@@ -122,18 +120,18 @@ TEST_F(BufferPoolConcurrencyTest, SameShardHitDoesNotStallBehindSlowMiss) {
   });
   ASSERT_EQ(hit.wait_for(std::chrono::seconds(30)),
             std::future_status::ready)
-      << "a same-shard hit stalled behind an in-flight miss";
+      << "a hit stalled behind an in-flight miss";
   EXPECT_TRUE(hit.get());
 
-  // A *miss* on yet another page of the shard must also proceed: the
-  // second frame is free for it while the slow load owns the first.
+  // A *miss* on yet another page must also proceed: the second frame is
+  // free for it while the slow load owns the first.
   auto other_miss = std::async(std::launch::async, [&pool, &p] {
     auto h = pool.Fetch(p[1]);
     return h.ok() && h->page()->ReadU64(0) == p[1];
   });
   ASSERT_EQ(other_miss.wait_for(std::chrono::seconds(30)),
             std::future_status::ready)
-      << "a same-shard miss stalled behind an in-flight miss";
+      << "a miss stalled behind an in-flight miss";
   EXPECT_TRUE(other_miss.get());
 
   gate.Open();
@@ -143,7 +141,7 @@ TEST_F(BufferPoolConcurrencyTest, SameShardHitDoesNotStallBehindSlowMiss) {
 
 TEST_F(BufferPoolConcurrencyTest, ConcurrentFetchersShareOneInFlightLoad) {
   // p[0] is on disk only (evicted by p[1..4] in a 4-frame pool).
-  BufferPool pool(file_.get(), 4, 1);
+  BufferPool pool(file_.get(), 4);
   const std::vector<PageId> p = MakePages(&pool, 5);
   ASSERT_TRUE(pool.FlushAll().ok());
   pool.ResetStats();
@@ -200,7 +198,7 @@ TEST_F(BufferPoolConcurrencyTest, OptimisticRetryStormKeepsCountersExact) {
   // per-thread counters must account for every single fetch (the v3
   // classify-once rule), and the shared merged counters must equal their
   // sum.
-  BufferPool pool(file_.get(), 8, 1);
+  BufferPool pool(file_.get(), 8);
   const std::vector<PageId> p = MakePages(&pool, 8);  // all resident
   pool.ResetStats();
 
@@ -246,7 +244,7 @@ TEST_F(BufferPoolConcurrencyTest, RetryStormSurvivesEvictionChurn) {
   // race evictions and in-flight loads, not just other pins. Correctness
   // here is "every fetch pins the right bytes and nothing is lost from
   // the counters" — hit/miss totals depend on the interleaving.
-  BufferPool pool(file_.get(), 4, 2);
+  BufferPool pool(file_.get(), 4);
   const std::vector<PageId> p = MakePages(&pool, 8);
   ASSERT_TRUE(pool.FlushAll().ok());
   pool.ResetStats();
@@ -284,10 +282,10 @@ TEST_F(BufferPoolConcurrencyTest, RetryStormSurvivesEvictionChurn) {
 }
 
 TEST_F(BufferPoolConcurrencyTest, TransientPinExhaustionResolvesOnRelease) {
-  // One shard, two frames, both pinned. A third fetch enters the bounded
+  // Two frames, both pinned. A third fetch enters the bounded
   // yield-retry loop; releasing one pin while it spins must let it
   // through (no error surfaces for a *transient* exhaustion).
-  BufferPool pool(file_.get(), 2, 1);
+  BufferPool pool(file_.get(), 2);
   const std::vector<PageId> p = MakePages(&pool, 3);  // p[0] evicted
 
   auto pin1 = pool.Fetch(p[1]);
@@ -308,7 +306,7 @@ TEST_F(BufferPoolConcurrencyTest, TransientPinExhaustionResolvesOnRelease) {
 }
 
 TEST_F(BufferPoolConcurrencyTest, PermanentPinExhaustionSurfacesStatus) {
-  BufferPool pool(file_.get(), 2, 1);
+  BufferPool pool(file_.get(), 2);
   const std::vector<PageId> p = MakePages(&pool, 3);
 
   auto pin1 = pool.Fetch(p[1]);
@@ -333,13 +331,13 @@ TEST_F(BufferPoolConcurrencyTest, PermanentPinExhaustionSurfacesStatus) {
 }
 
 TEST_F(BufferPoolConcurrencyTest, HitsProceedWhileEvictionWritesBack) {
-  // Eviction write-back of a dirty victim happens *under the shard
+  // Eviction write-back of a dirty victim happens *under the pool
   // mutex*, but hits never take that mutex: park the evictor inside its
   // file_->Write — the lock is held from the frame claim through the
   // write — and a concurrent fetch of a cached page must still complete.
   // Three frames: after the fourth New only p[0] is evicted, so p[1..3]
   // stay resident while p[0] lives on disk.
-  BufferPool pool(file_.get(), 3, 1);
+  BufferPool pool(file_.get(), 3);
   const std::vector<PageId> p = MakePages(&pool, 4);
   ASSERT_TRUE(pool.FlushAll().ok());  // everything clean
 
@@ -360,7 +358,7 @@ TEST_F(BufferPoolConcurrencyTest, HitsProceedWhileEvictionWritesBack) {
     ASSERT_TRUE(h.ok()) << h.status().ToString();
     EXPECT_EQ(h->page()->ReadU64(0), p[0]);
   });
-  // The evictor is now parked mid-write-back, shard mutex held.
+  // The evictor is now parked mid-write-back, pool mutex held.
   gate.AwaitReader();
 
   // Hits are pin-CAS only: they must complete while the mutex is held.

@@ -7,7 +7,7 @@
 // separate relation AND ingest into the queried database itself
 // (InsertBatch racing RunBatch, the v2 write contract's headline
 // race). Under v3 the hammered index fetches ride the lock-free
-// optimistic hit path and misses read with the shard lock dropped, so
+// optimistic hit path and misses read with the pool mutex dropped, so
 // these races double as a seqlock memory-model workout; under v2 the
 // ingest side exercises the per-segment append turnstile and the
 // lock-free record directory.
@@ -54,10 +54,9 @@ class ConcurrencyStressTest : public ::testing::Test {
     DatabaseOptions options;
     options.directory = dir_.path();
     options.name = "stress";
-    // Small sharded pool: eviction traffic crosses shard boundaries all
-    // the time, which is exactly the churn the stress wants to race.
+    // Small pool: eviction traffic races the lock-free hits all the
+    // time, which is exactly the churn the stress wants.
     options.buffer_pool_frames = 64;
-    options.buffer_pool_shards = 4;
     db_ = Database::Create(options).value();
     for (const TimeSeries& s : data_) {
       ASSERT_TRUE(db_->Insert(s.name(), s.values()).ok());
@@ -241,7 +240,7 @@ TEST_F(ConcurrencyStressTest, NoStatCounterLossUnderConcurrency) {
 TEST_F(ConcurrencyStressTest, BatchesAndSelfJoinsRaceAWriterSafely) {
   // Readers hammer the frozen index stack (batches + parallel self-joins)
   // while a writer appends to a *separate* relation and a tail reader
-  // follows it — the full v2 story in one race: sharded pool, parallel
+  // follows it — the full v2 story in one race: shared pool, parallel
   // descent, thread-safe PageFile, pread-based relation reads.
   const std::vector<BatchQuery> batch = MakeBatch(12);
   const double join_eps = 5.0;

@@ -226,7 +226,6 @@ class TracingTest : public ::testing::Test {
     options.directory = dir_.path();
     options.name = "traced";
     options.buffer_pool_frames = 16;  // small pool: queries touch disk
-    options.buffer_pool_shards = 2;
     db_ = Database::Create(options).value();
     std::vector<std::string> names;
     std::vector<RealVec> values;
@@ -335,7 +334,6 @@ TEST(SlowQueryTest, ThresholdGatesTheLog) {
     options.slow_query_ms = slow_ms;
     // A pool far smaller than the relation, so reads always fault.
     options.buffer_pool_frames = 8;
-    options.buffer_pool_shards = 1;
     auto db = Database::Create(options).value();
     EXPECT_TRUE(db->InsertBatch(names, values, 2).ok());
     EXPECT_TRUE(db->BuildIndex().ok());

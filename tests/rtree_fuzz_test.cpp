@@ -3,8 +3,8 @@
 // Model-based fuzz test for the R*-tree: random interleavings of inserts,
 // removes and searches are checked against an exact in-memory reference
 // after every batch, with structural invariants audited along the way.
-// Parameterized over seeds and tree configurations so ctest runs many
-// independent schedules.
+// Parameterized over seeds and forced reinsertion on/off so ctest runs
+// many independent schedules.
 
 #include <map>
 #include <set>
@@ -26,16 +26,15 @@ using spatial::Rect;
 using tsq::testing::TempDir;
 
 class RTreeFuzzTest
-    : public ::testing::TestWithParam<std::tuple<uint64_t, SplitAlgorithm>> {
-};
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
 TEST_P(RTreeFuzzTest, RandomScheduleMatchesReferenceModel) {
-  const auto [seed, split] = GetParam();
+  const auto [seed, forced_reinsert] = GetParam();
   TempDir dir;
   auto file = PageFile::Create(dir.file("fuzz.pages")).value();
   BufferPool pool(file.get(), 96);
   RTreeOptions options;
-  options.split = split;
+  options.forced_reinsert = forced_reinsert;
   options.max_entries_override = 6;  // deep trees, frequent splits/merges
   auto tree = RStarTree::Create(&pool, 3, options).value();
 
@@ -106,11 +105,9 @@ TEST_P(RTreeFuzzTest, RandomScheduleMatchesReferenceModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SeedsAndSplits, RTreeFuzzTest,
+    SeedsAndReinsert, RTreeFuzzTest,
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 5u, 6u),
-                       ::testing::Values(SplitAlgorithm::kRStar,
-                                         SplitAlgorithm::kGuttmanQuadratic,
-                                         SplitAlgorithm::kGuttmanLinear)));
+                       ::testing::Bool()));
 
 // ---------------------------------------------------------------------------
 // Crash-consistency-flavored checks: reopen mid-life, keep mutating.

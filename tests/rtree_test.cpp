@@ -12,7 +12,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -190,12 +189,10 @@ TEST(NodeTest, BoundingRectCoversAllEntries) {
 }
 
 // ---------------------------------------------------------------------------
-// Split algorithms (pure functions)
+// R* split (a pure function)
 // ---------------------------------------------------------------------------
 
-class SplitTest : public ::testing::TestWithParam<SplitAlgorithm> {};
-
-TEST_P(SplitTest, PartitionsAllEntriesRespectingMinFill) {
+TEST(SplitTest, PartitionsAllEntriesRespectingMinFill) {
   Rng rng(9);
   for (int trial = 0; trial < 20; ++trial) {
     const size_t total = 10 + static_cast<size_t>(rng.UniformInt(0, 30));
@@ -209,7 +206,7 @@ TEST_P(SplitTest, PartitionsAllEntriesRespectingMinFill) {
       ids.insert(i);
       entries.push_back(e);
     }
-    SplitResult split = SplitEntries(GetParam(), entries, min_fill);
+    SplitResult split = RStarSplit(entries, min_fill);
     EXPECT_GE(split.left.size(), min_fill);
     EXPECT_GE(split.right.size(), min_fill);
     EXPECT_EQ(split.left.size() + split.right.size(), total);
@@ -220,7 +217,7 @@ TEST_P(SplitTest, PartitionsAllEntriesRespectingMinFill) {
   }
 }
 
-TEST_P(SplitTest, SeparatesTwoObviousClusters) {
+TEST(SplitTest, SeparatesTwoObviousClusters) {
   // Two tight clusters far apart: any sane split keeps clusters intact.
   Rng rng(10);
   std::vector<Entry> entries;
@@ -232,29 +229,18 @@ TEST_P(SplitTest, SeparatesTwoObviousClusters) {
     e.id = i;
     entries.push_back(e);
   }
-  SplitResult split = SplitEntries(GetParam(), entries, 2);
+  SplitResult split = RStarSplit(entries, 2);
   auto side_of = [](const Entry& e) { return e.rect.lo(0) > 500.0; };
   const bool left_side = side_of(split.left[0]);
   for (const Entry& e : split.left) EXPECT_EQ(side_of(e), left_side);
   for (const Entry& e : split.right) EXPECT_EQ(side_of(e), !left_side);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllAlgorithms, SplitTest,
-                         ::testing::Values(SplitAlgorithm::kRStar,
-                                           SplitAlgorithm::kGuttmanQuadratic,
-                                           SplitAlgorithm::kGuttmanLinear));
-
 // ---------------------------------------------------------------------------
-// Tree fixture, parameterized over (split, forced_reinsert)
+// Tree fixture, parameterized over forced_reinsert
 // ---------------------------------------------------------------------------
 
-struct TreeConfig {
-  SplitAlgorithm split;
-  bool forced_reinsert;
-};
-
-class RTreeParamTest
-    : public ::testing::TestWithParam<std::tuple<SplitAlgorithm, bool>> {
+class RTreeParamTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
     auto pf = PageFile::Create(dir_.file("tree.pages"));
@@ -266,8 +252,7 @@ class RTreeParamTest
   std::unique_ptr<RStarTree> MakeTree(size_t dims,
                                       size_t max_entries_override = 8) {
     RTreeOptions options;
-    options.split = std::get<0>(GetParam());
-    options.forced_reinsert = std::get<1>(GetParam());
+    options.forced_reinsert = GetParam();
     options.max_entries_override = max_entries_override;  // deep trees
     auto tree = RStarTree::Create(pool_.get(), dims, options);
     EXPECT_TRUE(tree.ok()) << tree.status().ToString();
@@ -735,8 +720,7 @@ TEST_P(RTreeParamTest, PersistsAcrossReopen) {
     ASSERT_TRUE(pool_->FlushAll().ok());
   }
   RTreeOptions options;
-  options.split = std::get<0>(GetParam());
-  options.forced_reinsert = std::get<1>(GetParam());
+  options.forced_reinsert = GetParam();
   options.max_entries_override = 8;
   auto tree = RStarTree::Open(pool_.get(), meta, options);
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
@@ -758,12 +742,8 @@ TEST_P(RTreeParamTest, PersistsAcrossReopen) {
   EXPECT_EQ(actual, expected);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllConfigs, RTreeParamTest,
-    ::testing::Combine(::testing::Values(SplitAlgorithm::kRStar,
-                                         SplitAlgorithm::kGuttmanQuadratic,
-                                         SplitAlgorithm::kGuttmanLinear),
-                       ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(ForcedReinsertOnOff, RTreeParamTest,
+                         ::testing::Bool());
 
 // --- non-parameterized edge cases ------------------------------------------------
 

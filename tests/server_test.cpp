@@ -624,7 +624,6 @@ class ServerTest : public ::testing::Test {
     options.directory = dir_.path();
     options.name = "served";
     options.buffer_pool_frames = 64;
-    options.buffer_pool_shards = 4;
     db_ = Database::Create(options).value();
     std::vector<std::string> names;
     std::vector<RealVec> values;

@@ -82,13 +82,12 @@ TEST(RectTest, ContainsAndContainsRect) {
   EXPECT_FALSE(a.ContainsRect(Rect({1.0, 1.0}, {5.0, 2.0})));
 }
 
-TEST(RectTest, UnionAndEnlargement) {
+TEST(RectTest, UnionCoversBoth) {
   Rect a({0.0, 0.0}, {1.0, 1.0});
   Rect b({2.0, 2.0}, {3.0, 3.0});
   Rect u = a.UnionWith(b);
   EXPECT_EQ(u, Rect({0.0, 0.0}, {3.0, 3.0}));
-  EXPECT_NEAR(a.Enlargement(b), 9.0 - 1.0, 1e-12);
-  EXPECT_NEAR(a.Enlargement(a), 0.0, 1e-12);
+  EXPECT_EQ(a.UnionWith(a), a);
 }
 
 TEST(RectTest, GrownExpandsEverySide) {

@@ -471,90 +471,79 @@ TEST_F(BufferPoolTest, DeleteRemovesFromCacheAndFreesPage) {
   EXPECT_EQ(pool.New().value().id(), id);
 }
 
-TEST_F(BufferPoolTest, AutoShardCountKeepsSmallPoolsUnsharded) {
-  // Tiny pools (the tests above) must keep the exact single-LRU semantics
-  // of the unsharded pool; big pools fan out, capped at 16 shards.
-  EXPECT_EQ(BufferPool(file_.get(), 2).shards(), 1u);
-  EXPECT_EQ(BufferPool(file_.get(), 7).shards(), 1u);
-  EXPECT_EQ(BufferPool(file_.get(), 32).shards(), 4u);
-  EXPECT_EQ(BufferPool(file_.get(), 1024).shards(), 16u);
-  // Explicit counts are clamped so every shard owns at least one frame.
-  EXPECT_EQ(BufferPool(file_.get(), 4, 64).shards(), 4u);
-  EXPECT_EQ(BufferPool(file_.get(), 8, 4).shards(), 4u);
-}
-
-TEST_F(BufferPoolTest, ShardMappingMixesSequentialIds) {
-  // v3 maps page ids to shards through a splitmix64 fold, so the
-  // sequential ids a tree build allocates do NOT stripe round-robin into
-  // lock-step shard sequences the way `id % shards` did.
-  BufferPool pool(file_.get(), 8, 4);
-  ASSERT_EQ(pool.shards(), 4u);
-  bool deviates_from_modulo = false;
-  std::vector<size_t> per_shard(pool.shards(), 0);
-  for (PageId id = 1; id <= 4096; ++id) {
-    const size_t shard = pool.ShardIndex(id);
-    ASSERT_LT(shard, pool.shards());
-    // Deterministic: the same id always lands on the same shard.
-    EXPECT_EQ(pool.ShardIndex(id), shard);
-    if (shard != id % pool.shards()) deviates_from_modulo = true;
-    ++per_shard[shard];
-  }
-  EXPECT_TRUE(deviates_from_modulo);
-  // The mix spreads ids roughly evenly (each shard within 2x of fair).
-  for (size_t s = 0; s < per_shard.size(); ++s) {
-    EXPECT_GT(per_shard[s], 4096u / 8) << "shard " << s << " starved";
-    EXPECT_LT(per_shard[s], 4096u / 2) << "shard " << s << " overloaded";
-  }
-}
-
-/// Materializes pages through `pool` until `shard` has seen at least
-/// `count` of them, returning those ids (pages are unpinned afterwards).
-std::vector<PageId> NewPagesInShard(BufferPool* pool, size_t shard,
-                                    size_t count) {
+TEST_F(BufferPoolTest, OneClockKeepsTheLastCapacityPages) {
+  // One clock over all 64 frames: pages that are never re-referenced are
+  // evicted in arrival order, so after 128 of them exactly the last 64
+  // are cached — the single-list LRU result the paper's disk-access counts
+  // assume. A pool partitioned into per-page-id sub-clocks keeps a
+  // hash-dependent subset instead.
+  BufferPool pool(file_.get(), 64);
   std::vector<PageId> ids;
-  for (int i = 0; i < 256 && ids.size() < count; ++i) {
-    auto h = pool->New();
-    EXPECT_TRUE(h.ok());
-    if (h.ok() && pool->ShardIndex(h->id()) == shard) ids.push_back(h->id());
+  for (int i = 0; i < 128; ++i) {
+    auto h = pool.New();
+    ASSERT_TRUE(h.ok());
+    ids.push_back(h->id());
   }
-  EXPECT_EQ(ids.size(), count) << "hash starved shard " << shard;
-  return ids;
+  pool.ResetStats();
+  for (size_t i = 64; i < 128; ++i) ASSERT_TRUE(pool.Fetch(ids[i]).ok());
+  EXPECT_EQ(pool.stats().hits, 64u);
+  EXPECT_EQ(pool.stats().misses, 0u);
+  for (size_t i = 0; i < 64; ++i) ASSERT_TRUE(pool.Fetch(ids[i]).ok());
+  EXPECT_EQ(pool.stats().hits, 64u);
+  EXPECT_EQ(pool.stats().misses, 64u);
 }
 
-TEST_F(BufferPoolTest, ShardEvictionPressureIsPerShard) {
-  // Two shards, one frame each. A pinned page exhausts its own shard while
-  // the neighboring shard keeps serving. Page ids are chosen through
-  // ShardIndex — placement is a mixing hash, not id % shards.
-  BufferPool pool(file_.get(), 2, 2);
-  ASSERT_EQ(pool.shards(), 2u);
-  const std::vector<PageId> shard0 = NewPagesInShard(&pool, 0, 2);
-  const std::vector<PageId> shard1 = NewPagesInShard(&pool, 1, 1);
-  ASSERT_EQ(shard0.size(), 2u);
-  ASSERT_EQ(shard1.size(), 1u);
+TEST_F(BufferPoolTest, ExhaustionWaitsForTheLastFrame) {
+  // With 15 of 16 frames pinned, the one unpinned frame serves any number
+  // of pages; exhaustion is reported only once every frame is pinned.
+  BufferPool pool(file_.get(), 16);
+  std::vector<PageHandle> pins;
+  for (int i = 0; i < 15; ++i) {
+    auto h = pool.New();
+    ASSERT_TRUE(h.ok()) << "pin " << i << ": " << h.status().ToString();
+    pins.push_back(std::move(*h));
+  }
+  PageId last = kInvalidPageId;
+  for (int i = 0; i < 32; ++i) {
+    auto h = pool.New();
+    ASSERT_TRUE(h.ok()) << "page " << i << ": " << h.status().ToString();
+    h->page()->WriteU64(0, h->id());
+    h->MarkDirty();
+    last = h->id();
+  }
+  // The first of the 32 took the free frame; each later one evicted (and
+  // wrote back) its predecessor from that same frame.
+  EXPECT_EQ(pool.stats().evictions, 31u);
+  EXPECT_EQ(pool.stats().disk_writes, 31u);
+  const uint64_t hits_before = pool.stats().hits;
+  ASSERT_TRUE(pool.Fetch(last).ok());
+  EXPECT_EQ(pool.stats().hits, hits_before + 1);
 
-  auto pinned = pool.Fetch(shard0[0]);
-  ASSERT_TRUE(pinned.ok());
-  // Shard 0 is exhausted: its only frame is pinned.
-  EXPECT_TRUE(pool.Fetch(shard0[1]).status().IsFailedPrecondition());
-  // Shard 1 is unaffected.
-  EXPECT_TRUE(pool.Fetch(shard1[0]).ok());
+  auto sixteenth = pool.New();
+  ASSERT_TRUE(sixteenth.ok()) << sixteenth.status().ToString();
+  EXPECT_TRUE(pool.New().status().IsFailedPrecondition());
+  // The pinned pages kept their frames throughout.
+  for (const PageHandle& pin : pins) {
+    const uint64_t hits = pool.stats().hits;
+    ASSERT_TRUE(pool.Fetch(pin.id()).ok());
+    EXPECT_EQ(pool.stats().hits, hits + 1) << "page " << pin.id();
+  }
 }
 
-TEST_F(BufferPoolTest, PinnedPageSurvivesNeighboringShardPressure) {
+TEST_F(BufferPoolTest, PinnedPageSurvivesEvictionPressure) {
   // Regression: a pinned page must never be evicted (or have its frame
-  // reused) because a *different* shard is thrashing.
-  BufferPool pool(file_.get(), 2, 2);
-  const std::vector<PageId> victim = NewPagesInShard(&pool, 0, 1);
-  const std::vector<PageId> hammer = NewPagesInShard(&pool, 1, 3);
-  ASSERT_EQ(victim.size(), 1u);
-  ASSERT_EQ(hammer.size(), 3u);
+  // reused) while other pages thrash the remaining frames.
+  BufferPool pool(file_.get(), 4);
+  const PageId victim = pool.New().value().id();
+  std::vector<PageId> hammer;
+  for (int i = 0; i < 8; ++i) hammer.push_back(pool.New().value().id());
 
-  auto pinned = pool.Fetch(victim[0]);  // shard 0's only frame
+  auto pinned = pool.Fetch(victim);
   ASSERT_TRUE(pinned.ok());
   pinned->page()->WriteU64(24, 0xFEEDFACEull);
   pinned->MarkDirty();
 
-  // Hammer shard 1 far beyond its single frame.
+  // Cycle eight pages through the three unpinned frames.
   for (int round = 0; round < 8; ++round) {
     for (const PageId id : hammer) {
       auto h = pool.Fetch(id);
@@ -567,83 +556,64 @@ TEST_F(BufferPoolTest, PinnedPageSurvivesNeighboringShardPressure) {
   EXPECT_EQ(pinned->page()->ReadU64(24), 0xFEEDFACEull);
   pinned->Release();
   const uint64_t hits_before = pool.stats().hits;
-  ASSERT_TRUE(pool.Fetch(victim[0]).ok());
+  ASSERT_TRUE(pool.Fetch(victim).ok());
   EXPECT_EQ(pool.stats().hits, hits_before + 1)
       << "pinned page fell out of cache";
 }
 
-TEST_F(BufferPoolTest, FlushAllWritesEveryShardDirtyFrameOnce) {
-  BufferPool pool(file_.get(), 8, 4);
+TEST_F(BufferPoolTest, FlushAllWritesEveryDirtyFrameOnce) {
+  // Twelve dirty pages through eight frames: the first four were written
+  // back at eviction, so the flush writes exactly the eight resident ones.
+  BufferPool pool(file_.get(), 8);
   std::vector<PageId> ids;
-  std::vector<size_t> shard_pages(pool.shards(), 0);
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < 12; ++i) {
     auto h = pool.New();
     ASSERT_TRUE(h.ok());
     h->page()->WriteU64(0, 1000 + h->id());
     h->MarkDirty();
     ids.push_back(h->id());
-    ++shard_pages[pool.ShardIndex(h->id())];
-  }
-  // The hash may overflow a two-frame shard; overflowed pages were already
-  // written back at eviction, so the flush writes the resident dirty set.
-  uint64_t resident_dirty = 0;
-  for (const size_t count : shard_pages) {
-    resident_dirty += std::min<size_t>(count, 2);
   }
   const uint64_t writes_before = pool.stats().disk_writes;
+  EXPECT_EQ(writes_before, 4u);
   ASSERT_TRUE(pool.FlushAll().ok());
-  // Every resident dirty frame in every shard was written exactly once...
-  EXPECT_EQ(pool.stats().disk_writes, writes_before + resident_dirty);
+  // Every resident dirty frame was written exactly once...
+  EXPECT_EQ(pool.stats().disk_writes, writes_before + 8);
   // ...and every page — flushed or evicted earlier — is on disk.
   for (const PageId id : ids) {
     Page raw;
     ASSERT_TRUE(file_->Read(id, &raw).ok());
     EXPECT_EQ(raw.ReadU64(0), 1000 + id) << "page " << id;
   }
-  // A second flush finds nothing dirty in any shard.
+  // A second flush finds nothing dirty.
   const uint64_t writes_after = pool.stats().disk_writes;
   ASSERT_TRUE(pool.FlushAll().ok());
   EXPECT_EQ(pool.stats().disk_writes, writes_after);
 }
 
-TEST_F(BufferPoolTest, StatsMergeAcrossShards) {
-  // Four shards of two frames each, 16 sequentially allocated pages. The
-  // mixing hash decides placement, so derive the expected resident set
-  // per shard: with never-re-referenced pages the clock sweep evicts in
-  // arrival order, leaving each shard's last two pages cached. Hits and
-  // misses then land across the shards, and stats() must report the
-  // exact merged sums.
-  BufferPool pool(file_.get(), 8, 4);
-  std::vector<std::vector<PageId>> by_shard(pool.shards());
-  for (int i = 0; i < 16; ++i) {
-    auto h = pool.New();
-    ASSERT_TRUE(h.ok());
-    by_shard[pool.ShardIndex(h->id())].push_back(h->id());
-  }
+TEST_F(BufferPoolTest, StatsCountEveryAccessExactly) {
+  // Eight frames, 16 sequentially allocated pages: the clock evicts
+  // never-re-referenced pages in arrival order, so the last eight are
+  // cached and the first eight are on disk.
+  BufferPool pool(file_.get(), 8);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 16; ++i) ids.push_back(pool.New().value().id());
   pool.ResetStats();
 
-  std::vector<PageId> resident, evicted;
-  for (const std::vector<PageId>& pages : by_shard) {
-    const size_t keep = std::min<size_t>(pages.size(), 2);
-    resident.insert(resident.end(), pages.end() - keep, pages.end());
-    evicted.insert(evicted.end(), pages.begin(), pages.end() - keep);
-  }
-  ASSERT_EQ(resident.size() + evicted.size(), 16u);
+  for (size_t i = 8; i < 16; ++i) ASSERT_TRUE(pool.Fetch(ids[i]).ok());
+  for (size_t i = 0; i < 8; ++i) ASSERT_TRUE(pool.Fetch(ids[i]).ok());
 
-  for (const PageId id : resident) ASSERT_TRUE(pool.Fetch(id).ok());
-  for (const PageId id : evicted) ASSERT_TRUE(pool.Fetch(id).ok());
-
-  const BufferPoolStats merged = pool.stats();
-  EXPECT_EQ(merged.hits, resident.size());
-  EXPECT_EQ(merged.misses, evicted.size());
-  EXPECT_EQ(merged.disk_reads, evicted.size());
+  const BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.hits, 8u);
+  EXPECT_EQ(stats.misses, 8u);
+  EXPECT_EQ(stats.disk_reads, 8u);
   // Refetching the evicted pages displaces exactly as many frames.
-  EXPECT_EQ(merged.evictions, evicted.size());
+  EXPECT_EQ(stats.evictions, 8u);
 
   pool.ResetStats();
   const BufferPoolStats cleared = pool.stats();
   EXPECT_EQ(cleared.hits, 0u);
   EXPECT_EQ(cleared.misses, 0u);
+  EXPECT_EQ(cleared.disk_reads, 0u);
   EXPECT_EQ(cleared.evictions, 0u);
 }
 

@@ -15,8 +15,9 @@ Four classes of failure:
    offending file:line printed. Likewise the query API that was folded
    into Database::RunBatch and Database::SelfJoin (the single-query
    methods, their shared last-query stats and the sequential tree-match
-   join) and the per-thread-count engines and pools the one database
-   pool replaced must not be named in the README, docs/ or src/ headers.
+   join), the per-thread-count engines and pools the one database pool
+   replaced, the buffer-pool shards and the Guttman node splits must not
+   be named in the README, docs/ or src/ headers.
 
 3. Required sections: load-bearing doc sections that later PRs link to
    (the kernel determinism contract, the wire-protocol extension rule,
@@ -57,8 +58,9 @@ STALE_PATTERNS = [
     r"fold[s]?\s+new\s+points\s+into\s+the\s+live\s+(R\*?-?)?tree",
 ]
 
-# Names of the removed query API and of the per-thread-count engines and
-# pools (see check 2). Checked against
+# Names of the removed query API, of the per-thread-count engines and
+# pools, of the buffer-pool shards and of the Guttman split variants (see
+# check 2). Checked against
 # README.md, docs/*.md and every header under src/. Case-sensitive, and
 # anchored so SeqScanRangeQuery / IndexRangeQuery / Client::Knn pass.
 STALE_API_PATTERNS = [
@@ -72,6 +74,11 @@ STALE_API_PATTERNS = [
     r"QueryEngineOptions",
     r"engine_threads",
     r"engine-threads",
+    r"buffer_pool_shards",
+    r"ShardIndex",
+    r"SplitAlgorithm",
+    r"SplitEntries",
+    r"Guttman(Linear|Quadratic)Split",
 ]
 
 SKIP_DIRS = {".git", "build", "build-tsan", "third_party", ".github",
@@ -272,7 +279,7 @@ def main():
                 check_stale_prose(
                     prose_files + docs,
                     [re.compile(p) for p in STALE_API_PATTERNS],
-                    "removed query API") +
+                    "removed API") +
                 check_required_sections() + check_source_doc_refs(md_files))
     if problems:
         print(f"docs-check: {len(problems)} problem(s)")
