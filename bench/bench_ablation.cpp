@@ -1,17 +1,25 @@
 // Copyright (c) 2026 The tsq Authors.
 //
-// Ablations of three design choices:
+// Ablations of six design choices:
 //   1. number of indexed coefficients k — filter power (candidates per
 //      query) vs index dimensionality;
 //   2. polar vs rectangular coordinate space — identical correctness for
 //      identity queries; polar additionally admits multiplicative
 //      transforms (moving average), which rectangular must reject;
-//   3. R* forced reinsertion on/off — node accesses per query.
+//   3. R* forced reinsertion on/off — node accesses per query of a tree
+//      built by repeated insertion (STR never runs the insert path);
+//   4. STR bulk loading vs repeated insertion;
+//   5. Fourier vs Haar coefficient basis;
+//   6. the range filter — the search rectangle alone, Lemma 1's ball at
+//      eps, and the shipped filter (ball at eps/sqrt(2) under conjugate
+//      symmetry): candidates and precision.
 
 #include <cstdio>
 
 #include "bench_util.h"
+#include "common/macros.h"
 #include "common/stopwatch.h"
+#include "core/queries.h"
 #include "transform/builtin.h"
 #include "workload/stock_sim.h"
 
@@ -117,6 +125,7 @@ void RunReinsertAblation(const std::vector<TimeSeries>& market) {
   for (const bool reinsert : {true, false}) {
     bench::ScratchDir dir(reinsert ? "abl_re1" : "abl_re0");
     DatabaseOptions base;
+    base.bulk_load = false;  // reinsertion happens on the insert path only
     base.rtree.forced_reinsert = reinsert;
     Stopwatch build_watch;
     auto db = bench::BuildDatabase(dir.path(), "abl", market, base);
@@ -207,6 +216,73 @@ void RunBasisAblation(const std::vector<TimeSeries>& market) {
   table.Print();
 }
 
+void RunFilterAblation(const std::vector<TimeSeries>& market) {
+  bench::Banner(
+      "Ablation 6: the range filter (Algorithm 2, step 2)",
+      "Candidates per query, each one record read by the refine: the "
+      "Sec. 3.1 search rectangle alone (the paper's filter), the ball of "
+      "radius eps inside it (Lemma 1's exact leaf test), and the shipped "
+      "filter, whose ball shrinks to eps/sqrt(2) under conjugate "
+      "symmetry. Precision = answers / candidates.");
+  bench::Table table({"query", "rect candidates", "ball-eps candidates",
+                      "filter candidates", "avg answers", "rect precision",
+                      "ball-eps precision", "filter precision"});
+  bench::ScratchDir dir("abl_filter");
+  auto db = bench::BuildDatabase(dir.path(), "abl", market, DatabaseOptions{});
+  const KIndex& index = *db->index();
+  const int kQueries = 12;
+  const double eps = 2.0;
+  for (const bool transformed : {false, true}) {
+    QuerySpec spec;
+    std::optional<spatial::AffineMap> map;
+    if (transformed) {
+      spec.transform = FeatureTransform::Spectral(
+          transforms::MovingAverage(index.series_length(), 20));
+      map = index.space().ToAffineMap(*spec.transform).value();
+    }
+    uint64_t rect = 0;
+    uint64_t ball = 0;
+    uint64_t shipped = 0;
+    uint64_t answers = 0;
+    for (int q = 0; q < kQueries; ++q) {
+      const RealVec& query = market[(q * 67) % market.size()].values();
+      const PreparedQuery prepared = PrepareQuery(index, query, spec).value();
+      const RangeFilter at_eps = BuildRangeFilter(
+          index.extractor(), prepared.coefficients, eps,
+          index.series_length(), /*mirror_error=*/std::nullopt, spec.window);
+      const auto count = [&](uint64_t, const spatial::Rect& point) {
+        ++rect;
+        if (index.space().Keeps(at_eps, point)) ++ball;
+        return true;
+      };
+      const Status searched =
+          map.has_value()
+              ? index.tree()->SearchTransformed(*map, at_eps.rect, count)
+              : index.tree()->Search(at_eps.rect, count);
+      TSQ_CHECK(searched.ok());
+      const QueryStats stats =
+          bench::RunQuery(db.get(), engine::BatchQuery::Range(query, eps, spec))
+              .stats;
+      shipped += stats.candidates;
+      answers += stats.answers;
+    }
+    const auto per_query = [&](uint64_t total) {
+      return bench::Table::Num(static_cast<double>(total) / kQueries, 1);
+    };
+    const auto precision = [&](uint64_t candidates) {
+      return bench::Table::Num(
+          candidates == 0 ? 1.0
+                          : static_cast<double>(answers) /
+                                static_cast<double>(candidates),
+          3);
+    };
+    table.AddRow({transformed ? "Tmavg20" : "plain", per_query(rect),
+                  per_query(ball), per_query(shipped), per_query(answers),
+                  precision(rect), precision(ball), precision(shipped)});
+  }
+  table.Print();
+}
+
 }  // namespace
 }  // namespace tsq
 
@@ -217,5 +293,6 @@ int main() {
   tsq::RunReinsertAblation(market);
   tsq::RunBulkLoadAblation(market);
   tsq::RunBasisAblation(market);
+  tsq::RunFilterAblation(market);
   return 0;
 }

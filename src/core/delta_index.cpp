@@ -83,11 +83,4 @@ Status DeltaIndex::Put(SeriesId id, const spatial::Point& point) {
   return Status::OK();
 }
 
-spatial::Point DeltaIndex::PointAt(uint64_t slot) const {
-  const Chunk* c = chunk(slot / kChunkEntries);
-  TSQ_DCHECK(c != nullptr);
-  const double* p = c->coords.data() + (slot % kChunkEntries) * dims_;
-  return spatial::Point(p, p + dims_);
-}
-
 }  // namespace tsq

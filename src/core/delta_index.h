@@ -82,9 +82,14 @@ class DeltaIndex {
   /// written and readable (acquire). Monotone under a live writer.
   uint64_t visible() const { return visible_.load(std::memory_order_acquire); }
 
-  /// The feature point in `slot`. Requires slot < visible() for lock-free
-  /// readers (or, under the writer mutex, any ready slot).
-  spatial::Point PointAt(uint64_t slot) const;
+  /// The dims() coordinates of the feature point in `slot`, read in place
+  /// (a scan copies nothing per slot). Requires slot < visible() for
+  /// lock-free readers (or, under the writer mutex, any ready slot).
+  const double* CoordinatesAt(uint64_t slot) const {
+    const Chunk* c = chunk(slot / kChunkEntries);
+    TSQ_DCHECK(c != nullptr);
+    return c->coords.data() + (slot % kChunkEntries) * dims_;
+  }
 
  private:
   struct Chunk {

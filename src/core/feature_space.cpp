@@ -15,6 +15,16 @@ namespace {
 
 constexpr double kPi = std::numbers::pi;
 
+/// |x - y|^2 for complex x = (mx, tx) and y = (my, ty) in polar form:
+/// (mx - my)^2 + 4 mx my sin^2((tx - ty) / 2). Every term is nonnegative,
+/// so nothing cancels, unlike mx^2 + my^2 - 2 mx my cos(tx - ty); the
+/// angle difference needs no wrapping (sin^2 has period 2 pi there).
+double PolarPointDistSquared(double mx, double tx, double my, double ty) {
+  const double dm = mx - my;
+  const double s = std::sin(0.5 * (tx - ty));
+  return dm * dm + 4.0 * mx * my * s * s;
+}
+
 /// MINDIST in Srect: plain rectangular MINDIST over the spectral dims,
 /// computed by the kernel layer. The batch override resolves the kernel
 /// table once per node instead of once per rect.
@@ -48,8 +58,10 @@ class RectSpaceMetric final : public rtree::NnMetric {
 
 /// MINDIST in Spol: per coefficient, the exact distance from the query's
 /// complex value to the annular sector {r in [m0,m1], theta in [t0,t1]}
-/// described by the rect's (magnitude, angle) interval pair. For degenerate
-/// rects this reduces to the exact complex distance, as NnMetric requires.
+/// described by the rect's (magnitude, angle) interval pair. A coefficient
+/// whose two intervals are both degenerate (every leaf entry and delta
+/// point) is a point, and gets the point distance directly, as NnMetric
+/// requires.
 class PolarSpaceMetric final : public rtree::NnMetric {
  public:
   PolarSpaceMetric(spatial::Point query, size_t spectral_offset,
@@ -63,8 +75,13 @@ class PolarSpaceMetric final : public rtree::NnMetric {
     for (size_t j = 0; j < num_coefficients_; ++j) {
       const size_t md = offset_ + 2 * j;      // magnitude dim
       const size_t ad = offset_ + 2 * j + 1;  // angle dim
-      acc += SectorDistSquared(query_[md], query_[ad], rect.lo(md),
-                               rect.hi(md), rect.lo(ad), rect.hi(ad));
+      if (rect.lo(md) == rect.hi(md) && rect.lo(ad) == rect.hi(ad)) {
+        acc += PolarPointDistSquared(query_[md], query_[ad], rect.lo(md),
+                                     rect.lo(ad));
+      } else {
+        acc += SectorDistSquared(query_[md], query_[ad], rect.lo(md),
+                                 rect.hi(md), rect.lo(ad), rect.hi(ad));
+      }
     }
     return acc;
   }
@@ -278,24 +295,30 @@ FeatureSpace::MakeJoinPredicate(double eps) const {
   };
 }
 
-double FeatureSpace::SpectralDistance(const spatial::Point& a,
-                                      const spatial::Point& b) const {
-  TSQ_CHECK(a.size() == dims() && b.size() == dims());
+double FeatureSpace::SpectralDistanceSquared(const spatial::Point& a,
+                                             const spatial::Point& b) const {
+  TSQ_DCHECK(a.size() == dims() && b.size() == dims());
   const size_t off = layout_.spectral_offset();
   double acc = 0.0;
-  for (size_t j = 0; j < layout_.num_coefficients; ++j) {
-    Complex ca;
-    Complex cb;
-    if (layout_.space == CoordinateSpace::kRectangular) {
-      ca = Complex(a[off + 2 * j], a[off + 2 * j + 1]);
-      cb = Complex(b[off + 2 * j], b[off + 2 * j + 1]);
-    } else {
-      ca = std::polar(a[off + 2 * j], a[off + 2 * j + 1]);
-      cb = std::polar(b[off + 2 * j], b[off + 2 * j + 1]);
+  if (layout_.space == CoordinateSpace::kRectangular) {
+    for (size_t d = off; d < dims(); ++d) {
+      const double diff = a[d] - b[d];
+      acc += diff * diff;
     }
-    acc += std::norm(ca - cb);
+    return acc;
   }
-  return std::sqrt(acc);
+  for (size_t j = 0; j < layout_.num_coefficients; ++j) {
+    const size_t md = off + 2 * j;
+    acc += PolarPointDistSquared(a[md], a[md + 1], b[md], b[md + 1]);
+  }
+  return acc;
+}
+
+bool FeatureSpace::Keeps(const RangeFilter& filter,
+                         const spatial::Rect& point) const {
+  return point.Intersects(filter.rect) &&
+         SpectralDistanceSquared(point.lo(), filter.center) <=
+             filter.radius * filter.radius;
 }
 
 }  // namespace tsq

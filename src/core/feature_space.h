@@ -8,7 +8,10 @@
 //     theorems (real `a` in Srect, zero `b` in Spol);
 //   * provides the NN lower-bound metric in either coordinate space — for
 //     Spol this is the exact point-to-annular-sector distance per
-//     coefficient, which generalizes MINDIST to polar MBRs.
+//     coefficient, which generalizes MINDIST to polar MBRs, and the
+//     point distance itself for a point's coefficients;
+//   * computes that point distance (SpectralDistanceSquared), which is
+//     also Algorithm 2's leaf test (Keeps).
 
 #ifndef TSQ_CORE_FEATURE_SPACE_H_
 #define TSQ_CORE_FEATURE_SPACE_H_
@@ -19,6 +22,7 @@
 
 #include "common/status.h"
 #include "core/feature.h"
+#include "core/search_rect.h"
 #include "rtree/rstar_tree.h"
 #include "spatial/affine_map.h"
 #include "transform/linear_transform.h"
@@ -67,14 +71,25 @@ class FeatureSpace {
 
   /// The NN lower-bound metric anchored at a query point (which must be in
   /// this space's coordinates). Spectral dims only: mean/std dims do not
-  /// contribute to similarity distance.
+  /// contribute to similarity distance. On a point rect (every leaf entry
+  /// and delta point) it is SpectralDistanceSquared's point distance; in
+  /// Spol a point coefficient skips the annular-sector case.
   std::unique_ptr<rtree::NnMetric> MakeNnMetric(spatial::Point query) const;
 
-  /// Exact spectral distance between two feature points — the Euclidean
-  /// distance between the complex coefficient vectors the points encode
-  /// (independent of coordinate space). Used by tests and for ranking.
-  double SpectralDistance(const spatial::Point& a,
-                          const spatial::Point& b) const;
+  /// Squared spectral distance between two feature points: the squared
+  /// Euclidean distance between the complex coefficient vectors the
+  /// points encode, in either coordinate space. Cancellation-free: in
+  /// Spol each coefficient adds dm^2 + 4 m_a m_b sin^2(dtheta / 2), one
+  /// sin. The range filter's leaf test (Keeps) and the Spol kNN metric's
+  /// point case compute exactly this.
+  double SpectralDistanceSquared(const spatial::Point& a,
+                                 const spatial::Point& b) const;
+
+  /// Algorithm 2's leaf test: true iff the (transformed) point rect
+  /// `point` lies in filter.rect and its stored coefficients lie within
+  /// filter.radius of filter.center's (Lemma 1's ball, not just its
+  /// bounding rectangle).
+  bool Keeps(const RangeFilter& filter, const spatial::Rect& point) const;
 
   /// Lower bound of the spectral distance between any point of rect `a`
   /// and any point of rect `b` (both already transformed). In Srect this

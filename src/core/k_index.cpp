@@ -77,24 +77,17 @@ Result<bool> KIndex::Remove(SeriesId id, const SeriesFeatures& features) {
       spatial::Rect::FromPoint(extractor().ToPoint(features)), id);
 }
 
-Status KIndex::RangeCandidates(const spatial::Rect& rect,
+Status KIndex::RangeCandidates(const RangeFilter& filter,
+                               const spatial::AffineMap* map,
                                std::vector<SeriesId>* out) const {
   TSQ_CHECK(out != nullptr);
-  return tree_->Search(rect, [out](uint64_t id, const spatial::Rect&) {
-    out->push_back(id);
+  const auto keep = [this, &filter, out](uint64_t id,
+                                         const spatial::Rect& point) {
+    if (space_.Keeps(filter, point)) out->push_back(id);
     return true;
-  });
-}
-
-Status KIndex::RangeCandidatesTransformed(const spatial::AffineMap& map,
-                                          const spatial::Rect& rect,
-                                          std::vector<SeriesId>* out) const {
-  TSQ_CHECK(out != nullptr);
-  return tree_->SearchTransformed(map, rect,
-                                  [out](uint64_t id, const spatial::Rect&) {
-                                    out->push_back(id);
-                                    return true;
-                                  });
+  };
+  if (map == nullptr) return tree_->Search(filter.rect, keep);
+  return tree_->SearchTransformed(*map, filter.rect, keep);
 }
 
 Status KIndex::StreamNearest(

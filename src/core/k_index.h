@@ -4,8 +4,11 @@
 // first k Fourier coefficients of every stored series, extended with the
 // paper's transformed traversal. KIndex bundles the index's storage stack
 // (page file, buffer pool, R*-tree) with the feature-space logic, exposing
-// candidate enumeration; postprocessing (Algorithm 2 step 3) lives in
-// core/queries.h, which combines KIndex with the sequence Relation.
+// candidate enumeration: a range search keeps a leaf point only when it
+// passes the exact leaf test of the query's RangeFilter, so candidates
+// are the points inside Lemma 1's ball, not inside its bounding
+// rectangle. Postprocessing (Algorithm 2 step 3) lives in core/queries.h,
+// which combines KIndex with the sequence Relation.
 
 #ifndef TSQ_CORE_K_INDEX_H_
 #define TSQ_CORE_K_INDEX_H_
@@ -62,16 +65,15 @@ class KIndex {
   /// Removes a previously added series (exact feature match required).
   Result<bool> Remove(SeriesId id, const SeriesFeatures& features);
 
-  /// Plain range search (no transformation machinery touched at all — the
-  /// baseline curve of Figures 8/9).
-  Status RangeCandidates(const spatial::Rect& rect,
+  /// Algorithm 2's search step over the tree: appends every leaf entry
+  /// that `filter` keeps (FeatureSpace::Keeps: inside the search
+  /// rectangle, then within the filter radius). With a `map`, MBRs and
+  /// leaf points pass through it first (Algorithm 1); without one no
+  /// transformation machinery is touched at all (the baseline curve of
+  /// Figures 8/9).
+  Status RangeCandidates(const RangeFilter& filter,
+                         const spatial::AffineMap* map,
                          std::vector<SeriesId>* out) const;
-
-  /// Algorithm 2 traversal: MBRs pass through `map` before the overlap
-  /// test.
-  Status RangeCandidatesTransformed(const spatial::AffineMap& map,
-                                    const spatial::Rect& rect,
-                                    std::vector<SeriesId>* out) const;
 
   /// Streams data entries in ascending lower-bound distance order under
   /// `metric` (optionally through `map`); bounds arrive SQUARED (see

@@ -83,20 +83,16 @@ Status ValidateQuery(const KIndex& index, const RealVec& query) {
   return CheckFinite(query, "query");
 }
 
-/// Appends the view's delta candidates for a range search: each visible
-/// delta point goes through exactly the tree's leaf test — (transformed)
-/// point rectangle intersects the search rectangle — in id order.
-void AppendDeltaRangeCandidates(const IndexView& view,
-                                const spatial::AffineMap* map,
-                                const spatial::Rect& search_rect,
-                                std::vector<SeriesId>* out) {
-  if (!view.has_delta()) return;
-  const DeltaIndex& delta = view.delta();
-  for (uint64_t slot = view.delta_begin(); slot < view.delta_end(); ++slot) {
-    spatial::Rect rect = spatial::Rect::FromPoint(delta.PointAt(slot));
-    if (map != nullptr) rect = map->Apply(rect);
-    if (rect.Intersects(search_rect)) out->push_back(delta.base() + slot);
+/// Loads delta slot `slot` into `*rect` as the point rect a tree leaf
+/// would hold, mapped through `map` when given — in place, so a scan
+/// reuses one rect for every slot. `rect` must have the delta's dims.
+void LoadDeltaPoint(const DeltaIndex& delta, uint64_t slot,
+                    const spatial::AffineMap* map, spatial::Rect* rect) {
+  const double* coords = delta.CoordinatesAt(slot);
+  for (size_t d = 0; d < delta.dims(); ++d) {
+    rect->SetDim(d, coords[d], coords[d]);
   }
+  if (map != nullptr) map->ApplyInto(*rect, rect);
 }
 
 /// Where a range or join refine may abandon a candidate's sum: a limit
@@ -166,6 +162,11 @@ Result<PreparedQuery> PrepareQuery(const IndexView& view, const RealVec& query,
     out.full_spectrum = qf.spectrum;
   }
   out.coefficients = index.extractor().StoredCoefficients(out.full_spectrum);
+  const LinearTransform* data_transform =
+      spec.transform.has_value() ? &spec.transform->spectral : nullptr;
+  out.mirror_error = MirrorError(
+      index.layout(), index.series_length(), data_transform,
+      spec.mode == TransformMode::kBoth ? data_transform : nullptr);
   // Finite samples or a hostile transform can still yield non-finite
   // features, and a search rectangle cannot be built around those; an
   // unordered (or NaN) mean/std window cannot form one either.
@@ -186,23 +187,36 @@ Status RangeSearchCandidates(const IndexView& view,
                              std::vector<SeriesId>* out) {
   TSQ_CHECK(out != nullptr);
   const KIndex& index = view.main();
-  const spatial::Rect search_rect = BuildSearchRect(
-      index.layout(), prepared.coefficients, epsilon, spec.window);
+  const RangeFilter filter = BuildRangeFilter(
+      index.extractor(), prepared.coefficients, epsilon,
+      index.series_length(), prepared.mirror_error, spec.window);
   std::optional<spatial::AffineMap> map;
   {
     obs::StageTimer span(obs::Stage::kDescent);
     if (spec.transform.has_value()) {
       TSQ_ASSIGN_OR_RETURN(map, index.space().ToAffineMap(*spec.transform));
-      TSQ_RETURN_IF_ERROR(
-          index.RangeCandidatesTransformed(*map, search_rect, out));
-    } else {
-      TSQ_RETURN_IF_ERROR(index.RangeCandidates(search_rect, out));
     }
+    TSQ_RETURN_IF_ERROR(
+        index.RangeCandidates(filter, map.has_value() ? &*map : nullptr, out));
   }
   obs::StageTimer span(obs::Stage::kDelta);
-  AppendDeltaRangeCandidates(view, map.has_value() ? &*map : nullptr,
-                             search_rect, out);
+  AppendDeltaRangeCandidates(view, map.has_value() ? &*map : nullptr, filter,
+                             out);
   return Status::OK();
+}
+
+void AppendDeltaRangeCandidates(const IndexView& view,
+                                const spatial::AffineMap* map,
+                                const RangeFilter& filter,
+                                std::vector<SeriesId>* out) {
+  if (!view.has_delta()) return;
+  const DeltaIndex& delta = view.delta();
+  const FeatureSpace& space = view.main().space();
+  spatial::Rect point = spatial::Rect::FromPoint(spatial::Point(delta.dims()));
+  for (uint64_t slot = view.delta_begin(); slot < view.delta_end(); ++slot) {
+    LoadDeltaPoint(delta, slot, map, &point);
+    if (space.Keeps(filter, point)) out->push_back(delta.base() + slot);
+  }
 }
 
 double VerifyDistance(const ComplexVec& data_spectrum,
@@ -392,11 +406,12 @@ Status IndexKnnQuery(const IndexView& view, const Relation& relation,
   if (view.has_delta()) {
     obs::StageTimer span(obs::Stage::kDelta);
     const DeltaIndex& delta = view.delta();
+    spatial::Rect point =
+        spatial::Rect::FromPoint(spatial::Point(delta.dims()));
     for (uint64_t slot = view.delta_begin(); slot < view.delta_end();
          ++slot) {
-      spatial::Rect rect = spatial::Rect::FromPoint(delta.PointAt(slot));
-      if (map.has_value()) rect = map->Apply(rect);
-      delta_candidates.push_back(DeltaCandidate{metric->MinDistSquared(rect),
+      LoadDeltaPoint(delta, slot, map.has_value() ? &*map : nullptr, &point);
+      delta_candidates.push_back(DeltaCandidate{metric->MinDistSquared(point),
                                                 delta.base() + slot});
     }
     std::sort(delta_candidates.begin(), delta_candidates.end(),
@@ -503,13 +518,19 @@ Status IndexSelfJoin(const IndexView& view, const Relation& relation,
     TSQ_ASSIGN_OR_RETURN(map, index.space().ToAffineMap(*transform));
   }
 
-  // Paper Sec. 5 methods c/d: for every sequence in view build a search
-  // rectangle and pose it to the (transformed) index — tree plus delta —
-  // as a range query; verify candidates with full-length distances. The
+  // Paper Sec. 5 methods c/d: for every sequence in view build the range
+  // filter and pose it to the (transformed) index — tree plus delta — as
+  // a range query; verify candidates with full-length distances. The
   // view bounds the iteration (not relation.size()): ids ingested after
   // the view was taken are invisible to it, keeping the join closed over
-  // one consistent set of series under concurrent ingest.
+  // one consistent set of series under concurrent ingest. Both sides of
+  // every pair are stored series under the same transform.
   const uint64_t n = view.total_series();
+  const spatial::AffineMap* map_ptr = map.has_value() ? &*map : nullptr;
+  const LinearTransform* spectral =
+      transform.has_value() ? &transform->spectral : nullptr;
+  const std::optional<double> mirror_error = MirrorError(
+      index.layout(), index.series_length(), spectral, spectral);
   Refiner refiner(transform);
   const double limit = RangeAbandonLimit(epsilon);
   for (SeriesId qid = 0; qid < n; ++qid) {
@@ -522,23 +543,16 @@ Status IndexSelfJoin(const IndexView& view, const Relation& relation,
       target = transform.has_value() ? transform->spectral.Apply(qrec.dft)
                                      : qrec.dft;
     }
-    const ComplexVec coeffs = index.extractor().StoredCoefficients(target);
-    const spatial::Rect rect =
-        BuildSearchRect(index.layout(), coeffs, epsilon, std::nullopt);
-
+    const RangeFilter filter = BuildRangeFilter(
+        index.extractor(), index.extractor().StoredCoefficients(target),
+        epsilon, index.series_length(), mirror_error, std::nullopt);
     {
       obs::StageTimer descent_span(obs::Stage::kDescent);
-      if (map.has_value()) {
-        TSQ_RETURN_IF_ERROR(
-            index.RangeCandidatesTransformed(*map, rect, &candidates));
-      } else {
-        TSQ_RETURN_IF_ERROR(index.RangeCandidates(rect, &candidates));
-      }
+      TSQ_RETURN_IF_ERROR(index.RangeCandidates(filter, map_ptr, &candidates));
     }
     {
       obs::StageTimer delta_span(obs::Stage::kDelta);
-      AppendDeltaRangeCandidates(view, map.has_value() ? &*map : nullptr,
-                                 rect, &candidates);
+      AppendDeltaRangeCandidates(view, map_ptr, filter, &candidates);
     }
     if (stats != nullptr) stats->candidates += candidates.size();
 

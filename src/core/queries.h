@@ -4,10 +4,14 @@
 // sequence Relation:
 //
 //   1. Preprocessing  — transform the query into the frequency domain,
-//      apply the transformation where the mode calls for it, and build the
-//      search rectangle (Sec. 3.1).
-//   2. Search         — traverse the R*-tree, applying the transformation
-//      to every MBR on the fly (Algorithm 1), collecting candidates.
+//      apply the transformation where the mode calls for it, and decide
+//      the filter radius (eps, or eps/sqrt(2) under conjugate symmetry;
+//      core/search_rect.h).
+//   2. Search         — descend the R*-tree through the search rectangle
+//      (Sec. 3.1), applying the transformation to every MBR on the fly
+//      (Algorithm 1), and keep a leaf point as a candidate only when the
+//      exact leaf test passes: its stored coefficients lie within the
+//      filter radius of the query's (FeatureSpace::Keeps).
 //   3. Postprocessing — fetch each candidate's full record and keep it iff
 //      its full-length Euclidean distance is within the threshold.
 //
@@ -21,7 +25,7 @@
 // Every entry point takes an IndexView (index_snapshot.h): the immutable
 // main R*-tree plus the delta slot range visible when the view was taken.
 // Search consults both structures — delta feature points go through the
-// same rectangle / lower-bound tests as tree leaf entries, so Lemma 1's
+// same leaf test / lower-bound tests as tree leaf entries, so Lemma 1's
 // no-false-dismissal property and the optimal multi-step kNN cutoff hold
 // over the pair exactly as over one tree. A bare KIndex converts
 // implicitly to an all-main view.
@@ -69,7 +73,9 @@ struct JoinPair {
 /// Everything a query run measures. Disk/node counters are deltas captured
 /// around the query.
 struct QueryStats {
-  uint64_t candidates = 0;       ///< leaf hits emitted by the index
+  /// Range and join: the points that pass the leaf test (step 2), tree
+  /// and delta; kNN: the candidates verified.
+  uint64_t candidates = 0;
   uint64_t verified = 0;         ///< records fetched in postprocessing
   uint64_t answers = 0;
   uint64_t nodes_visited = 0;    ///< R-tree nodes touched
@@ -197,23 +203,36 @@ struct KnnOptions {
 /// references into the index.
 struct PreparedQuery {
   ComplexVec full_spectrum;  ///< comparison target, full length
-  ComplexVec coefficients;   ///< stored slice for the search rectangle
+  ComplexVec coefficients;   ///< stored slice, the filter's center
   double mean = 0.0;         ///< (transformed) query mean
   double std = 0.0;          ///< (transformed) query std
+  /// Set when conjugate symmetry lets the range filter's radius be
+  /// eps/sqrt(2): the MirrorError bound the radius adds half of.
+  /// Unset: the radius is eps.
+  std::optional<double> mirror_error;
 };
 
-/// Step 1 — preprocessing: validates the query length and extracts its
-/// (transformed) features.
+/// Step 1 — preprocessing: validates the query length, extracts its
+/// (transformed) features and decides the filter radius (mirror_error).
 Result<PreparedQuery> PrepareQuery(const IndexView& index, const RealVec& query,
                                    const QuerySpec& spec);
 
-/// Step 2 — search: builds the Sec. 3.1 rectangle for `prepared` and
-/// collects candidate ids from the (transformed) index traversal — tree
+/// Step 2 — search: builds the range filter for `prepared` (the Sec. 3.1
+/// rectangle around the ball of the filter radius) and collects the ids
+/// that pass its leaf test from the (transformed) index traversal — tree
 /// leaves first, then the view's delta entries in id order.
 Status RangeSearchCandidates(const IndexView& index,
                              const PreparedQuery& prepared,
                              double epsilon, const QuerySpec& spec,
                              std::vector<SeriesId>* out);
+
+/// Step 2's delta half: appends, in id order, every visible delta entry
+/// of `view` that `filter` keeps after `map` (null: no transform) —
+/// exactly the tree's leaf test, so main and delta filter alike.
+void AppendDeltaRangeCandidates(const IndexView& view,
+                                const spatial::AffineMap* map,
+                                const RangeFilter& filter,
+                                std::vector<SeriesId>* out);
 
 /// Step 3 kernel — the full-length verification distance
 /// D(T(X_data), Q_target) (Parseval: computed in the frequency domain).
@@ -269,8 +288,10 @@ Status IndexKnnQuery(const IndexView& index, const Relation& relation,
 
 /// All-pairs self-join via the index: for every stored series, a range
 /// query against the (transformed) index — the paper's methods c (no
-/// transformation) and d (with transformation). Emits ordered pairs
-/// (a, b), a != b. The refine abandons as VerifyRangeCandidates does.
+/// transformation) and d (with transformation), with the range filter's
+/// leaf test and radius (MirrorError is decided once per join). Emits
+/// ordered pairs (a, b), a != b. The refine abandons as
+/// VerifyRangeCandidates does.
 Status IndexSelfJoin(const IndexView& index, const Relation& relation,
                      double epsilon,
                      const std::optional<FeatureTransform>& transform,

@@ -2,6 +2,7 @@
 
 #include "dft/dft.h"
 
+#include <bit>
 #include <cmath>
 
 #include "common/macros.h"
@@ -37,6 +38,48 @@ ComplexVec Forward(const ComplexVec& x) {
   const double scale = 1.0 / std::sqrt(static_cast<double>(x.empty() ? 1 : x.size()));
   ScaleSpectrum(&X, scale);
   return X;
+}
+
+// ForwardErrorBound's derivation. u = 2^-53; a complex product is within
+// sqrt(5)u of exact (normwise; 2u with an FMA), a complex sum within u,
+// and the angles fed to cos/sin are within a few u, so every twiddle
+// fft.cpp computes directly is within 22u of exact. Each bound below
+// assumes its first-order terms stay under 1% (n below about 1e11), which
+// the factors 1.01 absorb.
+//
+// Radix-2 (n = 2^L). The twiddle recurrence w <- w * wlen starts from a
+// wlen within 9.2u and gains at most 11.5u per step, so every twiddle of
+// a len-point block is within 1.01 * (len/2) * 11.5u <= 5.8nu. One
+// butterfly stage is sqrt(2) times a unitary map; computed, it adds an
+// error of norm at most sqrt(2) * g * ||input|| with g = 5.8nu + 4.4u
+// (twiddle, product and sum). Over L stages the error is at most
+// L * g * 1.01 * sqrt(n) * ||x||, and the final 1/sqrt(n) scaling adds
+// 3.1u: ||error|| <= (1.01 L g + 3.1u) ||x|| <= 7 (n+1)(L+1) u ||x||.
+// The unscaled kernel on m points therefore errs by at most
+// rho_m * sqrt(m) * ||v|| with rho_m = 6 (m+1) log2(m) u.
+//
+// Bluestein (other n, m = 2^M >= 2n - 1). With a = x * chirp,
+// b = conj(chirp) wrapped, A = R_m(a), B = R_m(b): the computed A is
+// within sqrt(m) ||x|| (1.01 rho_m + 24.3u) and B within
+// sqrt(m (2n-1)) (1.01 rho_m + 22u); |A_i| <= ||a||_1 <= sqrt(n) ||x|| and
+// |B_i| <= ||b||_1 = 2n - 1. So the product A * B is within
+// sqrt(m) ||x|| n (3.5 rho_m + 85u), the inverse kernel adds
+// rho_m * m * 2.02 n ||x||, and dividing by m, the chirp and the
+// 1/sqrt(n) scaling leave ||error|| <= sqrt(n) (5.6 rho_m + 115u) ||x||
+// <= 35 sqrt(n) (m+1)(M+1) u ||x||.
+double ForwardErrorBound(size_t n) {
+  if (n <= 1) return 0.0;  // Forward copies and scales by exactly 1
+  constexpr double kUnitRoundoff = 0x1p-53;
+  const auto log2 = [](size_t p) {
+    return static_cast<double>(std::countr_zero(p));
+  };
+  const double dn = static_cast<double>(n);
+  if (fft::IsPowerOfTwo(n)) {
+    return 7.0 * (dn + 1.0) * (log2(n) + 1.0) * kUnitRoundoff;
+  }
+  const size_t m = fft::NextPowerOfTwo(2 * n - 1);
+  return 35.0 * std::sqrt(dn) * (static_cast<double>(m) + 1.0) *
+         (log2(m) + 1.0) * kUnitRoundoff;
 }
 
 ComplexVec Inverse(const ComplexVec& X) {

@@ -30,6 +30,13 @@ ComplexVec Forward(const RealVec& x);
 /// Unitary forward DFT of a complex sequence.
 ComplexVec Forward(const ComplexVec& x);
 
+/// An upper bound on ||Forward(x) - DFT(x)||_2 / ||x||_2: the rounding
+/// error of Forward as computed against the exact unitary DFT, for any
+/// input of length n (derived in dft.cpp from the kernels in fft.cpp).
+/// The k-index's conjugate-symmetry radius (core/search_rect.h) adds it
+/// to its slack, since a computed spectrum is symmetric only to this.
+double ForwardErrorBound(size_t n);
+
 /// Unitary inverse DFT (paper Eq. 2).
 ComplexVec Inverse(const ComplexVec& X);
 

@@ -175,7 +175,7 @@ Result<std::vector<JoinPair>> SelfJoin(
   }
 
   // Phase 1b (parallel): delta probes. Each unmerged series in view runs
-  // one search-rectangle probe — against the main tree (emitting both
+  // one range-filter probe — against the main tree (emitting both
   // ordered pairs) and against the other delta entries (emitting its own
   // direction only; the partner's probe emits the reverse). Per-slot
   // buffers concatenated in slot order keep the candidate sequence — and
@@ -184,6 +184,10 @@ Result<std::vector<JoinPair>> SelfJoin(
     const DeltaIndex& delta = view.delta();
     const uint64_t begin_slot = view.delta_begin();
     const uint64_t num_slots = view.delta_size();
+    const LinearTransform* spectral =
+        transform.has_value() ? &transform->spectral : nullptr;
+    const std::optional<double> mirror_error = MirrorError(
+        kindex.layout(), kindex.series_length(), spectral, spectral);
     std::vector<std::vector<std::pair<SeriesId, SeriesId>>> slot_out(
         num_slots);
     std::vector<Status> slot_status(num_slots);
@@ -199,30 +203,20 @@ Result<std::vector<JoinPair>> SelfJoin(
         ComplexVec target = transform.has_value()
                                 ? transform->spectral.Apply(qrec->dft)
                                 : std::move(qrec->dft);
-        const ComplexVec coeffs =
-            kindex.extractor().StoredCoefficients(target);
-        const spatial::Rect rect = BuildSearchRect(kindex.layout(), coeffs,
-                                                   epsilon, std::nullopt);
-        std::vector<SeriesId> main_partners;
-        slot_status[i] =
-            map_ptr != nullptr
-                ? kindex.RangeCandidatesTransformed(*map_ptr, rect,
-                                                    &main_partners)
-                : kindex.RangeCandidates(rect, &main_partners);
+        const RangeFilter filter = BuildRangeFilter(
+            kindex.extractor(), kindex.extractor().StoredCoefficients(target),
+            epsilon, kindex.series_length(), mirror_error, std::nullopt);
+        std::vector<SeriesId> partners;
+        slot_status[i] = kindex.RangeCandidates(filter, map_ptr, &partners);
         if (!slot_status[i].ok()) return;
-        for (const SeriesId partner : main_partners) {
+        for (const SeriesId partner : partners) {
           slot_out[i].emplace_back(qid, partner);
           slot_out[i].emplace_back(partner, qid);
         }
-        for (uint64_t other = begin_slot; other < begin_slot + num_slots;
-             ++other) {
-          if (other == slot) continue;
-          spatial::Rect other_rect =
-              spatial::Rect::FromPoint(delta.PointAt(other));
-          if (map_ptr != nullptr) other_rect = map_ptr->Apply(other_rect);
-          if (other_rect.Intersects(rect)) {
-            slot_out[i].emplace_back(qid, delta.base() + other);
-          }
+        partners.clear();
+        AppendDeltaRangeCandidates(view, map_ptr, filter, &partners);
+        for (const SeriesId partner : partners) {
+          if (partner != qid) slot_out[i].emplace_back(qid, partner);
         }
       });
     };

@@ -67,6 +67,8 @@ class AffineMap {
   /// Apply(r) written into `*out`, reusing its coordinate storage when it
   /// already has r's dimensionality — the R-tree descent maps every MBR it
   /// tests into one scratch rect this way instead of allocating a copy.
+  /// `out` may be `&r` (each dimension is read before it is written), so
+  /// a delta scan maps its one scratch rect in place.
   void ApplyInto(const Rect& r, Rect* out) const;
 
   /// Function composition: (this ∘ other)(x) = this(other(x)). Both maps

@@ -178,7 +178,7 @@ TEST(FeatureExtractorTest, FromStoredReproducesExtractExactly) {
 // ---------------------------------------------------------------------------
 
 TEST(SearchRectTest, RectangularIsPlusMinusEps) {
-  // Bounds are eps plus the documented rounding slack (~1e-9).
+  // Bounds are +- the radius (FilterRadius adds the rounding slack).
   FeatureLayout layout = FeatureLayout::Agrawal(2);
   ComplexVec q = {Complex(1.0, 2.0), Complex(-3.0, 0.5)};
   spatial::Rect r = BuildSearchRect(layout, q, 0.25, std::nullopt);
@@ -242,6 +242,63 @@ TEST(SearchRectTest, MeanStdWindowAppliedAndDefaultsUnbounded) {
   EXPECT_EQ(bounded.hi(0), 20.0);
   EXPECT_EQ(bounded.lo(1), 0.5);
   EXPECT_EQ(bounded.hi(1), 2.0);
+}
+
+TEST(SearchRectTest, MirrorErrorOnlyWhereConjugateSymmetryHolds) {
+  // The eps/sqrt(2) radius needs a Fourier basis, normal-form spectra,
+  // every stored f in (0, n/2) and transforms symmetric at f and n - f.
+  const size_t n = 128;
+  const FeatureLayout paper = FeatureLayout::Paper();
+  const auto holds = [&](const FeatureLayout& layout, size_t length,
+                         const LinearTransform* t) {
+    const std::optional<double> e = MirrorError(layout, length, t, t);
+    // When it holds, the bound is far below the 1e-9 slack floor here.
+    if (e.has_value()) {
+      EXPECT_LT(*e, 1e-9);
+    }
+    return e.has_value();
+  };
+  EXPECT_TRUE(holds(paper, n, nullptr));
+  EXPECT_TRUE(holds(paper, 7, nullptr));   // Bluestein lengths too
+  EXPECT_FALSE(holds(paper, 4, nullptr));  // f = 2 is the Nyquist term
+  FeatureLayout raw = paper;
+  raw.normalize = false;
+  EXPECT_FALSE(holds(raw, n, nullptr));
+  EXPECT_FALSE(holds(FeatureLayout::Haar(2), n, nullptr));
+  EXPECT_FALSE(holds(FeatureLayout::Agrawal(2), n, nullptr));  // X_0
+  FeatureLayout rectangular = paper;
+  rectangular.space = CoordinateSpace::kRectangular;
+  EXPECT_TRUE(holds(rectangular, n, nullptr));
+
+  for (const LinearTransform& t :
+       {transforms::MovingAverage(n, 20),
+        transforms::WeightedMovingAverage(n, {0.5, 0.3, 0.2}),
+        transforms::ExponentialMovingAverage(n, 0.5, 5),
+        transforms::Difference(n), transforms::Reverse(n),
+        transforms::Scale(n, -2.5),
+        FeatureTransform::ShiftScale(n, 3.0, 2.0).spectral}) {
+    EXPECT_TRUE(holds(paper, n, &t)) << t.name();
+  }
+  const LinearTransform warp = transforms::TimeWarp(n, 2, n);
+  EXPECT_FALSE(holds(paper, n, &warp));
+  // An (a, b) from the wire is checked on its values.
+  ComplexVec a = transforms::MovingAverage(n, 20).a();
+  a[n - 2] += Complex(0.0, 1e-6);
+  const LinearTransform skewed(a, ComplexVec(n, Complex(0.0, 0.0)));
+  EXPECT_FALSE(holds(paper, n, &skewed));
+  ComplexVec nan_a(n, Complex(1.0, 0.0));
+  nan_a[1] = Complex(std::nan(""), 0.0);
+  const LinearTransform hostile(nan_a, ComplexVec(n, Complex(0.0, 0.0)));
+  EXPECT_FALSE(holds(paper, n, &hostile));
+
+  // The radius: eps/sqrt(2) plus half the bound plus the slack floor.
+  const ComplexVec q = {Complex(1.0, 2.0), Complex(-3.0, 0.5)};
+  const double e = *MirrorError(paper, n, nullptr, nullptr);
+  EXPECT_NEAR(FilterRadius(q, 2.0, n, e), 2.0 / std::sqrt(2.0) + e / 2,
+              2e-9);
+  EXPECT_GE(FilterRadius(q, 2.0, n, e), 2.0 / std::sqrt(2.0) + e / 2 + 1e-9);
+  EXPECT_NEAR(FilterRadius(q, 2.0, n, std::nullopt), 2.0, 2e-9);
+  EXPECT_GE(FilterRadius(q, 0.0, n, std::nullopt), 1e-9);
 }
 
 TEST(SearchRectTest, ContainsAllEpsCloseSpectraProperty) {
@@ -374,7 +431,8 @@ TEST(FeatureSpaceTest, SpectralDistanceMatchesComplexDistance) {
       ComplexVec b = testing::RandomComplexVec(&rng, 2);
       spatial::Point pa = extractor.ToPointFromCoefficients(a, 0, 1);
       spatial::Point pb = extractor.ToPointFromCoefficients(b, 5, 9);
-      EXPECT_NEAR(space.SpectralDistance(pa, pb), cvec::Distance(a, b), 1e-9);
+      EXPECT_NEAR(std::sqrt(space.SpectralDistanceSquared(pa, pb)),
+                  cvec::Distance(a, b), 1e-9);
     }
   }
 }
@@ -502,7 +560,8 @@ TEST_F(JoinPredicateTest, RectSpaceLowerBoundsSampledPairsProperty) {
         pa[d] = rng.Uniform(a.lo(d), a.hi(d));
         pb[d] = rng.Uniform(b.lo(d), b.hi(d));
       }
-      EXPECT_LE(bound, space.SpectralDistance(pa, pb) + 1e-9);
+      EXPECT_LE(bound,
+                std::sqrt(space.SpectralDistanceSquared(pa, pb)) + 1e-9);
     }
   }
 }

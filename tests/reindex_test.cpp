@@ -65,7 +65,7 @@ TEST(DeltaIndexTest, WatermarkAdvancesOverOutOfOrderPuts) {
   EXPECT_EQ(delta.visible(), 3u);
 
   for (uint64_t slot = 0; slot < 3; ++slot) {
-    const spatial::Point p = delta.PointAt(slot);
+    const double* p = delta.CoordinatesAt(slot);
     EXPECT_EQ(p[0], 10.0 + double(slot));
     EXPECT_EQ(p[1], -10.0 - double(slot));
   }
@@ -79,7 +79,7 @@ TEST(DeltaIndexTest, PutSpansChunksAndRejectsBadArguments) {
     ASSERT_TRUE(delta.Put(id, spatial::Point{double(id)}).ok());
   }
   EXPECT_EQ(delta.visible(), n);
-  EXPECT_EQ(delta.PointAt(DeltaIndex::kChunkEntries)[0],
+  EXPECT_EQ(delta.CoordinatesAt(DeltaIndex::kChunkEntries)[0],
             double(DeltaIndex::kChunkEntries));
 
   DeltaIndex based(/*base=*/100, /*dims=*/2);
@@ -105,12 +105,12 @@ TEST(DeltaIndexTest, CompactKeepsReadySlotsAtOrAboveCutoff) {
   // 15..19 are dense; 21 is ready but 20 is not, so it stays invisible.
   EXPECT_EQ(fresh->visible(), 5u);
   for (uint64_t slot = 0; slot < 5; ++slot) {
-    EXPECT_EQ(fresh->PointAt(slot)[0], 15.0 + double(slot));
+    EXPECT_EQ(fresh->CoordinatesAt(slot)[0], 15.0 + double(slot));
   }
   // The late slot 20 arriving on the fresh delta re-densifies through 21.
   ASSERT_TRUE(fresh->Put(20, spatial::Point{20.0}).ok());
   EXPECT_EQ(fresh->visible(), 7u);
-  EXPECT_EQ(fresh->PointAt(6)[0], 21.0);
+  EXPECT_EQ(fresh->CoordinatesAt(6)[0], 21.0);
 }
 
 // ---------------------------------------------------------------------------
