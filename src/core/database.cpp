@@ -63,10 +63,25 @@ const char* QueryOpName(engine::BatchQueryKind kind) {
       return "range";
     case engine::BatchQueryKind::kKnn:
       return "knn";
-    case engine::BatchQueryKind::kSubsequence:
-      return "subsequence";
   }
   return "query";
+}
+
+/// Adds `index`'s buffer-pool and traversal counters into `out`.
+void AddIndexCounters(const KIndex& index, DatabaseStats* out) {
+  const BufferPoolStats pool = index.pool()->stats();
+  out->pool_hits += pool.hits.load(std::memory_order_relaxed);
+  out->pool_misses += pool.misses.load(std::memory_order_relaxed);
+  out->pool_evictions += pool.evictions.load(std::memory_order_relaxed);
+  out->pool_disk_reads += pool.disk_reads.load(std::memory_order_relaxed);
+  out->pool_disk_writes += pool.disk_writes.load(std::memory_order_relaxed);
+  const rtree::TraversalStats& traversal = index.tree()->stats();
+  out->nodes_visited +=
+      traversal.nodes_visited.load(std::memory_order_relaxed);
+  out->rect_transforms +=
+      traversal.rect_transforms.load(std::memory_order_relaxed);
+  out->leaf_entries_tested +=
+      traversal.leaf_entries_tested.load(std::memory_order_relaxed);
 }
 
 /// The slow-query log's op= for a self-join: the method, named as
@@ -286,7 +301,17 @@ Status Database::Flush() {
 }
 
 DatabaseStats Database::StatsSnapshot() const {
+  // The snapshot and the counters of the trees merges retired are read
+  // under one lock, so a merge in between cannot count a tree twice or
+  // drop it. Counters within are individually atomic (monitoring does not
+  // need mutual consistency).
   DatabaseStats out;
+  std::shared_ptr<const IndexSnapshot> snap;
+  {
+    std::shared_lock<std::shared_mutex> lock(snapshot_ptr_mutex_);
+    out = retired_index_counters_;
+    snap = snapshot_;
+  }
   out.series = relation_->size();
   out.series_length = series_length_.load(std::memory_order_relaxed);
   const RelationStats& rel = relation_->stats();
@@ -298,9 +323,6 @@ DatabaseStats Database::StatsSnapshot() const {
   out.degraded = degraded_.load(std::memory_order_acquire);
   out.write_faults = write_faults_.load(std::memory_order_relaxed);
   out.repairs_completed = repairs_completed_.load(std::memory_order_relaxed);
-  // One acquire load pins a coherent snapshot; counters within it are
-  // individually atomic (monitoring does not need mutual consistency).
-  auto snap = CurrentSnapshot();
   if (snap == nullptr) return out;
   const KIndex* index = snap->main.get();
   out.index_built = true;
@@ -308,19 +330,7 @@ DatabaseStats Database::StatsSnapshot() const {
   out.delta_entries =
       snap->delta->base() + snap->delta->visible() - index->size();
   out.merges_completed = merges_completed_.load(std::memory_order_relaxed);
-  const BufferPoolStats pool = index->pool()->stats();
-  out.pool_hits = pool.hits.load(std::memory_order_relaxed);
-  out.pool_misses = pool.misses.load(std::memory_order_relaxed);
-  out.pool_evictions = pool.evictions.load(std::memory_order_relaxed);
-  out.pool_disk_reads = pool.disk_reads.load(std::memory_order_relaxed);
-  out.pool_disk_writes = pool.disk_writes.load(std::memory_order_relaxed);
-  const rtree::TraversalStats& traversal = index->tree()->stats();
-  out.nodes_visited =
-      traversal.nodes_visited.load(std::memory_order_relaxed);
-  out.rect_transforms =
-      traversal.rect_transforms.load(std::memory_order_relaxed);
-  out.leaf_entries_tested =
-      traversal.leaf_entries_tested.load(std::memory_order_relaxed);
+  AddIndexCounters(*index, &out);
   out.tree_entries = index->tree()->size();
   out.tree_height = index->tree()->height();
   out.tree_dims = index->tree()->dims();
@@ -663,6 +673,7 @@ Result<uint64_t> Database::Reindex() {
     epoch = next->epoch;
     {
       std::unique_lock<std::shared_mutex> lock(snapshot_ptr_mutex_);
+      AddIndexCounters(*current->main, &retired_index_counters_);
       snapshot_ = std::move(next);
     }
   }

@@ -121,7 +121,10 @@ struct DatabaseOptions {
 /// poke relation()->stats(), index()->pool()->stats() and
 /// index()->tree()->stats() separately; StatsSnapshot() is the one-call
 /// aggregation the tsqd STATS verb serializes. Counters are cumulative
-/// since process start (or the last ResetStats on the component).
+/// since Create/Open: each Reindex folds the pool and traversal counters
+/// of the main tree it retires into totals the database keeps, so no
+/// counter goes backwards at a merge (a ResetStats on a component resets
+/// only that component's share).
 struct DatabaseStats {
   uint64_t series = 0;         ///< stored series (dense prefix)
   uint64_t series_length = 0;  ///< common length (0 before first insert)
@@ -448,8 +451,9 @@ class Database {
   // The epoch pointer: queries copy it once (a shared_ptr refcount
   // bump under the shared side of the pointer lock) and pin the
   // snapshot; BuildIndex/Reindex publish successors under the exclusive
-  // side, held for a pointer assignment only — never during merge I/O
-  // or tree builds. The snapshot itself is never mutated in place.
+  // side, held for a pointer assignment (plus Reindex's fold of the
+  // retiring tree's counters) only — never during merge I/O or tree
+  // builds. The snapshot itself is never mutated in place.
   mutable std::shared_mutex snapshot_ptr_mutex_;
   std::shared_ptr<const IndexSnapshot> snapshot_;
   std::atomic<size_t> series_length_{0};
@@ -462,6 +466,11 @@ class Database {
   // merge_mutex_ before delta_put_mutex_.
   std::mutex merge_mutex_;
   std::atomic<uint64_t> merges_completed_{0};
+  // The pool and traversal counters of every main tree a Reindex retired
+  // (only those fields are set). Guarded by snapshot_ptr_mutex_: the
+  // merge adds the retiring tree's counters in the critical section that
+  // publishes its successor, and StatsSnapshot reads both under one lock.
+  DatabaseStats retired_index_counters_;
   std::function<void()> merge_hook_;  // test-only, see setter
   // Background merge thread (started when merge_interval_ms > 0).
   std::thread merge_thread_;

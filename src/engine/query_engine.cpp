@@ -69,10 +69,6 @@ void RunOne(const BatchQuery& query, const IndexView& view,
           IndexKnnQuery(view, relation, query.query, query.k, query.spec,
                         query.knn, &result->matches, &result->stats);
       return;
-    case BatchQueryKind::kSubsequence:
-      result->status = Status::FailedPrecondition(
-          "subsequence query without a SubsequenceIndex");
-      return;
   }
   result->status = Status::InvalidArgument("unknown batch query kind");
 }

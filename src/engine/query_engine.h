@@ -48,7 +48,6 @@
 #include "common/status.h"
 #include "core/index_snapshot.h"
 #include "core/queries.h"
-#include "core/subsequence.h"
 #include "engine/thread_pool.h"
 #include "storage/relation.h"
 
@@ -57,18 +56,15 @@ namespace engine {
 
 /// What one batch entry asks for.
 enum class BatchQueryKind {
-  kRange,        ///< Algorithm 2 range query (needs the KIndex)
-  kKnn,          ///< optimal multi-step kNN (needs the KIndex)
-  /// [FRM94] subsequence range search: a wire kind the engine has no
-  /// ST-index for, answered FailedPrecondition (use SubsequenceIndex).
-  kSubsequence,
+  kRange,  ///< Algorithm 2 range query (needs the KIndex)
+  kKnn,    ///< optimal multi-step kNN (needs the KIndex)
 };
 
 /// One query of a batch.
 struct BatchQuery {
   BatchQueryKind kind = BatchQueryKind::kRange;
   RealVec query;
-  double epsilon = 0.0;  ///< range / subsequence threshold
+  double epsilon = 0.0;  ///< range threshold
   size_t k = 0;          ///< kNN answer count
   QuerySpec spec;        ///< transform/mode/window (range and kNN)
   KnnOptions knn;        ///< kNN approximation knobs (default = exact)
@@ -92,13 +88,6 @@ struct BatchQuery {
     q.knn = knn;
     return q;
   }
-  static BatchQuery Subsequence(RealVec query, double epsilon) {
-    BatchQuery q;
-    q.kind = BatchQueryKind::kSubsequence;
-    q.query = std::move(query);
-    q.epsilon = epsilon;
-    return q;
-  }
 };
 
 /// One query's outcome. `status` is per-query: a malformed query fails
@@ -106,7 +95,6 @@ struct BatchQuery {
 struct BatchResult {
   Status status;
   std::vector<Match> matches;  ///< range/kNN answers
-  std::vector<SubsequenceMatch> subsequence_matches;
   QueryStats stats;
 };
 

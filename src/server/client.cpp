@@ -266,14 +266,8 @@ Status Client::Ping() {
 Result<DatabaseStats> Client::Stats(ServerCounters* counters) {
   Request request;
   request.verb = Verb::kStats;
-  request.want_server_counters = counters != nullptr;
   TSQ_ASSIGN_OR_RETURN(Reply reply, RoundTripWithRetry(std::move(request)));
-  if (counters != nullptr) {
-    if (!reply.has_server_counters) {
-      return Status::Corruption("stats reply omits the requested counters");
-    }
-    *counters = reply.server_counters;
-  }
+  if (counters != nullptr) *counters = reply.server_counters;
   return reply.stats;
 }
 
@@ -323,13 +317,6 @@ Result<std::vector<Match>> Client::Knn(const RealVec& query, size_t k,
       Query(engine::BatchQuery::Knn(query, k, spec, options)));
   if (stats != nullptr) *stats = result.stats;
   return std::move(result.matches);
-}
-
-Result<std::vector<SubsequenceMatch>> Client::Subsequence(const RealVec& query,
-                                                          double epsilon) {
-  TSQ_ASSIGN_OR_RETURN(engine::BatchResult result,
-                       Query(engine::BatchQuery::Subsequence(query, epsilon)));
-  return std::move(result.subsequence_matches);
 }
 
 Result<std::vector<SeriesId>> Client::InsertBatch(

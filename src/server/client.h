@@ -84,10 +84,8 @@ class Client {
   /// BUSY, even when the execution pool is saturated.
   Status Ping();
 
-  /// Remote Database::StatsSnapshot(). With a non-null `counters` the
-  /// request additionally asks for the server's own monitoring counters
-  /// (rides on a verb-word flag bit; an old server answers ERROR, which
-  /// surfaces here as that status — pass nullptr to stay compatible).
+  /// Remote Database::StatsSnapshot(). Every STATS reply also carries the
+  /// server's own monitoring counters; a non-null `counters` receives them.
   Result<DatabaseStats> Stats(ServerCounters* counters = nullptr);
 
   /// Remote metrics scrape: the server's Prometheus-style text
@@ -106,8 +104,6 @@ class Client {
                                  const QuerySpec& spec = {},
                                  const KnnOptions& options = {},
                                  QueryStats* stats = nullptr);
-  Result<std::vector<SubsequenceMatch>> Subsequence(const RealVec& query,
-                                                    double epsilon);
 
   /// Remote Database::RunBatch: results[i] answers queries[i], statuses
   /// per query.

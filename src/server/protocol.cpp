@@ -118,111 +118,46 @@ Status GetSpec(Reader* reader, QuerySpec* out) {
   return Status::OK();
 }
 
-// --------------------------------------------------------------------------
-// Version gating for the approximate-kNN extension (v9). Two flag bits —
-// one on a request BatchQuery's `kind` word, one on a reply's code word —
-// gate the optional payload fields, so an exact-mode conversation emits
-// byte-for-byte the pre-extension wire format:
-//
-//   * A KnnOptions payload (epsilon f64 | probe_budget u64 | first_leaf
-//     u32) follows the QuerySpec iff kKnnOptionsFlag is set on the kind
-//     word. The flag is set only for a kKnn query with non-default
-//     options; decoders enforce exactly that (the canonical encoding), so
-//     a flagged non-kNN query or a flagged all-default payload is
-//     Corruption, never a silent variant encoding.
-//   * The extended QueryStats tail (pruned u64 | max_error f64 | approx
-//     u32) follows every result's stats iff kApproxStatsFlag is set on
-//     the reply code word — set only on an OK kQuery/kBatch reply where
-//     some result ran approximate.
-//
-// An old peer decoding a flagged word sees an out-of-range value and
-// rejects the frame as Corruption — a clean refusal, not a misparse. An
-// old client can never receive the extended reply layout, because only
-// flagged requests produce approximate results.
-//
-// The observability extension (v10) adds three more bits under the same
-// rule:
-//
-//   * kStatsCountersFlag on a request's verb word (kStats only): the
-//     client asks the server to append its ServerCounters to the reply.
-//     An old server sees verb 0x102, out of range, and answers ERROR.
-//   * kStageStatsFlag on a reply code word: every result's QueryStats
-//     carries the stage-trace tail (traced u32 | prepare f64 | descent
-//     f64 | delta f64 | pool_wait f64 | refine f64) — set only on an OK
-//     kQuery/kBatch reply where some result was traced. An untraced
-//     result in a flagged reply carries traced=0 and five zeros; a
-//     flagged reply where *no* result is traced is Corruption (the
-//     canonical encoding would have cleared the flag).
-//   * kServerCountersFlag on a reply code word (OK kStats only): a
-//     ServerCounters block (7 × u64, declaration order) follows the
-//     DatabaseStats — set iff the request asked.
-// --------------------------------------------------------------------------
-inline constexpr uint32_t kKnnOptionsFlag = 0x100;
-inline constexpr uint32_t kApproxStatsFlag = 0x100;
-inline constexpr uint32_t kStatsCountersFlag = 0x100;
-inline constexpr uint32_t kStageStatsFlag = 0x200;
-inline constexpr uint32_t kServerCountersFlag = 0x400;
-
 void PutBatchQuery(Buffer* buf, const engine::BatchQuery& query) {
-  const bool with_options = query.kind == engine::BatchQueryKind::kKnn &&
-                            !query.knn.is_default();
-  serde::PutU32(buf, static_cast<uint32_t>(query.kind) |
-                         (with_options ? kKnnOptionsFlag : 0));
+  serde::PutU32(buf, static_cast<uint32_t>(query.kind));
   serde::PutRealVec(buf, query.query);
   serde::PutDouble(buf, query.epsilon);
   serde::PutU64(buf, query.k);
   PutSpec(buf, query.spec);
-  if (with_options) {
-    serde::PutDouble(buf, query.knn.epsilon);
-    serde::PutU64(buf, query.knn.probe_budget);
-    serde::PutU32(buf, query.knn.stop_after_first_leaf ? 1 : 0);
-  }
+  serde::PutDouble(buf, query.knn.epsilon);
+  serde::PutU64(buf, query.knn.probe_budget);
+  serde::PutU32(buf, query.knn.stop_after_first_leaf ? 1 : 0);
 }
 
 Status GetBatchQuery(Reader* reader, engine::BatchQuery* out) {
-  uint32_t kind_word = 0;
-  TSQ_RETURN_IF_ERROR(reader->GetU32(&kind_word));
-  if ((kind_word & ~0xFFu & ~kKnnOptionsFlag) != 0) {
-    return Status::Corruption("unknown batch query kind flags " +
-                              std::to_string(kind_word));
-  }
-  const bool with_options = (kind_word & kKnnOptionsFlag) != 0;
-  const uint32_t kind = kind_word & 0xFFu;
-  if (kind > static_cast<uint32_t>(engine::BatchQueryKind::kSubsequence)) {
+  uint32_t kind = 0;
+  TSQ_RETURN_IF_ERROR(reader->GetU32(&kind));
+  if (kind > static_cast<uint32_t>(engine::BatchQueryKind::kKnn)) {
     return Status::Corruption("unknown batch query kind " +
                               std::to_string(kind));
   }
   out->kind = static_cast<engine::BatchQueryKind>(kind);
-  if (with_options && out->kind != engine::BatchQueryKind::kKnn) {
-    return Status::Corruption("kNN options flag on a non-kNN query");
-  }
   TSQ_RETURN_IF_ERROR(reader->GetRealVec(&out->query));
   TSQ_RETURN_IF_ERROR(reader->GetDouble(&out->epsilon));
   uint64_t k = 0;
   TSQ_RETURN_IF_ERROR(reader->GetU64(&k));
   out->k = static_cast<size_t>(k);
   TSQ_RETURN_IF_ERROR(GetSpec(reader, &out->spec));
-  if (with_options) {
-    uint32_t first_leaf = 0;
-    TSQ_RETURN_IF_ERROR(reader->GetDouble(&out->knn.epsilon));
-    TSQ_RETURN_IF_ERROR(reader->GetU64(&out->knn.probe_budget));
-    TSQ_RETURN_IF_ERROR(reader->GetU32(&first_leaf));
-    if (!(out->knn.epsilon >= 0.0)) {  // rejects negatives and NaN
-      return Status::Corruption("kNN error tolerance out of range");
-    }
-    if (first_leaf > 1) {
-      return Status::Corruption("kNN first-leaf flag out of range");
-    }
-    out->knn.stop_after_first_leaf = first_leaf == 1;
-    if (out->knn.is_default()) {
-      return Status::Corruption("kNN options flag on all-default options");
-    }
+  uint32_t first_leaf = 0;
+  TSQ_RETURN_IF_ERROR(reader->GetDouble(&out->knn.epsilon));
+  TSQ_RETURN_IF_ERROR(reader->GetU64(&out->knn.probe_budget));
+  TSQ_RETURN_IF_ERROR(reader->GetU32(&first_leaf));
+  if (!(out->knn.epsilon >= 0.0)) {  // rejects negatives and NaN
+    return Status::Corruption("kNN error tolerance out of range");
   }
+  if (first_leaf > 1) {
+    return Status::Corruption("kNN first-leaf flag out of range");
+  }
+  out->knn.stop_after_first_leaf = first_leaf == 1;
   return Status::OK();
 }
 
-void PutQueryStats(Buffer* buf, const QueryStats& stats, bool approx_ext,
-                   bool stage_ext) {
+void PutQueryStats(Buffer* buf, const QueryStats& stats) {
   serde::PutU64(buf, stats.candidates);
   serde::PutU64(buf, stats.verified);
   serde::PutU64(buf, stats.answers);
@@ -231,23 +166,18 @@ void PutQueryStats(Buffer* buf, const QueryStats& stats, bool approx_ext,
   serde::PutU64(buf, stats.disk_reads);
   serde::PutU64(buf, stats.records_scanned);
   serde::PutDouble(buf, stats.elapsed_ms);
-  if (approx_ext) {
-    serde::PutU64(buf, stats.pruned);
-    serde::PutDouble(buf, stats.max_error);
-    serde::PutU32(buf, stats.approx ? 1 : 0);
-  }
-  if (stage_ext) {
-    serde::PutU32(buf, stats.traced ? 1 : 0);
-    serde::PutDouble(buf, stats.prepare_ms);
-    serde::PutDouble(buf, stats.descent_ms);
-    serde::PutDouble(buf, stats.delta_ms);
-    serde::PutDouble(buf, stats.pool_wait_ms);
-    serde::PutDouble(buf, stats.refine_ms);
-  }
+  serde::PutU64(buf, stats.pruned);
+  serde::PutDouble(buf, stats.max_error);
+  serde::PutU32(buf, stats.approx ? 1 : 0);
+  serde::PutU32(buf, stats.traced ? 1 : 0);
+  serde::PutDouble(buf, stats.prepare_ms);
+  serde::PutDouble(buf, stats.descent_ms);
+  serde::PutDouble(buf, stats.delta_ms);
+  serde::PutDouble(buf, stats.pool_wait_ms);
+  serde::PutDouble(buf, stats.refine_ms);
 }
 
-Status GetQueryStats(Reader* reader, QueryStats* out, bool approx_ext,
-                     bool stage_ext) {
+Status GetQueryStats(Reader* reader, QueryStats* out) {
   TSQ_RETURN_IF_ERROR(reader->GetU64(&out->candidates));
   TSQ_RETURN_IF_ERROR(reader->GetU64(&out->verified));
   TSQ_RETURN_IF_ERROR(reader->GetU64(&out->answers));
@@ -256,40 +186,35 @@ Status GetQueryStats(Reader* reader, QueryStats* out, bool approx_ext,
   TSQ_RETURN_IF_ERROR(reader->GetU64(&out->disk_reads));
   TSQ_RETURN_IF_ERROR(reader->GetU64(&out->records_scanned));
   TSQ_RETURN_IF_ERROR(reader->GetDouble(&out->elapsed_ms));
-  if (approx_ext) {
-    uint32_t approx = 0;
-    TSQ_RETURN_IF_ERROR(reader->GetU64(&out->pruned));
-    TSQ_RETURN_IF_ERROR(reader->GetDouble(&out->max_error));
-    TSQ_RETURN_IF_ERROR(reader->GetU32(&approx));
-    if (approx > 1) {
-      return Status::Corruption("stats approx flag out of range");
-    }
-    out->approx = approx == 1;
+  uint32_t approx = 0;
+  TSQ_RETURN_IF_ERROR(reader->GetU64(&out->pruned));
+  TSQ_RETURN_IF_ERROR(reader->GetDouble(&out->max_error));
+  TSQ_RETURN_IF_ERROR(reader->GetU32(&approx));
+  if (approx > 1) {
+    return Status::Corruption("stats approx flag out of range");
   }
-  if (stage_ext) {
-    uint32_t traced = 0;
-    TSQ_RETURN_IF_ERROR(reader->GetU32(&traced));
-    if (traced > 1) {
-      return Status::Corruption("stats traced flag out of range");
-    }
-    out->traced = traced == 1;
-    TSQ_RETURN_IF_ERROR(reader->GetDouble(&out->prepare_ms));
-    TSQ_RETURN_IF_ERROR(reader->GetDouble(&out->descent_ms));
-    TSQ_RETURN_IF_ERROR(reader->GetDouble(&out->delta_ms));
-    TSQ_RETURN_IF_ERROR(reader->GetDouble(&out->pool_wait_ms));
-    TSQ_RETURN_IF_ERROR(reader->GetDouble(&out->refine_ms));
-    if (!out->traced &&
-        (out->prepare_ms != 0.0 || out->descent_ms != 0.0 ||
-         out->delta_ms != 0.0 || out->pool_wait_ms != 0.0 ||
-         out->refine_ms != 0.0)) {
-      return Status::Corruption("stage times on an untraced result");
-    }
+  out->approx = approx == 1;
+  uint32_t traced = 0;
+  TSQ_RETURN_IF_ERROR(reader->GetU32(&traced));
+  if (traced > 1) {
+    return Status::Corruption("stats traced flag out of range");
+  }
+  out->traced = traced == 1;
+  TSQ_RETURN_IF_ERROR(reader->GetDouble(&out->prepare_ms));
+  TSQ_RETURN_IF_ERROR(reader->GetDouble(&out->descent_ms));
+  TSQ_RETURN_IF_ERROR(reader->GetDouble(&out->delta_ms));
+  TSQ_RETURN_IF_ERROR(reader->GetDouble(&out->pool_wait_ms));
+  TSQ_RETURN_IF_ERROR(reader->GetDouble(&out->refine_ms));
+  if (!out->traced &&
+      (out->prepare_ms != 0.0 || out->descent_ms != 0.0 ||
+       out->delta_ms != 0.0 || out->pool_wait_ms != 0.0 ||
+       out->refine_ms != 0.0)) {
+    return Status::Corruption("stage times on an untraced result");
   }
   return Status::OK();
 }
 
-void PutBatchResult(Buffer* buf, const engine::BatchResult& result,
-                    bool approx_ext, bool stage_ext) {
+void PutBatchResult(Buffer* buf, const engine::BatchResult& result) {
   PutStatus(buf, result.status);
   serde::PutU64(buf, result.matches.size());
   for (const Match& m : result.matches) {
@@ -297,17 +222,10 @@ void PutBatchResult(Buffer* buf, const engine::BatchResult& result,
     serde::PutString(buf, m.name);
     serde::PutDouble(buf, m.distance);
   }
-  serde::PutU64(buf, result.subsequence_matches.size());
-  for (const SubsequenceMatch& m : result.subsequence_matches) {
-    serde::PutU64(buf, m.id);
-    serde::PutU64(buf, m.offset);
-    serde::PutDouble(buf, m.distance);
-  }
-  PutQueryStats(buf, result.stats, approx_ext, stage_ext);
+  PutQueryStats(buf, result.stats);
 }
 
-Status GetBatchResult(Reader* reader, engine::BatchResult* out,
-                      bool approx_ext, bool stage_ext) {
+Status GetBatchResult(Reader* reader, engine::BatchResult* out) {
   TSQ_RETURN_IF_ERROR(GetStatus(reader, &out->status));
   uint64_t matches = 0;
   TSQ_RETURN_IF_ERROR(reader->GetU64(&matches));
@@ -320,20 +238,7 @@ Status GetBatchResult(Reader* reader, engine::BatchResult* out,
     TSQ_RETURN_IF_ERROR(reader->GetDouble(&m.distance));
     out->matches.push_back(std::move(m));
   }
-  uint64_t sub_matches = 0;
-  TSQ_RETURN_IF_ERROR(reader->GetU64(&sub_matches));
-  for (uint64_t i = 0; i < sub_matches; ++i) {
-    SubsequenceMatch m;
-    uint64_t id = 0;
-    uint64_t offset = 0;
-    TSQ_RETURN_IF_ERROR(reader->GetU64(&id));
-    TSQ_RETURN_IF_ERROR(reader->GetU64(&offset));
-    TSQ_RETURN_IF_ERROR(reader->GetDouble(&m.distance));
-    m.id = id;
-    m.offset = static_cast<size_t>(offset);
-    out->subsequence_matches.push_back(m);
-  }
-  return GetQueryStats(reader, &out->stats, approx_ext, stage_ext);
+  return GetQueryStats(reader, &out->stats);
 }
 
 void PutServerCounters(Buffer* buf, const ServerCounters& counters) {
@@ -438,13 +343,7 @@ Status CheckVerb(uint32_t verb) {
 
 void EncodeRequest(const Request& request, Buffer* frame) {
   Buffer payload;
-  // Canonical encoding: the counters flag is emitted only on a kStats
-  // request that asks for them; any other combination stays bit-identical
-  // to the pre-extension layout.
-  const bool with_counters =
-      request.verb == Verb::kStats && request.want_server_counters;
-  serde::PutU32(&payload, static_cast<uint32_t>(request.verb) |
-                              (with_counters ? kStatsCountersFlag : 0));
+  serde::PutU32(&payload, static_cast<uint32_t>(request.verb));
   serde::PutU64(&payload, request.id);
   switch (request.verb) {
     case Verb::kPing:
@@ -490,25 +389,14 @@ void EncodeRequest(const Request& request, Buffer* frame) {
 Status DecodeRequest(const uint8_t* payload, size_t size, Request* out) {
   *out = Request{};  // a reused out-struct must not leak stale fields
   Reader reader(payload, size);
-  uint32_t verb_word = 0;
-  TSQ_RETURN_IF_ERROR(reader.GetU32(&verb_word));
+  uint32_t verb = 0;
+  TSQ_RETURN_IF_ERROR(reader.GetU32(&verb));
   // Capture the request id before rejecting an unknown verb: the
   // server's ERROR reply echoes out->id, and a client (possibly newer,
   // speaking a verb this server lacks) matches the reply by that id.
   TSQ_RETURN_IF_ERROR(reader.GetU64(&out->id));
-  if ((verb_word & ~0xFFu & ~kStatsCountersFlag) != 0) {
-    return Status::Corruption("unknown request verb flags " +
-                              std::to_string(verb_word));
-  }
-  const uint32_t verb = verb_word & 0xFFu;
   TSQ_RETURN_IF_ERROR(CheckVerb(verb));
   out->verb = static_cast<Verb>(verb);
-  if ((verb_word & kStatsCountersFlag) != 0) {
-    if (out->verb != Verb::kStats) {
-      return Status::Corruption("server counters flag on a non-stats request");
-    }
-    out->want_server_counters = true;
-  }
   switch (out->verb) {
     case Verb::kPing:
     case Verb::kStats:
@@ -572,26 +460,7 @@ Status DecodeRequest(const uint8_t* payload, size_t size, Request* out) {
 
 void EncodeReply(const Reply& reply, Buffer* frame) {
   Buffer payload;
-  // Extended stats layouts iff some result ran approximate / was traced
-  // (only possible on an OK query/batch reply — see the version-gating
-  // comment above). The counters block rides on an OK kStats reply iff
-  // the request asked for it.
-  bool approx_ext = false;
-  bool stage_ext = false;
-  if (reply.code == ReplyCode::kOk &&
-      (reply.verb == Verb::kQuery || reply.verb == Verb::kBatch)) {
-    for (const engine::BatchResult& r : reply.results) {
-      approx_ext = approx_ext || r.stats.approx;
-      stage_ext = stage_ext || r.stats.traced;
-    }
-  }
-  const bool with_counters = reply.code == ReplyCode::kOk &&
-                             reply.verb == Verb::kStats &&
-                             reply.has_server_counters;
-  serde::PutU32(&payload, static_cast<uint32_t>(reply.code) |
-                              (approx_ext ? kApproxStatsFlag : 0) |
-                              (stage_ext ? kStageStatsFlag : 0) |
-                              (with_counters ? kServerCountersFlag : 0));
+  serde::PutU32(&payload, static_cast<uint32_t>(reply.code));
   serde::PutU32(&payload, static_cast<uint32_t>(reply.verb));
   serde::PutU64(&payload, reply.id);
   if (reply.code == ReplyCode::kError) {
@@ -610,7 +479,7 @@ void EncodeReply(const Reply& reply, Buffer* frame) {
       break;
     case Verb::kStats:
       PutDatabaseStats(&payload, reply.stats);
-      if (with_counters) PutServerCounters(&payload, reply.server_counters);
+      PutServerCounters(&payload, reply.server_counters);
       break;
     case Verb::kMetrics:
       serde::PutString(&payload, reply.metrics_text);
@@ -619,12 +488,12 @@ void EncodeReply(const Reply& reply, Buffer* frame) {
       TSQ_CHECK_MSG(reply.results.size() == 1,
                     "kQuery reply carries exactly one result, got %zu",
                     reply.results.size());
-      PutBatchResult(&payload, reply.results[0], approx_ext, stage_ext);
+      PutBatchResult(&payload, reply.results[0]);
       break;
     case Verb::kBatch:
       serde::PutU64(&payload, reply.results.size());
       for (const engine::BatchResult& r : reply.results) {
-        PutBatchResult(&payload, r, approx_ext, stage_ext);
+        PutBatchResult(&payload, r);
       }
       break;
     case Verb::kInsert:
@@ -649,17 +518,8 @@ void EncodeReply(const Reply& reply, Buffer* frame) {
 Status DecodeReply(const uint8_t* payload, size_t size, Reply* out) {
   *out = Reply{};  // a reused out-struct must not leak stale fields
   Reader reader(payload, size);
-  uint32_t code_word = 0;
-  TSQ_RETURN_IF_ERROR(reader.GetU32(&code_word));
-  if ((code_word & ~0xFFu & ~kApproxStatsFlag & ~kStageStatsFlag &
-       ~kServerCountersFlag) != 0) {
-    return Status::Corruption("unknown reply code flags " +
-                              std::to_string(code_word));
-  }
-  const bool approx_ext = (code_word & kApproxStatsFlag) != 0;
-  const bool stage_ext = (code_word & kStageStatsFlag) != 0;
-  const bool with_counters = (code_word & kServerCountersFlag) != 0;
-  const uint32_t code = code_word & 0xFFu;
+  uint32_t code = 0;
+  TSQ_RETURN_IF_ERROR(reader.GetU32(&code));
   if (code > static_cast<uint32_t>(ReplyCode::kBusy)) {
     return Status::Corruption("unknown reply code " + std::to_string(code));
   }
@@ -668,19 +528,6 @@ Status DecodeReply(const uint8_t* payload, size_t size, Reply* out) {
   TSQ_RETURN_IF_ERROR(reader.GetU32(&verb));
   TSQ_RETURN_IF_ERROR(CheckVerb(verb));
   out->verb = static_cast<Verb>(verb);
-  const bool query_reply =
-      out->code == ReplyCode::kOk &&
-      (out->verb == Verb::kQuery || out->verb == Verb::kBatch);
-  if (approx_ext && !query_reply) {
-    return Status::Corruption("approx stats flag on a non-query reply");
-  }
-  if (stage_ext && !query_reply) {
-    return Status::Corruption("stage stats flag on a non-query reply");
-  }
-  if (with_counters &&
-      (out->code != ReplyCode::kOk || out->verb != Verb::kStats)) {
-    return Status::Corruption("server counters flag on a non-stats reply");
-  }
   TSQ_RETURN_IF_ERROR(reader.GetU64(&out->id));
   if (out->code == ReplyCode::kError) {
     TSQ_RETURN_IF_ERROR(GetStatus(&reader, &out->error));
@@ -695,18 +542,14 @@ Status DecodeReply(const uint8_t* payload, size_t size, Reply* out) {
         break;
       case Verb::kStats:
         TSQ_RETURN_IF_ERROR(GetDatabaseStats(&reader, &out->stats));
-        if (with_counters) {
-          TSQ_RETURN_IF_ERROR(GetServerCounters(&reader, &out->server_counters));
-          out->has_server_counters = true;
-        }
+        TSQ_RETURN_IF_ERROR(GetServerCounters(&reader, &out->server_counters));
         break;
       case Verb::kMetrics:
         TSQ_RETURN_IF_ERROR(reader.GetString(&out->metrics_text));
         break;
       case Verb::kQuery: {
         engine::BatchResult result;
-        TSQ_RETURN_IF_ERROR(
-            GetBatchResult(&reader, &result, approx_ext, stage_ext));
+        TSQ_RETURN_IF_ERROR(GetBatchResult(&reader, &result));
         out->results.push_back(std::move(result));
         break;
       }
@@ -715,8 +558,7 @@ Status DecodeReply(const uint8_t* payload, size_t size, Reply* out) {
         TSQ_RETURN_IF_ERROR(reader.GetU64(&count));
         for (uint64_t i = 0; i < count; ++i) {
           engine::BatchResult result;
-          TSQ_RETURN_IF_ERROR(
-              GetBatchResult(&reader, &result, approx_ext, stage_ext));
+          TSQ_RETURN_IF_ERROR(GetBatchResult(&reader, &result));
           out->results.push_back(std::move(result));
         }
         break;
@@ -747,18 +589,6 @@ Status DecodeReply(const uint8_t* payload, size_t size, Reply* out) {
       case Verb::kReindex:
         TSQ_RETURN_IF_ERROR(reader.GetU64(&out->reindex_epoch));
         break;
-    }
-  }
-  if (stage_ext) {
-    // Canonical encoding: the flag is set only when some result was
-    // traced, so a flagged reply whose tails are all untraced is a
-    // non-canonical variant, not a valid alternative spelling.
-    bool any_traced = false;
-    for (const engine::BatchResult& r : out->results) {
-      any_traced = any_traced || r.stats.traced;
-    }
-    if (!any_traced) {
-      return Status::Corruption("stage stats flag on an untraced reply");
     }
   }
   if (reader.remaining() != 0) {

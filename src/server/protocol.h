@@ -1,14 +1,14 @@
 // Copyright (c) 2026 The tsq Authors.
 //
 // The tsqd wire protocol: a compact, CRC-checked binary framing over TCP
-// that carries the Database API — range/kNN/subsequence queries (single
-// or batched), bulk insert, self-join, reindex, flush, repair, stats and
+// that carries the Database API — range/kNN queries (single or batched),
+// bulk insert, self-join, reindex, flush, repair, stats, metrics and
 // ping — between the blocking client (src/server/client.h) and the tsqd
 // server (src/server/server.h).
 //
 // Framing. Every message (request or reply) travels as one frame:
 //
-//     u32 magic 'TSQF' | u32 payload_crc | u64 payload_len | payload
+//     u32 magic 'TSQ2' | u32 payload_crc | u64 payload_len | payload
 //
 // — deliberately the same shape as the relation's record frame
 // (storage/serde.h), and built from the same little-endian codecs, so
@@ -30,20 +30,12 @@
 // The request id is chosen by the client and echoed verbatim, so a
 // pipelining client can match replies that tsqd completed out of order.
 //
-// Optional extensions ride on flag bits above the low value byte of the
-// u32 they extend (a BatchQuery's kind word; the reply code word): a set
-// flag means "an extra payload section follows", a clear flag means the
-// pre-extension byte layout, bit for bit. Old peers reject flagged words
-// as out-of-range (Corruption) instead of misparsing — that is the whole
-// version-gating rule. Currently assigned: bit 8 on a kind word = kNN
-// approximation options follow the QuerySpec; bit 8 on a reply code =
-// every result's QueryStats carries the approx tail (pruned, max_error,
-// approx); bit 8 on a request verb word = the (kStats) request asks for
-// server counters in the reply; bit 9 on a reply code = every result's
-// QueryStats carries the stage-trace tail (traced, prepare/descent/
-// delta/pool_wait/refine ms); bit 10 on a reply code = a ServerCounters
-// block follows the DatabaseStats on a kStats OK reply. See protocol.cpp
-// for the exact field layouts.
+// Every verb has exactly one body layout (docs/WIRE_PROTOCOL.md and
+// protocol.cpp give the field order): a query always carries its kNN
+// options, a result always carries the approx and stage-trace tails of its
+// QueryStats, and an OK STATS reply always carries ServerCounters. There
+// is no version handshake; a change to any layout bumps kFrameMagic, so a
+// peer built against another layout is dropped at the frame header.
 // Reply code kBusy is the backpressure signal: the server's admission
 // queue was full and the request was rejected *before* any engine work —
 // the client surfaces it as Status::Unavailable and may retry.
@@ -73,7 +65,7 @@ namespace tsq {
 namespace server {
 
 /// Frame constants.
-inline constexpr uint32_t kFrameMagic = 0x46515354;  // "TSQF" on the wire
+inline constexpr uint32_t kFrameMagic = 0x32515354;  // "TSQ2" on the wire
 inline constexpr size_t kFrameHeaderBytes = 16;
 /// Hard ceiling on a payload a peer may declare; connections advertising
 /// more are dropped as corrupt before any allocation happens.
@@ -83,7 +75,7 @@ inline constexpr uint64_t kMaxPayloadBytes = 1ull << 30;
 enum class Verb : uint8_t {
   kPing = 1,      ///< liveness probe, empty body
   kStats = 2,     ///< Database::StatsSnapshot()
-  kQuery = 3,     ///< one BatchQuery (range/kNN/subsequence)
+  kQuery = 3,     ///< one BatchQuery (range/kNN)
   kBatch = 4,     ///< a vector of BatchQuery, answered positionally
   kInsert = 5,    ///< bulk insert (Database::InsertBatch)
   kSelfJoin = 6,  ///< parallel self-join
@@ -101,8 +93,8 @@ enum class ReplyCode : uint8_t {
 };
 
 /// Monitoring counters (maintained as relaxed atomics in the server,
-/// snapshot by value; carried on the wire after a kStats reply's
-/// DatabaseStats when the request asked for them).
+/// snapshot by value; carried on the wire after every OK kStats reply's
+/// DatabaseStats).
 struct ServerCounters {
   uint64_t connections_accepted = 0;
   uint64_t connections_closed = 0;  ///< retired (EOF, broken, or drained)
@@ -117,9 +109,6 @@ struct ServerCounters {
 struct Request {
   Verb verb = Verb::kPing;
   uint64_t id = 0;
-  /// kStats: ask the server to append its ServerCounters to the reply.
-  /// Rides on a verb-word flag bit, so old servers reject it cleanly.
-  bool want_server_counters = false;
   /// kQuery (exactly one element) / kBatch.
   std::vector<engine::BatchQuery> queries;
   /// kInsert.
@@ -146,8 +135,6 @@ struct Reply {
   std::vector<JoinPair> pairs;
   /// kStats.
   DatabaseStats stats;
-  /// kStats, iff the request set want_server_counters.
-  bool has_server_counters = false;
   ServerCounters server_counters;
   /// kReindex: the epoch whose main tree covers every merged series.
   uint64_t reindex_epoch = 0;

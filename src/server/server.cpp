@@ -357,10 +357,7 @@ void Server::ExecuteRequest(const std::shared_ptr<Connection>& conn,
       break;  // answered inline by the owning poller; kept for safety
     case Verb::kStats:
       reply.stats = db_->StatsSnapshot();
-      if (request->want_server_counters) {
-        reply.server_counters = counters();
-        reply.has_server_counters = true;
-      }
+      reply.server_counters = counters();
       break;
     case Verb::kQuery:
     case Verb::kBatch: {

@@ -454,11 +454,8 @@ Status BufferPool::FlushAll() {
 }
 
 void BufferPool::ResetStats() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_ = BufferPoolStats();
-  }
-  file_->ResetStats();
+  std::lock_guard<std::mutex> lock(mutex_);
+  stats_ = BufferPoolStats();
 }
 
 }  // namespace tsq

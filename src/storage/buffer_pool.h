@@ -20,8 +20,8 @@
 
 namespace tsq {
 
-/// Cache counters. disk_reads/disk_writes mirror the underlying PageFile
-/// activity caused by this pool. Counters are relaxed atomics so snapshots
+/// Cache counters. disk_reads/disk_writes count the pages this pool reads
+/// from and writes to its PageFile. Counters are relaxed atomics so snapshots
 /// taken by concurrent readers (per-query measurement) are race-free; the
 /// struct copies by value like a plain aggregate.
 struct BufferPoolStats {
@@ -190,7 +190,7 @@ class BufferPool {
   /// Number of frames the pool may hold.
   size_t capacity() const { return capacity_; }
 
-  /// Counters; Reset clears both pool and file counters.
+  /// Counters; ResetStats zeroes them.
   BufferPoolStats stats() const { return stats_; }
   void ResetStats();
 

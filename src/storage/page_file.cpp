@@ -147,7 +147,6 @@ Result<PageId> PageFile::Allocate() {
   // fresh page is well-defined; publish the new count only after the
   // extension succeeds so concurrent readers never see a too-large bound.
   Page zero(page_size_);
-  ++stats_.page_writes;
   TSQ_RETURN_IF_ERROR(WriteRaw(id * page_size_, zero.data(), page_size_));
   num_pages_.store(id, std::memory_order_release);
   return id;
@@ -181,7 +180,6 @@ Status PageFile::Read(PageId id, Page* out) {
                                    path_);
     }
   }
-  ++stats_.page_reads;
   return ReadRaw(id * page_size_, out->data(), page_size_);
 }
 
@@ -214,7 +212,6 @@ Status PageFile::Write(PageId id, const Page& page) {
                                    path_);
     }
   }
-  ++stats_.page_writes;
   return WriteRaw(id * page_size_, page.data(), page_size_);
 }
 

@@ -7,7 +7,7 @@
 //   pages 1..N       data pages; a freed page stores the id of the next
 //                    free page in its first 8 bytes (intrusive free list)
 //
-// PageFile performs raw page I/O and byte accounting; caching and pinning
+// PageFile performs raw page I/O; caching, pinning and the I/O counters
 // live in BufferPool.
 
 #ifndef TSQ_STORAGE_PAGE_FILE_H_
@@ -23,21 +23,6 @@
 #include "storage/page.h"
 
 namespace tsq {
-
-/// I/O counters for a PageFile. Relaxed atomics so concurrent readers can
-/// snapshot them race-free; copies by value like a plain aggregate.
-struct PageFileStats {
-  std::atomic<uint64_t> page_reads{0};   ///< pages fetched from the file
-  std::atomic<uint64_t> page_writes{0};  ///< pages written to the file
-
-  PageFileStats() = default;
-  PageFileStats(const PageFileStats& other) { *this = other; }
-  PageFileStats& operator=(const PageFileStats& other) {
-    page_reads = other.page_reads.load(std::memory_order_relaxed);
-    page_writes = other.page_writes.load(std::memory_order_relaxed);
-    return *this;
-  }
-};
 
 /// A file of fixed-size pages with allocate/free/read/write operations.
 ///
@@ -87,10 +72,6 @@ class PageFile {
     return num_pages_.load(std::memory_order_acquire);
   }
 
-  /// I/O counters.
-  const PageFileStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = PageFileStats(); }
-
   // Fault injection: every Read(id) traverses the `page_file_read`
   // failpoint and every Write(id) traverses `page_file_write` (arg =
   // the page id, after id validation, before the raw I/O, on the
@@ -112,7 +93,6 @@ class PageFile {
   std::mutex mutex_;  // guards free_list_head_ and header writes
   std::atomic<uint64_t> num_pages_{0};  // data pages allocated so far
   PageId free_list_head_ = kInvalidPageId;
-  PageFileStats stats_;
 };
 
 }  // namespace tsq

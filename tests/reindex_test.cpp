@@ -9,7 +9,7 @@
 // to the old epoch finish correctly while the swap publishes, and a
 // pinned old snapshot stays valid after it), crash-shaped reopens
 // (stale .idx.tmp, relation ahead of the on-disk tree), the background
-// merge thread, and a TSan-sized ingest+query+merge race. The CI TSan
+// merge thread, and a TSan-sized ingest+query+merge+stats race. The CI TSan
 // job runs this binary alongside concurrency_stress_test.
 
 #include <atomic>
@@ -472,13 +472,30 @@ TEST_F(ReindexTest, ReindexRacesIngestAndQueriesSafely) {
       }
     });
   }
+  std::atomic<bool> merging{true};
   threads.emplace_back([&] {
     for (int i = 0; i < kMerges; ++i) {
       if (!db_->Reindex().ok()) {
         failed.store(true);
-        return;
+        break;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    merging.store(false);
+  });
+  // Monitoring races the merges, which fold each retiring tree's
+  // counters into the database's totals; one reader never sees the
+  // epoch or the merge count go backwards.
+  threads.emplace_back([&] {
+    DatabaseStats last;
+    while (merging.load()) {
+      const DatabaseStats stats = db_->StatsSnapshot();
+      if (stats.index_epoch < last.index_epoch ||
+          stats.merges_completed < last.merges_completed) {
+        failed.store(true);
+      }
+      last = stats;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
 

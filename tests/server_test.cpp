@@ -136,6 +136,9 @@ QuerySpec MakeRichSpec() {
   QuerySpec spec;
   spec.transform =
       FeatureTransform::Spectral(transforms::MovingAverage(kLength, 4));
+  spec.transform->mean_scale = 0.5;
+  spec.transform->mean_offset = -2.0;
+  spec.transform->std_scale = 3.0;
   spec.mode = TransformMode::kDataOnly;
   spec.window = MeanStdWindow{-1.5, 2.5, 0.25, 4.0};
   return spec;
@@ -230,17 +233,13 @@ TEST(ProtocolTest, QueryAndBatchRequestsRoundTrip) {
   knn.kind = BatchQueryKind::kKnn;
   knn.query = testing::RandomRealVec(&rng, kLength);
   knn.k = 9;
-  BatchQuery sub;
-  sub.kind = BatchQueryKind::kSubsequence;
-  sub.query = testing::RandomRealVec(&rng, 16);
-  sub.epsilon = 0.5;
-  request.queries = {range, knn, sub};
+  request.queries = {range, knn};
 
   Request out = RoundTripRequest(request);
   EXPECT_EQ(out.verb, Verb::kBatch);
   EXPECT_EQ(out.id, 7u);
-  ASSERT_EQ(out.queries.size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
+  ASSERT_EQ(out.queries.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(out.queries[i].kind, request.queries[i].kind);
     EXPECT_EQ(out.queries[i].query, request.queries[i].query);
     EXPECT_EQ(out.queries[i].epsilon, request.queries[i].epsilon);
@@ -283,13 +282,12 @@ TEST(ProtocolTest, SelfJoinRequestRoundTrips) {
 }
 
 TEST(ProtocolTest, RepliesRoundTripEveryShape) {
-  // OK query reply with matches, subsequence matches and stats.
+  // OK query reply with matches and stats.
   Reply query_reply;
   query_reply.verb = Verb::kQuery;
   query_reply.id = 3;
   BatchResult result;
   result.matches = {{5, "SIMa", 1.25}, {9, "SIMb", 2.5}};
-  result.subsequence_matches = {{2, 17, 0.75}};
   result.stats.candidates = 4;
   result.stats.verified = 2;
   result.stats.elapsed_ms = 1.5;
@@ -299,7 +297,6 @@ TEST(ProtocolTest, RepliesRoundTripEveryShape) {
   EXPECT_EQ(out.results[0].matches.size(), 2u);
   EXPECT_EQ(out.results[0].matches[1].name, "SIMb");
   EXPECT_EQ(out.results[0].matches[1].distance, 2.5);
-  EXPECT_EQ(out.results[0].subsequence_matches[0].offset, 17u);
   EXPECT_EQ(out.results[0].stats.candidates, 4u);
   EXPECT_EQ(out.results[0].stats.elapsed_ms, 1.5);
 
@@ -385,7 +382,7 @@ TEST(ProtocolTest, RepliesRoundTripEveryShape) {
   EXPECT_EQ(out.id, 9u);
 }
 
-TEST(ProtocolTest, ApproxKnnOptionsRoundTripAndVersionGate) {
+TEST(ProtocolTest, KnnOptionsRoundTripAndRejectOutOfRangeValues) {
   Rng rng(kSeed + 2);
   Request request;
   request.verb = Verb::kQuery;
@@ -394,60 +391,51 @@ TEST(ProtocolTest, ApproxKnnOptionsRoundTripAndVersionGate) {
   knn.kind = BatchQueryKind::kKnn;
   knn.query = testing::RandomRealVec(&rng, kLength);
   knn.k = 7;
+  knn.knn = KnnOptions{0.25, 99, true};
   request.queries = {knn};
-
-  // Exact mode: the kind word carries no flag bit — byte-compatible with
-  // the pre-extension wire format. The kind u32 sits at payload offset 12
-  // (verb u32 + id u64); its second byte holds bits 8..15.
-  serde::Buffer frame;
-  EncodeRequest(request, &frame);
-  ASSERT_GT(frame.size(), 16u + 16u);
-  EXPECT_EQ(frame[16 + 13] & 0x01, 0);
-
-  // Approximate mode: flag set, options round-trip exactly.
-  request.queries[0].knn.epsilon = 0.25;
-  request.queries[0].knn.probe_budget = 99;
-  request.queries[0].knn.stop_after_first_leaf = true;
-  frame.clear();
-  EncodeRequest(request, &frame);
-  EXPECT_EQ(frame[16 + 13] & 0x01, 1);
   Request out = RoundTripRequest(request);
   ASSERT_EQ(out.queries.size(), 1u);
   EXPECT_EQ(out.queries[0].knn.epsilon, 0.25);
   EXPECT_EQ(out.queries[0].knn.probe_budget, 99u);
   EXPECT_TRUE(out.queries[0].knn.stop_after_first_leaf);
 
-  // A flagged payload whose options decode to all-default is a
-  // non-canonical encoding: Corruption, not a silent second spelling of
-  // the exact wire bytes. The options tail is the last 20 payload bytes
-  // (epsilon f64 | probe u64 | first_leaf u32).
-  request.queries[0].knn = KnnOptions{0.5, 0, false};
-  frame.clear();
+  // Every query carries its options as the last 20 payload bytes
+  // (epsilon f64 | probe u64 | first_leaf u32); out-of-range values are
+  // Corruption.
+  serde::Buffer frame;
   EncodeRequest(request, &frame);
-  serde::Buffer payload(frame.begin() + 16, frame.end());
-  std::fill(payload.end() - 20, payload.end() - 12, uint8_t{0});
+  const serde::Buffer payload(frame.begin() + kFrameHeaderBytes, frame.end());
+  const auto decode_with = [&payload](size_t offset_from_end,
+                                      const serde::Buffer& bytes) {
+    serde::Buffer edited = payload;
+    std::copy(bytes.begin(), bytes.end(), edited.end() - offset_from_end);
+    Request rejected;
+    return DecodeRequest(edited.data(), edited.size(), &rejected);
+  };
+  for (const double bad_epsilon :
+       {-0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    serde::Buffer bytes;
+    serde::PutDouble(&bytes, bad_epsilon);
+    EXPECT_TRUE(decode_with(20, bytes).IsCorruption()) << bad_epsilon;
+  }
+  serde::Buffer first_leaf;
+  serde::PutU32(&first_leaf, 2);
+  EXPECT_TRUE(decode_with(4, first_leaf).IsCorruption());
+
+  // The kind is range-checked as a whole u32 (payload offset 12, after the
+  // verb u32 and id u64): a high bit, or the retired kind 2, is Corruption.
   Request rejected;
-  EXPECT_TRUE(DecodeRequest(payload.data(), payload.size(), &rejected)
-                  .IsCorruption());
-
-  // The flag on a non-kNN kind is Corruption too: rewrite the kind value
-  // byte (payload offset 12, low byte) from kKnn to kRange, flag kept.
-  payload.assign(frame.begin() + 16, frame.end());
-  payload[12] = static_cast<uint8_t>(BatchQueryKind::kRange);
-  EXPECT_TRUE(DecodeRequest(payload.data(), payload.size(), &rejected)
-                  .IsCorruption());
-
-  // Unknown flag bits above the assigned one are Corruption (reserved
-  // for future extensions; an old decoder must refuse, never misparse).
-  payload.assign(frame.begin() + 16, frame.end());
-  payload[14] |= 0x01;  // bit 16 of the kind word
-  EXPECT_TRUE(DecodeRequest(payload.data(), payload.size(), &rejected)
-                  .IsCorruption());
+  serde::Buffer edited = payload;
+  edited[13] |= 0x01;
+  EXPECT_TRUE(
+      DecodeRequest(edited.data(), edited.size(), &rejected).IsCorruption());
+  edited = payload;
+  edited[12] = 2;
+  EXPECT_TRUE(
+      DecodeRequest(edited.data(), edited.size(), &rejected).IsCorruption());
 }
 
-TEST(ProtocolTest, ApproxStatsReplyRoundTripAndVersionGate) {
-  // A reply whose result ran approximate carries the extended stats tail,
-  // gated by the flag on the reply code word.
+TEST(ProtocolTest, ApproxStatsRoundTripAndRejectOutOfRangeValues) {
   Reply reply;
   reply.verb = Verb::kQuery;
   reply.id = 22;
@@ -455,34 +443,34 @@ TEST(ProtocolTest, ApproxStatsReplyRoundTripAndVersionGate) {
   result.matches = {{5, "SIMa", 1.25}};
   result.stats.candidates = 12;
   result.stats.pruned = 188;
-  result.stats.max_error = 0.125;
+  result.stats.max_error = std::numeric_limits<double>::infinity();
   result.stats.approx = true;
   reply.results.push_back(result);
   Reply out = RoundTripReply(reply);
   ASSERT_EQ(out.results.size(), 1u);
   EXPECT_EQ(out.results[0].stats.pruned, 188u);
-  EXPECT_EQ(out.results[0].stats.max_error, 0.125);
+  EXPECT_EQ(out.results[0].stats.max_error, result.stats.max_error);
   EXPECT_TRUE(out.results[0].stats.approx);
 
-  // Exact results encode the pre-extension reply layout: no flag bit on
-  // the code word (payload offset 0), and the extended fields drop out.
-  reply.results[0].stats.approx = false;
+  // The approx word sits just before the 44-byte stage tail that ends the
+  // payload; it is a 0/1 boolean.
   serde::Buffer frame;
   EncodeReply(reply, &frame);
-  EXPECT_EQ(frame[16 + 1] & 0x01, 0);
-  out = RoundTripReply(reply);
-  EXPECT_EQ(out.results[0].stats.pruned, 0u);
-  EXPECT_EQ(out.results[0].stats.max_error, 0.0);
+  serde::Buffer payload(frame.begin() + kFrameHeaderBytes, frame.end());
+  payload[payload.size() - 44 - 4] = 2;
+  Reply rejected;
+  EXPECT_TRUE(
+      DecodeReply(payload.data(), payload.size(), &rejected).IsCorruption());
 
-  // The flag on a verb that carries no query stats is Corruption.
+  // The reply code is range-checked as a whole u32: a high bit on a ping
+  // reply's code word is Corruption.
   Reply ping;
   ping.verb = Verb::kPing;
   ping.id = 23;
   frame.clear();
   EncodeReply(ping, &frame);
-  serde::Buffer payload(frame.begin() + 16, frame.end());
-  payload[1] |= 0x01;  // set bit 8 of the code word
-  Reply rejected;
+  payload.assign(frame.begin() + kFrameHeaderBytes, frame.end());
+  payload[1] |= 0x01;
   EXPECT_TRUE(
       DecodeReply(payload.data(), payload.size(), &rejected).IsCorruption());
 }
@@ -610,6 +598,212 @@ TEST(ProtocolTest, DecodeRejectsTrailingGarbageAndBadEnums) {
   serde::PutU64(&payload, uint64_t{1} << 61);  // claimed vector length
   status = DecodeRequest(payload.data(), payload.size(), &request);
   EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+}
+
+/// Query stats with every field away from its default: approximate and
+/// traced.
+QueryStats FullStats() {
+  QueryStats stats;
+  stats.candidates = 12;
+  stats.verified = 7;
+  stats.answers = 3;
+  stats.nodes_visited = 40;
+  stats.rect_transforms = 9;
+  stats.disk_reads = 5;
+  stats.records_scanned = 2;
+  stats.elapsed_ms = 9.5;
+  stats.pruned = 188;
+  stats.max_error = 0.125;
+  stats.approx = true;
+  stats.traced = true;
+  stats.prepare_ms = 1.0;
+  stats.descent_ms = 2.0;
+  stats.delta_ms = 0.5;
+  stats.pool_wait_ms = 1.5;
+  stats.refine_ms = 3.5;
+  return stats;
+}
+
+/// A request of every verb, each optional field present and each value
+/// away from its default.
+std::vector<Request> EveryRequestShape() {
+  Rng rng(kSeed + 3);
+  std::vector<Request> out;
+  uint64_t id = 100;
+  for (Verb verb : {Verb::kPing, Verb::kStats, Verb::kReindex, Verb::kFlush,
+                    Verb::kRepair, Verb::kMetrics}) {
+    Request request;
+    request.verb = verb;
+    request.id = ++id;
+    out.push_back(request);
+  }
+  const BatchQuery range = BatchQuery::Range(
+      testing::RandomRealVec(&rng, kLength), 2.25, MakeRichSpec());
+  const BatchQuery knn =
+      BatchQuery::Knn(testing::RandomRealVec(&rng, kLength), 9, {},
+                      KnnOptions{0.25, 99, true});
+  Request query;
+  query.verb = Verb::kQuery;
+  query.id = ++id;
+  query.queries = {range};
+  out.push_back(query);
+  Request batch;
+  batch.verb = Verb::kBatch;
+  batch.id = ++id;
+  batch.queries = {range, knn};
+  out.push_back(batch);
+  Request insert;
+  insert.verb = Verb::kInsert;
+  insert.id = ++id;
+  insert.insert_names = {"alpha", "", "gamma"};
+  insert.insert_values = {testing::RandomRealVec(&rng, kLength), RealVec{},
+                          testing::RandomRealVec(&rng, kLength)};
+  out.push_back(insert);
+  Request join;
+  join.verb = Verb::kSelfJoin;
+  join.id = ++id;
+  join.epsilon = 3.5;
+  join.transform = FeatureTransform::Spectral(transforms::Reverse(kLength));
+  out.push_back(join);
+  return out;
+}
+
+/// A reply of every code and OK verb, each value away from its default.
+std::vector<Reply> EveryReplyShape() {
+  std::vector<Reply> out;
+  uint64_t id = 200;
+  Reply error;
+  error.code = ReplyCode::kError;
+  error.verb = Verb::kQuery;
+  error.id = ++id;
+  error.error = Status::InvalidArgument("query length 3 != index 64");
+  out.push_back(error);
+  Reply busy;
+  busy.code = ReplyCode::kBusy;
+  busy.verb = Verb::kBatch;
+  busy.id = ++id;
+  out.push_back(busy);
+  for (Verb verb : {Verb::kPing, Verb::kFlush, Verb::kRepair}) {
+    Reply reply;
+    reply.verb = verb;
+    reply.id = ++id;
+    out.push_back(reply);
+  }
+  Reply stats;
+  stats.verb = Verb::kStats;
+  stats.id = ++id;
+  // Every DatabaseStats field nonzero, in declaration order.
+  stats.stats = DatabaseStats{80, 64, true, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                              10, 11, 12, 13, 14, 15, 16, 17, true, 18, 19};
+  stats.server_counters = ServerCounters{11, 10, 900, 850, 40, 3, 1};
+  out.push_back(stats);
+  Reply metrics;
+  metrics.verb = Verb::kMetrics;
+  metrics.id = ++id;
+  metrics.metrics_text = "# TYPE tsq_series gauge\ntsq_series 80\n";
+  out.push_back(metrics);
+  BatchResult answered;
+  answered.matches = {{5, "SIMa", 1.25}, {9, "SIMb", 2.5}};
+  answered.stats = FullStats();
+  Reply query;
+  query.verb = Verb::kQuery;
+  query.id = ++id;
+  query.results = {answered};
+  out.push_back(query);
+  BatchResult failed;
+  failed.status = Status::InvalidArgument("query length 3 != index 64");
+  BatchResult exact;
+  exact.matches = {{2, "STK000002", 0.0}};
+  exact.stats.candidates = 4;
+  Reply batch;
+  batch.verb = Verb::kBatch;
+  batch.id = ++id;
+  batch.results = {answered, failed, exact};
+  out.push_back(batch);
+  Reply insert;
+  insert.verb = Verb::kInsert;
+  insert.id = ++id;
+  insert.insert_base = 80;
+  insert.insert_count = 3;
+  out.push_back(insert);
+  Reply join;
+  join.verb = Verb::kSelfJoin;
+  join.id = ++id;
+  join.pairs = {{1, 2, 0.5}, {2, 1, 0.5}};
+  out.push_back(join);
+  Reply reindex;
+  reindex.verb = Verb::kReindex;
+  reindex.id = ++id;
+  reindex.reindex_epoch = 5;
+  out.push_back(reindex);
+  return out;
+}
+
+/// Decodes `message`'s payload, whole and mutated: the whole payload must
+/// decode to a message that re-encodes to the same frame, every strict
+/// prefix must be Corruption, and every single-byte flip must decode to
+/// OK or an error without aborting (an OK decode must re-encode).
+template <typename Message>
+void SweepDecoder(const Message& message,
+                  void (*encode)(const Message&, serde::Buffer*),
+                  Status (*decode)(const uint8_t*, size_t, Message*)) {
+  serde::Buffer frame;
+  encode(message, &frame);
+  const serde::Buffer payload(frame.begin() + kFrameHeaderBytes, frame.end());
+  Message out;
+  Status status = decode(payload.data(), payload.size(), &out);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  serde::Buffer again;
+  encode(out, &again);
+  EXPECT_EQ(again, frame);
+  for (size_t size = 0; size < payload.size(); ++size) {
+    status = decode(payload.data(), size, &out);
+    EXPECT_TRUE(status.IsCorruption())
+        << "prefix " << size << "/" << payload.size() << ": "
+        << status.ToString();
+  }
+  serde::Buffer flipped = payload;
+  for (size_t i = 0; i < payload.size(); ++i) {
+    for (const uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xFF}}) {
+      flipped[i] = payload[i] ^ mask;
+      if (decode(flipped.data(), flipped.size(), &out).ok()) {
+        again.clear();
+        encode(out, &again);
+      }
+    }
+    flipped[i] = payload[i];
+  }
+}
+
+TEST(ProtocolTest, DecoderSweepOverEveryShape) {
+  for (const Request& request : EveryRequestShape()) {
+    SCOPED_TRACE("request verb " +
+                 std::to_string(static_cast<int>(request.verb)));
+    SweepDecoder<Request>(request, &EncodeRequest, &DecodeRequest);
+  }
+  for (const Reply& reply : EveryReplyShape()) {
+    SCOPED_TRACE("reply code " + std::to_string(static_cast<int>(reply.code)) +
+                 " verb " + std::to_string(static_cast<int>(reply.verb)));
+    SweepDecoder<Reply>(reply, &EncodeReply, &DecodeReply);
+  }
+
+  // A peer built against the previous layout frames with the old magic
+  // "TSQF"; the reader drops it at the header, before any decode.
+  serde::Buffer frame;
+  EncodeRequest(EveryRequestShape()[0], &frame);
+  serde::Buffer old_magic;
+  serde::PutU32(&old_magic, 0x46515354);
+  std::copy(old_magic.begin(), old_magic.end(), frame.begin());
+  FrameReader reader;
+  size_t decoded = 0;
+  const Status status =
+      reader.Feed(frame.data(), frame.size(), [&decoded](const uint8_t*,
+                                                         size_t) {
+        ++decoded;
+        return Status::OK();
+      });
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_EQ(decoded, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -787,17 +981,13 @@ TEST_F(ServerTest, RemoteErrorsMatchInProcess) {
   EXPECT_EQ(remote.status().code(), (*local)[0].status.code());
   EXPECT_EQ(remote.status().message(), (*local)[0].status.message());
 
-  // Subsequence queries: the Database serves none (no ST-index), and the
-  // remote answer must be the same refusal the in-process batch gives.
-  auto remote_sub = client->Subsequence(RealVec(8, 0.0), 1.0);
-  auto local_sub = db_->RunBatch(
-      {BatchQuery{BatchQueryKind::kSubsequence, RealVec(8, 0.0), 1.0, 0, {},
-                  {}}},
-      1);
-  ASSERT_TRUE(local_sub.ok());
-  ASSERT_FALSE(remote_sub.ok());
-  EXPECT_EQ(remote_sub.status().code(), (*local_sub)[0].status.code());
-  EXPECT_EQ(remote_sub.status().message(), (*local_sub)[0].status.message());
+  // The same through the kNN path, whose check is its own.
+  auto remote_knn = client->Knn(short_query, 1);
+  auto local_knn = db_->RunBatch({BatchQuery::Knn(short_query, 1)}, 1);
+  ASSERT_TRUE(local_knn.ok());
+  ASSERT_FALSE(remote_knn.ok());
+  EXPECT_EQ(remote_knn.status().code(), (*local_knn)[0].status.code());
+  EXPECT_EQ(remote_knn.status().message(), (*local_knn)[0].status.message());
 }
 
 TEST_F(ServerTest, RemoteSelfJoinMatchesInProcess) {
@@ -1013,13 +1203,15 @@ TEST_F(ServerTest, RemoteReindexFoldsDeltaAndKeepsAnswers) {
   }
   auto ids = client->InsertBatch(names, values);
   ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+
+  // Answers to compare across the merge; the query also walks the main
+  // tree, so its pool and traversal counters are nonzero before it.
+  auto pre = client->Range(values[2], 1e-9);
+  ASSERT_TRUE(pre.ok());
   auto before = client->Stats();
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before->delta_entries, names.size());
-
-  // Answers to compare across the merge.
-  auto pre = client->Range(values[2], 1e-9);
-  ASSERT_TRUE(pre.ok());
+  EXPECT_GT(before->nodes_visited, 0u);
 
   auto epoch = client->Reindex();
   ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
@@ -1031,6 +1223,30 @@ TEST_F(ServerTest, RemoteReindexFoldsDeltaAndKeepsAnswers) {
   EXPECT_EQ(after->tree_entries, kNumSeries + names.size());
   EXPECT_EQ(after->index_epoch, *epoch);
   EXPECT_GT(after->merges_completed, before->merges_completed);
+
+  // Every counter is cumulative: none goes backwards when the merge
+  // retires the main tree that held the pool and traversal counters.
+  const auto counters = [](const DatabaseStats& s) {
+    return std::map<std::string, uint64_t>{
+        {"relation_records_read", s.relation_records_read},
+        {"relation_bytes_read", s.relation_bytes_read},
+        {"relation_bytes_written", s.relation_bytes_written},
+        {"pool_hits", s.pool_hits},
+        {"pool_misses", s.pool_misses},
+        {"pool_evictions", s.pool_evictions},
+        {"pool_disk_reads", s.pool_disk_reads},
+        {"pool_disk_writes", s.pool_disk_writes},
+        {"nodes_visited", s.nodes_visited},
+        {"rect_transforms", s.rect_transforms},
+        {"leaf_entries_tested", s.leaf_entries_tested},
+        {"merges_completed", s.merges_completed},
+        {"write_faults", s.write_faults},
+        {"repairs_completed", s.repairs_completed},
+    };
+  };
+  for (const auto& [name, value] : counters(*before)) {
+    EXPECT_GE(counters(*after)[name], value) << name;
+  }
 
   auto post = client->Range(values[2], 1e-9);
   ASSERT_TRUE(post.ok());
@@ -1460,16 +1676,14 @@ TEST_F(ServerTest, LoopbackEqualityAtEveryPollerCount) {
     EXPECT_EQ(db_->StatsSnapshot().index_epoch, *epoch) << what;
 
     // Error statuses relay verbatim at every poller count too.
-    auto remote_sub = client->Subsequence(RealVec(8, 0.0), 1.0);
-    auto local_sub = db_->RunBatch(
-        {BatchQuery{BatchQueryKind::kSubsequence, RealVec(8, 0.0), 1.0, 0,
-                    {}, {}}},
-        1);
-    ASSERT_TRUE(local_sub.ok()) << what;
-    ASSERT_FALSE(remote_sub.ok()) << what;
-    EXPECT_EQ(remote_sub.status().code(), (*local_sub)[0].status.code())
+    const RealVec short_query(8, 0.0);
+    auto remote_bad = client->Knn(short_query, 1);
+    auto local_bad = db_->RunBatch({BatchQuery::Knn(short_query, 1)}, 1);
+    ASSERT_TRUE(local_bad.ok()) << what;
+    ASSERT_FALSE(remote_bad.ok()) << what;
+    EXPECT_EQ(remote_bad.status().code(), (*local_bad)[0].status.code())
         << what;
-    EXPECT_EQ(remote_sub.status().message(), (*local_sub)[0].status.message())
+    EXPECT_EQ(remote_bad.status().message(), (*local_bad)[0].status.message())
         << what;
   }
 }

@@ -352,20 +352,6 @@ TEST(PageFileTest, OpenMissingFileIsIOError) {
   EXPECT_TRUE(PageFile::Open("/nonexistent/dir/pages").status().IsIOError());
 }
 
-TEST(PageFileTest, CountsReadsAndWrites) {
-  TempDir dir;
-  auto pf = PageFile::Create(dir.file("pages"));
-  ASSERT_TRUE(pf.ok());
-  PageId id = (*pf)->Allocate().value();
-  (*pf)->ResetStats();
-  Page page(kDefaultPageSize);
-  ASSERT_TRUE((*pf)->Write(id, page).ok());
-  ASSERT_TRUE((*pf)->Read(id, &page).ok());
-  ASSERT_TRUE((*pf)->Read(id, &page).ok());
-  EXPECT_EQ((*pf)->stats().page_writes, 1u);
-  EXPECT_EQ((*pf)->stats().page_reads, 2u);
-}
-
 // ---------------------------------------------------------------------------
 // BufferPool
 // ---------------------------------------------------------------------------

@@ -16,11 +16,13 @@ Four classes of failure:
    into Database::RunBatch and Database::SelfJoin (the single-query
    methods, their shared last-query stats and the sequential tree-match
    join), the per-thread-count engines and pools the one database pool
-   replaced, the buffer-pool shards and the Guttman node splits must not
-   be named in the README, docs/ or src/ headers.
+   replaced, the buffer-pool shards, the Guttman node splits, the wire
+   protocol's extension flags with the subsequence query kind, and the
+   page file's own I/O counters must not be named in the README, docs/
+   or src/ headers.
 
 3. Required sections: load-bearing doc sections that later PRs link to
-   (the kernel determinism contract, the wire-protocol extension rule,
+   (the kernel determinism contract, the wire-protocol versioning rule,
    the benchmark tables) must keep existing under their exact heading —
    renaming one silently breaks the cross-references and the contract
    of record.
@@ -59,8 +61,9 @@ STALE_PATTERNS = [
 ]
 
 # Names of the removed query API, of the per-thread-count engines and
-# pools, of the buffer-pool shards and of the Guttman split variants (see
-# check 2). Checked against
+# pools, of the buffer-pool shards, of the Guttman split variants, of the
+# wire protocol's extension flags and subsequence kind, and of the page
+# file's counters (see check 2). Checked against
 # README.md, docs/*.md and every header under src/. Case-sensitive, and
 # anchored so SeqScanRangeQuery / IndexRangeQuery / Client::Knn pass.
 STALE_API_PATTERNS = [
@@ -79,6 +82,18 @@ STALE_API_PATTERNS = [
     r"SplitAlgorithm",
     r"SplitEntries",
     r"Guttman(Linear|Quadratic)Split",
+    r"want_server_counters",
+    r"has_server_counters",
+    r"kSubsequence",
+    r"subsequence_matches",
+    r"BatchQuery::Subsequence",
+    r"Client::Subsequence",
+    r"kKnnOptionsFlag",
+    r"kApproxStatsFlag",
+    r"kStatsCountersFlag",
+    r"kStageStatsFlag",
+    r"kServerCountersFlag",
+    r"PageFileStats",
 ]
 
 SKIP_DIRS = {".git", "build", "build-tsan", "third_party", ".github",
@@ -99,7 +114,6 @@ REQUIRED_SECTIONS = {
     ],
     "docs/WIRE_PROTOCOL.md": [
         "Versioning",
-        "Optional-extension flag bits",
         "Metrics exposition",
     ],
     "README.md": [
