@@ -26,13 +26,18 @@
 namespace tsq {
 namespace {
 
-bench::Json PoolCountersJson(const BufferPoolStats& stats) {
+/// The buffer-pool counters the database gained from `before` to `after`.
+bench::Json PoolCountersJson(const DatabaseStats& after,
+                             const DatabaseStats& before) {
   bench::Json j = bench::Json::Object();
-  j["hits"] = bench::Json::Int(stats.hits.load());
-  j["misses"] = bench::Json::Int(stats.misses.load());
-  j["evictions"] = bench::Json::Int(stats.evictions.load());
-  j["disk_reads"] = bench::Json::Int(stats.disk_reads.load());
-  j["disk_writes"] = bench::Json::Int(stats.disk_writes.load());
+  j["hits"] = bench::Json::Int(after.pool_hits - before.pool_hits);
+  j["misses"] = bench::Json::Int(after.pool_misses - before.pool_misses);
+  j["evictions"] =
+      bench::Json::Int(after.pool_evictions - before.pool_evictions);
+  j["disk_reads"] =
+      bench::Json::Int(after.pool_disk_reads - before.pool_disk_reads);
+  j["disk_writes"] =
+      bench::Json::Int(after.pool_disk_writes - before.pool_disk_writes);
   return j;
 }
 
@@ -93,10 +98,12 @@ void Run() {
     // The untimed first run warms the buffer pool; every run checks its
     // answers, and the last one's counters go to the JSON.
     engine::BatchStats stats;
+    DatabaseStats before, after;
     const bench::CellTiming timing = bench::RepeatCell([&] {
-      db->index()->pool()->ResetStats();
+      before = db->StatsSnapshot();
       stats = engine::BatchStats();
       const auto results = db->RunBatch(batch, threads, &stats).value();
+      after = db->StatsSnapshot();
       for (const auto& r : results) {
         TSQ_CHECK_MSG(r.status.ok(), "batch query failed: %s",
                       r.status.ToString().c_str());
@@ -118,7 +125,7 @@ void Run() {
                                               timing.median_ms);
     row["answers"] = bench::Json::Int(stats.aggregate.answers);
     row["candidates"] = bench::Json::Int(stats.aggregate.candidates);
-    row["pool"] = PoolCountersJson(db->index()->pool()->stats());
+    row["pool"] = PoolCountersJson(after, before);
     thread_sweep.Append(std::move(row));
   }
   table.Print();

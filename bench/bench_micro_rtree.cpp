@@ -15,6 +15,7 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "micro_main.h"
+#include "obs/trace.h"
 #include "rtree/rstar_tree.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
@@ -201,15 +202,14 @@ template <typename Descend>
 void RunDescents(benchmark::State& state, const Descend& descend) {
   const PaperTree& paper = GetPaperTree();
   for (const spatial::Point& q : paper.queries) descend(q);
-  const uint64_t nodes_before =
-      rtree::ThisThreadTraversalCounters().nodes_visited;
+  const uint64_t nodes_before = obs::ThisThreadIndexCounters().nodes_visited;
   size_t next = 0;
   for (auto _ : state) {
     descend(paper.queries[next]);
     next = (next + 1) % paper.queries.size();
   }
   const double nodes = static_cast<double>(
-      rtree::ThisThreadTraversalCounters().nodes_visited - nodes_before);
+      obs::ThisThreadIndexCounters().nodes_visited - nodes_before);
   state.counters["nodes_per_query"] =
       benchmark::Counter(nodes, benchmark::Counter::kAvgIterations);
   state.counters["time_per_node"] = benchmark::Counter(

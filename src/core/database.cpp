@@ -67,23 +67,6 @@ const char* QueryOpName(engine::BatchQueryKind kind) {
   return "query";
 }
 
-/// Adds `index`'s buffer-pool and traversal counters into `out`.
-void AddIndexCounters(const KIndex& index, DatabaseStats* out) {
-  const BufferPoolStats pool = index.pool()->stats();
-  out->pool_hits += pool.hits.load(std::memory_order_relaxed);
-  out->pool_misses += pool.misses.load(std::memory_order_relaxed);
-  out->pool_evictions += pool.evictions.load(std::memory_order_relaxed);
-  out->pool_disk_reads += pool.disk_reads.load(std::memory_order_relaxed);
-  out->pool_disk_writes += pool.disk_writes.load(std::memory_order_relaxed);
-  const rtree::TraversalStats& traversal = index.tree()->stats();
-  out->nodes_visited +=
-      traversal.nodes_visited.load(std::memory_order_relaxed);
-  out->rect_transforms +=
-      traversal.rect_transforms.load(std::memory_order_relaxed);
-  out->leaf_entries_tested +=
-      traversal.leaf_entries_tested.load(std::memory_order_relaxed);
-}
-
 /// The slow-query log's op= for a self-join: the method, named as
 /// `tsq_cli join --method` names it.
 const char* JoinOpName(JoinMethod method) {
@@ -246,7 +229,10 @@ Result<std::unique_ptr<Database>> Database::Open(
     kopts.buffer_pool_frames = options.buffer_pool_frames;
     kopts.rtree = options.rtree;
     std::unique_ptr<KIndex> opened;
-    TSQ_ASSIGN_OR_RETURN(opened, KIndex::Open(kopts, db->series_length()));
+    {
+      const obs::IndexCounterScope count(&db->index_counters_);
+      TSQ_ASSIGN_OR_RETURN(opened, KIndex::Open(kopts, db->series_length()));
+    }
     const uint64_t indexed = opened->size();
     const uint64_t total = db->relation_->size();
     if (indexed > total) {
@@ -292,6 +278,7 @@ Status Database::Flush() {
   // merge_mutex_ keeps the flush from racing a merge's rename of the
   // index file; the main tree itself is immutable once published.
   std::lock_guard<std::mutex> lock(merge_mutex_);
+  const obs::IndexCounterScope count(&index_counters_);
   if (auto snap = CurrentSnapshot(); snap != nullptr) {
     if (Status index_status = snap->main->Flush(); !index_status.ok()) {
       return EnterReadOnly(std::move(index_status));
@@ -301,17 +288,16 @@ Status Database::Flush() {
 }
 
 DatabaseStats Database::StatsSnapshot() const {
-  // The snapshot and the counters of the trees merges retired are read
-  // under one lock, so a merge in between cannot count a tree twice or
-  // drop it. Counters within are individually atomic (monitoring does not
-  // need mutual consistency).
   DatabaseStats out;
-  std::shared_ptr<const IndexSnapshot> snap;
-  {
-    std::shared_lock<std::shared_mutex> lock(snapshot_ptr_mutex_);
-    out = retired_index_counters_;
-    snap = snapshot_;
-  }
+  const obs::IndexCounters index = index_counters_.Load();
+  out.pool_hits = index.hits;
+  out.pool_misses = index.misses;
+  out.pool_evictions = index.evictions;
+  out.pool_disk_reads = index.disk_reads;
+  out.pool_disk_writes = index.disk_writes;
+  out.nodes_visited = index.nodes_visited;
+  out.rect_transforms = index.rect_transforms;
+  out.leaf_entries_tested = index.leaf_entries_tested;
   out.series = relation_->size();
   out.series_length = series_length_.load(std::memory_order_relaxed);
   const RelationStats& rel = relation_->stats();
@@ -323,17 +309,17 @@ DatabaseStats Database::StatsSnapshot() const {
   out.degraded = degraded_.load(std::memory_order_acquire);
   out.write_faults = write_faults_.load(std::memory_order_relaxed);
   out.repairs_completed = repairs_completed_.load(std::memory_order_relaxed);
+  const auto snap = CurrentSnapshot();
   if (snap == nullptr) return out;
-  const KIndex* index = snap->main.get();
+  const rtree::RStarTree& tree = *snap->main->tree();
   out.index_built = true;
   out.index_epoch = snap->epoch;
   out.delta_entries =
-      snap->delta->base() + snap->delta->visible() - index->size();
+      snap->delta->base() + snap->delta->visible() - tree.size();
   out.merges_completed = merges_completed_.load(std::memory_order_relaxed);
-  AddIndexCounters(*index, &out);
-  out.tree_entries = index->tree()->size();
-  out.tree_height = index->tree()->height();
-  out.tree_dims = index->tree()->dims();
+  out.tree_entries = tree.size();
+  out.tree_height = tree.height();
+  out.tree_dims = tree.dims();
   return out;
 }
 
@@ -566,6 +552,7 @@ Result<std::shared_ptr<KIndex>> Database::BuildIndexFile(
 
 Status Database::BuildIndex() {
   std::lock_guard<std::mutex> merge_lock(merge_mutex_);
+  const obs::IndexCounterScope count(&index_counters_);
   TSQ_RETURN_IF_ERROR(CheckWritable());
   const uint64_t total = relation_->size();
   if (total == 0) {
@@ -591,6 +578,7 @@ Status Database::BuildIndex() {
 
 Result<uint64_t> Database::Reindex() {
   std::lock_guard<std::mutex> merge_lock(merge_mutex_);
+  const obs::IndexCounterScope count(&index_counters_);
   TSQ_RETURN_IF_ERROR(CheckWritable());
   auto snap = CurrentSnapshot();
   if (snap == nullptr) {
@@ -673,7 +661,6 @@ Result<uint64_t> Database::Reindex() {
     epoch = next->epoch;
     {
       std::unique_lock<std::shared_mutex> lock(snapshot_ptr_mutex_);
-      AddIndexCounters(*current->main, &retired_index_counters_);
       snapshot_ = std::move(next);
     }
   }
@@ -683,6 +670,7 @@ Result<uint64_t> Database::Reindex() {
 
 Status Database::Repair() {
   std::lock_guard<std::mutex> merge_lock(merge_mutex_);
+  const obs::IndexCounterScope count(&index_counters_);
   if (!degraded() && !relation_->poisoned()) return Status::OK();
   // 1. Repair the relation in place: re-walk the segment files, rewind
   // to the largest dense record prefix, lift the append poison. Fails
@@ -739,8 +727,9 @@ Result<std::vector<engine::BatchResult>> Database::RunBatch(
   if (snap == nullptr) {
     return Status::FailedPrecondition("RunBatch requires BuildIndex()");
   }
-  std::vector<engine::BatchResult> results = engine::RunBatch(
-      IndexView(*snap), *relation_, queries, &pool_, threads, batch_stats);
+  std::vector<engine::BatchResult> results =
+      engine::RunBatch(IndexView(*snap), *relation_, queries, &pool_, threads,
+                       &index_counters_, batch_stats);
   for (size_t i = 0; i < results.size(); ++i) {
     if (results[i].status.ok()) {
       MaybeLogSlowQuery(QueryOpName(queries[i].kind), results[i].stats);
@@ -770,18 +759,19 @@ Result<std::vector<JoinPair>> Database::SelfJoin(
           &local));
       break;
     case JoinMethod::kIndexPlain:
-      TSQ_RETURN_IF_ERROR(IndexSelfJoin(IndexView(*snap), *relation_, epsilon,
-                                        /*transform=*/std::nullopt, &out,
-                                        &local));
+    case JoinMethod::kIndexTransformed: {
+      const obs::IndexCounterScope count(&index_counters_);
+      TSQ_RETURN_IF_ERROR(IndexSelfJoin(
+          IndexView(*snap), *relation_, epsilon,
+          method == JoinMethod::kIndexTransformed ? transform : std::nullopt,
+          &out, &local));
       break;
-    case JoinMethod::kIndexTransformed:
-      TSQ_RETURN_IF_ERROR(IndexSelfJoin(IndexView(*snap), *relation_, epsilon,
-                                        transform, &out, &local));
-      break;
+    }
     case JoinMethod::kTreeMatch: {
       TSQ_ASSIGN_OR_RETURN(
           out, engine::SelfJoin(IndexView(*snap), *relation_, epsilon,
-                                transform, &pool_, threads, &local));
+                                transform, &pool_, threads, &index_counters_,
+                                &local));
       break;
     }
     default:

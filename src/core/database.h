@@ -43,6 +43,7 @@
 #include "core/seq_scan.h"
 #include "engine/query_engine.h"
 #include "engine/thread_pool.h"
+#include "obs/trace.h"
 #include "storage/relation.h"
 
 namespace tsq {
@@ -115,16 +116,18 @@ struct DatabaseOptions {
   uint64_t slow_query_ms = 0;
 };
 
-/// One coherent snapshot of every component's counters: relation scan/IO,
-/// buffer-pool cache behaviour, R*-tree traversal work and tree geometry,
-/// flattened into a plain struct. Before this existed, observers had to
-/// poke relation()->stats(), index()->pool()->stats() and
-/// index()->tree()->stats() separately; StatsSnapshot() is the one-call
-/// aggregation the tsqd STATS verb serializes. Counters are cumulative
-/// since Create/Open: each Reindex folds the pool and traversal counters
-/// of the main tree it retires into totals the database keeps, so no
-/// counter goes backwards at a merge (a ResetStats on a component resets
-/// only that component's share).
+/// One snapshot of the database's counters: relation scan/IO, buffer-pool
+/// cache behaviour, R*-tree traversal work and tree geometry, flattened
+/// into a plain struct — what the tsqd STATS verb serializes. Counters
+/// are cumulative since Create/Open. The pool and traversal counters are
+/// the database's own totals: every Database call that touches the index
+/// (Open, BuildIndex, each RunBatch query, SelfJoin's index methods,
+/// Reindex, Flush, Repair) adds the index events it caused, counted once
+/// per event in thread-local counters (obs/trace.h). No counter lives on
+/// a tree, so none goes backwards when a merge retires one. Work done
+/// directly on index() or CurrentSnapshot() bypasses the database and is
+/// not counted here (a relation()->ResetStats() does reset the relation
+/// counters).
 struct DatabaseStats {
   uint64_t series = 0;         ///< stored series (dense prefix)
   uint64_t series_length = 0;  ///< common length (0 before first insert)
@@ -133,14 +136,13 @@ struct DatabaseStats {
   uint64_t relation_records_read = 0;
   uint64_t relation_bytes_read = 0;
   uint64_t relation_bytes_written = 0;
-  // Index buffer-pool counters (BufferPoolStats); zero without an index.
+  // Index buffer-pool counters; zero before the index is opened or built.
   uint64_t pool_hits = 0;
   uint64_t pool_misses = 0;
   uint64_t pool_evictions = 0;
   uint64_t pool_disk_reads = 0;
   uint64_t pool_disk_writes = 0;
-  // R*-tree traversal counters (rtree::TraversalStats); zero without an
-  // index.
+  // R*-tree traversal counters; zero before the index is opened or built.
   uint64_t nodes_visited = 0;
   uint64_t rect_transforms = 0;
   uint64_t leaf_entries_tested = 0;
@@ -365,11 +367,12 @@ class Database {
   /// database is healthy.
   Status Repair();
 
-  /// Aggregates the relation, buffer-pool and traversal counters (plus
-  /// tree geometry) into one DatabaseStats. Safe from any thread,
-  /// concurrently with queries and inserts; each counter is an atomic
-  /// snapshot (the set is not mutually consistent under concurrent load,
-  /// which monitoring does not need).
+  /// Reads the relation, buffer-pool and traversal counters (plus tree
+  /// geometry) into one DatabaseStats; the counters are relaxed atomics,
+  /// read without a lock. Safe from any thread, concurrently with queries
+  /// and inserts; each counter is an atomic snapshot (the set is not
+  /// mutually consistent under concurrent load, which monitoring does not
+  /// need).
   DatabaseStats StatsSnapshot() const;
 
   /// Underlying components, exposed for benchmarks and white-box tests.
@@ -451,9 +454,8 @@ class Database {
   // The epoch pointer: queries copy it once (a shared_ptr refcount
   // bump under the shared side of the pointer lock) and pin the
   // snapshot; BuildIndex/Reindex publish successors under the exclusive
-  // side, held for a pointer assignment (plus Reindex's fold of the
-  // retiring tree's counters) only — never during merge I/O or tree
-  // builds. The snapshot itself is never mutated in place.
+  // side, held for a pointer assignment only — never during merge I/O or
+  // tree builds. The snapshot itself is never mutated in place.
   mutable std::shared_mutex snapshot_ptr_mutex_;
   std::shared_ptr<const IndexSnapshot> snapshot_;
   std::atomic<size_t> series_length_{0};
@@ -466,11 +468,10 @@ class Database {
   // merge_mutex_ before delta_put_mutex_.
   std::mutex merge_mutex_;
   std::atomic<uint64_t> merges_completed_{0};
-  // The pool and traversal counters of every main tree a Reindex retired
-  // (only those fields are set). Guarded by snapshot_ptr_mutex_: the
-  // merge adds the retiring tree's counters in the critical section that
-  // publishes its successor, and StatsSnapshot reads both under one lock.
-  DatabaseStats retired_index_counters_;
+  // Pool and traversal totals over every index this database served:
+  // each call that touches the index adds its thread's counter delta
+  // (see DatabaseStats).
+  obs::IndexCounterTotals index_counters_;
   std::function<void()> merge_hook_;  // test-only, see setter
   // Background merge thread (started when merge_interval_ms > 0).
   std::thread merge_thread_;

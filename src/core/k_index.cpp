@@ -101,9 +101,4 @@ Status KIndex::Flush() {
   return pool_->FlushAll();
 }
 
-void KIndex::ResetStats() const {
-  tree_->ResetStats();
-  pool_->ResetStats();
-}
-
 }  // namespace tsq

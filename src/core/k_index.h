@@ -90,14 +90,12 @@ class KIndex {
   size_t series_length() const { return series_length_; }
   uint64_t size() const { return tree_->size(); }
 
-  /// The underlying tree / pool, exposed for stats and white-box tests.
+  /// The underlying tree / pool, exposed for benchmarks and white-box
+  /// tests.
   rtree::RStarTree* tree() { return tree_.get(); }
   const rtree::RStarTree* tree() const { return tree_.get(); }
   BufferPool* pool() { return pool_.get(); }
   const BufferPool* pool() const { return pool_.get(); }
-
-  /// Clears traversal and buffer-pool counters (per-query measurement).
-  void ResetStats() const;
 
   /// Persists the tree meta page and writes back every dirty page.
   Status Flush();

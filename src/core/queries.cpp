@@ -41,34 +41,29 @@ StageStatsCapture::~StageStatsCapture() {
 
 namespace {
 
-/// Captures this thread's tree/pool counter deltas around a query (the v2
-/// exact-stats contract: traversals mirror their shared atomic counters
-/// into thread-local ones, and a query runs entirely on one thread, so
-/// the delta can never include a concurrent query's work). Stage-timer
-/// deltas ride the same contract through the embedded StageStatsCapture.
+/// Captures this thread's index-counter deltas around a query (the tree
+/// and pool count each event in the counters of the thread that caused
+/// it, and a query runs entirely on one thread, so the delta can never
+/// include a concurrent query's work). Stage-timer deltas ride the same
+/// contract through the embedded StageStatsCapture.
 class StatsScope {
  public:
   explicit StatsScope(QueryStats* stats)
       : stats_(stats),
-        tree_before_(rtree::ThisThreadTraversalCounters()),
-        pool_before_(ThisThreadPoolCounters()),
+        before_(obs::ThisThreadIndexCounters()),
         stages_(stats) {}
   ~StatsScope() {
     if (stats_ == nullptr) return;
-    const rtree::ThreadTraversalCounters& t =
-        rtree::ThisThreadTraversalCounters();
-    const ThreadPoolCounters& p = ThisThreadPoolCounters();
-    stats_->nodes_visited += t.nodes_visited - tree_before_.nodes_visited;
-    stats_->rect_transforms +=
-        t.rect_transforms - tree_before_.rect_transforms;
-    stats_->disk_reads += p.disk_reads - pool_before_.disk_reads;
+    const obs::IndexCounters d = obs::ThisThreadIndexCounters() - before_;
+    stats_->nodes_visited += d.nodes_visited;
+    stats_->rect_transforms += d.rect_transforms;
+    stats_->disk_reads += d.disk_reads;
     stats_->elapsed_ms += watch_.ElapsedMillis();
   }
 
  private:
   QueryStats* stats_;
-  rtree::ThreadTraversalCounters tree_before_;
-  ThreadPoolCounters pool_before_;
+  obs::IndexCounters before_;
   StageStatsCapture stages_;
   Stopwatch watch_;
 };

@@ -3,9 +3,7 @@
 #include "engine/query_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -15,46 +13,6 @@ namespace tsq {
 namespace engine {
 
 namespace {
-
-/// Accumulates traversal/IO work tallied from many driver threads. Each
-/// driver measures its own thread-local counter deltas (exact by the v2
-/// contract) and adds them here.
-struct TraversalTally {
-  std::atomic<uint64_t> nodes_visited{0};
-  std::atomic<uint64_t> rect_transforms{0};
-  std::atomic<uint64_t> disk_reads{0};
-};
-
-/// Runs `fn`, adds the thread-local tree/pool counter deltas it caused on
-/// this thread into `tally`, and forwards fn's return value (if any).
-template <typename Fn>
-auto RunTallied(TraversalTally* tally, Fn&& fn) {
-  const rtree::ThreadTraversalCounters tree_before =
-      rtree::ThisThreadTraversalCounters();
-  const ThreadPoolCounters pool_before = ThisThreadPoolCounters();
-  const auto record = [&] {
-    const rtree::ThreadTraversalCounters& tree_after =
-        rtree::ThisThreadTraversalCounters();
-    const ThreadPoolCounters& pool_after = ThisThreadPoolCounters();
-    tally->nodes_visited.fetch_add(
-        tree_after.nodes_visited - tree_before.nodes_visited,
-        std::memory_order_relaxed);
-    tally->rect_transforms.fetch_add(
-        tree_after.rect_transforms - tree_before.rect_transforms,
-        std::memory_order_relaxed);
-    tally->disk_reads.fetch_add(
-        pool_after.disk_reads - pool_before.disk_reads,
-        std::memory_order_relaxed);
-  };
-  if constexpr (std::is_void_v<std::invoke_result_t<Fn>>) {
-    fn();
-    record();
-  } else {
-    auto result = fn();
-    record();
-    return result;
-  }
-}
 
 void RunOne(const BatchQuery& query, const IndexView& view,
             const Relation& relation, BatchResult* result) {
@@ -90,6 +48,7 @@ std::vector<BatchResult> RunBatch(const IndexView& view,
                                   const Relation& relation,
                                   const std::vector<BatchQuery>& queries,
                                   ThreadPool* pool, size_t threads,
+                                  obs::IndexCounterTotals* counters,
                                   BatchStats* batch_stats) {
   std::vector<BatchResult> results(queries.size());
   Stopwatch wall;
@@ -98,7 +57,10 @@ std::vector<BatchResult> RunBatch(const IndexView& view,
   // slot, so the output is identical for any thread count.
   pool->ParallelFor(
       queries.size(),
-      [&](size_t i) { RunOne(queries[i], view, relation, &results[i]); },
+      [&](size_t i) {
+        const obs::IndexCounterScope count(counters);
+        RunOne(queries[i], view, relation, &results[i]);
+      },
       threads);
 
   if (batch_stats != nullptr) {
@@ -117,13 +79,15 @@ std::vector<BatchResult> RunBatch(const IndexView& view,
 Result<std::vector<JoinPair>> SelfJoin(
     const IndexView& view, const Relation& relation, double epsilon,
     const std::optional<FeatureTransform>& transform, ThreadPool* pool,
-    size_t threads, QueryStats* stats) {
+    size_t threads, obs::IndexCounterTotals* counters, QueryStats* stats) {
   const KIndex& kindex = view.main();
   if (!(epsilon >= 0.0)) {
     return Status::InvalidArgument("negative or NaN join threshold");
   }
   Stopwatch watch;
-  TraversalTally tally;
+  // This join's own index work, summed over its drivers for `stats`;
+  // every unit of it is added to `counters` as well.
+  obs::IndexCounterTotals tally;
 
   std::optional<spatial::AffineMap> map;
   if (transform.has_value()) {
@@ -139,24 +103,24 @@ Result<std::vector<JoinPair>> SelfJoin(
   // into its own buffer; concatenating the buffers in seed order yields
   // exactly the sequential JoinWith candidate sequence, so the join stays
   // bit-identical at every thread count.
-  TSQ_ASSIGN_OR_RETURN(
-      const std::vector<rtree::RStarTree::JoinSeed> seeds,
-      RunTallied(&tally, [&] {
-        return tree.JoinSeeds(tree, map_ptr, map_ptr, may_join);
-      }));
+  std::vector<rtree::RStarTree::JoinSeed> seeds;
+  {
+    const obs::IndexCounterScope to_join(&tally), to_db(counters);
+    TSQ_ASSIGN_OR_RETURN(seeds,
+                         tree.JoinSeeds(tree, map_ptr, map_ptr, may_join));
+  }
 
   std::vector<std::vector<std::pair<SeriesId, SeriesId>>> seed_out(
       seeds.size());
   std::vector<Status> seed_status(seeds.size());
   const auto descend = [&](size_t i) {
-    RunTallied(&tally, [&] {
-      seed_status[i] = tree.JoinFrom(
-          seeds[i], tree, map_ptr, map_ptr, may_join,
-          [&out = seed_out[i]](uint64_t a, uint64_t b) {
-            if (a != b) out.emplace_back(a, b);
-            return true;
-          });
-    });
+    const obs::IndexCounterScope to_join(&tally), to_db(counters);
+    seed_status[i] = tree.JoinFrom(
+        seeds[i], tree, map_ptr, map_ptr, may_join,
+        [&out = seed_out[i]](uint64_t a, uint64_t b) {
+          if (a != b) out.emplace_back(a, b);
+          return true;
+        });
   };
   pool->ParallelFor(seeds.size(), descend, threads);
   size_t num_candidates = 0;
@@ -188,33 +152,32 @@ Result<std::vector<JoinPair>> SelfJoin(
         num_slots);
     std::vector<Status> slot_status(num_slots);
     const auto probe_slot = [&](size_t i) {
-      RunTallied(&tally, [&] {
-        const uint64_t slot = begin_slot + i;
-        const SeriesId qid = delta.base() + slot;
-        Result<SeriesRecord> qrec = relation.Get(qid);
-        if (!qrec.ok()) {
-          slot_status[i] = qrec.status();
-          return;
-        }
-        ComplexVec target = transform.has_value()
-                                ? transform->spectral.Apply(qrec->dft)
-                                : std::move(qrec->dft);
-        const RangeFilter filter = BuildRangeFilter(
-            kindex.extractor(), kindex.extractor().StoredCoefficients(target),
-            epsilon, kindex.series_length(), mirror_error, std::nullopt);
-        std::vector<SeriesId> partners;
-        slot_status[i] = kindex.RangeCandidates(filter, map_ptr, &partners);
-        if (!slot_status[i].ok()) return;
-        for (const SeriesId partner : partners) {
-          slot_out[i].emplace_back(qid, partner);
-          slot_out[i].emplace_back(partner, qid);
-        }
-        partners.clear();
-        AppendDeltaRangeCandidates(view, map_ptr, filter, &partners);
-        for (const SeriesId partner : partners) {
-          if (partner != qid) slot_out[i].emplace_back(qid, partner);
-        }
-      });
+      const obs::IndexCounterScope to_join(&tally), to_db(counters);
+      const uint64_t slot = begin_slot + i;
+      const SeriesId qid = delta.base() + slot;
+      Result<SeriesRecord> qrec = relation.Get(qid);
+      if (!qrec.ok()) {
+        slot_status[i] = qrec.status();
+        return;
+      }
+      ComplexVec target = transform.has_value()
+                              ? transform->spectral.Apply(qrec->dft)
+                              : std::move(qrec->dft);
+      const RangeFilter filter = BuildRangeFilter(
+          kindex.extractor(), kindex.extractor().StoredCoefficients(target),
+          epsilon, kindex.series_length(), mirror_error, std::nullopt);
+      std::vector<SeriesId> partners;
+      slot_status[i] = kindex.RangeCandidates(filter, map_ptr, &partners);
+      if (!slot_status[i].ok()) return;
+      for (const SeriesId partner : partners) {
+        slot_out[i].emplace_back(qid, partner);
+        slot_out[i].emplace_back(partner, qid);
+      }
+      partners.clear();
+      AppendDeltaRangeCandidates(view, map_ptr, filter, &partners);
+      for (const SeriesId partner : partners) {
+        if (partner != qid) slot_out[i].emplace_back(qid, partner);
+      }
     };
     pool->ParallelFor(num_slots, probe_slot, threads);
     for (uint64_t i = 0; i < num_slots; ++i) {
@@ -300,10 +263,10 @@ Result<std::vector<JoinPair>> SelfJoin(
     stats->candidates += candidates.size();
     stats->verified += unique_ids.size();
     stats->answers += out.size();
-    stats->nodes_visited += tally.nodes_visited.load(std::memory_order_relaxed);
-    stats->rect_transforms +=
-        tally.rect_transforms.load(std::memory_order_relaxed);
-    stats->disk_reads += tally.disk_reads.load(std::memory_order_relaxed);
+    const obs::IndexCounters work = tally.Load();
+    stats->nodes_visited += work.nodes_visited;
+    stats->rect_transforms += work.rect_transforms;
+    stats->disk_reads += work.disk_reads;
     stats->elapsed_ms += watch.ElapsedMillis();
   }
   return out;

@@ -26,16 +26,18 @@
 // Stats (exact, lock-free included). Every per-query counter —
 // including the traversal fields nodes_visited, rect_transforms and
 // disk_reads — is exact under any concurrency: a query runs entirely on
-// one thread, and the tree and buffer pool mirror their shared atomic
-// counters into thread-local ones (rtree::ThisThreadTraversalCounters,
-// ThisThreadPoolCounters), so a query's before/after delta on its own
-// thread can never include a neighbour query's work. The v3 pool
-// classifies each fetch as hit or miss exactly once no matter how many
-// optimistic retries or load-waits it goes through, so the deltas stay
-// exact on the lock-free path too. BatchStats::aggregate is simply the
-// sum of the per-query stats. The parallel self-join tallies each
-// driver's thread-local deltas the same way, so its QueryStats are exact
-// even while other work runs on the pool.
+// one thread, and the tree and buffer pool count each event only in the
+// counters of the thread that caused it (obs::ThisThreadIndexCounters),
+// so a query's before/after delta on its own thread can never include a
+// neighbour query's work. The v3 pool classifies each fetch as hit or
+// miss exactly once no matter how many optimistic retries or load-waits
+// it goes through, so the deltas stay exact on the lock-free path too.
+// BatchStats::aggregate is simply the sum of the per-query stats. The
+// parallel self-join tallies each driver's thread-local deltas the same
+// way, so its QueryStats are exact even while other work runs on the
+// pool. Each query, join seed and delta probe also adds its whole
+// counter delta, once, to the caller's `counters` (the Database's
+// per-database totals that DatabaseStats reads).
 
 #ifndef TSQ_ENGINE_QUERY_ENGINE_H_
 #define TSQ_ENGINE_QUERY_ENGINE_H_
@@ -49,6 +51,7 @@
 #include "core/index_snapshot.h"
 #include "core/queries.h"
 #include "engine/thread_pool.h"
+#include "obs/trace.h"
 #include "storage/relation.h"
 
 namespace tsq {
@@ -115,12 +118,14 @@ struct BatchStats {
 /// Executes every query of the batch against `view` on `pool`, with at
 /// most `threads` drivers (the caller included; 0 = pool->size()).
 /// results[i] answers queries[i]; identical output for any thread
-/// count. `batch_stats` is optional. Safe from any thread, including a
-/// task of `pool`.
+/// count. Each query's index-counter delta is added to `counters`;
+/// `batch_stats` is optional. Safe from any thread, including a task of
+/// `pool`.
 std::vector<BatchResult> RunBatch(const IndexView& view,
                                   const Relation& relation,
                                   const std::vector<BatchQuery>& queries,
                                   ThreadPool* pool, size_t threads,
+                                  obs::IndexCounterTotals* counters,
                                   BatchStats* batch_stats = nullptr);
 
 /// Fully parallel self-join over `view` on `pool` (at most `threads`
@@ -136,11 +141,13 @@ std::vector<BatchResult> RunBatch(const IndexView& view,
 /// verified JoinWith candidates in descent order, then the delta probes'
 /// in slot order — is the same pairs in the same order for any thread
 /// count (Database::SelfJoin's JoinMethod::kTreeMatch), and `stats` is
-/// exact (per-driver thread-local tallies).
+/// exact (per-driver thread-local tallies). The index-counter delta of
+/// every seed and delta probe is added to `counters`.
 Result<std::vector<JoinPair>> SelfJoin(
     const IndexView& view, const Relation& relation, double epsilon,
     const std::optional<FeatureTransform>& transform, ThreadPool* pool,
-    size_t threads, QueryStats* stats = nullptr);
+    size_t threads, obs::IndexCounterTotals* counters,
+    QueryStats* stats = nullptr);
 
 }  // namespace engine
 }  // namespace tsq

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <iterator>
 
 #include "obs/metrics.h"
 
@@ -16,6 +17,23 @@ std::atomic<int> g_tracing_armed{0};
 
 thread_local ThreadStageNanos tls_stage_nanos;
 thread_local StageTimer* tls_span_top = nullptr;
+thread_local IndexCounters tls_index_counters;
+
+// Every IndexCounters field, in IndexCounterTotals' slot order.
+constexpr uint64_t IndexCounters::*kIndexCounterFields[] = {
+    &IndexCounters::hits,
+    &IndexCounters::misses,
+    &IndexCounters::evictions,
+    &IndexCounters::disk_reads,
+    &IndexCounters::disk_writes,
+    &IndexCounters::nodes_visited,
+    &IndexCounters::rect_transforms,
+    &IndexCounters::leaf_entries_tested,
+};
+static_assert(sizeof(IndexCounters) ==
+                  sizeof(kIndexCounterFields) /
+                      sizeof(kIndexCounterFields[0]) * sizeof(uint64_t),
+              "kIndexCounterFields must list every IndexCounters field");
 
 int64_t NowNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -55,6 +73,34 @@ const char* StageName(Stage stage) {
 }
 
 const ThreadStageNanos& ThisThreadStageNanos() { return tls_stage_nanos; }
+
+IndexCounters IndexCounters::operator-(const IndexCounters& before) const {
+  IndexCounters out;
+  for (const auto field : kIndexCounterFields) {
+    out.*field = this->*field - before.*field;
+  }
+  return out;
+}
+
+const IndexCounters& ThisThreadIndexCounters() { return tls_index_counters; }
+
+IndexCounters& MutableThisThreadIndexCounters() { return tls_index_counters; }
+
+void IndexCounterTotals::Add(const IndexCounters& delta) {
+  for (size_t i = 0; i < std::size(kIndexCounterFields); ++i) {
+    if (const uint64_t n = delta.*kIndexCounterFields[i]; n != 0) {
+      sums_[i].fetch_add(n, std::memory_order_relaxed);
+    }
+  }
+}
+
+IndexCounters IndexCounterTotals::Load() const {
+  IndexCounters out;
+  for (size_t i = 0; i < std::size(kIndexCounterFields); ++i) {
+    out.*kIndexCounterFields[i] = sums_[i].load(std::memory_order_relaxed);
+  }
+  return out;
+}
 
 bool TracingArmed() {
   return g_tracing_armed.load(std::memory_order_relaxed) != 0;

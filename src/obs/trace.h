@@ -1,18 +1,17 @@
 // Copyright (c) 2026 The tsq Authors.
 //
-// Per-query stage tracing. The multi-step filter pipeline (Sec. 4 of the
-// paper: DFT projection -> tree descent -> delta scan -> full-length
-// refine, with buffer-pool I/O underneath) is instrumented with
-// StageTimer spans; each span charges its *self* time — wall time minus
-// enclosed child spans — to one Stage on a thread-local accumulator.
-// Self-time accounting is what makes nesting honest: a pool read issued
-// mid-descent lands in kPoolWait, not double-counted under kDescent.
+// Per-query accounting: stage tracing and the index counters, both kept
+// per thread. A query runs entirely on one thread, so a before/after
+// delta of either around a query is that query's own work with no
+// cross-query bleed (core/queries.cpp captures both into QueryStats).
 //
-// The accumulator follows the v2 exact-stats contract exactly like
-// ThisThreadPoolCounters(): it is cumulative and monotone per thread, a
-// query runs entirely on one thread, so a before/after delta around a
-// query is that query's own stage breakdown with no cross-query bleed
-// (core/queries.cpp captures the delta into QueryStats).
+// Stage tracing. The multi-step filter pipeline (Sec. 4 of the paper:
+// DFT projection -> tree descent -> delta scan -> full-length refine,
+// with buffer-pool I/O underneath) is instrumented with StageTimer
+// spans; each span charges its *self* time — wall time minus enclosed
+// child spans — to one Stage on a thread-local accumulator. Self-time
+// accounting is what makes nesting honest: a pool read issued
+// mid-descent lands in kPoolWait, not double-counted under kDescent.
 //
 // Armed/disarmed like the metrics registry: TracingArmed() is one
 // relaxed load, and a disarmed StageTimer constructor returns before
@@ -22,10 +21,19 @@
 // construction). When metrics are also armed, each span feeds its
 // self-time into a per-stage global histogram
 // (tsq_query_stage_self_us{stage="..."}).
+//
+// Index counters. Each buffer-pool and R*-tree event — the node and
+// disk accesses the paper measures its index by — is counted once, at
+// one site, in the IndexCounters of the thread that caused it; no pool
+// or tree keeps a shared copy. Totals over many threads are sums of
+// deltas: a Database adds each unit of work's delta (a query, a join
+// seed, an index build) to its IndexCounterTotals, which is all that
+// DatabaseStats reads.
 
 #ifndef TSQ_OBS_TRACE_H_
 #define TSQ_OBS_TRACE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -48,11 +56,67 @@ inline constexpr size_t kNumStages = 5;
 const char* StageName(Stage stage);
 
 /// This thread's cumulative self-time per stage, in nanoseconds
-/// (monotone; snapshot to diff — same contract as ThisThreadPoolCounters).
+/// (monotone; snapshot to diff).
 struct ThreadStageNanos {
   uint64_t ns[kNumStages] = {};
 };
 const ThreadStageNanos& ThisThreadStageNanos();
+
+/// A thread's buffer-pool and R*-tree events. Plain integers: each
+/// thread owns its instance, so counting is an add to a private cache
+/// line. A Fetch counts as a hit or a miss exactly once, however many
+/// optimistic retries or load-waits it takes.
+struct IndexCounters {
+  // Buffer pool (storage/buffer_pool.h).
+  uint64_t hits = 0;         ///< fetches that pinned a cached page
+  uint64_t misses = 0;       ///< fetches that claimed a frame themselves
+  uint64_t evictions = 0;    ///< cached pages dropped to free a frame
+  uint64_t disk_reads = 0;   ///< pages read from the page file
+  uint64_t disk_writes = 0;  ///< pages written to the page file
+  // R*-tree (rtree/rstar_tree.h).
+  uint64_t nodes_visited = 0;        ///< node pages decoded
+  uint64_t rect_transforms = 0;      ///< MBRs mapped (Algorithm 1 work)
+  uint64_t leaf_entries_tested = 0;  ///< leaf entries compared
+
+  /// Field-wise `*this - before`: the events between two snapshots of
+  /// one thread's counters, `*this` the later one.
+  IndexCounters operator-(const IndexCounters& before) const;
+};
+
+/// This thread's cumulative index counters (monotone; snapshot to diff).
+const IndexCounters& ThisThreadIndexCounters();
+
+/// The same counters, writable: only each event's counting site (in
+/// storage/buffer_pool.cpp and rtree/rstar_tree.cpp) adds to them.
+IndexCounters& MutableThisThreadIndexCounters();
+
+/// Field-wise sums of IndexCounters deltas added from any number of
+/// threads: relaxed atomics, one fetch_add per nonzero field per Add.
+/// Load reads each sum once; no sum ever decreases.
+class IndexCounterTotals {
+ public:
+  void Add(const IndexCounters& delta);
+  IndexCounters Load() const;
+
+ private:
+  std::atomic<uint64_t> sums_[sizeof(IndexCounters) / sizeof(uint64_t)] = {};
+};
+
+/// Adds the index counters this thread moves during the scope's life to
+/// `totals` when it ends: how one unit of work is charged to a sum.
+class IndexCounterScope {
+ public:
+  explicit IndexCounterScope(IndexCounterTotals* totals)
+      : totals_(totals), before_(ThisThreadIndexCounters()) {}
+  ~IndexCounterScope() { totals_->Add(ThisThreadIndexCounters() - before_); }
+
+  IndexCounterScope(const IndexCounterScope&) = delete;
+  IndexCounterScope& operator=(const IndexCounterScope&) = delete;
+
+ private:
+  IndexCounterTotals* totals_;
+  IndexCounters before_;
+};
 
 /// True when stage spans should record. One relaxed load.
 bool TracingArmed();

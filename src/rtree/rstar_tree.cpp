@@ -8,6 +8,8 @@
 #include <limits>
 #include <queue>
 
+#include "obs/trace.h"
+
 namespace tsq {
 namespace rtree {
 
@@ -18,39 +20,23 @@ constexpr uint64_t kMetaMagic = 0x3154524151535400ull;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Exact per-thread mirror of the shared TraversalStats (see the header's
-// v2 contract). Bumped in lockstep with stats_ at every counting site.
-thread_local ThreadTraversalCounters tls_traversal;
-
 double CenterDistSquared(const spatial::Rect& a, const spatial::Rect& b) {
   return spatial::PointDistSquared(a.Center(), b.Center());
 }
 
-// One node's MBR transforms and leaf tests, published when the node is
-// done (on every exit path): one relaxed fetch_add per nonzero shared
-// counter, plus the exact thread-local mirror.
-class NodeTally {
- public:
-  explicit NodeTally(TraversalStats* shared) : shared_(shared) {}
+// One node's MBR transforms and leaf tests, added to this thread's
+// counters when the node is done (on every exit path).
+struct NodeTally {
+  NodeTally() = default;
   ~NodeTally() {
-    if (transforms != 0) {
-      shared_->rect_transforms.fetch_add(transforms,
-                                         std::memory_order_relaxed);
-      tls_traversal.rect_transforms += transforms;
-    }
-    if (leaf_tests != 0) {
-      shared_->leaf_entries_tested.fetch_add(leaf_tests,
-                                             std::memory_order_relaxed);
-      tls_traversal.leaf_entries_tested += leaf_tests;
-    }
+    obs::IndexCounters& counters = obs::MutableThisThreadIndexCounters();
+    counters.rect_transforms += transforms;
+    counters.leaf_entries_tested += leaf_tests;
   }
   TSQ_DISALLOW_COPY_AND_MOVE(NodeTally);
 
   uint64_t transforms = 0;
   uint64_t leaf_tests = 0;
-
- private:
-  TraversalStats* shared_;
 };
 
 // `rect` itself without a map; otherwise map(rect), written into
@@ -111,10 +97,6 @@ struct RStarTree::JoinContext {
   std::deque<JoinSlot> slots{};
   bool keep_going = true;
 };
-
-const ThreadTraversalCounters& ThisThreadTraversalCounters() {
-  return tls_traversal;
-}
 
 RStarTree::RStarTree(BufferPool* pool, size_t dims,
                      const RTreeOptions& options)
@@ -218,8 +200,7 @@ Result<Node> RStarTree::LoadNode(PageId id) const {
   Node node;
   TSQ_RETURN_IF_ERROR(DeserializeNode(*handle.page(), dims_, &node));
   node.id = id;
-  stats_.nodes_visited.fetch_add(1, std::memory_order_relaxed);
-  ++tls_traversal.nodes_visited;
+  ++obs::MutableThisThreadIndexCounters().nodes_visited;
   return node;
 }
 
@@ -230,8 +211,7 @@ Status RStarTree::ReadNode(PageId id, uint32_t expected_level,
     TSQ_ASSIGN_OR_RETURN(PageHandle handle, pool_->Fetch(id));
     TSQ_RETURN_IF_ERROR(DecodeNode(*handle.page(), dims_, out));
   }
-  stats_.nodes_visited.fetch_add(1, std::memory_order_relaxed);
-  ++tls_traversal.nodes_visited;
+  ++obs::MutableThisThreadIndexCounters().nodes_visited;
   if (expected_level != kAnyLevel && out->level() != expected_level) {
     // A child must sit exactly one level below its parent; anything else
     // (e.g. an entry pointing back at its own page) would recurse forever.
@@ -703,7 +683,7 @@ Status RStarTree::SearchRecurse(PageId node_id, uint32_t expected_level,
   const NodeBuffer& node = slot.node;
   TSQ_RETURN_IF_ERROR(ReadNode(node_id, expected_level, &slot.node));
 
-  NodeTally tally(&stats_);
+  NodeTally tally;
   for (const Entry& e : node) {
     if (!ctx->keep_going) return Status::OK();
     const spatial::Rect& rect = Mapped(ctx->map, e.rect, &slot.mapped, &tally);
@@ -751,7 +731,7 @@ Status RStarTree::JoinRecurse(PageId a_id, uint32_t a_level, PageId b_id,
   // Only a corrupt tree has an empty node below its root: nothing pairs.
   if (na.size() == 0 || nb.size() == 0) return Status::OK();
 
-  NodeTally tally(&stats_);
+  NodeTally tally;
   const spatial::AffineMap* map_a = ctx->map_a;
   const spatial::AffineMap* map_b = ctx->map_b;
 
@@ -838,7 +818,7 @@ Result<std::vector<RStarTree::JoinSeed>> RStarTree::JoinSeeds(
   // qualifying (ea, eb) child pairs, in (ea, eb) iteration order, are the
   // recursion roots the sequential descent would visit — so JoinFrom over
   // these seeds in order reproduces the JoinWith candidate sequence.
-  NodeTally tally(&stats_);
+  NodeTally tally;
   for (const Entry& ea : na) {
     const spatial::Rect& ta = Mapped(map, ea.rect, &slot.mapped_a, &tally);
     for (const Entry& eb : nb) {
@@ -901,7 +881,7 @@ Status RStarTree::NearestNeighborsStream(
     }
     TSQ_RETURN_IF_ERROR(ReadNode(item.id, item.level, &node));
     const size_t count = node.size();
-    NodeTally tally(&stats_);
+    NodeTally tally;
     batch.resize(count);
     bounds.resize(count);
     if (map != nullptr) {

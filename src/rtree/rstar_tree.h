@@ -19,7 +19,6 @@
 #ifndef TSQ_RTREE_RSTAR_TREE_H_
 #define TSQ_RTREE_RSTAR_TREE_H_
 
-#include <atomic>
 #include <deque>
 #include <functional>
 #include <limits>
@@ -52,44 +51,6 @@ struct RTreeOptions {
   /// a test hook that forces deep trees on tiny data sets.
   size_t max_entries_override = 0;
 };
-
-/// Counters accumulated by search operations (reset with ResetStats).
-/// Relaxed atomics: const traversals from many threads may bump them
-/// concurrently and per-query StatsScopes snapshot them race-free. Copies
-/// by value like a plain aggregate.
-struct TraversalStats {
-  std::atomic<uint64_t> nodes_visited{0};        ///< node pages touched
-  std::atomic<uint64_t> rect_transforms{0};      ///< MBR transformations
-  std::atomic<uint64_t> leaf_entries_tested{0};  ///< leaf entries compared
-
-  TraversalStats() = default;
-  TraversalStats(const TraversalStats& other) { *this = other; }
-  TraversalStats& operator=(const TraversalStats& other) {
-    nodes_visited = other.nodes_visited.load(std::memory_order_relaxed);
-    rect_transforms = other.rect_transforms.load(std::memory_order_relaxed);
-    leaf_entries_tested =
-        other.leaf_entries_tested.load(std::memory_order_relaxed);
-    return *this;
-  }
-};
-
-/// Per-thread traversal counters (plain integers — each thread owns its
-/// own instance). Every traversal bumps these alongside the tree's shared
-/// atomic TraversalStats, so a query running on one thread measures
-/// exactly its own work by snapshotting ThisThreadTraversalCounters()
-/// before and after — concurrent traversals on other threads never leak
-/// into the delta (the v2 exact-stats contract; the v1 shared-counter
-/// deltas were approximate under concurrency). Counters are cumulative
-/// across all trees a thread touches; only deltas are meaningful.
-struct ThreadTraversalCounters {
-  uint64_t nodes_visited = 0;
-  uint64_t rect_transforms = 0;
-  uint64_t leaf_entries_tested = 0;
-};
-
-/// This thread's cumulative traversal counters (monotonic; snapshot to
-/// diff).
-const ThreadTraversalCounters& ThisThreadTraversalCounters();
 
 /// One nearest-neighbor answer.
 struct NnResult {
@@ -152,13 +113,13 @@ using SearchCallback =
 /// nothing per node or entry. Insert, Remove and CheckInvariants keep the
 /// owning LoadNode.
 ///
-/// Counters: each visited node adds its work to the shared TraversalStats
-/// once, with one relaxed fetch_add per counter, and to the exact
-/// thread-local mirror (ThisThreadTraversalCounters); the pool classifies
-/// each fetch exactly once. Per-query deltas therefore stay exact through
-/// optimistic retries and concurrent queries, and the totals equal the
-/// per-entry counts. Writers require external exclusion (the engine layer
-/// treats a built index as frozen).
+/// Counters: each decoded node, mapped MBR and tested leaf entry counts
+/// once, in the obs::IndexCounters of the thread that did the work
+/// (obs/trace.h); the tree keeps no counter of its own. A descent adds a
+/// node's transforms and leaf tests when it is done with the node, so a
+/// before/after delta on one thread is exactly that thread's traversal
+/// work, whatever other threads traverse meanwhile. Writers require
+/// external exclusion (the engine layer treats a built index as frozen).
 ///
 /// Corrupt pages: a descent returns Corruption — never aborts — for a
 /// page DecodeNode rejects (bad magic or count, an inverted or NaN MBR
@@ -286,7 +247,7 @@ class RStarTree {
   /// Runs the synchronized descent from one seed (see JoinSeeds). Safe to
   /// call concurrently from many threads with distinct seeds: each call
   /// owns its traversal storage, page access goes through the BufferPool,
-  /// and counters are atomic + thread-local.
+  /// and counters are thread-local.
   Status JoinFrom(const JoinSeed& seed, const RStarTree& other,
                   const spatial::AffineMap* map,
                   const spatial::AffineMap* other_map,
@@ -315,10 +276,6 @@ class RStarTree {
   /// Structural audit: fill factors, MBR containment, level consistency,
   /// entry count. O(tree). Used by property tests.
   Result<CheckReport> CheckInvariants() const;
-
-  /// Search counters.
-  const TraversalStats& stats() const { return stats_; }
-  void ResetStats() const { stats_ = TraversalStats(); }
 
  private:
   RStarTree(BufferPool* pool, size_t dims, const RTreeOptions& options);
@@ -390,8 +347,6 @@ class RStarTree {
   // Per-top-level-insert state for R* forced reinsertion.
   std::set<uint32_t> reinsert_done_levels_;
   std::deque<std::pair<Entry, uint32_t>> pending_reinserts_;
-
-  mutable TraversalStats stats_;
 };
 
 }  // namespace rtree

@@ -92,9 +92,9 @@ enum class ReplyCode : uint8_t {
   kBusy = 2,   ///< admission queue full; retry later (empty body)
 };
 
-/// Monitoring counters (maintained as relaxed atomics in the server,
-/// snapshot by value; carried on the wire after every OK kStats reply's
-/// DatabaseStats).
+/// Monitoring counters (the values of the server's own registry
+/// counters, snapshot by value; carried on the wire after every OK
+/// kStats reply's DatabaseStats).
 struct ServerCounters {
   uint64_t connections_accepted = 0;
   uint64_t connections_closed = 0;  ///< retired (EOF, broken, or drained)

@@ -136,7 +136,18 @@ struct Server::Connection {
 };
 
 Server::Server(Database* db, ServerOptions options)
-    : db_(db), options_(std::move(options)) {}
+    : db_(db),
+      options_(std::move(options)),
+      connections_accepted_(
+          registry_.GetCounter("tsqd_connections_accepted_total")),
+      connections_closed_(
+          registry_.GetCounter("tsqd_connections_closed_total")),
+      frames_received_(registry_.GetCounter("tsqd_frames_received_total")),
+      requests_executed_(
+          registry_.GetCounter("tsqd_requests_executed_total")),
+      busy_rejected_(registry_.GetCounter("tsqd_busy_rejected_total")),
+      protocol_errors_(registry_.GetCounter("tsqd_protocol_errors_total")),
+      accept_backoffs_(registry_.GetCounter("tsqd_accept_backoffs_total")) {}
 
 Server::~Server() { Stop(); }
 
@@ -246,14 +257,13 @@ void Server::WakePoller(Poller* poller) {
 
 ServerCounters Server::counters() const {
   ServerCounters out;
-  out.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  out.connections_closed = connections_closed_.load(std::memory_order_relaxed);
-  out.frames_received = frames_received_.load(std::memory_order_relaxed);
-  out.requests_executed = requests_executed_.load(std::memory_order_relaxed);
-  out.busy_rejected = busy_rejected_.load(std::memory_order_relaxed);
-  out.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  out.accept_backoffs = accept_backoffs_.load(std::memory_order_relaxed);
+  out.connections_accepted = connections_accepted_->Value();
+  out.connections_closed = connections_closed_->Value();
+  out.frames_received = frames_received_->Value();
+  out.requests_executed = requests_executed_->Value();
+  out.busy_rejected = busy_rejected_->Value();
+  out.protocol_errors = protocol_errors_->Value();
+  out.accept_backoffs = accept_backoffs_->Value();
   return out;
 }
 
@@ -293,41 +303,8 @@ std::string Server::RenderMetricsText() {
   degraded->Set(stats.degraded ? 1 : 0);
   write_faults->Set(static_cast<int64_t>(stats.write_faults));
   repairs->Set(static_cast<int64_t>(stats.repairs_completed));
-
-  // The server's own counters live as relaxed atomics on this object;
-  // mirror them into monotone registry counters by delta. The lock keeps
-  // two concurrent scrapes from double-applying one delta, and the clamp
-  // keeps a second Server in the same process (tests do this) from
-  // driving a mirror backwards.
-  static obs::Counter* accepted =
-      obs::RegisterCounter("tsqd_connections_accepted_total");
-  static obs::Counter* closed =
-      obs::RegisterCounter("tsqd_connections_closed_total");
-  static obs::Counter* frames =
-      obs::RegisterCounter("tsqd_frames_received_total");
-  static obs::Counter* executed =
-      obs::RegisterCounter("tsqd_requests_executed_total");
-  static obs::Counter* busy = obs::RegisterCounter("tsqd_busy_rejected_total");
-  static obs::Counter* errors =
-      obs::RegisterCounter("tsqd_protocol_errors_total");
-  static obs::Counter* backoffs =
-      obs::RegisterCounter("tsqd_accept_backoffs_total");
-  {
-    std::lock_guard<std::mutex> lock(metrics_mutex_);
-    const ServerCounters c = counters();
-    auto mirror = [](obs::Counter* counter, uint64_t current) {
-      const uint64_t seen = counter->Value();
-      if (current > seen) counter->Add(current - seen);
-    };
-    mirror(accepted, c.connections_accepted);
-    mirror(closed, c.connections_closed);
-    mirror(frames, c.frames_received);
-    mirror(executed, c.requests_executed);
-    mirror(busy, c.busy_rejected);
-    mirror(errors, c.protocol_errors);
-    mirror(backoffs, c.accept_backoffs);
-  }
-  return obs::Registry::Global().RenderPrometheus();
+  return obs::Registry::Global().RenderPrometheus() +
+         registry_.RenderPrometheus();
 }
 
 void Server::QueueReply(const std::shared_ptr<Connection>& conn,
@@ -341,7 +318,7 @@ void Server::QueueReply(const std::shared_ptr<Connection>& conn,
 void Server::ExecuteRequest(const std::shared_ptr<Connection>& conn,
                             const std::shared_ptr<Request>& request) {
   if (execution_hook_) execution_hook_();
-  requests_executed_.fetch_add(1, std::memory_order_relaxed);
+  requests_executed_->Add();
   const uint64_t start_nanos = NowNanos();
 
   Reply reply;
@@ -417,14 +394,14 @@ void Server::ExecuteRequest(const std::shared_ptr<Connection>& conn,
 
 Status Server::HandleFrame(const std::shared_ptr<Connection>& conn,
                            const uint8_t* payload, size_t size) {
-  frames_received_.fetch_add(1, std::memory_order_relaxed);
+  frames_received_->Add();
   const uint64_t start_nanos = NowNanos();
   auto request = std::make_shared<Request>();
   if (Status status = DecodeRequest(payload, size, request.get());
       !status.ok()) {
     // CRC was valid, so framing is intact: report the decode failure to
     // the peer (verb/id are best-effort partial decodes) and carry on.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    protocol_errors_->Add();
     TSQ_LOG(kDebug) << "tsqd conn=" << conn->id << " req=" << request->id
                     << " undecodable request: " << status.ToString();
     Reply reply;
@@ -467,7 +444,7 @@ Status Server::HandleFrame(const std::shared_ptr<Connection>& conn,
     }
   }
   if (!admitted) {
-    busy_rejected_.fetch_add(1, std::memory_order_relaxed);
+    busy_rejected_->Add();
     Reply reply;
     reply.code = ReplyCode::kBusy;
     reply.verb = request->verb;
@@ -577,7 +554,7 @@ void Server::PollerLoop(Poller* self) {
           expired) {
         ::close(conn->fd);
         conn->fd = -1;
-        connections_closed_.fetch_add(1, std::memory_order_relaxed);
+        connections_closed_->Add();
         it = self->connections.erase(it);
       } else {
         ++it;
@@ -617,7 +594,7 @@ void Server::PollerLoop(Poller* self) {
       for (const auto& conn : self->connections) {
         ::close(conn->fd);
         conn->fd = -1;
-        connections_closed_.fetch_add(1, std::memory_order_relaxed);
+        connections_closed_->Add();
       }
       self->connections.clear();
       if (listener_open) {
@@ -645,7 +622,7 @@ void Server::PollerLoop(Poller* self) {
             exhaustion_logged = false;
             int one = 1;
             ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-            connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+            connections_accepted_->Add();
             Poller* target = pollers_[next_poller % pollers_.size()].get();
             ++next_poller;
             if (target == self) {
@@ -671,7 +648,7 @@ void Server::PollerLoop(Poller* self) {
           // readable forever, so back off instead of spinning. The
           // backlog keeps the pending peers; re-arm after the window.
           listener_rearm_ms = NowMillis() + kAcceptBackoffMs;
-          accept_backoffs_.fetch_add(1, std::memory_order_relaxed);
+          accept_backoffs_->Add();
           if (!exhaustion_logged) {
             TSQ_LOG(kWarn) << "tsqd accept failed ("
                            << std::strerror(errno)
@@ -708,7 +685,7 @@ void Server::PollerLoop(Poller* self) {
             if (!status.ok()) {
               // Framing is gone (bad magic/CRC/oversize): stop reading,
               // deliver what was admitted, then the retire pass closes.
-              protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+              protocol_errors_->Add();
               TSQ_LOG(kDebug) << "tsqd conn=" << conn->id
                               << " dropping connection: "
                               << status.ToString();

@@ -77,6 +77,7 @@
 
 #include "common/status.h"
 #include "core/database.h"
+#include "obs/metrics.h"
 #include "server/protocol.h"
 
 namespace tsq {
@@ -167,7 +168,8 @@ class Server {
   Status HandleFrame(const std::shared_ptr<Connection>& conn,
                      const uint8_t* payload, size_t size);
   /// Renders the Prometheus-style exposition: refreshes the point-in-time
-  /// gauges and the server-counter mirrors, then dumps the registry.
+  /// gauges, then dumps the process-wide registry followed by this
+  /// server's own.
   std::string RenderMetricsText();
   /// Executes an admitted request on a pool worker and queues its reply.
   void ExecuteRequest(const std::shared_ptr<Connection>& conn,
@@ -193,16 +195,19 @@ class Server {
   /// a connection carry `conn=<id>` so concurrent connections' events can
   /// be correlated across pollers and workers.
   std::atomic<uint64_t> next_connection_id_{0};
-  /// Serializes scrape-time counter mirroring (see RenderMetricsText).
-  std::mutex metrics_mutex_;
 
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_closed_{0};
-  std::atomic<uint64_t> frames_received_{0};
-  std::atomic<uint64_t> requests_executed_{0};
-  std::atomic<uint64_t> busy_rejected_{0};
-  std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> accept_backoffs_{0};
+  /// The front-end counters (ServerCounters' fields), each counted once,
+  /// in this server's own registry: STATS reads their values and METRICS
+  /// renders them. Registered at construction, so every scrape carries
+  /// all seven; a second server in the process counts apart.
+  obs::Registry registry_;
+  obs::Counter* const connections_accepted_;
+  obs::Counter* const connections_closed_;
+  obs::Counter* const frames_received_;
+  obs::Counter* const requests_executed_;
+  obs::Counter* const busy_rejected_;
+  obs::Counter* const protocol_errors_;
+  obs::Counter* const accept_backoffs_;
 };
 
 }  // namespace server

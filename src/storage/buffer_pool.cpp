@@ -13,10 +13,6 @@ namespace tsq {
 
 namespace {
 
-thread_local ThreadPoolCounters tls_pool_counters;
-
-ThreadPoolCounters& MutableThreadPoolCounters() { return tls_pool_counters; }
-
 /// The pool can be transiently out of frames when more threads hold pins
 /// than it owns frames (pins are short — a LoadNode deserialize — so the
 /// state clears in microseconds). Fetch/New retry over a bounded window
@@ -69,10 +65,6 @@ void WaitForFrameTransition(const BufferFrame& frame, PageId id) {
 }
 
 }  // namespace
-
-const ThreadPoolCounters& ThisThreadPoolCounters() {
-  return tls_pool_counters;
-}
 
 PageHandle& PageHandle::operator=(PageHandle&& other) noexcept {
   if (this != &other) {
@@ -245,11 +237,10 @@ Result<size_t> BufferPool::AcquireFrame() {
         f.state.store(s, std::memory_order_release);
         return ws;
       }
-      stats_.disk_writes.fetch_add(1, std::memory_order_relaxed);
-      ++MutableThreadPoolCounters().disk_writes;
+      ++obs::MutableThisThreadIndexCounters().disk_writes;
       f.dirty.store(false, std::memory_order_relaxed);
     }
-    stats_.evictions.fetch_add(1, std::memory_order_relaxed);
+    ++obs::MutableThisThreadIndexCounters().evictions;
     return idx;
   }
   return Status::FailedPrecondition(
@@ -284,10 +275,7 @@ Result<PageHandle> BufferPool::Fetch(PageId id) {
       if (f.state.compare_exchange_weak(s, s + 1,
                                         std::memory_order_acq_rel)) {
         f.referenced.store(true, std::memory_order_relaxed);
-        if (!counted) {
-          stats_.hits.fetch_add(1, std::memory_order_relaxed);
-          ++MutableThreadPoolCounters().hits;
-        }
+        if (!counted) ++obs::MutableThisThreadIndexCounters().hits;
         return PageHandle(&f, id);
       }
       // Lost a pin/unpin/eviction race; re-resolve.
@@ -315,8 +303,7 @@ Result<PageHandle> BufferPool::Fetch(PageId id) {
       continue;
     }
     if (!counted) {
-      stats_.misses.fetch_add(1, std::memory_order_relaxed);
-      ++MutableThreadPoolCounters().misses;
+      ++obs::MutableThisThreadIndexCounters().misses;
       counted = true;
     }
     Result<size_t> idx_or = AcquireFrame();
@@ -354,8 +341,7 @@ Result<PageHandle> BufferPool::Fetch(PageId id) {
       free_frames_.push_back(idx);
       return read_status;
     }
-    stats_.disk_reads.fetch_add(1, std::memory_order_relaxed);
-    ++MutableThreadPoolCounters().disk_reads;
+    ++obs::MutableThisThreadIndexCounters().disk_reads;
     f.dirty.store(false, std::memory_order_relaxed);
     f.referenced.store(false, std::memory_order_relaxed);
     // Release-publish with our pin already counted; waiters' acquire loads
@@ -446,16 +432,10 @@ Status BufferPool::FlushAll() {
         f.dirty.store(true, std::memory_order_release);  // still unsynced
         return ws;
       }
-      stats_.disk_writes.fetch_add(1, std::memory_order_relaxed);
-      ++MutableThreadPoolCounters().disk_writes;
+      ++obs::MutableThisThreadIndexCounters().disk_writes;
     }
   }
   return file_->Sync();
-}
-
-void BufferPool::ResetStats() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats_ = BufferPoolStats();
 }
 
 }  // namespace tsq

@@ -1,9 +1,10 @@
 // Copyright (c) 2026 The tsq Authors.
 //
 // Page cache over a PageFile with a lock-free hit path. The R-tree
-// performs all page access through the pool; its hit/miss/eviction counters
-// are how tsq measures the "number of disk accesses" the paper reports for
-// index traversals.
+// performs all page access through the pool; its hit/miss/eviction and
+// disk read/write counts (obs::IndexCounters, kept per thread) are how
+// tsq measures the "number of disk accesses" the paper reports for index
+// traversals.
 
 #ifndef TSQ_STORAGE_BUFFER_POOL_H_
 #define TSQ_STORAGE_BUFFER_POOL_H_
@@ -19,48 +20,6 @@
 #include "storage/page_file.h"
 
 namespace tsq {
-
-/// Cache counters. disk_reads/disk_writes count the pages this pool reads
-/// from and writes to its PageFile. Counters are relaxed atomics so snapshots
-/// taken by concurrent readers (per-query measurement) are race-free; the
-/// struct copies by value like a plain aggregate.
-struct BufferPoolStats {
-  std::atomic<uint64_t> hits{0};
-  std::atomic<uint64_t> misses{0};
-  std::atomic<uint64_t> evictions{0};
-  std::atomic<uint64_t> disk_reads{0};
-  std::atomic<uint64_t> disk_writes{0};
-
-  BufferPoolStats() = default;
-  BufferPoolStats(const BufferPoolStats& other) { *this = other; }
-  BufferPoolStats& operator=(const BufferPoolStats& other) {
-    hits = other.hits.load(std::memory_order_relaxed);
-    misses = other.misses.load(std::memory_order_relaxed);
-    evictions = other.evictions.load(std::memory_order_relaxed);
-    disk_reads = other.disk_reads.load(std::memory_order_relaxed);
-    disk_writes = other.disk_writes.load(std::memory_order_relaxed);
-    return *this;
-  }
-};
-
-/// Per-thread buffer-pool counters (plain integers, no synchronization —
-/// each thread owns its own instance). Every pool operation bumps these
-/// alongside the pool's shared counters, so a query can measure
-/// exactly its own I/O by snapshotting ThisThreadPoolCounters() before and
-/// after on the thread it runs on — concurrent queries on other threads
-/// never leak into the delta. Counters are cumulative across all pools a
-/// thread touches; only deltas are meaningful. Exactness survives the v3
-/// optimistic hit path: a Fetch classifies itself as hit or miss exactly
-/// once no matter how many optimistic retries it takes.
-struct ThreadPoolCounters {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t disk_reads = 0;
-  uint64_t disk_writes = 0;
-};
-
-/// This thread's cumulative pool counters (monotonic; snapshot to diff).
-const ThreadPoolCounters& ThisThreadPoolCounters();
 
 /// One cache frame (internal to BufferPool; exposed at namespace scope only
 /// so PageHandle can operate on it without reaching through the pool).
@@ -144,8 +103,8 @@ class PageHandle {
 ///   mutex, and count as hits: the miss and the disk read belong to the
 ///   thread that performed them.
 /// * The mutex still serializes the admin paths: frame claim and eviction
-///   (including dirty write-back), New, Delete, FlushAll, stats reset, and
-///   directory mutation. Byte access *through a held PageHandle* is
+///   (including dirty write-back), New, Delete, FlushAll, and directory
+///   mutation. Byte access *through a held PageHandle* is
 ///   outside any mutex: a pinned frame cannot be evicted and frames never
 ///   move, so the pointer stays valid. Concurrent threads must not write
 ///   the same page's bytes; tsq's read paths (index traversal) only read.
@@ -159,10 +118,14 @@ class PageHandle {
 /// of failing the query; a pool whose every frame stays pinned surfaces
 /// FailedPrecondition.
 ///
-/// The hit/miss/eviction counters are those of this one clock — the
-/// "disk accesses" the paper counts. For a never-re-referenced page
-/// sequence the sweep evicts in arrival order, so the pool then holds
-/// exactly the last `capacity()` pages, as an LRU list would.
+/// Counters: each Fetch counts one hit or one miss, and each eviction,
+/// page read and page write counts once, in the obs::IndexCounters of
+/// the thread that caused it (obs/trace.h); the pool keeps no counter of
+/// its own. A concurrent fetcher that waits out another thread's load of
+/// the same page counts a hit: the miss and the disk read belong to the
+/// loader. For a never-re-referenced page sequence the clock evicts in
+/// arrival order, so the pool then holds exactly the last `capacity()`
+/// pages, as an LRU list would.
 class BufferPool {
  public:
   /// Creates a pool of `capacity` frames over `file` (non-owning: the file
@@ -189,10 +152,6 @@ class BufferPool {
 
   /// Number of frames the pool may hold.
   size_t capacity() const { return capacity_; }
-
-  /// Counters; ResetStats zeroes them.
-  BufferPoolStats stats() const { return stats_; }
-  void ResetStats();
 
   /// The underlying file.
   PageFile* file() { return file_; }
@@ -236,7 +195,6 @@ class BufferPool {
   size_t dir_empty_ = 0;  // never-used slots left; rebuild when low
   std::vector<size_t> free_frames_;
   size_t clock_hand_ = 0;
-  BufferPoolStats stats_;
 };
 
 }  // namespace tsq

@@ -25,6 +25,7 @@
 namespace tsq {
 namespace {
 
+using testing::IndexDelta;
 using testing::TempDir;
 
 /// A latch the read hook blocks on: the test learns when the reader is
@@ -144,7 +145,6 @@ TEST_F(BufferPoolConcurrencyTest, ConcurrentFetchersShareOneInFlightLoad) {
   BufferPool pool(file_.get(), 4);
   const std::vector<PageId> p = MakePages(&pool, 5);
   ASSERT_TRUE(pool.FlushAll().ok());
-  pool.ResetStats();
 
   ReadGate gate;
   std::atomic<int> reads_of_target{0};
@@ -155,8 +155,19 @@ TEST_F(BufferPoolConcurrencyTest, ConcurrentFetchersShareOneInFlightLoad) {
     }
   });
 
-  std::thread loader([&pool, &p] {
+  // Each fetching thread's own counts, summed: a fetch counts in the
+  // thread that made it.
+  std::atomic<uint64_t> hits{0}, misses{0}, disk_reads{0};
+  const auto counted_fetch = [&] {
+    const IndexDelta counted;
     auto h = pool.Fetch(p[0]);
+    hits.fetch_add(counted().hits);
+    misses.fetch_add(counted().misses);
+    disk_reads.fetch_add(counted().disk_reads);
+    return h;
+  };
+  std::thread loader([&] {
+    auto h = counted_fetch();
     ASSERT_TRUE(h.ok()) << h.status().ToString();
   });
   // Once the loader is inside the pread its loading frame and directory
@@ -167,8 +178,8 @@ TEST_F(BufferPoolConcurrencyTest, ConcurrentFetchersShareOneInFlightLoad) {
   std::vector<std::thread> waiters;
   std::atomic<int> good{0};
   for (int i = 0; i < kWaiters; ++i) {
-    waiters.emplace_back([&pool, &p, &good] {
-      auto h = pool.Fetch(p[0]);
+    waiters.emplace_back([&] {
+      auto h = counted_fetch();
       if (h.ok() && h->page()->ReadU64(0) == p[0]) good.fetch_add(1);
     });
   }
@@ -183,102 +194,80 @@ TEST_F(BufferPoolConcurrencyTest, ConcurrentFetchersShareOneInFlightLoad) {
 
   EXPECT_EQ(good.load(), kWaiters);
   EXPECT_EQ(reads_of_target.load(), 1) << "waiters duplicated the disk read";
-  const BufferPoolStats stats = pool.stats();
   // Exactly one fetch paid the miss + disk read; every other fetch of the
   // page — started strictly after the load was published — is a hit.
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.disk_reads, 1u);
-  EXPECT_EQ(stats.hits, static_cast<uint64_t>(kWaiters));
+  EXPECT_EQ(misses.load(), 1u);
+  EXPECT_EQ(disk_reads.load(), 1u);
+  EXPECT_EQ(hits.load(), static_cast<uint64_t>(kWaiters));
 }
 
 TEST_F(BufferPoolConcurrencyTest, OptimisticRetryStormKeepsCountersExact) {
   // Many threads hammering a small fully-cached hot set: every fetch is an
   // optimistic pin racing every other thread's pin/unpin CASes, which is
-  // exactly the retry storm the seqlock versioning must survive. The
-  // per-thread counters must account for every single fetch (the v3
-  // classify-once rule), and the shared merged counters must equal their
-  // sum.
+  // exactly the retry storm the seqlock versioning must survive. Each
+  // thread's counters must account for every one of its fetches exactly
+  // once (the v3 classify-once rule), optimistic retries and all.
   BufferPool pool(file_.get(), 8);
   const std::vector<PageId> p = MakePages(&pool, 8);  // all resident
-  pool.ResetStats();
 
   constexpr int kThreads = 8;
   constexpr int kFetchesPerThread = 4000;
-  std::atomic<uint64_t> tls_hits_sum{0}, tls_misses_sum{0};
   std::atomic<int> wrong_bytes{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      const ThreadPoolCounters before = ThisThreadPoolCounters();
+      const IndexDelta counted;
       for (int i = 0; i < kFetchesPerThread; ++i) {
         const PageId id = p[(i * 7 + t) % p.size()];
         auto h = pool.Fetch(id);
         if (!h.ok() || h->page()->ReadU64(0) != id) wrong_bytes.fetch_add(1);
       }
-      const ThreadPoolCounters& after = ThisThreadPoolCounters();
-      const uint64_t hits = after.hits - before.hits;
-      const uint64_t misses = after.misses - before.misses;
-      // Classify-once: hits + misses == fetches, optimistic retries and
-      // all.
-      EXPECT_EQ(hits + misses, static_cast<uint64_t>(kFetchesPerThread));
-      tls_hits_sum.fetch_add(hits);
-      tls_misses_sum.fetch_add(misses);
+      // The working set fits, so after the warm-up News nothing is ever
+      // evicted: every fetch is a hit and no disk read happens.
+      const obs::IndexCounters c = counted();
+      EXPECT_EQ(c.hits, static_cast<uint64_t>(kFetchesPerThread));
+      EXPECT_EQ(c.misses, 0u);
+      EXPECT_EQ(c.disk_reads, 0u);
+      EXPECT_EQ(c.evictions, 0u);
     });
   }
   for (std::thread& t : threads) t.join();
-
   EXPECT_EQ(wrong_bytes.load(), 0);
-  const BufferPoolStats stats = pool.stats();
-  // The working set fits, so after the warm-up News nothing is ever
-  // evicted: every fetch is a hit and no disk read happens.
-  EXPECT_EQ(stats.hits, static_cast<uint64_t>(kThreads) * kFetchesPerThread);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.disk_reads, 0u);
-  EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_EQ(tls_hits_sum.load(), stats.hits.load());
-  EXPECT_EQ(tls_misses_sum.load(), stats.misses.load());
 }
 
 TEST_F(BufferPoolConcurrencyTest, RetryStormSurvivesEvictionChurn) {
   // Same storm, but the working set is double the pool: optimistic pins
   // race evictions and in-flight loads, not just other pins. Correctness
-  // here is "every fetch pins the right bytes and nothing is lost from
-  // the counters" — hit/miss totals depend on the interleaving.
+  // here is "every fetch pins the right bytes and counts exactly once" —
+  // hit/miss totals depend on the interleaving.
   BufferPool pool(file_.get(), 4);
   const std::vector<PageId> p = MakePages(&pool, 8);
   ASSERT_TRUE(pool.FlushAll().ok());
-  pool.ResetStats();
 
   constexpr int kThreads = 4;
   constexpr int kFetchesPerThread = 1500;
-  std::atomic<uint64_t> tls_hits_sum{0}, tls_misses_sum{0},
-      tls_reads_sum{0};
+  std::atomic<uint64_t> evictions{0};
   std::atomic<int> wrong{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      const ThreadPoolCounters before = ThisThreadPoolCounters();
+      const IndexDelta counted;
       for (int i = 0; i < kFetchesPerThread; ++i) {
         const PageId id = p[(i * 5 + t * 3) % p.size()];
         auto h = pool.Fetch(id);
         if (!h.ok() || h->page()->ReadU64(0) != id) wrong.fetch_add(1);
       }
-      const ThreadPoolCounters& after = ThisThreadPoolCounters();
-      EXPECT_EQ((after.hits - before.hits) + (after.misses - before.misses),
-                static_cast<uint64_t>(kFetchesPerThread));
-      tls_hits_sum.fetch_add(after.hits - before.hits);
-      tls_misses_sum.fetch_add(after.misses - before.misses);
-      tls_reads_sum.fetch_add(after.disk_reads - before.disk_reads);
+      const obs::IndexCounters c = counted();
+      EXPECT_EQ(c.hits + c.misses, static_cast<uint64_t>(kFetchesPerThread));
+      // A fetch reads its page only after counting its own miss.
+      EXPECT_LE(c.disk_reads, c.misses);
+      evictions.fetch_add(c.evictions);
     });
   }
   for (std::thread& t : threads) t.join();
 
   EXPECT_EQ(wrong.load(), 0);
-  const BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(tls_hits_sum.load(), stats.hits.load());
-  EXPECT_EQ(tls_misses_sum.load(), stats.misses.load());
-  EXPECT_EQ(tls_reads_sum.load(), stats.disk_reads.load());
-  EXPECT_GT(stats.evictions.load(), 0u);
+  EXPECT_GT(evictions.load(), 0u);
 }
 
 TEST_F(BufferPoolConcurrencyTest, TransientPinExhaustionResolvesOnRelease) {

@@ -469,35 +469,80 @@ TEST_F(EngineTest, ConcurrentSingleQueriesKeepTheirOwnStats) {
 }
 
 TEST_F(EngineTest, BatchTraversalStatsAreExactPerQuery) {
-  // v2 exact-stats contract: with thread-local counters, the sum of the
-  // per-query traversal deltas must equal the shared engine counters'
-  // delta exactly — at any thread count — and the aggregate is that sum.
+  // Each pool and tree event is counted once, in the counters of the
+  // thread that caused it, and the database adds every query's (and
+  // every join seed's and probe's) delta to its totals once. So around
+  // each query call the StatsSnapshot() deltas of nodes_visited,
+  // rect_transforms and pool_disk_reads equal that call's summed
+  // QueryStats — at every thread count, over unmerged delta entries,
+  // across a Reindex that retires the tree, and for the tree-match and
+  // method-c joins.
+  const auto expect_counted = [&](const QueryStats& sum,
+                                  const DatabaseStats& before,
+                                  const std::string& what) {
+    const DatabaseStats after = db_->StatsSnapshot();
+    EXPECT_GT(sum.nodes_visited, 0u) << what;
+    EXPECT_EQ(after.nodes_visited - before.nodes_visited, sum.nodes_visited)
+        << what;
+    EXPECT_EQ(after.rect_transforms - before.rect_transforms,
+              sum.rect_transforms)
+        << what;
+    EXPECT_EQ(after.pool_disk_reads - before.pool_disk_reads, sum.disk_reads)
+        << what;
+  };
   const std::vector<BatchQuery> batch = MakeBatch(24);
-  for (const size_t threads : kThreadCounts) {
-    db_->index()->ResetStats();
+  const auto run_batch = [&](size_t threads, const std::string& what) {
+    const DatabaseStats before = db_->StatsSnapshot();
     BatchStats stats;
     const std::vector<BatchResult> results =
         db_->RunBatch(batch, threads, &stats).value();
-
-    uint64_t nodes = 0, transforms = 0, reads = 0;
+    QueryStats sum;
     for (const BatchResult& r : results) {
-      ASSERT_TRUE(r.status.ok());
-      nodes += r.stats.nodes_visited;
-      transforms += r.stats.rect_transforms;
-      reads += r.stats.disk_reads;
+      ASSERT_TRUE(r.status.ok()) << what;
+      sum.Merge(r.stats);
     }
-    EXPECT_GT(nodes, 0u) << "threads=" << threads;
-    EXPECT_EQ(nodes, db_->index()->tree()->stats().nodes_visited)
-        << "threads=" << threads;
-    EXPECT_EQ(transforms, db_->index()->tree()->stats().rect_transforms)
-        << "threads=" << threads;
-    EXPECT_EQ(reads, db_->index()->pool()->stats().disk_reads)
-        << "threads=" << threads;
-    EXPECT_EQ(stats.aggregate.nodes_visited, nodes) << "threads=" << threads;
-    EXPECT_EQ(stats.aggregate.rect_transforms, transforms)
-        << "threads=" << threads;
-    EXPECT_EQ(stats.aggregate.disk_reads, reads) << "threads=" << threads;
+    expect_counted(sum, before, what);
+    EXPECT_EQ(stats.aggregate.nodes_visited, sum.nodes_visited) << what;
+    EXPECT_EQ(stats.aggregate.rect_transforms, sum.rect_transforms) << what;
+    EXPECT_EQ(stats.aggregate.disk_reads, sum.disk_reads) << what;
+  };
+  const std::optional<FeatureTransform> smoothed =
+      FeatureTransform::Spectral(transforms::MovingAverage(kLength, 8));
+  const auto run_join = [&](JoinMethod method, const std::string& what) {
+    const DatabaseStats before = db_->StatsSnapshot();
+    QueryStats stats;
+    ASSERT_TRUE(db_->SelfJoin(4.0, method, smoothed, &stats, 4).ok()) << what;
+    expect_counted(stats, before, what);
+  };
+
+  for (const size_t threads : kThreadCounts) {
+    run_batch(threads, "threads=" + std::to_string(threads));
   }
+
+  // Unmerged inserts: queries and the tree-match join's delta probes
+  // read the delta index as well as the tree.
+  const std::vector<TimeSeries> late =
+      workload::MakeRandomWalkDataset(kSeed + 2, 24, kLength);
+  std::vector<std::string> names;
+  std::vector<RealVec> values;
+  for (const TimeSeries& s : late) {
+    names.push_back("late_" + s.name());
+    values.push_back(s.values());
+  }
+  ASSERT_TRUE(db_->InsertBatch(names, values).ok());
+  run_batch(4, "4 drivers over the delta");
+  run_join(JoinMethod::kTreeMatch, "tree-match join over the delta");
+
+  // The Reindex retires the tree those counts were made on; the totals
+  // keep them, and its own build adds the new tree's page writes.
+  const DatabaseStats before_merge = db_->StatsSnapshot();
+  ASSERT_TRUE(db_->Reindex().ok());
+  const DatabaseStats after_merge = db_->StatsSnapshot();
+  EXPECT_GE(after_merge.nodes_visited, before_merge.nodes_visited);
+  EXPECT_GT(after_merge.pool_disk_writes, before_merge.pool_disk_writes);
+  run_batch(4, "4 drivers after Reindex");
+  run_join(JoinMethod::kTreeMatch, "tree-match join after Reindex");
+  run_join(JoinMethod::kIndexPlain, "method-c join");
 }
 
 TEST_F(EngineTest, PerQueryErrorsDoNotPoisonTheBatch) {

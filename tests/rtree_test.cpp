@@ -34,6 +34,7 @@ namespace {
 using spatial::AffineMap;
 using spatial::Point;
 using spatial::Rect;
+using tsq::testing::IndexDelta;
 using tsq::testing::RandomPoint;
 using tsq::testing::Range;
 using tsq::testing::TempDir;
@@ -504,16 +505,16 @@ TEST_P(RTreeParamTest, IdentityTransformEqualsPlainSearch) {
   for (int q = 0; q < 10; ++q) {
     Rect query = tsq::testing::RandomRect(&rng, dims, 0.0, 10.0);
     std::set<uint64_t> plain;
-    tree->ResetStats();
+    IndexDelta counted;
     ASSERT_TRUE(tree->Search(query,
                              [&plain](uint64_t id, const Rect&) {
                                plain.insert(id);
                                return true;
                              })
                     .ok());
-    const uint64_t plain_nodes = tree->stats().nodes_visited;
+    const uint64_t plain_nodes = counted().nodes_visited;
     std::set<uint64_t> transformed;
-    tree->ResetStats();
+    counted.Reset();
     ASSERT_TRUE(tree->SearchTransformed(identity, query,
                                         [&transformed](uint64_t id,
                                                        const Rect&) {
@@ -522,8 +523,8 @@ TEST_P(RTreeParamTest, IdentityTransformEqualsPlainSearch) {
                                         })
                     .ok());
     EXPECT_EQ(plain, transformed);
-    EXPECT_EQ(plain_nodes, tree->stats().nodes_visited);
-    EXPECT_GT(tree->stats().rect_transforms, 0u);
+    EXPECT_EQ(plain_nodes, counted().nodes_visited);
+    EXPECT_GT(counted().rect_transforms, 0u);
   }
 }
 
@@ -632,9 +633,9 @@ TEST_P(RTreeParamTest, ReusedStorageMatchesBruteForceAfterRemoves) {
 
   const Rect everything(Point(dims, -1e9), Point(dims, 1e9));
   auto keep = [](uint64_t, const Rect&) { return true; };
-  tree->ResetStats();
+  const IndexDelta full_search;
   ASSERT_TRUE(tree->Search(everything, keep).ok());
-  const uint64_t nodes = tree->stats().nodes_visited;
+  const uint64_t nodes = full_search().nodes_visited;
 
   for (int q = 0; q < 10; ++q) {
     AffineMap map({rng.Uniform(-2.0, 2.0), rng.Uniform(-2.0, 2.0),
@@ -660,8 +661,7 @@ TEST_P(RTreeParamTest, ReusedStorageMatchesBruteForceAfterRemoves) {
     const Point center = RandomPoint(&rng, dims, -50.0, 50.0);
     EuclideanMetric metric(center);
     std::vector<std::pair<double, uint64_t>> streamed;
-    const TraversalStats shared_before = tree->stats();
-    const ThreadTraversalCounters mine_before = ThisThreadTraversalCounters();
+    const IndexDelta counted;
     ASSERT_TRUE(tree->NearestNeighborsStream(metric, &map,
                                              [&streamed](uint64_t id,
                                                          double bound) {
@@ -670,8 +670,7 @@ TEST_P(RTreeParamTest, ReusedStorageMatchesBruteForceAfterRemoves) {
                                                return true;
                                              })
                     .ok());
-    const TraversalStats shared_after = tree->stats();
-    const ThreadTraversalCounters& mine = ThisThreadTraversalCounters();
+    const obs::IndexCounters mine = counted();
     EXPECT_TRUE(std::is_sorted(streamed.begin(), streamed.end(),
                                [](const auto& a, const auto& b) {
                                  return a.first < b.first;
@@ -687,17 +686,9 @@ TEST_P(RTreeParamTest, ReusedStorageMatchesBruteForceAfterRemoves) {
 
     // Exhausting the stream visits every node and maps every entry once:
     // the leaf entries plus one parent entry per non-root node.
-    EXPECT_EQ(mine.nodes_visited - mine_before.nodes_visited, nodes);
-    EXPECT_EQ(mine.rect_transforms - mine_before.rect_transforms,
-              nodes - 1 + points.size());
-    EXPECT_EQ(mine.leaf_entries_tested - mine_before.leaf_entries_tested,
-              points.size());
-    EXPECT_EQ(shared_after.nodes_visited - shared_before.nodes_visited, nodes);
-    EXPECT_EQ(shared_after.rect_transforms - shared_before.rect_transforms,
-              nodes - 1 + points.size());
-    EXPECT_EQ(
-        shared_after.leaf_entries_tested - shared_before.leaf_entries_tested,
-        points.size());
+    EXPECT_EQ(mine.nodes_visited, nodes);
+    EXPECT_EQ(mine.rect_transforms, nodes - 1 + points.size());
+    EXPECT_EQ(mine.leaf_entries_tested, points.size());
   }
 }
 

@@ -29,6 +29,7 @@
 namespace tsq {
 namespace {
 
+using testing::IndexDelta;
 using testing::TempDir;
 
 // ---------------------------------------------------------------------------
@@ -96,7 +97,7 @@ TEST(SerdeTest, TruncatedInputYieldsCorruption) {
 TEST(SerdeTest, TruncatedVectorYieldsCorruption) {
   serde::Buffer buf;
   serde::PutRealVec(&buf, {1.0, 2.0, 3.0});
-  buf.resize(buf.size() - 4);
+  buf.erase(buf.end() - 4, buf.end());
   serde::Reader reader(buf);
   RealVec rv;
   EXPECT_TRUE(reader.GetRealVec(&rv).IsCorruption());
@@ -369,6 +370,7 @@ class BufferPoolTest : public ::testing::Test {
 
 TEST_F(BufferPoolTest, NewFetchRoundTrip) {
   BufferPool pool(file_.get(), 4);
+  const IndexDelta counted;
   auto h = pool.New();
   ASSERT_TRUE(h.ok());
   const PageId id = h->id();
@@ -378,11 +380,12 @@ TEST_F(BufferPoolTest, NewFetchRoundTrip) {
   auto h2 = pool.Fetch(id);
   ASSERT_TRUE(h2.ok());
   EXPECT_EQ(h2->page()->ReadU64(0), 42u);
-  EXPECT_EQ(pool.stats().hits, 1u);  // still cached
+  EXPECT_EQ(counted().hits, 1u);  // still cached
 }
 
 TEST_F(BufferPoolTest, EvictionWritesBackDirtyPages) {
   BufferPool pool(file_.get(), 2);
+  const IndexDelta counted;
   PageId first = 0;
   {
     auto h = pool.New();
@@ -396,11 +399,11 @@ TEST_F(BufferPoolTest, EvictionWritesBackDirtyPages) {
     auto h = pool.New();
     ASSERT_TRUE(h.ok());
   }
-  EXPECT_GT(pool.stats().evictions, 0u);
+  EXPECT_GT(counted().evictions, 0u);
   auto back = pool.Fetch(first);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->page()->ReadU64(16), 99u);
-  EXPECT_GT(pool.stats().disk_reads, 0u);
+  EXPECT_GT(counted().disk_reads, 0u);
 }
 
 TEST_F(BufferPoolTest, PinnedPagesCannotBeEvicted) {
@@ -423,11 +426,11 @@ TEST_F(BufferPoolTest, LruEvictsLeastRecentlyUsed) {
   // Touch a so b becomes the LRU victim.
   pool.Fetch(a).value();
   pool.New().value();  // evicts b
-  pool.ResetStats();
+  const IndexDelta counted;
   pool.Fetch(a).value();
-  EXPECT_EQ(pool.stats().hits, 1u);
+  EXPECT_EQ(counted().hits, 1u);
   pool.Fetch(b).value();
-  EXPECT_EQ(pool.stats().misses, 1u);
+  EXPECT_EQ(counted().misses, 1u);
 }
 
 TEST_F(BufferPoolTest, FlushAllPersistsWithoutEviction) {
@@ -470,19 +473,20 @@ TEST_F(BufferPoolTest, OneClockKeepsTheLastCapacityPages) {
     ASSERT_TRUE(h.ok());
     ids.push_back(h->id());
   }
-  pool.ResetStats();
+  const IndexDelta counted;
   for (size_t i = 64; i < 128; ++i) ASSERT_TRUE(pool.Fetch(ids[i]).ok());
-  EXPECT_EQ(pool.stats().hits, 64u);
-  EXPECT_EQ(pool.stats().misses, 0u);
+  EXPECT_EQ(counted().hits, 64u);
+  EXPECT_EQ(counted().misses, 0u);
   for (size_t i = 0; i < 64; ++i) ASSERT_TRUE(pool.Fetch(ids[i]).ok());
-  EXPECT_EQ(pool.stats().hits, 64u);
-  EXPECT_EQ(pool.stats().misses, 64u);
+  EXPECT_EQ(counted().hits, 64u);
+  EXPECT_EQ(counted().misses, 64u);
 }
 
 TEST_F(BufferPoolTest, ExhaustionWaitsForTheLastFrame) {
   // With 15 of 16 frames pinned, the one unpinned frame serves any number
   // of pages; exhaustion is reported only once every frame is pinned.
   BufferPool pool(file_.get(), 16);
+  const IndexDelta counted;
   std::vector<PageHandle> pins;
   for (int i = 0; i < 15; ++i) {
     auto h = pool.New();
@@ -499,20 +503,20 @@ TEST_F(BufferPoolTest, ExhaustionWaitsForTheLastFrame) {
   }
   // The first of the 32 took the free frame; each later one evicted (and
   // wrote back) its predecessor from that same frame.
-  EXPECT_EQ(pool.stats().evictions, 31u);
-  EXPECT_EQ(pool.stats().disk_writes, 31u);
-  const uint64_t hits_before = pool.stats().hits;
+  EXPECT_EQ(counted().evictions, 31u);
+  EXPECT_EQ(counted().disk_writes, 31u);
+  const uint64_t hits_before = counted().hits;
   ASSERT_TRUE(pool.Fetch(last).ok());
-  EXPECT_EQ(pool.stats().hits, hits_before + 1);
+  EXPECT_EQ(counted().hits, hits_before + 1);
 
   auto sixteenth = pool.New();
   ASSERT_TRUE(sixteenth.ok()) << sixteenth.status().ToString();
   EXPECT_TRUE(pool.New().status().IsFailedPrecondition());
   // The pinned pages kept their frames throughout.
   for (const PageHandle& pin : pins) {
-    const uint64_t hits = pool.stats().hits;
+    const uint64_t hits = counted().hits;
     ASSERT_TRUE(pool.Fetch(pin.id()).ok());
-    EXPECT_EQ(pool.stats().hits, hits + 1) << "page " << pin.id();
+    EXPECT_EQ(counted().hits, hits + 1) << "page " << pin.id();
   }
 }
 
@@ -520,6 +524,7 @@ TEST_F(BufferPoolTest, PinnedPageSurvivesEvictionPressure) {
   // Regression: a pinned page must never be evicted (or have its frame
   // reused) while other pages thrash the remaining frames.
   BufferPool pool(file_.get(), 4);
+  const IndexDelta counted;
   const PageId victim = pool.New().value().id();
   std::vector<PageId> hammer;
   for (int i = 0; i < 8; ++i) hammer.push_back(pool.New().value().id());
@@ -536,14 +541,14 @@ TEST_F(BufferPoolTest, PinnedPageSurvivesEvictionPressure) {
       ASSERT_TRUE(h.ok()) << "round " << round << " page " << id;
     }
   }
-  EXPECT_GT(pool.stats().evictions, 0u);
+  EXPECT_GT(counted().evictions, 0u);
 
   // The pinned frame is untouched and still cached.
   EXPECT_EQ(pinned->page()->ReadU64(24), 0xFEEDFACEull);
   pinned->Release();
-  const uint64_t hits_before = pool.stats().hits;
+  const uint64_t hits_before = counted().hits;
   ASSERT_TRUE(pool.Fetch(victim).ok());
-  EXPECT_EQ(pool.stats().hits, hits_before + 1)
+  EXPECT_EQ(counted().hits, hits_before + 1)
       << "pinned page fell out of cache";
 }
 
@@ -551,6 +556,7 @@ TEST_F(BufferPoolTest, FlushAllWritesEveryDirtyFrameOnce) {
   // Twelve dirty pages through eight frames: the first four were written
   // back at eviction, so the flush writes exactly the eight resident ones.
   BufferPool pool(file_.get(), 8);
+  const IndexDelta counted;
   std::vector<PageId> ids;
   for (int i = 0; i < 12; ++i) {
     auto h = pool.New();
@@ -559,11 +565,11 @@ TEST_F(BufferPoolTest, FlushAllWritesEveryDirtyFrameOnce) {
     h->MarkDirty();
     ids.push_back(h->id());
   }
-  const uint64_t writes_before = pool.stats().disk_writes;
+  const uint64_t writes_before = counted().disk_writes;
   EXPECT_EQ(writes_before, 4u);
   ASSERT_TRUE(pool.FlushAll().ok());
   // Every resident dirty frame was written exactly once...
-  EXPECT_EQ(pool.stats().disk_writes, writes_before + 8);
+  EXPECT_EQ(counted().disk_writes, writes_before + 8);
   // ...and every page — flushed or evicted earlier — is on disk.
   for (const PageId id : ids) {
     Page raw;
@@ -571,9 +577,9 @@ TEST_F(BufferPoolTest, FlushAllWritesEveryDirtyFrameOnce) {
     EXPECT_EQ(raw.ReadU64(0), 1000 + id) << "page " << id;
   }
   // A second flush finds nothing dirty.
-  const uint64_t writes_after = pool.stats().disk_writes;
+  const uint64_t writes_after = counted().disk_writes;
   ASSERT_TRUE(pool.FlushAll().ok());
-  EXPECT_EQ(pool.stats().disk_writes, writes_after);
+  EXPECT_EQ(counted().disk_writes, writes_after);
 }
 
 TEST_F(BufferPoolTest, StatsCountEveryAccessExactly) {
@@ -583,24 +589,17 @@ TEST_F(BufferPoolTest, StatsCountEveryAccessExactly) {
   BufferPool pool(file_.get(), 8);
   std::vector<PageId> ids;
   for (int i = 0; i < 16; ++i) ids.push_back(pool.New().value().id());
-  pool.ResetStats();
+  const IndexDelta counted;
 
   for (size_t i = 8; i < 16; ++i) ASSERT_TRUE(pool.Fetch(ids[i]).ok());
   for (size_t i = 0; i < 8; ++i) ASSERT_TRUE(pool.Fetch(ids[i]).ok());
 
-  const BufferPoolStats stats = pool.stats();
+  const obs::IndexCounters stats = counted();
   EXPECT_EQ(stats.hits, 8u);
   EXPECT_EQ(stats.misses, 8u);
   EXPECT_EQ(stats.disk_reads, 8u);
   // Refetching the evicted pages displaces exactly as many frames.
   EXPECT_EQ(stats.evictions, 8u);
-
-  pool.ResetStats();
-  const BufferPoolStats cleared = pool.stats();
-  EXPECT_EQ(cleared.hits, 0u);
-  EXPECT_EQ(cleared.misses, 0u);
-  EXPECT_EQ(cleared.disk_reads, 0u);
-  EXPECT_EQ(cleared.evictions, 0u);
 }
 
 TEST_F(BufferPoolTest, MoveSemanticsOfHandles) {

@@ -22,11 +22,27 @@
 #include "core/database.h"
 #include "dft/complex_vec.h"
 #include "gtest/gtest.h"
+#include "obs/trace.h"
 #include "spatial/point.h"
 #include "spatial/rect.h"
 
 namespace tsq {
 namespace testing {
+
+/// The buffer-pool and R*-tree events this thread causes from
+/// construction (or the last Reset) on: a delta of
+/// obs::ThisThreadIndexCounters(), where each such event is counted.
+class IndexDelta {
+ public:
+  IndexDelta() { Reset(); }
+  void Reset() { before_ = obs::ThisThreadIndexCounters(); }
+  obs::IndexCounters operator()() const {
+    return obs::ThisThreadIndexCounters() - before_;
+  }
+
+ private:
+  obs::IndexCounters before_;
+};
 
 /// A unique temporary directory, removed at destruction.
 class TempDir {

@@ -17,9 +17,11 @@ Four classes of failure:
    methods, their shared last-query stats and the sequential tree-match
    join), the per-thread-count engines and pools the one database pool
    replaced, the buffer-pool shards, the Guttman node splits, the wire
-   protocol's extension flags with the subsequence query kind, and the
-   page file's own I/O counters must not be named in the README, docs/
-   or src/ headers.
+   protocol's extension flags with the subsequence query kind, the
+   page file's own I/O counters, and the second copies of the index and
+   server counters (the pool's and tree's shared stats, the Reindex
+   counter fold, tsqd's scrape-time mirror) must not be named in the
+   README, docs/ or src/ headers.
 
 3. Required sections: load-bearing doc sections that later PRs link to
    (the kernel determinism contract, the wire-protocol versioning rule,
@@ -62,8 +64,9 @@ STALE_PATTERNS = [
 
 # Names of the removed query API, of the per-thread-count engines and
 # pools, of the buffer-pool shards, of the Guttman split variants, of the
-# wire protocol's extension flags and subsequence kind, and of the page
-# file's counters (see check 2). Checked against
+# wire protocol's extension flags and subsequence kind, of the page
+# file's counters, and of the shared pool/tree stats, the Reindex counter
+# fold and tsqd's counter mirror (see check 2). Checked against
 # README.md, docs/*.md and every header under src/. Case-sensitive, and
 # anchored so SeqScanRangeQuery / IndexRangeQuery / Client::Knn pass.
 STALE_API_PATTERNS = [
@@ -94,6 +97,12 @@ STALE_API_PATTERNS = [
     r"kStageStatsFlag",
     r"kServerCountersFlag",
     r"PageFileStats",
+    r"\bTraversalStats\b",
+    r"BufferPoolStats",
+    r"AddIndexCounters",
+    r"retired_index_counters_",
+    r"metrics_mutex_",
+    r"TraversalTally",
 ]
 
 SKIP_DIRS = {".git", "build", "build-tsan", "third_party", ".github",

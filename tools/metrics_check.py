@@ -41,10 +41,12 @@ REQUIRED_FAMILIES = {
     "tsqd_requests_total": "counter",
     "tsqd_request_latency_us": "histogram",
     "tsqd_connections_accepted_total": "counter",
+    "tsqd_connections_closed_total": "counter",
     "tsqd_frames_received_total": "counter",
     "tsqd_requests_executed_total": "counter",
     "tsqd_busy_rejected_total": "counter",
     "tsqd_protocol_errors_total": "counter",
+    "tsqd_accept_backoffs_total": "counter",
     "tsq_series": "gauge",
     "tsq_index_epoch": "gauge",
     "tsq_delta_entries": "gauge",
