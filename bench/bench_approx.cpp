@@ -1,17 +1,20 @@
 // Copyright (c) 2026 The tsq Authors.
 //
 // Approximate kNN: recall and speedup versus the exact multi-step search
-// as the (1+epsilon) relaxation, the probe budget and the first-leaf
-// heuristic are dialed. Not a paper figure — the paper's kNN is exact;
+// as the (1+epsilon) relaxation and the probe budget are dialed (a budget
+// of k is the ng-approximate first-leaf stop). Not a paper figure — the
+// paper's kNN is exact;
 // this measures the accuracy/latency dial tsq adds on top (KnnOptions),
 // and asserts the correctness contract on the bench workload itself:
 // the observed max_error reported in QueryStats never exceeds the
 // requested epsilon, and epsilon = 0 answers are identical to exact.
 //
-// Drops BENCH_approx.json in the working directory — per-configuration
-// mean ms, speedup, recall@k, observed and true max relative error,
-// candidates verified and pruned — so CI archives the recall-vs-speedup
-// trade-off across PRs.
+// Each timing is one sweep over every query, in ms per query: the median
+// of bench::RepeatCell's five runs, with their min-max beside it. Drops
+// BENCH_approx.json in the working directory — per-configuration median
+// ms with every run, speedup, recall@k, observed and true max relative
+// error, candidates verified and pruned — so CI archives the
+// recall-vs-speedup trade-off across PRs.
 
 #include <cmath>
 #include <cstdint>
@@ -22,6 +25,7 @@
 
 #include "bench_util.h"
 #include "common/macros.h"
+#include "common/stopwatch.h"
 #include "workload/stock_sim.h"
 
 namespace tsq {
@@ -36,7 +40,8 @@ void Run() {
   bench::Banner(
       "Approximate kNN: recall vs speedup (KnnOptions dial)",
       "Simulated stock relation; exact multi-step kNN baseline against\n"
-      "(1+eps)-relaxed pruning, probe budgets and the first-leaf stop.\n"
+      "(1+eps)-relaxed pruning and probe budgets (probes=k is the\n"
+      "first-leaf stop).\n"
       "Contract checked per query: reported max_error <= requested eps.");
 
   bench::ScratchDir dir("approx");
@@ -45,7 +50,6 @@ void Run() {
   auto db = bench::BuildDatabase(dir.path(), "approx", market);
   const size_t k = 10;
   const int kQueries = static_cast<int>(bench::Scaled(20, 4));
-  const int kReps = 3;
 
   bench::Json doc = bench::Json::Object();
   doc["bench"] = bench::Json::Str("approx_knn");
@@ -57,46 +61,59 @@ void Run() {
   workload_json["smoke_divisor"] = bench::Json::Int(bench::SmokeDivisor());
   doc["workload"] = std::move(workload_json);
 
-  // Exact baselines: answers for recall/true-error, mean ms for speedup.
-  std::vector<std::vector<Match>> exact(kQueries);
-  double exact_ms = 0.0;
-  for (int q = 0; q < kQueries; ++q) {
-    const auto knn = engine::BatchQuery::Knn(
-        market[(q * 97) % market.size()].values(), k);
-    exact[q] = bench::RunQuery(db.get(), knn).matches;
-    exact_ms += bench::MeanMillis([&]() { bench::RunQuery(db.get(), knn); },
-                                  kReps);
-  }
-  exact_ms /= kQueries;
-
-  const Config configs[] = {
-      {"eps=0", {0.0, 0, false}},
-      {"eps=0.05", {0.05, 0, false}},
-      {"eps=0.1", {0.1, 0, false}},
-      {"eps=0.25", {0.25, 0, false}},
-      {"eps=0.5", {0.5, 0, false}},
-      {"eps=1.0", {1.0, 0, false}},
-      {"probes=64", {0.0, 64, false}},
-      {"probes=16", {0.0, 16, false}},
-      {"first-leaf", {0.0, 0, true}},
+  // The sweep under `options`, timed: ms per query, median of five runs.
+  const auto time_sweep = [&](const KnnOptions& options) {
+    return bench::RepeatCell([&] {
+      Stopwatch watch;
+      for (int q = 0; q < kQueries; ++q) {
+        bench::RunQuery(db.get(),
+                        engine::BatchQuery::Knn(
+                            market[(q * 97) % market.size()].values(), k,
+                            QuerySpec{}, options));
+      }
+      return watch.ElapsedMillis() / kQueries;
+    });
   };
 
-  bench::Table table({"config", "mean ms", "speedup", "recall@k",
-                      "observed max_err", "true max_err", "visited",
-                      "pruned"});
-  table.AddRow({"exact", bench::Table::Num(exact_ms), "1.00x", "1.000", "-",
-                "-", "-", "-"});
+  // Exact baselines: answers for recall/true-error, ms for speedup.
+  std::vector<std::vector<Match>> exact(kQueries);
+  for (int q = 0; q < kQueries; ++q) {
+    exact[q] = bench::RunQuery(db.get(),
+                               engine::BatchQuery::Knn(
+                                   market[(q * 97) % market.size()].values(),
+                                   k))
+                   .matches;
+  }
+  const bench::CellTiming exact_timing = time_sweep(KnnOptions{});
+  const double exact_ms = exact_timing.median_ms;
+
+  const Config configs[] = {
+      {"eps=0", {0.0, 0}},
+      {"eps=0.05", {0.05, 0}},
+      {"eps=0.1", {0.1, 0}},
+      {"eps=0.25", {0.25, 0}},
+      {"eps=0.5", {0.5, 0}},
+      {"eps=1.0", {1.0, 0}},
+      {"probes=64", {0.0, 64}},
+      {"probes=16", {0.0, 16}},
+      {"probes=10", {0.0, k}},
+  };
+
+  bench::Table table({"config", "median ms", "min-max", "speedup",
+                      "recall@k", "observed max_err", "true max_err",
+                      "visited", "pruned"});
+  table.AddRow({"exact", bench::Table::Num(exact_ms),
+                exact_timing.Spread(3), "1.00x", "1.000", "-", "-", "-",
+                "-"});
   bench::Json rows = bench::Json::Array();
 
   for (const Config& config : configs) {
-    double mean_ms = 0.0;
     double recall = 0.0;
     double observed_max_error = 0.0;
     double true_max_error = 0.0;
     uint64_t visited = 0;
     uint64_t pruned = 0;
-    const bool pure_epsilon =
-        config.options.probe_budget == 0 && !config.options.stop_after_first_leaf;
+    const bool pure_epsilon = config.options.probe_budget == 0;
     for (int q = 0; q < kQueries; ++q) {
       const auto knn = engine::BatchQuery::Knn(
           market[(q * 97) % market.size()].values(), k, QuerySpec{},
@@ -104,8 +121,6 @@ void Run() {
       const engine::BatchResult result = bench::RunQuery(db.get(), knn);
       const std::vector<Match>& approx = result.matches;
       const QueryStats& stats = result.stats;
-      mean_ms += bench::MeanMillis([&]() { bench::RunQuery(db.get(), knn); },
-                                   kReps);
 
       // Correctness contract, checked on the bench workload: the
       // reported error bound honors the requested epsilon, and with
@@ -148,11 +163,12 @@ void Run() {
       visited += stats.candidates;
       pruned += stats.pruned;
     }
-    mean_ms /= kQueries;
     recall /= kQueries;
+    const bench::CellTiming timing = time_sweep(config.options);
 
-    table.AddRow({config.label, bench::Table::Num(mean_ms),
-                  bench::Table::Num(exact_ms / mean_ms, 2) + "x",
+    table.AddRow({config.label, bench::Table::Num(timing.median_ms),
+                  timing.Spread(3),
+                  bench::Table::Num(exact_ms / timing.median_ms, 2) + "x",
                   bench::Table::Num(recall, 3),
                   bench::Table::Num(observed_max_error, 4),
                   bench::Table::Num(true_max_error, 4),
@@ -162,9 +178,8 @@ void Run() {
     row["config"] = bench::Json::Str(config.label);
     row["epsilon"] = bench::Json::Num(config.options.epsilon);
     row["probe_budget"] = bench::Json::Int(config.options.probe_budget);
-    row["first_leaf"] = bench::Json::Bool(config.options.stop_after_first_leaf);
-    row["mean_ms"] = bench::Json::Num(mean_ms);
-    row["speedup_vs_exact"] = bench::Json::Num(exact_ms / mean_ms);
+    timing.AddTo(&row);
+    row["speedup_vs_exact"] = bench::Json::Num(exact_ms / timing.median_ms);
     row["recall_at_k"] = bench::Json::Num(recall);
     row["observed_max_error"] = bench::Json::Num(observed_max_error);
     row["true_max_error"] = bench::Json::Num(true_max_error);
@@ -174,7 +189,7 @@ void Run() {
   }
   table.Print();
   bench::Json exact_json = bench::Json::Object();
-  exact_json["mean_ms"] = bench::Json::Num(exact_ms);
+  exact_timing.AddTo(&exact_json);
   doc["exact"] = std::move(exact_json);
   doc["sweep"] = std::move(rows);
 

@@ -194,7 +194,9 @@ Result<std::unique_ptr<Database>> Database::Create(
       db->relation_,
       Relation::Create(options.directory + "/" + options.name + ".rel",
                        options.relation_segments));
-  // Clear any leftover merge scratch from a previous incarnation.
+  // A previous incarnation's index describes its relation, not this one;
+  // drop it together with any merge scratch.
+  std::remove(db->IndexPath().c_str());
   std::remove((db->IndexPath() + ".tmp").c_str());
   db->InitSlowQueryLog();
   db->StartMergeThread();
@@ -222,16 +224,11 @@ Result<std::unique_ptr<Database>> Database::Open(
   std::remove((index_path + ".tmp").c_str());
   if (std::FILE* f = std::fopen(index_path.c_str(), "rb")) {
     std::fclose(f);
-    KIndexOptions kopts;
-    kopts.layout = options.layout;
-    kopts.path = index_path;
-    kopts.page_size = options.page_size;
-    kopts.buffer_pool_frames = options.buffer_pool_frames;
-    kopts.rtree = options.rtree;
     std::unique_ptr<KIndex> opened;
     {
       const obs::IndexCounterScope count(&db->index_counters_);
-      TSQ_ASSIGN_OR_RETURN(opened, KIndex::Open(kopts, db->series_length()));
+      TSQ_ASSIGN_OR_RETURN(opened, KIndex::Open(db->IndexOptions(index_path),
+                                                db->series_length()));
     }
     const uint64_t indexed = opened->size();
     const uint64_t total = db->relation_->size();
@@ -242,26 +239,12 @@ Result<std::unique_ptr<Database>> Database::Open(
     }
     // The index may cover a prefix of the relation — the flushed state
     // of a crash between an insert (or merge cutoff) and the next merge.
-    // Rebuild the missing tail [indexed, total) into the delta; feature
-    // points are a pure function of relation records, so the reopened
-    // view answers exactly like the pre-crash one.
-    auto snap = std::make_shared<IndexSnapshot>();
-    snap->epoch = 1;
-    snap->main = std::shared_ptr<KIndex>(std::move(opened));
-    snap->delta =
-        std::make_shared<DeltaIndex>(indexed, db->options_.layout.dims());
-    snap->delta_begin = 0;
-    for (SeriesId id = indexed; id < total; ++id) {
-      TSQ_ASSIGN_OR_RETURN(SeriesRecord rec, db->relation_->Get(id));
-      const SeriesFeatures features =
-          db->extractor_.FromStored(rec.values, rec.dft);
-      TSQ_RETURN_IF_ERROR(
-          snap->delta->Put(id, db->extractor_.ToPoint(features)));
-    }
-    {
-      std::unique_lock<std::shared_mutex> lock(db->snapshot_ptr_mutex_);
-      db->snapshot_ = std::move(snap);
-    }
+    // Feature points are a pure function of relation records, so the
+    // rebuilt tail answers exactly like the pre-crash delta.
+    TSQ_ASSIGN_OR_RETURN(std::shared_ptr<DeltaIndex> delta,
+                         db->RebuildDelta(indexed));
+    std::lock_guard<std::mutex> put_lock(db->delta_put_mutex_);
+    db->Publish(std::move(opened), std::move(delta));
   }
   db->InitSlowQueryLog();
   db->StartMergeThread();
@@ -271,19 +254,12 @@ Result<std::unique_ptr<Database>> Database::Open(
 Status Database::Flush() {
   // At kNone the flush pushes buffered bytes to the OS; at kOnFlush and
   // kPerBatch it is a durability barrier (fdatasync of every segment).
+  // The index needs nothing here: every published tree was flushed and
+  // synced before it was published, and is never written again.
   Status status = options_.durability == Durability::kNone
                       ? relation_->Flush()
                       : relation_->Sync();
   if (!status.ok()) return EnterReadOnly(std::move(status));
-  // merge_mutex_ keeps the flush from racing a merge's rename of the
-  // index file; the main tree itself is immutable once published.
-  std::lock_guard<std::mutex> lock(merge_mutex_);
-  const obs::IndexCounterScope count(&index_counters_);
-  if (auto snap = CurrentSnapshot(); snap != nullptr) {
-    if (Status index_status = snap->main->Flush(); !index_status.ok()) {
-      return EnterReadOnly(std::move(index_status));
-    }
-  }
   return Status::OK();
 }
 
@@ -508,16 +484,27 @@ Result<std::vector<SeriesId>> Database::InsertBatch(
   return ids;
 }
 
-Result<std::shared_ptr<KIndex>> Database::BuildIndexFile(
-    const std::string& path, uint64_t limit, bool bulk_load) {
+KIndexOptions Database::IndexOptions(const std::string& path) const {
   KIndexOptions kopts;
   kopts.layout = options_.layout;
   kopts.path = path;
   kopts.page_size = options_.page_size;
   kopts.buffer_pool_frames = options_.buffer_pool_frames;
   kopts.rtree = options_.rtree;
+  return kopts;
+}
+
+Result<std::shared_ptr<KIndex>> Database::BuildIndexFile(uint64_t limit,
+                                                         bool bulk_load) {
+  // Build into scratch, flush, then atomically rename over the canonical
+  // index file. A published tree keeps serving from its open descriptor
+  // throughout; a crash anywhere here leaves the previous index file (or
+  // none) plus ignorable scratch, or the complete new one.
+  const std::string tmp_path = IndexPath() + ".tmp";
+  std::remove(tmp_path.c_str());
   std::unique_ptr<KIndex> index;
-  TSQ_ASSIGN_OR_RETURN(index, KIndex::Create(kopts, series_length()));
+  TSQ_ASSIGN_OR_RETURN(
+      index, KIndex::Create(IndexOptions(tmp_path), series_length()));
 
   // One parallel scan per relation segment collects every series'
   // features — ids are dense, so items[id] is each scanner's private
@@ -547,7 +534,60 @@ Result<std::shared_ptr<KIndex>> Database::BuildIndexFile(
       TSQ_RETURN_IF_ERROR(index->Add(id, features));
     }
   }
+
+  // Publication sequence with its crash points: fsync the complete temp
+  // tree, atomically rename it over the canonical file, then fsync the
+  // parent directory so the rename itself is durable. A crash before
+  // the rename leaves ignorable scratch; after it, the new file — in
+  // both cases Open recovers (the reindex_* failpoints let the crash
+  // harness stop at each step).
+  static failpoint::Site* fp_flush =
+      failpoint::Register("reindex_before_flush");
+  TSQ_RETURN_IF_ERROR(
+      MergeFailpoint(fp_flush, "index build failed before flushing", tmp_path));
+  TSQ_RETURN_IF_ERROR(index->Flush());
+  static failpoint::Site* fp_rename =
+      failpoint::Register("reindex_before_rename");
+  TSQ_RETURN_IF_ERROR(MergeFailpoint(
+      fp_rename, "index build failed before publishing", tmp_path));
+  if (std::rename(tmp_path.c_str(), IndexPath().c_str()) != 0) {
+    return failpoint::ErrnoError(errno != 0 ? errno : EIO,
+                                 "failed to rename " + tmp_path + " over",
+                                 IndexPath());
+  }
+  static failpoint::Site* fp_post =
+      failpoint::Register("reindex_after_rename");
+  TSQ_RETURN_IF_ERROR(MergeFailpoint(
+      fp_post, "index build failed after publishing", IndexPath()));
+  TSQ_RETURN_IF_ERROR(SyncDirectory(options_.directory));
   return std::shared_ptr<KIndex>(std::move(index));
+}
+
+Result<std::shared_ptr<DeltaIndex>> Database::RebuildDelta(SeriesId base) {
+  auto delta = std::make_shared<DeltaIndex>(base, options_.layout.dims());
+  const uint64_t total = relation_->size();
+  for (SeriesId id = base; id < total; ++id) {
+    TSQ_ASSIGN_OR_RETURN(SeriesRecord rec, relation_->Get(id));
+    const SeriesFeatures features = extractor_.FromStored(rec.values, rec.dft);
+    TSQ_RETURN_IF_ERROR(delta->Put(id, extractor_.ToPoint(features)));
+  }
+  return delta;
+}
+
+uint64_t Database::Publish(std::shared_ptr<KIndex> main,
+                           std::shared_ptr<DeltaIndex> delta) {
+  const auto current = CurrentSnapshot();
+  auto next = std::make_shared<IndexSnapshot>();
+  next->epoch = current == nullptr ? 1 : current->epoch + 1;
+  next->main = std::move(main);
+  next->delta = std::move(delta);
+  TSQ_DCHECK(next->main->size() == next->delta->base());
+  const uint64_t epoch = next->epoch;
+  // `current` outlives the lock: a retired epoch whose last pin this was
+  // is torn down after the pointer lock is released.
+  std::unique_lock<std::shared_mutex> lock(snapshot_ptr_mutex_);
+  snapshot_ = std::move(next);
+  return epoch;
 }
 
 Status Database::BuildIndex() {
@@ -561,18 +601,13 @@ Status Database::BuildIndex() {
   if (index_built()) {
     return Status::FailedPrecondition("index already built");
   }
-  std::shared_ptr<KIndex> index;
-  TSQ_ASSIGN_OR_RETURN(index,
-                       BuildIndexFile(IndexPath(), total, options_.bulk_load));
-  auto snap = std::make_shared<IndexSnapshot>();
-  snap->epoch = 1;
-  snap->main = std::move(index);
-  snap->delta = std::make_shared<DeltaIndex>(total, options_.layout.dims());
-  snap->delta_begin = 0;
-  {
-    std::unique_lock<std::shared_mutex> lock(snapshot_ptr_mutex_);
-    snapshot_ = std::move(snap);
-  }
+  // The first merge: Reindex's build and publication over every stored
+  // series, with an empty delta after it.
+  TSQ_ASSIGN_OR_RETURN(std::shared_ptr<KIndex> index,
+                       BuildIndexFile(total, options_.bulk_load));
+  std::lock_guard<std::mutex> put_lock(delta_put_mutex_);
+  Publish(std::move(index),
+          std::make_shared<DeltaIndex>(total, options_.layout.dims()));
   return Status::OK();
 }
 
@@ -591,78 +626,20 @@ Result<uint64_t> Database::Reindex() {
   if (cutoff == snap->main->size()) {
     return snap->epoch;  // nothing to fold
   }
-
-  // Rebuild into scratch, flush, then atomically rename over the
-  // canonical index file. The published tree keeps serving from its open
-  // descriptor throughout; a crash anywhere here leaves either the old
-  // file (plus ignorable scratch) or the complete new one.
-  const std::string tmp_path = IndexPath() + ".tmp";
-  std::remove(tmp_path.c_str());
-  std::shared_ptr<KIndex> merged;
-  {
-    Result<std::shared_ptr<KIndex>> built =
-        BuildIndexFile(tmp_path, cutoff, /*bulk_load=*/true);
-    if (!built.ok()) return EnterReadOnly(built.status());
-    merged = std::move(built).value();
-  }
-  // Publication sequence with its crash points: fsync the complete temp
-  // tree, atomically rename it over the canonical file, then fsync the
-  // parent directory so the rename itself is durable. A crash before
-  // the rename leaves ignorable scratch; after it, the new file — in
-  // both cases Open recovers (the reindex_* failpoints let the crash
-  // harness stop at each step).
-  static failpoint::Site* fp_flush =
-      failpoint::Register("reindex_before_flush");
-  if (Status s = MergeFailpoint(fp_flush, "merge failed before flushing",
-                                tmp_path);
-      !s.ok()) {
-    return EnterReadOnly(std::move(s));
-  }
-  if (Status s = merged->Flush(); !s.ok()) {
-    return EnterReadOnly(std::move(s));
-  }
-  static failpoint::Site* fp_rename =
-      failpoint::Register("reindex_before_rename");
-  if (Status s = MergeFailpoint(fp_rename, "merge failed before publishing",
-                                tmp_path);
-      !s.ok()) {
-    return EnterReadOnly(std::move(s));
-  }
-  if (std::rename(tmp_path.c_str(), IndexPath().c_str()) != 0) {
-    return EnterReadOnly(failpoint::ErrnoError(
-        errno != 0 ? errno : EIO, "failed to rename " + tmp_path + " over",
-        IndexPath()));
-  }
-  static failpoint::Site* fp_post =
-      failpoint::Register("reindex_after_rename");
-  if (Status s = MergeFailpoint(fp_post, "merge failed after publishing",
-                                IndexPath());
-      !s.ok()) {
-    return EnterReadOnly(std::move(s));
-  }
-  if (Status s = SyncDirectory(options_.directory); !s.ok()) {
-    return EnterReadOnly(std::move(s));
-  }
+  Result<std::shared_ptr<KIndex>> merged =
+      BuildIndexFile(cutoff, /*bulk_load=*/true);
+  if (!merged.ok()) return EnterReadOnly(merged.status());
   if (merge_hook_) merge_hook_();
 
   uint64_t epoch = 0;
   {
     // Swap under the delta writer mutex: compaction and publication are
     // atomic w.r.t. DeltaPut, so no put can land in the old delta after
-    // compaction copied it.
+    // compaction copied it. Only merge_mutex_ holders publish, so `snap`
+    // is still the current epoch.
     std::lock_guard<std::mutex> put_lock(delta_put_mutex_);
-    auto current = CurrentSnapshot();
-    auto next = std::make_shared<IndexSnapshot>();
-    next->epoch = current->epoch + 1;
-    next->main = std::move(merged);
-    next->delta = std::shared_ptr<DeltaIndex>(
-        DeltaIndex::Compact(*current->delta, cutoff));
-    next->delta_begin = 0;
-    epoch = next->epoch;
-    {
-      std::unique_lock<std::shared_mutex> lock(snapshot_ptr_mutex_);
-      snapshot_ = std::move(next);
-    }
+    epoch = Publish(std::move(merged).value(),
+                    DeltaIndex::Compact(*snap->delta, cutoff));
   }
   merges_completed_.fetch_add(1, std::memory_order_relaxed);
   return epoch;
@@ -676,7 +653,6 @@ Status Database::Repair() {
   // to the largest dense record prefix, lift the append poison. Fails
   // (keeping the degradation) while the fault persists.
   TSQ_RETURN_IF_ERROR(relation_->Repair());
-  const uint64_t total = relation_->size();
   // 2. Re-cover the relation tail the published index may have missed
   // (a failed delta publication, or records the rewind removed). The
   // published main tree indexes ids [0, main->size()); every one of
@@ -685,25 +661,12 @@ Status Database::Repair() {
   // from relation records — the same tail rebuild Open performs — and
   // publish it as the next epoch.
   if (auto snap = CurrentSnapshot(); snap != nullptr) {
-    auto next = std::make_shared<IndexSnapshot>();
-    next->epoch = snap->epoch + 1;
-    next->main = snap->main;
-    next->delta = std::make_shared<DeltaIndex>(snap->main->size(),
-                                               options_.layout.dims());
-    next->delta_begin = 0;
-    for (SeriesId id = snap->main->size(); id < total; ++id) {
-      TSQ_ASSIGN_OR_RETURN(SeriesRecord rec, relation_->Get(id));
-      const SeriesFeatures features =
-          extractor_.FromStored(rec.values, rec.dft);
-      TSQ_RETURN_IF_ERROR(next->delta->Put(id, extractor_.ToPoint(features)));
-    }
-    {
-      // Same two-lock order as the merge swap: no DeltaPut can land in
-      // the old delta after the rebuild copied the tail.
-      std::lock_guard<std::mutex> put_lock(delta_put_mutex_);
-      std::unique_lock<std::shared_mutex> lock(snapshot_ptr_mutex_);
-      snapshot_ = std::move(next);
-    }
+    TSQ_ASSIGN_OR_RETURN(std::shared_ptr<DeltaIndex> delta,
+                         RebuildDelta(snap->main->size()));
+    // Same two-lock order as the merge swap: no DeltaPut can land in the
+    // old delta after the rebuild copied the tail.
+    std::lock_guard<std::mutex> put_lock(delta_put_mutex_);
+    Publish(snap->main, std::move(delta));
   }
   // 3. A merge may have died mid-build; its scratch is dead weight now.
   std::remove((IndexPath() + ".tmp").c_str());
@@ -714,7 +677,7 @@ Status Database::Repair() {
   }
   repairs_completed_.fetch_add(1, std::memory_order_relaxed);
   TSQ_LOG(kInfo) << "repair complete, writes resumed (relation size "
-                 << total << ")";
+                 << relation_->size() << ")";
   return Status::OK();
 }
 

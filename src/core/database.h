@@ -68,8 +68,9 @@ enum class Durability {
   /// nothing (the cache survives); a machine crash may lose recently
   /// acknowledged series. The default, and the pre-durability behavior.
   kNone = 0,
-  /// Flush() additionally fdatasyncs every relation segment (and the
-  /// index file), so an explicit flush is a full durability barrier.
+  /// Flush() additionally fdatasyncs every relation segment, so an
+  /// explicit flush is a full durability barrier. (A published index
+  /// file is synced before it is published, at every level.)
   kOnFlush = 1,
   /// Group commit: every Insert/InsertBatch fdatasyncs the relation
   /// segments it touched before acknowledging — one fdatasync per
@@ -122,9 +123,9 @@ struct DatabaseOptions {
 /// are cumulative since Create/Open. The pool and traversal counters are
 /// the database's own totals: every Database call that touches the index
 /// (Open, BuildIndex, each RunBatch query, SelfJoin's index methods,
-/// Reindex, Flush, Repair) adds the index events it caused, counted once
-/// per event in thread-local counters (obs/trace.h). No counter lives on
-/// a tree, so none goes backwards when a merge retires one. Work done
+/// Reindex, Repair) adds the index events it caused, counted once per
+/// event in thread-local counters (obs/trace.h). No counter lives on a
+/// tree, so none goes backwards when a merge retires one. Work done
 /// directly on index() or CurrentSnapshot() bypasses the database and is
 /// not counted here (a relation()->ResetStats() does reset the relation
 /// counters).
@@ -229,9 +230,12 @@ struct DatabaseStats {
 /// the relation covering every merged-plus-visible-delta id, persists it
 /// to <name>.idx.tmp, atomically renames it over <name>.idx, and swaps
 /// the epoch pointer; the delta is compacted to the entries the new tree
-/// does not cover. A crash at any point leaves a reopenable database:
-/// Open accepts an index that covers a prefix of the relation and
-/// rebuilds the missing tail into the delta.
+/// does not cover. BuildIndex is the first merge: the same build and
+/// publication over every stored series. So every published tree is on
+/// disk before it is published and is never written again. A crash at
+/// any point leaves a reopenable database: Open accepts an index that
+/// covers a prefix of the relation and rebuilds the missing tail into
+/// the delta.
 ///
 /// Faults: a write fault (failed append, failed delta publication,
 /// failed merge) degrades the database to read-only — writes return
@@ -245,7 +249,9 @@ class Database {
   /// Stops the background merge thread (when running) before teardown.
   ~Database();
 
-  /// Creates a fresh database (truncates existing files of the same name).
+  /// Creates a fresh database: truncates the relation files of the same
+  /// name and removes its index file and merge scratch, so the new
+  /// database starts unindexed.
   static Result<std::unique_ptr<Database>> Create(
       const DatabaseOptions& options);
 
@@ -277,8 +283,14 @@ class Database {
       const std::vector<std::string>& names,
       const std::vector<RealVec>& values, size_t threads = 0);
 
-  /// Builds the k-index over everything inserted so far. Requires at least
-  /// one series and exclusivity (no concurrent inserts or queries).
+  /// Builds the k-index over everything inserted so far and publishes it
+  /// as epoch 1: the first merge, written, flushed, renamed over
+  /// <name>.idx and made durable exactly as Reindex does (STR bulk load,
+  /// or repeated insertion when DatabaseOptions::bulk_load is false).
+  /// Requires at least one series and exclusivity (no concurrent inserts
+  /// or queries); refuses to run twice. Errors are returned without
+  /// degrading the database. One before the rename leaves no <name>.idx;
+  /// one after it leaves the complete tree there, which Open serves.
   Status BuildIndex();
 
   /// True once BuildIndex has succeeded.
@@ -298,12 +310,13 @@ class Database {
 
   /// Folds the visible delta into a fresh main R*-tree and publishes the
   /// next epoch: rebuild (parallel segment scans + STR bulk load) into
-  /// <name>.idx.tmp, flush, atomic rename over <name>.idx, swap the
-  /// snapshot pointer with the delta compacted to what the new tree does
-  /// not cover. In-flight queries keep their pinned epoch; new queries
-  /// see the merged tree. Returns the published epoch (the current one
-  /// when there was nothing to merge). Serialized against other merges
-  /// and BuildIndex; safe concurrently with inserts and queries.
+  /// <name>.idx.tmp, flush, atomic rename over <name>.idx, directory
+  /// fsync, swap the snapshot pointer with the delta compacted to what
+  /// the new tree does not cover. In-flight queries keep their pinned
+  /// epoch; new queries see the merged tree. Returns the published epoch
+  /// (the current one when there was nothing to merge). A failed merge
+  /// degrades the database (see EnterReadOnly). Serialized against other
+  /// merges and BuildIndex; safe concurrently with inserts and queries.
   Result<uint64_t> Reindex();
 
   /// Number of stored series / their common length (0 before first insert).
@@ -340,12 +353,13 @@ class Database {
   /// Reads one stored record back.
   Result<SeriesRecord> Get(SeriesId id) { return relation_->Get(id); }
 
-  /// Flushes the relation and (when built) the current main index to
-  /// disk so Open can recover them. Unmerged delta entries are not
-  /// persisted as index state — Open rebuilds them from the relation
-  /// tail (the delta is always derivable from relation records). At
-  /// Durability::kOnFlush and above this is a full barrier: every
-  /// acknowledged record has been fdatasynced when Flush returns.
+  /// Flushes the relation to disk so Open can recover it. The index needs
+  /// no flush: BuildIndex and Reindex write each tree out before they
+  /// publish it. Unmerged delta entries are not persisted as index state
+  /// — Open rebuilds them from the relation tail (the delta is always
+  /// derivable from relation records). At Durability::kOnFlush and above
+  /// this is a full barrier: every acknowledged record has been
+  /// fdatasynced when Flush returns.
   Status Flush();
 
   /// True while the database is read-only after a write fault: writes
@@ -433,12 +447,28 @@ class Database {
   /// the writer mutex; on a full delta, merges and retries once.
   Status DeltaPut(SeriesId id, const spatial::Point& point);
 
-  /// Builds a KIndex at `path` over relation ids [0, limit) — parallel
-  /// per-segment feature scans feeding one STR bulk load (or repeated
-  /// insertion when !bulk_load). Shared by BuildIndex and merges.
-  Result<std::shared_ptr<KIndex>> BuildIndexFile(const std::string& path,
-                                                 uint64_t limit,
+  /// The one way an index file is written: builds a KIndex over
+  /// relation ids [0, limit) into <name>.idx.tmp — parallel per-segment
+  /// feature scans feeding one STR bulk load (or repeated insertion when
+  /// !bulk_load) — flushes it, renames it over <name>.idx and fsyncs the
+  /// directory. Shared by BuildIndex and Reindex; the reindex_* failpoints
+  /// stop it before the flush, before the rename and after it.
+  Result<std::shared_ptr<KIndex>> BuildIndexFile(uint64_t limit,
                                                  bool bulk_load);
+
+  /// The delta over relation ids [base, size()), rebuilt from the stored
+  /// records: Open's and Repair's tail rebuild.
+  Result<std::shared_ptr<DeltaIndex>> RebuildDelta(SeriesId base);
+
+  /// Publishes `main` + `delta` as the next epoch (current + 1, or 1 when
+  /// none is published) and returns it. Requires main->size() ==
+  /// delta->base(). The caller holds delta_put_mutex_, so no DeltaPut
+  /// lands in a delta that is being replaced.
+  uint64_t Publish(std::shared_ptr<KIndex> main,
+                   std::shared_ptr<DeltaIndex> delta);
+
+  /// KIndexOptions for the tree file at `path`, from options_.
+  KIndexOptions IndexOptions(const std::string& path) const;
 
   std::string IndexPath() const {
     return options_.directory + "/" + options_.name + ".idx";
@@ -453,9 +483,9 @@ class Database {
   std::unique_ptr<Relation> relation_;
   // The epoch pointer: queries copy it once (a shared_ptr refcount
   // bump under the shared side of the pointer lock) and pin the
-  // snapshot; BuildIndex/Reindex publish successors under the exclusive
-  // side, held for a pointer assignment only — never during merge I/O or
-  // tree builds. The snapshot itself is never mutated in place.
+  // snapshot; Publish installs successors under the exclusive side, held
+  // for a pointer assignment only — never during merge I/O or tree
+  // builds. The snapshot itself is never mutated in place.
   mutable std::shared_mutex snapshot_ptr_mutex_;
   std::shared_ptr<const IndexSnapshot> snapshot_;
   std::atomic<size_t> series_length_{0};
@@ -464,8 +494,8 @@ class Database {
   // query path ever takes it.
   std::mutex delta_put_mutex_;
   // Serializes BuildIndex, Reindex (including the background thread) and
-  // Flush — at most one index (re)build runs at a time. Lock order:
-  // merge_mutex_ before delta_put_mutex_.
+  // Repair — at most one index (re)build or publication runs at a time.
+  // Lock order: merge_mutex_ before delta_put_mutex_.
   std::mutex merge_mutex_;
   std::atomic<uint64_t> merges_completed_{0};
   // Pool and traversal totals over every index this database served:

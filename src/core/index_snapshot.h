@@ -2,8 +2,8 @@
 //
 // Epoch-published index snapshots: the read half of the v4 index
 // concurrency contract (docs/ARCHITECTURE.md). A snapshot pairs the
-// immutable main R*-tree with the mutable delta index and a cursor into
-// it; Database publishes snapshots through a single
+// immutable main R*-tree with the mutable delta index that continues it;
+// Database publishes snapshots through a single
 // std::atomic<std::shared_ptr<const IndexSnapshot>>. A query loads the
 // pointer once (acquire), reads the delta watermark once, and then runs
 // entirely against that frozen view — no lock, no epoch can be yanked
@@ -31,18 +31,14 @@ struct IndexSnapshot {
   /// The immutable main R*-tree, covering ids [0, main->size()).
   std::shared_ptr<KIndex> main;
 
-  /// The live delta, covering ids [delta->base(), ...). Never null once
-  /// a snapshot is published.
+  /// The live delta, covering ids [delta->base(), ...) where
+  /// delta->base() == main->size(). Never null once a snapshot is
+  /// published.
   std::shared_ptr<DeltaIndex> delta;
-
-  /// First live delta slot: slots below this were folded into `main` by
-  /// the merge that published this epoch. Ids below
-  /// delta->base() + delta_begin are answered by `main` alone.
-  uint64_t delta_begin = 0;
 };
 
 /// A query's frozen view of one snapshot: the main tree plus the delta
-/// slot range [begin, end) that was visible when the view was taken.
+/// slots [0, delta_size()) that were visible when the view was taken.
 /// Cheap to copy; does not own the snapshot — the caller keeps the
 /// shared_ptr pinned for the view's lifetime. Implicitly constructible
 /// from a bare KIndex so pre-epoch call sites (tests, tools) can pass a
@@ -56,35 +52,27 @@ class IndexView {
   explicit IndexView(const IndexSnapshot& snap)
       : main_(snap.main.get()),
         delta_(snap.delta.get()),
-        begin_(snap.delta_begin),
-        end_(snap.delta ? snap.delta->visible() : 0) {
-    if (end_ < begin_) end_ = begin_;  // stale begin never exceeds visible
-  }
+        size_(snap.delta ? snap.delta->visible() : 0) {}
 
   const KIndex& main() const { return *main_; }
 
   /// True when the view includes unmerged delta entries.
-  bool has_delta() const { return delta_ != nullptr && end_ > begin_; }
+  bool has_delta() const { return size_ > 0; }
 
   const DeltaIndex& delta() const { return *delta_; }
-  uint64_t delta_begin() const { return begin_; }
-  uint64_t delta_end() const { return end_; }
 
-  /// Number of delta entries in view.
-  uint64_t delta_size() const { return end_ - begin_; }
+  /// Number of delta entries in view: slots [0, delta_size()).
+  uint64_t delta_size() const { return size_; }
 
   /// Total series answerable from this view: the main tree's entries
   /// plus the delta range. Ids are dense, so this is also one past the
   /// highest visible id.
-  uint64_t total_series() const {
-    return main_->size() + (end_ - begin_);
-  }
+  uint64_t total_series() const { return main_->size() + size_; }
 
  private:
   const KIndex* main_ = nullptr;
   const DeltaIndex* delta_ = nullptr;
-  uint64_t begin_ = 0;
-  uint64_t end_ = 0;
+  uint64_t size_ = 0;
 };
 
 }  // namespace tsq

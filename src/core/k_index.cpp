@@ -72,11 +72,6 @@ Status KIndex::BulkLoad(
   return tree_->BulkLoad(std::move(entries));
 }
 
-Result<bool> KIndex::Remove(SeriesId id, const SeriesFeatures& features) {
-  return tree_->Remove(
-      spatial::Rect::FromPoint(extractor().ToPoint(features)), id);
-}
-
 Status KIndex::RangeCandidates(const RangeFilter& filter,
                                const spatial::AffineMap* map,
                                std::vector<SeriesId>* out) const {

@@ -62,9 +62,6 @@ class KIndex {
   Status BulkLoad(
       const std::vector<std::pair<SeriesId, SeriesFeatures>>& items);
 
-  /// Removes a previously added series (exact feature match required).
-  Result<bool> Remove(SeriesId id, const SeriesFeatures& features);
-
   /// Algorithm 2's search step over the tree: appends every leaf entry
   /// that `filter` keeps (FeatureSpace::Keeps: inside the search
   /// rectangle, then within the filter radius). With a `map`, MBRs and

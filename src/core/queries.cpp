@@ -208,7 +208,7 @@ void AppendDeltaRangeCandidates(const IndexView& view,
   const DeltaIndex& delta = view.delta();
   const FeatureSpace& space = view.main().space();
   spatial::Rect point = spatial::Rect::FromPoint(spatial::Point(delta.dims()));
-  for (uint64_t slot = view.delta_begin(); slot < view.delta_end(); ++slot) {
+  for (uint64_t slot = 0; slot < view.delta_size(); ++slot) {
     LoadDeltaPoint(delta, slot, map, &point);
     if (space.Keeps(filter, point)) out->push_back(delta.base() + slot);
   }
@@ -323,8 +323,8 @@ Status IndexKnnQuery(const IndexView& view, const Relation& relation,
   // true k-th neighbor can undercut the reported one by at most a factor
   // (1+epsilon). epsilon = 0 makes the factor exactly 1.0 and multiplying
   // by 1.0 is exact, so the epsilon-0 path is bit-identical to exact. The
-  // probe budget and first-leaf knobs stop unconditionally; whatever
-  // bound was in effect at the stop yields the observed max_error.
+  // probe budget stops unconditionally; whatever bound was in effect at
+  // the stop yields the observed max_error.
   struct Verified {
     double dist_sq;
     SeriesId id;
@@ -345,17 +345,10 @@ Status IndexKnnQuery(const IndexView& view, const Relation& relation,
   double stop_bound_sq = std::numeric_limits<double>::infinity();
 
   auto visit = [&](SeriesId id, double lower_bound_sq) -> bool {
-    if (best.size() == k) {
-      if (lower_bound_sq * relax > best.front().dist_sq) {
-        stopped = true;  // exact (or epsilon-relaxed) optimality cutoff
-        stop_bound_sq = lower_bound_sq;
-        return false;
-      }
-      if (options.stop_after_first_leaf) {
-        stopped = true;
-        stop_bound_sq = lower_bound_sq;
-        return false;
-      }
+    if (best.size() == k && lower_bound_sq * relax > best.front().dist_sq) {
+      stopped = true;  // exact (or epsilon-relaxed) optimality cutoff
+      stop_bound_sq = lower_bound_sq;
+      return false;
     }
     if (options.probe_budget > 0 && visited >= options.probe_budget) {
       stopped = true;
@@ -403,8 +396,7 @@ Status IndexKnnQuery(const IndexView& view, const Relation& relation,
     const DeltaIndex& delta = view.delta();
     spatial::Rect point =
         spatial::Rect::FromPoint(spatial::Point(delta.dims()));
-    for (uint64_t slot = view.delta_begin(); slot < view.delta_end();
-         ++slot) {
+    for (uint64_t slot = 0; slot < view.delta_size(); ++slot) {
       LoadDeltaPoint(delta, slot, map.has_value() ? &*map : nullptr, &point);
       delta_candidates.push_back(DeltaCandidate{metric->MinDistSquared(point),
                                                 delta.base() + slot});

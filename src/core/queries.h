@@ -160,7 +160,7 @@ struct QuerySpec {
   std::optional<MeanStdWindow> window;
 };
 
-/// Approximation knobs for kNN (all default to exact search). The three
+/// Approximation knobs for kNN (both default to exact search). The two
 /// knobs compose; whichever stops the search first wins, and the observed
 /// quality is reported in QueryStats (candidates visited, pruned,
 /// max_error).
@@ -173,17 +173,12 @@ struct KnnOptions {
   double epsilon = 0.0;
   /// Hard cap on candidates fetched and verified; 0 = unlimited. The
   /// error of the answers at the moment the budget ran out is reported
-  /// as QueryStats::max_error (no a-priori guarantee).
+  /// as QueryStats::max_error (no a-priori guarantee). A budget of k is
+  /// the ng-approximate "first leaf" heuristic: stop as soon as k
+  /// candidates have been verified.
   uint64_t probe_budget = 0;
-  /// Stop as soon as k candidates have been verified — the ng-approx
-  /// "first leaf" heuristic: the best-first descent's opening candidates
-  /// come from the leaf nearest the query, which is where the true
-  /// neighbors concentrate. Observed error reported, no guarantee.
-  bool stop_after_first_leaf = false;
 
-  bool is_default() const {
-    return epsilon == 0.0 && probe_budget == 0 && !stop_after_first_leaf;
-  }
+  bool is_default() const { return epsilon == 0.0 && probe_budget == 0; }
 };
 
 // ---------------------------------------------------------------------------

@@ -142,7 +142,6 @@ Result<std::vector<JoinPair>> SelfJoin(
   // therefore the final output — identical at every thread count.
   if (view.has_delta()) {
     const DeltaIndex& delta = view.delta();
-    const uint64_t begin_slot = view.delta_begin();
     const uint64_t num_slots = view.delta_size();
     const LinearTransform* spectral =
         transform.has_value() ? &transform->spectral : nullptr;
@@ -153,8 +152,7 @@ Result<std::vector<JoinPair>> SelfJoin(
     std::vector<Status> slot_status(num_slots);
     const auto probe_slot = [&](size_t i) {
       const obs::IndexCounterScope to_join(&tally), to_db(counters);
-      const uint64_t slot = begin_slot + i;
-      const SeriesId qid = delta.base() + slot;
+      const SeriesId qid = delta.base() + i;
       Result<SeriesRecord> qrec = relation.Get(qid);
       if (!qrec.ok()) {
         slot_status[i] = qrec.status();

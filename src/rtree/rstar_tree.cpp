@@ -182,6 +182,12 @@ Result<std::unique_ptr<RStarTree>> RStarTree::Open(
 Status RStarTree::SaveMeta() {
   TSQ_ASSIGN_OR_RETURN(PageHandle meta, pool_->Fetch(meta_page_));
   Page* p = meta.page();
+  // Dirty the page only on a change, so closing or retiring a tree whose
+  // meta is already saved writes nothing.
+  if (p->ReadU64(16) == root_ && p->ReadU64(24) == size_ &&
+      p->ReadU64(32) == height_) {
+    return Status::OK();
+  }
   p->WriteU64(0, kMetaMagic);
   p->WriteU64(8, dims_);
   p->WriteU64(16, root_);

@@ -270,7 +270,8 @@ class RStarTree {
   /// The tree's meta page id (pass to Open).
   PageId meta_page() const { return meta_page_; }
 
-  /// Persists root/size/height to the meta page.
+  /// Persists root/size/height to the meta page; marks it dirty only
+  /// when one of them differs from what the page holds.
   Status SaveMeta();
 
   /// Structural audit: fill factors, MBR containment, level consistency,

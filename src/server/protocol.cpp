@@ -126,7 +126,6 @@ void PutBatchQuery(Buffer* buf, const engine::BatchQuery& query) {
   PutSpec(buf, query.spec);
   serde::PutDouble(buf, query.knn.epsilon);
   serde::PutU64(buf, query.knn.probe_budget);
-  serde::PutU32(buf, query.knn.stop_after_first_leaf ? 1 : 0);
 }
 
 Status GetBatchQuery(Reader* reader, engine::BatchQuery* out) {
@@ -143,17 +142,11 @@ Status GetBatchQuery(Reader* reader, engine::BatchQuery* out) {
   TSQ_RETURN_IF_ERROR(reader->GetU64(&k));
   out->k = static_cast<size_t>(k);
   TSQ_RETURN_IF_ERROR(GetSpec(reader, &out->spec));
-  uint32_t first_leaf = 0;
   TSQ_RETURN_IF_ERROR(reader->GetDouble(&out->knn.epsilon));
   TSQ_RETURN_IF_ERROR(reader->GetU64(&out->knn.probe_budget));
-  TSQ_RETURN_IF_ERROR(reader->GetU32(&first_leaf));
   if (!(out->knn.epsilon >= 0.0)) {  // rejects negatives and NaN
     return Status::Corruption("kNN error tolerance out of range");
   }
-  if (first_leaf > 1) {
-    return Status::Corruption("kNN first-leaf flag out of range");
-  }
-  out->knn.stop_after_first_leaf = first_leaf == 1;
   return Status::OK();
 }
 

@@ -8,7 +8,7 @@
 //
 // Framing. Every message (request or reply) travels as one frame:
 //
-//     u32 magic 'TSQ2' | u32 payload_crc | u64 payload_len | payload
+//     u32 magic 'TSQ3' | u32 payload_crc | u64 payload_len | payload
 //
 // — deliberately the same shape as the relation's record frame
 // (storage/serde.h), and built from the same little-endian codecs, so
@@ -65,7 +65,7 @@ namespace tsq {
 namespace server {
 
 /// Frame constants.
-inline constexpr uint32_t kFrameMagic = 0x32515354;  // "TSQ2" on the wire
+inline constexpr uint32_t kFrameMagic = 0x33515354;  // "TSQ3" on the wire
 inline constexpr size_t kFrameHeaderBytes = 16;
 /// Hard ceiling on a payload a peer may declare; connections advertising
 /// more are dropped as corrupt before any allocation happens.

@@ -2,14 +2,17 @@
 //
 // Crash-consistency harness: fork a child that aborts (failpoint _exit,
 // user-space buffers genuinely lost) at each registered crash site
-// mid-ingest or mid-merge, reopen the database in the parent, and check
-// the recovery invariants:
+// mid-ingest, mid-merge or mid-build, reopen the database in the parent,
+// and check the recovery invariants:
 //
 //   - the reopen itself succeeds (no crash state is unrecoverable),
 //   - every series the child acknowledged AND flushed before arming the
 //     crash is present and byte-exact,
 //   - the surviving prefix is dense and self-consistent (every id below
 //     size() yields its exact expected record — no holes, no torn tail),
+//   - the reopened database is indexed exactly when the crash came after
+//     an index file was published (a build that died before its rename
+//     leaves the database unindexed, and BuildIndex then runs again),
 //   - query answers over the recovered database are bit-identical to a
 //     never-crashed baseline built from the same surviving series.
 //
@@ -77,13 +80,18 @@ DatabaseOptions MakeOptions(const std::string& dir, Durability durability) {
 enum class CrashPhase {
   kIngest,  // keep inserting one by one until the site fires
   kMerge,   // call Reindex() over a non-empty delta
+  kBuild,   // call BuildIndex() over the flushed, unindexed relation
 };
 
 struct CrashCase {
+  /// The failpoint to arm; "" arms none, and the child ends itself the
+  /// moment the crashing phase returns (kBuild only), with no Flush.
   const char* site;
   const char* spec;
   CrashPhase phase;
   Durability durability;
+  /// Whether the reopened database has an index.
+  bool indexed = true;
 };
 
 /// The child body: build the pre-crash state, arm the failpoint, drive
@@ -93,11 +101,23 @@ struct CrashCase {
   auto db = Database::Create(MakeOptions(dir, c.durability));
   if (!db.ok()) ::_exit(kChildSetupFailed);
   // Phase 1: the series whose survival the parent asserts
-  // unconditionally — acknowledged, indexed and flushed.
+  // unconditionally — acknowledged, flushed and (but for the build phase,
+  // which indexes them itself) indexed.
   for (size_t i = 0; i < kFlushed; ++i) {
     if (!(*db)->Insert(SeriesName(i), SeriesValues(i)).ok()) {
       ::_exit(kChildIngestFailed);
     }
+  }
+  if (c.phase == CrashPhase::kBuild) {
+    if (!(*db)->Flush().ok()) ::_exit(kChildFlushFailed);
+    const bool armed = *c.site != '\0';
+    if (armed && !failpoint::Configure(c.site, c.spec).ok()) {
+      ::_exit(kChildSetupFailed);
+    }
+    if (!(*db)->BuildIndex().ok()) ::_exit(kChildIngestFailed);
+    // Unarmed: the process ends right after BuildIndex returns, before
+    // any Flush — the published index must already be on disk.
+    ::_exit(armed ? kChildSurvived : failpoint::kCrashExitCode);
   }
   if (!(*db)->BuildIndex().ok()) ::_exit(kChildIngestFailed);
   if (!(*db)->Flush().ok()) ::_exit(kChildFlushFailed);
@@ -154,6 +174,14 @@ void ExpectIdentical(const std::vector<Match>& recovered,
 
 class CrashTest : public ::testing::TestWithParam<CrashCase> {};
 
+std::string CaseName(const ::testing::TestParamInfo<CrashCase>& info) {
+  static const char* const kPhaseNames[] = {"_ingest", "_merge", "_build"};
+  std::string name =
+      *info.param.site != '\0' ? info.param.site : "exit_unflushed";
+  name += kPhaseNames[static_cast<int>(info.param.phase)];
+  return name + "_" + std::to_string(info.index);
+}
+
 TEST_P(CrashTest, RecoversAfterCrashAtSite) {
   const CrashCase c = GetParam();
   TempDir dir;
@@ -189,6 +217,11 @@ TEST_P(CrashTest, RecoversAfterCrashAtSite) {
     }
   }
   EXPECT_FALSE((*db)->degraded());  // a clean reopen starts healthy
+  EXPECT_EQ((*db)->index_built(), c.indexed);
+  if (!(*db)->index_built()) {
+    // The build died before publishing: build again, from the reopen.
+    ASSERT_TRUE((*db)->BuildIndex().ok());
+  }
 
   // Answers over the recovered database are bit-identical to a database
   // that never crashed and holds exactly the surviving series.
@@ -236,13 +269,18 @@ INSTANTIATE_TEST_SUITE_P(
         CrashCase{"reindex_before_rename", "torn", CrashPhase::kMerge,
                   Durability::kNone},
         CrashCase{"reindex_after_rename", "torn", CrashPhase::kMerge,
-                  Durability::kNone}),
-    [](const ::testing::TestParamInfo<CrashCase>& info) {
-      std::string name = info.param.site;
-      name += info.param.phase == CrashPhase::kIngest ? "_ingest" : "_merge";
-      name += "_" + std::to_string(info.index);
-      return name;
-    });
+                  Durability::kNone},
+        // Build crashes at the same three steps: the first two leave no
+        // index file, the third a complete one.
+        CrashCase{"reindex_before_flush", "torn", CrashPhase::kBuild,
+                  Durability::kNone, /*indexed=*/false},
+        CrashCase{"reindex_before_rename", "torn", CrashPhase::kBuild,
+                  Durability::kNone, /*indexed=*/false},
+        CrashCase{"reindex_after_rename", "torn", CrashPhase::kBuild,
+                  Durability::kNone},
+        // A process that ends right after BuildIndex returns, unflushed.
+        CrashCase{"", "", CrashPhase::kBuild, Durability::kNone}),
+    CaseName);
 
 }  // namespace
 }  // namespace tsq

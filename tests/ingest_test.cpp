@@ -177,11 +177,18 @@ TEST(InsertBatchTest, NonFiniteRecordOnDiskFailsIndexingInsteadOfAborting) {
                       .ok());
       if (!index_first) {
         EXPECT_TRUE(db->BuildIndex().IsInvalidArgument());
+        // The failed build published nothing: no index file appeared.
+        EXPECT_FALSE(std::filesystem::exists(dir.file("tsq.idx")));
+        EXPECT_FALSE(db->index_built());
       }
       ASSERT_TRUE(db->Flush().ok());
     }
     if (index_first) {
       EXPECT_TRUE(Database::Open(options).status().IsInvalidArgument());
+    } else {
+      auto reopened = Database::Open(options);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      EXPECT_FALSE((*reopened)->index_built());
     }
   }
 }

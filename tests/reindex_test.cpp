@@ -8,9 +8,11 @@
 // preservation across merges, the gated-merge handshake (queries pinned
 // to the old epoch finish correctly while the swap publishes, and a
 // pinned old snapshot stays valid after it), crash-shaped reopens
-// (stale .idx.tmp, relation ahead of the on-disk tree), the background
-// merge thread, and a TSan-sized ingest+query+merge+stats race. The CI TSan
-// job runs this binary alongside concurrency_stress_test.
+// (stale .idx.tmp, relation ahead of the on-disk tree), tree teardown
+// that writes no page, a Create that drops the old index of its name,
+// the background merge thread, and a TSan-sized ingest+query+merge+stats
+// race. The CI TSan job runs this binary alongside
+// concurrency_stress_test.
 
 #include <atomic>
 #include <chrono>
@@ -363,6 +365,89 @@ TEST_F(ReindexTest, CrashShapedReopensRecover) {
     ASSERT_TRUE(matches.ok());
     ASSERT_FALSE(matches->empty());
     EXPECT_EQ((*matches)[0].id, kNumSeries - 1);
+  }
+}
+
+TEST_F(ReindexTest, RetiringOrClosingAPublishedTreeWritesNoPage) {
+  // Every published tree was flushed before it was published and is
+  // never written again, so tearing one down writes no page: neither the
+  // last pin of a retired epoch (built by BuildIndex or by Reindex) nor
+  // the close of a reopened tree. (The pool's teardown still syncs the
+  // file; that is not a page write.)
+  testing::IndexDelta written;
+  auto built = db_->CurrentSnapshot();
+  IngestSecondHalf();
+  ASSERT_TRUE(db_->Reindex().ok());
+  written.Reset();
+  built.reset();
+  EXPECT_EQ(written().disk_writes, 0u) << "retired BuildIndex epoch";
+
+  auto merged = db_->CurrentSnapshot();
+  ASSERT_TRUE(db_->Insert("late", data_[0].values()).ok());
+  ASSERT_TRUE(db_->Reindex().ok());
+  written.Reset();
+  merged.reset();
+  EXPECT_EQ(written().disk_writes, 0u) << "retired Reindex epoch";
+
+  ASSERT_TRUE(db_->Flush().ok());
+  db_.reset();
+  DatabaseOptions options;
+  options.directory = dir_.path();
+  options.name = "reindex";
+  written.Reset();
+  {
+    auto reopened = Database::Open(options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_TRUE((*reopened)->index_built());
+  }
+  EXPECT_EQ(written().disk_writes, 0u) << "Open followed by a close";
+}
+
+TEST(DatabaseCreateTest, CreateOverAnIndexedDatabaseStartsUnindexed) {
+  // Create truncates the relation of the same name; an index left from
+  // the old relation must not come back on the reopen of the new one.
+  testing::TempDir dir;
+  DatabaseOptions options;
+  options.directory = dir.path();
+  options.name = "stale";
+  const auto load = [](Database* db, uint64_t seed, size_t count) {
+    std::vector<std::string> names;
+    std::vector<RealVec> values;
+    for (const TimeSeries& s :
+         workload::MakeRandomWalkDataset(seed, count, 128)) {
+      names.push_back(s.name());
+      values.push_back(s.values());
+    }
+    return db->InsertBatch(names, values).status();
+  };
+  {
+    auto db = Database::Create(options).value();
+    ASSERT_TRUE(load(db.get(), 1, 1000).ok());
+    ASSERT_TRUE(db->BuildIndex().ok());
+  }
+  {
+    auto db = Database::Create(options).value();
+    ASSERT_TRUE(load(db.get(), 2, 2000).ok());
+    ASSERT_TRUE(db->Flush().ok());
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir.file("stale.idx")));
+  auto reopened = Database::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->size(), 2000u);
+  EXPECT_FALSE((*reopened)->index_built());
+
+  // Indexed afresh, every stored series finds itself at distance 0.
+  ASSERT_TRUE((*reopened)->BuildIndex().ok());
+  for (const SeriesId id : {SeriesId{5}, SeriesId{1014}}) {
+    const RealVec stored = (*reopened)->Get(id).value().values;
+    auto knn = Knn(reopened->get(), stored, 1);
+    ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+    ASSERT_EQ(knn->size(), 1u);
+    EXPECT_EQ((*knn)[0].id, id);
+    EXPECT_EQ((*knn)[0].distance, 0.0);
+    auto range = Range(reopened->get(), stored, 0.5);
+    ASSERT_TRUE(range.ok()) << range.status().ToString();
+    EXPECT_FALSE(range->empty()) << "series " << id;
   }
 }
 

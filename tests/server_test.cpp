@@ -391,17 +391,15 @@ TEST(ProtocolTest, KnnOptionsRoundTripAndRejectOutOfRangeValues) {
   knn.kind = BatchQueryKind::kKnn;
   knn.query = testing::RandomRealVec(&rng, kLength);
   knn.k = 7;
-  knn.knn = KnnOptions{0.25, 99, true};
+  knn.knn = KnnOptions{0.25, 99};
   request.queries = {knn};
   Request out = RoundTripRequest(request);
   ASSERT_EQ(out.queries.size(), 1u);
   EXPECT_EQ(out.queries[0].knn.epsilon, 0.25);
   EXPECT_EQ(out.queries[0].knn.probe_budget, 99u);
-  EXPECT_TRUE(out.queries[0].knn.stop_after_first_leaf);
 
-  // Every query carries its options as the last 20 payload bytes
-  // (epsilon f64 | probe u64 | first_leaf u32); out-of-range values are
-  // Corruption.
+  // Every query carries its options as the last 16 payload bytes
+  // (epsilon f64 | probe u64); a negative or NaN epsilon is Corruption.
   serde::Buffer frame;
   EncodeRequest(request, &frame);
   const serde::Buffer payload(frame.begin() + kFrameHeaderBytes, frame.end());
@@ -416,11 +414,8 @@ TEST(ProtocolTest, KnnOptionsRoundTripAndRejectOutOfRangeValues) {
        {-0.5, std::numeric_limits<double>::quiet_NaN()}) {
     serde::Buffer bytes;
     serde::PutDouble(&bytes, bad_epsilon);
-    EXPECT_TRUE(decode_with(20, bytes).IsCorruption()) << bad_epsilon;
+    EXPECT_TRUE(decode_with(16, bytes).IsCorruption()) << bad_epsilon;
   }
-  serde::Buffer first_leaf;
-  serde::PutU32(&first_leaf, 2);
-  EXPECT_TRUE(decode_with(4, first_leaf).IsCorruption());
 
   // The kind is range-checked as a whole u32 (payload offset 12, after the
   // verb u32 and id u64): a high bit, or the retired kind 2, is Corruption.
@@ -641,7 +636,7 @@ std::vector<Request> EveryRequestShape() {
       testing::RandomRealVec(&rng, kLength), 2.25, MakeRichSpec());
   const BatchQuery knn =
       BatchQuery::Knn(testing::RandomRealVec(&rng, kLength), 9, {},
-                      KnnOptions{0.25, 99, true});
+                      KnnOptions{0.25, 99});
   Request query;
   query.verb = Verb::kQuery;
   query.id = ++id;

@@ -10,8 +10,8 @@
 //
 // The second half pins the approximate-kNN invariants: epsilon = 0 is
 // bit-identical to the exact path at every dispatch level, reported
-// max_error never exceeds the requested tolerance, and the budget /
-// first-leaf knobs cap the verification work they claim to cap.
+// max_error never exceeds the requested tolerance, and the probe budget
+// caps the verification work it claims to cap.
 
 #include <bit>
 #include <cmath>
@@ -462,23 +462,15 @@ TEST_F(ApproxKnnTest, ProbeBudgetCapsVerificationWork) {
   EXPECT_EQ(approx->size(), 4u);
   EXPECT_LE(stats.candidates, 4u);
   EXPECT_TRUE(std::isinf(stats.max_error));
-}
-
-TEST_F(ApproxKnnTest, FirstLeafHeuristicStopsAfterKVerified) {
-  auto db = MakeDb(250, 64);
-  Rng rng(0x5b);
-  const RealVec query = workload::RandomWalkSeries(&rng, 64, {});
-  KnnOptions options;
-  options.stop_after_first_leaf = true;
-  QueryStats stats;
-  auto approx = Knn(db.get(), query, 10, {}, options, &stats);
+  // A budget of exactly k is the ng-approximate "first leaf" stop: it
+  // ends at the first emission after the k-th verification, and the
+  // reported error bounds the true one.
+  options.probe_budget = 10;
+  approx = Knn(db.get(), query, 10, {}, options, &stats);
   ASSERT_TRUE(approx.ok());
   EXPECT_EQ(approx->size(), 10u);
-  // Stops at the first emission after the 10th verification.
   EXPECT_EQ(stats.candidates, 10u);
-  EXPECT_TRUE(stats.approx);
-  EXPECT_GE(stats.max_error, 0.0);
-  // The observed error against the truth matches what was reported.
+  EXPECT_TRUE(std::isfinite(stats.max_error));
   auto exact = Knn(db.get(), query, 10);
   ASSERT_TRUE(exact.ok());
   EXPECT_LE((*approx)[9].distance,

@@ -18,10 +18,11 @@ Four classes of failure:
    join), the per-thread-count engines and pools the one database pool
    replaced, the buffer-pool shards, the Guttman node splits, the wire
    protocol's extension flags with the subsequence query kind, the
-   page file's own I/O counters, and the second copies of the index and
+   page file's own I/O counters, the second copies of the index and
    server counters (the pool's and tree's shared stats, the Reindex
-   counter fold, tsqd's scrape-time mirror) must not be named in the
-   README, docs/ or src/ headers.
+   counter fold, tsqd's scrape-time mirror), the snapshot's delta cursor
+   and the kNN first-leaf stop must not be named in the README, docs/ or
+   src/ headers.
 
 3. Required sections: load-bearing doc sections that later PRs link to
    (the kernel determinism contract, the wire-protocol versioning rule,
@@ -65,8 +66,9 @@ STALE_PATTERNS = [
 # Names of the removed query API, of the per-thread-count engines and
 # pools, of the buffer-pool shards, of the Guttman split variants, of the
 # wire protocol's extension flags and subsequence kind, of the page
-# file's counters, and of the shared pool/tree stats, the Reindex counter
-# fold and tsqd's counter mirror (see check 2). Checked against
+# file's counters, of the shared pool/tree stats, the Reindex counter
+# fold and tsqd's counter mirror, of the snapshot's delta cursor, and of
+# the kNN first-leaf stop with its CLI flag (see check 2). Checked against
 # README.md, docs/*.md and every header under src/. Case-sensitive, and
 # anchored so SeqScanRangeQuery / IndexRangeQuery / Client::Knn pass.
 STALE_API_PATTERNS = [
@@ -103,6 +105,9 @@ STALE_API_PATTERNS = [
     r"retired_index_counters_",
     r"metrics_mutex_",
     r"TraversalTally",
+    r"delta_begin",
+    r"stop_after_first_leaf",
+    r"--first-leaf",
 ]
 
 SKIP_DIRS = {".git", "build", "build-tsan", "third_party", ".github",

@@ -34,7 +34,7 @@
 //                         --eps X [--transform T] [--mode both|data]
 //   tsq_cli remote-knn    [--host H] [--port P] --csv FILE --series NAME
 //                         --k K [--transform T] [--epsilon E] [--probes N]
-//                         [--first-leaf 1]   (approximate kNN knobs)
+//                         (approximate kNN knobs)
 //   tsq_cli remote-join   [--host H] [--port P] --eps X [--transform T]
 //   tsq_cli remote-reindex [--host H] [--port P]
 //   tsq_cli remote-flush  [--host H] [--port P]   (durability barrier)
@@ -102,7 +102,7 @@ int Usage() {
       "  tsq_cli remote-range  [--host H] [--port P] --csv FILE --series NAME "
       "--eps X [--transform T] [--mode both|data]\n"
       "  tsq_cli remote-knn    [--host H] [--port P] --csv FILE --series NAME "
-      "--k K [--transform T] [--epsilon E] [--probes N] [--first-leaf 1]\n"
+      "--k K [--transform T] [--epsilon E] [--probes N]\n"
       "  tsq_cli remote-join   [--host H] [--port P] --eps X [--transform T]\n"
       "  tsq_cli remote-reindex|remote-flush|remote-repair [--host H] "
       "[--port P]\n"
@@ -419,7 +419,6 @@ int CmdKnn(const Args& args) {
   KnnOptions knn_options;
   knn_options.epsilon = std::stod(args.GetOr("epsilon", "0"));
   knn_options.probe_budget = std::stoull(args.GetOr("probes", "0"));
-  knn_options.stop_after_first_leaf = args.GetOr("first-leaf", "0") == "1";
   auto result = engine::SingleResult((*db)->RunBatch(
       {engine::BatchQuery::Knn(query->values, k, spec, knn_options)}));
   if (!result.ok()) return Fail(result.status());
@@ -749,7 +748,6 @@ int CmdRemoteKnn(const Args& args) {
   KnnOptions options;
   options.epsilon = std::stod(args.GetOr("epsilon", "0"));
   options.probe_budget = std::stoull(args.GetOr("probes", "0"));
-  options.stop_after_first_leaf = args.GetOr("first-leaf", "0") == "1";
   QueryStats stats;
   auto matches = (*client)->Knn(*query, k, *spec, options, &stats);
   if (!matches.ok()) return Fail(matches.status());
