@@ -9,17 +9,22 @@
 // the observed max_error reported in QueryStats never exceeds the
 // requested epsilon, and epsilon = 0 answers are identical to exact.
 //
-// Each timing is one sweep over every query, in ms per query: the median
-// of bench::RepeatCell's five runs, with their min-max beside it. Drops
-// BENCH_approx.json in the working directory — per-configuration median
-// ms with every run, speedup, recall@k, observed and true max relative
-// error, candidates verified and pruned — so CI archives the
-// recall-vs-speedup trade-off across PRs.
+// Each timing is one sweep over every query, in ms per query. The sweeps
+// interleave: each of bench::kCellReps repetitions (after one warm-up)
+// runs the exact search and then every config, so each config's median
+// and min-max, and its speedup — the median of the per-repetition ratios
+// to that repetition's exact sweep — compare runs made moments apart.
+// Drops BENCH_approx.json in the working directory — per-configuration
+// median ms with every run, speedup with every ratio, recall@k, observed
+// and true max relative error, candidates verified and pruned — so CI
+// archives the recall-vs-speedup trade-off across PRs.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -34,6 +39,16 @@ namespace {
 struct Config {
   const char* label;
   KnnOptions options;
+};
+
+// What one config's answers are worth against the exact ones, over every
+// query.
+struct Quality {
+  double recall = 0.0;
+  double observed_max_error = 0.0;
+  double true_max_error = 0.0;
+  uint64_t visited = 0;
+  uint64_t pruned = 0;
 };
 
 void Run() {
@@ -61,31 +76,24 @@ void Run() {
   workload_json["smoke_divisor"] = bench::Json::Int(bench::SmokeDivisor());
   doc["workload"] = std::move(workload_json);
 
-  // The sweep under `options`, timed: ms per query, median of five runs.
-  const auto time_sweep = [&](const KnnOptions& options) {
-    return bench::RepeatCell([&] {
-      Stopwatch watch;
-      for (int q = 0; q < kQueries; ++q) {
-        bench::RunQuery(db.get(),
-                        engine::BatchQuery::Knn(
-                            market[(q * 97) % market.size()].values(), k,
-                            QuerySpec{}, options));
-      }
-      return watch.ElapsedMillis() / kQueries;
-    });
+  const auto knn = [&](int q, const KnnOptions& options) {
+    return engine::BatchQuery::Knn(market[(q * 97) % market.size()].values(),
+                                   k, QuerySpec{}, options);
+  };
+  // One sweep over every query under `options`, in ms per query.
+  const auto sweep_ms = [&](const KnnOptions& options) {
+    Stopwatch watch;
+    for (int q = 0; q < kQueries; ++q) {
+      bench::RunQuery(db.get(), knn(q, options));
+    }
+    return watch.ElapsedMillis() / kQueries;
   };
 
-  // Exact baselines: answers for recall/true-error, ms for speedup.
+  // Exact answers, for recall and the true error.
   std::vector<std::vector<Match>> exact(kQueries);
   for (int q = 0; q < kQueries; ++q) {
-    exact[q] = bench::RunQuery(db.get(),
-                               engine::BatchQuery::Knn(
-                                   market[(q * 97) % market.size()].values(),
-                                   k))
-                   .matches;
+    exact[q] = bench::RunQuery(db.get(), knn(q, KnnOptions{})).matches;
   }
-  const bench::CellTiming exact_timing = time_sweep(KnnOptions{});
-  const double exact_ms = exact_timing.median_ms;
 
   const Config configs[] = {
       {"eps=0", {0.0, 0}},
@@ -98,27 +106,16 @@ void Run() {
       {"probes=16", {0.0, 16}},
       {"probes=10", {0.0, k}},
   };
+  constexpr size_t kConfigs = std::size(configs);
 
-  bench::Table table({"config", "median ms", "min-max", "speedup",
-                      "recall@k", "observed max_err", "true max_err",
-                      "visited", "pruned"});
-  table.AddRow({"exact", bench::Table::Num(exact_ms),
-                exact_timing.Spread(3), "1.00x", "1.000", "-", "-", "-",
-                "-"});
-  bench::Json rows = bench::Json::Array();
-
-  for (const Config& config : configs) {
-    double recall = 0.0;
-    double observed_max_error = 0.0;
-    double true_max_error = 0.0;
-    uint64_t visited = 0;
-    uint64_t pruned = 0;
+  std::vector<Quality> quality(kConfigs);
+  for (size_t c = 0; c < kConfigs; ++c) {
+    const Config& config = configs[c];
+    Quality& got = quality[c];
     const bool pure_epsilon = config.options.probe_budget == 0;
     for (int q = 0; q < kQueries; ++q) {
-      const auto knn = engine::BatchQuery::Knn(
-          market[(q * 97) % market.size()].values(), k, QuerySpec{},
-          config.options);
-      const engine::BatchResult result = bench::RunQuery(db.get(), knn);
+      const engine::BatchResult result =
+          bench::RunQuery(db.get(), knn(q, config.options));
       const std::vector<Match>& approx = result.matches;
       const QueryStats& stats = result.stats;
 
@@ -143,48 +140,83 @@ void Run() {
           }
         }
       }
-      recall += static_cast<double>(hits) /
-                static_cast<double>(exact[q].size());
+      got.recall += static_cast<double>(hits) /
+                    static_cast<double>(exact[q].size());
       if (!approx.empty() && !exact[q].empty()) {
         const double d_true = exact[q].back().distance;
         const double d_got = approx.back().distance;
         if (d_true > 0.0) {
-          const double err = d_got / d_true - 1.0;
-          true_max_error = err > true_max_error ? err : true_max_error;
+          got.true_max_error =
+              std::max(got.true_max_error, d_got / d_true - 1.0);
         }
         TSQ_CHECK_MSG(!pure_epsilon ||
                           d_got <= d_true * (1.0 + config.options.epsilon) +
                                        1e-9,
                       "true k-th distance violates the epsilon bound");
       }
-      observed_max_error = stats.max_error > observed_max_error
-                               ? stats.max_error
-                               : observed_max_error;
-      visited += stats.candidates;
-      pruned += stats.pruned;
+      got.observed_max_error =
+          std::max(got.observed_max_error, stats.max_error);
+      got.visited += stats.candidates;
+      got.pruned += stats.pruned;
     }
-    recall /= kQueries;
-    const bench::CellTiming timing = time_sweep(config.options);
+    got.recall /= kQueries;
+  }
 
+  // Timing. Each repetition sweeps the exact search and then every
+  // config, so a shift in the host's speed over seconds reaches all of
+  // them alike, and a speedup is the median of its per-repetition
+  // ratios. The first repetition warms up and is not kept.
+  std::vector<double> exact_runs;
+  std::vector<std::vector<double>> config_runs(kConfigs);
+  std::vector<std::vector<double>> speedup_runs(kConfigs);
+  for (int rep = -1; rep < bench::kCellReps; ++rep) {
+    const double exact_ms = sweep_ms(KnnOptions{});
+    if (rep >= 0) exact_runs.push_back(exact_ms);
+    for (size_t c = 0; c < kConfigs; ++c) {
+      const double ms = sweep_ms(configs[c].options);
+      if (rep < 0) continue;
+      config_runs[c].push_back(ms);
+      speedup_runs[c].push_back(exact_ms / ms);
+    }
+  }
+  const bench::CellTiming exact_timing = bench::Summarize(exact_runs);
+
+  bench::Table table({"config", "median ms", "min-max", "speedup",
+                      "recall@k", "observed max_err", "true max_err",
+                      "visited", "pruned"});
+  table.AddRow({"exact", bench::Table::Num(exact_timing.median_ms),
+                exact_timing.Spread(3), "1.00x", "1.000", "-", "-", "-",
+                "-"});
+  bench::Json rows = bench::Json::Array();
+  for (size_t c = 0; c < kConfigs; ++c) {
+    const Config& config = configs[c];
+    const Quality& got = quality[c];
+    const bench::CellTiming timing = bench::Summarize(config_runs[c]);
+    const double speedup = bench::Median(speedup_runs[c]);
     table.AddRow({config.label, bench::Table::Num(timing.median_ms),
                   timing.Spread(3),
-                  bench::Table::Num(exact_ms / timing.median_ms, 2) + "x",
-                  bench::Table::Num(recall, 3),
-                  bench::Table::Num(observed_max_error, 4),
-                  bench::Table::Num(true_max_error, 4),
-                  std::to_string(visited / kQueries),
-                  std::to_string(pruned / kQueries)});
+                  bench::Table::Num(speedup, 2) + "x",
+                  bench::Table::Num(got.recall, 3),
+                  bench::Table::Num(got.observed_max_error, 4),
+                  bench::Table::Num(got.true_max_error, 4),
+                  std::to_string(got.visited / kQueries),
+                  std::to_string(got.pruned / kQueries)});
     bench::Json row = bench::Json::Object();
     row["config"] = bench::Json::Str(config.label);
     row["epsilon"] = bench::Json::Num(config.options.epsilon);
     row["probe_budget"] = bench::Json::Int(config.options.probe_budget);
     timing.AddTo(&row);
-    row["speedup_vs_exact"] = bench::Json::Num(exact_ms / timing.median_ms);
-    row["recall_at_k"] = bench::Json::Num(recall);
-    row["observed_max_error"] = bench::Json::Num(observed_max_error);
-    row["true_max_error"] = bench::Json::Num(true_max_error);
-    row["mean_visited"] = bench::Json::Int(visited / kQueries);
-    row["mean_pruned"] = bench::Json::Int(pruned / kQueries);
+    row["speedup_vs_exact"] = bench::Json::Num(speedup);
+    bench::Json speedups = bench::Json::Array();
+    for (const double r : speedup_runs[c]) {
+      speedups.Append(bench::Json::Num(r));
+    }
+    row["speedup_runs"] = std::move(speedups);
+    row["recall_at_k"] = bench::Json::Num(got.recall);
+    row["observed_max_error"] = bench::Json::Num(got.observed_max_error);
+    row["true_max_error"] = bench::Json::Num(got.true_max_error);
+    row["mean_visited"] = bench::Json::Int(got.visited / kQueries);
+    row["mean_pruned"] = bench::Json::Int(got.pruned / kQueries);
     rows.Append(std::move(row));
   }
   table.Print();

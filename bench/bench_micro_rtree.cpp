@@ -183,7 +183,7 @@ struct PaperTree {
       entries[i].rect = spatial::Rect::FromPoint(RandomPoint(&rng, kPaperDims));
       entries[i].id = i;
     }
-    env.tree->BulkLoad(std::move(entries)).ok();
+    env.tree->BulkLoad(std::move(entries), 0).ok();
     for (int i = 0; i < 256; ++i) {
       queries.push_back(RandomPoint(&rng, kPaperDims));
     }

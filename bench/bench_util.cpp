@@ -79,14 +79,27 @@ void CellTiming::AddTo(Json* row) const {
 
 CellTiming RepeatCell(const std::function<double()>& run) {
   run();  // warm-up
+  std::vector<double> runs_ms;
+  for (int i = 0; i < kCellReps; ++i) runs_ms.push_back(run());
+  return Summarize(std::move(runs_ms));
+}
+
+CellTiming Summarize(std::vector<double> runs_ms) {
+  TSQ_CHECK(!runs_ms.empty());
   CellTiming timing;
-  for (int i = 0; i < kCellReps; ++i) timing.runs_ms.push_back(run());
-  std::vector<double> sorted = timing.runs_ms;
-  std::sort(sorted.begin(), sorted.end());
-  timing.median_ms = sorted[sorted.size() / 2];
-  timing.min_ms = sorted.front();
-  timing.max_ms = sorted.back();
+  timing.runs_ms = std::move(runs_ms);
+  timing.median_ms = Median(timing.runs_ms);
+  const auto [min, max] =
+      std::minmax_element(timing.runs_ms.begin(), timing.runs_ms.end());
+  timing.min_ms = *min;
+  timing.max_ms = *max;
   return timing;
+}
+
+double Median(std::vector<double> values) {
+  TSQ_CHECK(!values.empty());
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
 size_t SmokeDivisor() {

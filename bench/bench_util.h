@@ -150,6 +150,13 @@ constexpr int kCellReps = 5;
 /// such as creating a fresh database stays outside the measurement.
 CellTiming RepeatCell(const std::function<double()>& run);
 
+/// The CellTiming of repetitions timed elsewhere (in run order), for
+/// benches that interleave their cells within each repetition.
+CellTiming Summarize(std::vector<double> runs_ms);
+
+/// The median of a non-empty sample (the upper one of an even count).
+double Median(std::vector<double> values);
+
 }  // namespace bench
 }  // namespace tsq
 

@@ -69,7 +69,11 @@ Status KIndex::BulkLoad(
     e.id = id;
     entries.push_back(std::move(e));
   }
-  return tree_->BulkLoad(std::move(entries));
+  // STR tiles the spectral dims only: the mean/std dims are bounded by
+  // no query without a window, and the kNN metric ignores them. Ranges
+  // with a mean/std window pay for it; docs/ARCHITECTURE.md (the merge)
+  // gives both sides of the trade as measured.
+  return tree_->BulkLoad(std::move(entries), layout().spectral_offset());
 }
 
 Status KIndex::RangeCandidates(const RangeFilter& filter,

@@ -58,7 +58,8 @@ class KIndex {
 
   /// Bulk-loads many series at once into an empty index (STR packing —
   /// faster and better clustered than repeated Add; see
-  /// rtree::RStarTree::BulkLoad).
+  /// rtree::RStarTree::BulkLoad). STR tiles the spectral dims only, from
+  /// layout().spectral_offset(); the mean/std dims stay in every MBR.
   Status BulkLoad(
       const std::vector<std::pair<SeriesId, SeriesFeatures>>& items);
 

@@ -518,9 +518,15 @@ void RStarTree::TilePartition(std::vector<Entry>&& entries, size_t dim,
   }
 }
 
-Status RStarTree::BulkLoad(std::vector<Entry> entries) {
+Status RStarTree::BulkLoad(std::vector<Entry> entries,
+                           size_t first_tiled_dim) {
   if (size_ != 0) {
     return Status::FailedPrecondition("BulkLoad requires an empty tree");
+  }
+  if (first_tiled_dim >= dims_) {
+    return Status::InvalidArgument(
+        "BulkLoad first_tiled_dim " + std::to_string(first_tiled_dim) +
+        " not below the tree's " + std::to_string(dims_) + " dims");
   }
   for (const Entry& e : entries) {
     if (e.rect.dims() != dims_) {
@@ -554,7 +560,7 @@ Status RStarTree::BulkLoad(std::vector<Entry> entries) {
       return SaveMeta();
     }
     std::vector<std::vector<Entry>> groups;
-    TilePartition(std::move(current), 0, fill, &groups);
+    TilePartition(std::move(current), first_tiled_dim, fill, &groups);
     std::vector<Entry> parents;
     parents.reserve(groups.size());
     for (auto& group : groups) {

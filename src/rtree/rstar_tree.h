@@ -147,9 +147,19 @@ class RStarTree {
   /// coordinate and packed into ~90%-full leaves; upper levels are built
   /// bottom-up. Far faster than repeated insertion and produces
   /// better-clustered nodes for static data (the paper's index is built
-  /// once over an existing relation). Fails with FailedPrecondition on a
-  /// non-empty tree. Regular Insert/Remove work normally afterwards.
-  Status BulkLoad(std::vector<Entry> entries);
+  /// once over an existing relation).
+  ///
+  /// STR sorts and slabs only dims [first_tiled_dim, dims): the dims
+  /// below stay in every MBR, so searches that bound them and
+  /// CheckInvariants still see them, but they never set which entries
+  /// share a node. The choice is a trade between searches: with fewer
+  /// dims tiled, each node spans a tighter box on the tiled ones, so a
+  /// search that leaves the untiled dims unbounded visits fewer nodes,
+  /// and one that bounds them visits more, since it can no longer prune
+  /// on them. Fails with InvalidArgument unless first_tiled_dim < dims,
+  /// and with FailedPrecondition on a non-empty tree. Regular
+  /// Insert/Remove work normally afterwards.
+  Status BulkLoad(std::vector<Entry> entries, size_t first_tiled_dim);
 
   /// Inserts a point entry.
   Status InsertPoint(const spatial::Point& point, uint64_t id);

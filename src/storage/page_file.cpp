@@ -37,8 +37,9 @@ PageFile::PageFile(std::FILE* file, std::string path, size_t page_size)
 
 PageFile::~PageFile() {
   if (file_ != nullptr) {
-    // Best effort: persist the header so page counts survive.
-    WriteHeader().ok();
+    // Best effort: persist the header so page counts survive. A file
+    // with nothing unsynced already holds the current header.
+    if (unsynced_.load(std::memory_order_acquire)) WriteHeader().ok();
     std::fclose(file_);
   }
 }
@@ -55,6 +56,7 @@ Result<std::unique_ptr<PageFile>> PageFile::Create(const std::string& path,
   }
   auto pf = std::unique_ptr<PageFile>(new PageFile(f, path, page_size));
   TSQ_RETURN_IF_ERROR(pf->WriteHeader());
+  pf->unsynced_.store(true, std::memory_order_release);
   return pf;
 }
 
@@ -140,6 +142,7 @@ Result<PageId> PageFile::Allocate() {
     Page page(page_size_);
     TSQ_RETURN_IF_ERROR(Read(id, &page));
     free_list_head_ = page.ReadU64(0);
+    unsynced_.store(true, std::memory_order_release);
     return id;
   }
   const PageId id = num_pages_.load(std::memory_order_relaxed) + 1;
@@ -149,6 +152,7 @@ Result<PageId> PageFile::Allocate() {
   Page zero(page_size_);
   TSQ_RETURN_IF_ERROR(WriteRaw(id * page_size_, zero.data(), page_size_));
   num_pages_.store(id, std::memory_order_release);
+  unsynced_.store(true, std::memory_order_release);
   return id;
 }
 
@@ -202,6 +206,7 @@ Status PageFile::Write(PageId id, const Page& page) {
           prefix > 0) {
         (void)!::pwrite(fd_, page.data(), prefix,
                         static_cast<off_t>(id * page_size_));
+        unsynced_.store(true, std::memory_order_release);
       }
       if (d.kind == failpoint::ActionKind::kTornWrite) {
         failpoint::CrashProcess("page_file_write");
@@ -212,11 +217,26 @@ Status PageFile::Write(PageId id, const Page& page) {
                                    path_);
     }
   }
-  return WriteRaw(id * page_size_, page.data(), page_size_);
+  const Status written = WriteRaw(id * page_size_, page.data(), page_size_);
+  // Marked after the write lands: a Sync that clears the mark before it
+  // leaves the mark for the next Sync.
+  unsynced_.store(true, std::memory_order_release);
+  return written;
 }
 
 Status PageFile::Sync() {
   std::lock_guard<std::mutex> lock(mutex_);
+  // Cleared before the header write and fdatasync, so a page write that
+  // lands during them marks the file again.
+  if (!unsynced_.exchange(false, std::memory_order_acq_rel)) {
+    return Status::OK();
+  }
+  Status synced = SyncLocked();
+  if (!synced.ok()) unsynced_.store(true, std::memory_order_release);
+  return synced;
+}
+
+Status PageFile::SyncLocked() {
   TSQ_RETURN_IF_ERROR(WriteHeader());
   // All data I/O is positioned on the fd; flush any stdio-buffered state
   // (none in steady operation) for symmetry with the pre-v2 contract.

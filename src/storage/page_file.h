@@ -61,7 +61,9 @@ class PageFile {
 
   /// Persists the header and all previously written pages to stable
   /// storage (fdatasync). Called on explicit flush and merge-publish
-  /// paths only, never per page write.
+  /// paths only, never per page write. Returns OK at once, touching
+  /// nothing, when no page was written or allocated and no page freed
+  /// since Open or the last successful Sync.
   Status Sync();
 
   /// Page size in bytes.
@@ -83,6 +85,7 @@ class PageFile {
   PageFile(std::FILE* file, std::string path, size_t page_size);
 
   Status WriteHeader();  // caller holds mutex_ (or is single-threaded)
+  Status SyncLocked();   // header write + fdatasync; caller holds mutex_
   Status ReadRaw(uint64_t offset, void* buf, size_t n);
   Status WriteRaw(uint64_t offset, const void* buf, size_t n);
 
@@ -93,6 +96,9 @@ class PageFile {
   std::mutex mutex_;  // guards free_list_head_ and header writes
   std::atomic<uint64_t> num_pages_{0};  // data pages allocated so far
   PageId free_list_head_ = kInvalidPageId;
+  // Set after every change Sync would persist (a page write, an
+  // allocation, a free; the header a Create wrote); cleared by Sync.
+  std::atomic<bool> unsynced_{false};
 };
 
 }  // namespace tsq

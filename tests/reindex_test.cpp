@@ -9,10 +9,10 @@
 // to the old epoch finish correctly while the swap publishes, and a
 // pinned old snapshot stays valid after it), crash-shaped reopens
 // (stale .idx.tmp, relation ahead of the on-disk tree), tree teardown
-// that writes no page, a Create that drops the old index of its name,
-// the background merge thread, and a TSan-sized ingest+query+merge+stats
-// race. The CI TSan job runs this binary alongside
-// concurrency_stress_test.
+// that writes no page and syncs nothing, a Create that drops the old
+// index of its name, the background merge thread, and a TSan-sized
+// ingest+query+merge+stats race. The CI TSan job runs this binary
+// alongside concurrency_stress_test.
 
 #include <atomic>
 #include <chrono>
@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "core/database.h"
 #include "core/delta_index.h"
 #include "core/index_snapshot.h"
@@ -123,15 +124,26 @@ class ReindexTest : public ::testing::Test {
  protected:
   void SetUp() override {
     data_ = workload::MakeRandomWalkDataset(kSeed, kNumSeries, kLength);
-    DatabaseOptions options;
-    options.directory = dir_.path();
-    options.name = "reindex";
-    db_ = Database::Create(options).value();
-    // Index the first half; the second half stays for delta ingest.
+    CreateIndexingFirstHalf();
+  }
+
+  /// Creates the database afresh and indexes the first half; the second
+  /// half stays for delta ingest.
+  void CreateIndexingFirstHalf() {
+    db_ = Database::Create(Options()).value();
     for (size_t i = 0; i < kNumSeries / 2; ++i) {
       ASSERT_TRUE(db_->Insert(data_[i].name(), data_[i].values()).ok());
     }
     ASSERT_TRUE(db_->BuildIndex().ok());
+  }
+
+  void TearDown() override { failpoint::ClearAll(); }
+
+  DatabaseOptions Options() const {
+    DatabaseOptions options;
+    options.directory = dir_.path();
+    options.name = "reindex";
+    return options;
   }
 
   /// Ingests the second half of the dataset (lands in the delta).
@@ -323,9 +335,7 @@ TEST_F(ReindexTest, GatedMergeHandshakeKeepsOldEpochAnswering) {
 TEST_F(ReindexTest, CrashShapedReopensRecover) {
   IngestSecondHalf();
   ASSERT_TRUE(db_->Flush().ok());
-  DatabaseOptions options;
-  options.directory = dir_.path();
-  options.name = "reindex";
+  const DatabaseOptions options = Options();
 
   // Crash before any merge: the on-disk tree covers half, the relation
   // all. Open rebuilds the tail into the delta.
@@ -369,38 +379,52 @@ TEST_F(ReindexTest, CrashShapedReopensRecover) {
 }
 
 TEST_F(ReindexTest, RetiringOrClosingAPublishedTreeWritesNoPage) {
-  // Every published tree was flushed before it was published and is
-  // never written again, so tearing one down writes no page: neither the
-  // last pin of a retired epoch (built by BuildIndex or by Reindex) nor
-  // the close of a reopened tree. (The pool's teardown still syncs the
-  // file; that is not a page write.)
+  // Every published tree was flushed and synced before it was published
+  // and is never written again, so tearing one down writes no page and
+  // syncs nothing: neither the last pin of a retired epoch (built by
+  // BuildIndex or by Reindex) nor the close of a reopened tree. Counted:
+  // page writes on this thread, and traversals of the page file's sync.
+  auto syncs = std::make_shared<std::atomic<uint64_t>>(0);
+  failpoint::SetCallback("page_file_sync",
+                         [syncs](uint64_t) { syncs->fetch_add(1); });
+  const auto synced = [&syncs] { return syncs->exchange(0); };
+
+  // The fixture's BuildIndex ran before the count; build it again.
+  db_.reset();
+  CreateIndexingFirstHalf();
+  EXPECT_GE(synced(), 1u) << "BuildIndex";
+
   testing::IndexDelta written;
   auto built = db_->CurrentSnapshot();
   IngestSecondHalf();
+  synced();
   ASSERT_TRUE(db_->Reindex().ok());
+  EXPECT_GE(synced(), 1u) << "Reindex";
   written.Reset();
   built.reset();
   EXPECT_EQ(written().disk_writes, 0u) << "retired BuildIndex epoch";
+  EXPECT_EQ(synced(), 0u) << "retired BuildIndex epoch";
 
   auto merged = db_->CurrentSnapshot();
   ASSERT_TRUE(db_->Insert("late", data_[0].values()).ok());
   ASSERT_TRUE(db_->Reindex().ok());
   written.Reset();
+  synced();
   merged.reset();
   EXPECT_EQ(written().disk_writes, 0u) << "retired Reindex epoch";
+  EXPECT_EQ(synced(), 0u) << "retired Reindex epoch";
 
   ASSERT_TRUE(db_->Flush().ok());
   db_.reset();
-  DatabaseOptions options;
-  options.directory = dir_.path();
-  options.name = "reindex";
   written.Reset();
+  synced();
   {
-    auto reopened = Database::Open(options);
+    auto reopened = Database::Open(Options());
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     EXPECT_TRUE((*reopened)->index_built());
   }
   EXPECT_EQ(written().disk_writes, 0u) << "Open followed by a close";
+  EXPECT_EQ(synced(), 0u) << "Open followed by a close";
 }
 
 TEST(DatabaseCreateTest, CreateOverAnIndexedDatabaseStartsUnindexed) {
@@ -455,9 +479,7 @@ TEST_F(ReindexTest, BackgroundMergeThreadFoldsDelta) {
   // Reopen with the merge thread on a tight cadence.
   ASSERT_TRUE(db_->Flush().ok());
   db_.reset();
-  DatabaseOptions options;
-  options.directory = dir_.path();
-  options.name = "reindex";
+  DatabaseOptions options = Options();
   options.merge_interval_ms = 5;
   options.merge_min_delta = 1;
   db_ = Database::Open(options).value();

@@ -39,6 +39,8 @@ using tsq::testing::RandomPoint;
 using tsq::testing::Range;
 using tsq::testing::TempDir;
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 // ---------------------------------------------------------------------------
 // Node serialization
 // ---------------------------------------------------------------------------
@@ -930,50 +932,69 @@ class BulkLoadTest : public ::testing::TestWithParam<size_t> {
     file_ = std::move(*pf);
     pool_ = std::make_unique<BufferPool>(file_.get(), 256);
   }
+
+  // Loads GetParam() random points into a `dims`-D tree whose STR tiles
+  // dims [first_tiled_dim, dims), then checks the invariants and exact
+  // answers to random rectangles against a brute force. Every second
+  // rectangle leaves the untiled dims unbounded, as a query without a
+  // mean/std window does.
+  void LoadAndSearch(size_t dims, size_t first_tiled_dim) {
+    const size_t count = GetParam();
+    RTreeOptions options;
+    options.max_entries_override = 10;
+    auto tree = RStarTree::Create(pool_.get(), dims, options).value();
+
+    Rng rng(count + 5);
+    std::vector<Entry> entries;
+    std::vector<spatial::Point> points;
+    for (uint64_t i = 0; i < count; ++i) {
+      spatial::Point p = tsq::testing::RandomPoint(&rng, dims, 0.0, 100.0);
+      Entry e;
+      e.rect = spatial::Rect::FromPoint(p);
+      e.id = i;
+      entries.push_back(e);
+      points.push_back(std::move(p));
+    }
+    ASSERT_TRUE(tree->BulkLoad(entries, first_tiled_dim).ok());
+    EXPECT_EQ(tree->size(), count);
+
+    auto check = tree->CheckInvariants();
+    ASSERT_TRUE(check.ok());
+    EXPECT_TRUE(check->ok) << check->message;
+
+    for (int q = 0; q < 10; ++q) {
+      spatial::Rect query = tsq::testing::RandomRect(&rng, dims, 0.0, 100.0);
+      if (q % 2 == 1) {
+        for (size_t d = 0; d < first_tiled_dim; ++d) {
+          query.SetDim(d, -kInf, kInf);
+        }
+      }
+      std::set<uint64_t> expected;
+      for (uint64_t i = 0; i < count; ++i) {
+        if (query.Contains(points[i])) expected.insert(i);
+      }
+      std::set<uint64_t> actual;
+      ASSERT_TRUE(tree->Search(query,
+                               [&actual](uint64_t id, const spatial::Rect&) {
+                                 actual.insert(id);
+                                 return true;
+                               })
+                      .ok());
+      EXPECT_EQ(actual, expected);
+    }
+  }
+
   tsq::testing::TempDir dir_;
   std::unique_ptr<PageFile> file_;
   std::unique_ptr<BufferPool> pool_;
 };
 
-TEST_P(BulkLoadTest, LoadsAndSearchesExactly) {
-  const size_t count = GetParam();
-  RTreeOptions options;
-  options.max_entries_override = 10;
-  auto tree = RStarTree::Create(pool_.get(), 3, options).value();
+TEST_P(BulkLoadTest, LoadsAndSearchesExactly) { LoadAndSearch(3, 0); }
 
-  Rng rng(count + 5);
-  std::vector<Entry> entries;
-  std::vector<spatial::Point> points;
-  for (uint64_t i = 0; i < count; ++i) {
-    spatial::Point p = tsq::testing::RandomPoint(&rng, 3, 0.0, 100.0);
-    Entry e;
-    e.rect = spatial::Rect::FromPoint(p);
-    e.id = i;
-    entries.push_back(e);
-    points.push_back(std::move(p));
-  }
-  ASSERT_TRUE(tree->BulkLoad(entries).ok());
-  EXPECT_EQ(tree->size(), count);
-
-  auto check = tree->CheckInvariants();
-  ASSERT_TRUE(check.ok());
-  EXPECT_TRUE(check->ok) << check->message;
-
-  for (int q = 0; q < 10; ++q) {
-    spatial::Rect query = tsq::testing::RandomRect(&rng, 3, 0.0, 100.0);
-    std::set<uint64_t> expected;
-    for (uint64_t i = 0; i < count; ++i) {
-      if (query.Contains(points[i])) expected.insert(i);
-    }
-    std::set<uint64_t> actual;
-    ASSERT_TRUE(tree->Search(query,
-                             [&actual](uint64_t id, const spatial::Rect&) {
-                               actual.insert(id);
-                               return true;
-                             })
-                    .ok());
-    EXPECT_EQ(actual, expected);
-  }
+// The paper's 6-D layout tiled on its four spectral dims only, as KIndex
+// loads it: the untiled mean/std dims still bound every MBR.
+TEST_P(BulkLoadTest, LoadsAndSearchesExactlyTilingFromDimTwo) {
+  LoadAndSearch(6, 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BulkLoadTest,
@@ -989,15 +1010,86 @@ TEST(BulkLoadEdgeTest, RequiresEmptyTreeAndValidEntries) {
   Entry e;
   e.rect = spatial::Rect::FromPoint(spatial::Point{2.0, 2.0});
   e.id = 1;
-  EXPECT_TRUE(tree->BulkLoad({e}).IsFailedPrecondition());
+  EXPECT_TRUE(tree->BulkLoad({e}, 0).IsFailedPrecondition());
 
   auto tree2 = RStarTree::Create(&pool, 2, {}).value();
   Entry bad;
   bad.rect = spatial::Rect::FromPoint(spatial::Point{1.0});  // wrong dims
-  EXPECT_TRUE(tree2->BulkLoad({bad}).IsInvalidArgument());
+  EXPECT_TRUE(tree2->BulkLoad({bad}, 0).IsInvalidArgument());
   Entry empty_rect;
   empty_rect.rect = spatial::Rect::Empty(2);
-  EXPECT_TRUE(tree2->BulkLoad({empty_rect}).IsInvalidArgument());
+  EXPECT_TRUE(tree2->BulkLoad({empty_rect}, 0).IsInvalidArgument());
+  // STR must tile at least one dim.
+  EXPECT_TRUE(tree2->BulkLoad({e}, 2).IsInvalidArgument());
+  EXPECT_EQ(tree2->size(), 0u);
+}
+
+TEST(BulkLoadEdgeTest, UntiledDimsDoNotDecideWhichEntriesShareANode) {
+  // Two entry sets with the same ids and the same dims 2-5 but
+  // independently random dims 0-1, each bulk-loaded tiling from dim 2:
+  // the untiled dims move no entry to another node, so a search that
+  // leaves them unbounded visits the same number of nodes in both trees
+  // and finds the same ids.
+  TempDir dir;
+  auto file = PageFile::Create(dir.file("b.pages")).value();
+  BufferPool pool(file.get(), 1024);
+  RTreeOptions options;
+  options.max_entries_override = 10;
+  constexpr size_t kDims = 6;
+  constexpr size_t kCount = 3000;
+
+  Rng spectral_rng(21);
+  std::vector<Point> spectral(kCount);
+  for (Point& p : spectral) p = RandomPoint(&spectral_rng, kDims, 0.0, 100.0);
+  const auto build = [&](uint64_t seed, size_t first_tiled_dim) {
+    Rng rng(seed);
+    std::vector<Entry> entries(kCount);
+    for (uint64_t i = 0; i < kCount; ++i) {
+      Point p = spectral[i];
+      p[0] = rng.Uniform(-50.0, 50.0);
+      p[1] = rng.Uniform(0.0, 10.0);
+      entries[i].rect = Rect::FromPoint(p);
+      entries[i].id = i;
+    }
+    auto tree = RStarTree::Create(&pool, kDims, options).value();
+    EXPECT_TRUE(tree->BulkLoad(std::move(entries), first_tiled_dim).ok());
+    return tree;
+  };
+  // Nodes visited by one search, and the ids it finds.
+  const auto search = [](const RStarTree& tree, const Rect& query) {
+    std::set<uint64_t> ids;
+    const IndexDelta counted;
+    EXPECT_TRUE(tree.Search(query,
+                            [&ids](uint64_t id, const Rect&) {
+                              ids.insert(id);
+                              return true;
+                            })
+                    .ok());
+    return std::make_pair(counted().nodes_visited, ids);
+  };
+
+  const auto a = build(1, 2);
+  const auto b = build(2, 2);
+  // The same two entry sets tiled on every dim, as a control: there the
+  // random dims 0-1 do decide the packing.
+  const auto a_all = build(1, 0);
+  const auto b_all = build(2, 0);
+  Rng query_rng(22);
+  uint64_t visited_all_a = 0;
+  uint64_t visited_all_b = 0;
+  for (int q = 0; q < 20; ++q) {
+    Rect query = tsq::testing::RandomRect(&query_rng, kDims, 0.0, 100.0);
+    query.SetDim(0, -kInf, kInf);
+    query.SetDim(1, -kInf, kInf);
+    const auto [nodes_a, ids_a] = search(*a, query);
+    const auto [nodes_b, ids_b] = search(*b, query);
+    EXPECT_EQ(nodes_a, nodes_b) << "query " << q;
+    EXPECT_EQ(ids_a, ids_b) << "query " << q;
+    EXPECT_GT(nodes_a, 0u);
+    visited_all_a += search(*a_all, query).first;
+    visited_all_b += search(*b_all, query).first;
+  }
+  EXPECT_NE(visited_all_a, visited_all_b);
 }
 
 TEST(BulkLoadEdgeTest, InsertAndRemoveWorkAfterBulkLoad) {
@@ -1019,7 +1111,7 @@ TEST(BulkLoadEdgeTest, InsertAndRemoveWorkAfterBulkLoad) {
     entries.push_back(e);
     points.push_back(std::move(p));
   }
-  ASSERT_TRUE(tree->BulkLoad(entries).ok());
+  ASSERT_TRUE(tree->BulkLoad(entries, 0).ok());
 
   // Post-load mutations.
   for (uint64_t i = 500; i < 600; ++i) {
