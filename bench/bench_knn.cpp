@@ -5,7 +5,8 @@
 // but does not plot NN performance; this harness measures the optimal
 // multi-step kNN (best-first lower-bound streaming + full-length
 // verification) against the scan, with and without transformations, on
-// the paper-shaped stock relation.
+// the paper-shaped stock relation, and counts the candidates each query
+// verifies and the index nodes it reads.
 
 #include <cstdio>
 #include <cstdint>
@@ -49,7 +50,7 @@ void Run() {
   const int kQueries = static_cast<int>(bench::Scaled(10, 2));
 
   bench::Table table({"k", "transform", "index ms", "scan ms", "speedup",
-                      "avg candidates verified"});
+                      "avg candidates verified", "avg nodes/query"});
 
   for (const size_t k : {1u, 10u, 50u}) {
     for (const bool transformed : {false, true}) {
@@ -61,6 +62,7 @@ void Run() {
       double index_ms = 0.0;
       double scan_ms = 0.0;
       uint64_t verified = 0;
+      uint64_t nodes = 0;
       for (int q = 0; q < kQueries; ++q) {
         const RealVec& query = market[(q * 97) % market.size()].values();
         const auto knn = engine::BatchQuery::Knn(query, k, spec);
@@ -76,6 +78,7 @@ void Run() {
             },
             2);
         verified += stats.verified;
+        nodes += stats.nodes_visited;
         // Scan ranking: a full pass with an infinite threshold, then
         // take the top k (what a user without the index would run).
         std::vector<Match> scanned;
@@ -100,7 +103,9 @@ void Run() {
                     bench::Table::Num(index_ms), bench::Table::Num(scan_ms),
                     bench::Table::Num(scan_ms / index_ms, 1) + "x",
                     bench::Table::Num(
-                        static_cast<double>(verified) / kQueries, 1)});
+                        static_cast<double>(verified) / kQueries, 1),
+                    bench::Table::Num(static_cast<double>(nodes) / kQueries,
+                                      1)});
     }
   }
   table.Print();

@@ -10,10 +10,12 @@
 // Before the google-benchmark registrations run, main() executes a
 // deterministic per-level sweep of the src/simd/ kernel table over
 // lengths {64, 256, 1024, 8192} and drops BENCH_kernels.json: ns/call
-// and speedup-vs-scalar for every compiled dispatch level, plus a bitwise
-// answer checksum per (kernel, length, level) cell. A checksum mismatch
-// between levels aborts the binary — the determinism contract is enforced
-// on the benchmark's own workload, not just in unit tests.
+// and speedup-vs-scalar for every compiled dispatch level (medians of
+// five repetitions that interleave the levels, with every repetition's
+// value), plus a bitwise answer checksum per (kernel, length, level)
+// cell. A checksum mismatch between levels aborts the binary — the
+// determinism contract is enforced on the benchmark's own workload, not
+// just in unit tests.
 
 #include <benchmark/benchmark.h>
 
@@ -229,7 +231,11 @@ Cell TimeKernel(size_t iters, Fn&& call) {
 
 /// Sweeps every compiled dispatch level over the kernel table for lengths
 /// {64, 256, 1024, 8192}, enforces bitwise cross-level checksum equality,
-/// prints the speedup table and writes BENCH_kernels.json.
+/// prints the speedup table and writes BENCH_kernels.json. Each (kernel,
+/// n) cell runs bench::kCellReps repetitions, and each repetition times
+/// every level back to back, so a shift in the host's speed over seconds
+/// reaches all levels alike; a level's speedup is the median of its
+/// per-repetition ratios to scalar, printed with their min-max.
 void KernelSweep() {
   bench::Banner(
       "src/simd kernel sweep: ns/call per dispatch level",
@@ -250,7 +256,8 @@ void KernelSweep() {
   host["smoke_divisor"] = bench::Json::Int(bench::SmokeDivisor());
   doc["host"] = std::move(host);
 
-  bench::Table table({"kernel", "n", "level", "ns/call", "speedup"});
+  bench::Table table(
+      {"kernel", "n", "level", "ns/call", "speedup", "speedup min-max"});
   bench::Json rows = bench::Json::Array();
   double speedup_1024_distance = 0.0;
 
@@ -326,38 +333,57 @@ void KernelSweep() {
          }},
     };
 
+    const int levels = static_cast<int>(best) + 1;
     for (const Kernel& kernel : kernels) {
-      double scalar_ns = 0.0;
-      double scalar_checksum = 0.0;
-      for (int l = 0; l <= static_cast<int>(best); ++l) {
-        const simd::Level level = static_cast<simd::Level>(l);
-        const simd::KernelTable& k = simd::KernelsFor(level);
-        const Cell cell =
-            TimeKernel(iters, [&](size_t i) { return kernel.call(k, i); });
-        if (level == simd::Level::kScalar) {
-          scalar_ns = cell.ns_per_call;
-          scalar_checksum = cell.checksum;
+      std::vector<std::vector<double>> ns_runs(levels);
+      std::vector<std::vector<double>> speedup_runs(levels);
+      std::vector<double> checksums(levels);
+      for (int rep = 0; rep < bench::kCellReps; ++rep) {
+        double scalar_ns = 0.0;
+        for (int l = 0; l < levels; ++l) {
+          const simd::KernelTable& k =
+              simd::KernelsFor(static_cast<simd::Level>(l));
+          const Cell cell =
+              TimeKernel(iters, [&](size_t i) { return kernel.call(k, i); });
+          if (l == 0) scalar_ns = cell.ns_per_call;  // level 0 is scalar
+          checksums[l] = cell.checksum;
+          TSQ_CHECK_MSG(Bits(cell.checksum) == Bits(checksums[0]),
+                        "cross-level checksum mismatch: the determinism "
+                        "contract is broken");
+          ns_runs[l].push_back(cell.ns_per_call);
+          speedup_runs[l].push_back(scalar_ns / cell.ns_per_call);
         }
-        TSQ_CHECK_MSG(Bits(cell.checksum) == Bits(scalar_checksum),
-                      "cross-level checksum mismatch: the determinism "
-                      "contract is broken");
-        const double speedup = scalar_ns / cell.ns_per_call;
+      }
+      for (int l = 0; l < levels; ++l) {
+        const simd::Level level = static_cast<simd::Level>(l);
+        const double ns = bench::Median(ns_runs[l]);
+        const bench::CellTiming speedup = bench::Summarize(speedup_runs[l]);
         if (std::string(kernel.name) == "sum_squared_diff" && n == 1024 &&
             level == simd::ActiveLevel()) {
-          speedup_1024_distance = speedup;
+          speedup_1024_distance = speedup.median_ms;
         }
         table.AddRow({kernel.name, std::to_string(n),
-                      simd::LevelName(level),
-                      bench::Table::Num(cell.ns_per_call, 1),
-                      bench::Table::Num(speedup, 2) + "x"});
+                      simd::LevelName(level), bench::Table::Num(ns, 1),
+                      bench::Table::Num(speedup.median_ms, 2) + "x",
+                      speedup.Spread(2)});
         bench::Json row = bench::Json::Object();
         row["kernel"] = bench::Json::Str(kernel.name);
         row["n"] = bench::Json::Int(n);
         row["level"] = bench::Json::Str(simd::LevelName(level));
-        row["ns_per_call"] = bench::Json::Num(cell.ns_per_call);
-        row["speedup_vs_scalar"] = bench::Json::Num(speedup);
+        row["ns_per_call"] = bench::Json::Num(ns);
+        row["speedup_vs_scalar"] = bench::Json::Num(speedup.median_ms);
+        row["speedup_min"] = bench::Json::Num(speedup.min_ms);
+        row["speedup_max"] = bench::Json::Num(speedup.max_ms);
+        bench::Json ns_json = bench::Json::Array();
+        bench::Json speedup_json = bench::Json::Array();
+        for (int rep = 0; rep < bench::kCellReps; ++rep) {
+          ns_json.Append(bench::Json::Num(ns_runs[l][rep]));
+          speedup_json.Append(bench::Json::Num(speedup_runs[l][rep]));
+        }
+        row["ns_per_call_runs"] = std::move(ns_json);
+        row["speedup_runs"] = std::move(speedup_json);
         char hex[32];
-        std::snprintf(hex, sizeof(hex), "%016" PRIx64, Bits(cell.checksum));
+        std::snprintf(hex, sizeof(hex), "%016" PRIx64, Bits(checksums[l]));
         row["checksum"] = bench::Json::Str(hex);
         rows.Append(std::move(row));
       }

@@ -86,6 +86,22 @@ class PolarSpaceMetric final : public rtree::NnMetric {
     return acc;
   }
 
+  /// The radial terms of a point's distance, sum (q_m - p_m)^2, with no
+  /// trig. Each is PolarPointDistSquared's first addend without the
+  /// nonnegative angular one, and rounding is monotone, so every term and
+  /// every partial sum stays at or below MinDistSquared's. That needs
+  /// every product rounded before its add, which is why CMakeLists.txt
+  /// builds this file without FMA contraction.
+  double CheapMinDistSquared(const spatial::Rect& point) const override {
+    double acc = 0.0;
+    for (size_t j = 0; j < num_coefficients_; ++j) {
+      const size_t md = offset_ + 2 * j;
+      const double dm = query_[md] - point.lo(md);
+      acc += dm * dm;
+    }
+    return acc;
+  }
+
   /// Squared distance from the complex point (qm, qa) [polar] to the
   /// annular sector r in [m0, m1], theta in [t0, t1].
   static double SectorDistSquared(double qm, double qa, double m0, double m1,

@@ -73,7 +73,10 @@ class FeatureSpace {
   /// this space's coordinates). Spectral dims only: mean/std dims do not
   /// contribute to similarity distance. On a point rect (every leaf entry
   /// and delta point) it is SpectralDistanceSquared's point distance; in
-  /// Spol a point coefficient skips the annular-sector case.
+  /// Spol a point coefficient skips the annular-sector case. Its cheap
+  /// key (CheapMinDistSquared), which ranks unmerged kNN entries until
+  /// they reach the front, is the point distance itself in Srect and the
+  /// radial terms sum (q_m - p_m)^2 alone in Spol, no trig.
   std::unique_ptr<rtree::NnMetric> MakeNnMetric(spatial::Point query) const;
 
   /// Squared spectral distance between two feature points: the squared

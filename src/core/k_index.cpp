@@ -89,9 +89,9 @@ Status KIndex::RangeCandidates(const RangeFilter& filter,
   return tree_->SearchTransformed(*map, filter.rect, keep);
 }
 
-Status KIndex::StreamNearest(
-    const rtree::NnMetric& metric, const spatial::AffineMap* map,
-    const std::function<bool(SeriesId, double)>& emit) const {
+Status KIndex::StreamNearest(const rtree::NnMetric& metric,
+                             const spatial::AffineMap* map,
+                             const rtree::RStarTree::NnCallback& emit) const {
   return tree_->NearestNeighborsStream(metric, map, emit);
 }
 

@@ -13,7 +13,6 @@
 #ifndef TSQ_CORE_K_INDEX_H_
 #define TSQ_CORE_K_INDEX_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,14 +72,16 @@ class KIndex {
                          const spatial::AffineMap* map,
                          std::vector<SeriesId>* out) const;
 
-  /// Streams data entries in ascending lower-bound distance order under
-  /// `metric` (optionally through `map`); bounds arrive SQUARED (see
-  /// rtree::RStarTree::NearestNeighborsStream); the callback returns false
-  /// to stop. Backbone of the optimal multi-step kNN in core/queries.h.
-  Status StreamNearest(
-      const rtree::NnMetric& metric, const spatial::AffineMap* map,
-      const std::function<bool(SeriesId id, double lower_bound_sq)>& emit)
-      const;
+  /// Streams the tree's items in ascending lower-bound distance order
+  /// under `metric` (optionally through `map`): each node before it is
+  /// read (`id` empty) and each data entry (`id` its series); bounds
+  /// arrive SQUARED (see rtree::RStarTree::NearestNeighborsStream). The
+  /// callback returns false to stop, and a stop at a node costs no read
+  /// of its page. Backbone of the optimal multi-step kNN in
+  /// core/queries.h, whose stop rule sees nodes as well as entries.
+  Status StreamNearest(const rtree::NnMetric& metric,
+                       const spatial::AffineMap* map,
+                       const rtree::RStarTree::NnCallback& emit) const;
 
   const FeatureSpace& space() const { return space_; }
   const FeatureExtractor& extractor() const { return space_.extractor(); }

@@ -318,13 +318,25 @@ Status IndexKnnQuery(const IndexView& view, const Relation& relation,
   // sqrt per answer happens at materialization. sqrt is monotone, so
   // every comparison decides exactly as its sqrt'ed counterpart.
   //
+  // The stop rule (`past_kth`) judges every item the ranking surfaces,
+  // not only candidates: a tree node before its page is read, a tree
+  // entry, and an unmerged entry on its first, cheap key. Each such bound
+  // is at most the bound of every candidate not yet visited (a node's
+  // MINDIST bounds its subtree and the queue behind it; a cheap key
+  // bounds its own exact key and every key behind it), so when the rule
+  // fires on it, it would have fired on the next candidate too, before
+  // that candidate was verified. The verified sequence, the answers and
+  // the counts are therefore those of a search that tests candidates
+  // only; the page reads and exact bounds past the stop are skipped.
+  //
   // Approximation (KnnOptions) relaxes the stop rule: with tolerance
   // epsilon the cutoff fires once L^2 * (1+epsilon)^2 > d_k^2 — i.e. the
   // true k-th neighbor can undercut the reported one by at most a factor
   // (1+epsilon). epsilon = 0 makes the factor exactly 1.0 and multiplying
   // by 1.0 is exact, so the epsilon-0 path is bit-identical to exact. The
-  // probe budget stops unconditionally; whatever bound was in effect at
-  // the stop yields the observed max_error.
+  // probe budget stops unconditionally before a candidate's verification;
+  // whatever bound was in effect at the stop yields the observed
+  // max_error.
   struct Verified {
     double dist_sq;
     SeriesId id;
@@ -344,12 +356,18 @@ Status IndexKnnQuery(const IndexView& view, const Relation& relation,
   bool stopped = false;          // any stop rule fired (incl. exact cutoff)
   double stop_bound_sq = std::numeric_limits<double>::infinity();
 
-  auto visit = [&](SeriesId id, double lower_bound_sq) -> bool {
+  // The exact (or epsilon-relaxed) optimality cutoff, for a lower bound
+  // of everything not yet visited.
+  auto past_kth = [&](double lower_bound_sq) {
     if (best.size() == k && lower_bound_sq * relax > best.front().dist_sq) {
-      stopped = true;  // exact (or epsilon-relaxed) optimality cutoff
+      stopped = true;
       stop_bound_sq = lower_bound_sq;
-      return false;
+      return true;
     }
+    return false;
+  };
+  auto visit = [&](SeriesId id, double lower_bound_sq) -> bool {
+    if (past_kth(lower_bound_sq)) return false;
     if (options.probe_budget > 0 && visited >= options.probe_budget) {
       stopped = true;
       stop_bound_sq = lower_bound_sq;
@@ -380,55 +398,79 @@ Status IndexKnnQuery(const IndexView& view, const Relation& relation,
     return true;
   };
 
-  // Delta candidates with the same admissible lower bound the tree
+  // Delta candidates, ranked by the admissible lower bound the tree
   // computes for its leaf entries (MinDistSquared on the transformed
-  // point rectangle), sorted ascending by (bound, id). The merged visit
-  // order is globally nondecreasing in the bound — delta entries drain
-  // strictly below each tree emission, ties go to the tree — so the
-  // optimal multi-step cutoff treats main + delta as one index.
-  struct DeltaCandidate {
-    double lower_bound_sq;
+  // point rectangle), lazily: each enters a min-heap on (key, id) under
+  // the metric's cheap key, which is never above that bound, and gets the
+  // bound itself only when it reaches the top. An entry is visited only
+  // from the top with its exact key, every other entry's bound is at
+  // least its own key, and ids are unique, so entries are visited in
+  // ascending (bound, id) order, as a full sort by bound would give,
+  // while an entry that never reaches the top costs one cheap key. The
+  // merged visit order is globally nondecreasing in the bound — delta
+  // entries drain strictly below each tree item's bound, ties go to the
+  // tree — so the optimal multi-step cutoff treats main + delta as one
+  // index.
+  struct DeltaKey {
+    double bound_sq;  // the cheap key until `exact`
     SeriesId id;
+    bool exact;
   };
-  std::vector<DeltaCandidate> delta_candidates;
+  auto after = [](const DeltaKey& a, const DeltaKey& b) {
+    return a.bound_sq > b.bound_sq ||
+           (a.bound_sq == b.bound_sq && a.id > b.id);
+  };
+  const spatial::AffineMap* map_ptr = map.has_value() ? &*map : nullptr;
+  std::vector<DeltaKey> delta_heap;
+  spatial::Rect delta_point;
   if (view.has_delta()) {
     obs::StageTimer span(obs::Stage::kDelta);
     const DeltaIndex& delta = view.delta();
-    spatial::Rect point =
-        spatial::Rect::FromPoint(spatial::Point(delta.dims()));
+    delta_point = spatial::Rect::FromPoint(spatial::Point(delta.dims()));
+    delta_heap.reserve(view.delta_size());
     for (uint64_t slot = 0; slot < view.delta_size(); ++slot) {
-      LoadDeltaPoint(delta, slot, map.has_value() ? &*map : nullptr, &point);
-      delta_candidates.push_back(DeltaCandidate{metric->MinDistSquared(point),
-                                                delta.base() + slot});
+      LoadDeltaPoint(delta, slot, map_ptr, &delta_point);
+      delta_heap.push_back(DeltaKey{metric->CheapMinDistSquared(delta_point),
+                                    delta.base() + slot, false});
     }
-    std::sort(delta_candidates.begin(), delta_candidates.end(),
-              [](const DeltaCandidate& a, const DeltaCandidate& b) {
-                return a.lower_bound_sq < b.lower_bound_sq ||
-                       (a.lower_bound_sq == b.lower_bound_sq && a.id < b.id);
-              });
+    std::make_heap(delta_heap.begin(), delta_heap.end(), after);
   }
-  size_t next_delta = 0;
   bool keep_going = true;
   auto drain_delta_below = [&](double bound_sq) {
-    while (keep_going && next_delta < delta_candidates.size() &&
-           delta_candidates[next_delta].lower_bound_sq < bound_sq) {
-      keep_going = visit(delta_candidates[next_delta].id,
-                         delta_candidates[next_delta].lower_bound_sq);
-      ++next_delta;
+    while (keep_going && !delta_heap.empty() &&
+           delta_heap.front().bound_sq < bound_sq) {
+      std::pop_heap(delta_heap.begin(), delta_heap.end(), after);
+      const DeltaKey top = delta_heap.back();
+      if (top.exact) {
+        delta_heap.pop_back();
+        keep_going = visit(top.id, top.bound_sq);
+      } else if (past_kth(top.bound_sq)) {
+        keep_going = false;
+      } else {
+        obs::StageTimer span(obs::Stage::kDelta);
+        const DeltaIndex& delta = view.delta();
+        LoadDeltaPoint(delta, top.id - delta.base(), map_ptr, &delta_point);
+        delta_heap.back() =
+            DeltaKey{metric->MinDistSquared(delta_point), top.id, true};
+        std::push_heap(delta_heap.begin(), delta_heap.end(), after);
+      }
     }
   };
 
   {
     // The stream span covers the best-first traversal; per-candidate
-    // verification inside `visit` opens its own kRefine span, so descent
-    // self-time is pure tree work.
+    // verification inside `visit` opens its own kRefine span and a delta
+    // key's refinement its own kDelta span, so descent self-time is pure
+    // tree work. A node the stop rule rules out is never read.
     obs::StageTimer span(obs::Stage::kDescent);
     TSQ_RETURN_IF_ERROR(index.StreamNearest(
-        *metric, map.has_value() ? &*map : nullptr,
-        [&](SeriesId id, double lower_bound_sq) {
+        *metric, map_ptr,
+        [&](std::optional<SeriesId> id, double lower_bound_sq) {
           drain_delta_below(lower_bound_sq);
-          if (!keep_going) return false;
-          keep_going = visit(id, lower_bound_sq);
+          if (keep_going) {
+            keep_going = id.has_value() ? visit(*id, lower_bound_sq)
+                                        : !past_kth(lower_bound_sq);
+          }
           return keep_going;
         }));
   }

@@ -265,12 +265,21 @@ Status IndexRangeQuery(const IndexView& index, const Relation& relation,
                        const QuerySpec& spec, std::vector<Match>* out,
                        QueryStats* stats);
 
-/// k-nearest-neighbor query via the index (optimal multi-step). With
-/// non-default `options` the search may stop before the exactness proof
-/// completes; QueryStats reports the observed (candidates, pruned,
-/// max_error) triple so recall is measurable. Each candidate's sum is
-/// abandoned once it exceeds the current k-th best, which it could not
-/// have replaced; answers and distances are unchanged by the abandon.
+/// k-nearest-neighbor query via the index (optimal multi-step). Tree and
+/// unmerged entries are verified in one ascending lower-bound order, and
+/// the search stops at the first item whose bound passes the k-th
+/// verified distance — a tree node before its page is read, or an
+/// unmerged entry on its cheap key (NnMetric::CheapMinDistSquared; such
+/// entries wait in a (bound, id) heap and get their exact bound only at
+/// its top). Every item's bound is at most that of each candidate behind
+/// it, so the candidates verified, the answers and the counts are those
+/// of a stop tested at candidates only. With non-default `options` the
+/// search may stop before the exactness proof completes; QueryStats
+/// reports the observed (candidates, pruned, max_error) triple so recall
+/// is measurable, max_error taken from the bound the search stopped at.
+/// Each candidate's sum is abandoned once it exceeds the current k-th
+/// best, which it could not have replaced; answers and distances are
+/// unchanged by the abandon.
 Status IndexKnnQuery(const IndexView& index, const Relation& relation,
                      const RealVec& query, size_t k, const QuerySpec& spec,
                      const KnnOptions& options, std::vector<Match>* out,

@@ -856,15 +856,17 @@ Status RStarTree::JoinFrom(const JoinSeed& seed, const RStarTree& other,
 // Nearest neighbors
 // ---------------------------------------------------------------------------
 
-Status RStarTree::NearestNeighborsStream(
-    const NnMetric& metric, const spatial::AffineMap* map,
-    const std::function<bool(uint64_t, double)>& emit) const {
+Status RStarTree::NearestNeighborsStream(const NnMetric& metric,
+                                         const spatial::AffineMap* map,
+                                         const NnCallback& emit) const {
   if (size_ == 0) return Status::OK();
 
   // Best-first search: a min-heap of nodes and leaf entries keyed by
   // MINDIST under `metric`. When an entry surfaces, its lower bound is
   // exact for the indexed point (degenerate rect) and no unexplored item
-  // can beat it, so emission order is correct.
+  // can beat it, so emission order is correct. A node surfaces to the
+  // caller before it is read, so a caller that stops there never pays
+  // for the page.
   struct Item {
     double dist_sq;
     bool is_entry;
@@ -887,10 +889,10 @@ Status RStarTree::NearestNeighborsStream(
   while (!heap.empty()) {
     const Item item = heap.top();
     heap.pop();
-    if (item.is_entry) {
-      if (!emit(item.id, item.dist_sq)) return Status::OK();
-      continue;
-    }
+    const std::optional<uint64_t> id =
+        item.is_entry ? std::optional<uint64_t>(item.id) : std::nullopt;
+    if (!emit(id, item.dist_sq)) return Status::OK();
+    if (item.is_entry) continue;
     TSQ_RETURN_IF_ERROR(ReadNode(item.id, item.level, &node));
     const size_t count = node.size();
     NodeTally tally;
@@ -922,12 +924,12 @@ Status RStarTree::NearestNeighbors(const NnMetric& metric, size_t k,
   TSQ_CHECK(out != nullptr);
   out->clear();
   if (k == 0) return Status::OK();
-  return NearestNeighborsStream(metric, map,
-                                [out, k](uint64_t id, double dist_sq) {
-                                  out->push_back(
-                                      NnResult{id, std::sqrt(dist_sq)});
-                                  return out->size() < k;
-                                });
+  return NearestNeighborsStream(
+      metric, map, [out, k](std::optional<uint64_t> id, double dist_sq) {
+        if (!id.has_value()) return true;  // a node: read it
+        out->push_back(NnResult{*id, std::sqrt(dist_sq)});
+        return out->size() < k;
+      });
 }
 
 // ---------------------------------------------------------------------------

@@ -60,12 +60,24 @@ struct NnResult {
 
 /// Pluggable NN distance: a lower bound of the query-object distance over
 /// everything inside an MBR. For degenerate (point) rects the bound must be
-/// the exact distance. Implementations: spatial MINDIST for rectangular
-/// feature spaces, the annular-sector metric for polar spaces (src/core).
+/// the exact distance, and a rect's bound must not exceed the bound of a
+/// rect it contains: the best-first order, and a caller that stops at a
+/// node's bound, rely on it. Implementations: spatial MINDIST for
+/// rectangular feature spaces, the annular-sector metric for polar spaces
+/// (src/core).
 class NnMetric {
  public:
   virtual ~NnMetric() = default;
   virtual double MinDistSquared(const spatial::Rect& rect) const = 0;
+
+  /// A cheaper first key for a point rect: never above
+  /// MinDistSquared(point) as a double, so a caller can rank points by it
+  /// and compute MinDistSquared only for the ones that reach the front
+  /// (IndexKnnQuery's unmerged entries). The default is MinDistSquared
+  /// itself.
+  virtual double CheapMinDistSquared(const spatial::Rect& point) const {
+    return MinDistSquared(point);
+  }
 
   /// out[i] = MinDistSquared(*rects[i]) for i < count — one call per tree
   /// node instead of one virtual call per entry. The default loops;
@@ -186,18 +198,27 @@ class RStarTree {
                           const spatial::AffineMap* map,
                           std::vector<NnResult>* out) const;
 
-  /// Incremental best-first enumeration: emits data entries in ascending
-  /// lower-bound distance order until the callback returns false or the
-  /// tree is exhausted. Bounds are emitted SQUARED — the refine layer
-  /// compares in squared space and takes one sqrt per materialized
-  /// answer, not one per candidate. The backbone of optimal multi-step
-  /// kNN (candidates are verified against full-length data by the caller,
-  /// which stops as soon as the lower bound passes its k-th verified
-  /// distance).
-  Status NearestNeighborsStream(
-      const NnMetric& metric, const spatial::AffineMap* map,
-      const std::function<bool(uint64_t id, double lower_bound_sq)>& emit)
-      const;
+  /// What NearestNeighborsStream hands its callback for each item it
+  /// pops: a data entry (`id` holds its data id, the bound is exact for
+  /// its point) or a node it is about to read (`id` empty, the bound is
+  /// its MBR's). Returning false stops the enumeration.
+  using NnCallback =
+      std::function<bool(std::optional<uint64_t> id, double lower_bound_sq)>;
+
+  /// Incremental best-first enumeration: pops nodes and data entries in
+  /// ascending lower-bound order and hands each one to `emit` — a node
+  /// before its page is fetched — until `emit` returns false or the tree
+  /// is exhausted. A node's bound bounds everything still queued and
+  /// everything below it, so a caller whose stop rule rules a node out
+  /// returns false there and the page is never fetched, decoded or
+  /// expanded. Bounds are SQUARED — the refine layer compares in squared
+  /// space and takes one sqrt per materialized answer, not one per
+  /// candidate. The backbone of optimal multi-step kNN (candidates are
+  /// verified against full-length data by the caller, which stops as soon
+  /// as a popped bound passes its k-th verified distance).
+  Status NearestNeighborsStream(const NnMetric& metric,
+                                const spatial::AffineMap* map,
+                                const NnCallback& emit) const;
 
   /// Decides whether a pair of (transformed) rectangles can contain
   /// qualifying join pairs; false prunes the subtree pair.

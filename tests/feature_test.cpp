@@ -8,6 +8,11 @@
 
 #include <cmath>
 #include <numbers>
+#include <optional>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "core/feature.h"
@@ -522,6 +527,96 @@ TEST_F(PolarMetricTest, FullCircleSectorIsRadialGap) {
   EXPECT_NEAR(std::sqrt(metric->MinDistSquared(annulus)), 3.0, 1e-9);
   spatial::Rect containing({4.0, -kPi}, {6.0, kPi});
   EXPECT_EQ(metric->MinDistSquared(containing), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// The metrics' cheap key (kNN's lazy ranking of unmerged entries)
+// ---------------------------------------------------------------------------
+
+TEST(NnMetricCheapKeyTest, NeverExceedsMinDistOnPointRects) {
+  // IndexKnnQuery ranks unmerged entries by CheapMinDistSquared and
+  // computes MinDistSquared only for the entry at the front of its heap;
+  // that visits entries in exact bound order only while the cheap key is
+  // at most the exact one, compared as raw doubles. Checked on random
+  // walks' points and on random coefficients spanning twelve decades, in
+  // both coordinate spaces, plain and through every builtin transform.
+  constexpr size_t n = 128;
+  namespace tr = transforms;
+  const RealVec weights = {0.5, 0.3, 0.2};
+  const std::vector<std::pair<std::string, std::optional<FeatureTransform>>>
+      transforms = {
+          {"none", std::nullopt},
+          {"mavg", FeatureTransform::Spectral(tr::MovingAverage(n, 3))},
+          {"wmavg",
+           FeatureTransform::Spectral(tr::WeightedMovingAverage(n, weights))},
+          {"ewma", FeatureTransform::Spectral(
+                       tr::ExponentialMovingAverage(n, 0.5, 3))},
+          {"mavg^2",
+           FeatureTransform::Spectral(tr::SuccessiveMovingAverage(n, 3, 2))},
+          {"diff", FeatureTransform::Spectral(tr::Difference(n))},
+          {"reverse", FeatureTransform::Spectral(tr::Reverse(n))},
+          {"shift", FeatureTransform::Spectral(tr::Shift(n, 1.5))},
+          {"scale", FeatureTransform::Spectral(tr::Scale(n, -2.5))},
+          {"warp", FeatureTransform::Spectral(tr::TimeWarp(n, 2, n / 2 + 1))},
+          {"shiftscale", FeatureTransform::ShiftScale(n, 3.0, -2.0)},
+      };
+  FeatureLayout rectangular = FeatureLayout::Paper();
+  rectangular.space = CoordinateSpace::kRectangular;
+  const std::vector<std::pair<std::string, FeatureLayout>> layouts = {
+      {"polar", FeatureLayout::Paper()},
+      {"rectangular", rectangular},
+      {"agrawal3", FeatureLayout::Agrawal(3)}};
+
+  Rng rng(26);
+  std::set<std::string> covered;
+  const std::vector<TimeSeries> walks =
+      workload::MakeRandomWalkDataset(26, 160, n);
+  for (const auto& [layout_name, layout] : layouts) {
+    SCOPED_TRACE(layout_name);
+    const FeatureSpace space(layout);
+    const FeatureExtractor& extractor = space.extractor();
+    std::vector<spatial::Point> points;
+    for (const TimeSeries& walk : walks) {
+      points.push_back(extractor.ToPoint(extractor.Extract(walk.values())));
+    }
+    for (int i = 0; i < 160; ++i) {
+      const double scale = std::pow(10.0, rng.Uniform(-6.0, 6.0));
+      points.push_back(extractor.ToPointFromCoefficients(
+          testing::RandomComplexVec(&rng, layout.num_coefficients, -scale,
+                                    scale),
+          rng.Uniform(-5.0, 5.0), rng.Uniform(0.0, 5.0)));
+    }
+    size_t strictly_below = 0;
+    for (const auto& [transform_name, transform] : transforms) {
+      SCOPED_TRACE(transform_name);
+      std::optional<spatial::AffineMap> map;
+      if (transform.has_value()) {
+        auto made = space.ToAffineMap(*transform);
+        if (!made.ok()) continue;  // not safe in this space
+        map = std::move(*made);
+      }
+      covered.insert(transform_name);
+      for (size_t q = 0; q < points.size(); q += 9) {
+        const auto metric = space.MakeNnMetric(points[q]);
+        for (const spatial::Point& p : points) {
+          spatial::Rect rect = spatial::Rect::FromPoint(p);
+          if (map.has_value()) map->ApplyInto(rect, &rect);
+          const double cheap = metric->CheapMinDistSquared(rect);
+          const double exact = metric->MinDistSquared(rect);
+          ASSERT_LE(cheap, exact) << "query " << q;
+          if (layout.space == CoordinateSpace::kRectangular) {
+            ASSERT_EQ(cheap, exact);  // Srect's key is the bound itself
+          }
+          strictly_below += cheap < exact;
+        }
+      }
+    }
+    if (layout.space == CoordinateSpace::kPolar) {
+      EXPECT_GT(strictly_below, 0u);  // the key really skips the angles
+    }
+  }
+  // Each transform is safe in at least one of the two spaces.
+  EXPECT_EQ(covered.size(), transforms.size());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -24,6 +25,7 @@
 namespace tsq {
 namespace {
 
+using testing::IndexDelta;
 using testing::Knn;
 using testing::Range;
 using testing::Scan;
@@ -358,6 +360,42 @@ TEST_F(DatabaseQueryTest, KnnSelfQueryFindsSelfFirst) {
   ASSERT_EQ(knn->size(), 1u);
   EXPECT_EQ((*knn)[0].id, 42u);
   EXPECT_NEAR((*knn)[0].distance, 0.0, 1e-9);
+}
+
+TEST_F(DatabaseQueryTest, KnnOfAStoredSeriesReadsOnlyTheNodesHoldingIt) {
+  // A stored series' own point sits at distance 0, so once it is verified
+  // the stop rule rules out every node whose bound is above 0 before
+  // reading it: the search reads exactly the nodes whose MBR holds the
+  // point in the spectral dims, the nodes a range search with the point's
+  // rect (mean/std unbounded) reads.
+  auto db = MakeDb(3000, 64);
+  const KIndex* index = db->index();
+  ASSERT_GE(index->tree()->height(), 3u);
+  const FeatureExtractor& extractor = index->extractor();
+  constexpr double kBig = std::numeric_limits<double>::max();
+  for (SeriesId id = 0; id < 3000; id += 23) {
+    auto rec = db->Get(id);
+    ASSERT_TRUE(rec.ok());
+    QueryStats stats;
+    auto knn = Knn(db.get(), rec->values, 1, {}, {}, &stats);
+    ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+    ASSERT_EQ(knn->size(), 1u);
+    EXPECT_EQ((*knn)[0].id, id);
+    EXPECT_EQ((*knn)[0].distance, 0.0);
+
+    spatial::Rect holding = spatial::Rect::FromPoint(
+        extractor.ToPoint(extractor.FromStored(rec->values, rec->dft)));
+    for (size_t d = 0; d < index->layout().spectral_offset(); ++d) {
+      holding.SetDim(d, -kBig, kBig);
+    }
+    const IndexDelta searched;
+    ASSERT_TRUE(index->tree()
+                    ->Search(holding, [](uint64_t, const spatial::Rect&) {
+                      return true;
+                    })
+                    .ok());
+    EXPECT_EQ(stats.nodes_visited, searched().nodes_visited) << "id " << id;
+  }
 }
 
 TEST_F(DatabaseQueryTest, KnnZeroAndOversizedK) {

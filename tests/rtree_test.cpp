@@ -10,6 +10,7 @@
 #include <bit>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -585,15 +586,46 @@ TEST_P(RTreeParamTest, NearestNeighborsStreamEnumeratesAllInOrder) {
     ASSERT_TRUE(tree->InsertPoint(RandomPoint(&rng, 2, 0.0, 10.0), i).ok());
   }
   EuclideanMetric metric(Point{5.0, 5.0});
+  // Every popped item surfaces, nodes included, in one ascending order.
   std::vector<double> dists;
-  ASSERT_TRUE(tree->NearestNeighborsStream(metric, nullptr,
-                                           [&dists](uint64_t, double d) {
-                                             dists.push_back(d);
-                                             return true;
-                                           })
+  size_t entries = 0;
+  size_t nodes = 0;
+  const IndexDelta counted;
+  ASSERT_TRUE(tree->NearestNeighborsStream(
+                      metric, nullptr,
+                      [&](std::optional<uint64_t> id, double d) {
+                        dists.push_back(d);
+                        ++(id.has_value() ? entries : nodes);
+                        return true;
+                      })
                   .ok());
-  ASSERT_EQ(dists.size(), 100u);
+  EXPECT_EQ(entries, 100u);
+  EXPECT_EQ(nodes, counted().nodes_visited);
   EXPECT_TRUE(std::is_sorted(dists.begin(), dists.end()));
+}
+
+TEST_P(RTreeParamTest, NearestNeighborsStreamStopAtANodeSkipsItsRead) {
+  // A callback that stops at a node surfaces it before the read, so the
+  // page is never fetched: stopping at the k-th node reads k - 1 nodes.
+  auto tree = MakeTree(2);
+  Rng rng(21);
+  for (uint64_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE(tree->InsertPoint(RandomPoint(&rng, 2, 0.0, 10.0), i).ok());
+  }
+  ASSERT_GE(tree->height(), 3u);
+  EuclideanMetric metric(Point{5.0, 5.0});
+  for (const size_t stop_at : {1u, 2u, 3u}) {
+    size_t nodes = 0;
+    const IndexDelta counted;
+    ASSERT_TRUE(tree->NearestNeighborsStream(
+                        metric, nullptr,
+                        [&](std::optional<uint64_t> id, double) {
+                          return id.has_value() || ++nodes < stop_at;
+                        })
+                    .ok());
+    EXPECT_EQ(nodes, stop_at);
+    EXPECT_EQ(counted().nodes_visited, stop_at - 1);
+  }
 }
 
 TEST_P(RTreeParamTest, KnnWithMoreThanSizeReturnsAll) {
@@ -664,13 +696,12 @@ TEST_P(RTreeParamTest, ReusedStorageMatchesBruteForceAfterRemoves) {
     EuclideanMetric metric(center);
     std::vector<std::pair<double, uint64_t>> streamed;
     const IndexDelta counted;
-    ASSERT_TRUE(tree->NearestNeighborsStream(metric, &map,
-                                             [&streamed](uint64_t id,
-                                                         double bound) {
-                                               streamed.emplace_back(bound,
-                                                                     id);
-                                               return true;
-                                             })
+    ASSERT_TRUE(tree->NearestNeighborsStream(
+                        metric, &map,
+                        [&streamed](std::optional<uint64_t> id, double bound) {
+                          if (id.has_value()) streamed.emplace_back(bound, *id);
+                          return true;
+                        })
                     .ok());
     const obs::IndexCounters mine = counted();
     EXPECT_TRUE(std::is_sorted(streamed.begin(), streamed.end(),
@@ -792,7 +823,7 @@ std::vector<std::pair<std::string, Status>> RunEveryDescent(
   const AffineMap shift(std::vector<double>(dims, 1.0),
                         std::vector<double>(dims, 0.5));
   auto keep = [](uint64_t, const Rect&) { return true; };
-  auto keep_streaming = [](uint64_t, double) { return true; };
+  auto keep_streaming = [](std::optional<uint64_t>, double) { return true; };
   auto all_pairs = [](const Rect&, const Rect&) { return true; };
   auto keep_pairs = [](uint64_t, uint64_t) { return true; };
   EuclideanMetric metric(Point(dims, 0.0));

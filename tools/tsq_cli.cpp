@@ -428,9 +428,10 @@ int CmdKnn(const Args& args) {
     std::printf("  %-16s %.6f\n", m.name.c_str(), m.distance);
   }
   const QueryStats& qs = result->stats;
-  std::printf("visited %llu, pruned %llu",
+  std::printf("visited %llu, pruned %llu, %llu node accesses",
               static_cast<unsigned long long>(qs.candidates),
-              static_cast<unsigned long long>(qs.pruned));
+              static_cast<unsigned long long>(qs.pruned),
+              static_cast<unsigned long long>(qs.nodes_visited));
   if (qs.approx) {
     std::printf(", max relative error %.6f (approximate)", qs.max_error);
   }
@@ -755,9 +756,10 @@ int CmdRemoteKnn(const Args& args) {
   for (const Match& m : *matches) {
     std::printf("  %-16s %.6f\n", m.name.c_str(), m.distance);
   }
-  std::printf("visited %llu, pruned %llu",
+  std::printf("visited %llu, pruned %llu, %llu node accesses",
               static_cast<unsigned long long>(stats.candidates),
-              static_cast<unsigned long long>(stats.pruned));
+              static_cast<unsigned long long>(stats.pruned),
+              static_cast<unsigned long long>(stats.nodes_visited));
   if (stats.approx) {
     std::printf(", max relative error %.6f (approximate)", stats.max_error);
   }
