@@ -1,29 +1,33 @@
 // Copyright (c) 2026 The tsq Authors.
 //
-// Ablations of six design choices:
+// Ablations of five design choices:
 //   1. number of indexed coefficients k — filter power (candidates per
 //      query) vs index dimensionality;
 //   2. polar vs rectangular coordinate space — identical correctness for
 //      identity queries; polar additionally admits multiplicative
 //      transforms (moving average), which rectangular must reject;
-//   3. R* forced reinsertion on/off — node accesses per query of a tree
-//      built by repeated insertion (STR never runs the insert path);
-//   4. STR bulk loading (which tiles the spectral dims only) vs repeated
-//      insertion — node accesses per query without a mean/std window and
-//      with windows of +-5% and +-25% around the query's own mean and std
-//      (the queries STR's untiled mean/std dims cost);
-//   5. Fourier vs Haar coefficient basis;
-//   6. the range filter — the search rectangle alone, Lemma 1's ball at
+//   3. STR packing that tiles the spectral dims only (the shipped index)
+//      vs STR tiling all six dims — node accesses per query without a
+//      mean/std window and with windows of +-5% and +-25% around the
+//      query's own mean and std (the queries the untiled mean/std dims
+//      cost);
+//   4. Fourier vs Haar coefficient basis;
+//   5. the range filter — the search rectangle alone, Lemma 1's ball at
 //      eps, and the shipped filter (ball at eps/sqrt(2) under conjugate
 //      symmetry): candidates and precision.
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "bench_util.h"
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "core/queries.h"
+#include "obs/trace.h"
+#include "rtree/rstar_tree.h"
+#include "storage/buffer_pool.h"
+#include "storage/page_file.h"
 #include "transform/builtin.h"
 #include "workload/stock_sim.h"
 
@@ -119,96 +123,93 @@ void RunSpaceComparison(const std::vector<TimeSeries>& market) {
   table.Print();
 }
 
-void RunReinsertAblation(const std::vector<TimeSeries>& market) {
-  bench::Banner("Ablation 3: R* forced reinsertion on/off",
-                "Reinsertion spends insert-time work to tighten MBRs; the "
-                "payoff is fewer node accesses per query.");
-  bench::Table table({"forced reinsert", "build ms", "avg nodes/query",
-                      "avg query ms"});
-  const int kQueries = 12;
-  for (const bool reinsert : {true, false}) {
-    bench::ScratchDir dir(reinsert ? "abl_re1" : "abl_re0");
-    DatabaseOptions base;
-    base.bulk_load = false;  // reinsertion happens on the insert path only
-    base.rtree.forced_reinsert = reinsert;
-    Stopwatch build_watch;
-    auto db = bench::BuildDatabase(dir.path(), "abl", market, base);
-    const double build_ms = build_watch.ElapsedMillis();
-    double ms = 0.0;
-    uint64_t nodes = 0;
-    for (int q = 0; q < kQueries; ++q) {
-      const RealVec& query = market[(q * 67) % market.size()].values();
-      const auto range = engine::BatchQuery::Range(query, 2.0);
-      QueryStats stats;
-      ms += bench::MeanMillis(
-          [&]() { stats = bench::RunQuery(db.get(), range).stats; }, 3);
-      nodes += stats.nodes_visited;
-    }
-    table.AddRow({reinsert ? "on" : "off", bench::Table::Num(build_ms, 1),
-                  bench::Table::Num(static_cast<double>(nodes) / kQueries, 1),
-                  bench::Table::Num(ms / kQueries)});
-  }
-  table.Print();
-}
-
-void RunBulkLoadAblation(const std::vector<TimeSeries>& market) {
-  bench::Banner("Ablation 4: STR bulk loading vs repeated insertion",
-                "Static data sets (the paper's setting) can pack the tree "
-                "in one pass; repeated insertion is the dynamic baseline. "
-                "STR tiles the spectral dims only, so queries with a "
-                "mean/std window (here ±5% and ±25% around the query's "
-                "own mean and std) can prune less than they would in a "
-                "tree tiled on every dim.");
+void RunTilingAblation(const std::vector<TimeSeries>& market) {
+  bench::Banner("Ablation 3: STR tiling the spectral dims vs all six dims",
+                "Both trees are STR packings of the same points; the "
+                "shipped index tiles the spectral dims only. A query "
+                "without a mean/std window leaves the mean/std dims "
+                "unbounded and reads fewer nodes in the shipped tree; one "
+                "with a window (here ±5% and ±25% around the query's own "
+                "mean and std) can prune less there than in a tree tiled "
+                "on every dim. Nodes are counted by the same range-filter "
+                "search on both trees.");
   bench::Table table({"build method", "build ms", "tree height",
                       "avg nodes/query", "nodes/query ±5% window",
-                      "nodes/query ±25% window", "avg query ms"});
+                      "nodes/query ±25% window"});
+  bench::ScratchDir dir("abl_tiling");
+  auto db = bench::BuildDatabase(dir.path(), "abl", market, DatabaseOptions{});
+  const KIndex& index = *db->index();
+  const size_t dims = index.layout().dims();
+
+  // The shipped tree's points, which both packings load.
+  std::vector<rtree::Entry> entries;
+  const double inf = std::numeric_limits<double>::infinity();
+  const spatial::Rect everything(spatial::Point(dims, -inf),
+                                 spatial::Point(dims, inf));
+  TSQ_CHECK(index.tree()
+                ->Search(everything,
+                         [&entries](uint64_t id, const spatial::Rect& point) {
+                           entries.push_back(rtree::Entry{point, id});
+                           return true;
+                         })
+                .ok());
+
+  // Each query's range filter without a window, then with each window.
   const int kQueries = 12;
-  for (const bool bulk : {true, false}) {
-    bench::ScratchDir dir(bulk ? "abl_bulk" : "abl_incr");
-    DatabaseOptions base;
-    base.bulk_load = bulk;
-    Stopwatch build_watch;
-    auto db = bench::BuildDatabase(dir.path(), "abl", market, base);
-    const double build_ms = build_watch.ElapsedMillis();
-    double ms = 0.0;
-    uint64_t nodes = 0;
-    uint64_t windowed_nodes[2] = {0, 0};
-    for (int q = 0; q < kQueries; ++q) {
-      const RealVec& query = market[(q * 67) % market.size()].values();
-      const auto range = engine::BatchQuery::Range(query, 2.0);
-      QueryStats stats;
-      ms += bench::MeanMillis(
-          [&]() { stats = bench::RunQuery(db.get(), range).stats; }, 3);
-      nodes += stats.nodes_visited;
-      const SeriesFeatures features = db->extractor().Extract(query);
-      for (const int w : {0, 1}) {
-        const double frac = w == 0 ? 0.05 : 0.25;
+  const double kWindowFractions[] = {0.0, 0.05, 0.25};
+  std::vector<RangeFilter> filters[3];
+  for (int q = 0; q < kQueries; ++q) {
+    const RealVec& query = market[(q * 67) % market.size()].values();
+    const SeriesFeatures features = index.extractor().Extract(query);
+    for (size_t w = 0; w < 3; ++w) {
+      const double frac = kWindowFractions[w];
+      QuerySpec spec;
+      if (frac > 0.0) {
         const double mean_slack = frac * std::fabs(features.mean);
-        QuerySpec spec;
         spec.window = MeanStdWindow{
             features.mean - mean_slack, features.mean + mean_slack,
             (1.0 - frac) * features.std, (1.0 + frac) * features.std};
-        windowed_nodes[w] +=
-            bench::RunQuery(db.get(),
-                            engine::BatchQuery::Range(query, 2.0, spec))
-                .stats.nodes_visited;
       }
+      const PreparedQuery prepared = PrepareQuery(index, query, spec).value();
+      filters[w].push_back(BuildRangeFilter(
+          index.extractor(), prepared.coefficients, 2.0,
+          index.series_length(), prepared.mirror_error, spec.window));
     }
-    const auto per_query = [&](uint64_t total) {
-      return bench::Table::Num(static_cast<double>(total) / kQueries, 1);
-    };
-    table.AddRow({bulk ? "STR bulk load" : "repeated insert",
+  }
+
+  const auto ignore = [](uint64_t, const spatial::Rect&) { return true; };
+  for (const bool spectral_only : {true, false}) {
+    const std::string path =
+        dir.path() + (spectral_only ? "/spectral.pages" : "/all.pages");
+    auto file = PageFile::Create(path, db->options().page_size).value();
+    BufferPool pool(file.get(), db->options().buffer_pool_frames);
+    auto tree = rtree::RStarTree::Create(&pool, dims).value();
+    const size_t first_tiled_dim =
+        spectral_only ? index.layout().spectral_offset() : 0;
+    Stopwatch build_watch;
+    TSQ_CHECK(tree->BulkLoad(entries, first_tiled_dim).ok());
+    const double build_ms = build_watch.ElapsedMillis();
+    std::string nodes_per_query[3];
+    for (size_t w = 0; w < 3; ++w) {
+      const uint64_t before = obs::ThisThreadIndexCounters().nodes_visited;
+      for (const RangeFilter& filter : filters[w]) {
+        TSQ_CHECK(tree->Search(filter.rect, ignore).ok());
+      }
+      const uint64_t nodes =
+          obs::ThisThreadIndexCounters().nodes_visited - before;
+      nodes_per_query[w] =
+          bench::Table::Num(static_cast<double>(nodes) / kQueries, 1);
+    }
+    table.AddRow({spectral_only ? "STR bulk load" : "STR, all six dims tiled",
                   bench::Table::Num(build_ms, 1),
-                  std::to_string(db->index()->tree()->height()),
-                  per_query(nodes), per_query(windowed_nodes[0]),
-                  per_query(windowed_nodes[1]),
-                  bench::Table::Num(ms / kQueries)});
+                  std::to_string(tree->height()), nodes_per_query[0],
+                  nodes_per_query[1], nodes_per_query[2]});
   }
   table.Print();
 }
 
 void RunBasisAblation(const std::vector<TimeSeries>& market) {
-  bench::Banner("Ablation 5: Fourier vs Haar coefficient basis",
+  bench::Banner("Ablation 4: Fourier vs Haar coefficient basis",
                 "Both bases are orthonormal (Parseval), so correctness is "
                 "identical; filter power on stock-like data differs.");
   bench::Table table({"basis", "avg candidates", "avg answers",
@@ -245,7 +246,7 @@ void RunBasisAblation(const std::vector<TimeSeries>& market) {
 
 void RunFilterAblation(const std::vector<TimeSeries>& market) {
   bench::Banner(
-      "Ablation 6: the range filter (Algorithm 2, step 2)",
+      "Ablation 5: the range filter (Algorithm 2, step 2)",
       "Candidates per query, each one record read by the refine: the "
       "Sec. 3.1 search rectangle alone (the paper's filter), the ball of "
       "radius eps inside it (Lemma 1's exact leaf test), and the shipped "
@@ -317,8 +318,7 @@ int main() {
   auto market = tsq::workload::MakeStockMarket(31337, tsq::MarketOptions());
   tsq::RunCoefficientSweep(market);
   tsq::RunSpaceComparison(market);
-  tsq::RunReinsertAblation(market);
-  tsq::RunBulkLoadAblation(market);
+  tsq::RunTilingAblation(market);
   tsq::RunBasisAblation(market);
   tsq::RunFilterAblation(market);
   return 0;

@@ -1,9 +1,8 @@
 // Copyright (c) 2026 The tsq Authors.
 //
-// Micro-benchmarks (google-benchmark) for the R*-tree: insertion and
-// range-search throughput with and without forced reinsertion (the
-// construction/query tradeoff of [BKSS90]'s reinsert policy), and warm
-// range/kNN descents over a bulk-loaded tree of the paper's index shape
+// Micro-benchmarks (google-benchmark) for the R*-tree: plain against
+// transformed range search and kNN over a small STR-packed tree, and warm
+// range/kNN descents over an STR-packed tree of the paper's index shape
 // (6-D, 4 KiB pages) reporting the time per visited node.
 // Sizes shrink under TSQ_BENCH_SMOKE; results also go to
 // BENCH_micro_rtree.json.
@@ -24,24 +23,35 @@ namespace tsq {
 namespace {
 
 using rtree::RStarTree;
-using rtree::RTreeOptions;
 
+spatial::Point RandomPoint(Rng* rng, size_t dims) {
+  spatial::Point p(dims);
+  for (double& v : p) v = rng->Uniform(0.0, 100.0);
+  return p;
+}
+
+/// An STR-packed tree over `count` uniform points in [0, 100]^dims drawn
+/// from `rng`, tiled on every dim, in its own page file.
 struct TreeEnv {
   std::string path;
   std::unique_ptr<PageFile> file;
   std::unique_ptr<BufferPool> pool;
   std::unique_ptr<RStarTree> tree;
 
-  TreeEnv(bool reinsert, size_t dims, size_t pool_frames = 512) {
+  TreeEnv(Rng* rng, size_t count, size_t dims, size_t pool_frames = 512) {
     path = (std::filesystem::temp_directory_path() /
             ("tsq_micrortree_" + std::to_string(reinterpret_cast<uintptr_t>(
                                      this))))
                .string();
     file = PageFile::Create(path).value();
     pool = std::make_unique<BufferPool>(file.get(), pool_frames);
-    RTreeOptions options;
-    options.forced_reinsert = reinsert;
-    tree = RStarTree::Create(pool.get(), dims, options).value();
+    tree = RStarTree::Create(pool.get(), dims).value();
+    std::vector<rtree::Entry> entries(count);
+    for (size_t i = 0; i < count; ++i) {
+      entries[i].rect = spatial::Rect::FromPoint(RandomPoint(rng, dims));
+      entries[i].id = i;
+    }
+    TSQ_CHECK(tree->BulkLoad(std::move(entries), 0).ok());
   }
   ~TreeEnv() {
     tree.reset();
@@ -52,66 +62,11 @@ struct TreeEnv {
   }
 };
 
-spatial::Point RandomPoint(Rng* rng, size_t dims) {
-  spatial::Point p(dims);
-  for (double& v : p) v = rng->Uniform(0.0, 100.0);
-  return p;
-}
-
-void BM_RTreeInsert(benchmark::State& state) {
-  const bool reinsert = state.range(0) != 0;
-  const uint64_t count = bench::Scaled(2000, 100);
-  for (auto _ : state) {
-    state.PauseTiming();
-    TreeEnv env(reinsert, 6);
-    Rng rng(42);
-    state.ResumeTiming();
-    for (uint64_t i = 0; i < count; ++i) {
-      benchmark::DoNotOptimize(
-          env.tree->InsertPoint(RandomPoint(&rng, 6), i).ok());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(count));
-  state.SetLabel(reinsert ? "reinsert" : "no-reinsert");
-}
-BENCHMARK(BM_RTreeInsert)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
-
-void BM_RTreeRangeSearch(benchmark::State& state) {
-  const bool reinsert = state.range(0) != 0;
-  TreeEnv env(reinsert, 6);
-  Rng rng(43);
-  for (uint64_t i = 0; i < bench::Scaled(5000, 500); ++i) {
-    env.tree->InsertPoint(RandomPoint(&rng, 6), i).ok();
-  }
-  spatial::Point lo(6), hi(6);
-  for (size_t d = 0; d < 6; ++d) {
-    lo[d] = 40.0;
-    hi[d] = 60.0;
-  }
-  const spatial::Rect query(lo, hi);
-  uint64_t sink = 0;
-  for (auto _ : state) {
-    env.tree
-        ->Search(query,
-                 [&sink](uint64_t id, const spatial::Rect&) {
-                   sink += id;
-                   return true;
-                 })
-        .ok();
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetLabel(reinsert ? "reinsert" : "no-reinsert");
-}
-BENCHMARK(BM_RTreeRangeSearch)->Arg(1)->Arg(0);
-
 void BM_RTreeTransformedSearch(benchmark::State& state) {
   // The Figure 8 gap, isolated: plain vs transformed traversal.
   const bool transformed = state.range(0) != 0;
-  TreeEnv env(true, 6);
   Rng rng(44);
-  for (uint64_t i = 0; i < bench::Scaled(5000, 500); ++i) {
-    env.tree->InsertPoint(RandomPoint(&rng, 6), i).ok();
-  }
+  TreeEnv env(&rng, bench::Scaled(5000, 500), 6);
   spatial::Point lo(6), hi(6);
   for (size_t d = 0; d < 6; ++d) {
     lo[d] = 40.0;
@@ -148,11 +103,8 @@ class PointMetric final : public rtree::NnMetric {
 };
 
 void BM_RTreeKnn(benchmark::State& state) {
-  TreeEnv env(true, 6);
   Rng rng(45);
-  for (uint64_t i = 0; i < bench::Scaled(5000, 500); ++i) {
-    env.tree->InsertPoint(RandomPoint(&rng, 6), i).ok();
-  }
+  TreeEnv env(&rng, bench::Scaled(5000, 500), 6);
   PointMetric metric(spatial::Point(6, 50.0));
   const size_t k = static_cast<size_t>(state.range(0));
   std::vector<rtree::NnResult> out;
@@ -173,17 +125,11 @@ constexpr size_t kPaperDims = 6;  // the paper's 6-D index, on 4 KiB pages
 /// Built once per process: google-benchmark calls each function several
 /// times while sizing its iteration count.
 struct PaperTree {
-  TreeEnv env{true, kPaperDims, 8192};
+  Rng rng{46};
+  TreeEnv env{&rng, bench::Scaled(100000, 2000), kPaperDims, 8192};
   std::vector<spatial::Point> queries;
 
   PaperTree() {
-    Rng rng(46);
-    std::vector<rtree::Entry> entries(bench::Scaled(100000, 2000));
-    for (size_t i = 0; i < entries.size(); ++i) {
-      entries[i].rect = spatial::Rect::FromPoint(RandomPoint(&rng, kPaperDims));
-      entries[i].id = i;
-    }
-    env.tree->BulkLoad(std::move(entries), 0).ok();
     for (int i = 0; i < 256; ++i) {
       queries.push_back(RandomPoint(&rng, kPaperDims));
     }

@@ -102,6 +102,19 @@ void BM_BufferPoolMissEvict(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferPoolMissEvict);
 
+/// Closes `rel` and deletes its segment files (Create writes
+/// <path>.0 .. <path>.N-1, never <path> itself).
+void RemoveRelation(std::unique_ptr<Relation> rel) {
+  std::vector<std::string> segments;
+  for (size_t i = 0; i < rel->num_segments(); ++i) {
+    segments.push_back(rel->SegmentPath(i));
+  }
+  rel.reset();
+  for (const std::string& segment : segments) {
+    std::filesystem::remove(segment);
+  }
+}
+
 void BM_RelationAppend(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(4);
@@ -116,8 +129,7 @@ void BM_RelationAppend(benchmark::State& state) {
       benchmark::DoNotOptimize(rel->Append("S", values, spectrum).ok());
     }
     state.PauseTiming();
-    rel.reset();
-    std::filesystem::remove(path);
+    RemoveRelation(std::move(rel));
     state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * 200);
@@ -138,8 +150,7 @@ void BM_RelationGet(benchmark::State& state) {
     benchmark::DoNotOptimize(rec->dft.data());
     ++id;
   }
-  rel.reset();
-  std::filesystem::remove(path);
+  RemoveRelation(std::move(rel));
 }
 BENCHMARK(BM_RelationGet)->Arg(128)->Arg(1024);
 

@@ -12,6 +12,7 @@
 #include "bench_util.h"
 #include "common/stopwatch.h"
 #include "core/subsequence.h"
+#include "obs/trace.h"
 #include "workload/random_walk.h"
 
 namespace tsq {
@@ -23,8 +24,8 @@ void Run() {
       "Window 64, 3 coefficients; queries are data windows plus noise.");
 
   bench::Table table({"series x length", "windows", "trail piece", "pieces",
-                      "index ms", "scan ms", "win. verified", "cand. pieces",
-                      "avg answers"});
+                      "index ms", "scan ms", "windows verified",
+                      "candidate pieces", "avg nodes/query", "avg answers"});
 
   const size_t kWindow = 64;
   const int kQueries = static_cast<int>(bench::Scaled(10, 2));
@@ -45,13 +46,9 @@ void Run() {
     options.coefficients = 3;
     options.trail_piece = config.piece;
     options.path = dir.path() + "/subseq.pages";
-    auto index = SubsequenceIndex::Create(options).value();
-
     auto series =
         workload::MakeRandomWalkDataset(2026, config.count, config.length);
-    for (SeriesId id = 0; id < series.size(); ++id) {
-      TSQ_CHECK(index->AddSeries(id, series[id].values()).ok());
-    }
+    auto index = SubsequenceIndex::Build(options, series).value();
     auto fetch = [&series](SeriesId id) -> Result<RealVec> {
       return series[id].values();
     };
@@ -62,6 +59,7 @@ void Run() {
     uint64_t candidates = 0;
     uint64_t answers = 0;
     uint64_t verified = 0;
+    uint64_t nodes = 0;
     for (int q = 0; q < kQueries; ++q) {
       const RealVec& src =
           series[static_cast<size_t>(rng.UniformInt(
@@ -75,9 +73,12 @@ void Run() {
 
       std::vector<SubsequenceMatch> out;
       QueryStats stats;
+      const uint64_t nodes_before =
+          obs::ThisThreadIndexCounters().nodes_visited;
       Stopwatch w1;
       TSQ_CHECK(index->RangeSearch(query, 1.0, fetch, &out, &stats).ok());
       index_ms += w1.ElapsedMillis();
+      nodes += obs::ThisThreadIndexCounters().nodes_visited - nodes_before;
       candidates += stats.candidates;
       verified += stats.records_scanned;
       answers += out.size();
@@ -98,6 +99,7 @@ void Run() {
          bench::Table::Num(static_cast<double>(verified) / kQueries, 1) +
              " of " + std::to_string(index->num_windows()),
          bench::Table::Num(static_cast<double>(candidates) / kQueries, 1),
+         bench::Table::Num(static_cast<double>(nodes) / kQueries, 1),
          bench::Table::Num(static_cast<double>(answers) / kQueries, 1)});
   }
   table.Print();

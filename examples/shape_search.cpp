@@ -61,10 +61,7 @@ int main() {
   options.coefficients = 4;
   options.trail_piece = 16;
   options.path = dir + "/shape.pages";
-  auto index = SubsequenceIndex::Create(options).value();
-  for (SeriesId id = 0; id < market.size(); ++id) {
-    TSQ_CHECK(index->AddSeries(id, market[id].values()).ok());
-  }
+  auto index = SubsequenceIndex::Build(options, market).value();
   std::printf(
       "indexed %llu sliding windows (%llu trail pieces) over %zu stocks\n",
       static_cast<unsigned long long>(index->num_windows()),

@@ -494,8 +494,7 @@ KIndexOptions Database::IndexOptions(const std::string& path) const {
   return kopts;
 }
 
-Result<std::shared_ptr<KIndex>> Database::BuildIndexFile(uint64_t limit,
-                                                         bool bulk_load) {
+Result<std::shared_ptr<KIndex>> Database::BuildIndexFile(uint64_t limit) {
   // Build into scratch, flush, then atomically rename over the canonical
   // index file. A published tree keeps serving from its open descriptor
   // throughout; a crash anywhere here leaves the previous index file (or
@@ -509,10 +508,9 @@ Result<std::shared_ptr<KIndex>> Database::BuildIndexFile(uint64_t limit,
   // One parallel scan per relation segment collects every series'
   // features — ids are dense, so items[id] is each scanner's private
   // slot and the merged vector is in id order with no sorting. Features
-  // come from the same FromStored helper Insert's Extract shares, so
-  // bulk, incremental and merge indexing are identical. STR bulk loading
-  // packs the tree in one pass (repeated insertion remains available as
-  // the ablation baseline).
+  // come from the same FromStored helper Insert's Extract shares, so the
+  // tree and the delta index the same points. STR bulk loading packs the
+  // tree in one pass.
   std::vector<std::pair<SeriesId, SeriesFeatures>> items(limit);
   const size_t num_segments = relation_->num_segments();
   std::vector<Status> segment_status(num_segments);
@@ -527,13 +525,7 @@ Result<std::shared_ptr<KIndex>> Database::BuildIndexFile(uint64_t limit,
   for (const Status& status : segment_status) {
     TSQ_RETURN_IF_ERROR(status);
   }
-  if (bulk_load) {
-    TSQ_RETURN_IF_ERROR(index->BulkLoad(items));
-  } else {
-    for (const auto& [id, features] : items) {
-      TSQ_RETURN_IF_ERROR(index->Add(id, features));
-    }
-  }
+  TSQ_RETURN_IF_ERROR(index->BulkLoad(items));
 
   // Publication sequence with its crash points: fsync the complete temp
   // tree, atomically rename it over the canonical file, then fsync the
@@ -603,8 +595,7 @@ Status Database::BuildIndex() {
   }
   // The first merge: Reindex's build and publication over every stored
   // series, with an empty delta after it.
-  TSQ_ASSIGN_OR_RETURN(std::shared_ptr<KIndex> index,
-                       BuildIndexFile(total, options_.bulk_load));
+  TSQ_ASSIGN_OR_RETURN(std::shared_ptr<KIndex> index, BuildIndexFile(total));
   std::lock_guard<std::mutex> put_lock(delta_put_mutex_);
   Publish(std::move(index),
           std::make_shared<DeltaIndex>(total, options_.layout.dims()));
@@ -626,8 +617,7 @@ Result<uint64_t> Database::Reindex() {
   if (cutoff == snap->main->size()) {
     return snap->epoch;  // nothing to fold
   }
-  Result<std::shared_ptr<KIndex>> merged =
-      BuildIndexFile(cutoff, /*bulk_load=*/true);
+  Result<std::shared_ptr<KIndex>> merged = BuildIndexFile(cutoff);
   if (!merged.ok()) return EnterReadOnly(merged.status());
   if (merge_hook_) merge_hook_();
 

@@ -93,9 +93,6 @@ struct DatabaseOptions {
   /// Open rediscovers the count from disk; this applies to Create only.
   size_t relation_segments = 4;
   rtree::RTreeOptions rtree;
-  /// Build the index with STR bulk loading (default) or with repeated
-  /// insertions (the ablation baseline; see bench_ablation).
-  bool bulk_load = true;
   /// Background merge cadence in milliseconds: when non-zero, a merge
   /// thread periodically folds the delta index into a fresh main tree
   /// (see Reindex). 0 (the default) disables the thread; merges then
@@ -285,8 +282,8 @@ class Database {
 
   /// Builds the k-index over everything inserted so far and publishes it
   /// as epoch 1: the first merge, written, flushed, renamed over
-  /// <name>.idx and made durable exactly as Reindex does (STR bulk load,
-  /// or repeated insertion when DatabaseOptions::bulk_load is false).
+  /// <name>.idx and made durable exactly as Reindex does (STR bulk
+  /// load).
   /// Requires at least one series and exclusivity (no concurrent inserts
   /// or queries); refuses to run twice. Errors are returned without
   /// degrading the database. One before the rename leaves no <name>.idx;
@@ -449,12 +446,11 @@ class Database {
 
   /// The one way an index file is written: builds a KIndex over
   /// relation ids [0, limit) into <name>.idx.tmp — parallel per-segment
-  /// feature scans feeding one STR bulk load (or repeated insertion when
-  /// !bulk_load) — flushes it, renames it over <name>.idx and fsyncs the
-  /// directory. Shared by BuildIndex and Reindex; the reindex_* failpoints
-  /// stop it before the flush, before the rename and after it.
-  Result<std::shared_ptr<KIndex>> BuildIndexFile(uint64_t limit,
-                                                 bool bulk_load);
+  /// feature scans feeding one STR bulk load — flushes it, renames it
+  /// over <name>.idx and fsyncs the directory. Shared by BuildIndex and
+  /// Reindex; the reindex_* failpoints stop it before the flush, before
+  /// the rename and after it.
+  Result<std::shared_ptr<KIndex>> BuildIndexFile(uint64_t limit);
 
   /// The delta over relation ids [base, size()), rebuilt from the stored
   /// records: Open's and Repair's tail rebuild.

@@ -42,17 +42,6 @@ Result<std::unique_ptr<KIndex>> KIndex::Open(const KIndexOptions& options,
   return index;
 }
 
-Status KIndex::Add(SeriesId id, const SeriesFeatures& features) {
-  if (features.spectrum.size() != series_length_) {
-    return Status::InvalidArgument(
-        "series spectrum length " + std::to_string(features.spectrum.size()) +
-        " != index series length " + std::to_string(series_length_));
-  }
-  const spatial::Point point = extractor().ToPoint(features);
-  TSQ_RETURN_IF_ERROR(CheckFinite(point, "indexed series feature"));
-  return tree_->InsertPoint(point, id);
-}
-
 Status KIndex::BulkLoad(
     const std::vector<std::pair<SeriesId, SeriesFeatures>>& items) {
   std::vector<rtree::Entry> entries;

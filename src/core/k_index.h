@@ -52,13 +52,10 @@ class KIndex {
   static Result<std::unique_ptr<KIndex>> Open(const KIndexOptions& options,
                                               size_t series_length);
 
-  /// Adds one series' features under its relation id.
-  Status Add(SeriesId id, const SeriesFeatures& features);
-
-  /// Bulk-loads many series at once into an empty index (STR packing —
-  /// faster and better clustered than repeated Add; see
-  /// rtree::RStarTree::BulkLoad). STR tiles the spectral dims only, from
-  /// layout().spectral_offset(); the mean/std dims stay in every MBR.
+  /// Loads every series into an empty index at once, by STR packing (see
+  /// rtree::RStarTree::BulkLoad), the only way an index is written. STR
+  /// tiles the spectral dims only, from layout().spectral_offset(); the
+  /// mean/std dims stay in every MBR.
   Status BulkLoad(
       const std::vector<std::pair<SeriesId, SeriesFeatures>>& items);
 

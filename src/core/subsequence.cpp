@@ -84,8 +84,9 @@ std::vector<ComplexVec> SlidingWindowSpectra(const RealVec& values,
   return out;
 }
 
-Result<std::unique_ptr<SubsequenceIndex>> SubsequenceIndex::Create(
-    const SubsequenceIndexOptions& options) {
+Result<std::unique_ptr<SubsequenceIndex>> SubsequenceIndex::Build(
+    const SubsequenceIndexOptions& options,
+    const std::vector<TimeSeries>& series) {
   if (options.window < 2) {
     return Status::InvalidArgument("window must be >= 2");
   }
@@ -95,45 +96,47 @@ Result<std::unique_ptr<SubsequenceIndex>> SubsequenceIndex::Create(
   if (options.trail_piece < 1) {
     return Status::InvalidArgument("trail_piece must be >= 1");
   }
+  if (series.size() > uint64_t{UINT32_MAX} + 1) {
+    return Status::InvalidArgument("series ids do not fit in 32 bits");
+  }
   auto index = std::unique_ptr<SubsequenceIndex>(
       new SubsequenceIndex(options));
+
+  // Cut each series' trail into fixed-length pieces; one MBR per piece.
+  std::vector<rtree::Entry> pieces;
+  for (SeriesId id = 0; id < series.size(); ++id) {
+    const RealVec& values = series[id].values();
+    if (values.size() < options.window) {
+      return Status::InvalidArgument(
+          "series " + std::to_string(id) + " of length " +
+          std::to_string(values.size()) + " shorter than the window " +
+          std::to_string(options.window));
+    }
+    const std::vector<ComplexVec> spectra =
+        SlidingWindowSpectra(values, options.window, options.coefficients);
+    for (size_t start = 0; start < spectra.size();
+         start += options.trail_piece) {
+      const size_t end = std::min(start + options.trail_piece, spectra.size());
+      rtree::Entry piece;
+      piece.rect = spatial::Rect::FromPoint(ToFeaturePoint(spectra[start]));
+      for (size_t i = start + 1; i < end; ++i) {
+        piece.rect.ExpandToInclude(ToFeaturePoint(spectra[i]));
+      }
+      piece.id = PackPayload(id, start);
+      pieces.push_back(std::move(piece));
+    }
+    index->num_windows_ += spectra.size();
+  }
+
   TSQ_ASSIGN_OR_RETURN(index->file_,
                        PageFile::Create(options.path, options.page_size));
   index->pool_ = std::make_unique<BufferPool>(index->file_.get(),
                                               options.buffer_pool_frames);
-  TSQ_ASSIGN_OR_RETURN(
-      index->tree_,
-      rtree::RStarTree::Create(index->pool_.get(),
-                               2 * options.coefficients, options.rtree));
+  TSQ_ASSIGN_OR_RETURN(index->tree_,
+                       rtree::RStarTree::Create(index->pool_.get(),
+                                                2 * options.coefficients));
+  TSQ_RETURN_IF_ERROR(index->tree_->BulkLoad(std::move(pieces), 0));
   return index;
-}
-
-Status SubsequenceIndex::AddSeries(SeriesId id, const RealVec& values) {
-  if (values.size() < options_.window) {
-    return Status::InvalidArgument(
-        "series of length " + std::to_string(values.size()) +
-        " shorter than the window " + std::to_string(options_.window));
-  }
-  if (id > UINT32_MAX) {
-    return Status::InvalidArgument("series id does not fit in 32 bits");
-  }
-  const std::vector<ComplexVec> spectra =
-      SlidingWindowSpectra(values, options_.window, options_.coefficients);
-
-  // Cut the trail into fixed-length pieces; one MBR per piece.
-  for (size_t start = 0; start < spectra.size();
-       start += options_.trail_piece) {
-    const size_t end =
-        std::min(start + options_.trail_piece, spectra.size());
-    spatial::Rect mbr =
-        spatial::Rect::FromPoint(ToFeaturePoint(spectra[start]));
-    for (size_t i = start + 1; i < end; ++i) {
-      mbr.ExpandToInclude(ToFeaturePoint(spectra[i]));
-    }
-    TSQ_RETURN_IF_ERROR(tree_->Insert(mbr, PackPayload(id, start)));
-  }
-  num_windows_ += spectra.size();
-  return Status::OK();
 }
 
 Status SubsequenceIndex::RangeSearch(const RealVec& query, double epsilon,

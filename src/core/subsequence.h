@@ -57,7 +57,6 @@ struct SubsequenceIndexOptions {
   std::string path = "tsq_subseq.pages";
   size_t page_size = kDefaultPageSize;
   size_t buffer_pool_frames = 1024;
-  rtree::RTreeOptions rtree;
 };
 
 /// One subsequence answer: series `id`, window starting at `offset`.
@@ -79,22 +78,21 @@ std::vector<ComplexVec> SlidingWindowSpectra(const RealVec& values,
                                              size_t coefficients);
 
 /// The ST-index: an R*-tree over trail-piece MBRs of sliding-window
-/// features. AddSeries requires external exclusion; RangeSearch is safe
-/// from any number of threads once building is done (const traversal over
-/// the frozen tree — the batch engine relies on this).
+/// features, written once by Build. RangeSearch is safe from any number
+/// of threads (const traversal over the frozen tree).
 class SubsequenceIndex {
  public:
   TSQ_DISALLOW_COPY_AND_MOVE(SubsequenceIndex);
   ~SubsequenceIndex() = default;
 
-  /// Creates an empty index.
-  static Result<std::unique_ptr<SubsequenceIndex>> Create(
-      const SubsequenceIndexOptions& options);
-
-  /// Indexes every window position of a series. The series must be at
-  /// least `window` long; ids must be unique and fit in 32 bits (the
-  /// payload packs (id, piece start offset) into one u64).
-  Status AddSeries(SeriesId id, const RealVec& values);
+  /// Indexes every window position of every series in one STR packing of
+  /// all their trail pieces. Series are numbered by position, as
+  /// ScanSubsequences numbers them: series[i] has id i. Each must be at
+  /// least `window` long, and ids must fit in 32 bits (the payload packs
+  /// (id, piece start offset) into one u64).
+  static Result<std::unique_ptr<SubsequenceIndex>> Build(
+      const SubsequenceIndexOptions& options,
+      const std::vector<TimeSeries>& series);
 
   /// Finds all subsequences of length `window` within `epsilon` of
   /// `query` (Euclidean, time domain). `fetch` resolves series ids to

@@ -18,11 +18,9 @@ namespace {
 // Meta page layout: u64 magic | u64 dims | u64 root | u64 size | u64 height.
 constexpr uint64_t kMetaMagic = 0x3154524151535400ull;
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-double CenterDistSquared(const spatial::Rect& a, const spatial::Rect& b) {
-  return spatial::PointDistSquared(a.Center(), b.Center());
-}
+// Minimum fill of a non-root node, as a percentage of its capacity
+// ([BKSS90]'s 40%): STR rebalances a slab's last node up to it.
+constexpr size_t kMinFillPercent = 40;
 
 // One node's MBR transforms and leaf tests, added to this thread's
 // counters when the node is done (on every exit path).
@@ -100,25 +98,20 @@ struct RStarTree::JoinContext {
 
 RStarTree::RStarTree(BufferPool* pool, size_t dims,
                      const RTreeOptions& options)
-    : pool_(pool), dims_(dims), options_(options) {
+    : pool_(pool), dims_(dims) {
   TSQ_CHECK(pool != nullptr);
   const size_t page_capacity = NodeCapacity(pool->file()->page_size(), dims);
   max_entries_ = page_capacity;
-  if (options_.max_entries_override != 0) {
-    TSQ_CHECK_MSG(options_.max_entries_override <= page_capacity,
+  if (options.max_entries_override != 0) {
+    TSQ_CHECK_MSG(options.max_entries_override <= page_capacity,
                   "max_entries_override %zu exceeds page capacity %zu",
-                  options_.max_entries_override, page_capacity);
-    max_entries_ = options_.max_entries_override;
+                  options.max_entries_override, page_capacity);
+    max_entries_ = options.max_entries_override;
   }
-  min_fill_ = std::max<size_t>(
-      1, max_entries_ * options_.min_fill_percent / 100);
-  // A sane tree needs room for a split into two min-filled halves.
   TSQ_CHECK_MSG(max_entries_ >= 4,
                 "node capacity %zu too small; raise the page size",
                 max_entries_);
-  TSQ_CHECK_MSG(2 * min_fill_ <= max_entries_ + 1,
-                "min_fill_percent %u leaves no legal split",
-                options_.min_fill_percent);
+  min_fill_ = std::max<size_t>(1, max_entries_ * kMinFillPercent / 100);
 }
 
 RStarTree::~RStarTree() {
@@ -132,9 +125,6 @@ Result<std::unique_ptr<RStarTree>> RStarTree::Create(
     BufferPool* pool, size_t dims, const RTreeOptions& options) {
   if (dims < 1) {
     return Status::InvalidArgument("tree dimensionality must be >= 1");
-  }
-  if (options.reinsert_fraction < 0.0 || options.reinsert_fraction > 0.45) {
-    return Status::InvalidArgument("reinsert_fraction out of [0, 0.45]");
   }
   if (NodeCapacity(pool->file()->page_size(), dims) < 4) {
     return Status::InvalidArgument(
@@ -243,214 +233,6 @@ Result<PageId> RStarTree::AllocateNodePage() {
 }
 
 // ---------------------------------------------------------------------------
-// Insertion
-// ---------------------------------------------------------------------------
-
-Status RStarTree::Insert(const spatial::Rect& rect, uint64_t id) {
-  if (rect.dims() != dims_) {
-    return Status::InvalidArgument("rect dims " + std::to_string(rect.dims()) +
-                                   " != tree dims " + std::to_string(dims_));
-  }
-  if (rect.IsEmpty()) {
-    return Status::InvalidArgument("cannot index an empty rectangle");
-  }
-  reinsert_done_levels_.clear();
-  pending_reinserts_.clear();
-
-  Entry entry;
-  entry.rect = rect;
-  entry.id = id;
-  TSQ_RETURN_IF_ERROR(InsertEntryAtLevel(std::move(entry), 0));
-  while (!pending_reinserts_.empty()) {
-    auto [e, level] = std::move(pending_reinserts_.front());
-    pending_reinserts_.pop_front();
-    TSQ_RETURN_IF_ERROR(InsertEntryAtLevel(std::move(e), level));
-  }
-  ++size_;
-  return Status::OK();
-}
-
-Status RStarTree::InsertPoint(const spatial::Point& point, uint64_t id) {
-  return Insert(spatial::Rect::FromPoint(point), id);
-}
-
-Status RStarTree::InsertEntryAtLevel(Entry entry, uint32_t target_level) {
-  TSQ_ASSIGN_OR_RETURN(InsertOutcome outcome,
-                       InsertRecurse(root_, entry, target_level));
-  if (outcome.split.has_value()) {
-    // Root split: grow the tree by one level.
-    TSQ_ASSIGN_OR_RETURN(const PageId new_root_id, AllocateNodePage());
-    TSQ_ASSIGN_OR_RETURN(Node old_root, LoadNode(root_));
-    Node new_root;
-    new_root.id = new_root_id;
-    new_root.level = old_root.level + 1;
-    Entry left;
-    left.rect = outcome.mbr;
-    left.id = root_;
-    new_root.entries.push_back(std::move(left));
-    new_root.entries.push_back(std::move(*outcome.split));
-    TSQ_RETURN_IF_ERROR(StoreNode(new_root));
-    root_ = new_root_id;
-    ++height_;
-  }
-  return Status::OK();
-}
-
-size_t RStarTree::ChooseSubtree(const Node& node,
-                                const spatial::Rect& rect) const {
-  TSQ_DCHECK(!node.entries.empty());
-  // [BKSS90]: when children are leaves minimize overlap enlargement; higher
-  // up minimize area enlargement. Ties: smaller enlargement, then smaller
-  // area.
-  const bool children_are_leaves = (node.level == 1);
-  size_t best = 0;
-  double best_primary = kInf;
-  double best_enlargement = kInf;
-  double best_area = kInf;
-
-  for (size_t i = 0; i < node.entries.size(); ++i) {
-    const spatial::Rect& r = node.entries[i].rect;
-    const spatial::Rect grown = r.UnionWith(rect);
-    const double enlargement = grown.Area() - r.Area();
-    const double area = r.Area();
-
-    double primary = enlargement;
-    if (children_are_leaves) {
-      // Overlap enlargement of candidate i w.r.t. its siblings.
-      double overlap_before = 0.0;
-      double overlap_after = 0.0;
-      for (size_t j = 0; j < node.entries.size(); ++j) {
-        if (j == i) continue;
-        overlap_before += r.IntersectionArea(node.entries[j].rect);
-        overlap_after += grown.IntersectionArea(node.entries[j].rect);
-      }
-      primary = overlap_after - overlap_before;
-    }
-
-    if (primary < best_primary ||
-        (primary == best_primary && enlargement < best_enlargement) ||
-        (primary == best_primary && enlargement == best_enlargement &&
-         area < best_area)) {
-      best_primary = primary;
-      best_enlargement = enlargement;
-      best_area = area;
-      best = i;
-    }
-  }
-  return best;
-}
-
-Result<Entry> RStarTree::SplitNode(Node* node) {
-  SplitResult split = RStarSplit(std::move(node->entries), min_fill_);
-  node->entries = std::move(split.left);
-  TSQ_RETURN_IF_ERROR(StoreNode(*node));
-
-  Node sibling;
-  TSQ_ASSIGN_OR_RETURN(sibling.id, AllocateNodePage());
-  sibling.level = node->level;
-  sibling.entries = std::move(split.right);
-  TSQ_RETURN_IF_ERROR(StoreNode(sibling));
-
-  Entry out;
-  out.rect = sibling.BoundingRect();
-  out.id = sibling.id;
-  return out;
-}
-
-Status RStarTree::ForcedReinsert(Node* node) {
-  // Evict the p entries whose centers are farthest from the node's center
-  // ([BKSS90] reinsert, "far reinsert" variant).
-  const size_t p = std::max<size_t>(
-      1, static_cast<size_t>(
-             std::ceil(options_.reinsert_fraction *
-                       static_cast<double>(node->entries.size()))));
-  const spatial::Rect mbr = node->BoundingRect();
-  std::vector<std::pair<double, size_t>> by_dist;
-  by_dist.reserve(node->entries.size());
-  for (size_t i = 0; i < node->entries.size(); ++i) {
-    by_dist.emplace_back(CenterDistSquared(node->entries[i].rect, mbr), i);
-  }
-  std::sort(by_dist.begin(), by_dist.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-
-  std::vector<bool> evicted(node->entries.size(), false);
-  for (size_t i = 0; i < p; ++i) evicted[by_dist[i].second] = true;
-
-  std::vector<Entry> kept;
-  kept.reserve(node->entries.size() - p);
-  for (size_t i = 0; i < node->entries.size(); ++i) {
-    if (evicted[i]) {
-      pending_reinserts_.emplace_back(std::move(node->entries[i]),
-                                      node->level);
-    } else {
-      kept.push_back(std::move(node->entries[i]));
-    }
-  }
-  node->entries = std::move(kept);
-  return StoreNode(*node);
-}
-
-Result<RStarTree::InsertOutcome> RStarTree::InsertRecurse(
-    PageId node_id, const Entry& entry, uint32_t target_level) {
-  TSQ_ASSIGN_OR_RETURN(Node node, LoadNode(node_id));
-
-  if (node.level == target_level) {
-    node.entries.push_back(entry);
-    InsertOutcome outcome;
-    if (node.entries.size() > max_entries_) {
-      const bool can_reinsert = options_.forced_reinsert &&
-                                node_id != root_ &&
-                                !reinsert_done_levels_.contains(node.level);
-      if (can_reinsert) {
-        reinsert_done_levels_.insert(node.level);
-        TSQ_RETURN_IF_ERROR(ForcedReinsert(&node));
-        outcome.mbr = node.BoundingRect();
-        return outcome;
-      }
-      TSQ_ASSIGN_OR_RETURN(Entry sibling, SplitNode(&node));
-      outcome.mbr = node.BoundingRect();
-      outcome.split = std::move(sibling);
-      return outcome;
-    }
-    TSQ_RETURN_IF_ERROR(StoreNode(node));
-    outcome.mbr = node.BoundingRect();
-    return outcome;
-  }
-
-  TSQ_CHECK_MSG(node.level > target_level,
-                "insert level %u below node level %u", target_level,
-                node.level);
-  const size_t child_idx = ChooseSubtree(node, entry.rect);
-  const PageId child_id = node.entries[child_idx].id;
-  TSQ_ASSIGN_OR_RETURN(InsertOutcome child_outcome,
-                       InsertRecurse(child_id, entry, target_level));
-
-  node.entries[child_idx].rect = child_outcome.mbr;
-  InsertOutcome outcome;
-  if (child_outcome.split.has_value()) {
-    node.entries.push_back(std::move(*child_outcome.split));
-    if (node.entries.size() > max_entries_) {
-      const bool can_reinsert = options_.forced_reinsert &&
-                                node_id != root_ &&
-                                !reinsert_done_levels_.contains(node.level);
-      if (can_reinsert) {
-        reinsert_done_levels_.insert(node.level);
-        TSQ_RETURN_IF_ERROR(ForcedReinsert(&node));
-        outcome.mbr = node.BoundingRect();
-        return outcome;
-      }
-      TSQ_ASSIGN_OR_RETURN(Entry sibling, SplitNode(&node));
-      outcome.mbr = node.BoundingRect();
-      outcome.split = std::move(sibling);
-      return outcome;
-    }
-  }
-  TSQ_RETURN_IF_ERROR(StoreNode(node));
-  outcome.mbr = node.BoundingRect();
-  return outcome;
-}
-
-// ---------------------------------------------------------------------------
 // Bulk loading (Sort-Tile-Recursive)
 // ---------------------------------------------------------------------------
 
@@ -539,7 +321,7 @@ Status RStarTree::BulkLoad(std::vector<Entry> entries,
   if (entries.empty()) return Status::OK();
   const uint64_t total = entries.size();
 
-  // Pack to ~90% fill so post-load inserts do not split immediately.
+  // Pack nodes to ~90% of capacity.
   const size_t fill = std::max<size_t>(
       min_fill_, std::max<size_t>(1, max_entries_ * 9 / 10));
 
@@ -576,90 +358,6 @@ Status RStarTree::BulkLoad(std::vector<Entry> entries,
     }
     current = std::move(parents);
     ++level;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Deletion
-// ---------------------------------------------------------------------------
-
-Result<bool> RStarTree::Remove(const spatial::Rect& rect, uint64_t id) {
-  if (rect.dims() != dims_) {
-    return Status::InvalidArgument("rect dims mismatch in Remove");
-  }
-  reinsert_done_levels_.clear();
-  pending_reinserts_.clear();
-
-  TSQ_ASSIGN_OR_RETURN(DeleteOutcome outcome, DeleteRecurse(root_, rect, id));
-  if (!outcome.removed) return false;
-  --size_;
-
-  // Reinsert orphans collected by condensation, then shrink the root.
-  while (!pending_reinserts_.empty()) {
-    auto [e, level] = std::move(pending_reinserts_.front());
-    pending_reinserts_.pop_front();
-    TSQ_RETURN_IF_ERROR(InsertEntryAtLevel(std::move(e), level));
-  }
-  TSQ_RETURN_IF_ERROR(ShrinkRootIfNeeded());
-  return true;
-}
-
-Result<RStarTree::DeleteOutcome> RStarTree::DeleteRecurse(
-    PageId node_id, const spatial::Rect& rect, uint64_t id) {
-  TSQ_ASSIGN_OR_RETURN(Node node, LoadNode(node_id));
-  DeleteOutcome outcome;
-
-  if (node.IsLeaf()) {
-    for (size_t i = 0; i < node.entries.size(); ++i) {
-      if (node.entries[i].id == id && node.entries[i].rect == rect) {
-        node.entries.erase(node.entries.begin() + static_cast<ptrdiff_t>(i));
-        TSQ_RETURN_IF_ERROR(StoreNode(node));
-        outcome.removed = true;
-        outcome.underflow =
-            node_id != root_ && node.entries.size() < min_fill_;
-        if (!node.entries.empty()) outcome.mbr = node.BoundingRect();
-        return outcome;
-      }
-    }
-    return outcome;  // not found here
-  }
-
-  for (size_t i = 0; i < node.entries.size(); ++i) {
-    if (!node.entries[i].rect.ContainsRect(rect)) continue;
-    TSQ_ASSIGN_OR_RETURN(DeleteOutcome child_outcome,
-                         DeleteRecurse(node.entries[i].id, rect, id));
-    if (!child_outcome.removed) continue;
-
-    if (child_outcome.underflow) {
-      // Dissolve the child: orphan its entries for reinsertion at their
-      // level and reclaim the page (CondenseTree of [Gut84]).
-      const PageId child_id = node.entries[i].id;
-      TSQ_ASSIGN_OR_RETURN(Node child, LoadNode(child_id));
-      for (Entry& e : child.entries) {
-        pending_reinserts_.emplace_back(std::move(e), child.level);
-      }
-      TSQ_RETURN_IF_ERROR(pool_->Delete(child_id));
-      node.entries.erase(node.entries.begin() + static_cast<ptrdiff_t>(i));
-    } else {
-      node.entries[i].rect = child_outcome.mbr;
-    }
-    TSQ_RETURN_IF_ERROR(StoreNode(node));
-    outcome.removed = true;
-    outcome.underflow = node_id != root_ && node.entries.size() < min_fill_;
-    if (!node.entries.empty()) outcome.mbr = node.BoundingRect();
-    return outcome;
-  }
-  return outcome;  // not found in any qualifying subtree
-}
-
-Status RStarTree::ShrinkRootIfNeeded() {
-  while (true) {
-    TSQ_ASSIGN_OR_RETURN(Node root, LoadNode(root_));
-    if (root.IsLeaf() || root.entries.size() != 1) return Status::OK();
-    const PageId old_root = root_;
-    root_ = root.entries[0].id;
-    --height_;
-    TSQ_RETURN_IF_ERROR(pool_->Delete(old_root));
   }
 }
 

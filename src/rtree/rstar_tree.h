@@ -2,9 +2,11 @@
 //
 // Disk-backed R*-tree [BKSS90] — the index structure the paper's
 // experiments run on ("we implemented our method on top of Norbert
-// Beckmann's Version 2 implementation of the R*-tree", Sec. 5): R* choose-
-// subtree, the R* topological split, and forced reinsertion (an option, so
-// the ablation can switch it off).
+// Beckmann's Version 2 implementation of the R*-tree", Sec. 5). The paper
+// builds its index once over an existing relation and then only
+// traverses it, so a tree is written exactly once, by Sort-Tile-Recursive
+// packing (BulkLoad), and is read-only from then on: there is no
+// insertion, node split or deletion.
 //
 // The tree supports two search modes:
 //   * Search            — the classic R-tree range search;
@@ -19,19 +21,16 @@
 #ifndef TSQ_RTREE_RSTAR_TREE_H_
 #define TSQ_RTREE_RSTAR_TREE_H_
 
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "rtree/entry.h"
 #include "rtree/node.h"
-#include "rtree/split.h"
 #include "spatial/affine_map.h"
 #include "spatial/metrics.h"
 #include "storage/buffer_pool.h"
@@ -39,14 +38,8 @@
 namespace tsq {
 namespace rtree {
 
-/// Construction-time policy knobs.
+/// Construction-time options.
 struct RTreeOptions {
-  /// R* forced reinsertion on first overflow per level per insert.
-  bool forced_reinsert = true;
-  /// Fraction of entries evicted on forced reinsert ([BKSS90] suggest 30%).
-  double reinsert_fraction = 0.3;
-  /// Minimum node fill as a percentage of capacity ([BKSS90] suggest 40%).
-  uint32_t min_fill_percent = 40;
   /// When nonzero, caps node fanout below the page-derived capacity —
   /// a test hook that forces deep trees on tiny data sets.
   size_t max_entries_override = 0;
@@ -108,8 +101,8 @@ using SearchCallback =
 /// Concurrency contract (v3): the const read operations — Search,
 /// SearchTransformed, NearestNeighbors(Stream), JoinWith,
 /// JoinSeeds/JoinFrom, CheckInvariants — are safe from any number of
-/// threads provided no mutating call (Insert, Remove, BulkLoad, SaveMeta)
-/// runs concurrently. Page access goes through the v3 BufferPool, where a
+/// threads provided no mutating call (BulkLoad, SaveMeta) runs
+/// concurrently. Page access goes through the v3 BufferPool, where a
 /// fetch of a cached node page is entirely lock-free (optimistic version-
 /// validated pin; see buffer_pool.h) and a miss reads from disk without
 /// holding the pool's mutex, so concurrent traversals only ever contend
@@ -122,15 +115,14 @@ using SearchCallback =
 /// and never shared between threads or with a nested traversal. A page
 /// stays pinned only while it is decoded, so depth never accumulates
 /// pins, and after a descent's first node at each depth it allocates
-/// nothing per node or entry. Insert, Remove and CheckInvariants keep the
-/// owning LoadNode.
+/// nothing per node or entry. CheckInvariants keeps the owning LoadNode.
 ///
 /// Counters: each decoded node, mapped MBR and tested leaf entry counts
 /// once, in the obs::IndexCounters of the thread that did the work
 /// (obs/trace.h); the tree keeps no counter of its own. A descent adds a
 /// node's transforms and leaf tests when it is done with the node, so a
 /// before/after delta on one thread is exactly that thread's traversal
-/// work, whatever other threads traverse meanwhile. Writers require
+/// work, whatever other threads traverse meanwhile. BulkLoad requires
 /// external exclusion (the engine layer treats a built index as frozen).
 ///
 /// Corrupt pages: a descent returns Corruption — never aborts — for a
@@ -151,15 +143,11 @@ class RStarTree {
 
   ~RStarTree();
 
-  /// Inserts a rectangle (or point via FromPoint) with a payload id.
-  Status Insert(const spatial::Rect& rect, uint64_t id);
-
-  /// Bulk-loads `entries` into an *empty* tree using Sort-Tile-Recursive
+  /// Loads `entries` into an *empty* tree using Sort-Tile-Recursive
   /// packing (Leutenegger et al.): entries are recursively tiled by center
-  /// coordinate and packed into ~90%-full leaves; upper levels are built
-  /// bottom-up. Far faster than repeated insertion and produces
-  /// better-clustered nodes for static data (the paper's index is built
-  /// once over an existing relation).
+  /// coordinate and packed into ~90%-full nodes, leaves first, upper
+  /// levels bottom-up. The only way a tree is written: the paper's index
+  /// is built once over an existing relation.
   ///
   /// STR sorts and slabs only dims [first_tiled_dim, dims): the dims
   /// below stay in every MBR, so searches that bound them and
@@ -169,16 +157,8 @@ class RStarTree {
   /// search that leaves the untiled dims unbounded visits fewer nodes,
   /// and one that bounds them visits more, since it can no longer prune
   /// on them. Fails with InvalidArgument unless first_tiled_dim < dims,
-  /// and with FailedPrecondition on a non-empty tree. Regular
-  /// Insert/Remove work normally afterwards.
+  /// and with FailedPrecondition on a non-empty tree.
   Status BulkLoad(std::vector<Entry> entries, size_t first_tiled_dim);
-
-  /// Inserts a point entry.
-  Status InsertPoint(const spatial::Point& point, uint64_t id);
-
-  /// Removes the entry matching (rect, id) exactly. Returns true when an
-  /// entry was found and removed.
-  Result<bool> Remove(const spatial::Rect& rect, uint64_t id);
 
   /// Classic range search: emits every leaf entry whose MBR intersects
   /// `query`.
@@ -294,7 +274,8 @@ class RStarTree {
   /// Feature-space dimensionality.
   size_t dims() const { return dims_; }
 
-  /// Max/min entries per node.
+  /// Max/min entries per node: every non-root node STR writes holds at
+  /// least min_fill() entries, and CheckInvariants audits it.
   size_t node_capacity() const { return max_entries_; }
   size_t min_fill() const { return min_fill_; }
 
@@ -311,16 +292,6 @@ class RStarTree {
 
  private:
   RStarTree(BufferPool* pool, size_t dims, const RTreeOptions& options);
-
-  struct InsertOutcome {
-    spatial::Rect mbr;            // node's bounding rect after the insert
-    std::optional<Entry> split;   // new sibling produced by a split
-  };
-  struct DeleteOutcome {
-    bool removed = false;
-    bool underflow = false;
-    spatial::Rect mbr;            // valid when removed && !underflow
-  };
 
   struct SearchSlot;
   struct SearchContext;
@@ -342,20 +313,6 @@ class RStarTree {
                      size_t group_size,
                      std::vector<std::vector<Entry>>* groups) const;
 
-  Status InsertEntryAtLevel(Entry entry, uint32_t target_level);
-  Result<InsertOutcome> InsertRecurse(PageId node_id, const Entry& entry,
-                                      uint32_t target_level);
-  /// Splits `node` (already overfull) in place; returns the new sibling.
-  Result<Entry> SplitNode(Node* node);
-  /// Evicts the reinsert_fraction farthest entries of `node` into
-  /// pending_reinserts_.
-  Status ForcedReinsert(Node* node);
-  size_t ChooseSubtree(const Node& node, const spatial::Rect& rect) const;
-
-  Result<DeleteOutcome> DeleteRecurse(PageId node_id,
-                                      const spatial::Rect& rect, uint64_t id);
-  Status ShrinkRootIfNeeded();
-
   Status SearchRecurse(PageId node_id, uint32_t expected_level,
                        size_t depth, SearchContext* ctx) const;
 
@@ -367,7 +324,6 @@ class RStarTree {
 
   BufferPool* pool_;
   size_t dims_;
-  RTreeOptions options_;
   size_t max_entries_ = 0;
   size_t min_fill_ = 0;
 
@@ -375,10 +331,6 @@ class RStarTree {
   PageId root_ = kInvalidPageId;
   uint64_t size_ = 0;
   uint32_t height_ = 0;
-
-  // Per-top-level-insert state for R* forced reinsertion.
-  std::set<uint32_t> reinsert_done_levels_;
-  std::deque<std::pair<Entry, uint32_t>> pending_reinserts_;
 };
 
 }  // namespace rtree

@@ -3,7 +3,6 @@
 #include "spatial/rect.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <sstream>
 
@@ -39,31 +38,6 @@ bool Rect::IsEmpty() const {
   return false;
 }
 
-double Rect::Extent(size_t d) const {
-  TSQ_DCHECK(d < dims());
-  return std::max(0.0, hi_[d] - lo_[d]);
-}
-
-double Rect::Area() const {
-  if (IsEmpty()) return 0.0;
-  double area = 1.0;
-  for (size_t d = 0; d < dims(); ++d) area *= Extent(d);
-  return area;
-}
-
-double Rect::Margin() const {
-  if (IsEmpty()) return 0.0;
-  double margin = 0.0;
-  for (size_t d = 0; d < dims(); ++d) margin += Extent(d);
-  return margin;
-}
-
-Point Rect::Center() const {
-  Point c(dims());
-  for (size_t d = 0; d < dims(); ++d) c[d] = 0.5 * (lo_[d] + hi_[d]);
-  return c;
-}
-
 bool Rect::Intersects(const Rect& other) const {
   TSQ_DCHECK(dims() == other.dims());
   for (size_t d = 0; d < dims(); ++d) {
@@ -80,20 +54,6 @@ bool Rect::Contains(const Point& p) const {
   return true;
 }
 
-bool Rect::ContainsRect(const Rect& other) const {
-  TSQ_DCHECK(dims() == other.dims());
-  for (size_t d = 0; d < dims(); ++d) {
-    if (other.lo_[d] < lo_[d] || other.hi_[d] > hi_[d]) return false;
-  }
-  return true;
-}
-
-Rect Rect::UnionWith(const Rect& other) const {
-  Rect out = *this;
-  out.ExpandToInclude(other);
-  return out;
-}
-
 void Rect::ExpandToInclude(const Rect& other) {
   TSQ_DCHECK(dims() == other.dims());
   for (size_t d = 0; d < dims(); ++d) {
@@ -108,18 +68,6 @@ void Rect::ExpandToInclude(const Point& p) {
     lo_[d] = std::min(lo_[d], p[d]);
     hi_[d] = std::max(hi_[d], p[d]);
   }
-}
-
-double Rect::IntersectionArea(const Rect& other) const {
-  TSQ_DCHECK(dims() == other.dims());
-  double area = 1.0;
-  for (size_t d = 0; d < dims(); ++d) {
-    const double lo = std::max(lo_[d], other.lo_[d]);
-    const double hi = std::min(hi_[d], other.hi_[d]);
-    if (lo > hi) return 0.0;
-    area *= hi - lo;
-  }
-  return area;
 }
 
 Rect Rect::Grown(double eps) const {

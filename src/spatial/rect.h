@@ -1,8 +1,8 @@
 // Copyright (c) 2026 The tsq Authors.
 //
-// Axis-aligned hyper-rectangles (MBRs) and the geometry predicates the
-// R*-tree needs: area, margin, overlap, containment (its choose-subtree
-// and split heuristics reduce to these).
+// Axis-aligned hyper-rectangles (MBRs) and the geometry the R*-tree's
+// descents and STR packing need: intersection, point containment and
+// bounding unions.
 
 #ifndef TSQ_SPATIAL_RECT_H_
 #define TSQ_SPATIAL_RECT_H_
@@ -60,37 +60,15 @@ class Rect {
     hi_[d] = hi;
   }
 
-  /// Side length along dimension d (0 for empty rects).
-  double Extent(size_t d) const;
-
-  /// Product of extents. Zero-extent dimensions make the area 0, as usual
-  /// for point data; split heuristics fall back to margin in that case.
-  double Area() const;
-
-  /// Sum of extents (the L1 "margin" of [BKSS90]).
-  double Margin() const;
-
-  /// Geometric center.
-  Point Center() const;
-
   /// True iff this and `other` intersect (closed-interval test).
   bool Intersects(const Rect& other) const;
 
   /// True iff `p` lies inside this rect (closed).
   bool Contains(const Point& p) const;
 
-  /// True iff `other` lies fully inside this rect.
-  bool ContainsRect(const Rect& other) const;
-
-  /// Smallest rect covering this and `other`.
-  Rect UnionWith(const Rect& other) const;
-
   /// Extends this rect in place to cover `other`.
   void ExpandToInclude(const Rect& other);
   void ExpandToInclude(const Point& p);
-
-  /// Area of the intersection (0 when disjoint).
-  double IntersectionArea(const Rect& other) const;
 
   /// This rect grown by `eps` on every side (the epsilon-range box around a
   /// query point, Sec. 3.1 rectangular case).

@@ -390,30 +390,6 @@ Result<PageHandle> BufferPool::New() {
   }
 }
 
-Status BufferPool::Delete(PageId id) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const size_t idx = DirLookup(id);
-    if (idx != kNoFrame) {
-      BufferFrame& f = frames_[idx];
-      uint64_t s = f.state.load(std::memory_order_acquire);
-      if (IsOdd(s) || (s & BufferFrame::kPinMask) != 0 ||
-          !f.state.compare_exchange_strong(s, s + BufferFrame::kVersionInc,
-                                           std::memory_order_acq_rel)) {
-        return Status::FailedPrecondition("Delete of a pinned page " +
-                                          std::to_string(id));
-      }
-      DirErase(id);
-      f.id.store(kInvalidPageId, std::memory_order_release);
-      f.dirty.store(false, std::memory_order_relaxed);
-      free_frames_.push_back(idx);
-      f.state.store(s + 2 * BufferFrame::kVersionInc,
-                    std::memory_order_release);
-    }
-  }
-  return file_->Free(id);
-}
-
 Status BufferPool::FlushAll() {
   {
     std::lock_guard<std::mutex> lock(mutex_);

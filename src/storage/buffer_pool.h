@@ -103,7 +103,7 @@ class PageHandle {
 ///   mutex, and count as hits: the miss and the disk read belong to the
 ///   thread that performed them.
 /// * The mutex still serializes the admin paths: frame claim and eviction
-///   (including dirty write-back), New, Delete, FlushAll, and directory
+///   (including dirty write-back), New, FlushAll, and directory
 ///   mutation. Byte access *through a held PageHandle* is
 ///   outside any mutex: a pinned frame cannot be evicted and frames never
 ///   move, so the pointer stays valid. Concurrent threads must not write
@@ -141,10 +141,6 @@ class BufferPool {
 
   /// Allocates a fresh page and pins it (zeroed, marked dirty).
   Result<PageHandle> New();
-
-  /// Removes page `id` from the cache and frees it in the file. The page
-  /// must not be pinned (or mid-load).
-  Status Delete(PageId id);
 
   /// Writes back every dirty frame (keeps them cached), in frame order;
   /// one Sync of the file at the end.
@@ -186,7 +182,7 @@ class BufferPool {
 
   PageFile* file_;
   const size_t capacity_;
-  // Serializes misses/eviction/New/Delete/Flush and directory writes.
+  // Serializes misses/eviction/New/Flush and directory writes.
   // Never taken on the hit path.
   std::mutex mutex_;
   std::unique_ptr<BufferFrame[]> frames_;

@@ -168,13 +168,14 @@ TEST(EdgeCaseTest, MinimumPageSizeTree) {
   TempDir dir;
   auto file = PageFile::Create(dir.file("small.pages"), 512).value();
   BufferPool pool(file.get(), 32);
-  auto tree = rtree::RStarTree::Create(&pool, 2, {}).value();
-  EXPECT_EQ(tree->node_capacity(), 12u);
   Rng rng(5);
+  std::vector<spatial::Point> points;
   for (uint64_t i = 0; i < 200; ++i) {
-    ASSERT_TRUE(
-        tree->InsertPoint(testing::RandomPoint(&rng, 2, 0.0, 10.0), i).ok());
+    points.push_back(testing::RandomPoint(&rng, 2, 0.0, 10.0));
   }
+  auto tree = testing::BulkLoadTree(&pool, 2, points, /*max_entries=*/0);
+  EXPECT_EQ(tree->node_capacity(), 12u);
+  EXPECT_GE(tree->height(), 3u);
   auto check = tree->CheckInvariants();
   ASSERT_TRUE(check.ok());
   EXPECT_TRUE(check->ok) << check->message;

@@ -1,15 +1,16 @@
 // Copyright (c) 2026 The tsq Authors.
 //
-// Tests for the R-tree family: structural invariants under bulk inserts
-// and deletes, exact agreement with brute force for range and NN queries,
-// on-the-fly transformed search (Algorithm 1/2), and persistence — all
-// parameterized over the three split algorithms and the forced-reinsert
-// policy.
+// Tests for the R*-tree: node serialization, STR packing's structural
+// invariants, exact agreement with brute force for range and NN queries,
+// on-the-fly transformed search (Algorithm 1/2), persistence, and
+// Corruption from every descent over a hostile page. Every tree is
+// written the one way a tree is, by BulkLoad (tests/test_util.h's
+// BulkLoadTree), with a small fanout so that a few hundred entries make
+// a multi-level tree.
 
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -20,12 +21,9 @@
 #include "gtest/gtest.h"
 #include "rtree/node.h"
 #include "rtree/rstar_tree.h"
-#include "rtree/split.h"
 #include "spatial/metrics.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
-#include "core/database.h"
-#include "workload/random_walk.h"
 #include "test_util.h"
 
 namespace tsq {
@@ -35,9 +33,9 @@ namespace {
 using spatial::AffineMap;
 using spatial::Point;
 using spatial::Rect;
+using tsq::testing::BulkLoadTree;
 using tsq::testing::IndexDelta;
 using tsq::testing::RandomPoint;
-using tsq::testing::Range;
 using tsq::testing::TempDir;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -188,63 +186,18 @@ TEST(NodeTest, BoundingRectCoversAllEntries) {
   }
   const Rect mbr = node.BoundingRect();
   for (const Entry& e : node.entries) {
-    EXPECT_TRUE(mbr.ContainsRect(e.rect));
+    EXPECT_TRUE(mbr.Contains(e.rect.lo()) && mbr.Contains(e.rect.hi()));
   }
 }
 
 // ---------------------------------------------------------------------------
-// R* split (a pure function)
+// Tree fixture
 // ---------------------------------------------------------------------------
 
-TEST(SplitTest, PartitionsAllEntriesRespectingMinFill) {
-  Rng rng(9);
-  for (int trial = 0; trial < 20; ++trial) {
-    const size_t total = 10 + static_cast<size_t>(rng.UniformInt(0, 30));
-    const size_t min_fill = std::max<size_t>(1, total * 2 / 5);
-    std::vector<Entry> entries;
-    std::set<uint64_t> ids;
-    for (size_t i = 0; i < total; ++i) {
-      Entry e;
-      e.rect = tsq::testing::RandomRect(&rng, 3);
-      e.id = i;
-      ids.insert(i);
-      entries.push_back(e);
-    }
-    SplitResult split = RStarSplit(entries, min_fill);
-    EXPECT_GE(split.left.size(), min_fill);
-    EXPECT_GE(split.right.size(), min_fill);
-    EXPECT_EQ(split.left.size() + split.right.size(), total);
-    std::set<uint64_t> seen;
-    for (const Entry& e : split.left) seen.insert(e.id);
-    for (const Entry& e : split.right) seen.insert(e.id);
-    EXPECT_EQ(seen, ids);  // no loss, no duplication
-  }
-}
+// Fanout of the fixture's trees: 500 points make a tree four levels deep.
+constexpr size_t kFanout = 8;
 
-TEST(SplitTest, SeparatesTwoObviousClusters) {
-  // Two tight clusters far apart: any sane split keeps clusters intact.
-  Rng rng(10);
-  std::vector<Entry> entries;
-  for (int i = 0; i < 8; ++i) {
-    Entry e;
-    const double base = (i < 4) ? 0.0 : 1000.0;
-    Point p{base + rng.Uniform(0, 1), base + rng.Uniform(0, 1)};
-    e.rect = Rect::FromPoint(p);
-    e.id = i;
-    entries.push_back(e);
-  }
-  SplitResult split = RStarSplit(entries, 2);
-  auto side_of = [](const Entry& e) { return e.rect.lo(0) > 500.0; };
-  const bool left_side = side_of(split.left[0]);
-  for (const Entry& e : split.left) EXPECT_EQ(side_of(e), left_side);
-  for (const Entry& e : split.right) EXPECT_EQ(side_of(e), !left_side);
-}
-
-// ---------------------------------------------------------------------------
-// Tree fixture, parameterized over forced_reinsert
-// ---------------------------------------------------------------------------
-
-class RTreeParamTest : public ::testing::TestWithParam<bool> {
+class RTreeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     auto pf = PageFile::Create(dir_.file("tree.pages"));
@@ -253,14 +206,14 @@ class RTreeParamTest : public ::testing::TestWithParam<bool> {
     pool_ = std::make_unique<BufferPool>(file_.get(), 128);
   }
 
-  std::unique_ptr<RStarTree> MakeTree(size_t dims,
-                                      size_t max_entries_override = 8) {
-    RTreeOptions options;
-    options.forced_reinsert = GetParam();
-    options.max_entries_override = max_entries_override;  // deep trees
-    auto tree = RStarTree::Create(pool_.get(), dims, options);
-    EXPECT_TRUE(tree.ok()) << tree.status().ToString();
-    return std::move(*tree);
+  // `count` uniform points in [lo, hi]^dims, and a tree over them.
+  std::unique_ptr<RStarTree> LoadRandom(size_t dims, uint64_t count,
+                                        Rng* rng, double lo, double hi,
+                                        std::vector<Point>* points) {
+    for (uint64_t i = 0; i < count; ++i) {
+      points->push_back(RandomPoint(rng, dims, lo, hi));
+    }
+    return BulkLoadTree(pool_.get(), dims, *points, kFanout);
   }
 
   TempDir dir_;
@@ -268,8 +221,8 @@ class RTreeParamTest : public ::testing::TestWithParam<bool> {
   std::unique_ptr<BufferPool> pool_;
 };
 
-TEST_P(RTreeParamTest, EmptyTreeBasics) {
-  auto tree = MakeTree(2);
+TEST_F(RTreeTest, EmptyTreeBasics) {
+  auto tree = BulkLoadTree(pool_.get(), 2, std::vector<Point>{}, kFanout);
   EXPECT_EQ(tree->size(), 0u);
   EXPECT_EQ(tree->height(), 1u);
   int hits = 0;
@@ -285,16 +238,11 @@ TEST_P(RTreeParamTest, EmptyTreeBasics) {
   EXPECT_TRUE(check->ok) << check->message;
 }
 
-TEST_P(RTreeParamTest, InsertManyAndSearchMatchesBruteForce) {
+TEST_F(RTreeTest, SearchMatchesBruteForce) {
   const size_t dims = 3;
-  auto tree = MakeTree(dims);
   Rng rng(11);
   std::vector<Point> points;
-  for (uint64_t i = 0; i < 500; ++i) {
-    Point p = RandomPoint(&rng, dims, 0.0, 100.0);
-    ASSERT_TRUE(tree->InsertPoint(p, i).ok());
-    points.push_back(std::move(p));
-  }
+  auto tree = LoadRandom(dims, 500, &rng, 0.0, 100.0, &points);
   EXPECT_EQ(tree->size(), 500u);
   EXPECT_GT(tree->height(), 1u);
 
@@ -319,20 +267,21 @@ TEST_P(RTreeParamTest, InsertManyAndSearchMatchesBruteForce) {
   }
 }
 
-TEST_P(RTreeParamTest, RectangleEntriesSearch) {
+TEST_F(RTreeTest, RectangleEntriesSearch) {
   // Rect (non-point) data: overlap semantics.
   const size_t dims = 2;
-  auto tree = MakeTree(dims);
   Rng rng(12);
   std::vector<Rect> rects;
   for (uint64_t i = 0; i < 300; ++i) {
     Point lo = RandomPoint(&rng, dims, 0.0, 90.0);
     Point hi = lo;
     for (size_t d = 0; d < dims; ++d) hi[d] += rng.Uniform(0.0, 10.0);
-    Rect r(lo, hi);
-    ASSERT_TRUE(tree->Insert(r, i).ok());
-    rects.push_back(std::move(r));
+    rects.emplace_back(lo, hi);
   }
+  auto tree = BulkLoadTree(pool_.get(), dims, rects, kFanout);
+  auto check = tree->CheckInvariants();
+  ASSERT_TRUE(check.ok());
+  EXPECT_TRUE(check->ok) << check->message;
   for (int q = 0; q < 20; ++q) {
     Rect query = tsq::testing::RandomRect(&rng, dims, 0.0, 100.0);
     std::set<uint64_t> expected;
@@ -350,12 +299,9 @@ TEST_P(RTreeParamTest, RectangleEntriesSearch) {
   }
 }
 
-TEST_P(RTreeParamTest, DuplicatePointsAreAllRetrievable) {
-  auto tree = MakeTree(2);
-  const Point p{5.0, 5.0};
-  for (uint64_t i = 0; i < 50; ++i) {
-    ASSERT_TRUE(tree->InsertPoint(p, i).ok());
-  }
+TEST_F(RTreeTest, DuplicatePointsAreAllRetrievable) {
+  auto tree = BulkLoadTree(pool_.get(), 2,
+                           std::vector<Point>(50, Point{5.0, 5.0}), kFanout);
   std::set<uint64_t> actual;
   ASSERT_TRUE(tree->Search(Rect({4.0, 4.0}, {6.0, 6.0}),
                            [&actual](uint64_t id, const Rect&) {
@@ -369,12 +315,10 @@ TEST_P(RTreeParamTest, DuplicatePointsAreAllRetrievable) {
   EXPECT_TRUE(check->ok) << check->message;
 }
 
-TEST_P(RTreeParamTest, SearchEarlyStop) {
-  auto tree = MakeTree(2);
+TEST_F(RTreeTest, SearchEarlyStop) {
   Rng rng(13);
-  for (uint64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(tree->InsertPoint(RandomPoint(&rng, 2, 0.0, 10.0), i).ok());
-  }
+  std::vector<Point> points;
+  auto tree = LoadRandom(2, 100, &rng, 0.0, 10.0, &points);
   int emitted = 0;
   ASSERT_TRUE(tree->Search(Rect({0.0, 0.0}, {10.0, 10.0}),
                            [&emitted](uint64_t, const Rect&) {
@@ -385,97 +329,15 @@ TEST_P(RTreeParamTest, SearchEarlyStop) {
   EXPECT_EQ(emitted, 5);
 }
 
-TEST_P(RTreeParamTest, RemoveHalfAndInvariantsHold) {
-  const size_t dims = 2;
-  auto tree = MakeTree(dims);
-  Rng rng(14);
-  std::vector<Point> points;
-  for (uint64_t i = 0; i < 400; ++i) {
-    Point p = RandomPoint(&rng, dims, 0.0, 50.0);
-    ASSERT_TRUE(tree->InsertPoint(p, i).ok());
-    points.push_back(std::move(p));
-  }
-  // Remove every even id.
-  for (uint64_t i = 0; i < 400; i += 2) {
-    auto removed = tree->Remove(Rect::FromPoint(points[i]), i);
-    ASSERT_TRUE(removed.ok()) << removed.status().ToString();
-    EXPECT_TRUE(*removed) << "id " << i;
-  }
-  EXPECT_EQ(tree->size(), 200u);
-  auto check = tree->CheckInvariants();
-  ASSERT_TRUE(check.ok());
-  EXPECT_TRUE(check->ok) << check->message;
-
-  // Brute-force parity on the survivors.
-  for (int q = 0; q < 15; ++q) {
-    Rect query = tsq::testing::RandomRect(&rng, dims, 0.0, 50.0);
-    std::set<uint64_t> expected;
-    for (uint64_t i = 1; i < 400; i += 2) {
-      if (query.Contains(points[i])) expected.insert(i);
-    }
-    std::set<uint64_t> actual;
-    ASSERT_TRUE(tree->Search(query,
-                             [&actual](uint64_t id, const Rect&) {
-                               actual.insert(id);
-                               return true;
-                             })
-                    .ok());
-    EXPECT_EQ(actual, expected);
-  }
-}
-
-TEST_P(RTreeParamTest, RemoveMissingEntryReturnsFalse) {
-  auto tree = MakeTree(2);
-  ASSERT_TRUE(tree->InsertPoint({1.0, 1.0}, 7).ok());
-  auto removed = tree->Remove(Rect::FromPoint(Point{2.0, 2.0}), 7);
-  ASSERT_TRUE(removed.ok());
-  EXPECT_FALSE(*removed);
-  removed = tree->Remove(Rect::FromPoint(Point{1.0, 1.0}), 8);
-  ASSERT_TRUE(removed.ok());
-  EXPECT_FALSE(*removed);
-  EXPECT_EQ(tree->size(), 1u);
-}
-
-TEST_P(RTreeParamTest, RemoveEverything) {
-  auto tree = MakeTree(2);
-  Rng rng(15);
-  std::vector<Point> points;
-  for (uint64_t i = 0; i < 150; ++i) {
-    Point p = RandomPoint(&rng, 2, 0.0, 20.0);
-    ASSERT_TRUE(tree->InsertPoint(p, i).ok());
-    points.push_back(std::move(p));
-  }
-  for (uint64_t i = 0; i < 150; ++i) {
-    auto removed = tree->Remove(Rect::FromPoint(points[i]), i);
-    ASSERT_TRUE(removed.ok());
-    EXPECT_TRUE(*removed);
-  }
-  EXPECT_EQ(tree->size(), 0u);
-  EXPECT_EQ(tree->height(), 1u);  // shrunk back to a leaf root
-  int hits = 0;
-  ASSERT_TRUE(tree->Search(Rect({-1e9, -1e9}, {1e9, 1e9}),
-                           [&hits](uint64_t, const Rect&) {
-                             ++hits;
-                             return true;
-                           })
-                  .ok());
-  EXPECT_EQ(hits, 0);
-}
-
 // --- transformed search -----------------------------------------------------
 
-TEST_P(RTreeParamTest, TransformedSearchMatchesBruteForce) {
+TEST_F(RTreeTest, TransformedSearchMatchesBruteForce) {
   // Algorithm 1/2: searching the transformed index == searching the
   // transformed points.
   const size_t dims = 2;
-  auto tree = MakeTree(dims);
   Rng rng(16);
   std::vector<Point> points;
-  for (uint64_t i = 0; i < 300; ++i) {
-    Point p = RandomPoint(&rng, dims, -50.0, 50.0);
-    ASSERT_TRUE(tree->InsertPoint(p, i).ok());
-    points.push_back(std::move(p));
-  }
+  auto tree = LoadRandom(dims, 300, &rng, -50.0, 50.0, &points);
   for (int q = 0; q < 20; ++q) {
     AffineMap map({rng.Uniform(-2.0, 2.0), rng.Uniform(-2.0, 2.0)},
                   {rng.Uniform(-10.0, 10.0), rng.Uniform(-10.0, 10.0)});
@@ -495,15 +357,13 @@ TEST_P(RTreeParamTest, TransformedSearchMatchesBruteForce) {
   }
 }
 
-TEST_P(RTreeParamTest, IdentityTransformEqualsPlainSearch) {
+TEST_F(RTreeTest, IdentityTransformEqualsPlainSearch) {
   // The Figure 8/9 premise: the identity transformation gives the same
   // answers (and visits the same nodes) as the plain search.
   const size_t dims = 4;
-  auto tree = MakeTree(dims);
   Rng rng(17);
-  for (uint64_t i = 0; i < 250; ++i) {
-    ASSERT_TRUE(tree->InsertPoint(RandomPoint(&rng, dims, 0.0, 10.0), i).ok());
-  }
+  std::vector<Point> points;
+  auto tree = LoadRandom(dims, 250, &rng, 0.0, 10.0, &points);
   const AffineMap identity = AffineMap::Identity(dims);
   for (int q = 0; q < 10; ++q) {
     Rect query = tsq::testing::RandomRect(&rng, dims, 0.0, 10.0);
@@ -545,16 +405,11 @@ class EuclideanMetric final : public NnMetric {
   Point q_;
 };
 
-TEST_P(RTreeParamTest, NearestNeighborsMatchBruteForce) {
+TEST_F(RTreeTest, NearestNeighborsMatchBruteForce) {
   const size_t dims = 3;
-  auto tree = MakeTree(dims);
   Rng rng(18);
   std::vector<Point> points;
-  for (uint64_t i = 0; i < 400; ++i) {
-    Point p = RandomPoint(&rng, dims, 0.0, 100.0);
-    ASSERT_TRUE(tree->InsertPoint(p, i).ok());
-    points.push_back(std::move(p));
-  }
+  auto tree = LoadRandom(dims, 400, &rng, 0.0, 100.0, &points);
   for (int q = 0; q < 10; ++q) {
     Point query = RandomPoint(&rng, dims, 0.0, 100.0);
     EuclideanMetric metric(query);
@@ -579,12 +434,10 @@ TEST_P(RTreeParamTest, NearestNeighborsMatchBruteForce) {
   }
 }
 
-TEST_P(RTreeParamTest, NearestNeighborsStreamEnumeratesAllInOrder) {
-  auto tree = MakeTree(2);
+TEST_F(RTreeTest, NearestNeighborsStreamEnumeratesAllInOrder) {
   Rng rng(19);
-  for (uint64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(tree->InsertPoint(RandomPoint(&rng, 2, 0.0, 10.0), i).ok());
-  }
+  std::vector<Point> points;
+  auto tree = LoadRandom(2, 100, &rng, 0.0, 10.0, &points);
   EuclideanMetric metric(Point{5.0, 5.0});
   // Every popped item surfaces, nodes included, in one ascending order.
   std::vector<double> dists;
@@ -604,14 +457,12 @@ TEST_P(RTreeParamTest, NearestNeighborsStreamEnumeratesAllInOrder) {
   EXPECT_TRUE(std::is_sorted(dists.begin(), dists.end()));
 }
 
-TEST_P(RTreeParamTest, NearestNeighborsStreamStopAtANodeSkipsItsRead) {
+TEST_F(RTreeTest, NearestNeighborsStreamStopAtANodeSkipsItsRead) {
   // A callback that stops at a node surfaces it before the read, so the
   // page is never fetched: stopping at the k-th node reads k - 1 nodes.
-  auto tree = MakeTree(2);
   Rng rng(21);
-  for (uint64_t i = 0; i < 200; ++i) {
-    ASSERT_TRUE(tree->InsertPoint(RandomPoint(&rng, 2, 0.0, 10.0), i).ok());
-  }
+  std::vector<Point> points;
+  auto tree = LoadRandom(2, 200, &rng, 0.0, 10.0, &points);
   ASSERT_GE(tree->height(), 3u);
   EuclideanMetric metric(Point{5.0, 5.0});
   for (const size_t stop_at : {1u, 2u, 3u}) {
@@ -628,12 +479,12 @@ TEST_P(RTreeParamTest, NearestNeighborsStreamStopAtANodeSkipsItsRead) {
   }
 }
 
-TEST_P(RTreeParamTest, KnnWithMoreThanSizeReturnsAll) {
-  auto tree = MakeTree(2);
+TEST_F(RTreeTest, KnnWithMoreThanSizeReturnsAll) {
+  std::vector<Point> points;
   for (uint64_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(
-        tree->InsertPoint({static_cast<double>(i), 0.0}, i).ok());
+    points.push_back({static_cast<double>(i), 0.0});
   }
+  auto tree = BulkLoadTree(pool_.get(), 2, points, kFanout);
   EuclideanMetric metric(Point{0.0, 0.0});
   std::vector<NnResult> got;
   ASSERT_TRUE(tree->NearestNeighbors(metric, 50, nullptr, &got).ok());
@@ -641,26 +492,16 @@ TEST_P(RTreeParamTest, KnnWithMoreThanSizeReturnsAll) {
   EXPECT_EQ(got[0].id, 0u);
 }
 
-TEST_P(RTreeParamTest, ReusedStorageMatchesBruteForceAfterRemoves) {
-  // Inserts then Removes leave nodes at every fill between min_fill and
-  // capacity, so one descent decodes nodes of varying size into the same
-  // per-depth storage. Transformed range and kNN-stream answers must still
-  // equal brute force, and every counter must match the tree's shape.
+TEST_F(RTreeTest, ReusedStorageMatchesBruteForce) {
+  // STR's slab tails and rebalanced last nodes leave nodes of several
+  // sizes at each level, so one descent decodes nodes of varying size
+  // into the same per-depth storage. Transformed range and kNN-stream
+  // answers must still equal brute force, and every counter must match
+  // the tree's shape.
   const size_t dims = 3;
-  auto tree = MakeTree(dims);
   Rng rng(34);
-  std::map<uint64_t, Point> points;
-  for (uint64_t i = 0; i < 500; ++i) {
-    Point p = RandomPoint(&rng, dims, -50.0, 50.0);
-    ASSERT_TRUE(tree->InsertPoint(p, i).ok());
-    points.emplace(i, std::move(p));
-  }
-  for (uint64_t i = 0; i < 500; ++i) {
-    if (rng.NextDouble() >= 0.4) continue;
-    auto removed = tree->Remove(Rect::FromPoint(points.at(i)), i);
-    ASSERT_TRUE(removed.ok() && *removed);
-    points.erase(i);
-  }
+  std::vector<Point> points;
+  auto tree = LoadRandom(dims, 500, &rng, -50.0, 50.0, &points);
   auto report = tree->CheckInvariants();
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->ok) << report->message;
@@ -678,8 +519,8 @@ TEST_P(RTreeParamTest, ReusedStorageMatchesBruteForceAfterRemoves) {
                    rng.Uniform(-10.0, 10.0)});
     Rect query = tsq::testing::RandomRect(&rng, dims, -100.0, 100.0);
     std::set<uint64_t> expected;
-    for (const auto& [id, p] : points) {
-      if (query.Contains(map.Apply(p))) expected.insert(id);
+    for (uint64_t id = 0; id < points.size(); ++id) {
+      if (query.Contains(map.Apply(points[id]))) expected.insert(id);
     }
     std::set<uint64_t> actual;
     ASSERT_TRUE(tree->SearchTransformed(map, query,
@@ -709,9 +550,9 @@ TEST_P(RTreeParamTest, ReusedStorageMatchesBruteForceAfterRemoves) {
                                  return a.first < b.first;
                                }));
     std::vector<std::pair<double, uint64_t>> brute;
-    for (const auto& [id, p] : points) {
-      brute.emplace_back(metric.MinDistSquared(map.Apply(Rect::FromPoint(p))),
-                         id);
+    for (uint64_t id = 0; id < points.size(); ++id) {
+      brute.emplace_back(
+          metric.MinDistSquared(map.Apply(Rect::FromPoint(points[id]))), id);
     }
     std::sort(streamed.begin(), streamed.end());
     std::sort(brute.begin(), brute.end());
@@ -727,25 +568,19 @@ TEST_P(RTreeParamTest, ReusedStorageMatchesBruteForceAfterRemoves) {
 
 // --- persistence -----------------------------------------------------------------
 
-TEST_P(RTreeParamTest, PersistsAcrossReopen) {
+TEST_F(RTreeTest, PersistsAcrossReopen) {
   const size_t dims = 2;
   Rng rng(20);
   std::vector<Point> points;
   PageId meta = kInvalidPageId;
   {
-    auto tree = MakeTree(dims);
-    for (uint64_t i = 0; i < 200; ++i) {
-      Point p = RandomPoint(&rng, dims, 0.0, 30.0);
-      ASSERT_TRUE(tree->InsertPoint(p, i).ok());
-      points.push_back(std::move(p));
-    }
+    auto tree = LoadRandom(dims, 200, &rng, 0.0, 30.0, &points);
     meta = tree->meta_page();
     ASSERT_TRUE(tree->SaveMeta().ok());
     ASSERT_TRUE(pool_->FlushAll().ok());
   }
   RTreeOptions options;
-  options.forced_reinsert = GetParam();
-  options.max_entries_override = 8;
+  options.max_entries_override = kFanout;
   auto tree = RStarTree::Open(pool_.get(), meta, options);
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
   EXPECT_EQ((*tree)->size(), 200u);
@@ -766,10 +601,7 @@ TEST_P(RTreeParamTest, PersistsAcrossReopen) {
   EXPECT_EQ(actual, expected);
 }
 
-INSTANTIATE_TEST_SUITE_P(ForcedReinsertOnOff, RTreeParamTest,
-                         ::testing::Bool());
-
-// --- non-parameterized edge cases ------------------------------------------------
+// --- edge cases ---------------------------------------------------------------
 
 class RTreeEdgeTest : public ::testing::Test {
  protected:
@@ -787,31 +619,18 @@ class RTreeEdgeTest : public ::testing::Test {
 TEST_F(RTreeEdgeTest, RejectsDimensionMismatches) {
   auto tree = RStarTree::Create(pool_.get(), 3, {});
   ASSERT_TRUE(tree.ok());
-  EXPECT_TRUE((*tree)->InsertPoint({1.0, 2.0}, 0).IsInvalidArgument());
   EXPECT_TRUE((*tree)
                   ->Search(Rect({0.0}, {1.0}),
                            [](uint64_t, const Rect&) { return true; })
                   .IsInvalidArgument());
-}
-
-TEST_F(RTreeEdgeTest, RejectsEmptyRectAndBadOptions) {
-  auto tree = RStarTree::Create(pool_.get(), 2, {});
-  ASSERT_TRUE(tree.ok());
-  EXPECT_TRUE((*tree)->Insert(Rect::Empty(2), 0).IsInvalidArgument());
-  RTreeOptions bad;
-  bad.reinsert_fraction = 0.9;
-  EXPECT_TRUE(
-      RStarTree::Create(pool_.get(), 2, bad).status().IsInvalidArgument());
   EXPECT_TRUE(RStarTree::Create(pool_.get(), 0, {}).status()
                   .IsInvalidArgument());
 }
 
 TEST_F(RTreeEdgeTest, OpenRejectsNonMetaPage) {
-  auto tree = RStarTree::Create(pool_.get(), 2, {});
-  ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE((*tree)->InsertPoint({0.0, 0.0}, 0).ok());
-  // Page 2 is the root node, not the meta page.
-  EXPECT_FALSE(RStarTree::Open(pool_.get(), (*tree)->meta_page() + 1, {}).ok());
+  auto tree = BulkLoadTree(pool_.get(), 2, std::vector<Point>{{0.0, 0.0}}, 0);
+  // The page after the meta page is the root node, not a meta page.
+  EXPECT_FALSE(RStarTree::Open(pool_.get(), tree->meta_page() + 1, {}).ok());
 }
 
 /// Runs every read-only descent over the whole of `tree` and returns each
@@ -864,13 +683,12 @@ TEST_F(RTreeEdgeTest, CorruptNodePagesReturnCorruptionFromEveryDescent) {
   // descent must return Corruption, and the tree must read normally once
   // the page is restored.
   const size_t dims = 3;
-  RTreeOptions options;
-  options.max_entries_override = 4;
-  auto tree = RStarTree::Create(pool_.get(), dims, options).value();
   Rng rng(33);
+  std::vector<Point> points;
   for (uint64_t i = 0; i < 200; ++i) {
-    ASSERT_TRUE(tree->InsertPoint(RandomPoint(&rng, dims, 0.0, 10.0), i).ok());
+    points.push_back(RandomPoint(&rng, dims, 0.0, 10.0));
   }
+  auto tree = BulkLoadTree(pool_.get(), dims, points, 4);
   ASSERT_GE(tree->height(), 3u);
   for (const auto& [name, status] : RunEveryDescent(*tree)) {
     ASSERT_TRUE(status.ok()) << name << ": " << status.ToString();
@@ -930,17 +748,15 @@ TEST_F(RTreeEdgeTest, CorruptNodePagesReturnCorruptionFromEveryDescent) {
 }
 
 TEST_F(RTreeEdgeTest, HeightGrowsLogarithmically) {
-  RTreeOptions options;
-  options.max_entries_override = 4;
-  auto tree = RStarTree::Create(pool_.get(), 2, options);
-  ASSERT_TRUE(tree.ok());
   Rng rng(21);
+  std::vector<Point> points;
   for (uint64_t i = 0; i < 256; ++i) {
-    ASSERT_TRUE((*tree)->InsertPoint(RandomPoint(&rng, 2, 0.0, 1.0), i).ok());
+    points.push_back(RandomPoint(&rng, 2, 0.0, 1.0));
   }
+  auto tree = BulkLoadTree(pool_.get(), 2, points, 4);
   // Fanout 4, 256 points: height must be at least 4 and not absurd.
-  EXPECT_GE((*tree)->height(), 4u);
-  EXPECT_LE((*tree)->height(), 10u);
+  EXPECT_GE(tree->height(), 4u);
+  EXPECT_LE(tree->height(), 10u);
 }
 
 }  // namespace
@@ -1035,13 +851,14 @@ TEST(BulkLoadEdgeTest, RequiresEmptyTreeAndValidEntries) {
   tsq::testing::TempDir dir;
   auto file = PageFile::Create(dir.file("b.pages")).value();
   BufferPool pool(file.get(), 64);
-  auto tree = RStarTree::Create(&pool, 2, {}).value();
-  ASSERT_TRUE(tree->InsertPoint({1.0, 1.0}, 0).ok());
+  auto tree = BulkLoadTree(&pool, 2, std::vector<Point>{{1.0, 1.0}}, 0);
 
+  // A tree is written once: a second load is refused.
   Entry e;
   e.rect = spatial::Rect::FromPoint(spatial::Point{2.0, 2.0});
   e.id = 1;
   EXPECT_TRUE(tree->BulkLoad({e}, 0).IsFailedPrecondition());
+  EXPECT_EQ(tree->size(), 1u);
 
   auto tree2 = RStarTree::Create(&pool, 2, {}).value();
   Entry bad;
@@ -1121,75 +938,6 @@ TEST(BulkLoadEdgeTest, UntiledDimsDoNotDecideWhichEntriesShareANode) {
     visited_all_b += search(*b_all, query).first;
   }
   EXPECT_NE(visited_all_a, visited_all_b);
-}
-
-TEST(BulkLoadEdgeTest, InsertAndRemoveWorkAfterBulkLoad) {
-  tsq::testing::TempDir dir;
-  auto file = PageFile::Create(dir.file("b.pages")).value();
-  BufferPool pool(file.get(), 128);
-  RTreeOptions options;
-  options.max_entries_override = 8;
-  auto tree = RStarTree::Create(&pool, 2, options).value();
-
-  Rng rng(8);
-  std::vector<Entry> entries;
-  std::vector<spatial::Point> points;
-  for (uint64_t i = 0; i < 500; ++i) {
-    spatial::Point p = tsq::testing::RandomPoint(&rng, 2, 0.0, 50.0);
-    Entry e;
-    e.rect = spatial::Rect::FromPoint(p);
-    e.id = i;
-    entries.push_back(e);
-    points.push_back(std::move(p));
-  }
-  ASSERT_TRUE(tree->BulkLoad(entries, 0).ok());
-
-  // Post-load mutations.
-  for (uint64_t i = 500; i < 600; ++i) {
-    ASSERT_TRUE(
-        tree->InsertPoint(tsq::testing::RandomPoint(&rng, 2, 0.0, 50.0), i)
-            .ok());
-  }
-  for (uint64_t i = 0; i < 500; i += 3) {
-    auto removed = tree->Remove(spatial::Rect::FromPoint(points[i]), i);
-    ASSERT_TRUE(removed.ok());
-    EXPECT_TRUE(*removed);
-  }
-  auto check = tree->CheckInvariants();
-  ASSERT_TRUE(check.ok());
-  EXPECT_TRUE(check->ok) << check->message;
-}
-
-TEST(BulkLoadEdgeTest, BulkLoadedDatabaseMatchesIncremental) {
-  tsq::testing::TempDir dir;
-  auto data = tsq::workload::MakeRandomWalkDataset(313, 400, 64);
-
-  auto build = [&](bool bulk) {
-    DatabaseOptions options;
-    options.directory = dir.path();
-    options.name = bulk ? "bulk" : "incr";
-    options.bulk_load = bulk;
-    auto db = Database::Create(options).value();
-    for (const TimeSeries& s : data) {
-      EXPECT_TRUE(db->Insert(s.name(), s.values()).ok());
-    }
-    EXPECT_TRUE(db->BuildIndex().ok());
-    return db;
-  };
-  auto bulk_db = build(true);
-  auto incr_db = build(false);
-
-  Rng rng(9);
-  for (double eps : {0.5, 3.0, 9.0}) {
-    const RealVec query = tsq::workload::RandomWalkSeries(&rng, 64, {});
-    auto a = Range(bulk_db.get(), query, eps).value();
-    auto b = Range(incr_db.get(), query, eps).value();
-    ASSERT_EQ(a.size(), b.size()) << "eps=" << eps;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].id, b[i].id);
-      EXPECT_NEAR(a[i].distance, b[i].distance, 1e-12);
-    }
-  }
 }
 
 }  // namespace

@@ -33,17 +33,13 @@ TEST(RectTest, ConstructionAndAccessors) {
   EXPECT_EQ(r.dims(), 2u);
   EXPECT_EQ(r.lo(0), 0.0);
   EXPECT_EQ(r.hi(1), 3.0);
-  EXPECT_EQ(r.Extent(0), 2.0);
-  EXPECT_EQ(r.Extent(1), 4.0);
-  EXPECT_EQ(r.Area(), 8.0);
-  EXPECT_EQ(r.Margin(), 6.0);
   EXPECT_FALSE(r.IsEmpty());
+  EXPECT_FALSE(r.ToString().empty());
 }
 
 TEST(RectTest, FromPointIsDegenerate) {
   Rect r = Rect::FromPoint({1.0, 2.0, 3.0});
-  EXPECT_EQ(r.Area(), 0.0);
-  EXPECT_EQ(r.Margin(), 0.0);
+  EXPECT_EQ(r.lo(), r.hi());
   EXPECT_TRUE(r.Contains({1.0, 2.0, 3.0}));
   EXPECT_FALSE(r.IsEmpty());
 }
@@ -51,10 +47,9 @@ TEST(RectTest, FromPointIsDegenerate) {
 TEST(RectTest, EmptyRect) {
   Rect e = Rect::Empty(3);
   EXPECT_TRUE(e.IsEmpty());
-  EXPECT_EQ(e.Area(), 0.0);
-  Rect r({0.0, 0.0, 0.0}, {1.0, 1.0, 1.0});
-  Rect u = e.UnionWith(r);
-  EXPECT_EQ(u, r);  // empty is the union identity
+  const Rect r({0.0, 0.0, 0.0}, {1.0, 1.0, 1.0});
+  e.ExpandToInclude(r);
+  EXPECT_EQ(e, r);  // empty is the union identity
   EXPECT_TRUE(Rect().IsEmpty());
 }
 
@@ -67,41 +62,28 @@ TEST(RectTest, IntersectionTests) {
   EXPECT_TRUE(b.Intersects(a));
   EXPECT_TRUE(a.Intersects(c));  // closed rectangles: touching intersects
   EXPECT_FALSE(a.Intersects(d));
-  EXPECT_NEAR(a.IntersectionArea(b), 1.0, 1e-12);
-  EXPECT_NEAR(a.IntersectionArea(c), 0.0, 1e-12);
-  EXPECT_NEAR(a.IntersectionArea(d), 0.0, 1e-12);
 }
 
-TEST(RectTest, ContainsAndContainsRect) {
+TEST(RectTest, ContainsIsClosed) {
   Rect a({0.0, 0.0}, {4.0, 4.0});
   EXPECT_TRUE(a.Contains({0.0, 0.0}));  // boundary is inside (closed)
   EXPECT_TRUE(a.Contains({2.0, 4.0}));
   EXPECT_FALSE(a.Contains({2.0, 4.1}));
-  EXPECT_TRUE(a.ContainsRect(Rect({1.0, 1.0}, {2.0, 2.0})));
-  EXPECT_TRUE(a.ContainsRect(a));
-  EXPECT_FALSE(a.ContainsRect(Rect({1.0, 1.0}, {5.0, 2.0})));
 }
 
-TEST(RectTest, UnionCoversBoth) {
-  Rect a({0.0, 0.0}, {1.0, 1.0});
-  Rect b({2.0, 2.0}, {3.0, 3.0});
-  Rect u = a.UnionWith(b);
+TEST(RectTest, ExpandToIncludeRectCoversBoth) {
+  Rect u({0.0, 0.0}, {1.0, 1.0});
+  u.ExpandToInclude(Rect({2.0, 2.0}, {3.0, 3.0}));
   EXPECT_EQ(u, Rect({0.0, 0.0}, {3.0, 3.0}));
-  EXPECT_EQ(a.UnionWith(a), a);
+  Rect same = u;
+  same.ExpandToInclude(u);
+  EXPECT_EQ(same, u);
 }
 
 TEST(RectTest, GrownExpandsEverySide) {
   Rect a({1.0, 1.0}, {2.0, 2.0});
   Rect g = a.Grown(0.5);
   EXPECT_EQ(g, Rect({0.5, 0.5}, {2.5, 2.5}));
-}
-
-TEST(RectTest, CenterAndToString) {
-  Rect a({0.0, 2.0}, {4.0, 6.0});
-  Point c = a.Center();
-  EXPECT_EQ(c[0], 2.0);
-  EXPECT_EQ(c[1], 4.0);
-  EXPECT_FALSE(a.ToString().empty());
 }
 
 TEST(RectTest, ExpandToIncludePoint) {
@@ -111,27 +93,21 @@ TEST(RectTest, ExpandToIncludePoint) {
   EXPECT_EQ(a, Rect({-2.0, 3.0}, {1.0, 5.0}));
 }
 
-TEST(RectTest, UnionIsCommutativeAndMonotonicProperty) {
+TEST(RectTest, UnionIsCommutativeAndCoversBothProperty) {
   Rng rng(101);
   for (int trial = 0; trial < 100; ++trial) {
-    Rect a = RandomRect(&rng, 4);
-    Rect b = RandomRect(&rng, 4);
-    EXPECT_EQ(a.UnionWith(b), b.UnionWith(a));
-    EXPECT_TRUE(a.UnionWith(b).ContainsRect(a));
-    EXPECT_TRUE(a.UnionWith(b).ContainsRect(b));
-    EXPECT_GE(a.UnionWith(b).Area(), std::max(a.Area(), b.Area()) - 1e-9);
-  }
-}
-
-TEST(RectTest, IntersectionAreaSymmetricProperty) {
-  Rng rng(102);
-  for (int trial = 0; trial < 100; ++trial) {
-    Rect a = RandomRect(&rng, 3);
-    Rect b = RandomRect(&rng, 3);
-    EXPECT_NEAR(a.IntersectionArea(b), b.IntersectionArea(a), 1e-9);
-    EXPECT_EQ(a.IntersectionArea(b) > 0.0 ||
-                  a.Intersects(b),  // touching rects have area 0
-              a.Intersects(b));
+    const Rect a = RandomRect(&rng, 4);
+    const Rect b = RandomRect(&rng, 4);
+    Rect ab = a;
+    ab.ExpandToInclude(b);
+    Rect ba = b;
+    ba.ExpandToInclude(a);
+    EXPECT_EQ(ab, ba);
+    for (const Rect* r : {&a, &b}) {
+      EXPECT_TRUE(ab.Contains(r->lo()) && ab.Contains(r->hi()));
+      EXPECT_TRUE(ab.Intersects(*r));
+    }
+    EXPECT_EQ(a.Intersects(b), b.Intersects(a));
   }
 }
 

@@ -448,18 +448,6 @@ TEST_F(BufferPoolTest, FlushAllPersistsWithoutEviction) {
   EXPECT_EQ(raw.ReadU64(0), 7u);
 }
 
-TEST_F(BufferPoolTest, DeleteRemovesFromCacheAndFreesPage) {
-  BufferPool pool(file_.get(), 4);
-  auto h = pool.New();
-  ASSERT_TRUE(h.ok());
-  const PageId id = h->id();
-  EXPECT_TRUE(pool.Delete(id).IsFailedPrecondition());  // still pinned
-  h->Release();
-  ASSERT_TRUE(pool.Delete(id).ok());
-  // The id is recycled by the next allocation.
-  EXPECT_EQ(pool.New().value().id(), id);
-}
-
 TEST_F(BufferPoolTest, OneClockKeepsTheLastCapacityPages) {
   // One clock over all 64 frames: pages that are never re-referenced are
   // evicted in arrival order, so after 128 of them exactly the last 64

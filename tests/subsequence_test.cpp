@@ -1,9 +1,9 @@
 // Copyright (c) 2026 The tsq Authors.
 //
 // Tests for the [FRM94]-style subsequence index: the sliding DFT against
-// per-window transforms, trail-piece construction, and index-vs-scan
-// parity (no false dismissals for subsequence queries), parameterized over
-// thresholds, window sizes and trail-piece lengths.
+// per-window transforms, trail-piece construction by Build's one STR
+// packing, and index-vs-scan parity (no false dismissals for subsequence
+// queries), parameterized over thresholds and trail-piece lengths.
 
 #include <limits>
 #include <set>
@@ -91,14 +91,15 @@ TEST_P(SubsequenceParityTest, IndexMatchesScan) {
   options.coefficients = 3;
   options.trail_piece = trail_piece;
   options.path = dir_.file("subseq.pages");
-  auto index = SubsequenceIndex::Create(options);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-
   auto series = workload::MakeRandomWalkDataset(99, 40, 200);
-  for (SeriesId id = 0; id < series.size(); ++id) {
-    ASSERT_TRUE((*index)->AddSeries(id, series[id].values()).ok());
-  }
+  auto index = SubsequenceIndex::Build(options, series);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
   EXPECT_EQ((*index)->num_windows(), 40u * (200 - window + 1));
+  EXPECT_EQ((*index)->num_pieces(),
+            40u * ((200 - window + 1 + trail_piece - 1) / trail_piece));
+  auto check = (*index)->tree()->CheckInvariants();
+  ASSERT_TRUE(check.ok());
+  EXPECT_TRUE(check->ok) << check->message;
 
   auto fetch = [&series](SeriesId id) -> Result<RealVec> {
     if (id >= series.size()) return Status::NotFound("no such series");
@@ -146,12 +147,8 @@ TEST(SubsequenceIndexTest, FindsExactOccurrenceAtZeroEps) {
   SubsequenceIndexOptions options;
   options.window = 16;
   options.path = dir.file("s.pages");
-  auto index = SubsequenceIndex::Create(options).value();
-  Rng rng(3);
   auto series = workload::MakeRandomWalkDataset(3, 5, 100);
-  for (SeriesId id = 0; id < series.size(); ++id) {
-    ASSERT_TRUE(index->AddSeries(id, series[id].values()).ok());
-  }
+  auto index = SubsequenceIndex::Build(options, series).value();
   // Query = the window of series 2 at offset 37, verbatim.
   RealVec query(series[2].values().begin() + 37,
                 series[2].values().begin() + 37 + 16);
@@ -177,11 +174,8 @@ TEST(SubsequenceIndexTest, CandidatesFarFewerThanWindows) {
   options.window = 64;
   options.trail_piece = 16;
   options.path = dir.file("s.pages");
-  auto index = SubsequenceIndex::Create(options).value();
   auto series = workload::MakeRandomWalkDataset(5, 50, 256);
-  for (SeriesId id = 0; id < series.size(); ++id) {
-    ASSERT_TRUE(index->AddSeries(id, series[id].values()).ok());
-  }
+  auto index = SubsequenceIndex::Build(options, series).value();
   RealVec query(series[0].values().begin(),
                 series[0].values().begin() + 64);
   std::vector<SubsequenceMatch> out;
@@ -196,26 +190,36 @@ TEST(SubsequenceIndexTest, CandidatesFarFewerThanWindows) {
 
 TEST(SubsequenceIndexTest, ValidatesArguments) {
   TempDir dir;
+  std::vector<TimeSeries> series;
+  series.emplace_back(RealVec(20, 1.0), "flat");
   SubsequenceIndexOptions options;
   options.window = 1;  // too small
   options.path = dir.file("s.pages");
-  EXPECT_TRUE(SubsequenceIndex::Create(options).status().IsInvalidArgument());
+  const auto invalid = [&options, &series]() {
+    return SubsequenceIndex::Build(options, series)
+        .status()
+        .IsInvalidArgument();
+  };
+  EXPECT_TRUE(invalid());
   options.window = 16;
   options.coefficients = 0;
-  EXPECT_TRUE(SubsequenceIndex::Create(options).status().IsInvalidArgument());
+  EXPECT_TRUE(invalid());
   options.coefficients = 3;
   options.trail_piece = 0;
-  EXPECT_TRUE(SubsequenceIndex::Create(options).status().IsInvalidArgument());
-
+  EXPECT_TRUE(invalid());
   options.trail_piece = 8;
+  // A series shorter than the window is refused, wherever it sits.
+  series.emplace_back(RealVec(8, 1.0), "short");
+  EXPECT_TRUE(invalid());
+  series.pop_back();
+
   options.path = dir.file("s2.pages");
-  auto index = SubsequenceIndex::Create(options).value();
-  EXPECT_TRUE(index->AddSeries(0, RealVec(8, 1.0)).IsInvalidArgument());
+  auto index = SubsequenceIndex::Build(options, series).value();
+  EXPECT_EQ(index->num_windows(), 20u - 16 + 1);
   std::vector<SubsequenceMatch> out;
   auto fetch = [](SeriesId) -> Result<RealVec> { return RealVec(); };
   EXPECT_TRUE(index->RangeSearch(RealVec(8, 1.0), 1.0, fetch, &out, nullptr)
                   .IsInvalidArgument());
-  ASSERT_TRUE(index->AddSeries(0, RealVec(20, 1.0)).ok());
   EXPECT_TRUE(index->RangeSearch(RealVec(16, 1.0), -1.0, fetch, &out, nullptr)
                   .IsInvalidArgument());
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -225,6 +229,21 @@ TEST(SubsequenceIndexTest, ValidatesArguments) {
   nan_query[3] = nan;
   EXPECT_TRUE(index->RangeSearch(nan_query, 1.0, fetch, &out, nullptr)
                   .IsInvalidArgument());
+}
+
+TEST(SubsequenceIndexTest, EmptyInputBuildsAnEmptyIndex) {
+  TempDir dir;
+  SubsequenceIndexOptions options;
+  options.window = 16;
+  options.path = dir.file("s.pages");
+  auto index = SubsequenceIndex::Build(options, {}).value();
+  EXPECT_EQ(index->num_pieces(), 0u);
+  EXPECT_EQ(index->num_windows(), 0u);
+  std::vector<SubsequenceMatch> out;
+  auto fetch = [](SeriesId) -> Result<RealVec> { return RealVec(); };
+  ASSERT_TRUE(
+      index->RangeSearch(RealVec(16, 1.0), 1.0, fetch, &out, nullptr).ok());
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(SubsequenceIndexTest, ShortSeriesSkippedByScanBaseline) {

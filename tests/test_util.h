@@ -110,6 +110,36 @@ inline spatial::Rect RandomRect(Rng* rng, size_t dims, double lo = -100.0,
   return spatial::Rect(std::move(a), std::move(b));
 }
 
+/// A tree in `pool` over `rects`, rects[i] under id i, written the one
+/// way any tree is: STR packing (RStarTree::BulkLoad) from
+/// `first_tiled_dim`. A nonzero `max_entries` caps the fanout
+/// (RTreeOptions::max_entries_override), so a few hundred entries make
+/// a tree several levels deep.
+inline std::unique_ptr<rtree::RStarTree> BulkLoadTree(
+    BufferPool* pool, size_t dims, const std::vector<spatial::Rect>& rects,
+    size_t max_entries, size_t first_tiled_dim = 0) {
+  rtree::RTreeOptions options;
+  options.max_entries_override = max_entries;
+  auto tree = rtree::RStarTree::Create(pool, dims, options).value();
+  std::vector<rtree::Entry> entries(rects.size());
+  for (size_t i = 0; i < rects.size(); ++i) entries[i] = {rects[i], i};
+  const Status loaded = tree->BulkLoad(std::move(entries), first_tiled_dim);
+  EXPECT_TRUE(loaded.ok()) << loaded.ToString();
+  return tree;
+}
+
+/// BulkLoadTree over point entries: points[i] under id i.
+inline std::unique_ptr<rtree::RStarTree> BulkLoadTree(
+    BufferPool* pool, size_t dims, const std::vector<spatial::Point>& points,
+    size_t max_entries, size_t first_tiled_dim = 0) {
+  std::vector<spatial::Rect> rects;
+  rects.reserve(points.size());
+  for (const spatial::Point& p : points) {
+    rects.push_back(spatial::Rect::FromPoint(p));
+  }
+  return BulkLoadTree(pool, dims, rects, max_entries, first_tiled_dim);
+}
+
 /// One query asked the way every single query is: a one-element
 /// Database::RunBatch unwrapped by engine::SingleResult, so a per-query
 /// failure (results[0].status) is the Result's status. `stats`, when

@@ -7,7 +7,8 @@ Runs each figure/table bench binary of BENCHES from the build directory
 with TSQ_BENCH_SMOKE=16 (in a temporary directory, so BENCH_*.json side
 files land there) and keeps, per table row, only the columns that count
 filter work: answers, candidates and node accesses (for approximate kNN,
-candidates visited and pruned). Timings never enter. Those counts follow
+candidates visited and pruned; for the subsequence index, trail pieces
+and verified windows). Timings never enter. Those counts follow
 from the seeded data and the filter alone, so they are identical on every
 host, build type and kernel level; a change to any of them is a change to
 what the filter does, and must show up as a reviewed diff of the golden
@@ -40,12 +41,16 @@ BENCHES = (
     "bench_knn",
     "bench_approx",
     "bench_ablation",
+    "bench_subsequence",
 )
 
 # A column is kept when its header names one of these counts (and is not
-# the paper's quoted figure). The leading columns before the first count
-# or timing column label the row.
-COUNT_COLUMN_RE = re.compile(r"answers|candidates|nodes|visited|pruned")
+# the paper's quoted figure): answers, candidates, node accesses, kNN's
+# visited and pruned entries, and the subsequence index's trail pieces and
+# verified windows. The leading columns before the first count or timing
+# column label the row.
+COUNT_COLUMN_RE = re.compile(
+    r"answers|candidates|nodes|visited|pruned|verified|pieces")
 PAPER_COLUMN_RE = re.compile(r"paper")
 TIMING_COLUMN_RE = re.compile(r"\bms\b|time|speedup|winner")
 # Summary lines outside tables, e.g. "tree-match join: 0:00.004, 20

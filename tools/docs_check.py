@@ -20,9 +20,11 @@ Four classes of failure:
    protocol's extension flags with the subsequence query kind, the
    page file's own I/O counters, the second copies of the index and
    server counters (the pool's and tree's shared stats, the Reindex
-   counter fold, tsqd's scrape-time mirror), the snapshot's delta cursor
-   and the kNN first-leaf stop must not be named in the README, docs/ or
-   src/ headers.
+   counter fold, tsqd's scrape-time mirror), the snapshot's delta cursor,
+   the kNN first-leaf stop and the R*-tree's dynamic half (insertion,
+   the R* split, forced reinsertion, deletion, their options, the
+   incremental index builds and BufferPool::Delete) must not be named
+   in the README, docs/ or src/ headers.
 
 3. Required sections: load-bearing doc sections that later PRs link to
    (the kernel determinism contract, the wire-protocol versioning rule,
@@ -68,7 +70,9 @@ STALE_PATTERNS = [
 # wire protocol's extension flags and subsequence kind, of the page
 # file's counters, of the shared pool/tree stats, the Reindex counter
 # fold and tsqd's counter mirror, of the snapshot's delta cursor, and of
-# the kNN first-leaf stop with its CLI flag (see check 2). Checked against
+# the kNN first-leaf stop with its CLI flag, and of the R*-tree's
+# insertion, split, forced reinsertion and deletion with their options
+# and incremental callers (see check 2). Checked against
 # README.md, docs/*.md and every header under src/. Case-sensitive, and
 # anchored so SeqScanRangeQuery / IndexRangeQuery / Client::Knn pass.
 STALE_API_PATTERNS = [
@@ -108,6 +112,27 @@ STALE_API_PATTERNS = [
     r"delta_begin",
     r"stop_after_first_leaf",
     r"--first-leaf",
+    # R* insertion and deletion. Each name keeps one letter in a
+    # character class, so that searching the tree for the deleted names
+    # finds their uses and not this list.
+    r"\bInsert[P]oint\b",
+    r"InsertEntry[A]tLevel",
+    r"Insert[R]ecurse",
+    r"Choose[S]ubtree",
+    r"RStar[S]plit",
+    r"Split[N]ode",
+    r"rtree/spli[t]\.h",
+    r"Forced[R]einsert",
+    r"forced_[r]einsert",
+    r"reinsert_[f]raction",
+    r"min_fill_[p]ercent",
+    r"Delete[R]ecurse",
+    r"ShrinkRoot[I]fNeeded",
+    r"\bbulk_[l]oad\b",
+    r"KIndex::[A]dd\b",
+    r"Add[S]eries",
+    r"SubsequenceIndex::[C]reate",
+    r"BufferPool::[D]elete",
 ]
 
 SKIP_DIRS = {".git", "build", "build-tsan", "third_party", ".github",
