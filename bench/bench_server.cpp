@@ -14,9 +14,9 @@
 // bench_batch_throughput measures the engine.
 //
 // Drops BENCH_server.json (schema v3: rows keyed by mode x pollers x
-// connections; closed-loop rows carry every repetition) next to the
-// console tables. CI's bench-perf job archives BENCH_*.json per run, so
-// server perf is tracked PR over PR.
+// connections; every row carries its five timed repetitions, wall_ms
+// their median) next to the console tables. CI's bench-perf job
+// archives BENCH_*.json per run, so server perf is tracked PR over PR.
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -93,7 +93,10 @@ void Run() {
       "Raw-socket drivers stream single-query range frames back-to-back\n"
       "over TCP loopback against one tsqd. Expected shape: more pollers\n"
       "spread the socket work across threads; on a single hardware thread\n"
-      "the sweep mostly measures coordination overhead.");
+      "the sweep mostly measures coordination overhead. The in-process\n"
+      "baseline and each cell run once untimed, then five timed times:\n"
+      "wall ms and frames/s are the median run, latencies the server's\n"
+      "over the timed runs.");
   std::printf("  hardware threads on this host: %u\n\n",
               std::thread::hardware_concurrency());
 
@@ -149,23 +152,26 @@ void Run() {
     for (size_t i = 0; i < kFramesPerConnection; ++i) {
       batch.push_back(make_query(i, 0));
     }
-    const double ms = bench::MeanMillis(
-        [&] { db->RunBatch(batch, 0); }, /*reps=*/3);
+    const bench::CellTiming timing = bench::RepeatCell([&] {
+      Stopwatch wall;
+      db->RunBatch(batch, 0);
+      return wall.ElapsedMillis();
+    });
     const double qps =
-        ms > 0.0 ? 1000.0 * static_cast<double>(batch.size()) / ms : 0.0;
-    std::printf("  in-process baseline: %.2f ms / batch, %.0f q/s\n\n", ms,
-                qps);
+        1000.0 * static_cast<double>(batch.size()) / timing.median_ms;
+    std::printf("  in-process baseline: %.2f ms / batch (%s), %.0f q/s\n\n",
+                timing.median_ms, timing.Spread(2).c_str(), qps);
     bench::Json row = bench::Json::Object();
     row["mode"] = bench::Json::Str("in_process");
     row["pollers"] = bench::Json::Int(0);
     row["connections"] = bench::Json::Int(0);
-    row["wall_ms"] = bench::Json::Num(ms);
+    timing.AddTo(&row);
     row["frames_per_sec"] = bench::Json::Num(qps);
     rows.Append(std::move(row));
   }
 
-  bench::Table table({"pollers", "conns", "wall ms", "frames/s", "p50us",
-                      "p99us", "busy", "backoffs"});
+  bench::Table table({"pollers", "conns", "wall ms", "min-max", "frames/s",
+                      "p50us", "p99us", "busy", "backoffs"});
   // Every frame in the sweep is a kQuery, so the server-side per-verb
   // latency histogram for verb="query" captures exactly this workload.
   // Server::Start arms the metrics registry, so it records for free;
@@ -185,37 +191,41 @@ void Run() {
 
     for (const size_t connections :
          {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      const obs::Histogram::Snapshot before = latency->Snap();
-      const double ms = bench::MeanMillis(
-          [&] {
-            std::vector<std::thread> threads;
-            for (size_t c = 0; c < connections; ++c) {
-              threads.emplace_back([&, c] {
-                DrivePipelined(server->port(), make_stream(c),
-                               kFramesPerConnection);
-              });
-            }
-            for (std::thread& t : threads) t.join();
-          },
-          /*reps=*/3);
+      // The latency histogram's delta covers the timed runs only.
+      obs::Histogram::Snapshot before;
+      int run = 0;
+      const bench::CellTiming timing = bench::RepeatCell([&] {
+        if (run++ == 1) before = latency->Snap();
+        Stopwatch wall;
+        std::vector<std::thread> threads;
+        for (size_t c = 0; c < connections; ++c) {
+          threads.emplace_back([&, c] {
+            DrivePipelined(server->port(), make_stream(c),
+                           kFramesPerConnection);
+          });
+        }
+        for (std::thread& t : threads) t.join();
+        return wall.ElapsedMillis();
+      });
       const obs::Histogram::Snapshot delta =
           obs::SnapshotDelta(latency->Snap(), before);
       const double p50 = obs::SnapshotQuantileMicros(delta, 0.5);
       const double p99 = obs::SnapshotQuantileMicros(delta, 0.99);
       const double total_frames =
           static_cast<double>(connections * kFramesPerConnection);
-      const double fps = ms > 0.0 ? 1000.0 * total_frames / ms : 0.0;
+      const double fps = 1000.0 * total_frames / timing.median_ms;
       const server::ServerCounters counters = server->counters();
       table.AddRow({std::to_string(pollers), std::to_string(connections),
-                    bench::Table::Num(ms, 2), bench::Table::Num(fps, 0),
-                    bench::Table::Num(p50, 0), bench::Table::Num(p99, 0),
+                    bench::Table::Num(timing.median_ms, 2), timing.Spread(2),
+                    bench::Table::Num(fps, 0), bench::Table::Num(p50, 0),
+                    bench::Table::Num(p99, 0),
                     std::to_string(counters.busy_rejected),
                     std::to_string(counters.accept_backoffs)});
       bench::Json row = bench::Json::Object();
       row["mode"] = bench::Json::Str("loopback_pipelined");
       row["pollers"] = bench::Json::Int(pollers);
       row["connections"] = bench::Json::Int(connections);
-      row["wall_ms"] = bench::Json::Num(ms);
+      timing.AddTo(&row);
       row["frames_per_sec"] = bench::Json::Num(fps);
       row["latency_p50_us"] = bench::Json::Num(p50);
       row["latency_p99_us"] = bench::Json::Num(p99);

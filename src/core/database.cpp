@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -83,6 +84,58 @@ const char* JoinOpName(JoinMethod method) {
       return "join_tree";
   }
   return "join";
+}
+
+/// A stored record's index point: FromStored's features, which equal
+/// those Insert extracted (core/feature.h), so the point does too.
+spatial::Point StoredPoint(const FeatureExtractor& extractor,
+                           const SeriesRecord& rec) {
+  return extractor.ToPoint(extractor.FromStored(rec.values, rec.dft));
+}
+
+/// The index points of ids [0, cutoff) that `snap` already holds, read
+/// without touching the relation: its main tree's leaves give
+/// [0, main size) and its delta's slots [main size, cutoff). Index pages
+/// carry no checksum, so the leaves are checked as far as they can be:
+/// Corruption unless the scan succeeds and yields every id below the
+/// tree's size exactly once, as a finite point.
+Result<std::vector<KIndex::PointEntry>> SnapshotPoints(
+    const IndexSnapshot& snap, uint64_t cutoff) {
+  const rtree::RStarTree& tree = *snap.main->tree();
+  const uint64_t indexed = tree.size();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const spatial::Rect everywhere(spatial::Point(tree.dims(), -kInf),
+                                 spatial::Point(tree.dims(), kInf));
+  std::vector<KIndex::PointEntry> points(cutoff);
+  uint64_t found = 0;
+  Status bad;
+  TSQ_RETURN_IF_ERROR(
+      tree.Search(everywhere, [&](uint64_t id, const spatial::Rect& rect) {
+        if (id >= indexed || !points[id].second.empty() ||
+            rect.lo() != rect.hi() ||
+            !CheckFinite(rect.lo(), "leaf point").ok()) {
+          bad = Status::Corruption("leaf entry " + std::to_string(id) +
+                                   " is not the one finite point of an id "
+                                   "the tree holds");
+          return false;
+        }
+        points[id] = {id, rect.lo()};
+        ++found;
+        return true;
+      }));
+  TSQ_RETURN_IF_ERROR(bad);
+  if (found != indexed) {
+    return Status::Corruption("tree leaves hold " + std::to_string(found) +
+                              " of its " + std::to_string(indexed) +
+                              " points");
+  }
+  const DeltaIndex& delta = *snap.delta;
+  TSQ_DCHECK(delta.base() == indexed);
+  for (SeriesId id = delta.base(); id < cutoff; ++id) {
+    const double* p = delta.CoordinatesAt(id - delta.base());
+    points[id] = {id, spatial::Point(p, p + delta.dims())};
+  }
+  return points;
 }
 
 }  // namespace
@@ -494,7 +547,29 @@ KIndexOptions Database::IndexOptions(const std::string& path) const {
   return kopts;
 }
 
-Result<std::shared_ptr<KIndex>> Database::BuildIndexFile(uint64_t limit) {
+Result<std::vector<KIndex::PointEntry>> Database::StoredPoints(
+    uint64_t limit) {
+  // One parallel scan per relation segment; ids are dense, so points[id]
+  // is each scanner's private slot and the result is in id order with no
+  // sorting. Each record shrinks to its point as it is read.
+  std::vector<KIndex::PointEntry> points(limit);
+  const size_t num_segments = relation_->num_segments();
+  std::vector<Status> segment_status(num_segments);
+  pool_.ParallelFor(num_segments, [&](size_t s) {
+    segment_status[s] =
+        relation_->ScanSegment(s, limit, [&](const SeriesRecord& rec) {
+          points[rec.id] = {rec.id, StoredPoint(extractor_, rec)};
+          return true;
+        });
+  });
+  for (const Status& status : segment_status) {
+    TSQ_RETURN_IF_ERROR(status);
+  }
+  return points;
+}
+
+Result<std::shared_ptr<KIndex>> Database::BuildIndexFile(
+    std::vector<KIndex::PointEntry> points) {
   // Build into scratch, flush, then atomically rename over the canonical
   // index file. A published tree keeps serving from its open descriptor
   // throughout; a crash anywhere here leaves the previous index file (or
@@ -504,28 +579,10 @@ Result<std::shared_ptr<KIndex>> Database::BuildIndexFile(uint64_t limit) {
   std::unique_ptr<KIndex> index;
   TSQ_ASSIGN_OR_RETURN(
       index, KIndex::Create(IndexOptions(tmp_path), series_length()));
-
-  // One parallel scan per relation segment collects every series'
-  // features — ids are dense, so items[id] is each scanner's private
-  // slot and the merged vector is in id order with no sorting. Features
-  // come from the same FromStored helper Insert's Extract shares, so the
-  // tree and the delta index the same points. STR bulk loading packs the
-  // tree in one pass.
-  std::vector<std::pair<SeriesId, SeriesFeatures>> items(limit);
-  const size_t num_segments = relation_->num_segments();
-  std::vector<Status> segment_status(num_segments);
-  pool_.ParallelFor(num_segments, [&](size_t s) {
-    segment_status[s] =
-        relation_->ScanSegment(s, limit, [&](const SeriesRecord& rec) {
-          items[rec.id] = {rec.id,
-                           extractor_.FromStored(rec.values, rec.dft)};
-          return true;
-        });
-  });
-  for (const Status& status : segment_status) {
-    TSQ_RETURN_IF_ERROR(status);
-  }
-  TSQ_RETURN_IF_ERROR(index->BulkLoad(items));
+  // STR packs the tree in one pass. It orders entries by center and id
+  // alone, so the same points give the same file whichever path
+  // collected them.
+  TSQ_RETURN_IF_ERROR(index->BulkLoad(std::move(points)));
 
   // Publication sequence with its crash points: fsync the complete temp
   // tree, atomically rename it over the canonical file, then fsync the
@@ -560,8 +617,7 @@ Result<std::shared_ptr<DeltaIndex>> Database::RebuildDelta(SeriesId base) {
   const uint64_t total = relation_->size();
   for (SeriesId id = base; id < total; ++id) {
     TSQ_ASSIGN_OR_RETURN(SeriesRecord rec, relation_->Get(id));
-    const SeriesFeatures features = extractor_.FromStored(rec.values, rec.dft);
-    TSQ_RETURN_IF_ERROR(delta->Put(id, extractor_.ToPoint(features)));
+    TSQ_RETURN_IF_ERROR(delta->Put(id, StoredPoint(extractor_, rec)));
   }
   return delta;
 }
@@ -594,8 +650,12 @@ Status Database::BuildIndex() {
     return Status::FailedPrecondition("index already built");
   }
   // The first merge: Reindex's build and publication over every stored
-  // series, with an empty delta after it.
-  TSQ_ASSIGN_OR_RETURN(std::shared_ptr<KIndex> index, BuildIndexFile(total));
+  // series, with an empty delta after it. No tree holds their points
+  // yet, so they come from the relation.
+  TSQ_ASSIGN_OR_RETURN(std::vector<KIndex::PointEntry> points,
+                       StoredPoints(total));
+  TSQ_ASSIGN_OR_RETURN(std::shared_ptr<KIndex> index,
+                       BuildIndexFile(std::move(points)));
   std::lock_guard<std::mutex> put_lock(delta_put_mutex_);
   Publish(std::move(index),
           std::make_shared<DeltaIndex>(total, options_.layout.dims()));
@@ -617,7 +677,21 @@ Result<uint64_t> Database::Reindex() {
   if (cutoff == snap->main->size()) {
     return snap->epoch;  // nothing to fold
   }
-  Result<std::shared_ptr<KIndex>> merged = BuildIndexFile(cutoff);
+  // The new tree's points are the published tree's plus the delta's, so
+  // the merge reads no record. Should the tree not give them back (a
+  // corrupt page), the relation still holds every one: scan it as
+  // BuildIndex does, which heals the tree.
+  Result<std::vector<KIndex::PointEntry>> points =
+      SnapshotPoints(*snap, cutoff);
+  if (!points.ok()) {
+    TSQ_LOG(kWarn) << "merge cannot read the published tree's points ("
+                   << points.status().ToString()
+                   << "); rebuilding them from the relation";
+    points = StoredPoints(cutoff);
+    if (!points.ok()) return EnterReadOnly(points.status());
+  }
+  Result<std::shared_ptr<KIndex>> merged =
+      BuildIndexFile(std::move(points).value());
   if (!merged.ok()) return EnterReadOnly(merged.status());
   if (merge_hook_) merge_hook_();
 

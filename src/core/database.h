@@ -167,8 +167,8 @@ struct DatabaseStats {
 /// Threads: a Database owns one ThreadPool, sized to the hardware
 /// concurrency, built at Create/Open and destroyed before the relation
 /// and the snapshot it serves. Every parallel step runs on it — RunBatch,
-/// the kTreeMatch join, InsertBatch's extraction and appends, the
-/// BuildIndex/Reindex segment scans — and so does tsqd. A `threads`
+/// the kTreeMatch join, InsertBatch's extraction and appends,
+/// BuildIndex's segment scans — and so does tsqd. A `threads`
 /// argument creates no thread: it caps how many threads drive one call
 /// (the caller is always one of them; 0 = the pool size). Every call may
 /// be made from inside a pool task, because ThreadPool::ParallelFor
@@ -185,9 +185,9 @@ struct DatabaseStats {
 /// delta index (DeltaIndex): a short slot write under the delta writer
 /// mutex — a writer-writer lock that no query path ever takes. A series
 /// is queryable the moment its insert call returns. BuildIndex requires
-/// exclusivity with every other call and refuses to run twice; it
-/// collects features with one parallel scan per relation segment feeding
-/// the STR bulk load.
+/// exclusivity with every other call and refuses to run twice; one
+/// parallel scan per relation segment turns each record into its index
+/// point for the STR bulk load.
 ///
 /// Why concurrent appends cannot deadlock, whatever the pool's queue
 /// order: an append of id m waits only on lower ids of m's segment (the
@@ -223,12 +223,14 @@ struct DatabaseStats {
 /// and each query's stats are exactly its own.
 ///
 /// Merging: Reindex (or the background merge thread, see
-/// DatabaseOptions::merge_interval_ms) STR-bulk-loads a fresh tree from
-/// the relation covering every merged-plus-visible-delta id, persists it
-/// to <name>.idx.tmp, atomically renames it over <name>.idx, and swaps
-/// the epoch pointer; the delta is compacted to the entries the new tree
-/// does not cover. BuildIndex is the first merge: the same build and
-/// publication over every stored series. So every published tree is on
+/// DatabaseOptions::merge_interval_ms) STR-bulk-loads a fresh tree over
+/// every merged-plus-visible-delta id from points the published snapshot
+/// already holds (the main tree's leaves and the delta's slots; no
+/// record is read), persists it to <name>.idx.tmp, atomically renames it
+/// over <name>.idx, and swaps the epoch pointer; the delta is compacted
+/// to the entries the new tree does not cover. BuildIndex is the first
+/// merge: the same build and publication over every stored series, with
+/// points from the relation. So every published tree is on
 /// disk before it is published and is never written again. A crash at
 /// any point leaves a reopenable database: Open accepts an index that
 /// covers a prefix of the relation and rebuilds the missing tail into
@@ -283,7 +285,8 @@ class Database {
   /// Builds the k-index over everything inserted so far and publishes it
   /// as epoch 1: the first merge, written, flushed, renamed over
   /// <name>.idx and made durable exactly as Reindex does (STR bulk
-  /// load).
+  /// load), from points one parallel scan per relation segment computes
+  /// from the stored records.
   /// Requires at least one series and exclusivity (no concurrent inserts
   /// or queries); refuses to run twice. Errors are returned without
   /// degrading the database. One before the rename leaves no <name>.idx;
@@ -306,14 +309,20 @@ class Database {
   }
 
   /// Folds the visible delta into a fresh main R*-tree and publishes the
-  /// next epoch: rebuild (parallel segment scans + STR bulk load) into
-  /// <name>.idx.tmp, flush, atomic rename over <name>.idx, directory
-  /// fsync, swap the snapshot pointer with the delta compacted to what
-  /// the new tree does not cover. In-flight queries keep their pinned
-  /// epoch; new queries see the merged tree. Returns the published epoch
-  /// (the current one when there was nothing to merge). A failed merge
-  /// degrades the database (see EnterReadOnly). Serialized against other
-  /// merges and BuildIndex; safe concurrently with inserts and queries.
+  /// next epoch: STR-bulk-load the pinned snapshot's points (the main
+  /// tree's leaves plus the delta's slots below the cutoff; no record is
+  /// read) into <name>.idx.tmp, flush, atomic rename over <name>.idx,
+  /// directory fsync, swap the snapshot pointer with the delta compacted
+  /// to what the new tree does not cover. Leaves that fail their checks
+  /// make the merge warn and take the points from the relation, as
+  /// BuildIndex does; index pages carry no checksum, so a corrupt
+  /// coordinate the page decoder accepts is carried forward (see
+  /// docs/ARCHITECTURE.md, "The merge"). In-flight queries keep their
+  /// pinned epoch; new queries see the merged tree. Returns the published
+  /// epoch (the current one when there was nothing to merge). A failed
+  /// merge degrades the database (see EnterReadOnly). Serialized against
+  /// other merges and BuildIndex; safe concurrently with inserts and
+  /// queries.
   Result<uint64_t> Reindex();
 
   /// Number of stored series / their common length (0 before first insert).
@@ -444,13 +453,18 @@ class Database {
   /// the writer mutex; on a full delta, merges and retries once.
   Status DeltaPut(SeriesId id, const spatial::Point& point);
 
-  /// The one way an index file is written: builds a KIndex over
-  /// relation ids [0, limit) into <name>.idx.tmp — parallel per-segment
-  /// feature scans feeding one STR bulk load — flushes it, renames it
-  /// over <name>.idx and fsyncs the directory. Shared by BuildIndex and
-  /// Reindex; the reindex_* failpoints stop it before the flush, before
-  /// the rename and after it.
-  Result<std::shared_ptr<KIndex>> BuildIndexFile(uint64_t limit);
+  /// The one way an index file is written: STR-bulk-loads `points` into
+  /// a KIndex at <name>.idx.tmp, flushes it, renames it over <name>.idx
+  /// and fsyncs the directory. BuildIndex passes StoredPoints, Reindex
+  /// the published snapshot's points. The reindex_* failpoints stop it
+  /// before the flush, before the rename and after it.
+  Result<std::shared_ptr<KIndex>> BuildIndexFile(
+      std::vector<KIndex::PointEntry> points);
+
+  /// The index points of relation ids [0, limit), points[id] holding id's:
+  /// one parallel scan per relation segment turns each record into its
+  /// point as it reads it.
+  Result<std::vector<KIndex::PointEntry>> StoredPoints(uint64_t limit);
 
   /// The delta over relation ids [base, size()), rebuilt from the stored
   /// records: Open's and Repair's tail rebuild.

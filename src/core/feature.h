@@ -115,7 +115,8 @@ class FeatureExtractor {
   /// FromStored(values, Extract(values).spectrum) == Extract(values)
   /// field for field, which is what keeps the incremental index path
   /// (Insert) and the bulk path (BuildIndex's relation scan) provably
-  /// identical.
+  /// identical, and lets a merge pack the delta's Extract points beside
+  /// the tree's into the tree a fresh BuildIndex would write.
   SeriesFeatures FromStored(const RealVec& values, ComplexVec spectrum) const;
 
   /// Index point for extracted features (truncates the spectrum to the

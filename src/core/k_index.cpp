@@ -42,22 +42,19 @@ Result<std::unique_ptr<KIndex>> KIndex::Open(const KIndexOptions& options,
   return index;
 }
 
-Status KIndex::BulkLoad(
-    const std::vector<std::pair<SeriesId, SeriesFeatures>>& items) {
+Status KIndex::BulkLoad(std::vector<PointEntry> points) {
   std::vector<rtree::Entry> entries;
-  entries.reserve(items.size());
-  for (const auto& [id, features] : items) {
-    if (features.spectrum.size() != series_length_) {
-      return Status::InvalidArgument(
-          "series spectrum length mismatch in BulkLoad");
-    }
-    const spatial::Point point = extractor().ToPoint(features);
+  entries.reserve(points.size());
+  for (auto& [id, point] : points) {
     TSQ_RETURN_IF_ERROR(CheckFinite(point, "indexed series feature"));
+    // The point becomes the rect's upper corner, a copy its lower one.
+    spatial::Point lo = point;
     rtree::Entry e;
-    e.rect = spatial::Rect::FromPoint(point);
+    e.rect = spatial::Rect(std::move(lo), std::move(point));
     e.id = id;
     entries.push_back(std::move(e));
   }
+  std::vector<PointEntry>().swap(points);  // free before STR's slabs
   // STR tiles the spectral dims only: the mean/std dims are bounded by
   // no query without a window, and the kNN metric ignores them. Ranges
   // with a mean/std window pay for it; docs/ARCHITECTURE.md (the merge)

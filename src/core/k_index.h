@@ -15,6 +15,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -52,12 +53,18 @@ class KIndex {
   static Result<std::unique_ptr<KIndex>> Open(const KIndexOptions& options,
                                               size_t series_length);
 
-  /// Loads every series into an empty index at once, by STR packing (see
+  /// One series' index point (FeatureExtractor::ToPoint) under its id.
+  using PointEntry = std::pair<SeriesId, spatial::Point>;
+
+  /// Loads every point into an empty index at once, by STR packing (see
   /// rtree::RStarTree::BulkLoad), the only way an index is written. STR
   /// tiles the spectral dims only, from layout().spectral_offset(); the
-  /// mean/std dims stay in every MBR.
-  Status BulkLoad(
-      const std::vector<std::pair<SeriesId, SeriesFeatures>>& items);
+  /// mean/std dims stay in every MBR. The points come from the database:
+  /// BuildIndex turns each stored record into its point as its segment
+  /// scan reads it, and a merge carries the published tree's leaf points
+  /// forward with the delta's. A point with a non-finite coordinate fails
+  /// with InvalidArgument before any rectangle is formed from it.
+  Status BulkLoad(std::vector<PointEntry> points);
 
   /// Algorithm 2's search step over the tree: appends every leaf entry
   /// that `filter` keeps (FeatureSpace::Keeps: inside the search

@@ -11,11 +11,15 @@
 // (stale .idx.tmp, relation ahead of the on-disk tree), tree teardown
 // that writes no page and syncs nothing, a Create that drops the old
 // index of its name, the background merge thread, and a TSan-sized
-// ingest+query+merge+stats race. The CI TSan job runs this binary
-// alongside concurrency_stress_test.
+// ingest+query+merge+stats race, a merge that writes the file a fresh
+// build writes without reading a record, and a merge over a corrupt
+// published tree. The CI TSan job runs this binary alongside
+// concurrency_stress_test.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
@@ -26,6 +30,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/logging.h"
 #include "core/database.h"
 #include "core/delta_index.h"
 #include "core/index_snapshot.h"
@@ -472,6 +477,137 @@ TEST(DatabaseCreateTest, CreateOverAnIndexedDatabaseStartsUnindexed) {
     auto range = Range(reopened->get(), stored, 0.5);
     ASSERT_TRUE(range.ok()) << range.status().ToString();
     EXPECT_FALSE(range->empty()) << "series " << id;
+  }
+}
+
+TEST(MergeFileTest, MergeWritesTheFreshBuildsBytesAndReadsNoRecord) {
+  // A merge packs the published tree's leaf points plus the delta's.
+  // STR orders entries by center and id alone, and a delta point equals
+  // the one FromStored computes, so the merged file is the file
+  // BuildIndex writes over the same series in one go.
+  constexpr size_t kBase = 3000;
+  constexpr size_t kBatches = 8;
+  constexpr size_t kBatch = 256;
+  const std::vector<TimeSeries> data = workload::MakeRandomWalkDataset(
+      kSeed, kBase + kBatches * kBatch, kLength);
+  const auto insert = [&data](Database* db, size_t from, size_t to) {
+    std::vector<std::string> names;
+    std::vector<RealVec> values;
+    for (size_t i = from; i < to; ++i) {
+      names.push_back(data[i].name());
+      values.push_back(data[i].values());
+    }
+    ASSERT_TRUE(db->InsertBatch(names, values).ok());
+  };
+  testing::TempDir dir;
+  DatabaseOptions options;
+  options.directory = dir.path();
+
+  options.name = "merged";
+  auto merged = Database::Create(options).value();
+  insert(merged.get(), 0, kBase);
+  ASSERT_TRUE(merged->BuildIndex().ok());
+  for (size_t b = 0; b < kBatches; ++b) {
+    insert(merged.get(), kBase + b * kBatch, kBase + (b + 1) * kBatch);
+  }
+  const uint64_t read_before = merged->StatsSnapshot().relation_records_read;
+  ASSERT_TRUE(merged->Reindex().ok());
+  EXPECT_EQ(merged->StatsSnapshot().relation_records_read, read_before);
+  EXPECT_EQ(merged->StatsSnapshot().tree_entries, data.size());
+
+  options.name = "fresh";
+  auto fresh = Database::Create(options).value();
+  insert(fresh.get(), 0, data.size());
+  ASSERT_TRUE(fresh->BuildIndex().ok());
+
+  const std::string merged_bytes =
+      testing::ReadFileBytes(dir.file("merged.idx"));
+  const std::string fresh_bytes = testing::ReadFileBytes(dir.file("fresh.idx"));
+  EXPECT_EQ(merged_bytes.size(), fresh_bytes.size());
+  EXPECT_TRUE(merged_bytes == fresh_bytes)
+      << "merged.idx differs from a fresh build's file";
+}
+
+TEST_F(ReindexTest, MergeOverACorruptTreeRebuildsItFromTheRelation) {
+  // Index pages carry no checksum, so the merge checks the leaves it
+  // carries forward. A leaf page the decoder rejects makes it warn and
+  // take every point from the relation, as BuildIndex does, and the
+  // tree it publishes answers every query again.
+  ASSERT_TRUE(db_->Flush().ok());
+  db_.reset();
+  const std::string path = dir_.file("reindex.idx");
+  const std::string bytes = testing::ReadFileBytes(path);
+  const auto u32_at = [&bytes](size_t offset) {
+    uint32_t v = 0;
+    for (size_t b = 0; b < 4; ++b) {
+      v |= uint32_t{static_cast<uint8_t>(bytes[offset + b])} << (8 * b);
+    }
+    return v;
+  };
+  constexpr uint32_t kNodeMagic = 0x4E515354;  // "TSQN", little-endian
+  size_t leaf_offset = 0;
+  for (size_t offset = 2 * kDefaultPageSize; offset < bytes.size();
+       offset += kDefaultPageSize) {
+    if (u32_at(offset) == kNodeMagic && u32_at(offset + 4) == 0) {
+      leaf_offset = offset;
+      break;
+    }
+  }
+  ASSERT_NE(leaf_offset, 0u) << "no leaf page in " << path;
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(static_cast<std::streamoff>(leaf_offset));
+    file.write("\0\0\0\0", 4);
+    ASSERT_TRUE(file.good());
+  }
+
+  db_ = Database::Open(Options()).value();
+  IngestSecondHalf();
+  const uint64_t read_before = db_->StatsSnapshot().relation_records_read;
+  const LogLevel level = Logger::GetLevel();
+  Logger::SetLevel(LogLevel::kWarn);
+  ::testing::internal::CaptureStderr();
+  const Result<uint64_t> epoch = db_->Reindex();
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  Logger::SetLevel(level);
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  EXPECT_NE(log.find("rebuilding them from the relation"), std::string::npos)
+      << log;
+  EXPECT_GT(db_->StatsSnapshot().relation_records_read, read_before);
+  EXPECT_FALSE(db_->degraded());
+  EXPECT_EQ(db_->StatsSnapshot().tree_entries, kNumSeries);
+
+  for (size_t i = 0; i < kNumSeries; i += 3) {
+    const RealVec& q = data_[i].values();
+    for (const double eps : {2.0, 5.0}) {
+      auto got = Range(db_.get(), q, eps);
+      auto want = testing::Scan(db_.get(), q, eps);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_EQ(got->size(), want->size()) << "series " << i;
+      for (size_t m = 0; m < want->size(); ++m) {
+        EXPECT_EQ((*got)[m].id, (*want)[m].id) << "series " << i;
+        EXPECT_EQ((*got)[m].distance, (*want)[m].distance) << "series " << i;
+      }
+    }
+    // Brute-force kNN: every record by (squared distance, id), the order
+    // the refine ranks by.
+    const ComplexVec target = db_->extractor().Extract(q).spectrum;
+    std::vector<std::pair<double, SeriesId>> all;
+    for (SeriesId id = 0; id < db_->size(); ++id) {
+      all.emplace_back(cvec::DistanceSquared(db_->Get(id).value().dft, target),
+                       id);
+    }
+    std::sort(all.begin(), all.end());
+    constexpr size_t kK = 4;
+    auto knn = Knn(db_.get(), q, kK);
+    ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+    ASSERT_EQ(knn->size(), kK);
+    for (size_t j = 0; j < kK; ++j) {
+      EXPECT_EQ((*knn)[j].id, all[j].second) << "series " << i;
+      EXPECT_EQ((*knn)[j].distance, std::sqrt(all[j].first))
+          << "series " << i;
+    }
   }
 }
 

@@ -24,7 +24,9 @@ Four classes of failure:
    the kNN first-leaf stop and the R*-tree's dynamic half (insertion,
    the R* split, forced reinsertion, deletion, their options, the
    incremental index builds and BufferPool::Delete) must not be named
-   in the README, docs/ or src/ headers.
+   in the README, docs/ or src/ headers. Nor may they describe a merge
+   that re-reads the relation: merges pack the published tree's points
+   plus the delta's, and only BuildIndex scans the relation segments.
 
 3. Required sections: load-bearing doc sections that later PRs link to
    (the kernel determinism contract, the wire-protocol versioning rule,
@@ -133,6 +135,16 @@ STALE_API_PATTERNS = [
     r"Add[S]eries",
     r"SubsequenceIndex::[C]reate",
     r"BufferPool::[D]elete",
+]
+
+# Phrases of the merge that re-read every record (a merge now packs the
+# published tree's leaf points plus the delta's; see check 2). Checked
+# against README.md, docs/*.md and every header under src/.
+# Case-insensitive.
+STALE_MERGE_PATTERNS = [
+    r"Reindex`?\s+segment\s+scans",
+    r"rebuild\s+features\s+for\s+ids",
+    r"parallel\s+segment\s+scans\s*\+\s*STR",
 ]
 
 SKIP_DIRS = {".git", "build", "build-tsan", "third_party", ".github",
@@ -333,6 +345,11 @@ def main():
                     prose_files + docs,
                     [re.compile(p) for p in STALE_API_PATTERNS],
                     "removed API") +
+                check_stale_prose(
+                    prose_files + docs,
+                    [re.compile(p, re.IGNORECASE)
+                     for p in STALE_MERGE_PATTERNS],
+                    "merge prose") +
                 check_required_sections() + check_source_doc_refs(md_files))
     if problems:
         print(f"docs-check: {len(problems)} problem(s)")
