@@ -183,11 +183,11 @@ void RunTilingAblation(const std::vector<TimeSeries>& market) {
         dir.path() + (spectral_only ? "/spectral.pages" : "/all.pages");
     auto file = PageFile::Create(path, db->options().page_size).value();
     BufferPool pool(file.get(), db->options().buffer_pool_frames);
-    auto tree = rtree::RStarTree::Create(&pool, dims).value();
     const size_t first_tiled_dim =
         spectral_only ? index.layout().spectral_offset() : 0;
     Stopwatch build_watch;
-    TSQ_CHECK(tree->BulkLoad(entries, first_tiled_dim).ok());
+    auto tree =
+        rtree::RStarTree::Build(&pool, dims, entries, first_tiled_dim).value();
     const double build_ms = build_watch.ElapsedMillis();
     std::string nodes_per_query[3];
     for (size_t w = 0; w < 3; ++w) {

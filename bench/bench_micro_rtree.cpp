@@ -45,13 +45,12 @@ struct TreeEnv {
                .string();
     file = PageFile::Create(path).value();
     pool = std::make_unique<BufferPool>(file.get(), pool_frames);
-    tree = RStarTree::Create(pool.get(), dims).value();
     std::vector<rtree::Entry> entries(count);
     for (size_t i = 0; i < count; ++i) {
       entries[i].rect = spatial::Rect::FromPoint(RandomPoint(rng, dims));
       entries[i].id = i;
     }
-    TSQ_CHECK(tree->BulkLoad(std::move(entries), 0).ok());
+    tree = RStarTree::Build(pool.get(), dims, std::move(entries), 0).value();
   }
   ~TreeEnv() {
     tree.reset();

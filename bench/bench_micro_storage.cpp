@@ -34,7 +34,7 @@ std::string TempPath(const char* tag) {
 void BM_PageFileWrite(benchmark::State& state) {
   const std::string path = TempPath("pfw");
   auto file = PageFile::Create(path).value();
-  const PageId id = file->Allocate().value();
+  const PageId id = file->Allocate();
   Page page(kDefaultPageSize);
   uint64_t v = 0;
   for (auto _ : state) {
@@ -51,8 +51,9 @@ BENCHMARK(BM_PageFileWrite);
 void BM_PageFileRead(benchmark::State& state) {
   const std::string path = TempPath("pfr");
   auto file = PageFile::Create(path).value();
-  const PageId id = file->Allocate().value();
+  const PageId id = file->Allocate();
   Page page(kDefaultPageSize);
+  TSQ_CHECK(file->Write(id, page).ok());
   for (auto _ : state) {
     benchmark::DoNotOptimize(file->Read(id, &page).ok());
   }
@@ -63,14 +64,25 @@ void BM_PageFileRead(benchmark::State& state) {
 }
 BENCHMARK(BM_PageFileRead);
 
+/// Appends `count` zeroed pages to `file` and returns their ids: the
+/// pages a pool cell then reads.
+std::vector<PageId> AppendPages(PageFile* file, size_t count) {
+  std::vector<PageId> ids;
+  const Page page(file->page_size());
+  for (size_t i = 0; i < count; ++i) {
+    ids.push_back(file->Allocate());
+    TSQ_CHECK(file->Write(ids.back(), page).ok());
+  }
+  return ids;
+}
+
 void BM_BufferPoolHit(benchmark::State& state) {
   const std::string path = TempPath("bph");
   auto file = PageFile::Create(path).value();
+  const PageId id = AppendPages(file.get(), 1)[0];
   {
-    // Scoped: the pool flushes dirty frames at destruction, so it must
-    // die before the file it writes to.
     BufferPool pool(file.get(), 16);
-    const PageId id = pool.New().value().id();
+    TSQ_CHECK(pool.Fetch(id).ok());  // cached from here on
     for (auto _ : state) {
       auto handle = pool.Fetch(id);
       benchmark::DoNotOptimize(handle->page());
@@ -85,11 +97,9 @@ void BM_BufferPoolMissEvict(benchmark::State& state) {
   // Every fetch misses: the working set is twice the pool capacity.
   const std::string path = TempPath("bpm");
   auto file = PageFile::Create(path).value();
+  const std::vector<PageId> ids = AppendPages(file.get(), 16);
   {
-    // Scoped: destruction flushes into the file (see BM_BufferPoolHit).
     BufferPool pool(file.get(), 8);
-    std::vector<PageId> ids;
-    for (int i = 0; i < 16; ++i) ids.push_back(pool.New().value().id());
     size_t next = 0;
     for (auto _ : state) {
       auto handle = pool.Fetch(ids[next]);

@@ -543,7 +543,6 @@ KIndexOptions Database::IndexOptions(const std::string& path) const {
   kopts.path = path;
   kopts.page_size = options_.page_size;
   kopts.buffer_pool_frames = options_.buffer_pool_frames;
-  kopts.rtree = options_.rtree;
   return kopts;
 }
 
@@ -576,13 +575,13 @@ Result<std::shared_ptr<KIndex>> Database::BuildIndexFile(
   // none) plus ignorable scratch, or the complete new one.
   const std::string tmp_path = IndexPath() + ".tmp";
   std::remove(tmp_path.c_str());
-  std::unique_ptr<KIndex> index;
+  // STR packs the tree in one pass, writing each page once. It orders
+  // entries by center and id alone, so the same points give the same
+  // file whichever path collected them.
   TSQ_ASSIGN_OR_RETURN(
-      index, KIndex::Create(IndexOptions(tmp_path), series_length()));
-  // STR packs the tree in one pass. It orders entries by center and id
-  // alone, so the same points give the same file whichever path
-  // collected them.
-  TSQ_RETURN_IF_ERROR(index->BulkLoad(std::move(points)));
+      std::unique_ptr<KIndex> index,
+      KIndex::Build(IndexOptions(tmp_path), series_length(),
+                    std::move(points)));
 
   // Publication sequence with its crash points: fsync the complete temp
   // tree, atomically rename it over the canonical file, then fsync the

@@ -92,7 +92,6 @@ struct DatabaseOptions {
   /// Relation segment files — the parallel ingest lanes (see Relation).
   /// Open rediscovers the count from disk; this applies to Create only.
   size_t relation_segments = 4;
-  rtree::RTreeOptions rtree;
   /// Background merge cadence in milliseconds: when non-zero, a merge
   /// thread periodically folds the delta index into a fresh main tree
   /// (see Reindex). 0 (the default) disables the thread; merges then
@@ -139,7 +138,7 @@ struct DatabaseStats {
   uint64_t pool_misses = 0;
   uint64_t pool_evictions = 0;
   uint64_t pool_disk_reads = 0;
-  uint64_t pool_disk_writes = 0;
+  uint64_t pool_disk_writes = 0;  ///< index pages built: one per page
   // R*-tree traversal counters; zero before the index is opened or built.
   uint64_t nodes_visited = 0;
   uint64_t rect_transforms = 0;
@@ -453,9 +452,10 @@ class Database {
   /// the writer mutex; on a full delta, merges and retries once.
   Status DeltaPut(SeriesId id, const spatial::Point& point);
 
-  /// The one way an index file is written: STR-bulk-loads `points` into
-  /// a KIndex at <name>.idx.tmp, flushes it, renames it over <name>.idx
-  /// and fsyncs the directory. BuildIndex passes StoredPoints, Reindex
+  /// The one way an index file is written: KIndex::Build packs `points`
+  /// by STR into <name>.idx.tmp, each page written once, then this syncs
+  /// the file (KIndex::Flush), renames it over <name>.idx and fsyncs the
+  /// directory. BuildIndex passes StoredPoints, Reindex
   /// the published snapshot's points. The reindex_* failpoints stop it
   /// before the flush, before the rename and after it.
   Result<std::shared_ptr<KIndex>> BuildIndexFile(

@@ -4,45 +4,10 @@
 
 namespace tsq {
 
-Result<std::unique_ptr<KIndex>> KIndex::Create(const KIndexOptions& options,
-                                               size_t series_length) {
+Result<std::unique_ptr<KIndex>> KIndex::Build(const KIndexOptions& options,
+                                              size_t series_length,
+                                              std::vector<PointEntry> points) {
   TSQ_RETURN_IF_ERROR(options.layout.Validate(series_length));
-  auto index = std::unique_ptr<KIndex>(
-      new KIndex(options.layout, series_length));
-  TSQ_ASSIGN_OR_RETURN(index->file_,
-                       PageFile::Create(options.path, options.page_size));
-  index->pool_ = std::make_unique<BufferPool>(index->file_.get(),
-                                              options.buffer_pool_frames);
-  TSQ_ASSIGN_OR_RETURN(
-      index->tree_,
-      rtree::RStarTree::Create(index->pool_.get(), options.layout.dims(),
-                               options.rtree));
-  return index;
-}
-
-Result<std::unique_ptr<KIndex>> KIndex::Open(const KIndexOptions& options,
-                                             size_t series_length) {
-  TSQ_RETURN_IF_ERROR(options.layout.Validate(series_length));
-  auto index = std::unique_ptr<KIndex>(
-      new KIndex(options.layout, series_length));
-  TSQ_ASSIGN_OR_RETURN(index->file_, PageFile::Open(options.path));
-  index->pool_ = std::make_unique<BufferPool>(index->file_.get(),
-                                              options.buffer_pool_frames);
-  // KIndex::Create allocates the meta page first, so it is always page 1.
-  TSQ_ASSIGN_OR_RETURN(
-      index->tree_,
-      rtree::RStarTree::Open(index->pool_.get(), /*meta_page=*/1,
-                             options.rtree));
-  if (index->tree_->dims() != options.layout.dims()) {
-    return Status::InvalidArgument(
-        "index on disk has " + std::to_string(index->tree_->dims()) +
-        " dims but the layout describes " +
-        std::to_string(options.layout.dims()));
-  }
-  return index;
-}
-
-Status KIndex::BulkLoad(std::vector<PointEntry> points) {
   std::vector<rtree::Entry> entries;
   entries.reserve(points.size());
   for (auto& [id, point] : points) {
@@ -55,11 +20,44 @@ Status KIndex::BulkLoad(std::vector<PointEntry> points) {
     entries.push_back(std::move(e));
   }
   std::vector<PointEntry>().swap(points);  // free before STR's slabs
+  auto index = std::unique_ptr<KIndex>(
+      new KIndex(options.layout, series_length));
+  TSQ_ASSIGN_OR_RETURN(index->file_,
+                       PageFile::Create(options.path, options.page_size));
+  index->pool_ = std::make_unique<BufferPool>(index->file_.get(),
+                                              options.buffer_pool_frames);
   // STR tiles the spectral dims only: the mean/std dims are bounded by
   // no query without a window, and the kNN metric ignores them. Ranges
   // with a mean/std window pay for it; docs/ARCHITECTURE.md (the merge)
   // gives both sides of the trade as measured.
-  return tree_->BulkLoad(std::move(entries), layout().spectral_offset());
+  TSQ_ASSIGN_OR_RETURN(
+      index->tree_,
+      rtree::RStarTree::Build(index->pool_.get(), options.layout.dims(),
+                              std::move(entries),
+                              options.layout.spectral_offset()));
+  return index;
+}
+
+Result<std::unique_ptr<KIndex>> KIndex::Open(const KIndexOptions& options,
+                                             size_t series_length) {
+  TSQ_RETURN_IF_ERROR(options.layout.Validate(series_length));
+  auto index = std::unique_ptr<KIndex>(
+      new KIndex(options.layout, series_length));
+  TSQ_ASSIGN_OR_RETURN(index->file_, PageFile::Open(options.path));
+  index->pool_ = std::make_unique<BufferPool>(index->file_.get(),
+                                              options.buffer_pool_frames);
+  // RStarTree::Build allocates the meta page first, so in a file of its
+  // own it is always page 1.
+  TSQ_ASSIGN_OR_RETURN(
+      index->tree_,
+      rtree::RStarTree::Open(index->pool_.get(), /*meta_page=*/1));
+  if (index->tree_->dims() != options.layout.dims()) {
+    return Status::InvalidArgument(
+        "index on disk has " + std::to_string(index->tree_->dims()) +
+        " dims but the layout describes " +
+        std::to_string(options.layout.dims()));
+  }
+  return index;
 }
 
 Status KIndex::RangeCandidates(const RangeFilter& filter,
@@ -81,9 +79,6 @@ Status KIndex::StreamNearest(const rtree::NnMetric& metric,
   return tree_->NearestNeighborsStream(metric, map, emit);
 }
 
-Status KIndex::Flush() {
-  TSQ_RETURN_IF_ERROR(tree_->SaveMeta());
-  return pool_->FlushAll();
-}
+Status KIndex::Flush() { return file_->Sync(); }
 
 }  // namespace tsq

@@ -33,7 +33,6 @@ struct KIndexOptions {
   std::string path = "tsq_index.pages";  ///< backing page file
   size_t page_size = kDefaultPageSize;
   size_t buffer_pool_frames = 1024;
-  rtree::RTreeOptions rtree;
 };
 
 /// A k-coefficient spatial index over series features.
@@ -42,29 +41,30 @@ class KIndex {
   TSQ_DISALLOW_COPY_AND_MOVE(KIndex);
   ~KIndex() = default;
 
-  /// Creates a fresh index for series of the given length.
-  static Result<std::unique_ptr<KIndex>> Create(const KIndexOptions& options,
-                                                size_t series_length);
-
-  /// Reopens an index previously created at options.path. The layout in
-  /// `options` must match the one the index was built with (tsq stores the
-  /// tree geometry, not the layout; a mismatch surfaces as a dimensionality
-  /// error). The tree's meta page is always the first page of the file.
-  static Result<std::unique_ptr<KIndex>> Open(const KIndexOptions& options,
-                                              size_t series_length);
-
   /// One series' index point (FeatureExtractor::ToPoint) under its id.
   using PointEntry = std::pair<SeriesId, spatial::Point>;
 
-  /// Loads every point into an empty index at once, by STR packing (see
-  /// rtree::RStarTree::BulkLoad), the only way an index is written. STR
-  /// tiles the spectral dims only, from layout().spectral_offset(); the
-  /// mean/std dims stay in every MBR. The points come from the database:
+  /// Writes a fresh index file at options.path over every point at once,
+  /// by STR packing (see rtree::RStarTree::Build), the only way an index
+  /// is written: each page once, straight to the file. STR tiles the
+  /// spectral dims only, from layout().spectral_offset(); the mean/std
+  /// dims stay in every MBR. The points come from the database:
   /// BuildIndex turns each stored record into its point as its segment
   /// scan reads it, and a merge carries the published tree's leaf points
   /// forward with the delta's. A point with a non-finite coordinate fails
-  /// with InvalidArgument before any rectangle is formed from it.
-  Status BulkLoad(std::vector<PointEntry> points);
+  /// with InvalidArgument before any rectangle is formed from it. The
+  /// file's header is written by Flush.
+  static Result<std::unique_ptr<KIndex>> Build(const KIndexOptions& options,
+                                               size_t series_length,
+                                               std::vector<PointEntry> points);
+
+  /// Reopens, read-only, an index previously built at options.path. The
+  /// layout in `options` must match the one the index was built with (tsq
+  /// stores the tree geometry, not the layout; a mismatch surfaces as a
+  /// dimensionality error). The tree's meta page is always the first page
+  /// of the file.
+  static Result<std::unique_ptr<KIndex>> Open(const KIndexOptions& options,
+                                              size_t series_length);
 
   /// Algorithm 2's search step over the tree: appends every leaf entry
   /// that `filter` keeps (FeatureSpace::Keeps: inside the search
@@ -100,7 +100,9 @@ class KIndex {
   BufferPool* pool() { return pool_.get(); }
   const BufferPool* pool() const { return pool_.get(); }
 
-  /// Persists the tree meta page and writes back every dirty page.
+  /// Syncs a built index's file (PageFile::Sync): its header, then every
+  /// page, on stable storage. An opened index is read-only, so Flush on
+  /// it fails.
   Status Flush();
 
  private:

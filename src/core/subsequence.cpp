@@ -132,10 +132,10 @@ Result<std::unique_ptr<SubsequenceIndex>> SubsequenceIndex::Build(
                        PageFile::Create(options.path, options.page_size));
   index->pool_ = std::make_unique<BufferPool>(index->file_.get(),
                                               options.buffer_pool_frames);
-  TSQ_ASSIGN_OR_RETURN(index->tree_,
-                       rtree::RStarTree::Create(index->pool_.get(),
-                                                2 * options.coefficients));
-  TSQ_RETURN_IF_ERROR(index->tree_->BulkLoad(std::move(pieces), 0));
+  TSQ_ASSIGN_OR_RETURN(
+      index->tree_,
+      rtree::RStarTree::Build(index->pool_.get(), 2 * options.coefficients,
+                              std::move(pieces), /*first_tiled_dim=*/0));
   return index;
 }
 

@@ -99,10 +99,10 @@ Result<std::vector<JoinPair>> SelfJoin(
 
   // Phase 1 (parallel descent): the qualifying root-child pairs are
   // independent lockstep-descent tasks (JoinSeeds mirrors the order the
-  // sequential traversal would recurse in). Each seed collects candidates
-  // into its own buffer; concatenating the buffers in seed order yields
-  // exactly the sequential JoinWith candidate sequence, so the join stays
-  // bit-identical at every thread count.
+  // descent from {root, root} would recurse in). Each seed collects
+  // candidates into its own buffer; concatenating the buffers in seed
+  // order yields exactly that descent's candidate sequence, so the join
+  // stays bit-identical at every thread count.
   std::vector<rtree::RStarTree::JoinSeed> seeds;
   {
     const obs::IndexCounterScope to_join(&tally), to_db(counters);

@@ -133,12 +133,12 @@ std::vector<BatchResult> RunBatch(const IndexView& view,
 /// descent itself across the drivers: the qualifying root-child pairs
 /// (rtree::RStarTree::JoinSeeds) are independent descent tasks, each
 /// collecting candidates into a per-seed buffer, and the buffers are
-/// concatenated in seed order — exactly the sequential JoinWith
-/// candidate sequence. Phase 2 fetches+transforms every referenced
+/// concatenated in seed order — exactly the candidate sequence of the
+/// one descent from {root, root}. Phase 2 fetches+transforms every referenced
 /// record exactly once into a shared dense cache and partitions the
 /// candidate pairs across the drivers for full-length verification,
 /// merging per-partition answers in partition order. The output — the
-/// verified JoinWith candidates in descent order, then the delta probes'
+/// verified tree candidates in descent order, then the delta probes'
 /// in slot order — is the same pairs in the same order for any thread
 /// count (Database::SelfJoin's JoinMethod::kTreeMatch), and `stats` is
 /// exact (per-driver thread-local tallies). The index-counter delta of

@@ -67,12 +67,12 @@ const ThreadStageNanos& ThisThreadStageNanos();
 /// line. A Fetch counts as a hit or a miss exactly once, however many
 /// optimistic retries or load-waits it takes.
 struct IndexCounters {
-  // Buffer pool (storage/buffer_pool.h).
+  // Buffer pool (storage/buffer_pool.h), and the tree build's writes.
   uint64_t hits = 0;         ///< fetches that pinned a cached page
   uint64_t misses = 0;       ///< fetches that claimed a frame themselves
   uint64_t evictions = 0;    ///< cached pages dropped to free a frame
   uint64_t disk_reads = 0;   ///< pages read from the page file
-  uint64_t disk_writes = 0;  ///< pages written to the page file
+  uint64_t disk_writes = 0;  ///< pages a tree build wrote, each once
   // R*-tree (rtree/rstar_tree.h).
   uint64_t nodes_visited = 0;        ///< node pages decoded
   uint64_t rect_transforms = 0;      ///< MBRs mapped (Algorithm 1 work)

@@ -114,40 +114,6 @@ RStarTree::RStarTree(BufferPool* pool, size_t dims,
   min_fill_ = std::max<size_t>(1, max_entries_ * kMinFillPercent / 100);
 }
 
-RStarTree::~RStarTree() {
-  // Persist meta so reopening sees the final tree. Errors are swallowed:
-  // destructors have no error channel, and SaveMeta is available to callers
-  // who need the status.
-  SaveMeta().ok();
-}
-
-Result<std::unique_ptr<RStarTree>> RStarTree::Create(
-    BufferPool* pool, size_t dims, const RTreeOptions& options) {
-  if (dims < 1) {
-    return Status::InvalidArgument("tree dimensionality must be >= 1");
-  }
-  if (NodeCapacity(pool->file()->page_size(), dims) < 4) {
-    return Status::InvalidArgument(
-        "page size too small for dimensionality " + std::to_string(dims));
-  }
-  auto tree =
-      std::unique_ptr<RStarTree>(new RStarTree(pool, dims, options));
-
-  // Allocate meta page and an empty leaf root.
-  TSQ_ASSIGN_OR_RETURN(PageHandle meta, pool->New());
-  tree->meta_page_ = meta.id();
-  meta.Release();
-
-  TSQ_ASSIGN_OR_RETURN(tree->root_, tree->AllocateNodePage());
-  Node root;
-  root.id = tree->root_;
-  root.level = 0;
-  TSQ_RETURN_IF_ERROR(tree->StoreNode(root));
-  tree->height_ = 1;
-  TSQ_RETURN_IF_ERROR(tree->SaveMeta());
-  return tree;
-}
-
 Result<std::unique_ptr<RStarTree>> RStarTree::Open(
     BufferPool* pool, PageId meta_page, const RTreeOptions& options) {
   TSQ_ASSIGN_OR_RETURN(PageHandle meta, pool->Fetch(meta_page));
@@ -167,24 +133,6 @@ Result<std::unique_ptr<RStarTree>> RStarTree::Open(
   tree->size_ = p->ReadU64(24);
   tree->height_ = static_cast<uint32_t>(p->ReadU64(32));
   return tree;
-}
-
-Status RStarTree::SaveMeta() {
-  TSQ_ASSIGN_OR_RETURN(PageHandle meta, pool_->Fetch(meta_page_));
-  Page* p = meta.page();
-  // Dirty the page only on a change, so closing or retiring a tree whose
-  // meta is already saved writes nothing.
-  if (p->ReadU64(16) == root_ && p->ReadU64(24) == size_ &&
-      p->ReadU64(32) == height_) {
-    return Status::OK();
-  }
-  p->WriteU64(0, kMetaMagic);
-  p->WriteU64(8, dims_);
-  p->WriteU64(16, root_);
-  p->WriteU64(24, size_);
-  p->WriteU64(32, height_);
-  meta.MarkDirty();
-  return Status::OK();
 }
 
 Result<Node> RStarTree::LoadNode(PageId id) const {
@@ -219,21 +167,8 @@ Status RStarTree::ReadNode(PageId id, uint32_t expected_level,
   return Status::OK();
 }
 
-Status RStarTree::StoreNode(const Node& node) {
-  TSQ_ASSIGN_OR_RETURN(PageHandle handle, pool_->Fetch(node.id));
-  TSQ_RETURN_IF_ERROR(SerializeNode(node, dims_, handle.page()));
-  handle.MarkDirty();
-  return Status::OK();
-}
-
-Result<PageId> RStarTree::AllocateNodePage() {
-  TSQ_ASSIGN_OR_RETURN(PageHandle handle, pool_->New());
-  const PageId id = handle.id();
-  return id;
-}
-
 // ---------------------------------------------------------------------------
-// Bulk loading (Sort-Tile-Recursive)
+// Building (Sort-Tile-Recursive)
 // ---------------------------------------------------------------------------
 
 void RStarTree::TilePartition(std::vector<Entry>&& entries, size_t dim,
@@ -300,65 +235,83 @@ void RStarTree::TilePartition(std::vector<Entry>&& entries, size_t dim,
   }
 }
 
-Status RStarTree::BulkLoad(std::vector<Entry> entries,
-                           size_t first_tiled_dim) {
-  if (size_ != 0) {
-    return Status::FailedPrecondition("BulkLoad requires an empty tree");
+Result<std::unique_ptr<RStarTree>> RStarTree::Build(
+    BufferPool* pool, size_t dims, std::vector<Entry> entries,
+    size_t first_tiled_dim, const RTreeOptions& options) {
+  if (dims < 1) {
+    return Status::InvalidArgument("tree dimensionality must be >= 1");
   }
-  if (first_tiled_dim >= dims_) {
+  PageFile* file = pool->file();
+  if (NodeCapacity(file->page_size(), dims) < 4) {
     return Status::InvalidArgument(
-        "BulkLoad first_tiled_dim " + std::to_string(first_tiled_dim) +
-        " not below the tree's " + std::to_string(dims_) + " dims");
+        "page size too small for dimensionality " + std::to_string(dims));
+  }
+  if (first_tiled_dim >= dims) {
+    return Status::InvalidArgument(
+        "Build first_tiled_dim " + std::to_string(first_tiled_dim) +
+        " not below the tree's " + std::to_string(dims) + " dims");
   }
   for (const Entry& e : entries) {
-    if (e.rect.dims() != dims_) {
-      return Status::InvalidArgument("entry dims mismatch in BulkLoad");
+    if (e.rect.dims() != dims) {
+      return Status::InvalidArgument("entry dims mismatch in Build");
     }
     if (e.rect.IsEmpty()) {
-      return Status::InvalidArgument("cannot bulk-load an empty rectangle");
+      return Status::InvalidArgument("cannot build over an empty rectangle");
     }
   }
-  if (entries.empty()) return Status::OK();
-  const uint64_t total = entries.size();
+  auto tree = std::unique_ptr<RStarTree>(new RStarTree(pool, dims, options));
+  tree->meta_page_ = file->Allocate();
+  tree->root_ = file->Allocate();
+  tree->size_ = entries.size();
+
+  // One page buffer for every write; each write counts on this thread.
+  Page page(file->page_size());
+  const auto write = [file, &page](PageId id) -> Status {
+    TSQ_RETURN_IF_ERROR(file->Write(id, page));
+    ++obs::MutableThisThreadIndexCounters().disk_writes;
+    return Status::OK();
+  };
 
   // Pack nodes to ~90% of capacity.
   const size_t fill = std::max<size_t>(
-      min_fill_, std::max<size_t>(1, max_entries_ * 9 / 10));
+      tree->min_fill_, std::max<size_t>(1, tree->max_entries_ * 9 / 10));
 
-  // Level 0: tile data entries into leaves.
-  uint32_t level = 0;
+  // Level 0: tile data entries into leaves; each level's nodes become
+  // the entries of the next, until one node (the root) holds them all.
+  Node node;
+  node.level = 0;
   std::vector<Entry> current = std::move(entries);
-  while (true) {
-    if (current.size() <= max_entries_) {
-      // Everything fits in the root at this level; reuse the existing root
-      // page for it.
-      Node root;
-      root.id = root_;
-      root.level = level;
-      root.entries = std::move(current);
-      TSQ_RETURN_IF_ERROR(StoreNode(root));
-      height_ = level + 1;
-      size_ = total;
-      return SaveMeta();
-    }
+  while (current.size() > tree->max_entries_) {
     std::vector<std::vector<Entry>> groups;
-    TilePartition(std::move(current), first_tiled_dim, fill, &groups);
+    tree->TilePartition(std::move(current), first_tiled_dim, fill, &groups);
     std::vector<Entry> parents;
     parents.reserve(groups.size());
     for (auto& group : groups) {
-      Node node;
-      TSQ_ASSIGN_OR_RETURN(node.id, AllocateNodePage());
-      node.level = level;
       node.entries = std::move(group);
-      TSQ_RETURN_IF_ERROR(StoreNode(node));
+      TSQ_RETURN_IF_ERROR(SerializeNode(node, dims, &page));
       Entry parent;
       parent.rect = node.BoundingRect();
-      parent.id = node.id;
+      parent.id = file->Allocate();
+      TSQ_RETURN_IF_ERROR(write(parent.id));
       parents.push_back(std::move(parent));
     }
     current = std::move(parents);
-    ++level;
+    ++node.level;
   }
+  node.entries = std::move(current);
+  TSQ_RETURN_IF_ERROR(SerializeNode(node, dims, &page));
+  TSQ_RETURN_IF_ERROR(write(tree->root_));
+  tree->height_ = node.level + 1;
+
+  // The meta page last: it is what names the root.
+  page.Clear();
+  page.WriteU64(0, kMetaMagic);
+  page.WriteU64(8, dims);
+  page.WriteU64(16, tree->root_);
+  page.WriteU64(24, tree->size_);
+  page.WriteU64(32, tree->height_);
+  TSQ_RETURN_IF_ERROR(write(tree->meta_page_));
+  return tree;
 }
 
 // ---------------------------------------------------------------------------
@@ -416,19 +369,6 @@ Status RStarTree::SearchRecurse(PageId node_id, uint32_t expected_level,
 // ---------------------------------------------------------------------------
 // Spatial join (synchronized traversal)
 // ---------------------------------------------------------------------------
-
-Status RStarTree::JoinWith(const RStarTree& other,
-                           const spatial::AffineMap* map,
-                           const spatial::AffineMap* other_map,
-                           const JoinPredicate& may_join,
-                           const JoinCallback& emit) const {
-  if (dims() != other.dims()) {
-    return Status::InvalidArgument("join between trees of different dims");
-  }
-  if (size_ == 0 || other.size() == 0) return Status::OK();
-  JoinContext ctx{other, map, other_map, may_join, emit};
-  return JoinRecurse(root_, kAnyLevel, other.root_, kAnyLevel, 0, &ctx);
-}
 
 Status RStarTree::JoinRecurse(PageId a_id, uint32_t a_level, PageId b_id,
                               uint32_t b_level, size_t depth,
@@ -524,10 +464,10 @@ Result<std::vector<RStarTree::JoinSeed>> RStarTree::JoinSeeds(
     return seeds;
   }
 
-  // Mirror the sequential JoinRecurse same-level branch exactly: the
-  // qualifying (ea, eb) child pairs, in (ea, eb) iteration order, are the
-  // recursion roots the sequential descent would visit — so JoinFrom over
-  // these seeds in order reproduces the JoinWith candidate sequence.
+  // Mirror JoinRecurse's same-level branch exactly: the qualifying
+  // (ea, eb) child pairs, in (ea, eb) iteration order, are the recursion
+  // roots the descent from {root, root} visits — so JoinFrom over these
+  // seeds in order reproduces its candidate sequence.
   NodeTally tally;
   for (const Entry& ea : na) {
     const spatial::Rect& ta = Mapped(map, ea.rect, &slot.mapped_a, &tally);

@@ -5,8 +5,9 @@
 // Beckmann's Version 2 implementation of the R*-tree", Sec. 5). The paper
 // builds its index once over an existing relation and then only
 // traverses it, so a tree is written exactly once, by Sort-Tile-Recursive
-// packing (BulkLoad), and is read-only from then on: there is no
-// insertion, node split or deletion.
+// packing (Build), each page straight to its file as STR forms it, and
+// is read-only from then on: there is no insertion, node split or
+// deletion.
 //
 // The tree supports two search modes:
 //   * Search            — the classic R-tree range search;
@@ -38,7 +39,7 @@
 namespace tsq {
 namespace rtree {
 
-/// Construction-time options.
+/// Build/Open options.
 struct RTreeOptions {
   /// When nonzero, caps node fanout below the page-derived capacity —
   /// a test hook that forces deep trees on tiny data sets.
@@ -98,15 +99,16 @@ using SearchCallback =
 /// A persistent R*-tree over a BufferPool. All rectangles must match the
 /// tree's dimensionality.
 ///
-/// Concurrency contract (v3): the const read operations — Search,
-/// SearchTransformed, NearestNeighbors(Stream), JoinWith,
-/// JoinSeeds/JoinFrom, CheckInvariants — are safe from any number of
-/// threads provided no mutating call (BulkLoad, SaveMeta) runs
-/// concurrently. Page access goes through the v3 BufferPool, where a
-/// fetch of a cached node page is entirely lock-free (optimistic version-
-/// validated pin; see buffer_pool.h) and a miss reads from disk without
-/// holding the pool's mutex, so concurrent traversals only ever contend
-/// on the miss/eviction admin path, never on cached-node access.
+/// Concurrency contract (v3): a tree exists only once Build has written
+/// every page of it (or Open found them), and it has no mutating call,
+/// so its read operations — Search, SearchTransformed,
+/// NearestNeighbors(Stream), JoinSeeds/JoinFrom, CheckInvariants — are
+/// safe from any number of threads. Page access goes through the v3
+/// read-only BufferPool, where a fetch of a cached node page is entirely
+/// lock-free (optimistic version-validated pin; see buffer_pool.h) and a
+/// miss reads from disk without holding the pool's mutex, so concurrent
+/// traversals only ever contend on the miss/eviction admin path, never
+/// on cached-node access.
 ///
 /// Traversal storage: every read-only descent decodes each page it visits
 /// into NodeBuffer storage it owns — one slot per recursion depth (one
@@ -122,8 +124,8 @@ using SearchCallback =
 /// (obs/trace.h); the tree keeps no counter of its own. A descent adds a
 /// node's transforms and leaf tests when it is done with the node, so a
 /// before/after delta on one thread is exactly that thread's traversal
-/// work, whatever other threads traverse meanwhile. BulkLoad requires
-/// external exclusion (the engine layer treats a built index as frozen).
+/// work, whatever other threads traverse meanwhile. Build counts each
+/// page it writes as one disk write, on the building thread.
 ///
 /// Corrupt pages: a descent returns Corruption — never aborts — for a
 /// page DecodeNode rejects (bad magic or count, an inverted or NaN MBR
@@ -133,21 +135,19 @@ class RStarTree {
  public:
   TSQ_DISALLOW_COPY_AND_MOVE(RStarTree);
 
-  /// Creates an empty tree with a fresh meta page in `pool`'s file.
-  static Result<std::unique_ptr<RStarTree>> Create(
-      BufferPool* pool, size_t dims, const RTreeOptions& options = {});
-
-  /// Reopens a tree previously persisted with SaveMeta.
-  static Result<std::unique_ptr<RStarTree>> Open(
-      BufferPool* pool, PageId meta_page, const RTreeOptions& options = {});
-
-  ~RStarTree();
-
-  /// Loads `entries` into an *empty* tree using Sort-Tile-Recursive
-  /// packing (Leutenegger et al.): entries are recursively tiled by center
-  /// coordinate and packed into ~90%-full nodes, leaves first, upper
-  /// levels bottom-up. The only way a tree is written: the paper's index
-  /// is built once over an existing relation.
+  /// Writes a tree over `entries` into `pool`'s file by Sort-Tile-
+  /// Recursive packing (Leutenegger et al.): entries are recursively
+  /// tiled by center coordinate and packed into ~90%-full nodes, leaves
+  /// first, upper levels bottom-up. The only way a tree is written: the
+  /// paper's index is built once over an existing relation.
+  ///
+  /// Pages are allocated past the file's last page: the meta page, then
+  /// the root, then the nodes below it level by level. Each node is
+  /// written once, with one PageFile::Write, as STR forms it, then the
+  /// root and last the meta page (root, size, height); a failed write
+  /// fails the build. The writes go beneath `pool`, which can hold no
+  /// frame of pages that did not exist, and the file's header (its page
+  /// count) is left to the caller's PageFile::Sync.
   ///
   /// STR sorts and slabs only dims [first_tiled_dim, dims): the dims
   /// below stay in every MBR, so searches that bound them and
@@ -156,9 +156,15 @@ class RStarTree {
   /// dims tiled, each node spans a tighter box on the tiled ones, so a
   /// search that leaves the untiled dims unbounded visits fewer nodes,
   /// and one that bounds them visits more, since it can no longer prune
-  /// on them. Fails with InvalidArgument unless first_tiled_dim < dims,
-  /// and with FailedPrecondition on a non-empty tree.
-  Status BulkLoad(std::vector<Entry> entries, size_t first_tiled_dim);
+  /// on them. Fails with InvalidArgument unless first_tiled_dim < dims
+  /// and every entry is a non-empty rect of `dims` dims.
+  static Result<std::unique_ptr<RStarTree>> Build(
+      BufferPool* pool, size_t dims, std::vector<Entry> entries,
+      size_t first_tiled_dim, const RTreeOptions& options = {});
+
+  /// Opens the tree whose meta page is `meta_page`.
+  static Result<std::unique_ptr<RStarTree>> Open(
+      BufferPool* pool, PageId meta_page, const RTreeOptions& options = {});
 
   /// Classic range search: emits every leaf entry whose MBR intersects
   /// `query`.
@@ -200,6 +206,17 @@ class RStarTree {
                                 const spatial::AffineMap* map,
                                 const NnCallback& emit) const;
 
+  // The tree-matching spatial join — the alternative to the paper's
+  // index-nested-loop join (methods c/d), one traversal instead of one
+  // query per record — is a synchronized descent of this tree and
+  // `other` (this tree itself for a self-join) from their roots: both
+  // sides descend in lockstep, node pairs the predicate rejects are
+  // pruned, and every surviving leaf-entry pair is emitted. `map` /
+  // `other_map` transform this/other tree's MBRs on the fly (Algorithm 1
+  // applied to both join inputs, as in the paper's "spatial join between
+  // r and Trev(r)"); null means identity. JoinSeeds splits that descent
+  // into seeds and JoinFrom runs one seed's share of it.
+
   /// Decides whether a pair of (transformed) rectangles can contain
   /// qualifying join pairs; false prunes the subtree pair.
   using JoinPredicate =
@@ -209,19 +226,6 @@ class RStarTree {
   /// Return false to stop the join.
   using JoinCallback = std::function<bool(uint64_t a, uint64_t b)>;
 
-  /// Synchronized-traversal spatial join with `other` (may be this tree
-  /// itself for a self-join): descends both trees in lockstep, pruning
-  /// node pairs the predicate rejects, and emits all surviving leaf-entry
-  /// pairs. `map` / `other_map` transform this/other tree's MBRs on the
-  /// fly (Algorithm 1 applied to both join inputs, as in the paper's
-  /// "spatial join between r and Trev(r)"); null means identity. This is
-  /// the tree-matching alternative to the paper's index-nested-loop join
-  /// (methods c/d) — one traversal instead of one query per record.
-  Status JoinWith(const RStarTree& other, const spatial::AffineMap* map,
-                  const spatial::AffineMap* other_map,
-                  const JoinPredicate& may_join,
-                  const JoinCallback& emit) const;
-
   /// A descent's expected level for a node with no parent to constrain
   /// it (a root).
   static constexpr uint32_t kAnyLevel = std::numeric_limits<uint32_t>::max();
@@ -229,7 +233,8 @@ class RStarTree {
   /// One unit of parallel join work: roots of two subtrees (one per tree)
   /// to descend in lockstep, and the level each must sit at — one below
   /// its parent, so a corrupt child page fails the seed's descent as it
-  /// fails JoinWith's. Only the {root, root} seed carries kAnyLevel.
+  /// fails the one from {root, root}. Only the {root, root} seed carries
+  /// kAnyLevel.
   struct JoinSeed {
     PageId a = kInvalidPageId;
     PageId b = kInvalidPageId;
@@ -237,19 +242,19 @@ class RStarTree {
     uint32_t b_level = kAnyLevel;
   };
 
-  /// Splits the JoinWith traversal into independent subtree-pair tasks by
-  /// expanding the qualifying root-child pairs one level down (the same
-  /// pairs, in the same order, the sequential descent would recurse into).
-  /// Running JoinFrom on every seed in order emits exactly the JoinWith
-  /// candidate sequence; the seeds are independent, so an engine may run
-  /// them on as many threads as it likes and concatenate per-seed output
-  /// buffers in seed order. When a root is a leaf (or the roots' levels
-  /// differ) there is nothing to split and the single seed {root, root}
-  /// is returned; in that degenerate case the root pages are loaded both
-  /// here and again by JoinFrom, so node-visit counters exceed the
-  /// sequential JoinWith by the two extra loads (the candidate output is
-  /// still identical). In the split case the counters match exactly.
-  /// Empty trees yield no seeds.
+  /// Splits the descent from {root, root} into independent subtree-pair
+  /// tasks by expanding the qualifying root-child pairs one level down:
+  /// the pairs that descent recurses into, in the order it visits them.
+  /// Running JoinFrom on every seed in order therefore emits exactly the
+  /// candidate sequence of the one descent from {root, root}; the seeds
+  /// are independent, so an engine may run them on as many threads as it
+  /// likes and concatenate per-seed output buffers in seed order. When a
+  /// root is a leaf (or the roots' levels differ) there is nothing to
+  /// split and the single seed {root, root} is returned; in that
+  /// degenerate case the root pages are loaded both here and again by
+  /// JoinFrom, so node-visit counters exceed the one descent's by the two
+  /// extra loads (the candidate output is still identical). In the split
+  /// case the counters match exactly. Empty trees yield no seeds.
   Result<std::vector<JoinSeed>> JoinSeeds(const RStarTree& other,
                                           const spatial::AffineMap* map,
                                           const spatial::AffineMap* other_map,
@@ -282,10 +287,6 @@ class RStarTree {
   /// The tree's meta page id (pass to Open).
   PageId meta_page() const { return meta_page_; }
 
-  /// Persists root/size/height to the meta page; marks it dirty only
-  /// when one of them differs from what the page holds.
-  Status SaveMeta();
-
   /// Structural audit: fill factors, MBR containment, level consistency,
   /// entry count. O(tree). Used by property tests.
   Result<CheckReport> CheckInvariants() const;
@@ -303,8 +304,6 @@ class RStarTree {
   /// only; Corruption unless its level is `expected_level` (any level
   /// when that is kAnyLevel).
   Status ReadNode(PageId id, uint32_t expected_level, NodeBuffer* out) const;
-  Status StoreNode(const Node& node);
-  Result<PageId> AllocateNodePage();
 
   /// STR helper: recursively tiles `entries` by center coordinate starting
   /// at `dim` and appends groups of at most `group_size` (and at least

@@ -15,7 +15,7 @@ namespace {
 
 /// The pool can be transiently out of frames when more threads hold pins
 /// than it owns frames (pins are short — a LoadNode deserialize — so the
-/// state clears in microseconds). Fetch/New retry over a bounded window
+/// state clears in microseconds). Fetch retries over a bounded window
 /// (yields, then 100us sleeps: roughly 0.4s in total) before reporting
 /// exhaustion, so only a *persistent* all-pinned pool (callers holding
 /// pins forever) surfaces as an error.
@@ -41,7 +41,7 @@ void ExhaustionBackoff(int attempt) {
 }
 
 /// Directory slot hash: Fibonacci hashing on the raw id spreads the
-/// sequential ids a tree build allocates, keeping probe chains short.
+/// sequential ids a tree build writes, keeping probe chains short.
 size_t DirHash(PageId id, size_t mask) {
   return static_cast<size_t>((id * uint64_t{0x9E3779B97F4A7C15}) >> 17) & mask;
 }
@@ -76,26 +76,16 @@ PageHandle& PageHandle::operator=(PageHandle&& other) noexcept {
   return *this;
 }
 
-Page* PageHandle::page() {
-  TSQ_CHECK_MSG(valid(), "access through an invalid PageHandle");
-  return &frame_->page;
-}
-
 const Page* PageHandle::page() const {
   TSQ_CHECK_MSG(valid(), "access through an invalid PageHandle");
   return &frame_->page;
 }
 
-void PageHandle::MarkDirty() {
-  TSQ_CHECK_MSG(valid(), "MarkDirty on an invalid PageHandle");
-  frame_->dirty.store(true, std::memory_order_release);
-}
-
 void PageHandle::Release() {
   if (frame_ != nullptr) {
     // While pins > 0 the version is frozen, so a plain decrement cannot
-    // race a transition; release ordering publishes any byte writes this
-    // pin performed to the eventual evictor/flusher.
+    // race a transition; release ordering keeps this pin's reads of the
+    // bytes before the evictor's claim, which the next load overwrites.
     frame_->state.fetch_sub(1, std::memory_order_release);
     frame_ = nullptr;
   }
@@ -113,11 +103,6 @@ BufferPool::BufferPool(PageFile* file, size_t capacity)
   dir_ = std::make_unique<DirSlot[]>(dir_size);
   dir_mask_ = dir_size - 1;
   dir_empty_ = dir_size;
-}
-
-BufferPool::~BufferPool() {
-  // Best effort write-back; errors at teardown have no one to report to.
-  FlushAll().ok();
 }
 
 size_t BufferPool::DirLookup(PageId id) const {
@@ -189,7 +174,7 @@ void BufferPool::DirRebuild() {
   }
 }
 
-Result<size_t> BufferPool::AcquireFrame() {
+size_t BufferPool::AcquireFrame() {
   if (!free_frames_.empty()) {
     const size_t idx = free_frames_.back();
     free_frames_.pop_back();
@@ -222,29 +207,14 @@ Result<size_t> BufferPool::AcquireFrame() {
       continue;  // lost to a concurrent pin
     }
     // Claimed: version is odd, optimistic pinners bounce off. Unmap the
-    // old page before the write-back so the directory never points a new
-    // mapping-taker at a frame being repurposed. Note fetchers of the old
-    // page racing this do still wait out the write-back: one that read
-    // the slot before the erase spins on the frame until the new id lands
-    // (the id changes only after this function returns), and one arriving
-    // after the erase queues on the pool mutex, held across the Write.
-    const PageId old_id = f.id.load(std::memory_order_relaxed);
-    DirErase(old_id);
-    if (f.dirty.load(std::memory_order_acquire)) {
-      if (Status ws = file_->Write(old_id, f.page); !ws.ok()) {
-        // Undo the claim: remap and return the frame to service.
-        DirInsert(old_id, idx);
-        f.state.store(s, std::memory_order_release);
-        return ws;
-      }
-      ++obs::MutableThisThreadIndexCounters().disk_writes;
-      f.dirty.store(false, std::memory_order_relaxed);
-    }
+    // old page so the directory never points a new mapping-taker at a
+    // frame being repurposed; its bytes are a clean copy of the file's,
+    // so dropping them loses nothing.
+    DirErase(f.id.load(std::memory_order_relaxed));
     ++obs::MutableThisThreadIndexCounters().evictions;
     return idx;
   }
-  return Status::FailedPrecondition(
-      "buffer pool exhausted: all frames pinned");
+  return kNoFrame;
 }
 
 Result<PageHandle> BufferPool::Fetch(PageId id) {
@@ -306,17 +276,16 @@ Result<PageHandle> BufferPool::Fetch(PageId id) {
       ++obs::MutableThisThreadIndexCounters().misses;
       counted = true;
     }
-    Result<size_t> idx_or = AcquireFrame();
-    if (!idx_or.ok()) {
+    const size_t idx = AcquireFrame();
+    if (idx == kNoFrame) {
       lock.unlock();
-      if (!idx_or.status().IsFailedPrecondition() ||
-          exhausted_attempts >= kAcquireRetries) {
-        return idx_or.status();  // I/O errors don't retry, only exhaustion
+      if (exhausted_attempts >= kAcquireRetries) {
+        return Status::FailedPrecondition(
+            "buffer pool exhausted: all frames pinned");
       }
       ExhaustionBackoff(exhausted_attempts++);
       continue;
     }
-    const size_t idx = idx_or.value();
     BufferFrame& f = frames_[idx];
     // Publish the in-progress load: odd version (from the claim), id set,
     // directory entry visible — then give the lock back. Other traffic
@@ -342,7 +311,6 @@ Result<PageHandle> BufferPool::Fetch(PageId id) {
       return read_status;
     }
     ++obs::MutableThisThreadIndexCounters().disk_reads;
-    f.dirty.store(false, std::memory_order_relaxed);
     f.referenced.store(false, std::memory_order_relaxed);
     // Release-publish with our pin already counted; waiters' acquire loads
     // of `state` see the page bytes the pread wrote.
@@ -351,67 +319,6 @@ Result<PageHandle> BufferPool::Fetch(PageId id) {
                   std::memory_order_release);
     return PageHandle(&f, id);
   }
-}
-
-Result<PageHandle> BufferPool::New() {
-  TSQ_ASSIGN_OR_RETURN(const PageId id, file_->Allocate());
-  int exhausted_attempts = 0;
-  for (;;) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    Result<size_t> idx_or = AcquireFrame();
-    if (!idx_or.ok()) {
-      lock.unlock();
-      if (idx_or.status().IsFailedPrecondition() &&
-          exhausted_attempts < kAcquireRetries) {
-        ExhaustionBackoff(exhausted_attempts++);
-        continue;
-      }
-      // Give the page back to the file's free list — otherwise a caller
-      // retrying against an exhausted pool would grow the file with
-      // orphaned pages.
-      file_->Free(id).ok();
-      return idx_or.status();
-    }
-    const size_t idx = idx_or.value();
-    BufferFrame& f = frames_[idx];
-    if (f.page.size() != file_->page_size()) {
-      f.page = Page(file_->page_size());
-    } else {
-      f.page.Clear();
-    }
-    f.id.store(id, std::memory_order_release);
-    f.dirty.store(true, std::memory_order_relaxed);
-    f.referenced.store(false, std::memory_order_relaxed);
-    DirInsert(id, idx);
-    const uint64_t s = f.state.load(std::memory_order_relaxed);
-    f.state.store((s + BufferFrame::kVersionInc) | 1,
-                  std::memory_order_release);
-    return PageHandle(&f, id);
-  }
-}
-
-Status BufferPool::FlushAll() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (size_t i = 0; i < capacity_; ++i) {
-      BufferFrame& f = frames_[i];
-      // Odd frames are in-flight loads (clean by definition — eviction
-      // write-back happens under this mutex, which we hold).
-      if (IsOdd(f.state.load(std::memory_order_acquire))) continue;
-      const PageId id = f.id.load(std::memory_order_acquire);
-      if (id == kInvalidPageId) continue;
-      // Clear-before-write: MarkDirty is lock-free, so a mark landing
-      // during the Write must survive for the next flush/eviction — a
-      // clear *after* the write would erase it and lose the update.
-      if (!f.dirty.exchange(false, std::memory_order_acq_rel)) continue;
-      if (Status ws = file_->Write(id, f.page); !ws.ok()) {
-        f.dirty.store(true, std::memory_order_release);  // still unsynced
-        return ws;
-      }
-      ++obs::MutableThisThreadIndexCounters().disk_writes;
-    }
-  }
-  return file_->Sync();
 }
 
 }  // namespace tsq

@@ -1,10 +1,10 @@
 // Copyright (c) 2026 The tsq Authors.
 //
-// Page cache over a PageFile with a lock-free hit path. The R-tree
-// performs all page access through the pool; its hit/miss/eviction and
-// disk read/write counts (obs::IndexCounters, kept per thread) are how
-// tsq measures the "number of disk accesses" the paper reports for index
-// traversals.
+// Read-only page cache over a PageFile with a lock-free hit path. The
+// R-tree reads every page through the pool; its hit/miss/eviction and
+// disk read counts (obs::IndexCounters, kept per thread), with the
+// build's page writes, are how tsq measures the "number of disk
+// accesses" the paper reports for index traversals.
 
 #ifndef TSQ_STORAGE_BUFFER_POOL_H_
 #define TSQ_STORAGE_BUFFER_POOL_H_
@@ -26,7 +26,7 @@ namespace tsq {
 ///
 /// `state` packs [version:48 | pins:16] into one atomic word. The version
 /// is seqlock-style: an *odd* version (bit 16 set) means the frame is in
-/// transition — being loaded from disk, evicted, or recycled — and its
+/// transition — being loaded from disk or evicted — and its
 /// identity/bytes must not be trusted; an even version means the frame
 /// stably holds page `id`. Pinning is a CAS on the whole word conditioned
 /// on an even version, so a successful pin proves the frame was not
@@ -41,13 +41,13 @@ struct BufferFrame {
 
   std::atomic<uint64_t> state{0};  // even version, zero pins
   std::atomic<PageId> id{kInvalidPageId};
-  std::atomic<bool> dirty{false};
   std::atomic<bool> referenced{false};
   Page page;
 };
 
 /// RAII pin on a cached page. While a PageHandle is alive the frame cannot
-/// be evicted. Move-only; unpins at destruction.
+/// be evicted. Move-only; unpins at destruction. The cached bytes are
+/// read-only: a page changes only by its file being written anew.
 class PageHandle {
  public:
   PageHandle() = default;
@@ -65,11 +65,7 @@ class PageHandle {
   PageId id() const { return id_; }
 
   /// Byte access to the cached frame.
-  Page* page();
   const Page* page() const;
-
-  /// Marks the frame dirty; it will be written back on eviction/flush.
-  void MarkDirty();
 
   /// Explicitly unpins (also called by the destructor).
   void Release();
@@ -82,8 +78,9 @@ class PageHandle {
   PageId id_ = kInvalidPageId;
 };
 
-/// Fixed-capacity page cache with one clock (second-chance) eviction
-/// sweep over all of its frames.
+/// Fixed-capacity read-only page cache with one clock (second-chance)
+/// eviction sweep over all of its frames. A frame is only ever a copy of
+/// its page on disk, so eviction drops it and writes nothing.
 ///
 /// Concurrency contract (v3):
 ///
@@ -94,44 +91,46 @@ class PageHandle {
 ///   per-frame `referenced` bit swept lazily by the clock hand at eviction
 ///   time — so the hot path mutates nothing but the pin word.
 /// * **Misses do I/O without the pool mutex.** A miss takes the mutex
-///   only to claim a frame (free list or clock sweep) and publish it in
-///   "loading" state (odd version, id set, directory entry inserted), then
-///   *drops the mutex* around the PageFile read and publishes the loaded
-///   frame with a release store. Hits — and other misses — proceed while
-///   the read is in flight. Concurrent fetchers of the in-flight page wait
-///   on the frame itself (bounded spin, then yield/sleep), not on the
-///   mutex, and count as hits: the miss and the disk read belong to the
-///   thread that performed them.
-/// * The mutex still serializes the admin paths: frame claim and eviction
-///   (including dirty write-back), New, FlushAll, and directory
-///   mutation. Byte access *through a held PageHandle* is
+///   only to claim a frame (a never-used one or the clock sweep's
+///   victim) and publish it in "loading" state (odd version, id set,
+///   directory entry inserted), then *drops the mutex* around the
+///   PageFile read and publishes the loaded frame with a release store.
+///   Hits — and other misses — proceed while the read is in flight.
+///   Concurrent fetchers of the in-flight page wait on the frame itself
+///   (bounded spin, then yield/sleep), not on the mutex, and count as
+///   hits: the miss and the disk read belong to the thread that
+///   performed them.
+/// * The mutex still serializes the admin paths: frame claim, eviction
+///   and directory mutation. Byte access *through a held PageHandle* is
 ///   outside any mutex: a pinned frame cannot be evicted and frames never
-///   move, so the pointer stays valid. Concurrent threads must not write
-///   the same page's bytes; tsq's read paths (index traversal) only read.
-///   The underlying PageFile is thread-safe (positioned I/O), so a miss's
-///   read runs beside another thread's write-back.
+///   move, so the pointer stays valid. The underlying PageFile is
+///   thread-safe (positioned I/O), so misses read side by side.
 ///
-/// Exhaustion means every frame is pinned (or mid-load): a page is never
-/// refused while any frame could take it. Fetch/New yield-then-sleep-retry
-/// over a bounded window (~hundreds of ms) before reporting exhaustion, so
-/// a pool that is only *transiently* full of pins stalls briefly instead
-/// of failing the query; a pool whose every frame stays pinned surfaces
+/// A miss fails only on its own read, or on exhaustion: every frame
+/// pinned (or mid-load), since a page is never refused while any frame
+/// could take it. Fetch yield-then-sleep-retries over a bounded window
+/// (~hundreds of ms) before reporting exhaustion, so a pool that is only
+/// *transiently* full of pins stalls briefly instead of failing the
+/// query; a pool whose every frame stays pinned surfaces
 /// FailedPrecondition.
 ///
-/// Counters: each Fetch counts one hit or one miss, and each eviction,
-/// page read and page write counts once, in the obs::IndexCounters of
-/// the thread that caused it (obs/trace.h); the pool keeps no counter of
-/// its own. A concurrent fetcher that waits out another thread's load of
-/// the same page counts a hit: the miss and the disk read belong to the
-/// loader. For a never-re-referenced page sequence the clock evicts in
-/// arrival order, so the pool then holds exactly the last `capacity()`
-/// pages, as an LRU list would.
+/// The pool never writes: a tree's pages reach its file by the build
+/// (rtree::RStarTree::Build), beneath the pool, before any of them is
+/// fetched, so a pool over a freshly built file starts cold.
+///
+/// Counters: each Fetch counts one hit or one miss, and each eviction
+/// and page read counts once, in the obs::IndexCounters of the thread
+/// that caused it (obs/trace.h); the pool keeps no counter of its own.
+/// A concurrent fetcher that waits out another thread's load of the same
+/// page counts a hit: the miss and the disk read belong to the loader.
+/// For a never-re-referenced page sequence the clock evicts in arrival
+/// order, so the pool then holds exactly the last `capacity()` pages, as
+/// an LRU list would.
 class BufferPool {
  public:
   /// Creates a pool of `capacity` frames over `file` (non-owning: the file
   /// must outlive the pool).
   BufferPool(PageFile* file, size_t capacity);
-  ~BufferPool();
 
   TSQ_DISALLOW_COPY_AND_MOVE(BufferPool);
 
@@ -139,17 +138,11 @@ class BufferPool {
   /// page is cached (see class comment).
   Result<PageHandle> Fetch(PageId id);
 
-  /// Allocates a fresh page and pins it (zeroed, marked dirty).
-  Result<PageHandle> New();
-
-  /// Writes back every dirty frame (keeps them cached), in frame order;
-  /// one Sync of the file at the end.
-  Status FlushAll();
-
   /// Number of frames the pool may hold.
   size_t capacity() const { return capacity_; }
 
-  /// The underlying file.
+  /// The underlying file: the build writes a tree's pages to it, and
+  /// nothing writes them again.
   PageFile* file() { return file_; }
 
  private:
@@ -174,16 +167,16 @@ class BufferPool {
   void DirErase(PageId id);
   void DirRebuild();
 
-  /// Claims a frame (free list, else clock sweep with eviction + dirty
-  /// write-back) and returns it with an odd (in-transition) version.
-  /// Caller holds the mutex. FailedPrecondition when every frame is
+  /// Claims a frame (a never-used one, else the clock sweep's victim,
+  /// whose page is dropped) and returns it with an odd (in-transition)
+  /// version. Caller holds the mutex. kNoFrame when every frame is
   /// pinned or mid-transition (transient under concurrency).
-  Result<size_t> AcquireFrame();
+  size_t AcquireFrame();
 
   PageFile* file_;
   const size_t capacity_;
-  // Serializes misses/eviction/New/Flush and directory writes.
-  // Never taken on the hit path.
+  // Serializes misses, eviction and directory writes. Never taken on
+  // the hit path.
   std::mutex mutex_;
   std::unique_ptr<BufferFrame[]> frames_;
   std::unique_ptr<DirSlot[]> dir_;

@@ -2,7 +2,8 @@
 //
 // Fixed-size pages — the unit of I/O between the R-tree and disk. The
 // paper's experiments report disk accesses per query; in tsq a "disk
-// access" is a page read or write through the buffer pool.
+// access" is a page read through the buffer pool, or a page write by the
+// tree build that writes each page of an index file once.
 
 #ifndef TSQ_STORAGE_PAGE_H_
 #define TSQ_STORAGE_PAGE_H_
@@ -26,7 +27,7 @@ inline constexpr PageId kInvalidPageId = 0;
 inline constexpr size_t kDefaultPageSize = 4096;
 
 /// A page-sized byte buffer. Pages are dumb byte containers; interpretation
-/// belongs to the layer that owns them (R-tree nodes, free-list links).
+/// belongs to the layer that owns them (R-tree nodes and meta pages).
 class Page {
  public:
   Page() = default;

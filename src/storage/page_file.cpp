@@ -19,7 +19,7 @@ namespace {
 //   [0..8)   magic "TSQPGF01"
 //   [8..16)  page size
 //   [16..24) number of data pages
-//   [24..32) free-list head page id
+//   [24..32) reserved: written as 0, ignored on open
 constexpr uint64_t kMagic = 0x3130464750515354ull;  // "TSQPGF01" LE
 constexpr size_t kHeaderBytes = 32;
 
@@ -36,12 +36,7 @@ PageFile::PageFile(std::FILE* file, std::string path, size_t page_size)
       page_size_(page_size) {}
 
 PageFile::~PageFile() {
-  if (file_ != nullptr) {
-    // Best effort: persist the header so page counts survive. A file
-    // with nothing unsynced already holds the current header.
-    if (unsynced_.load(std::memory_order_acquire)) WriteHeader().ok();
-    std::fclose(file_);
-  }
+  if (file_ != nullptr) std::fclose(file_);
 }
 
 Result<std::unique_ptr<PageFile>> PageFile::Create(const std::string& path,
@@ -56,12 +51,11 @@ Result<std::unique_ptr<PageFile>> PageFile::Create(const std::string& path,
   }
   auto pf = std::unique_ptr<PageFile>(new PageFile(f, path, page_size));
   TSQ_RETURN_IF_ERROR(pf->WriteHeader());
-  pf->unsynced_.store(true, std::memory_order_release);
   return pf;
 }
 
 Result<std::unique_ptr<PageFile>> PageFile::Open(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return Status::IOError(ErrnoMessage("cannot open page file", path));
   }
@@ -90,7 +84,6 @@ Result<std::unique_ptr<PageFile>> PageFile::Open(const std::string& path) {
   auto pf = std::unique_ptr<PageFile>(
       new PageFile(f, path, static_cast<size_t>(page_size)));
   pf->num_pages_.store(get_u64(16), std::memory_order_release);
-  pf->free_list_head_ = get_u64(24);
   return pf;
 }
 
@@ -105,7 +98,6 @@ Status PageFile::WriteHeader() {
   put_u64(0, kMagic);
   put_u64(8, page_size_);
   put_u64(16, num_pages_.load(std::memory_order_acquire));
-  put_u64(24, free_list_head_);
   return WriteRaw(0, header, kHeaderBytes);
 }
 
@@ -135,37 +127,9 @@ Status PageFile::WriteRaw(uint64_t offset, const void* buf, size_t n) {
   return Status::OK();
 }
 
-Result<PageId> PageFile::Allocate() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (free_list_head_ != kInvalidPageId) {
-    const PageId id = free_list_head_;
-    Page page(page_size_);
-    TSQ_RETURN_IF_ERROR(Read(id, &page));
-    free_list_head_ = page.ReadU64(0);
-    unsynced_.store(true, std::memory_order_release);
-    return id;
-  }
-  const PageId id = num_pages_.load(std::memory_order_relaxed) + 1;
-  // ids start after the header page. Extend the file eagerly so Read on a
-  // fresh page is well-defined; publish the new count only after the
-  // extension succeeds so concurrent readers never see a too-large bound.
-  Page zero(page_size_);
-  TSQ_RETURN_IF_ERROR(WriteRaw(id * page_size_, zero.data(), page_size_));
-  num_pages_.store(id, std::memory_order_release);
-  unsynced_.store(true, std::memory_order_release);
-  return id;
-}
-
-Status PageFile::Free(PageId id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (id == kInvalidPageId || id > num_pages()) {
-    return Status::InvalidArgument("Free: bad page id " + std::to_string(id));
-  }
-  Page page(page_size_);
-  page.WriteU64(0, free_list_head_);
-  TSQ_RETURN_IF_ERROR(Write(id, page));
-  free_list_head_ = id;
-  return Status::OK();
+PageId PageFile::Allocate() {
+  // ids start after the header page.
+  return num_pages_.fetch_add(1, std::memory_order_acq_rel) + 1;
 }
 
 Status PageFile::Read(PageId id, Page* out) {
@@ -206,7 +170,6 @@ Status PageFile::Write(PageId id, const Page& page) {
           prefix > 0) {
         (void)!::pwrite(fd_, page.data(), prefix,
                         static_cast<off_t>(id * page_size_));
-        unsynced_.store(true, std::memory_order_release);
       }
       if (d.kind == failpoint::ActionKind::kTornWrite) {
         failpoint::CrashProcess("page_file_write");
@@ -217,26 +180,11 @@ Status PageFile::Write(PageId id, const Page& page) {
                                    path_);
     }
   }
-  const Status written = WriteRaw(id * page_size_, page.data(), page_size_);
-  // Marked after the write lands: a Sync that clears the mark before it
-  // leaves the mark for the next Sync.
-  unsynced_.store(true, std::memory_order_release);
-  return written;
+  return WriteRaw(id * page_size_, page.data(), page_size_);
 }
 
 Status PageFile::Sync() {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Cleared before the header write and fdatasync, so a page write that
-  // lands during them marks the file again.
-  if (!unsynced_.exchange(false, std::memory_order_acq_rel)) {
-    return Status::OK();
-  }
-  Status synced = SyncLocked();
-  if (!synced.ok()) unsynced_.store(true, std::memory_order_release);
-  return synced;
-}
-
-Status PageFile::SyncLocked() {
   TSQ_RETURN_IF_ERROR(WriteHeader());
   // All data I/O is positioned on the fd; flush any stdio-buffered state
   // (none in steady operation) for symmetry with the pre-v2 contract.

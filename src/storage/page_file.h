@@ -2,13 +2,14 @@
 //
 // File-backed page store. Layout:
 //
-//   page 0           header: magic, format version, page size, page count,
-//                    free-list head
-//   pages 1..N       data pages; a freed page stores the id of the next
-//                    free page in its first 8 bytes (intrusive free list)
+//   page 0           header: magic, page size, page count, and a reserved
+//                    word (written as 0, ignored on open)
+//   pages 1..N       data pages
 //
-// PageFile performs raw page I/O; caching, pinning and the I/O counters
-// live in BufferPool.
+// A file is written once, by the process that creates it, and is
+// read-only after Open. PageFile performs raw page I/O; caching, pinning
+// and the read counters live in BufferPool, and whoever writes pages
+// counts its own writes.
 
 #ifndef TSQ_STORAGE_PAGE_FILE_H_
 #define TSQ_STORAGE_PAGE_FILE_H_
@@ -24,16 +25,15 @@
 
 namespace tsq {
 
-/// A file of fixed-size pages with allocate/free/read/write operations.
+/// A file of fixed-size pages with allocate/read/write operations.
 ///
 /// Concurrency contract (v2): Read and Write of *allocated* pages are safe
 /// from any number of threads — they use positioned pread/pwrite on the
 /// file descriptor, so there is no shared file position and no lock on the
-/// data path. Allocate, Free and Sync mutate the header state (page count,
-/// free list) and serialize on an internal mutex. Concurrent Read/Write of
-/// the *same* page require caller coordination (in the query stack the
-/// BufferPool provides it: a page lives in at most one frame, and its
-/// load and write-back never overlap).
+/// data path. Allocate is one atomic increment, and Sync serializes on an
+/// internal mutex. Reading a page while another thread writes it is a
+/// race the caller must rule out; tsq never does it, since a tree's pages
+/// are written by its build before anyone can read them.
 class PageFile {
  public:
   TSQ_DISALLOW_COPY_AND_MOVE(PageFile);
@@ -43,15 +43,14 @@ class PageFile {
   static Result<std::unique_ptr<PageFile>> Create(
       const std::string& path, size_t page_size = kDefaultPageSize);
 
-  /// Opens an existing page file and validates its header.
+  /// Opens an existing page file read-only and validates its header:
+  /// Read works, and Write and Sync fail.
   static Result<std::unique_ptr<PageFile>> Open(const std::string& path);
 
-  /// Allocates a page (recycling the free list when possible) and returns
-  /// its id. The page content on disk is unspecified until written.
-  Result<PageId> Allocate();
-
-  /// Returns a page to the free list. Requires a valid, allocated id.
-  Status Free(PageId id);
+  /// Reserves the next page id, past every page allocated so far. Does no
+  /// I/O: the page's bytes are unspecified until Write gives them, so a
+  /// writer allocates a page and then writes it once.
+  PageId Allocate();
 
   /// Reads page `id` into `out` (resized to the page size).
   Status Read(PageId id, Page* out);
@@ -59,17 +58,16 @@ class PageFile {
   /// Writes `page` (must match the page size) to page `id`.
   Status Write(PageId id, const Page& page);
 
-  /// Persists the header and all previously written pages to stable
-  /// storage (fdatasync). Called on explicit flush and merge-publish
-  /// paths only, never per page write. Returns OK at once, touching
-  /// nothing, when no page was written or allocated and no page freed
-  /// since Open or the last successful Sync.
+  /// Writes the header (with the current page count) and persists it and
+  /// every written page to stable storage (fdatasync). Only Sync writes
+  /// the page count (Create writes 0), so a writer syncs its file before
+  /// anyone opens it.
   Status Sync();
 
   /// Page size in bytes.
   size_t page_size() const { return page_size_; }
 
-  /// Total pages ever allocated (including freed ones), excluding header.
+  /// Pages allocated so far, excluding the header.
   uint64_t num_pages() const {
     return num_pages_.load(std::memory_order_acquire);
   }
@@ -85,7 +83,6 @@ class PageFile {
   PageFile(std::FILE* file, std::string path, size_t page_size);
 
   Status WriteHeader();  // caller holds mutex_ (or is single-threaded)
-  Status SyncLocked();   // header write + fdatasync; caller holds mutex_
   Status ReadRaw(uint64_t offset, void* buf, size_t n);
   Status WriteRaw(uint64_t offset, const void* buf, size_t n);
 
@@ -93,12 +90,8 @@ class PageFile {
   int fd_;  // fileno(file_); all data I/O is positioned on this
   std::string path_;
   size_t page_size_;
-  std::mutex mutex_;  // guards free_list_head_ and header writes
+  std::mutex mutex_;  // serializes Sync
   std::atomic<uint64_t> num_pages_{0};  // data pages allocated so far
-  PageId free_list_head_ = kInvalidPageId;
-  // Set after every change Sync would persist (a page write, an
-  // allocation, a free; the header a Create wrote); cleared by Sync.
-  std::atomic<bool> unsynced_{false};
 };
 
 }  // namespace tsq

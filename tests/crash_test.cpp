@@ -270,6 +270,13 @@ INSTANTIATE_TEST_SUITE_P(
                   Durability::kNone},
         CrashCase{"reindex_after_rename", "torn", CrashPhase::kMerge,
                   Durability::kNone},
+        // A torn page write inside the merge's tree build: the first page
+        // it writes (the root of these one-node trees), then the last
+        // (the meta page). The scratch file is dropped on reopen.
+        CrashCase{"page_file_write", "torn:bytes=100", CrashPhase::kMerge,
+                  Durability::kNone},
+        CrashCase{"page_file_write", "torn:bytes=100,skip=1",
+                  CrashPhase::kMerge, Durability::kNone},
         // Build crashes at the same three steps: the first two leave no
         // index file, the third a complete one.
         CrashCase{"reindex_before_flush", "torn", CrashPhase::kBuild,
@@ -278,6 +285,11 @@ INSTANTIATE_TEST_SUITE_P(
                   Durability::kNone, /*indexed=*/false},
         CrashCase{"reindex_after_rename", "torn", CrashPhase::kBuild,
                   Durability::kNone},
+        // The same torn page writes inside BuildIndex's tree build.
+        CrashCase{"page_file_write", "torn:bytes=100", CrashPhase::kBuild,
+                  Durability::kNone, /*indexed=*/false},
+        CrashCase{"page_file_write", "torn:bytes=100,skip=1",
+                  CrashPhase::kBuild, Durability::kNone, /*indexed=*/false},
         // A process that ends right after BuildIndex returns, unflushed.
         CrashCase{"", "", CrashPhase::kBuild, Durability::kNone}),
     CaseName);

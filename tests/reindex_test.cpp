@@ -12,9 +12,10 @@
 // that writes no page and syncs nothing, a Create that drops the old
 // index of its name, the background merge thread, and a TSan-sized
 // ingest+query+merge+stats race, a merge that writes the file a fresh
-// build writes without reading a record, and a merge over a corrupt
-// published tree. The CI TSan job runs this binary alongside
-// concurrency_stress_test.
+// build writes without reading a record, a build and a merge that write
+// each index page exactly once, a page-write fault inside either, and a
+// merge over a corrupt published tree. The CI TSan job runs this binary
+// alongside concurrency_stress_test.
 
 #include <algorithm>
 #include <atomic>
@@ -54,6 +55,40 @@ constexpr size_t kLength = 64;
 constexpr uint64_t kSeed = 20260808;
 
 spatial::Point MakePoint(double a, double b) { return spatial::Point{a, b}; }
+
+/// Inserts data[from, to) in one batch.
+void InsertRange(Database* db, const std::vector<TimeSeries>& data,
+                 size_t from, size_t to) {
+  std::vector<std::string> names;
+  std::vector<RealVec> values;
+  for (size_t i = from; i < to; ++i) {
+    names.push_back(data[i].name());
+    values.push_back(data[i].values());
+  }
+  ASSERT_TRUE(db->InsertBatch(names, values).ok());
+}
+
+/// Index pages in the file at `path`: every page after the header.
+uint64_t IndexPages(const std::string& path) {
+  return std::filesystem::file_size(path) / kDefaultPageSize - 1;
+}
+
+/// Expects the published index to answer ranges around every 97th stored
+/// series exactly as the scan does (SeqScanRangeQuery).
+void ExpectRangesMatchTheScan(Database* db) {
+  for (SeriesId id = 0; id < db->size(); id += 97) {
+    const RealVec q = db->Get(id).value().values;
+    auto got = Range(db, q, 5.0);
+    auto want = testing::Scan(db, q, 5.0);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_EQ(got->size(), want->size()) << "series " << id;
+    for (size_t m = 0; m < want->size(); ++m) {
+      EXPECT_EQ((*got)[m].id, (*want)[m].id) << "series " << id;
+      EXPECT_EQ((*got)[m].distance, (*want)[m].distance) << "series " << id;
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // DeltaIndex in isolation.
@@ -491,13 +526,7 @@ TEST(MergeFileTest, MergeWritesTheFreshBuildsBytesAndReadsNoRecord) {
   const std::vector<TimeSeries> data = workload::MakeRandomWalkDataset(
       kSeed, kBase + kBatches * kBatch, kLength);
   const auto insert = [&data](Database* db, size_t from, size_t to) {
-    std::vector<std::string> names;
-    std::vector<RealVec> values;
-    for (size_t i = from; i < to; ++i) {
-      names.push_back(data[i].name());
-      values.push_back(data[i].values());
-    }
-    ASSERT_TRUE(db->InsertBatch(names, values).ok());
+    InsertRange(db, data, from, to);
   };
   testing::TempDir dir;
   DatabaseOptions options;
@@ -526,6 +555,101 @@ TEST(MergeFileTest, MergeWritesTheFreshBuildsBytesAndReadsNoRecord) {
   EXPECT_EQ(merged_bytes.size(), fresh_bytes.size());
   EXPECT_TRUE(merged_bytes == fresh_bytes)
       << "merged.idx differs from a fresh build's file";
+}
+
+TEST(MergeFileTest, BuildAndMergeWriteEachIndexPageOnce) {
+  // The tree build writes every page of its file once, straight to the
+  // file, and counts each write in pool_disk_writes. The pool only reads:
+  // with 16 frames, far fewer than the tree's pages, a pool that cached
+  // the build's pages dirty would evict and write some of them again.
+  constexpr size_t kBase = 3000;
+  constexpr size_t kMore = 1000;
+  const std::vector<TimeSeries> data =
+      workload::MakeRandomWalkDataset(kSeed, kBase + kMore, kLength);
+  testing::TempDir dir;
+  DatabaseOptions options;
+  options.directory = dir.path();
+  options.name = "once";
+  options.buffer_pool_frames = 16;
+  auto db = Database::Create(options).value();
+  const std::string path = dir.file("once.idx");
+
+  InsertRange(db.get(), data, 0, kBase);
+  uint64_t writes = db->StatsSnapshot().pool_disk_writes;
+  ASSERT_TRUE(db->BuildIndex().ok());
+  EXPECT_GT(IndexPages(path), 4 * options.buffer_pool_frames);
+  EXPECT_EQ(db->StatsSnapshot().pool_disk_writes - writes, IndexPages(path))
+      << "BuildIndex";
+
+  InsertRange(db.get(), data, kBase, kBase + kMore);
+  writes = db->StatsSnapshot().pool_disk_writes;
+  ASSERT_TRUE(db->Reindex().ok());
+  EXPECT_EQ(db->StatsSnapshot().pool_disk_writes - writes, IndexPages(path))
+      << "Reindex";
+  ExpectRangesMatchTheScan(db.get());
+}
+
+TEST(BuildFaultTest, PageWriteFaultInAMergeKeepsTheOldIndex) {
+  // A page write that fails mid-tree fails the merge: the database
+  // degrades, <name>.idx keeps its bytes, the old epoch keeps answering,
+  // and Repair then Reindex fold the delta after all.
+  const std::vector<TimeSeries> data =
+      workload::MakeRandomWalkDataset(kSeed, 2000, kLength);
+  testing::TempDir dir;
+  DatabaseOptions options;
+  options.directory = dir.path();
+  options.name = "fault";
+  auto db = Database::Create(options).value();
+  const std::string path = dir.file("fault.idx");
+  InsertRange(db.get(), data, 0, 1000);
+  ASSERT_TRUE(db->BuildIndex().ok());
+  InsertRange(db.get(), data, 1000, 2000);
+  const std::string before = testing::ReadFileBytes(path);
+  ASSERT_GT(IndexPages(path), 20u);
+
+  ASSERT_TRUE(failpoint::Configure("page_file_write", "error:skip=20").ok());
+  const Result<uint64_t> failed = db->Reindex();
+  failpoint::Clear("page_file_write");
+  EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+  EXPECT_TRUE(db->degraded());
+  EXPECT_TRUE(testing::ReadFileBytes(path) == before)
+      << "a failed merge changed " << path;
+  EXPECT_EQ(db->StatsSnapshot().index_epoch, 1u);
+  EXPECT_EQ(db->StatsSnapshot().delta_entries, 1000u);
+  ExpectRangesMatchTheScan(db.get());
+
+  ASSERT_TRUE(db->Repair().ok());
+  EXPECT_FALSE(db->degraded());
+  const Result<uint64_t> merged = db->Reindex();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(db->StatsSnapshot().tree_entries, 2000u);
+  ExpectRangesMatchTheScan(db.get());
+}
+
+TEST(BuildFaultTest, PageWriteFaultInBuildIndexLeavesTheDatabaseUnindexed) {
+  // The same fault in BuildIndex returns the error and leaves the
+  // database unindexed and writable; the next BuildIndex succeeds.
+  const std::vector<TimeSeries> data =
+      workload::MakeRandomWalkDataset(kSeed, 2001, kLength);
+  testing::TempDir dir;
+  DatabaseOptions options;
+  options.directory = dir.path();
+  options.name = "fault";
+  auto db = Database::Create(options).value();
+  InsertRange(db.get(), data, 0, 2000);
+
+  ASSERT_TRUE(failpoint::Configure("page_file_write", "error:skip=20").ok());
+  const Status failed = db->BuildIndex();
+  failpoint::Clear("page_file_write");
+  EXPECT_TRUE(failed.IsIOError()) << failed.ToString();
+  EXPECT_FALSE(db->index_built());
+  EXPECT_FALSE(db->degraded());
+  EXPECT_FALSE(std::filesystem::exists(dir.file("fault.idx")));
+  ASSERT_TRUE(db->Insert(data[2000].name(), data[2000].values()).ok());
+
+  ASSERT_TRUE(db->BuildIndex().ok());
+  EXPECT_EQ(db->StatsSnapshot().tree_entries, 2001u);
+  ExpectRangesMatchTheScan(db.get());
 }
 
 TEST_F(ReindexTest, MergeOverACorruptTreeRebuildsItFromTheRelation) {

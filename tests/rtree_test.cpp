@@ -4,7 +4,7 @@
 // invariants, exact agreement with brute force for range and NN queries,
 // on-the-fly transformed search (Algorithm 1/2), persistence, and
 // Corruption from every descent over a hostile page. Every tree is
-// written the one way a tree is, by BulkLoad (tests/test_util.h's
+// written the one way a tree is, by RStarTree::Build (tests/test_util.h's
 // BulkLoadTree), with a small fanout so that a few hundred entries make
 // a multi-level tree.
 
@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/random.h"
 #include "gtest/gtest.h"
 #include "rtree/node.h"
@@ -576,14 +577,21 @@ TEST_F(RTreeTest, PersistsAcrossReopen) {
   {
     auto tree = LoadRandom(dims, 200, &rng, 0.0, 30.0, &points);
     meta = tree->meta_page();
-    ASSERT_TRUE(tree->SaveMeta().ok());
-    ASSERT_TRUE(pool_->FlushAll().ok());
+    ASSERT_TRUE(file_->Sync().ok());  // the header's page count
   }
+  pool_.reset();
+  file_.reset();
+  auto file = PageFile::Open(dir_.file("tree.pages"));
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  BufferPool pool(file->get(), 16);
   RTreeOptions options;
   options.max_entries_override = kFanout;
-  auto tree = RStarTree::Open(pool_.get(), meta, options);
+  auto tree = RStarTree::Open(&pool, meta, options);
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
   EXPECT_EQ((*tree)->size(), 200u);
+  auto check = (*tree)->CheckInvariants();
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_TRUE(check->ok) << check->message;
 
   Rect query({5.0, 5.0}, {25.0, 25.0});
   std::set<uint64_t> expected;
@@ -617,13 +625,11 @@ class RTreeEdgeTest : public ::testing::Test {
 };
 
 TEST_F(RTreeEdgeTest, RejectsDimensionMismatches) {
-  auto tree = RStarTree::Create(pool_.get(), 3, {});
-  ASSERT_TRUE(tree.ok());
-  EXPECT_TRUE((*tree)
-                  ->Search(Rect({0.0}, {1.0}),
+  auto tree = BulkLoadTree(pool_.get(), 3, std::vector<Point>{}, 0);
+  EXPECT_TRUE(tree->Search(Rect({0.0}, {1.0}),
                            [](uint64_t, const Rect&) { return true; })
                   .IsInvalidArgument());
-  EXPECT_TRUE(RStarTree::Create(pool_.get(), 0, {}).status()
+  EXPECT_TRUE(RStarTree::Build(pool_.get(), 0, {}, 0).status()
                   .IsInvalidArgument());
 }
 
@@ -657,8 +663,6 @@ std::vector<std::pair<std::string, Status>> RunEveryDescent(
   out.emplace_back("NearestNeighborsStream(map)",
                    tree.NearestNeighborsStream(metric, &shift,
                                                keep_streaming));
-  out.emplace_back("JoinWith", tree.JoinWith(tree, nullptr, &shift, all_pairs,
-                                             keep_pairs));
   Status seeded;
   auto seeds = tree.JoinSeeds(tree, nullptr, &shift, all_pairs);
   if (!seeds.ok()) {
@@ -688,39 +692,53 @@ TEST_F(RTreeEdgeTest, CorruptNodePagesReturnCorruptionFromEveryDescent) {
   for (uint64_t i = 0; i < 200; ++i) {
     points.push_back(RandomPoint(&rng, dims, 0.0, 10.0));
   }
-  auto tree = BulkLoadTree(pool_.get(), dims, points, 4);
-  ASSERT_GE(tree->height(), 3u);
-  for (const auto& [name, status] : RunEveryDescent(*tree)) {
+  const PageId meta = [&] {
+    auto tree = BulkLoadTree(pool_.get(), dims, points, 4);
+    EXPECT_GE(tree->height(), 3u);
+    return tree->meta_page();
+  }();
+  // Each check reads the file through a pool and tree of its own, so a
+  // page written to the file is the page every descent reads.
+  RTreeOptions options;
+  options.max_entries_override = 4;
+  const auto run_every_descent = [&] {
+    BufferPool pool(file_.get(), 64);
+    auto tree = RStarTree::Open(&pool, meta, options);
+    EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+    std::vector<std::pair<std::string, Status>> out =
+        RunEveryDescent(**tree);
+    // The owning LoadNode path: a failed audit counts as Corruption.
+    auto check = (*tree)->CheckInvariants();
+    Status audit = check.status();
+    if (check.ok() && !check->ok) audit = Status::Corruption(check->message);
+    out.emplace_back("CheckInvariants", audit);
+    return out;
+  };
+  const auto read = [&](PageId id) {
+    Page page;
+    EXPECT_TRUE(file_->Read(id, &page).ok()) << "page " << id;
+    return page;
+  };
+  for (const auto& [name, status] : run_every_descent()) {
     ASSERT_TRUE(status.ok()) << name << ": " << status.ToString();
   }
 
   // Meta page layout: u64 magic | u64 dims | u64 root | ...
-  ASSERT_TRUE(tree->SaveMeta().ok());
-  const PageId root =
-      pool_->Fetch(tree->meta_page()).value().page()->ReadU64(16);
+  const PageId root = read(meta).ReadU64(16);
   Node root_node;
-  ASSERT_TRUE(
-      DeserializeNode(*pool_->Fetch(root).value().page(), dims, &root_node)
-          .ok());
+  ASSERT_TRUE(DeserializeNode(read(root), dims, &root_node).ok());
   ASSERT_FALSE(root_node.IsLeaf());
   const PageId child = root_node.entries[0].id;
 
   auto corrupt_and_check = [&](PageId page_id, auto&& corrupt) {
-    Page saved;
-    {
-      PageHandle handle = pool_->Fetch(page_id).value();
-      saved = *handle.page();
-      corrupt(handle.page());
-      handle.MarkDirty();
-    }
-    for (const auto& [name, status] : RunEveryDescent(*tree)) {
+    const Page saved = read(page_id);
+    Page page = saved;
+    corrupt(&page);
+    ASSERT_TRUE(file_->Write(page_id, page).ok());
+    for (const auto& [name, status] : run_every_descent()) {
       EXPECT_TRUE(status.IsCorruption()) << name << ": " << status.ToString();
     }
-    auto check = tree->CheckInvariants();  // the owning LoadNode path
-    EXPECT_TRUE(!check.ok() || !check->ok);
-    PageHandle handle = pool_->Fetch(page_id).value();
-    *handle.page() = saved;
-    handle.MarkDirty();
+    ASSERT_TRUE(file_->Write(page_id, saved).ok());
   };
 
   corrupt_and_check(child, [&](Page* page) { PoisonLo(page, dims, 0, 0); });
@@ -731,8 +749,7 @@ TEST_F(RTreeEdgeTest, CorruptNodePagesReturnCorruptionFromEveryDescent) {
   });
   PageId leaf = child;
   for (Node node;;) {
-    ASSERT_TRUE(
-        DeserializeNode(*pool_->Fetch(leaf).value().page(), dims, &node).ok());
+    ASSERT_TRUE(DeserializeNode(read(leaf), dims, &node).ok());
     if (node.IsLeaf()) break;
     leaf = node.entries[0].id;
   }
@@ -742,7 +759,7 @@ TEST_F(RTreeEdgeTest, CorruptNodePagesReturnCorruptionFromEveryDescent) {
     ASSERT_TRUE(SerializeNode(skipping, dims, page).ok());
   });
 
-  for (const auto& [name, status] : RunEveryDescent(*tree)) {
+  for (const auto& [name, status] : run_every_descent()) {
     EXPECT_TRUE(status.ok()) << name << ": " << status.ToString();
   }
 }
@@ -789,7 +806,6 @@ class BulkLoadTest : public ::testing::TestWithParam<size_t> {
     const size_t count = GetParam();
     RTreeOptions options;
     options.max_entries_override = 10;
-    auto tree = RStarTree::Create(pool_.get(), dims, options).value();
 
     Rng rng(count + 5);
     std::vector<Entry> entries;
@@ -802,7 +818,10 @@ class BulkLoadTest : public ::testing::TestWithParam<size_t> {
       entries.push_back(e);
       points.push_back(std::move(p));
     }
-    ASSERT_TRUE(tree->BulkLoad(entries, first_tiled_dim).ok());
+    auto built = RStarTree::Build(pool_.get(), dims, std::move(entries),
+                                  first_tiled_dim, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const std::unique_ptr<RStarTree>& tree = *built;
     EXPECT_EQ(tree->size(), count);
 
     auto check = tree->CheckInvariants();
@@ -847,29 +866,52 @@ TEST_P(BulkLoadTest, LoadsAndSearchesExactlyTilingFromDimTwo) {
 INSTANTIATE_TEST_SUITE_P(Sizes, BulkLoadTest,
                          ::testing::Values(0, 1, 5, 10, 11, 100, 1000, 5000));
 
-TEST(BulkLoadEdgeTest, RequiresEmptyTreeAndValidEntries) {
+TEST(BulkLoadEdgeTest, RejectsInvalidEntries) {
   tsq::testing::TempDir dir;
   auto file = PageFile::Create(dir.file("b.pages")).value();
   BufferPool pool(file.get(), 64);
-  auto tree = BulkLoadTree(&pool, 2, std::vector<Point>{{1.0, 1.0}}, 0);
-
-  // A tree is written once: a second load is refused.
   Entry e;
   e.rect = spatial::Rect::FromPoint(spatial::Point{2.0, 2.0});
   e.id = 1;
-  EXPECT_TRUE(tree->BulkLoad({e}, 0).IsFailedPrecondition());
-  EXPECT_EQ(tree->size(), 1u);
-
-  auto tree2 = RStarTree::Create(&pool, 2, {}).value();
   Entry bad;
   bad.rect = spatial::Rect::FromPoint(spatial::Point{1.0});  // wrong dims
-  EXPECT_TRUE(tree2->BulkLoad({bad}, 0).IsInvalidArgument());
+  EXPECT_TRUE(RStarTree::Build(&pool, 2, {e, bad}, 0).status()
+                  .IsInvalidArgument());
   Entry empty_rect;
   empty_rect.rect = spatial::Rect::Empty(2);
-  EXPECT_TRUE(tree2->BulkLoad({empty_rect}, 0).IsInvalidArgument());
+  EXPECT_TRUE(RStarTree::Build(&pool, 2, {empty_rect}, 0).status()
+                  .IsInvalidArgument());
   // STR must tile at least one dim.
-  EXPECT_TRUE(tree2->BulkLoad({e}, 2).IsInvalidArgument());
-  EXPECT_EQ(tree2->size(), 0u);
+  EXPECT_TRUE(RStarTree::Build(&pool, 2, {e}, 2).status().IsInvalidArgument());
+  // A refused build writes nothing.
+  EXPECT_EQ(file->num_pages(), 0u);
+}
+
+TEST(BulkLoadEdgeTest, BuildWritesEveryPageOnce) {
+  // Every page the build allocates is written exactly once, straight to
+  // the file, and counted as one disk write on the building thread.
+  tsq::testing::TempDir dir;
+  auto file = PageFile::Create(dir.file("b.pages")).value();
+  BufferPool pool(file.get(), 4);
+  Rng rng(40);
+  std::vector<Point> points;
+  for (uint64_t i = 0; i < 500; ++i) {
+    points.push_back(RandomPoint(&rng, 2, 0.0, 1.0));
+  }
+  std::set<uint64_t> written;
+  failpoint::SetCallback("page_file_write", [&written](uint64_t id) {
+    EXPECT_TRUE(written.insert(id).second) << "page " << id << " rewritten";
+  });
+  const IndexDelta counted;
+  auto tree = BulkLoadTree(&pool, 2, points, 4);
+  failpoint::Clear("page_file_write");
+  EXPECT_EQ(counted().disk_writes, file->num_pages());
+  EXPECT_EQ(written.size(), file->num_pages());
+  // The build fetches nothing back through the pool.
+  EXPECT_EQ(counted().hits + counted().misses, 0u);
+  auto check = tree->CheckInvariants();
+  ASSERT_TRUE(check.ok());
+  EXPECT_TRUE(check->ok) << check->message;
 }
 
 TEST(BulkLoadEdgeTest, UntiledDimsDoNotDecideWhichEntriesShareANode) {
@@ -899,9 +941,9 @@ TEST(BulkLoadEdgeTest, UntiledDimsDoNotDecideWhichEntriesShareANode) {
       entries[i].rect = Rect::FromPoint(p);
       entries[i].id = i;
     }
-    auto tree = RStarTree::Create(&pool, kDims, options).value();
-    EXPECT_TRUE(tree->BulkLoad(std::move(entries), first_tiled_dim).ok());
-    return tree;
+    return RStarTree::Build(&pool, kDims, std::move(entries),
+                            first_tiled_dim, options)
+        .value();
   };
   // Nodes visited by one search, and the ids it finds.
   const auto search = [](const RStarTree& tree, const Rect& query) {

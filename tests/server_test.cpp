@@ -1016,41 +1016,42 @@ TEST_F(ServerTest, TreeMatchJoinOfARootEntrySkippingALevelIsCorruption) {
   DatabaseOptions options;
   options.directory = dir_.path();
   options.name = "skipped";
-  options.rtree.max_entries_override = 4;  // a tree several levels deep
+  // 512-byte pages hold (512 - 16) / 104 = 4 entries of the 6-D layout:
+  // a tree several levels deep.
+  options.page_size = 512;
   auto db = Database::Create(options).value();
   for (const TimeSeries& s : data_) {
     ASSERT_TRUE(db->Insert(s.name(), s.values()).ok());
   }
   ASSERT_TRUE(db->BuildIndex().ok());
-  rtree::RStarTree* tree = db->index()->tree();
-  BufferPool* pool = db->index()->pool();
-  ASSERT_GE(tree->height(), 3u);
-  ASSERT_TRUE(tree->SaveMeta().ok());
+  const size_t dims = db->index()->tree()->dims();
+  ASSERT_GE(db->index()->tree()->height(), 3u);
+
+  // Find the pages through a reader of the file's own, so the database's
+  // pool stays cold until the first query reads the corrupt root.
+  const std::string path = dir_.path() + "/skipped.idx";
+  auto file = PageFile::Open(path).value();
+  const auto read = [&file](PageId id) {
+    Page page;
+    EXPECT_TRUE(file->Read(id, &page).ok()) << "page " << id;
+    return page;
+  };
   // Meta page layout: u64 magic | u64 dims | u64 root | ...
-  const PageId root =
-      pool->Fetch(tree->meta_page()).value().page()->ReadU64(16);
+  const PageId root = read(db->index()->tree()->meta_page()).ReadU64(16);
+  const Page saved = read(root);
   rtree::Node root_node;
-  ASSERT_TRUE(rtree::DeserializeNode(*pool->Fetch(root).value().page(),
-                                     tree->dims(), &root_node)
-                  .ok());
+  ASSERT_TRUE(rtree::DeserializeNode(saved, dims, &root_node).ok());
   PageId leaf = root_node.entries[0].id;
   for (rtree::Node node;;) {
-    ASSERT_TRUE(rtree::DeserializeNode(*pool->Fetch(leaf).value().page(),
-                                       tree->dims(), &node)
-                    .ok());
+    ASSERT_TRUE(rtree::DeserializeNode(read(leaf), dims, &node).ok());
     if (node.IsLeaf()) break;
     leaf = node.entries[0].id;
   }
-  Page saved;
-  {
-    PageHandle handle = pool->Fetch(root).value();
-    saved = *handle.page();
-    rtree::Node skipping = root_node;
-    skipping.entries[0].id = leaf;
-    ASSERT_TRUE(
-        rtree::SerializeNode(skipping, tree->dims(), handle.page()).ok());
-    handle.MarkDirty();
-  }
+  rtree::Node skipping = root_node;
+  skipping.entries[0].id = leaf;
+  Page corrupt(saved.size());
+  ASSERT_TRUE(rtree::SerializeNode(skipping, dims, &corrupt).ok());
+  testing::OverwritePage(path, root, corrupt);
 
   for (const size_t threads : {1u, 4u}) {
     auto pairs = db->SelfJoin(4.0, JoinMethod::kTreeMatch, std::nullopt,
@@ -1066,12 +1067,10 @@ TEST_F(ServerTest, TreeMatchJoinOfARootEntrySkippingALevelIsCorruption) {
     EXPECT_TRUE(remote.status().IsCorruption()) << remote.status().ToString();
   }
 
-  // Restored, the same join answers again.
-  {
-    PageHandle handle = pool->Fetch(root).value();
-    *handle.page() = saved;
-    handle.MarkDirty();
-  }
+  // Restored and reopened (a fresh pool), the same join answers again.
+  testing::OverwritePage(path, root, saved);
+  db.reset();
+  db = Database::Open(options).value();
   EXPECT_TRUE(db->SelfJoin(4.0, JoinMethod::kTreeMatch, std::nullopt).ok());
 }
 

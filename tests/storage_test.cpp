@@ -1,10 +1,10 @@
 // Copyright (c) 2026 The tsq Authors.
 //
 // Tests for the paged storage substrate: serde codecs and CRC, the page
-// file (allocation, free list, persistence), the LRU buffer pool (hits,
-// misses, eviction, pinning, write-back) and the segmented sequence
-// relation (append/get/scan, reopen, torn-tail recovery, corruption
-// detection, concurrent appenders).
+// file (allocation without a write, persistence, read-only reopen), the
+// read-only LRU buffer pool (hits, misses, eviction that writes nothing,
+// pinning) and the segmented sequence relation (append/get/scan, reopen,
+// torn-tail recovery, corruption detection, concurrent appenders).
 
 #include <sys/resource.h>
 
@@ -269,17 +269,33 @@ TEST(PageFileTest, CreateAllocateWriteRead) {
   TempDir dir;
   auto pf = PageFile::Create(dir.file("pages"), 4096);
   ASSERT_TRUE(pf.ok()) << pf.status().ToString();
-  auto id1 = (*pf)->Allocate();
-  ASSERT_TRUE(id1.ok());
-  EXPECT_EQ(*id1, 1u);
+  const PageId id1 = (*pf)->Allocate();
+  EXPECT_EQ(id1, 1u);
 
   Page page(4096);
   page.WriteU64(0, 777);
-  ASSERT_TRUE((*pf)->Write(*id1, page).ok());
+  ASSERT_TRUE((*pf)->Write(id1, page).ok());
   Page back;
-  ASSERT_TRUE((*pf)->Read(*id1, &back).ok());
+  ASSERT_TRUE((*pf)->Read(id1, &back).ok());
   EXPECT_EQ(back.ReadU64(0), 777u);
   EXPECT_EQ((*pf)->num_pages(), 1u);
+}
+
+TEST(PageFileTest, AllocateWritesNothing) {
+  // Allocate only reserves ids: a page reaches the file with its own
+  // bytes, once, when it is written.
+  TempDir dir;
+  const std::string path = dir.file("pages");
+  auto pf = PageFile::Create(path, 4096);
+  ASSERT_TRUE(pf.ok());
+  EXPECT_EQ((*pf)->Allocate(), 1u);
+  EXPECT_EQ((*pf)->Allocate(), 2u);
+  EXPECT_EQ((*pf)->num_pages(), 2u);
+  EXPECT_LT(std::filesystem::file_size(path), 4096u);  // the header only
+  Page page(4096);
+  page.WriteU64(0, 2);
+  ASSERT_TRUE((*pf)->Write(2, page).ok());
+  EXPECT_EQ(std::filesystem::file_size(path), 3u * 4096);
 }
 
 TEST(PageFileTest, RejectsBadPageSize) {
@@ -297,24 +313,6 @@ TEST(PageFileTest, RejectsInvalidPageIds) {
   EXPECT_TRUE((*pf)->Read(0, &page).IsInvalidArgument());      // header page
   EXPECT_TRUE((*pf)->Read(99, &page).IsInvalidArgument());     // unallocated
   EXPECT_TRUE((*pf)->Write(5, page).IsInvalidArgument());
-  EXPECT_TRUE((*pf)->Free(0).IsInvalidArgument());
-}
-
-TEST(PageFileTest, FreeListRecyclesPages) {
-  TempDir dir;
-  auto pf = PageFile::Create(dir.file("pages"));
-  ASSERT_TRUE(pf.ok());
-  PageId a = (*pf)->Allocate().value();
-  PageId b = (*pf)->Allocate().value();
-  PageId c = (*pf)->Allocate().value();
-  EXPECT_EQ((*pf)->num_pages(), 3u);
-  ASSERT_TRUE((*pf)->Free(b).ok());
-  ASSERT_TRUE((*pf)->Free(a).ok());
-  // LIFO recycling: a then b come back before any new page is grown.
-  EXPECT_EQ((*pf)->Allocate().value(), a);
-  EXPECT_EQ((*pf)->Allocate().value(), b);
-  EXPECT_EQ((*pf)->Allocate().value(), c + 1);
-  EXPECT_EQ((*pf)->num_pages(), 4u);
 }
 
 TEST(PageFileTest, PersistsAcrossReopen) {
@@ -324,7 +322,7 @@ TEST(PageFileTest, PersistsAcrossReopen) {
   {
     auto pf = PageFile::Create(path, 2048);
     ASSERT_TRUE(pf.ok());
-    id = (*pf)->Allocate().value();
+    id = (*pf)->Allocate();
     Page page(2048);
     page.WriteU64(8, 123456789ull);
     ASSERT_TRUE((*pf)->Write(id, page).ok());
@@ -337,6 +335,29 @@ TEST(PageFileTest, PersistsAcrossReopen) {
   Page back;
   ASSERT_TRUE((*reopened)->Read(id, &back).ok());
   EXPECT_EQ(back.ReadU64(8), 123456789ull);
+}
+
+TEST(PageFileTest, OpenedFileIsReadOnly) {
+  // A file is written once, by its creator: Open's descriptor can read
+  // every page but write none, nor the header.
+  TempDir dir;
+  const std::string path = dir.file("pages");
+  {
+    auto pf = PageFile::Create(path);
+    ASSERT_TRUE(pf.ok());
+    testing::AppendPages(pf->get(), 2);
+    ASSERT_TRUE((*pf)->Sync().ok());
+  }
+  const std::string before = testing::ReadFileBytes(path);
+  auto reopened = PageFile::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  Page page;
+  ASSERT_TRUE((*reopened)->Read(2, &page).ok());
+  EXPECT_EQ(page.ReadU64(0), 2u);
+  EXPECT_FALSE((*reopened)->Write(2, page).ok());
+  EXPECT_FALSE((*reopened)->Sync().ok());
+  reopened->reset();
+  EXPECT_EQ(testing::ReadFileBytes(path), before);
 }
 
 TEST(PageFileTest, OpenRejectsGarbageFile) {
@@ -364,88 +385,76 @@ class BufferPoolTest : public ::testing::Test {
     ASSERT_TRUE(pf.ok());
     file_ = std::move(*pf);
   }
+
   TempDir dir_;
   std::unique_ptr<PageFile> file_;
 };
 
-TEST_F(BufferPoolTest, NewFetchRoundTrip) {
+TEST_F(BufferPoolTest, FetchReadsOnceThenHits) {
+  const PageId id = testing::AppendPages(file_.get(), 1)[0];
   BufferPool pool(file_.get(), 4);
   const IndexDelta counted;
-  auto h = pool.New();
+  auto h = pool.Fetch(id);
   ASSERT_TRUE(h.ok());
-  const PageId id = h->id();
-  h->page()->WriteU64(0, 42);
-  h->MarkDirty();
+  EXPECT_EQ(h->page()->ReadU64(0), id);
   h->Release();
   auto h2 = pool.Fetch(id);
   ASSERT_TRUE(h2.ok());
-  EXPECT_EQ(h2->page()->ReadU64(0), 42u);
-  EXPECT_EQ(counted().hits, 1u);  // still cached
+  EXPECT_EQ(h2->page()->ReadU64(0), id);
+  const obs::IndexCounters c = counted();
+  EXPECT_EQ(c.misses, 1u);
+  EXPECT_EQ(c.disk_reads, 1u);
+  EXPECT_EQ(c.hits, 1u);  // still cached
 }
 
-TEST_F(BufferPoolTest, EvictionWritesBackDirtyPages) {
+TEST_F(BufferPoolTest, EvictionWritesNothing) {
+  // A frame is a clean copy of its page: eviction drops it, and the file
+  // keeps the bytes it had.
   BufferPool pool(file_.get(), 2);
+  const std::vector<PageId> ids = testing::AppendPages(file_.get(), 6);
+  const std::string before = testing::ReadFileBytes(dir_.file("pages"));
   const IndexDelta counted;
-  PageId first = 0;
-  {
-    auto h = pool.New();
-    ASSERT_TRUE(h.ok());
-    first = h->id();
-    h->page()->WriteU64(16, 99);
-    h->MarkDirty();
+  for (int round = 0; round < 2; ++round) {
+    for (const PageId id : ids) {
+      auto h = pool.Fetch(id);
+      ASSERT_TRUE(h.ok());
+      EXPECT_EQ(h->page()->ReadU64(0), id);
+    }
   }
-  // Fill the pool so `first` is evicted.
-  for (int i = 0; i < 3; ++i) {
-    auto h = pool.New();
-    ASSERT_TRUE(h.ok());
-  }
-  EXPECT_GT(counted().evictions, 0u);
-  auto back = pool.Fetch(first);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->page()->ReadU64(16), 99u);
-  EXPECT_GT(counted().disk_reads, 0u);
+  EXPECT_EQ(counted().evictions, 10u);
+  EXPECT_EQ(counted().disk_writes, 0u);
+  EXPECT_EQ(testing::ReadFileBytes(dir_.file("pages")), before);
 }
 
 TEST_F(BufferPoolTest, PinnedPagesCannotBeEvicted) {
   BufferPool pool(file_.get(), 2);
-  auto a = pool.New();
-  auto b = pool.New();
+  const std::vector<PageId> ids = testing::AppendPages(file_.get(), 4);
+  auto a = pool.Fetch(ids[0]);
+  auto b = pool.Fetch(ids[1]);
   ASSERT_TRUE(a.ok() && b.ok());
   // Both frames pinned: a third page must fail.
-  auto c = pool.New();
+  auto c = pool.Fetch(ids[2]);
   EXPECT_TRUE(c.status().IsFailedPrecondition());
   a->Release();
-  auto d = pool.New();  // now one frame is evictable
+  auto d = pool.Fetch(ids[3]);  // now one frame is evictable
   EXPECT_TRUE(d.ok());
 }
 
 TEST_F(BufferPoolTest, LruEvictsLeastRecentlyUsed) {
   BufferPool pool(file_.get(), 2);
-  PageId a = pool.New().value().id();
-  PageId b = pool.New().value().id();
+  const std::vector<PageId> ids = testing::AppendPages(file_.get(), 3);
+  const PageId a = ids[0];
+  const PageId b = ids[1];
+  pool.Fetch(a).value();
+  pool.Fetch(b).value();
   // Touch a so b becomes the LRU victim.
   pool.Fetch(a).value();
-  pool.New().value();  // evicts b
+  pool.Fetch(ids[2]).value();  // evicts b
   const IndexDelta counted;
   pool.Fetch(a).value();
   EXPECT_EQ(counted().hits, 1u);
   pool.Fetch(b).value();
   EXPECT_EQ(counted().misses, 1u);
-}
-
-TEST_F(BufferPoolTest, FlushAllPersistsWithoutEviction) {
-  BufferPool pool(file_.get(), 4);
-  auto h = pool.New();
-  ASSERT_TRUE(h.ok());
-  const PageId id = h->id();
-  h->page()->WriteU64(0, 7);
-  h->MarkDirty();
-  h->Release();
-  ASSERT_TRUE(pool.FlushAll().ok());
-  // Read through the file directly: the bytes must be there.
-  Page raw;
-  ASSERT_TRUE(file_->Read(id, &raw).ok());
-  EXPECT_EQ(raw.ReadU64(0), 7u);
 }
 
 TEST_F(BufferPoolTest, OneClockKeepsTheLastCapacityPages) {
@@ -455,12 +464,7 @@ TEST_F(BufferPoolTest, OneClockKeepsTheLastCapacityPages) {
   // assume. A pool partitioned into per-page-id sub-clocks keeps a
   // hash-dependent subset instead.
   BufferPool pool(file_.get(), 64);
-  std::vector<PageId> ids;
-  for (int i = 0; i < 128; ++i) {
-    auto h = pool.New();
-    ASSERT_TRUE(h.ok());
-    ids.push_back(h->id());
-  }
+  const std::vector<PageId> ids = testing::CachePages(&pool, 128);
   const IndexDelta counted;
   for (size_t i = 64; i < 128; ++i) ASSERT_TRUE(pool.Fetch(ids[i]).ok());
   EXPECT_EQ(counted().hits, 64u);
@@ -474,32 +478,29 @@ TEST_F(BufferPoolTest, ExhaustionWaitsForTheLastFrame) {
   // With 15 of 16 frames pinned, the one unpinned frame serves any number
   // of pages; exhaustion is reported only once every frame is pinned.
   BufferPool pool(file_.get(), 16);
+  const std::vector<PageId> ids = testing::AppendPages(file_.get(), 49);
   const IndexDelta counted;
   std::vector<PageHandle> pins;
-  for (int i = 0; i < 15; ++i) {
-    auto h = pool.New();
+  for (size_t i = 0; i < 15; ++i) {
+    auto h = pool.Fetch(ids[i]);
     ASSERT_TRUE(h.ok()) << "pin " << i << ": " << h.status().ToString();
     pins.push_back(std::move(*h));
   }
-  PageId last = kInvalidPageId;
-  for (int i = 0; i < 32; ++i) {
-    auto h = pool.New();
+  for (size_t i = 15; i < 47; ++i) {
+    auto h = pool.Fetch(ids[i]);
     ASSERT_TRUE(h.ok()) << "page " << i << ": " << h.status().ToString();
-    h->page()->WriteU64(0, h->id());
-    h->MarkDirty();
-    last = h->id();
+    EXPECT_EQ(h->page()->ReadU64(0), ids[i]);
   }
-  // The first of the 32 took the free frame; each later one evicted (and
-  // wrote back) its predecessor from that same frame.
+  // The first of the 32 took the free frame; each later one evicted its
+  // predecessor from that same frame.
   EXPECT_EQ(counted().evictions, 31u);
-  EXPECT_EQ(counted().disk_writes, 31u);
   const uint64_t hits_before = counted().hits;
-  ASSERT_TRUE(pool.Fetch(last).ok());
+  ASSERT_TRUE(pool.Fetch(ids[46]).ok());
   EXPECT_EQ(counted().hits, hits_before + 1);
 
-  auto sixteenth = pool.New();
+  auto sixteenth = pool.Fetch(ids[47]);
   ASSERT_TRUE(sixteenth.ok()) << sixteenth.status().ToString();
-  EXPECT_TRUE(pool.New().status().IsFailedPrecondition());
+  EXPECT_TRUE(pool.Fetch(ids[48]).status().IsFailedPrecondition());
   // The pinned pages kept their frames throughout.
   for (const PageHandle& pin : pins) {
     const uint64_t hits = counted().hits;
@@ -512,15 +513,14 @@ TEST_F(BufferPoolTest, PinnedPageSurvivesEvictionPressure) {
   // Regression: a pinned page must never be evicted (or have its frame
   // reused) while other pages thrash the remaining frames.
   BufferPool pool(file_.get(), 4);
+  const std::vector<PageId> ids = testing::AppendPages(file_.get(), 9);
   const IndexDelta counted;
-  const PageId victim = pool.New().value().id();
-  std::vector<PageId> hammer;
-  for (int i = 0; i < 8; ++i) hammer.push_back(pool.New().value().id());
+  const PageId victim = ids[0];
+  const std::vector<PageId> hammer(ids.begin() + 1, ids.end());
 
   auto pinned = pool.Fetch(victim);
   ASSERT_TRUE(pinned.ok());
-  pinned->page()->WriteU64(24, 0xFEEDFACEull);
-  pinned->MarkDirty();
+  const Page* bytes = pinned->page();
 
   // Cycle eight pages through the three unpinned frames.
   for (int round = 0; round < 8; ++round) {
@@ -532,7 +532,8 @@ TEST_F(BufferPoolTest, PinnedPageSurvivesEvictionPressure) {
   EXPECT_GT(counted().evictions, 0u);
 
   // The pinned frame is untouched and still cached.
-  EXPECT_EQ(pinned->page()->ReadU64(24), 0xFEEDFACEull);
+  EXPECT_EQ(pinned->page(), bytes);
+  EXPECT_EQ(pinned->page()->ReadU64(0), victim);
   pinned->Release();
   const uint64_t hits_before = counted().hits;
   ASSERT_TRUE(pool.Fetch(victim).ok());
@@ -540,43 +541,12 @@ TEST_F(BufferPoolTest, PinnedPageSurvivesEvictionPressure) {
       << "pinned page fell out of cache";
 }
 
-TEST_F(BufferPoolTest, FlushAllWritesEveryDirtyFrameOnce) {
-  // Twelve dirty pages through eight frames: the first four were written
-  // back at eviction, so the flush writes exactly the eight resident ones.
-  BufferPool pool(file_.get(), 8);
-  const IndexDelta counted;
-  std::vector<PageId> ids;
-  for (int i = 0; i < 12; ++i) {
-    auto h = pool.New();
-    ASSERT_TRUE(h.ok());
-    h->page()->WriteU64(0, 1000 + h->id());
-    h->MarkDirty();
-    ids.push_back(h->id());
-  }
-  const uint64_t writes_before = counted().disk_writes;
-  EXPECT_EQ(writes_before, 4u);
-  ASSERT_TRUE(pool.FlushAll().ok());
-  // Every resident dirty frame was written exactly once...
-  EXPECT_EQ(counted().disk_writes, writes_before + 8);
-  // ...and every page — flushed or evicted earlier — is on disk.
-  for (const PageId id : ids) {
-    Page raw;
-    ASSERT_TRUE(file_->Read(id, &raw).ok());
-    EXPECT_EQ(raw.ReadU64(0), 1000 + id) << "page " << id;
-  }
-  // A second flush finds nothing dirty.
-  const uint64_t writes_after = counted().disk_writes;
-  ASSERT_TRUE(pool.FlushAll().ok());
-  EXPECT_EQ(counted().disk_writes, writes_after);
-}
-
 TEST_F(BufferPoolTest, StatsCountEveryAccessExactly) {
-  // Eight frames, 16 sequentially allocated pages: the clock evicts
+  // Eight frames, 16 pages fetched in order: the clock evicts
   // never-re-referenced pages in arrival order, so the last eight are
   // cached and the first eight are on disk.
   BufferPool pool(file_.get(), 8);
-  std::vector<PageId> ids;
-  for (int i = 0; i < 16; ++i) ids.push_back(pool.New().value().id());
+  const std::vector<PageId> ids = testing::CachePages(&pool, 16);
   const IndexDelta counted;
 
   for (size_t i = 8; i < 16; ++i) ASSERT_TRUE(pool.Fetch(ids[i]).ok());
@@ -592,7 +562,7 @@ TEST_F(BufferPoolTest, StatsCountEveryAccessExactly) {
 
 TEST_F(BufferPoolTest, MoveSemanticsOfHandles) {
   BufferPool pool(file_.get(), 2);
-  auto a = pool.New();
+  auto a = pool.Fetch(testing::AppendPages(file_.get(), 1)[0]);
   ASSERT_TRUE(a.ok());
   PageHandle h = std::move(*a);
   EXPECT_TRUE(h.valid());

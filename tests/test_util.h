@@ -110,8 +110,8 @@ inline spatial::Rect RandomRect(Rng* rng, size_t dims, double lo = -100.0,
   return spatial::Rect(std::move(a), std::move(b));
 }
 
-/// A tree in `pool` over `rects`, rects[i] under id i, written the one
-/// way any tree is: STR packing (RStarTree::BulkLoad) from
+/// A tree in `pool`'s file over `rects`, rects[i] under id i, written
+/// the one way any tree is: STR packing (RStarTree::Build) from
 /// `first_tiled_dim`. A nonzero `max_entries` caps the fanout
 /// (RTreeOptions::max_entries_override), so a few hundred entries make
 /// a tree several levels deep.
@@ -120,12 +120,12 @@ inline std::unique_ptr<rtree::RStarTree> BulkLoadTree(
     size_t max_entries, size_t first_tiled_dim = 0) {
   rtree::RTreeOptions options;
   options.max_entries_override = max_entries;
-  auto tree = rtree::RStarTree::Create(pool, dims, options).value();
   std::vector<rtree::Entry> entries(rects.size());
   for (size_t i = 0; i < rects.size(); ++i) entries[i] = {rects[i], i};
-  const Status loaded = tree->BulkLoad(std::move(entries), first_tiled_dim);
-  EXPECT_TRUE(loaded.ok()) << loaded.ToString();
-  return tree;
+  auto tree = rtree::RStarTree::Build(pool, dims, std::move(entries),
+                                      first_tiled_dim, options);
+  EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+  return std::move(tree).value();
 }
 
 /// BulkLoadTree over point entries: points[i] under id i.
@@ -138,6 +138,43 @@ inline std::unique_ptr<rtree::RStarTree> BulkLoadTree(
     rects.push_back(spatial::Rect::FromPoint(p));
   }
   return BulkLoadTree(pool, dims, rects, max_entries, first_tiled_dim);
+}
+
+/// Appends `count` pages to `file`, each holding its own id in its first
+/// word, and returns their ids: how a test fills the pages a BufferPool
+/// then reads.
+inline std::vector<PageId> AppendPages(PageFile* file, size_t count) {
+  std::vector<PageId> ids;
+  Page page(file->page_size());
+  for (size_t i = 0; i < count; ++i) {
+    const PageId id = file->Allocate();
+    page.WriteU64(0, id);
+    EXPECT_TRUE(file->Write(id, page).ok()) << "page " << id;
+    ids.push_back(id);
+  }
+  return ids;
+}
+
+/// AppendPages to `pool`'s file, then fetches each new page through
+/// `pool` in order, so that the pool caches the last capacity() of them.
+inline std::vector<PageId> CachePages(BufferPool* pool, size_t count) {
+  const std::vector<PageId> ids = AppendPages(pool->file(), count);
+  for (const PageId id : ids) EXPECT_TRUE(pool->Fetch(id).ok()) << id;
+  return ids;
+}
+
+/// Overwrites page `id` of the page file at `path` with `page`, beneath
+/// every PageFile and BufferPool that has the file open: how a test
+/// plants a hostile page in a published index file, which PageFile::Open
+/// opens read-only. A pool that already caches the page keeps its copy.
+inline void OverwritePage(const std::string& path, PageId id,
+                          const Page& page) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open()) << path;
+  f.seekp(static_cast<std::streamoff>(id * page.size()));
+  f.write(reinterpret_cast<const char*>(page.data()),
+          static_cast<std::streamsize>(page.size()));
+  ASSERT_TRUE(f.good()) << "write of page " << id << " to " << path;
 }
 
 /// One query asked the way every single query is: a one-element

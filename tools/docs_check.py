@@ -135,6 +135,30 @@ STALE_API_PATTERNS = [
     r"Add[S]eries",
     r"SubsequenceIndex::[C]reate",
     r"BufferPool::[D]elete",
+    # The dynamic tree's write machinery under write-once index files:
+    # the pool's write side, the page free list and the empty tree that
+    # BulkLoad filled. (No bare "free list": the pool keeps free_frames_.)
+    r"BufferPool::[N]ew\b",
+    r"pool(\.|->)[N]ew\(",
+    r"\bFlush[A]ll\b",
+    r"\bMark[D]irty\b",
+    r"BufferFrame::[d]irty",
+    r"PageFile::[F]ree\b",
+    r"free_list_[h]ead",
+    r"\bunsynced[_]",
+    r"Sync[L]ocked",
+    r"RStarTree::[C]reate\b",
+    r"KIndex::[C]reate\b",
+    r"\bBulk[L]oad\(",
+    r"RStarTree::[B]ulkLoad\b",
+    r"KIndex::[B]ulkLoad\b",
+    r"\bSave[M]eta\b",
+    r"\bStore[N]ode\b",
+    r"AllocateNode[P]age",
+    r"\bJoin[W]ith\b",
+    r"DatabaseOptions::[r]tree\b",
+    r"KIndexOptions::[r]tree\b",
+    r"options\.[r]tree\b",
 ]
 
 # Phrases of the merge that re-read every record (a merge now packs the
